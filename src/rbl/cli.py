@@ -118,6 +118,23 @@ def _as_int(name: str, raw: object) -> int:
         raise ConfigError(f"--{name.replace('_', '-')}: not an integer: {raw!r}")
 
 
+def _as_grid(name: str, raw: object) -> Optional[int]:
+    if raw is None:
+        return None
+    n = _as_int(name, raw)
+    if n < 2:
+        raise ConfigError(
+            f"--{name.replace('_', '-')}: need at least 2 grid points, got {n}")
+    return n
+
+
+def _as_seed(raw: object) -> int:
+    seed = _as_int("seed", raw)
+    if seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {seed}")
+    return seed
+
+
 def _as_bool(name: str, raw: object) -> bool:
     if isinstance(raw, bool):
         return raw
@@ -129,13 +146,18 @@ def _as_bool(name: str, raw: object) -> bool:
     raise ConfigError(f"--{name.replace('_', '-')}: not a boolean: {raw!r}")
 
 
+def _as_items(raw: object) -> int:
+    m = _as_int("m", raw)
+    if m < 1:
+        raise ConfigError(f"--m: item counts must be >= 1, got {m}")
+    return m
+
+
 def _as_m_list(raw: object) -> tuple[int, ...]:
     parts = [p for p in str(raw).split(",") if p.strip()]
     if not parts:
         raise ConfigError("--m: need a nonempty comma-separated list")
-    ms = tuple(_as_int("m", p.strip()) for p in parts)
-    if any(m < 1 for m in ms):
-        raise ConfigError(f"--m: entries must be >= 1, got {ms}")
+    ms = tuple(_as_items(p.strip()) for p in parts)
     if any(a >= b for a, b in zip(ms, ms[1:])):
         raise ConfigError(f"--m: list must be strictly ascending, got {ms}")
     return ms
@@ -217,12 +239,10 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
         m_list=_as_m_list(_need(cfg, "m")),
         eps=_as_auto_float("eps", cfg.get("eps")),
         gamma=_as_auto_float("gamma", cfg.get("gamma")),
-        alpha_grid=None if cfg.get("alpha_grid") is None
-        else _as_int("alpha_grid", cfg["alpha_grid"]),
-        price_grid=None if cfg.get("price_grid") is None
-        else _as_int("price_grid", cfg["price_grid"]),
-        grid=None if cfg.get("grid") is None else _as_int("grid", cfg["grid"]),
-        seed=0 if cfg.get("seed") is None else _as_int("seed", cfg["seed"]),
+        alpha_grid=_as_grid("alpha_grid", cfg.get("alpha_grid")),
+        price_grid=_as_grid("price_grid", cfg.get("price_grid")),
+        grid=_as_grid("grid", cfg.get("grid")),
+        seed=0 if cfg.get("seed") is None else _as_seed(cfg["seed"]),
         out=cfg.get("out"),  # type: ignore[arg-type]
         format=_as_format(cfg.get("format")),
     )
@@ -231,17 +251,15 @@ def _study_config(args: argparse.Namespace) -> StudyConfig:
 def _cmd_saddle(args: argparse.Namespace, objective: str) -> int:
     cfg = _study_config(args)
     spec = cfg.spec()
-    kw = {}
-    if cfg.alpha_grid is not None:
-        kw["alpha_grid"] = cfg.alpha_grid
+    # --alpha-grid is validated for both orders but only minimax has a grid;
+    # maximin solves nature's answer exactly
     reports = []
     for m in cfg.m_list:
         if objective == "maximin":
-            pkw = dict(kw)
-            if cfg.price_grid is not None:
-                pkw["price_grid"] = cfg.price_grid
-            reports.append(maximin_bundling_value(spec, m, **pkw))
+            kw = {} if cfg.price_grid is None else {"price_grid": cfg.price_grid}
+            reports.append(maximin_bundling_value(spec, m, **kw))
         else:
+            kw = {} if cfg.alpha_grid is None else {"alpha_grid": cfg.alpha_grid}
             reports.append(minimax_bundling_value(spec, m, **kw))
     if cfg.format == "json":
         rows = [
@@ -313,12 +331,12 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _COMMON + ("m", "eps", "n", "member", "optimize_t"))
     spec = MeanMadSpec(mu=_as_float("mu", _need(cfg, "mu")),
                        d=_as_float("d", _need(cfg, "d")))
-    m = _as_int("m", _need(cfg, "m"))
+    m = _as_items(_need(cfg, "m"))
     eps = _as_float("eps", _need(cfg, "eps"))
     n = _as_int("n", _need(cfg, "n"))
     if cfg.get("seed") is None:
         raise ConfigError("--seed is required for Monte Carlo runs")
-    seed = _as_int("seed", cfg["seed"])
+    seed = _as_seed(cfg["seed"])
     threads = 1 if cfg.get("threads") is None else _as_int("threads", cfg["threads"])
     raw_members = cfg.get("member")
     if raw_members is None:
@@ -366,7 +384,7 @@ def _cmd_opt_oracle(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _COMMON + ("m", "alpha", "symmetric"))
     spec = MeanMadSpec(mu=_as_float("mu", _need(cfg, "mu")),
                        d=_as_float("d", _need(cfg, "d")))
-    m = _as_int("m", _need(cfg, "m"))
+    m = _as_items(_need(cfg, "m"))
     alphas = [_as_float("alpha", a)
               for a in str(_need(cfg, "alpha")).split(",") if a.strip()]
     if len(alphas) not in (1, m):
@@ -428,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         sub.add_argument("--m", help="comma-separated ascending item counts")
         sub.add_argument("--alpha-grid", dest="alpha_grid",
-                         help="adversary grid points")
+                         help="adversary grid points" if name == "minimax"
+                         else argparse.SUPPRESS)
         sub.add_argument("--price-grid", dest="price_grid",
                          help="price grid points")
         sub.add_argument("--grid", help=argparse.SUPPRESS)

@@ -1,11 +1,17 @@
 """Saddle-point engines for bundle pricing against two-point product adversaries.
 
-Both orders of play are solved on grids with golden-section polish. The inner
-tail P(sum >= p) goes through the binomial survival function rather than the
-explicit m+1 point law, so m = 1e4 stays quick; alpha grids are geometric in
-1 - alpha down to 1e-12 because the damaging adversaries sit next to alpha = 1.
-Every report carries a certificate pair: an analytic lower chain and an upper
-bound that the computed value can be checked against.
+Price first (maximin): the seller's price grid is polished by golden section,
+and nature's answer to each price is solved exactly. In u = 1 - alpha the
+tail P(sum >= p) only jumps where a sum support point crosses p, at
+closed-form breakpoints u_k, and rises with u between them. So the guarantee
+at p is an infimum, attained at the floor u = U_FLOOR or approached as u
+decreases to some u_k; the reported alpha is then that limit point, not an
+attained minimizer. Nature first (minimax): a grid geometric in 1 - alpha
+down to 1e-12, because the damaging adversaries sit next to alpha = 1, then
+golden-section polish. Tails go through the binomial survival function
+rather than the explicit m+1 point law, so m = 1e4 stays quick. Every report
+carries a certificate pair: an analytic lower chain and an upper bound that
+the computed value can be checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, rel_entr
 from scipy.stats import binom
 
 from .ambiguity import MeanMadSpec, make_two_point
@@ -28,18 +34,25 @@ from .sum_law import product_sum
 ALPHA_GRID = 2048
 PRICE_GRID = 1024
 EPS_GRID = 512
-# Smallest 1 - alpha the grids reach.
+# Smallest 1 - alpha either order of play considers.
 U_FLOOR = 1e-12
 BRACKET_TOL = 1e-10
 # Best-response scan keeps the full k range up to this m, then windows.
 _FULL_RANGE_CAP = 2048
 _WINDOW_SIGMAS = 40.0
+# A breakpoint is skipped only if its Chernoff bound beats the best value by
+# this much: far above the rounding of m*KL (~1e-12 at m = 1e8) and of the
+# binomial tail, so pruning never changes a result.
+_PRUNE_MARGIN = 1e-9
+# Breakpoints handled per chunk of prices (each working array ~128 KB).
+_CHUNK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
 class SaddleReport:
-    """One solved game: per-item value, the argmax price, the argmin alpha,
-    and a (lower, upper) certificate the value must sit between."""
+    """One solved game: per-item value, the argmax price, the adversary's
+    alpha (for maximin, the limit point of its infimum), and a
+    (lower, upper) certificate the value must sit between."""
 
     m: int
     value: float
@@ -52,8 +65,9 @@ def _u_grid(spec: MeanMadSpec, n: int) -> np.ndarray:
     return np.geomspace(1.0 - spec.alpha_min, U_FLOOR, n)
 
 
-def _tails(spec: MeanMadSpec, m: int, p: float, u: np.ndarray) -> np.ndarray:
-    """P(sum >= p) for each u = 1 - alpha, sum of m i.i.d. two-point values.
+def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
+    """P(sum >= p) for u = 1 - alpha, sum of m i.i.d. two-point values; p and
+    u broadcast against each other.
 
     The sum hits m*x + k*(y-x) when k of the m draws come up high, so the tail
     is a Binomial(m, u) survival at the crossing index; the ceil is nudged so
@@ -76,15 +90,99 @@ def iid_tail(spec: MeanMadSpec, m: int, p: float, alpha: float) -> float:
     return float(_tails(spec, m, p, np.array([1.0 - alpha]))[0])
 
 
-def worst_case_alpha(spec: MeanMadSpec, m: int, p: float,
-                     grid: int = ALPHA_GRID) -> tuple[float, float]:
-    """Adversary's best two-point parameter against a fixed bundle price p.
+def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
+    """Root u in (0, 1] of c u^2 - (c + m) u + k = 0: where the support point
+    with k highs crosses the price. The form is chosen so neither branch
+    cancels or divides by zero (c + m <= 0 forces c < 0)."""
+    b = c + m
+    sq = np.sqrt(b * b - 4.0 * c * k)
+    pos = b > 0.0
+    return np.where(pos, 2.0 * k / np.where(pos, b + sq, 1.0),
+                    (b - sq) / np.where(pos, 1.0, 2.0 * c))
 
-    Returns (alpha, value) with value = p * P(sum >= p) / m minimized over a
-    geometric 1-alpha grid followed by golden-section polish on the winning
-    bracket (to width 1e-10). The result is the best point seen; it is global
-    only up to grid density, since the objective jumps where support points
-    cross p.
+
+def _inner_infimum(spec: MeanMadSpec, m: int,
+                   ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per price in ps: (u, tail) with tail the infimum of P(sum >= p) over
+    u = 1 - alpha in [U_FLOOR, 1 - alpha_min), reached at u: U_FLOOR, or the
+    breakpoint the infimum is approached at from above.
+
+    Breakpoint u_k is where the k-high support point equals p; on
+    (u_k, u_{k+1}] the tail is P(Bin(m, u) >= k+1), which rises with u. So
+    the infimum is the smallest of the tail at U_FLOOR and the limits
+    P(Bin(m, u_k) >= k+1) over the breakpoints in range. A breakpoint is
+    skipped only when its Chernoff bound 1 - exp(-m KL(k/m || u_k)), a lower
+    bound on that limit for k/m < u_k, clears a value already found by
+    _PRUNE_MARGIN.
+    """
+    u_hi = 1.0 - spec.alpha_min
+    c = 2.0 * (ps - m * spec.mu) / spec.d
+    # u_k rises with k, and m u + c u (1 - u) highs are needed at u: window k
+    # to 0..that count at u_hi plus a spare, then test the range exactly
+    k_hi = np.clip(np.ceil(m * u_hi + c * u_hi * (1.0 - u_hi)) + 1.0, 0.0, m)
+    counts = k_hi.astype(np.int64) + 1
+    owner = np.repeat(np.arange(ps.size), counts)
+    k = (np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]).astype(float)
+    u = _breakpoints(c[owner], m, k)
+    inside = (u >= U_FLOOR) & (u < u_hi)
+    owner, k, u = owner[inside], k[inside], u[inside]
+
+    q = k / m
+    kl = rel_entr(q, u) + rel_entr(1.0 - q, 1.0 - u)
+    bound = np.where(q < u, -np.expm1(-m * kl), 0.0)
+    floor_tail = _tails(spec, m, ps, np.float64(U_FLOOR))
+    # seed each price with its loosest-bounded breakpoint, then evaluate
+    # every breakpoint the seed does not rule out
+    tail = np.full(k.size, np.inf)
+    loosest = np.full(ps.size, np.inf)
+    np.minimum.at(loosest, owner, bound)
+    cand = np.flatnonzero(bound == loosest[owner])
+    seed = cand[np.unique(owner[cand], return_index=True)[1]]
+    tail[seed] = binom.sf(k[seed], m, u[seed])
+    best = floor_tail.copy()
+    np.minimum.at(best, owner[seed], tail[seed])
+    rest = np.flatnonzero(bound <= best[owner] + _PRUNE_MARGIN)
+    rest = rest[np.isinf(tail[rest])]
+    tail[rest] = binom.sf(k[rest], m, u[rest])
+    np.minimum.at(best, owner[rest], tail[rest])
+
+    # ties go to the smallest u: U_FLOOR first, then the lowest breakpoint
+    u_best = np.full(ps.size, U_FLOOR)
+    hit = np.flatnonzero((tail == best[owner]) & (best[owner] < floor_tail[owner]))
+    won, at = np.unique(owner[hit], return_index=True)
+    u_best[won] = u[hit[at]]
+    return u_best, best
+
+
+def _grid_guarantees(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
+    """p * inf_alpha P(sum >= p) / m on a price grid, as far as its argmax
+    needs. The value at 1 - alpha = U_FLOOR caps each price's infimum, so
+    prices are solved in chunks from the highest cap down and a price whose
+    cap is below a value already found is left at -inf. A chunk's breakpoint
+    arrays hold at most max(_CHUNK_POINTS, m + 1) entries."""
+    caps = ps * _tails(spec, m, ps, np.float64(U_FLOOR)) / m
+    order = np.argsort(-caps, kind="stable")
+    vals = np.full(ps.size, -np.inf)
+    step = max(1, _CHUNK_POINTS // (m + 1))
+    for i in range(0, ps.size, step):
+        idx = order[i:i + step]
+        idx = idx[caps[idx] >= vals.max()]
+        if idx.size == 0:
+            break
+        vals[idx] = ps[idx] * _inner_infimum(spec, m, ps[idx])[1] / m
+    return vals
+
+
+def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
+    """Adversary's answer to a fixed bundle price p, solved exactly.
+
+    Returns (alpha, value) with value = p * P(sum >= p) / m at its infimum
+    over the family. The tail only jumps where a sum support point crosses
+    p, at closed-form breakpoints u_k = 1 - alpha_k, and rises with u between
+    them, so the infimum is the smallest of the tail at 1 - alpha = U_FLOOR
+    (attained) and the limits as u falls to each breakpoint. In the latter
+    case the returned alpha is that limit point, not an attained minimizer:
+    at alpha itself the k-high support point still sells.
     """
     if p < 0:
         raise NegativePrice(f"price must be nonnegative, got {p!r}")
@@ -92,19 +190,8 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float,
         raise ValueError(f"need m >= 1, got {m}")
     if p == 0.0:
         return spec.alpha_min, 0.0
-    u = _u_grid(spec, grid)
-    vals = p * _tails(spec, m, p, u) / m
-    i = int(np.argmin(vals))
-    lo = float(u[min(i + 1, grid - 1)])  # u is descending
-    hi = float(u[max(i - 1, 0)])
-
-    def f(uu: float) -> float:
-        return float(p * _tails(spec, m, p, np.array([uu]))[0] / m)
-
-    u_best, v_best = golden_min(f, lo, hi, tol=BRACKET_TOL)
-    if vals[i] <= v_best:
-        u_best, v_best = float(u[i]), float(vals[i])
-    return 1.0 - u_best, float(v_best)
+    u, tail = _inner_infimum(spec, m, np.array([float(p)]))
+    return 1.0 - float(u[0]), float(p * tail[0] / m)
 
 
 def _chain_lower_at(spec: MeanMadSpec, m: int, eps: float) -> float:
@@ -130,26 +217,26 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int,
 
 
 def maximin_bundling_value(spec: MeanMadSpec, m: int,
-                           price_grid: int = PRICE_GRID,
-                           alpha_grid: int = ALPHA_GRID) -> SaddleReport:
+                           price_grid: int = PRICE_GRID) -> SaddleReport:
     """Price maximizing the adversarially worst bundle revenue per item.
 
     Outer maximization over p in [0, m*mu] by grid plus golden-section polish,
-    inner minimization by worst_case_alpha. The certificate pairs the
-    guaranteed-sale chain bound with the analytic ceiling mu - d/2.
+    inner infimum solved exactly by breakpoints (worst_case_alpha), the grid
+    in chunks of prices. The certificate pairs the guaranteed-sale chain
+    bound with the analytic ceiling mu - d/2.
     """
     ps = np.linspace(0.0, m * spec.mu, price_grid)
-    vals = np.array([worst_case_alpha(spec, m, p, grid=alpha_grid)[1] for p in ps])
+    vals = _grid_guarantees(spec, m, ps)
     j = int(np.argmax(vals))
     p_best, v_best = golden_max(
-        lambda p: worst_case_alpha(spec, m, p, grid=alpha_grid)[1],
+        lambda p: worst_case_alpha(spec, m, p)[1],
         float(ps[max(j - 1, 0)]),
         float(ps[min(j + 1, price_grid - 1)]),
         tol=BRACKET_TOL * max(1.0, m * spec.mu),
     )
     if vals[j] >= v_best:
         p_best, v_best = float(ps[j]), float(vals[j])
-    alpha_best = worst_case_alpha(spec, m, p_best, grid=alpha_grid)[0]
+    alpha_best = worst_case_alpha(spec, m, p_best)[0]
     return SaddleReport(
         m=m,
         value=float(v_best),

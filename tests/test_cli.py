@@ -84,11 +84,38 @@ def test_regret_auto_schedule(capsys):
     ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2", "--m", "50",
      "--n", "10000", "--seed", "1", "--member", "two_point:0.5"),
     ("opt-oracle", "--mu", "1", "--d", "0.5", "--m", "2", "--alpha", "0.5,0.6,0.7"),
+    ("maximin", "--mu", "1", "--d", "0.5", "--m", "2", "--price-grid", "0"),
+    ("maximin", "--mu", "1", "--d", "0.5", "--m", "2", "--price-grid", "-3"),
+    ("maximin", "--mu", "1", "--d", "0.5", "--m", "2", "--price-grid", "1"),
+    ("maximin", "--mu", "1", "--d", "0.5", "--m", "2", "--alpha-grid", "0"),
+    ("minimax", "--mu", "1", "--d", "0.5", "--m", "2", "--alpha-grid", "0"),
+    ("minimax", "--mu", "1", "--d", "0.5", "--m", "2", "--alpha-grid", "1"),
+    ("ratio", "--mu", "1", "--d", "0.5", "--m", "2", "--grid", "1"),
+    ("maximin", "--mu", "1", "--d", "0.5", "--m", "2", "--seed", "-1"),
+    ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2", "--m", "50",
+     "--n", "10000", "--seed", "-1", "--member", "two_point:alpha=0.5"),
+    ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2", "--m", "0",
+     "--n", "10000", "--seed", "1", "--member", "two_point:alpha=0.5"),
+    ("opt-oracle", "--mu", "1", "--d", "0.5", "--m", "0", "--alpha", "0.5"),
 ])
 def test_validation_failures_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err or err == ""
+    assert err.count("\n") <= 1
+
+
+def test_maximin_alpha_grid_is_hidden_and_inert(capsys):
+    # kept for RBL_ALPHA_GRID configs: parsed and validated, but maximin
+    # solves the adversary exactly, so it changes nothing
+    base = ("maximin", "--mu", "1", "--d", "0.5", "--m", "4")
+    code, plain, _ = run(capsys, *base)
+    code2, with_grid, _ = run(capsys, *base, "--alpha-grid", "256")
+    assert code == code2 == 0
+    assert plain == with_grid
+    with pytest.raises(SystemExit):
+        main(["maximin", "--help"])
+    assert "--alpha-grid" not in capsys.readouterr().out
 
 
 def test_env_overrides_file_flags_override_env(capsys, tmp_path, monkeypatch):

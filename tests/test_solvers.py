@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import binom
 
+from rbl import solvers
 from rbl.ambiguity import MeanMadSpec, make_two_point
 from rbl.bundling import best_bundle_price
 from rbl.errors import NegativePrice
 from rbl.solvers import (
+    U_FLOOR,
     append_saddle_csv,
     extreme_adversary_alpha,
     extreme_adversary_logs,
@@ -87,6 +92,80 @@ def test_maximin_price_survives_random_adversaries(half_spec, rng):
     for a in alphas:
         rev = rep.price * iid_tail(half_spec, m, rep.price, float(a)) / m
         assert rev >= rep.value - 1e-9
+
+
+def _scanned_guarantee(spec, m, p, n=100_000):
+    """Lowest p P(sum >= p) / m over a dense alpha scan, geometric and linear
+    in 1 - alpha, with exact integer binomial coefficients."""
+    u_hi = 1.0 - spec.alpha_min
+    u = np.concatenate([np.geomspace(u_hi, U_FLOOR, n),
+                        np.linspace(u_hi, U_FLOOR, n)])
+    alpha = 1.0 - u
+    x = spec.mu - spec.d / (2.0 * alpha)
+    y = spec.mu + spec.d / (2.0 * u)
+    tail = np.zeros_like(u)
+    for k in range(m + 1):
+        sells = (m - k) * x + k * y >= p
+        tail += np.where(sells, math.comb(m, k) * u ** k * alpha ** (m - k), 0.0)
+    return float(np.min(p * tail / m))
+
+
+@pytest.mark.parametrize("m,want", [(4, 0.5085188802), (10, 0.6281564309),
+                                    (16, 0.6674566953)])
+def test_maximin_small_m_is_a_guarantee(half_spec, m, want):
+    # a grid inner search once missed adversaries here and overstated the
+    # guarantee by up to 1.3e-3; the exact infimum sits at or below any scan
+    rep = maximin_bundling_value(half_spec, m)
+    scan = _scanned_guarantee(half_spec, m, rep.price)
+    assert rep.value <= scan + 1e-12
+    assert scan - rep.value < 1e-4
+    assert rep.value == pytest.approx(want, abs=1e-9)
+
+
+def _brute_worst_case(spec, m, p):
+    """Unpruned inner infimum: the attained value at U_FLOOR and the limit
+    P(Bin(m, u_k) >= k+1) at every crossing index k = 0..m whose breakpoint
+    u_k lies in [U_FLOOR, 1 - alpha_min); ties go to the smallest u."""
+    c = 2.0 * (p - m * spec.mu) / spec.d
+    b = c + m
+    k = np.arange(m + 1.0)
+    sq = np.sqrt(b * b - 4.0 * c * k)
+    u = 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
+    inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
+    us = np.concatenate([[U_FLOOR], u[inside]])
+    tails = np.concatenate([solvers._tails(spec, m, p, np.array([U_FLOOR])),
+                            binom.sf(k[inside], m, u[inside])])
+    i = int(np.argmin(tails))
+    return 1.0 - float(us[i]), float(p * tails[i] / m)
+
+
+def test_worst_case_alpha_equals_unpruned_brute_force():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        mu = float(rng.uniform(0.5, 2.0))
+        spec = MeanMadSpec(mu, mu * float(rng.uniform(0.1, 1.9)))
+        m = int(round(math.exp(rng.uniform(0.0, math.log(1500.0)))))
+        if rng.random() < 0.5:
+            p = float(rng.uniform(0.0, 1.05)) * m * mu
+        else:  # near the guaranteed-sale price, where the answer is subtle
+            sale = m * (mu - spec.d / 2.0)
+            p = max(sale * (1.0 + float(rng.normal(0.0, 3.0 / math.sqrt(m)))), 1e-9)
+        assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
+
+
+def test_grid_pruning_keeps_the_argmax(monkeypatch):
+    # the price grid skips prices whose cap is below a value already found;
+    # small chunks make that happen at every m
+    monkeypatch.setattr(solvers, "_CHUNK_POINTS", 1 << 10)
+    for mu, d, m in ((1.0, 0.5, 7), (1.0, 0.8, 300), (1.3, 2.1, 1000)):
+        spec = MeanMadSpec(mu, d)
+        ps = np.linspace(0.0, m * mu, 257)
+        full = ps * solvers._inner_infimum(spec, m, ps)[1] / m
+        got = solvers._grid_guarantees(spec, m, ps)
+        done = np.isfinite(got)
+        assert np.array_equal(got[done], full[done])
+        assert np.argmax(got) == np.argmax(full)
+        assert np.all(full[~done] < got.max())
 
 
 def test_minimax_m1_frozen(half_spec):
