@@ -10,7 +10,6 @@ is either solved exactly (m <= 3) or replaced by its m*mu ceiling.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +24,8 @@ from .bundling import (
 from .concentration import concentration_constant
 from .errors import LambdaOutOfRange, ParamOutOfRange, RangeError
 from .opt_oracle import opt_deterministic
-from .optimize import golden_max, golden_min
-from .solvers import iid_tail, maximin_bundling_value
+from .optimize import grid_polish
+from .solvers import U_FLOOR, _u_grid, iid_tail, maximin_bundling_value
 from .sum_law import iid_two_point_sum, tail_prob
 
 _XI_GRID = 10_000
@@ -35,7 +34,6 @@ _GAMMA_GRID = 8192
 _EMP_GRID = 256
 # Exact first-best oracle is affordable this far.
 _ORACLE_CAP = 3
-_U_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,17 +149,9 @@ def ratio_bound_chain(spec: MeanMadSpec, m: int, eps: float) -> dict:
     vals = np.full(gam.size, np.inf)
     ok = bracket > 0.0
     vals[ok] = head / ((1.0 - gam[ok]) * bracket[ok])
-    i = int(np.argmin(vals))
-    if np.isinf(vals[i]):
-        upper = float("inf")
-    else:
-        _, refined = golden_min(
-            upper_at,
-            float(gam[max(i - 1, 0)]),
-            float(gam[min(i + 1, _GAMMA_GRID - 1)]),
-            tol=1e-12,
-        )
-        upper = float(min(refined, vals[i]))
+    upper = float("inf")
+    if np.isfinite(vals.min()):
+        upper = grid_polish(upper_at, gam, vals, 1e-12)[1]
     return {"lower": float(lower), "upper": upper, "g": g}
 
 
@@ -198,7 +188,7 @@ class EmpiricalReport:
 
 
 def _oracle_curves(spec: MeanMadSpec, m: int, grid: int):
-    u = np.geomspace(1.0 - spec.alpha_min, _U_FLOOR, grid)
+    u = _u_grid(spec, grid)
     laws = []
     opts = np.empty(grid)
     for i, uu in enumerate(u):
@@ -212,13 +202,48 @@ def _constructive_opt_lower(spec: MeanMadSpec, m: int, alpha: float) -> float:
     """Best of three explicit mechanisms at this adversary (diagnostic only):
     the second-support bundle price, separate sales, and the bundle priced at
     (1-gamma) m mu on the m^(-1/4) schedule."""
-    alpha = min(max(alpha, spec.alpha_min), 1.0 - _U_FLOOR)
+    alpha = min(max(alpha, spec.alpha_min), 1.0 - U_FLOOR)
     dist = make_two_point(spec, alpha)
     second = m * second_point_revenue(spec, alpha, m)
     separate = separate_sale_revenue(dist, m)
     p = (1.0 - schedule_eps_gamma(m)) * m * spec.mu
     bundle = p * iid_tail(spec, m, p, alpha)
     return max(second, separate, bundle)
+
+
+def _empirical(spec: MeanMadSpec, m: int, grid: int,
+               objective: str) -> EmpiricalReport:
+    """Both studies as one search: the seller maximizes, over the price, the
+    worst per-adversary score p P(sum >= p) / OPT (ratio) or
+    (p P(sum >= p) - OPT) / m (regret, the negated shortfall), and the
+    regret is reported with its sign restored. Negation is exact, so this is
+    the same search as minimizing the worst shortfall."""
+    ratio = objective == "ratio"
+    if m <= _ORACLE_CAP:
+        u, laws, opts = _oracle_curves(spec, m, grid)
+
+        def scores(p: float) -> np.ndarray:
+            rev = p * np.array([tail_prob(law, p) for law in laws])
+            return rev / opts if ratio else rev - opts
+
+        def val(p: float) -> float:
+            return float(np.min(scores(p))) / (1.0 if ratio else m)
+
+        ps = np.linspace(0.0, m * spec.mu, grid)
+        p_best, v_best = grid_polish(val, ps, np.array([val(p) for p in ps]),
+                                     1e-10 * max(1.0, m * spec.mu),
+                                     maximize=True)
+        i = int(np.argmin(scores(p_best)))
+        return EmpiricalReport(objective=objective, m=m,
+                               value=v_best if ratio else -v_best,
+                               mode="oracle", price=p_best,
+                               alpha=1.0 - float(u[i]))
+    rep = maximin_bundling_value(spec, m)
+    return EmpiricalReport(objective=objective, m=m,
+                           value=rep.value / spec.mu if ratio
+                           else spec.mu - rep.value,
+                           mode="mu_upper", price=rep.price, alpha=rep.alpha,
+                           opt_lower=_constructive_opt_lower(spec, m, rep.alpha))
 
 
 def ratio_empirical(spec: MeanMadSpec, m: int, grid: int = _EMP_GRID) -> EmpiricalReport:
@@ -230,30 +255,7 @@ def ratio_empirical(spec: MeanMadSpec, m: int, grid: int = _EMP_GRID) -> Empiric
     (mode "mu_upper", a conservative share) and records a constructive OPT
     floor for scale.
     """
-    if m <= _ORACLE_CAP:
-        u, laws, opts = _oracle_curves(spec, m, grid)
-
-        def val(p: float) -> float:
-            tails = np.array([tail_prob(law, p) for law in laws])
-            return float(np.min(p * tails / opts))
-
-        ps = np.linspace(0.0, m * spec.mu, grid)
-        vals = np.array([val(p) for p in ps])
-        j = int(np.argmax(vals))
-        p_best, v_best = golden_max(
-            val, float(ps[max(j - 1, 0)]), float(ps[min(j + 1, grid - 1)]),
-            tol=1e-10 * max(1.0, m * spec.mu))
-        if vals[j] >= v_best:
-            p_best, v_best = float(ps[j]), float(vals[j])
-        tails = np.array([tail_prob(law, p_best) for law in laws])
-        i = int(np.argmin(p_best * tails / opts))
-        return EmpiricalReport(objective="ratio", m=m, value=float(v_best),
-                               mode="oracle", price=float(p_best),
-                               alpha=1.0 - float(u[i]))
-    rep = maximin_bundling_value(spec, m)
-    return EmpiricalReport(objective="ratio", m=m, value=rep.value / spec.mu,
-                           mode="mu_upper", price=rep.price, alpha=rep.alpha,
-                           opt_lower=_constructive_opt_lower(spec, m, rep.alpha))
+    return _empirical(spec, m, grid, "ratio")
 
 
 def regret_empirical(spec: MeanMadSpec, m: int, grid: int = _EMP_GRID) -> EmpiricalReport:
@@ -263,43 +265,4 @@ def regret_empirical(spec: MeanMadSpec, m: int, grid: int = _EMP_GRID) -> Empiri
     oracle. Larger m: mu - maximin value, i.e. the shortfall against the m*mu
     ceiling (mode "mu_upper", a conservative regret).
     """
-    if m <= _ORACLE_CAP:
-        u, laws, opts = _oracle_curves(spec, m, grid)
-
-        def val(p: float) -> float:
-            tails = np.array([tail_prob(law, p) for law in laws])
-            return float(np.max(opts - p * tails)) / m
-
-        ps = np.linspace(0.0, m * spec.mu, grid)
-        vals = np.array([val(p) for p in ps])
-        j = int(np.argmin(vals))
-        p_best, v_best = golden_min(
-            val, float(ps[max(j - 1, 0)]), float(ps[min(j + 1, grid - 1)]),
-            tol=1e-10 * max(1.0, m * spec.mu))
-        if vals[j] <= v_best:
-            p_best, v_best = float(ps[j]), float(vals[j])
-        tails = np.array([tail_prob(law, p_best) for law in laws])
-        i = int(np.argmax(opts - p_best * tails))
-        return EmpiricalReport(objective="regret", m=m, value=float(v_best),
-                               mode="oracle", price=float(p_best),
-                               alpha=1.0 - float(u[i]))
-    rep = maximin_bundling_value(spec, m)
-    return EmpiricalReport(objective="regret", m=m, value=spec.mu - rep.value,
-                           mode="mu_upper", price=rep.price, alpha=rep.alpha,
-                           opt_lower=_constructive_opt_lower(spec, m, rep.alpha))
-
-
-def append_study_csv(path: str, spec: MeanMadSpec, m: int, eps: float,
-                     gamma: float, objective: str, mode: str, value: float,
-                     lower: float, upper: float) -> None:
-    """Append one study row, writing the header on first touch."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    row = ",".join([
-        f"{spec.mu:.17g}", f"{spec.d:.17g}", str(m), f"{eps:.17g}",
-        f"{gamma:.17g}", objective, mode, f"{value:.17g}", f"{lower:.17g}",
-        f"{upper:.17g}",
-    ])
-    with open(path, "a") as fh:
-        if fresh:
-            fh.write("mu,d,m,eps,gamma,objective,mode,value,lower,upper\n")
-        fh.write(row + "\n")
+    return _empirical(spec, m, grid, "regret")

@@ -27,7 +27,6 @@ from .ambiguity import (
     make_two_point,
 )
 from .asymptotics import (
-    append_study_csv,
     ratio_bound_chain,
     ratio_empirical,
     regret_bound_chain,
@@ -38,13 +37,7 @@ from .asymptotics import (
 from .concentration import concentration_check_mc, concentration_constant
 from .errors import ConfigError, RobustBundlingError
 from .opt_oracle import opt_deterministic
-from .solvers import (
-    append_saddle_csv,
-    maximin_bundling_value,
-    minimax_bundling_value,
-)
-
-_STUDY_NAMES = ("maximin", "minimax", "ratio", "regret")
+from .solvers import maximin_bundling_value, minimax_bundling_value
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,10 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, names: Sequence[str]) -> dict:
-    """Merge option sources at defaults < file < environment < flags."""
+    """Merge option sources at defaults < file < environment < flags.
+
+    --seed, --threads and --format are checked here, before any work, so
+    every subcommand that accepts them rejects a bad value, used or not."""
     file_cfg = _read_config_file(args.config) if args.config else {}
     merged: dict[str, object] = {}
     for name in names:
@@ -95,6 +91,10 @@ def _resolve(args: argparse.Namespace, names: Sequence[str]) -> dict:
             env = os.environ.get("RBL_" + name.upper())
             val = env if env is not None else file_cfg.get(name)
         merged[name] = val
+    for name, check in (("seed", _as_seed), ("threads", _as_threads),
+                        ("format", _as_format)):
+        if merged.get(name) is not None:
+            check(merged[name])
     return merged
 
 
@@ -133,6 +133,13 @@ def _as_seed(raw: object) -> int:
     if seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {seed}")
     return seed
+
+
+def _as_threads(raw: object) -> int:
+    threads = 1 if raw is None else _as_int("threads", raw)
+    if threads < 1:
+        raise ConfigError(f"--threads: must be >= 1, got {threads}")
+    return threads
 
 
 def _as_bool(name: str, raw: object) -> bool:
@@ -227,6 +234,32 @@ def _dump_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """A header line and one line per row: floats at full round-trip
+    precision, anything else through str."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _emit_rows(rows: list[dict], fmt: str, out: Optional[str]) -> None:
+    """Study rows sharing one key order: a JSON list, or CSV in that order."""
+    if fmt == "json":
+        _emit(_dump_json(rows), out)
+    else:
+        _emit(_csv(list(rows[0]), [list(r.values()) for r in rows]), out)
+
+
+def _emit_payload(cfg: dict, payload: dict, header: Sequence[str],
+                  rows: Sequence[Sequence[object]]) -> None:
+    """One result: the payload as JSON (the default) or the CSV table."""
+    fmt = _as_format(cfg.get("format") or "json")
+    _emit(_dump_json(payload) if fmt == "json" else _csv(header, rows),
+          cfg.get("out"))  # type: ignore[arg-type]
+
+
 _COMMON = ("mu", "d", "config", "format", "out", "seed", "threads")
 _STUDY = _COMMON + ("m", "eps", "gamma", "alpha_grid", "price_grid", "grid")
 
@@ -261,30 +294,15 @@ def _cmd_saddle(args: argparse.Namespace, objective: str) -> int:
         else:
             kw = {} if cfg.alpha_grid is None else {"alpha_grid": cfg.alpha_grid}
             reports.append(minimax_bundling_value(spec, m, **kw))
-    if cfg.format == "json":
-        rows = [
-            {
-                "mu": spec.mu, "d": spec.d, "m": r.m, "objective": objective,
-                "value": r.value, "price": r.price, "alpha": r.alpha,
-                "lower": r.certificate[0], "upper": r.certificate[1],
-            }
-            for r in reports
-        ]
-        _emit(_dump_json(rows), cfg.out)
-        return 0
-    if cfg.out is None:
-        tmp_rows = ["mu,d,m,objective,value,price,alpha,lower,upper"]
-        for r in reports:
-            lo, hi = r.certificate
-            tmp_rows.append(",".join([
-                f"{spec.mu:.17g}", f"{spec.d:.17g}", str(r.m), objective,
-                f"{r.value:.17g}", f"{r.price:.17g}", f"{r.alpha:.17g}",
-                f"{lo:.17g}", f"{hi:.17g}"]))
-        _emit("\n".join(tmp_rows) + "\n", None)
-        return 0
-    open(cfg.out, "w").close()  # fresh file for reproducible bytes
-    for r in reports:
-        append_saddle_csv(cfg.out, spec, objective, r)
+    rows = [
+        {
+            "mu": spec.mu, "d": spec.d, "m": r.m, "objective": objective,
+            "value": r.value, "price": r.price, "alpha": r.alpha,
+            "lower": r.certificate[0], "upper": r.certificate[1],
+        }
+        for r in reports
+    ]
+    _emit_rows(rows, cfg.format, cfg.out)
     return 0
 
 
@@ -296,34 +314,19 @@ def _cmd_ratio_regret(args: argparse.Namespace, objective: str) -> int:
     for m in cfg.m_list:
         eps = schedule_eps_gamma(m) if cfg.eps == "auto" else float(cfg.eps)
         gamma = schedule_eps_gamma(m) if cfg.gamma == "auto" else float(cfg.gamma)
+        # the chain rejects an out-of-range eps or gamma, so it runs first
         if objective == "ratio":
-            emp = ratio_empirical(spec, m, **grid_kw)
             chain = ratio_bound_chain(spec, m, eps)
+            emp = ratio_empirical(spec, m, **grid_kw)
         else:
-            emp = regret_empirical(spec, m, **grid_kw)
             chain = regret_bound_chain(spec, m, eps, gamma)
+            emp = regret_empirical(spec, m, **grid_kw)
         rows.append({
             "mu": spec.mu, "d": spec.d, "m": m, "eps": eps, "gamma": gamma,
             "objective": objective, "mode": emp.mode, "value": emp.value,
             "lower": chain["lower"], "upper": chain["upper"],
         })
-    if cfg.format == "json":
-        _emit(_dump_json(rows), cfg.out)
-        return 0
-    if cfg.out is None:
-        text = ["mu,d,m,eps,gamma,objective,mode,value,lower,upper"]
-        for r in rows:
-            text.append(",".join([
-                f"{r['mu']:.17g}", f"{r['d']:.17g}", str(r["m"]),
-                f"{r['eps']:.17g}", f"{r['gamma']:.17g}", objective, r["mode"],
-                f"{r['value']:.17g}", f"{r['lower']:.17g}",
-                f"{r['upper']:.17g}"]))
-        _emit("\n".join(text) + "\n", None)
-        return 0
-    open(cfg.out, "w").close()
-    for r in rows:
-        append_study_csv(cfg.out, spec, r["m"], r["eps"], r["gamma"], objective,
-                         r["mode"], r["value"], r["lower"], r["upper"])
+    _emit_rows(rows, cfg.format, cfg.out)
     return 0
 
 
@@ -337,7 +340,7 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
     if cfg.get("seed") is None:
         raise ConfigError("--seed is required for Monte Carlo runs")
     seed = _as_seed(cfg["seed"])
-    threads = 1 if cfg.get("threads") is None else _as_int("threads", cfg["threads"])
+    threads = _as_threads(cfg.get("threads"))
     raw_members = cfg.get("member")
     if raw_members is None:
         raise ConfigError("need at least one --member")
@@ -353,15 +356,8 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
         payload["optimized_t"] = cert.t
         payload["optimized_f"] = cert.f
         payload["optimized_bound"] = cert.bound
-    fmt = _as_format(cfg.get("format") or "json")
-    if fmt == "json":
-        _emit(_dump_json(payload), cfg.get("out"))  # type: ignore[arg-type]
-    else:
-        keys = sorted(payload)
-        vals = [payload[k] for k in keys]
-        cells = [f"{v:.17g}" if isinstance(v, float) else str(v) for v in vals]
-        _emit(",".join(keys) + "\n" + ",".join(cells) + "\n",
-              cfg.get("out"))  # type: ignore[arg-type]
+    keys = sorted(payload)
+    _emit_payload(cfg, payload, keys, [[payload[k] for k in keys]])
     return 0
 
 
@@ -370,13 +366,8 @@ def _cmd_xi(args: argparse.Namespace) -> int:
     spec = MeanMadSpec(mu=_as_float("mu", _need(cfg, "mu")),
                        d=_as_float("d", _need(cfg, "d")))
     res = xi_gap(spec)
-    fmt = _as_format(cfg.get("format") or "json")
-    if fmt == "json":
-        _emit(_dump_json(res), cfg.get("out"))  # type: ignore[arg-type]
-    else:
-        keys = ("gamma", "tau0", "xi0", "xi1", "xi")
-        _emit("key,value\n" + "".join(f"{k},{res[k]:.17g}\n" for k in keys),
-              cfg.get("out"))  # type: ignore[arg-type]
+    keys = ("gamma", "tau0", "xi0", "xi1", "xi")
+    _emit_payload(cfg, res, ("key", "value"), [(k, res[k]) for k in keys])
     return 0
 
 
@@ -398,15 +389,9 @@ def _cmd_opt_oracle(args: argparse.Namespace) -> int:
         "menus_evaluated": res.menus_evaluated,
         "symmetric": res.symmetric,
     }
-    fmt = _as_format(cfg.get("format") or "json")
-    if fmt == "json":
-        _emit(_dump_json(payload), cfg.get("out"))  # type: ignore[arg-type]
-    else:
-        lines = ["bundle,price"]
-        for entry in payload["menu"]:
-            bundle = "+".join(str(i) for i in entry["bundle"])
-            lines.append(f"{bundle},{entry['price']:.17g}")
-        _emit("\n".join(lines) + "\n", cfg.get("out"))  # type: ignore[arg-type]
+    rows = [("+".join(str(i) for i in e["bundle"]), e["price"])
+            for e in payload["menu"]]
+    _emit_payload(cfg, payload, ("bundle", "price"), rows)
     return 0
 
 

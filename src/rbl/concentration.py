@@ -29,7 +29,7 @@ from .errors import (
     ParamOutOfRange,
     TruncationTooLow,
 )
-from .optimize import golden_min
+from .optimize import grid_polish
 from .sum_law import sample_sum
 
 # Monte Carlo checks below this sample count are too noisy to be meaningful.
@@ -130,17 +130,10 @@ def concentration_constant(
 
     grid = np.geomspace(t_min, t_min * 1e3, _T_GRID)
     vals = np.array([_f_at(spec, eps, t) for t in grid])
-    i = int(np.argmin(vals))
-    t_best, f_best = golden_min(
-        lambda t: _f_at(spec, eps, t),
-        float(grid[max(i - 1, 0)]),
-        float(grid[min(i + 1, _T_GRID - 1)]),
-        tol=1e-9 * t_min,
-    )
-    if vals[i] < f_best:
-        t_best, f_best = float(grid[i]), float(vals[i])
+    t_best, f_best = grid_polish(lambda t: _f_at(spec, eps, t), grid, vals,
+                                 1e-9 * t_min)
     return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps,
-                                    t=float(t_best), f=float(f_best))
+                                    t=t_best, f=f_best)
 
 
 @dataclass(frozen=True)

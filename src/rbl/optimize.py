@@ -1,15 +1,21 @@
-"""Golden-section refinement on a bracket.
+"""Grid search with golden-section polish.
 
-Used to polish grid minima. The objectives here are piecewise-smooth with kinks
-and jumps, so the routine tracks every evaluation and returns the best point
-seen; on a non-unimodal bracket it degrades to dense sampling near the winner
-instead of silently converging to the wrong valley.
+Every optimum the package reports is found the same way: evaluate a grid,
+take its best point, and polish the bracket formed by that point's two grid
+neighbours with golden_min; grid_polish does all three. The objectives here
+are piecewise-smooth with kinks and jumps, so golden_min tracks every
+evaluation and returns the best point seen; on a non-unimodal bracket it
+degrades to dense sampling near the winner instead of silently converging to
+the wrong valley, and grid_polish keeps the grid point whenever the polish
+does no better.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 200
@@ -42,7 +48,20 @@ def golden_min(f: Callable[[float], float], a: float, b: float,
     return best_x, best_v
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float,
-               tol: float = 1e-10) -> tuple[float, float]:
-    x, v = golden_min(lambda z: -f(z), a, b, tol=tol)
-    return x, -v
+def grid_polish(f: Callable[[float], float], xs: Sequence[float],
+                vals: Sequence[float], tol: float,
+                maximize: bool = False) -> tuple[float, float]:
+    """Best (x, f(x)) from a grid xs with values vals, polished by golden_min.
+
+    The bracket is the best index's two neighbours, sorted, so xs may ascend
+    or descend; at an end of the grid the best point itself closes it. Ties
+    go to the first best index and then to the grid point over the polish.
+    """
+    s = -1.0 if maximize else 1.0
+    i = int(np.argmin(s * np.asarray(vals)))
+    lo, hi = sorted((float(xs[max(i - 1, 0)]),
+                     float(xs[min(i + 1, len(xs) - 1)])))
+    x, v = golden_min(lambda z: s * f(z), lo, hi, tol=tol)
+    if s * vals[i] <= v:
+        return float(xs[i]), float(vals[i])
+    return x, s * v

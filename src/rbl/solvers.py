@@ -16,9 +16,7 @@ the computed value can be checked against.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln, rel_entr
@@ -28,7 +26,7 @@ from .ambiguity import MeanMadSpec, make_two_point
 from .bundling import best_bundle_price, guaranteed_sale_price
 from .concentration import concentration_constant
 from .errors import NegativePrice
-from .optimize import golden_max, golden_min
+from .optimize import grid_polish
 from .sum_law import product_sum
 
 ALPHA_GRID = 2048
@@ -206,14 +204,9 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int,
     hi = 1.0 - spec.alpha_min
     eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), grid)
     vals = np.array([_chain_lower_at(spec, m, e) for e in eps])
-    i = int(np.argmax(vals))
-    _, v_best = golden_max(
-        lambda e: _chain_lower_at(spec, m, e),
-        float(eps[max(i - 1, 0)]),
-        float(eps[min(i + 1, grid - 1)]),
-        tol=1e-12,
-    )
-    return max(0.0, float(max(v_best, vals[i])))
+    _, v_best = grid_polish(lambda e: _chain_lower_at(spec, m, e), eps, vals,
+                            1e-12, maximize=True)
+    return max(0.0, v_best)
 
 
 def maximin_bundling_value(spec: MeanMadSpec, m: int,
@@ -226,22 +219,15 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     bound with the analytic ceiling mu - d/2.
     """
     ps = np.linspace(0.0, m * spec.mu, price_grid)
-    vals = _grid_guarantees(spec, m, ps)
-    j = int(np.argmax(vals))
-    p_best, v_best = golden_max(
-        lambda p: worst_case_alpha(spec, m, p)[1],
-        float(ps[max(j - 1, 0)]),
-        float(ps[min(j + 1, price_grid - 1)]),
-        tol=BRACKET_TOL * max(1.0, m * spec.mu),
-    )
-    if vals[j] >= v_best:
-        p_best, v_best = float(ps[j]), float(vals[j])
-    alpha_best = worst_case_alpha(spec, m, p_best)[0]
+    p_best, v_best = grid_polish(
+        lambda p: worst_case_alpha(spec, m, p)[1], ps,
+        _grid_guarantees(spec, m, ps), BRACKET_TOL * max(1.0, m * spec.mu),
+        maximize=True)
     return SaddleReport(
         m=m,
-        value=float(v_best),
-        price=float(p_best),
-        alpha=float(alpha_best),
+        value=v_best,
+        price=p_best,
+        alpha=worst_case_alpha(spec, m, p_best)[0],
         certificate=(maximin_certificate_lower(spec, m), spec.mu - spec.d / 2.0),
     )
 
@@ -290,23 +276,14 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
     """
     u = _u_grid(spec, alpha_grid)
     vals = np.array([_best_response(spec, m, float(uu))[1] for uu in u])
-    i = int(np.argmin(vals))
-    raw_min = float(vals[i])
-    u_best, v_best = golden_min(
-        lambda z: _best_response(spec, m, z)[1],
-        float(u[min(i + 1, alpha_grid - 1)]),
-        float(u[max(i - 1, 0)]),
-        tol=BRACKET_TOL,
-    )
-    if raw_min <= v_best:
-        u_best, v_best = float(u[i]), raw_min
-    price = _best_response(spec, m, u_best)[0]
+    u_best, v_best = grid_polish(lambda z: _best_response(spec, m, z)[1], u,
+                                 vals, BRACKET_TOL)
     return SaddleReport(
         m=m,
-        value=float(v_best),
-        price=float(price),
+        value=v_best,
+        price=_best_response(spec, m, u_best)[0],
         alpha=1.0 - u_best,
-        certificate=(maximin_certificate_lower(spec, m), raw_min),
+        certificate=(maximin_certificate_lower(spec, m), float(vals.min())),
     )
 
 
@@ -379,19 +356,3 @@ def extreme_adversary_second_point_revenue(spec: MeanMadSpec, m: int) -> float:
     t = float(np.exp(np.log(m) + log1m))
     r = -float(np.expm1(-t)) / t if t > 0.0 else 1.0
     return ((m - 1) * x + spec.mu) * r * z + spec.d / 2.0 * r
-
-
-def append_saddle_csv(path: str, spec: MeanMadSpec, objective: str,
-                      report: SaddleReport) -> None:
-    """Append one study row, writing the header on first touch."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    lo, hi = report.certificate
-    row = ",".join([
-        f"{spec.mu:.17g}", f"{spec.d:.17g}", str(report.m), objective,
-        f"{report.value:.17g}", f"{report.price:.17g}", f"{report.alpha:.17g}",
-        f"{lo:.17g}", f"{hi:.17g}",
-    ])
-    with open(path, "a") as fh:
-        if fresh:
-            fh.write("mu,d,m,objective,value,price,alpha,lower,upper\n")
-        fh.write(row + "\n")

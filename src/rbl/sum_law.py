@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,23 +44,6 @@ class SumLaw:
 
     def mean(self) -> float:
         return float(np.dot(self.support, self.probs))
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("support,prob\n")
-            for s, p in zip(self.support, self.probs):
-                fh.write(f"{s:.17g},{p:.17g}\n")
-
-
-def read_csv(path: str) -> SumLaw:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return SumLaw(m=0, support=data[:, 0], probs=data[:, 1])
-
-
-@lru_cache(maxsize=8)
-def _log_binom_coeffs(m: int) -> np.ndarray:
-    k = np.arange(m + 1)
-    return gammaln(m + 1.0) - gammaln(k + 1.0) - gammaln(m - k + 1.0)
 
 
 _LOG_2PI = float(np.log(2.0 * np.pi))

@@ -3,7 +3,6 @@ import pytest
 
 from rbl.ambiguity import MeanMadSpec
 from rbl.asymptotics import (
-    append_study_csv,
     asymptotic_targets,
     ratio_bound_chain,
     ratio_empirical,
@@ -148,15 +147,3 @@ def test_regret_empirical_modes(half_spec):
     want = half_spec.mu - maximin_bundling_value(half_spec, 16).value
     assert rep.mode == "mu_upper"
     assert rep.value == pytest.approx(want, rel=1e-9)
-
-
-def test_study_csv_append(half_spec, tmp_path):
-    path = tmp_path / "study.csv"
-    append_study_csv(str(path), half_spec, 100, 0.1, 0.1, "ratio", "mu_upper",
-                     0.5, 0.4, 0.8)
-    append_study_csv(str(path), half_spec, 200, 0.1, 0.1, "ratio", "mu_upper",
-                     0.6, 0.4, 0.8)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "mu,d,m,eps,gamma,objective,mode,value,lower,upper"
-    assert len(lines) == 3
-    assert lines[1].split(",")[2] == "100"

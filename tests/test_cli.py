@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbl.cli import main
+from rbl.concentration import MC_MIN_SAMPLES
 
 
 def run(capsys, *argv):
@@ -97,12 +102,77 @@ def test_regret_auto_schedule(capsys):
     ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2", "--m", "0",
      "--n", "10000", "--seed", "1", "--member", "two_point:alpha=0.5"),
     ("opt-oracle", "--mu", "1", "--d", "0.5", "--m", "0", "--alpha", "0.5"),
+    ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2", "--m", "50",
+     "--n", "10000", "--seed", "1", "--member", "two_point:alpha=0.5",
+     "--threads", "0"),
+    ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2", "--m", "50",
+     "--n", "10000", "--seed", "1", "--member", "two_point:alpha=0.5",
+     "--threads", "-1"),
+    ("xi", "--mu", "1", "--d", "1.5", "--threads", "0"),      # checked, unused
+    ("opt-oracle", "--mu", "1", "--d", "0.5", "--m", "2", "--alpha", "0.5",
+     "--seed", "-1"),
 ])
 def test_validation_failures_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err or err == ""
     assert err.count("\n") <= 1
+
+
+# smallest accepted value of each integer option
+_INT_MIN = {"m": 1, "seed": 0, "threads": 1, "n": MC_MIN_SAMPLES,
+            "alpha-grid": 2, "price-grid": 2, "grid": 2}
+_STUDY_OPTS = ("m", "seed", "threads", "alpha-grid", "price-grid", "grid")
+# a valid run per command, cheap at m = 1 (ratio and regret reject the
+# m = 1 auto schedule eps = 1 before solving); drawn options override it
+_FUZZ_BASE = {
+    "maximin": (_STUDY_OPTS, ("--m", "1")),
+    "minimax": (_STUDY_OPTS, ("--m", "1")),
+    "ratio": (_STUDY_OPTS, ("--m", "1")),
+    "regret": (_STUDY_OPTS, ("--m", "1")),
+    "concentration": (("m", "seed", "threads", "n"),
+                      ("--m", "1", "--n", "10000", "--seed", "0", "--eps",
+                       "0.2", "--member", "two_point:alpha=0.5")),
+    "xi": (("seed", "threads"), ("--d", "1.5")),
+    "opt-oracle": (("m", "seed", "threads"), ("--m", "1", "--alpha", "0.5")),
+}
+# integers <= 1 and digit-free text: no accepted value starts a large solve
+_FUZZ_VALUE = st.one_of(
+    st.integers(-1, 1), st.integers(max_value=1),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_integer_options_exit_0_or_2_in_one_line(data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    names, base = _FUZZ_BASE[command]
+    opts = data.draw(st.dictionaries(st.sampled_from(names), _FUZZ_VALUE,
+                                     max_size=3))
+    argv = [command, "--mu", "1", "--d", "0.5", *base,
+            *(f"--{key}={val}" for key, val in opts.items())]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
+    if any(isinstance(val, int) and val < _INT_MIN[key]
+           for key, val in opts.items()):
+        assert code == 2
+
+
+def test_bad_format_is_rejected_before_the_monte_carlo_run(capsys,
+                                                           monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before --format was checked")
+    monkeypatch.setattr("rbl.cli.concentration_check_mc", unreachable)
+    code, _, err = run(capsys, "concentration", "--mu", "1", "--d", "0.5",
+                       "--eps", "0.2", "--m", "50", "--n", "10000", "--seed",
+                       "1", "--member", "two_point:alpha=0.5", "--format", "tsv")
+    assert code == 2
+    assert err.startswith("error: --format")
 
 
 def test_maximin_alpha_grid_is_hidden_and_inert(capsys):

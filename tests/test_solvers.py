@@ -10,7 +10,6 @@ from rbl.bundling import best_bundle_price
 from rbl.errors import NegativePrice
 from rbl.solvers import (
     U_FLOOR,
-    append_saddle_csv,
     extreme_adversary_alpha,
     extreme_adversary_logs,
     extreme_adversary_second_point_revenue,
@@ -264,15 +263,3 @@ def test_extreme_adversary_revenue_tends_to_half_d(half_spec):
     gaps = [abs(v - half_spec.d / 2.0) for v in vals]
     assert gaps == sorted(gaps, reverse=True)
     assert gaps[-1] < 1e-6
-
-
-def test_saddle_csv_append(half_spec, tmp_path):
-    path = tmp_path / "saddle.csv"
-    rep = maximin_bundling_value(half_spec, 2)
-    append_saddle_csv(str(path), half_spec, "maximin", rep)
-    append_saddle_csv(str(path), half_spec, "maximin", rep)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "mu,d,m,objective,value,price,alpha,lower,upper"
-    assert len(lines) == 3
-    assert lines[1] == lines[2]
-    assert lines[1].split(",")[3] == "maximin"

@@ -6,7 +6,6 @@ from rbl.errors import LengthMismatch, TooManyFactors
 from rbl.sum_law import (
     iid_two_point_sum,
     product_sum,
-    read_csv,
     sample_sum,
     tail_prob,
 )
@@ -101,19 +100,6 @@ def test_tail_prob_inclusive_at_support(half_spec):
     # halfway between two atoms only the upper ones count
     mid = 0.5 * (law.support[1] + law.support[2])
     assert tail_prob(law, float(mid)) == pytest.approx(float(law.probs[2:].sum()))
-
-
-def test_csv_round_trip(half_spec, tmp_path):
-    law = iid_two_point_sum(make_two_point(half_spec, 1.0 / 3.0), 9)
-    path = tmp_path / "law.csv"
-    law.to_csv(str(path))
-    text_first = path.read_text()
-    assert text_first.splitlines()[0] == "support,prob"
-    back = read_csv(str(path))
-    assert np.array_equal(back.support, law.support)
-    assert np.array_equal(back.probs, law.probs)
-    back.to_csv(str(path))
-    assert path.read_text() == text_first  # %.17g survives the round trip
 
 
 def test_sampling_is_seed_deterministic(half_spec):
