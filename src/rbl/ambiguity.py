@@ -32,18 +32,25 @@ MOMENT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MeanMadSpec:
-    """Mean/dispersion pair (mu, d); valid iff mu > 0 and 0 < d < 2*mu."""
+    """Mean/dispersion pair (mu, d); valid iff mu > 0 and 0 < d < 2*mu, with
+    2*mu finite and d/(2*mu) not lost against 1 in doubles."""
 
     mu: float
     d: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise InfeasibleSpec(f"mu must be positive and finite, got {self.mu}")
+        # 2*mu bounds d and sets alpha_min, so it must stay finite too
+        if not (math.isfinite(2.0 * self.mu) and self.mu > 0.0):
+            raise InfeasibleSpec(
+                f"mu must be positive with 2*mu finite, got {self.mu}")
         if not (math.isfinite(self.d) and 0.0 < self.d < 2.0 * self.mu):
             raise InfeasibleSpec(
                 f"need 0 < d < 2*mu for a workable set, got d={self.d}, mu={self.mu}"
             )
+        # u = 1 - alpha tops out at 1 - alpha_min; at 1.0 alpha_min is lost
+        if not 1.0 - self.alpha_min < 1.0:
+            raise InfeasibleSpec(
+                f"need d/(2*mu) above double rounding, got d={self.d}, mu={self.mu}")
 
     @property
     def alpha_min(self) -> float:

@@ -50,15 +50,16 @@ def best_bundle_price(law: SumLaw) -> PricedOutcome:
     )
 
 
-def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps: float) -> float:
-    """Bundle price (1-eps)^2 * m * (mu - d / (2 (1-eps))).
+def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps):
+    """Bundle price (1-eps)^2 * m * (mu - d / (2 (1-eps))), at one eps or an
+    array of them.
 
     Undercuts the sum's lower quantile uniformly over the family: every member
     sells at this price with probability at least 1 - f/m for the matching
     failure coefficient (see concentration.concentration_constant).
     """
     hi = 1.0 - spec.alpha_min
-    if not (0.0 < eps < hi):
+    if not np.all((0.0 < eps) & (eps < hi)):
         raise EpsOutOfRange(f"need 0 < eps < {hi!r}, got {eps!r}")
     w = 1.0 - eps
     return w * w * m * (spec.mu - spec.d / (2.0 * w))

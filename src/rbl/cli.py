@@ -306,14 +306,30 @@ def _cmd_saddle(args: argparse.Namespace, objective: str) -> int:
     return 0
 
 
+def _scheduled(name: str, raw: object, m: int, hi: float) -> float:
+    """An --eps or --gamma value: the number given, or 'auto', the m^(-1/4)
+    schedule at m, which must fall below hi (numbers are range-checked by
+    the bound chains)."""
+    if raw != "auto":
+        return float(raw)  # type: ignore[arg-type]
+    val = schedule_eps_gamma(m)
+    if not val < hi:
+        raise ConfigError(
+            f"--{name} auto: the m^(-1/4) schedule gives {val!r} at m = {m}, "
+            f"need {name} < {hi!r}; pass --{name} explicitly")
+    return val
+
+
 def _cmd_ratio_regret(args: argparse.Namespace, objective: str) -> int:
     cfg = _study_config(args)
     spec = cfg.spec()
     grid_kw = {} if cfg.grid is None else {"grid": cfg.grid}
     rows = []
     for m in cfg.m_list:
-        eps = schedule_eps_gamma(m) if cfg.eps == "auto" else float(cfg.eps)
-        gamma = schedule_eps_gamma(m) if cfg.gamma == "auto" else float(cfg.gamma)
+        eps = _scheduled("eps", cfg.eps, m, 1.0 - spec.alpha_min)
+        # ratio reports gamma but does not use it
+        gamma = _scheduled("gamma", cfg.gamma, m,
+                           1.0 if objective == "regret" else float("inf"))
         # the chain rejects an out-of-range eps or gamma, so it runs first
         if objective == "ratio":
             chain = ratio_bound_chain(spec, m, eps)

@@ -26,6 +26,7 @@ from .errors import (
     EpsOutOfRange,
     GammaOutOfRange,
     MembershipViolation,
+    NumericalInstability,
     ParamOutOfRange,
     TruncationTooLow,
 )
@@ -103,6 +104,27 @@ def chebyshev_lower_tail(mu: float, sigma2: float, m: int, gamma: float) -> floa
     return sigma2 / ((gamma * mu) ** 2 * m)
 
 
+def failure_coefficient(spec: MeanMadSpec, eps):
+    """f = t^2 / (4 (eps ((1-eps) mu - d/2))^2) at the lowest cut
+    t = mu + d/(2 eps), for one in-range eps or an array of them.
+
+    The squares go through float_power, the C pow that Python's ** calls, so
+    an array gives each eps the bits a scalar would get. A spec scale near
+    either end of the double range overflows t^2 or flushes the denominator
+    to zero; f is then not finite and NumericalInstability is raised.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = spec.mu + spec.d / (2.0 * eps)
+        f = np.float_power(t, 2) / (4.0 * np.float_power(
+            eps * ((1.0 - eps) * spec.mu - spec.d / 2.0), 2))
+    if not np.all(np.isfinite(f)):
+        raise NumericalInstability(
+            f"f(mu, d, eps) is not a finite double at mu={spec.mu!r}, "
+            f"d={spec.d!r}: mu and d are too large or too small, or d is too "
+            f"close to 2*mu")
+    return f
+
+
 def _f_at(spec: MeanMadSpec, eps: float, t: float) -> float:
     # conditional-mean floor (1 - d/(2(t-mu))) mu - d/2, variance cap t^2/4
     floor = (1.0 - spec.d / (2.0 * (t - spec.mu))) * spec.mu - spec.d / 2.0
@@ -124,8 +146,8 @@ def concentration_constant(
     if not (0.0 < eps < hi):
         raise EpsOutOfRange(f"need 0 < eps < {hi!r}, got {eps!r}")
     t_min = spec.mu + spec.d / (2.0 * eps)
+    f = float(failure_coefficient(spec, eps))  # also checks the spec's scale
     if not optimize_t:
-        f = t_min ** 2 / (4.0 * (eps * ((1.0 - eps) * spec.mu - spec.d / 2.0)) ** 2)
         return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps, t=t_min, f=f)
 
     grid = np.geomspace(t_min, t_min * 1e3, _T_GRID)

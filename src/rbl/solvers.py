@@ -8,15 +8,19 @@ at p is an infimum, attained at the floor u = U_FLOOR or approached as u
 decreases to some u_k; the reported alpha is then that limit point, not an
 attained minimizer. Nature first (minimax): a grid geometric in 1 - alpha
 down to 1e-12, because the damaging adversaries sit next to alpha = 1, then
-golden-section polish. Tails go through the binomial survival function
-rather than the explicit m+1 point law, so m = 1e4 stays quick. Every report
-carries a certificate pair: an analytic lower chain and an upper bound that
-the computed value can be checked against.
+golden-section polish. The seller's best responses to the whole grid are one
+batched call: log C(m, k) is computed once per m, and rows run in 2-D chunks,
+each over its own window of k, with the same float steps a one-point call
+takes. Tails go through the binomial survival function rather than the
+explicit m+1 point law, so m = 1e4 stays quick. Every report carries a
+certificate pair: an analytic lower chain, its eps grid one array expression,
+and an upper bound that the computed value can be checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, rel_entr
@@ -24,7 +28,7 @@ from scipy.stats import binom
 
 from .ambiguity import MeanMadSpec, make_two_point
 from .bundling import best_bundle_price, guaranteed_sale_price
-from .concentration import concentration_constant
+from .concentration import failure_coefficient
 from .errors import NegativePrice
 from .optimize import grid_polish
 from .sum_law import product_sum
@@ -42,7 +46,8 @@ _WINDOW_SIGMAS = 40.0
 # this much: far above the rounding of m*KL (~1e-12 at m = 1e8) and of the
 # binomial tail, so pruning never changes a result.
 _PRUNE_MARGIN = 1e-9
-# Breakpoints handled per chunk of prices (each working array ~128 KB).
+# Terms per chunk: breakpoints in the maximin price grid, (row, k) pairs in
+# the minimax best responses (each working array ~128 KB).
 _CHUNK_POINTS = 1 << 14
 
 
@@ -192,20 +197,22 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     return 1.0 - float(u[0]), float(p * tail[0] / m)
 
 
-def _chain_lower_at(spec: MeanMadSpec, m: int, eps: float) -> float:
-    return guaranteed_sale_price(spec, m, eps) / m \
-        * (1.0 - concentration_constant(spec, eps).f / m)
+def _chain_lower(spec: MeanMadSpec, m: int, eps):
+    """p*(eps)/m * (1 - f(mu,d,eps)/m) at one eps or an array of them. f
+    goes first: it rejects a spec scale out of double range."""
+    f = failure_coefficient(spec, eps)
+    return guaranteed_sale_price(spec, m, eps) / m * (1.0 - f / m)
 
 
 def maximin_certificate_lower(spec: MeanMadSpec, m: int,
                               grid: int = EPS_GRID) -> float:
     """Best guaranteed-sale chain bound: max over eps of
-    p*(eps)/m * (1 - f(mu,d,eps)/m), clipped at zero."""
+    p*(eps)/m * (1 - f(mu,d,eps)/m), clipped at zero. The eps grid is one
+    array expression; the polish evaluates one eps at a time."""
     hi = 1.0 - spec.alpha_min
     eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), grid)
-    vals = np.array([_chain_lower_at(spec, m, e) for e in eps])
-    _, v_best = grid_polish(lambda e: _chain_lower_at(spec, m, e), eps, vals,
-                            1e-12, maximize=True)
+    _, v_best = grid_polish(lambda e: float(_chain_lower(spec, m, e)), eps,
+                            _chain_lower(spec, m, eps), 1e-12, maximize=True)
     return max(0.0, v_best)
 
 
@@ -216,8 +223,10 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     Outer maximization over p in [0, m*mu] by grid plus golden-section polish,
     inner infimum solved exactly by breakpoints (worst_case_alpha), the grid
     in chunks of prices. The certificate pairs the guaranteed-sale chain
-    bound with the analytic ceiling mu - d/2.
+    bound with the analytic ceiling mu - d/2; the chain goes first, so a spec
+    whose scale leaves double range is rejected before any solving.
     """
+    lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
     p_best, v_best = grid_polish(
         lambda p: worst_case_alpha(spec, m, p)[1], ps,
@@ -228,40 +237,70 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
         value=v_best,
         price=p_best,
         alpha=worst_case_alpha(spec, m, p_best)[0],
-        certificate=(maximin_certificate_lower(spec, m), spec.mu - spec.d / 2.0),
+        certificate=(lower, spec.mu - spec.d / 2.0),
     )
 
 
-def _best_response(spec: MeanMadSpec, m: int, u: float) -> tuple[float, float]:
-    """Seller's best bundle price and per-item revenue when highs are Binomial(m, u).
+@lru_cache(maxsize=1)
+def _log_binom(m: int) -> np.ndarray:
+    """log C(m, k) for k = 0..m, read-only; kept for the m last solved."""
+    ks = np.arange(m + 1)
+    out = gammaln(m + 1.0) - gammaln(ks + 1.0) - gammaln(m - ks + 1.0)
+    out.flags.writeable = False
+    return out
 
-    Only sum support points can be optimal. Past _FULL_RANGE_CAP the scan windows
-    k to 40 sigma around m*u (plus k=0, the guaranteed sale) and re-adds the
-    survival mass beyond the window, so large m costs a few hundred terms.
+
+def _best_response(spec: MeanMadSpec, m: int,
+                   us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seller's best bundle price and per-item revenue when highs are
+    Binomial(m, u), for each u in the array us.
+
+    Only sum support points can be optimal. Row u scans k over lo..hi: the
+    full range up to _FULL_RANGE_CAP, past it a 40 sigma window around m*u
+    (plus k=0, the guaranteed sale) with the survival mass beyond the window
+    re-added, so large m costs a few hundred terms per row. Rows go in 2-D
+    chunks of about _CHUNK_POINTS terms, each row at its own lo; the pmf is 0
+    past a row's hi and its revenue -inf, so each row takes the same float
+    steps as it would alone.
     """
-    alpha = 1.0 - u
-    x = spec.mu - spec.d / (2.0 * alpha)
-    y = spec.mu + spec.d / (2.0 * u)
-    gap = y - x
+    x = spec.mu - spec.d / (2.0 * (1.0 - us))
+    gap = spec.mu + spec.d / (2.0 * us) - x
     if m <= _FULL_RANGE_CAP:
-        ks = np.arange(m + 1)
-        sf_beyond = 0.0
+        lo = np.zeros(us.size, dtype=np.int64)
+        hi = np.full(us.size, m)
+        sf_beyond = np.zeros(us.size)
     else:
-        sig = np.sqrt(m * u * (1.0 - u))
-        lo = max(int(np.floor(m * u - _WINDOW_SIGMAS * sig)), 0)
-        hi = min(int(np.ceil(m * u + _WINDOW_SIGMAS * sig)), m)
-        ks = np.arange(lo, hi + 1)
-        sf_beyond = float(binom.sf(hi, m, u))
-    logc = gammaln(m + 1.0) - gammaln(ks + 1.0) - gammaln(m - ks + 1.0)
-    pmf = np.exp(logc + (m - ks) * np.log1p(-u) + ks * np.log(u))
-    sf = np.cumsum(pmf[::-1])[::-1] + sf_beyond
-    s = m * x + ks * gap
-    revs = s * sf
-    j = int(np.argmax(revs))
-    best_price, best_rev = float(s[j]), float(revs[j])
-    if ks[0] > 0 and m * x > best_rev:
-        best_price, best_rev = m * x, m * x  # all-low point sells surely
-    return best_price, best_rev / m
+        sig = np.sqrt(m * us * (1.0 - us))
+        lo = np.maximum(np.floor(m * us - _WINDOW_SIGMAS * sig), 0).astype(np.int64)
+        hi = np.minimum(np.ceil(m * us + _WINDOW_SIGMAS * sig), m).astype(np.int64)
+        sf_beyond = binom.sf(hi, m, us)
+    logc = _log_binom(m)
+    width = hi - lo + 1
+    prices = np.empty(us.size)
+    revs = np.empty(us.size)
+    # widest rows first, so a chunk's first row sets its column count
+    order = np.argsort(-width, kind="stable")
+    i = 0
+    while i < order.size:
+        rows = order[i:i + max(1, _CHUNK_POINTS // int(width[order[i]]))]
+        i += rows.size
+        ks = lo[rows, None] + np.arange(width[rows[0]])
+        inside = ks <= hi[rows, None]
+        ks = np.minimum(ks, m)
+        kf = ks.astype(float)  # exact: the bits of int-by-float products
+        u = us[rows, None]
+        pmf = np.exp(logc[ks] + (m - kf) * np.log1p(-u) + kf * np.log(u))
+        pmf[~inside] = 0.0
+        sf = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1] + sf_beyond[rows, None]
+        s = (m * x[rows])[:, None] + kf * gap[rows, None]
+        rev = np.where(inside, s * sf, -np.inf)
+        at = (np.arange(rows.size), np.argmax(rev, axis=1))
+        prices[rows], revs[rows] = s[at], rev[at]
+    # the all-low point sells surely
+    sure = m * x
+    low = (lo > 0) & (sure > revs)
+    prices[low] = revs[low] = sure[low]
+    return prices, revs / m
 
 
 def minimax_bundling_value(spec: MeanMadSpec, m: int,
@@ -272,18 +311,21 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
     best-response price there. certificate.lower reuses the guaranteed-sale
     chain (the other play order can only do worse for the adversary) and
     certificate.upper is the raw grid minimum, valid since every evaluated
-    alpha upper-bounds the infimum.
+    alpha upper-bounds the infimum. The chain goes first, as in
+    maximin_bundling_value.
     """
+    lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
-    vals = np.array([_best_response(spec, m, float(uu))[1] for uu in u])
-    u_best, v_best = grid_polish(lambda z: _best_response(spec, m, z)[1], u,
-                                 vals, BRACKET_TOL)
+    vals = _best_response(spec, m, u)[1]
+    u_best, v_best = grid_polish(
+        lambda z: float(_best_response(spec, m, np.array([z]))[1][0]), u, vals,
+        BRACKET_TOL)
     return SaddleReport(
         m=m,
         value=v_best,
-        price=_best_response(spec, m, u_best)[0],
+        price=float(_best_response(spec, m, np.array([u_best]))[0][0]),
         alpha=1.0 - u_best,
-        certificate=(maximin_certificate_lower(spec, m), float(vals.min())),
+        certificate=(lower, float(vals.min())),
     )
 
 

@@ -23,7 +23,9 @@ from rbl.errors import (
 
 
 @pytest.mark.parametrize("mu,d", [(1.0, 0.0), (1.0, 2.0), (1.0, -0.1),
-                                  (0.0, 0.5), (-1.0, 0.5), (2.0, 4.0)])
+                                  (0.0, 0.5), (-1.0, 0.5), (2.0, 4.0),
+                                  # 2*mu overflows; d/(2 mu) is lost against 1
+                                  (1e308, 1e308), (1.0, 1e-17)])
 def test_spec_rejects_degenerate_moments(mu, d):
     with pytest.raises(InfeasibleSpec):
         MeanMadSpec(mu, d)

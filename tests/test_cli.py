@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,16 @@ def test_regret_auto_schedule(capsys):
     ("xi", "--mu", "1", "--d", "1.5", "--threads", "0"),      # checked, unused
     ("opt-oracle", "--mu", "1", "--d", "0.5", "--m", "2", "--alpha", "0.5",
      "--seed", "-1"),
+    # spec scales whose arithmetic leaves double range
+    ("maximin", "--mu", "1e308", "--d", "1e308", "--m", "3"),
+    ("maximin", "--mu", "1e300", "--d", "1e300", "--m", "3"),
+    ("maximin", "--mu", "1e-300", "--d", "1e-300", "--m", "3"),
+    ("minimax", "--mu", "1e-300", "--d", "1e-300", "--m", "3"),
+    ("minimax", "--mu", "1e308", "--d", "1e308", "--m", "3"),
+    # the m^(-1/4) auto schedule is out of range at m <= 3 for d = 0.5
+    ("ratio", "--mu", "1", "--d", "0.5", "--m", "2", "--grid", "8"),
+    ("regret", "--mu", "1", "--d", "0.5", "--m", "1", "--eps", "0.1",
+     "--grid", "8"),
 ])
 def test_validation_failures_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -161,6 +172,49 @@ def test_fuzzed_integer_options_exit_0_or_2_in_one_line(data):
     if any(isinstance(val, int) and val < _INT_MIN[key]
            for key, val in opts.items()):
         assert code == 2
+
+
+def test_auto_schedule_error_names_the_schedule(capsys):
+    code, _, err = run(capsys, "ratio", "--mu", "1", "--d", "0.5", "--m", "2",
+                       "--grid", "8")
+    assert code == 2
+    assert err == ("error: --eps auto: the m^(-1/4) schedule gives "
+                   f"{2 ** -0.25!r} at m = 2, need eps < 0.75; "
+                   "pass --eps explicitly\n")
+
+
+# any positive finite double, the ends of the range more often
+_EXTREME = st.one_of(
+    st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    st.sampled_from([5e-324, 1e-300, 1e-160, 1e150, 1e300, 1e308]),
+    st.floats(0.1, 10.0))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(command=st.sampled_from(["maximin", "minimax", "concentration"]),
+       mu=_EXTREME, d=st.one_of(_EXTREME, st.floats(0.0, 2.0)),
+       relative=st.booleans(), m=st.integers(1, 3))
+def test_fuzzed_spec_scales_exit_0_or_2_in_one_line(command, mu, d, relative,
+                                                     m):
+    # d is drawn outright or as a multiple of mu in [0, 2]; a run either
+    # succeeds cleanly or exits 2 with one line, never a traceback or a
+    # floating-point warning
+    if relative:
+        d *= mu
+    argv = [command, "--mu", repr(mu), "--d", repr(d), "--m", str(m)]
+    if command == "concentration":
+        argv += ["--n", "10000", "--seed", "0", "--eps", "0.2",
+                 "--member", "two_point:alpha=0.999"]
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always", RuntimeWarning)
+        code = main(argv)
+    assert code in (0, 2)
+    assert err.getvalue().count("\n") <= 1
+    assert [str(w.message) for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_bad_format_is_rejected_before_the_monte_carlo_run(capsys,

@@ -26,6 +26,9 @@ CASES = {
     "minimax.csv": ("minimax", *HALF, "--m", "1,10,100"),
     "minimax.json": ("minimax", "--mu", "1", "--d", "1.5", "--m", "1000",
                      "--alpha-grid", "256", "--format", "json"),
+    # past 2048 items the best response scans a window of k, not 0..m
+    "minimax-windowed.csv": ("minimax", "--mu", "1", "--d", "0.8",
+                             "--m", "10000"),
     "ratio.csv": ("ratio", *HALF, "--m", "2,3,16", "--eps", "0.1",
                   "--grid", "32"),
     "regret.json": ("regret", *HALF, "--m", "2,16", "--eps", "0.1",

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import binom
 
 from rbl import solvers
 from rbl.ambiguity import MeanMadSpec, make_two_point
-from rbl.bundling import best_bundle_price
+from rbl.bundling import best_bundle_price, guaranteed_sale_price
+from rbl.concentration import concentration_constant
 from rbl.errors import NegativePrice
 from rbl.solvers import (
     U_FLOOR,
@@ -186,14 +188,84 @@ def test_minimax_alpha_resists_random_prices(half_spec, rng):
 @pytest.mark.parametrize("m", [1, 3, 9, 33])
 def test_best_response_agrees_with_law_route(half_spec, m):
     # windowed binomial search vs brute best price on the exact convolution
-    from rbl import solvers
-
     for alpha in (0.3, 0.55, 0.97):
         dist = make_two_point(half_spec, alpha)
         law = iid_two_point_sum(dist, m)
         want = best_bundle_price(law).revenue / m
-        _, got_v = solvers._best_response(half_spec, m, 1.0 - alpha)
-        assert got_v == pytest.approx(want, rel=1e-12)
+        _, got_v = solvers._best_response(half_spec, m, np.array([1.0 - alpha]))
+        assert got_v[0] == pytest.approx(want, rel=1e-12)
+
+
+def _scalar_best_response(spec, m, u):
+    """One u at a time, recomputing log C(m, k) per call: the formula the
+    batched kernel must reproduce bit for bit."""
+    alpha = 1.0 - u
+    x = spec.mu - spec.d / (2.0 * alpha)
+    y = spec.mu + spec.d / (2.0 * u)
+    gap = y - x
+    if m <= solvers._FULL_RANGE_CAP:
+        ks = np.arange(m + 1)
+        sf_beyond = 0.0
+    else:
+        sig = np.sqrt(m * u * (1.0 - u))
+        lo = max(int(np.floor(m * u - solvers._WINDOW_SIGMAS * sig)), 0)
+        hi = min(int(np.ceil(m * u + solvers._WINDOW_SIGMAS * sig)), m)
+        ks = np.arange(lo, hi + 1)
+        sf_beyond = float(binom.sf(hi, m, u))
+    logc = gammaln(m + 1.0) - gammaln(ks + 1.0) - gammaln(m - ks + 1.0)
+    pmf = np.exp(logc + (m - ks) * np.log1p(-u) + ks * np.log(u))
+    sf = np.cumsum(pmf[::-1])[::-1] + sf_beyond
+    s = m * x + ks * gap
+    revs = s * sf
+    j = int(np.argmax(revs))
+    best_price, best_rev = float(s[j]), float(revs[j])
+    if ks[0] > 0 and m * x > best_rev:
+        best_price, best_rev = m * x, m * x
+    return best_price, best_rev / m
+
+
+def _assert_kernel_matches_scalar(spec, m, us):
+    prices, revs = solvers._best_response(spec, m, us)
+    want = np.array([_scalar_best_response(spec, m, float(u)) for u in us])
+    assert np.array_equal(prices, want[:, 0])
+    assert np.array_equal(revs, want[:, 1])
+
+
+_KERNEL_MS = [1, 4, 16, 100, 2048, 2049, 10_000]
+
+
+@pytest.mark.parametrize("d", [0.5, 0.8, 1.5])
+@pytest.mark.parametrize("m", _KERNEL_MS)
+def test_best_response_kernel_is_bitwise_scalar(m, d):
+    # full k range up to m = 2048, the 40-sigma window from 2049 on
+    spec = MeanMadSpec(1.0, d)
+    rng = np.random.default_rng(m)
+    us = np.concatenate([solvers._u_grid(spec, 129),
+                         (1.0 - spec.alpha_min) * rng.random(8)])
+    _assert_kernel_matches_scalar(spec, m, us)
+
+
+@pytest.mark.parametrize("chunk", [1, 97, 5000])
+def test_best_response_kernel_chunking_is_invisible(monkeypatch, chunk):
+    # chunks narrower than one row, chunks that mix rows of different
+    # widths (padded past each row's hi), and rows at different lo
+    monkeypatch.setattr(solvers, "_CHUNK_POINTS", chunk)
+    for d, m in ((0.8, 100), (0.8, 10_000), (1.5, 2049)):
+        spec = MeanMadSpec(1.0, d)
+        _assert_kernel_matches_scalar(spec, m, solvers._u_grid(spec, 67))
+
+
+def test_certificate_grid_is_bitwise_scalar():
+    # the eps grid is one array expression; each entry must carry the bits
+    # of the one-eps-at-a-time chain through concentration_constant
+    for mu, d, m in ((1.0, 0.5, 64), (1.0, 1.5, 10_000), (1.3, 2.1, 7),
+                     (2.0, 0.1, 1000)):
+        spec = MeanMadSpec(mu, d)
+        hi = 1.0 - spec.alpha_min
+        eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), solvers.EPS_GRID)
+        want = [guaranteed_sale_price(spec, m, e) / m
+                * (1.0 - concentration_constant(spec, e).f / m) for e in eps]
+        assert np.array_equal(solvers._chain_lower(spec, m, eps), want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 16, 64])
