@@ -7,186 +7,9 @@ exactly, solves both orders of the pricing game, certifies tail bounds, and
 checks the large-m limits, with an exact small-m menu oracle as ground truth.
 """
 
-from .ambiguity import (
-    MOMENT_TOL,
-    MeanMadSpec,
-    MemberDist,
-    MembershipReport,
-    ParetoDist,
-    ThreePointDist,
-    TwoPointDist,
-    make_pareto_member,
-    make_three_point,
-    make_two_point,
-    member_from_dict,
-    member_from_json,
-    member_to_json,
-    pareto_induced_mad,
-    verify_membership,
-)
-from .asymptotics import (
-    AsymptoticTargets,
-    EmpiricalReport,
-    asymptotic_targets,
-    ratio_bound_chain,
-    ratio_empirical,
-    regret_bound_chain,
-    regret_empirical,
-    schedule_eps_gamma,
-    second_point_limit,
-    variance_boundary_member,
-    xi_gap,
-)
-from .bundling import (
-    PricedOutcome,
-    best_bundle_price,
-    bundling_revenue,
-    guaranteed_sale_price,
-    second_point_revenue,
-    separate_sale_revenue,
-)
-from .concentration import (
-    ConcentrationCertificate,
-    McReport,
-    chebyshev_lower_tail,
-    concentration_check_mc,
-    concentration_constant,
-    tail_truncation_argmax,
-    tail_truncation_sup,
-)
-from .errors import (
-    AlphaOutOfRange,
-    CapExceeded,
-    ConfigError,
-    EpsOutOfRange,
-    GammaOutOfRange,
-    IndexOutOfRange,
-    InfeasibleSpec,
-    LambdaOutOfRange,
-    LengthMismatch,
-    MadMismatch,
-    MembershipViolation,
-    NegativePrice,
-    NumericalInstability,
-    ParamOutOfRange,
-    RangeError,
-    RobustBundlingError,
-    TooManyFactors,
-    TruncationTooLow,
-)
-from .opt_oracle import (
-    BidLattice,
-    MenuMechanism,
-    OracleResult,
-    TruthfulnessReport,
-    bid_lattice,
-    menu_revenue,
-    menu_to_tables,
-    opt_deterministic,
-    verify_truthful,
-)
-from .solvers import (
-    SaddleReport,
-    extreme_adversary_alpha,
-    extreme_adversary_logs,
-    extreme_adversary_second_point_revenue,
-    heterogeneous_probe_values,
-    iid_tail,
-    maximin_bundling_value,
-    maximin_certificate_lower,
-    minimax_bundling_value,
-    worst_case_alpha,
-)
-from .sum_law import (
-    SumLaw,
-    iid_two_point_sum,
-    product_sum,
-    sample_sum,
-    tail_prob,
-)
+from .ambiguity import MeanMadSpec, make_two_point
+from .opt_oracle import opt_deterministic
+from .solvers import maximin_bundling_value
+from .sum_law import product_sum
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MOMENT_TOL",
-    "MeanMadSpec",
-    "MemberDist",
-    "MembershipReport",
-    "ParetoDist",
-    "ThreePointDist",
-    "TwoPointDist",
-    "make_pareto_member",
-    "make_three_point",
-    "make_two_point",
-    "member_from_dict",
-    "member_from_json",
-    "member_to_json",
-    "pareto_induced_mad",
-    "verify_membership",
-    "AsymptoticTargets",
-    "EmpiricalReport",
-    "asymptotic_targets",
-    "ratio_bound_chain",
-    "ratio_empirical",
-    "regret_bound_chain",
-    "regret_empirical",
-    "schedule_eps_gamma",
-    "second_point_limit",
-    "variance_boundary_member",
-    "xi_gap",
-    "PricedOutcome",
-    "best_bundle_price",
-    "bundling_revenue",
-    "guaranteed_sale_price",
-    "second_point_revenue",
-    "separate_sale_revenue",
-    "ConcentrationCertificate",
-    "McReport",
-    "chebyshev_lower_tail",
-    "concentration_check_mc",
-    "concentration_constant",
-    "tail_truncation_argmax",
-    "tail_truncation_sup",
-    "AlphaOutOfRange",
-    "CapExceeded",
-    "ConfigError",
-    "EpsOutOfRange",
-    "GammaOutOfRange",
-    "IndexOutOfRange",
-    "InfeasibleSpec",
-    "LambdaOutOfRange",
-    "LengthMismatch",
-    "MadMismatch",
-    "MembershipViolation",
-    "NegativePrice",
-    "NumericalInstability",
-    "ParamOutOfRange",
-    "RangeError",
-    "RobustBundlingError",
-    "TooManyFactors",
-    "TruncationTooLow",
-    "BidLattice",
-    "MenuMechanism",
-    "OracleResult",
-    "TruthfulnessReport",
-    "bid_lattice",
-    "menu_revenue",
-    "menu_to_tables",
-    "opt_deterministic",
-    "verify_truthful",
-    "SaddleReport",
-    "extreme_adversary_alpha",
-    "extreme_adversary_logs",
-    "extreme_adversary_second_point_revenue",
-    "heterogeneous_probe_values",
-    "iid_tail",
-    "maximin_bundling_value",
-    "maximin_certificate_lower",
-    "minimax_bundling_value",
-    "worst_case_alpha",
-    "SumLaw",
-    "iid_two_point_sum",
-    "product_sum",
-    "sample_sum",
-    "tail_prob",
-]

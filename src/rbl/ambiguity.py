@@ -12,7 +12,6 @@ for alpha in [d/(2*mu), 1). At the left endpoint the low point sits exactly at 0
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -76,14 +75,6 @@ class TwoPointDist:
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         return np.where(u < self.alpha, self.x, self.y)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "two_point",
-            "mu": self.spec.mu,
-            "d": self.spec.d,
-            "alpha": self.alpha,
-        }
-
 
 @dataclass(frozen=True)
 class ThreePointDist:
@@ -103,15 +94,6 @@ class ThreePointDist:
         cum = np.cumsum(self.probs[:-1])
         idx = np.searchsorted(cum, u, side="right")
         return np.asarray(self.points, dtype=float)[idx]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "three_point",
-            "mu": self.spec.mu,
-            "d": self.spec.d,
-            "points": list(self.points),
-            "probs": list(self.probs),
-        }
 
 
 @dataclass(frozen=True)
@@ -148,15 +130,6 @@ class ParetoDist:
 
     def inverse_cdf(self, u: np.ndarray) -> np.ndarray:
         return self.scale * (1.0 - u) ** (-1.0 / self.a)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "pareto",
-            "mu": self.spec.mu,
-            "d": self.spec.d,
-            "a": self.a,
-            "scale": self.scale,
-        }
 
 
 MemberDist = Union[TwoPointDist, ThreePointDist, ParetoDist]
@@ -234,23 +207,3 @@ def verify_membership(
     mad_err = abs(dist.mad_about(spec.mu) - spec.d) / spec.d
     return MembershipReport(ok=(mean_err <= tol and mad_err <= tol),
                             mean_error=mean_err, mad_error=mad_err)
-
-
-def member_to_json(dist: MemberDist) -> str:
-    return json.dumps(dist.to_dict(), sort_keys=True)
-
-
-def member_from_dict(payload: dict) -> MemberDist:
-    spec = MeanMadSpec(mu=float(payload["mu"]), d=float(payload["d"]))
-    kind = payload["kind"]
-    if kind == "two_point":
-        return make_two_point(spec, float(payload["alpha"]))
-    if kind == "three_point":
-        return make_three_point(spec, tuple(payload["points"]), tuple(payload["probs"]))
-    if kind == "pareto":
-        return make_pareto_member(spec, float(payload["a"]))
-    raise ValueError(f"unknown member kind {kind!r}")
-
-
-def member_from_json(text: str) -> MemberDist:
-    return member_from_dict(json.loads(text))

@@ -11,53 +11,23 @@ is either solved exactly (m <= 3) or replaced by its m*mu ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .ambiguity import MeanMadSpec, make_two_point
-from .bundling import (
-    guaranteed_sale_price,
-    second_point_revenue,
-    separate_sale_revenue,
-)
+from .bundling import guaranteed_sale_price
 from .concentration import concentration_constant
 from .errors import LambdaOutOfRange, ParamOutOfRange, RangeError
 from .opt_oracle import opt_deterministic
 from .optimize import grid_polish
-from .solvers import U_FLOOR, _u_grid, iid_tail, maximin_bundling_value
+from .solvers import _u_grid, maximin_bundling_value
 from .sum_law import iid_two_point_sum, tail_prob
 
 _XI_GRID = 10_000
 _XI_LAMBDA_MAX = 1e6
-_GAMMA_GRID = 8192
 _EMP_GRID = 256
 # Exact first-best oracle is affordable this far.
 _ORACLE_CAP = 3
-
-
-@dataclass(frozen=True)
-class AsymptoticTargets:
-    """The four closed-form large-m constants for one (mu, d) pair."""
-
-    spec: MeanMadSpec
-    maximin_limit: float
-    ratio_limit: float
-    regret_limit: float
-    minimax_upper: float
-
-
-def asymptotic_targets(spec: MeanMadSpec) -> AsymptoticTargets:
-    maximin = spec.mu - spec.d / 2.0
-    regret = spec.d / 2.0
-    # ratio_limit derived from maximin_limit so the ratio identity is exact in floats
-    return AsymptoticTargets(
-        spec=spec,
-        maximin_limit=maximin,
-        ratio_limit=maximin / spec.mu,
-        regret_limit=regret,
-        minimax_upper=max(maximin, regret),
-    )
 
 
 def schedule_eps_gamma(m: int) -> float:
@@ -130,28 +100,22 @@ def ratio_bound_chain(spec: MeanMadSpec, m: int, eps: float) -> dict:
 
     Returns {lower, upper, g}. lower divides the guaranteed-sale revenue floor
     by the m*mu ceiling and is reported raw (it goes negative when f >= m).
-    upper optimizes (2mu-d)/(2mu) / ((1-gamma)(1 - g/((gamma mu)^2 m))) over a
-    log gamma-grid with golden polish; +inf until m clears the bracket.
+    upper is (2mu-d)/(2mu) / ((1-gamma)(1 - c/gamma^2)) with c = g/(mu^2 m)
+    at the gamma that maximizes the denominator, the one real root of
+    gamma^3 + c gamma - 2c = 0; for c < 1 it lies in (sqrt(c), 1). Cardano in
+    the form gamma = A - c/(3A), A^3 = c (1 + sqrt(1 + c/27)), cancels
+    nothing. upper is +inf when c >= 1: 1 - c/gamma^2 <= 0 on all of (0, 1).
     """
     cert = concentration_constant(spec, eps)
     lower = guaranteed_sale_price(spec, m, eps) * (1.0 - cert.f / m) / (m * spec.mu)
     g = variance_boundary_member(spec)
-    head = (2.0 * spec.mu - spec.d) / (2.0 * spec.mu)
-
-    def upper_at(gam: float) -> float:
-        bracket = 1.0 - g / ((gam * spec.mu) ** 2 * m)
-        if gam <= 0.0 or gam >= 1.0 or bracket <= 0.0:
-            return float("inf")
-        return head / ((1.0 - gam) * bracket)
-
-    gam = np.geomspace(1e-8, 1.0 - 1e-8, _GAMMA_GRID)
-    bracket = 1.0 - g / ((gam * spec.mu) ** 2 * m)
-    vals = np.full(gam.size, np.inf)
-    ok = bracket > 0.0
-    vals[ok] = head / ((1.0 - gam[ok]) * bracket[ok])
+    c = g / (spec.mu ** 2 * m)
     upper = float("inf")
-    if np.isfinite(vals.min()):
-        upper = grid_polish(upper_at, gam, vals, 1e-12)[1]
+    if c < 1.0:
+        a = float(np.cbrt(c * (1.0 + np.sqrt(1.0 + c / 27.0))))
+        gam = a - c / (3.0 * a)
+        bracket = 1.0 - g / ((gam * spec.mu) ** 2 * m)
+        upper = (2.0 * spec.mu - spec.d) / (2.0 * spec.mu) / ((1.0 - gam) * bracket)
     return {"lower": float(lower), "upper": upper, "g": g}
 
 
@@ -184,7 +148,6 @@ class EmpiricalReport:
     mode: str
     price: float
     alpha: float
-    opt_lower: Optional[float] = None
 
 
 def _oracle_curves(spec: MeanMadSpec, m: int, grid: int):
@@ -196,19 +159,6 @@ def _oracle_curves(spec: MeanMadSpec, m: int, grid: int):
         laws.append(iid_two_point_sum(dist, m))
         opts[i] = opt_deterministic([dist], m, symmetric=True).revenue
     return u, laws, opts
-
-
-def _constructive_opt_lower(spec: MeanMadSpec, m: int, alpha: float) -> float:
-    """Best of three explicit mechanisms at this adversary (diagnostic only):
-    the second-support bundle price, separate sales, and the bundle priced at
-    (1-gamma) m mu on the m^(-1/4) schedule."""
-    alpha = min(max(alpha, spec.alpha_min), 1.0 - U_FLOOR)
-    dist = make_two_point(spec, alpha)
-    second = m * second_point_revenue(spec, alpha, m)
-    separate = separate_sale_revenue(dist, m)
-    p = (1.0 - schedule_eps_gamma(m)) * m * spec.mu
-    bundle = p * iid_tail(spec, m, p, alpha)
-    return max(second, separate, bundle)
 
 
 def _empirical(spec: MeanMadSpec, m: int, grid: int,
@@ -231,7 +181,7 @@ def _empirical(spec: MeanMadSpec, m: int, grid: int,
 
         ps = np.linspace(0.0, m * spec.mu, grid)
         p_best, v_best = grid_polish(val, ps, np.array([val(p) for p in ps]),
-                                     1e-10 * max(1.0, m * spec.mu),
+                                     1e-10 * m * spec.mu,
                                      maximize=True)
         i = int(np.argmin(scores(p_best)))
         return EmpiricalReport(objective=objective, m=m,
@@ -242,8 +192,7 @@ def _empirical(spec: MeanMadSpec, m: int, grid: int,
     return EmpiricalReport(objective=objective, m=m,
                            value=rep.value / spec.mu if ratio
                            else spec.mu - rep.value,
-                           mode="mu_upper", price=rep.price, alpha=rep.alpha,
-                           opt_lower=_constructive_opt_lower(spec, m, rep.alpha))
+                           mode="mu_upper", price=rep.price, alpha=rep.alpha)
 
 
 def ratio_empirical(spec: MeanMadSpec, m: int, grid: int = _EMP_GRID) -> EmpiricalReport:
@@ -252,8 +201,7 @@ def ratio_empirical(spec: MeanMadSpec, m: int, grid: int = _EMP_GRID) -> Empiric
     m <= 3 solves sup_p min_alpha p P(sum >= p) / OPT(alpha) on grids with the
     exact menu oracle in the denominator (mode "oracle"). Larger m replaces
     OPT by its m*mu ceiling, which turns the objective into maximin value / mu
-    (mode "mu_upper", a conservative share) and records a constructive OPT
-    floor for scale.
+    (mode "mu_upper", a conservative share).
     """
     return _empirical(spec, m, grid, "ratio")
 

@@ -1,9 +1,11 @@
 """Grand-bundle pricing against exact sum laws.
 
 A posted price p for the whole bundle earns p * P(Y >= p); the sale is inclusive at
-the boundary and price ties resolve to the lowest price. Closed forms cover the two
-prices that matter most against a two-point family: the guaranteed-sale price that
-undercuts the (1-eps)-quantile, and the second-lowest support point of the sum.
+the boundary and price ties resolve to the lowest price. best_bundle_price finds the
+revenue-maximizing price of a law. Two closed forms sit beside it: the
+guaranteed-sale price that undercuts the (1-eps)-quantile of the sum for every
+member, which the certificate chains price at, and the separate-sale revenue of
+a two-point member, a baseline the menu oracle must beat.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import MeanMadSpec, TwoPointDist, make_two_point
-from .errors import EpsOutOfRange, NegativePrice
-from .sum_law import SumLaw, tail_prob
+from .ambiguity import MeanMadSpec, TwoPointDist
+from .errors import EpsOutOfRange
+from .sum_law import SumLaw
 
 
 @dataclass(frozen=True)
@@ -24,14 +26,6 @@ class PricedOutcome:
     price: float
     revenue: float
     sell_prob: float
-
-
-def bundling_revenue(p: float, law: SumLaw) -> PricedOutcome:
-    """Outcome of posting bundle price p: sells iff the value sum reaches p."""
-    if p < 0:
-        raise NegativePrice(f"price must be nonnegative, got {p!r}")
-    q = tail_prob(law, p)
-    return PricedOutcome(price=p, revenue=p * q, sell_prob=q)
 
 
 def best_bundle_price(law: SumLaw) -> PricedOutcome:
@@ -68,19 +62,3 @@ def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps):
 def separate_sale_revenue(dist: TwoPointDist, m: int) -> float:
     """Best per-item posted pricing, summed: m * max(x, (1-alpha) y)."""
     return m * max(dist.x, (1.0 - dist.alpha) * dist.y)
-
-
-def second_point_revenue(spec: MeanMadSpec, alpha: float, m: int) -> float:
-    """Per-item revenue from pricing at the second-lowest sum support point.
-
-    The price (m-1) x + y sells unless every item draws low, so the per-item
-    take is ((m-1) x + y)(1 - alpha^m) / m. The survival factor goes through
-    expm1 so the alpha -> 1 limit d/2 comes out clean.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    dist = make_two_point(spec, alpha)
-    u = 1.0 - alpha
-    log_alpha = np.log(alpha) if alpha < 0.5 else np.log1p(-u)
-    survive = -np.expm1(m * log_alpha)
-    return ((m - 1) * dist.x + dist.y) * survive / m

@@ -3,10 +3,12 @@
 Subcommands: maximin, minimax, ratio, regret, concentration, xi, opt-oracle,
 verify. Options resolve as defaults < config file < environment < flags, where
 the config file is flat "key = value" lines and environment overrides are the
-flag name uppercased with an RBL_ prefix (--alpha-grid -> RBL_ALPHA_GRID).
-Outputs are CSV or JSON with every float printed at full round-trip precision,
-so identical configuration and seed give byte-identical files. Exit codes:
-0 success, 2 validation failure, 3 verify found failing checks.
+flag name uppercased with an RBL_ prefix (--alpha-grid -> RBL_ALPHA_GRID); a
+subcommand reads only the options it declares. Outputs are CSV or JSON with
+every float printed at full round-trip precision, so identical configuration
+and seed give byte-identical files. Exit codes: 0 success, 2 validation failure
+(one "error:" line on stderr, parser errors included), 3 verify found failing
+checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .acceptance import run_all
@@ -38,26 +39,6 @@ from .concentration import concentration_check_mc, concentration_constant
 from .errors import ConfigError, RobustBundlingError
 from .opt_oracle import opt_deterministic
 from .solvers import maximin_bundling_value, minimax_bundling_value
-
-
-@dataclass(frozen=True)
-class StudyConfig:
-    """Resolved parameters for one study run."""
-
-    mu: float
-    d: float
-    m_list: tuple[int, ...]
-    eps: object  # float or "auto"
-    gamma: object  # float or "auto"
-    alpha_grid: Optional[int]
-    price_grid: Optional[int]
-    grid: Optional[int]
-    seed: int
-    out: Optional[str]
-    format: str
-
-    def spec(self) -> MeanMadSpec:
-        return MeanMadSpec(mu=self.mu, d=self.d)
 
 
 def _read_config_file(path: str) -> dict:
@@ -102,6 +83,11 @@ def _need(cfg: dict, name: str) -> object:
     if cfg.get(name) is None:
         raise ConfigError(f"missing required option --{name.replace('_', '-')}")
     return cfg[name]
+
+
+def _spec(cfg: dict) -> MeanMadSpec:
+    return MeanMadSpec(mu=_as_float("mu", _need(cfg, "mu")),
+                       d=_as_float("d", _need(cfg, "d")))
 
 
 def _as_float(name: str, raw: object) -> float:
@@ -244,12 +230,14 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_rows(rows: list[dict], fmt: str, out: Optional[str]) -> None:
-    """Study rows sharing one key order: a JSON list, or CSV in that order."""
-    if fmt == "json":
-        _emit(_dump_json(rows), out)
+def _emit_rows(cfg: dict, rows: list[dict]) -> None:
+    """Study rows sharing one key order: CSV (the default) in that order, or
+    a JSON list."""
+    if _as_format(cfg.get("format")) == "json":
+        _emit(_dump_json(rows), cfg.get("out"))  # type: ignore[arg-type]
     else:
-        _emit(_csv(list(rows[0]), [list(r.values()) for r in rows]), out)
+        _emit(_csv(list(rows[0]), [list(r.values()) for r in rows]),
+              cfg.get("out"))  # type: ignore[arg-type]
 
 
 def _emit_payload(cfg: dict, payload: dict, header: Sequence[str],
@@ -261,39 +249,26 @@ def _emit_payload(cfg: dict, payload: dict, header: Sequence[str],
 
 
 _COMMON = ("mu", "d", "config", "format", "out", "seed", "threads")
-_STUDY = _COMMON + ("m", "eps", "gamma", "alpha_grid", "price_grid", "grid")
 
 
-def _study_config(args: argparse.Namespace) -> StudyConfig:
-    cfg = _resolve(args, _STUDY)
-    return StudyConfig(
-        mu=_as_float("mu", _need(cfg, "mu")),
-        d=_as_float("d", _need(cfg, "d")),
-        m_list=_as_m_list(_need(cfg, "m")),
-        eps=_as_auto_float("eps", cfg.get("eps")),
-        gamma=_as_auto_float("gamma", cfg.get("gamma")),
-        alpha_grid=_as_grid("alpha_grid", cfg.get("alpha_grid")),
-        price_grid=_as_grid("price_grid", cfg.get("price_grid")),
-        grid=_as_grid("grid", cfg.get("grid")),
-        seed=0 if cfg.get("seed") is None else _as_seed(cfg["seed"]),
-        out=cfg.get("out"),  # type: ignore[arg-type]
-        format=_as_format(cfg.get("format")),
-    )
+def _grid_kw(cfg: dict, name: str) -> dict:
+    """{name: n} for a given grid option, {} to keep the solver's default."""
+    n = _as_grid(name, cfg.get(name))
+    return {} if n is None else {name: n}
 
 
 def _cmd_saddle(args: argparse.Namespace, objective: str) -> int:
-    cfg = _study_config(args)
-    spec = cfg.spec()
-    # --alpha-grid is validated for both orders but only minimax has a grid;
-    # maximin solves nature's answer exactly
+    cfg = _resolve(args, _COMMON + ("m", "alpha_grid", "price_grid"))
+    ms = _as_m_list(_need(cfg, "m"))
+    alpha_kw = _grid_kw(cfg, "alpha_grid")
+    price_kw = _grid_kw(cfg, "price_grid")
+    spec = _spec(cfg)
     reports = []
-    for m in cfg.m_list:
+    for m in ms:
         if objective == "maximin":
-            kw = {} if cfg.price_grid is None else {"price_grid": cfg.price_grid}
-            reports.append(maximin_bundling_value(spec, m, **kw))
+            reports.append(maximin_bundling_value(spec, m, **price_kw))
         else:
-            kw = {} if cfg.alpha_grid is None else {"alpha_grid": cfg.alpha_grid}
-            reports.append(minimax_bundling_value(spec, m, **kw))
+            reports.append(minimax_bundling_value(spec, m, **alpha_kw))
     rows = [
         {
             "mu": spec.mu, "d": spec.d, "m": r.m, "objective": objective,
@@ -302,7 +277,7 @@ def _cmd_saddle(args: argparse.Namespace, objective: str) -> int:
         }
         for r in reports
     ]
-    _emit_rows(rows, cfg.format, cfg.out)
+    _emit_rows(cfg, rows)
     return 0
 
 
@@ -321,14 +296,17 @@ def _scheduled(name: str, raw: object, m: int, hi: float) -> float:
 
 
 def _cmd_ratio_regret(args: argparse.Namespace, objective: str) -> int:
-    cfg = _study_config(args)
-    spec = cfg.spec()
-    grid_kw = {} if cfg.grid is None else {"grid": cfg.grid}
+    cfg = _resolve(args, _COMMON + ("m", "eps", "gamma", "grid"))
+    ms = _as_m_list(_need(cfg, "m"))
+    raw_eps = _as_auto_float("eps", cfg.get("eps"))
+    raw_gamma = _as_auto_float("gamma", cfg.get("gamma"))
+    grid_kw = _grid_kw(cfg, "grid")
+    spec = _spec(cfg)
     rows = []
-    for m in cfg.m_list:
-        eps = _scheduled("eps", cfg.eps, m, 1.0 - spec.alpha_min)
+    for m in ms:
+        eps = _scheduled("eps", raw_eps, m, 1.0 - spec.alpha_min)
         # ratio reports gamma but does not use it
-        gamma = _scheduled("gamma", cfg.gamma, m,
+        gamma = _scheduled("gamma", raw_gamma, m,
                            1.0 if objective == "regret" else float("inf"))
         # the chain rejects an out-of-range eps or gamma, so it runs first
         if objective == "ratio":
@@ -342,14 +320,13 @@ def _cmd_ratio_regret(args: argparse.Namespace, objective: str) -> int:
             "objective": objective, "mode": emp.mode, "value": emp.value,
             "lower": chain["lower"], "upper": chain["upper"],
         })
-    _emit_rows(rows, cfg.format, cfg.out)
+    _emit_rows(cfg, rows)
     return 0
 
 
 def _cmd_concentration(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _COMMON + ("m", "eps", "n", "member", "optimize_t"))
-    spec = MeanMadSpec(mu=_as_float("mu", _need(cfg, "mu")),
-                       d=_as_float("d", _need(cfg, "d")))
+    spec = _spec(cfg)
     m = _as_items(_need(cfg, "m"))
     eps = _as_float("eps", _need(cfg, "eps"))
     n = _as_int("n", _need(cfg, "n"))
@@ -379,9 +356,7 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
 
 def _cmd_xi(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _COMMON)
-    spec = MeanMadSpec(mu=_as_float("mu", _need(cfg, "mu")),
-                       d=_as_float("d", _need(cfg, "d")))
-    res = xi_gap(spec)
+    res = xi_gap(_spec(cfg))
     keys = ("gamma", "tau0", "xi0", "xi1", "xi")
     _emit_payload(cfg, res, ("key", "value"), [(k, res[k]) for k in keys])
     return 0
@@ -389,8 +364,7 @@ def _cmd_xi(args: argparse.Namespace) -> int:
 
 def _cmd_opt_oracle(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _COMMON + ("m", "alpha", "symmetric"))
-    spec = MeanMadSpec(mu=_as_float("mu", _need(cfg, "mu")),
-                       d=_as_float("d", _need(cfg, "d")))
+    spec = _spec(cfg)
     m = _as_items(_need(cfg, "m"))
     alphas = [_as_float("alpha", a)
               for a in str(_need(cfg, "alpha")).split(",") if a.strip()]
@@ -435,8 +409,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", help="worker threads for Monte Carlo")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so they exit
+    2 with one line like every other invalid input."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rbl",
         description="Robust bundle pricing laboratory under mean/MAD ambiguity.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -446,14 +428,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=text)
         _add_common(sub)
         sub.add_argument("--m", help="comma-separated ascending item counts")
+        # each order uses one grid; the other is accepted, so one argv can
+        # drive both orders, and is validated, hidden and inert
         sub.add_argument("--alpha-grid", dest="alpha_grid",
                          help="adversary grid points" if name == "minimax"
                          else argparse.SUPPRESS)
         sub.add_argument("--price-grid", dest="price_grid",
-                         help="price grid points")
-        sub.add_argument("--grid", help=argparse.SUPPRESS)
-        sub.add_argument("--eps", help=argparse.SUPPRESS)
-        sub.add_argument("--gamma", help=argparse.SUPPRESS)
+                         help="price grid points" if name == "maximin"
+                         else argparse.SUPPRESS)
 
     for name, text in (("ratio", "share-of-first-best study"),
                        ("regret", "per-item shortfall study")):
@@ -463,8 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--eps", help="tail slack, number or 'auto' (m^-1/4)")
         sub.add_argument("--gamma", help="share slack, number or 'auto' (m^-1/4)")
         sub.add_argument("--grid", help="empirical grid points")
-        sub.add_argument("--alpha-grid", dest="alpha_grid", help=argparse.SUPPRESS)
-        sub.add_argument("--price-grid", dest="price_grid", help=argparse.SUPPRESS)
 
     sub = subs.add_parser("concentration", help="Monte Carlo tail-bound check")
     _add_common(sub)
@@ -497,9 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "maximin":
             return _cmd_saddle(args, "maximin")
         if args.command == "minimax":

@@ -3,41 +3,34 @@
 The sum of m independent values with mean mu and mean absolute deviation d lands
 above the guaranteed-sale price with probability at least 1 - f/m, where the
 failure coefficient f depends only on (mu, d, eps). The route is truncation at a
-level t, a conditional-mean floor, and Chebyshev on the truncated sum; each step
-is exposed on its own so the chain can be audited piece by piece.
+level t, a conditional-mean floor, and Chebyshev on the truncated sum; the
+first step, the truncated-tail supremum, is exposed on its own so it can be
+checked against a member grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ambiguity import (
-    MeanMadSpec,
-    MemberDist,
-    TwoPointDist,
-    make_two_point,
-    verify_membership,
-)
+from .ambiguity import MeanMadSpec, MemberDist, verify_membership
 from .bundling import guaranteed_sale_price
 from .errors import (
     EpsOutOfRange,
-    GammaOutOfRange,
     MembershipViolation,
     NumericalInstability,
     ParamOutOfRange,
     TruncationTooLow,
 )
-from .optimize import grid_polish
 from .sum_law import sample_sum
 
 # Monte Carlo checks below this sample count are too noisy to be meaningful.
 MC_MIN_SAMPLES = 10_000
 # Moment tolerance for admitting a member into an MC check.
 MEMBERSHIP_TOL = 1e-6
-_T_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -81,29 +74,6 @@ def tail_truncation_sup(spec: MeanMadSpec, t: float) -> float:
     return min(raw, spec.mu)
 
 
-def tail_truncation_argmax(spec: MeanMadSpec, t: float) -> TwoPointDist:
-    """Two-point member attaining tail_truncation_sup at this cut."""
-    lo = spec.mu + spec.d / 2.0
-    if t < lo:
-        raise TruncationTooLow(f"need t >= {lo!r}, got {t!r}")
-    alpha = max(spec.alpha_min, 1.0 - spec.d / (2.0 * (t - spec.mu)))
-    return make_two_point(spec, alpha)
-
-
-def chebyshev_lower_tail(mu: float, sigma2: float, m: int, gamma: float) -> float:
-    """Chebyshev bound P(Y <= (1-gamma) m mu) <= sigma2 / ((gamma mu)^2 m).
-
-    Returned uncapped; callers clip at 1 when they need a probability.
-    """
-    if not (0.0 < gamma < 1.0):
-        raise GammaOutOfRange(f"need 0 < gamma < 1, got {gamma!r}")
-    if sigma2 < 0:
-        raise ValueError(f"need sigma2 >= 0, got {sigma2!r}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    return sigma2 / ((gamma * mu) ** 2 * m)
-
-
 def failure_coefficient(spec: MeanMadSpec, eps):
     """f = t^2 / (4 (eps ((1-eps) mu - d/2))^2) at the lowest cut
     t = mu + d/(2 eps), for one in-range eps or an array of them.
@@ -127,8 +97,15 @@ def failure_coefficient(spec: MeanMadSpec, eps):
 
 def _f_at(spec: MeanMadSpec, eps: float, t: float) -> float:
     # conditional-mean floor (1 - d/(2(t-mu))) mu - d/2, variance cap t^2/4
-    floor = (1.0 - spec.d / (2.0 * (t - spec.mu))) * spec.mu - spec.d / 2.0
-    return t * t / (4.0 * (eps * floor) ** 2)
+    t = np.float64(t)
+    with np.errstate(over="ignore"):
+        floor = (1.0 - spec.d / (2.0 * (t - spec.mu))) * spec.mu - spec.d / 2.0
+        f = t * t / (4.0 * (eps * floor) ** 2)
+    if not np.isfinite(f):
+        raise NumericalInstability(
+            f"f(mu, d, eps) at the cut t={float(t)!r} is not a finite double: "
+            f"mu={spec.mu!r} and d={spec.d!r} are too large")
+    return float(f)
 
 
 def concentration_constant(
@@ -138,9 +115,12 @@ def concentration_constant(
 
     Default t = mu + d/(2 eps) is the lowest cut keeping the truncated mean
     within eps of mu, giving f = t^2 / (4 (eps ((1-eps) mu - d/2))^2) verbatim.
-    optimize_t=True instead minimizes f over t >= that cut (grid plus
-    golden-section polish); raising t loosens the variance cap t^2/4 but lifts
-    the conditional-mean floor, and the trade-off is not always won at the end.
+    optimize_t=True instead minimizes f over t >= that cut: raising t loosens
+    the variance cap t^2/4 but lifts the conditional-mean floor. With
+    b = d/(2 mu), f falls to its one minimum t* = mu (1 + sqrt(b)) / (1 - b),
+    which does not depend on eps, and rises after it, so the cut is
+    max(t*, mu + d/(2 eps)). t* is formed in units of mu, so no product of
+    two scales can overflow.
     """
     hi = 1.0 - spec.alpha_min
     if not (0.0 < eps < hi):
@@ -149,13 +129,10 @@ def concentration_constant(
     f = float(failure_coefficient(spec, eps))  # also checks the spec's scale
     if not optimize_t:
         return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps, t=t_min, f=f)
-
-    grid = np.geomspace(t_min, t_min * 1e3, _T_GRID)
-    vals = np.array([_f_at(spec, eps, t) for t in grid])
-    t_best, f_best = grid_polish(lambda t: _f_at(spec, eps, t), grid, vals,
-                                 1e-9 * t_min)
-    return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps,
-                                    t=t_best, f=f_best)
+    b = spec.alpha_min
+    t = max(spec.mu * ((1.0 + math.sqrt(b)) / (1.0 - b)), t_min)
+    return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps, t=t,
+                                    f=_f_at(spec, eps, t))
 
 
 @dataclass(frozen=True)

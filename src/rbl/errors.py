@@ -45,10 +45,6 @@ class EpsOutOfRange(RobustBundlingError, ValueError):
     """Slack parameter outside (0, 1 - d/(2 mu))."""
 
 
-class GammaOutOfRange(RobustBundlingError, ValueError):
-    """Relative deviation outside (0, 1)."""
-
-
 class TruncationTooLow(RobustBundlingError, ValueError):
     """Truncation level below mu + d/2."""
 

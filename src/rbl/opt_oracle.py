@@ -5,9 +5,12 @@ so the optimum is found by enumerating menus whose prices come from the grid of
 achievable bundle values. Assignments are pruned to price-monotone menus: an entry
 priced above a superset by more than the buyer's tie tolerance can never be chosen,
 and the menu without it is enumerated anyway. Buyers pick the utility-maximizing
-entry; ties within 1e-9 resolve for the seller (highest price, then the larger
-bundle, then the lowest bitmask). Caps keep the search desk-scale: three items in
-full generality, four when prices may only depend on bundle size.
+entry; ties resolve for the seller (highest price, then the larger bundle, then the
+lowest bitmask). Every utility comparison is relative to the value scale: its
+tolerance is TIE_TOL times the members' largest mean, so the search, its menu
+count and revenue / mu do not depend on the units of mu and d. Caps keep the
+search desk-scale: three items in full generality, four when prices may only
+depend on bundle size.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 from .ambiguity import TwoPointDist
 from .errors import CapExceeded, LengthMismatch, NumericalInstability, ParamOutOfRange
 
+# Utility ties, relative to the members' largest mean.
 TIE_TOL = 1e-9
 FULL_CAP = 3
 SYMMETRIC_CAP = 4
@@ -32,11 +36,17 @@ _MASS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class BidLattice:
-    """All bid vectors v in prod {x_i, y_i} with their product-law masses."""
+    """All bid vectors v in prod {x_i, y_i} with their product-law masses and
+    the utility tie tolerance at their scale."""
 
     m: int
     values: np.ndarray
     probs: np.ndarray
+    tol: float
+
+
+def _tie_tol(members: Sequence[TwoPointDist]) -> float:
+    return TIE_TOL * max(d.spec.mu for d in members)
 
 
 def bid_lattice(members: Sequence[TwoPointDist]) -> BidLattice:
@@ -58,7 +68,7 @@ def bid_lattice(members: Sequence[TwoPointDist]) -> BidLattice:
     total = float(mass.sum())
     if abs(total - 1.0) > _MASS_TOL:
         raise NumericalInstability(f"lattice mass drifted to {total!r}")
-    return BidLattice(m=m, values=vals, probs=mass)
+    return BidLattice(m=m, values=vals, probs=mass, tol=_tie_tol(members))
 
 
 @dataclass(frozen=True)
@@ -75,14 +85,15 @@ class MenuMechanism:
             for mask, price in self.entries
         ])
 
-    def choose(self, values: Sequence[float]) -> int:
-        """Index of the entry a buyer with these item values picks."""
+    def choose(self, values: Sequence[float], tol: float) -> int:
+        """Index of the entry a buyer with these item values picks; utilities
+        within tol of the best tie."""
         u = self.utilities(values)
         top = float(u.max())
         best_idx = -1
         best_key = None
         for idx, (mask, price) in enumerate(self.entries):
-            if u[idx] < top - TIE_TOL:
+            if u[idx] < top - tol:
                 continue
             key = (price, mask.bit_count(), -mask)
             if best_idx < 0 or key > best_key:
@@ -121,16 +132,17 @@ def menu_to_tables(menu: MenuMechanism,
     z = np.zeros((n, lattice.m), dtype=int)
     pi = np.zeros(n)
     for t in range(n):
-        mask, price = menu.entries[menu.choose(lattice.values[t])]
+        mask, price = menu.entries[menu.choose(lattice.values[t], lattice.tol)]
         for i in range(lattice.m):
             z[t, i] = (mask >> i) & 1
         pi[t] = price
     return z, pi
 
 
-def verify_truthful(z: np.ndarray, pi: np.ndarray, lattice: BidLattice,
-                    tol: float = TIE_TOL) -> TruthfulnessReport:
-    """Check IC over all ordered report pairs and IR at every profile.
+def verify_truthful(z: np.ndarray, pi: np.ndarray,
+                    lattice: BidLattice) -> TruthfulnessReport:
+    """Check IC over all ordered report pairs and IR at every profile, up to
+    the lattice's tie tolerance.
 
     first_violation is the first offending (v, w) in row-major scan; an IR
     violation at v reports the pair (v, v).
@@ -140,6 +152,7 @@ def verify_truthful(z: np.ndarray, pi: np.ndarray, lattice: BidLattice,
     diag = np.diag(U).copy()
     worst_ic = float((U - diag[:, None]).max())
     worst_ir = float((-diag).max())
+    tol = lattice.tol
     first = None
     for v in range(U.shape[0]):
         if diag[v] < -tol:
@@ -160,7 +173,7 @@ def menu_revenue(menu: MenuMechanism, members: Sequence[TwoPointDist]) -> float:
     lat = bid_lattice(members)
     take = np.zeros(len(menu.entries))
     for t in range(lat.values.shape[0]):
-        take[menu.choose(lat.values[t])] += lat.probs[t]
+        take[menu.choose(lat.values[t], lat.tol)] += lat.probs[t]
     return float(sum(price * take[j] for j, (_, price) in enumerate(menu.entries)))
 
 
@@ -174,46 +187,48 @@ def _subset_floor(P: np.ndarray, sub_idx: np.ndarray) -> np.ndarray:
     return np.maximum(A.max(axis=1), 0.0)
 
 
-def _expand(P: np.ndarray, opts: np.ndarray, lb: np.ndarray) -> np.ndarray:
+def _expand(P: np.ndarray, opts: np.ndarray, lb: np.ndarray,
+            tol: float) -> np.ndarray:
     """Cross partial menus with price options, keeping near-monotone rows."""
     out = []
     step = max(1, (1 << 22) // opts.size)
     for s in range(0, P.shape[0], step):
         block = P[s:s + step]
-        keep = opts[None, :] >= (lb[s:s + step] - TIE_TOL)[:, None]
+        keep = opts[None, :] >= (lb[s:s + step] - tol)[:, None]
         rows, cols = np.nonzero(keep)
         out.append(np.column_stack([block[rows], opts[cols]]))
     return np.vstack(out)
 
 
-def _eval_block(L: np.ndarray, V: np.ndarray, mass: np.ndarray) -> np.ndarray:
+def _eval_block(L: np.ndarray, V: np.ndarray, mass: np.ndarray,
+                tol: float) -> np.ndarray:
     """Revenue of each complete menu row (inf price = bundle absent)."""
     rev = np.zeros(L.shape[0])
     Lm = np.where(np.isinf(L), -np.inf, L)
     for t in range(V.shape[0]):
         U = V[t][None, :] - L
         umax = np.maximum(U.max(axis=1), 0.0)  # opt-out floors utility at 0
-        tie = U >= (umax - TIE_TOL)[:, None]
+        tie = U >= (umax - tol)[:, None]
         ptied = np.where(tie, Lm, -np.inf).max(axis=1)
         rev += mass[t] * np.maximum(ptied, 0.0)
     return rev
 
 
 def _search(V: np.ndarray, mass: np.ndarray, cands: list[np.ndarray],
-            subs: list[np.ndarray]) -> tuple[np.ndarray, int]:
+            subs: list[np.ndarray], tol: float) -> tuple[np.ndarray, int]:
     nb = len(cands)
     P = np.zeros((1, 0))
     for j in range(nb - 1):
         opts = np.append(cands[j], np.inf)
-        P = _expand(P, opts, _subset_floor(P, subs[j]))
+        P = _expand(P, opts, _subset_floor(P, subs[j]), tol)
     opts = np.append(cands[nb - 1], np.inf)
     best_rev = -1.0
     best_row = None
     evaluated = 0
     for s in range(0, P.shape[0], _BLOCK_ROWS):
         block = P[s:s + _BLOCK_ROWS]
-        L = _expand(block, opts, _subset_floor(block, subs[nb - 1]))
-        rev = _eval_block(L, V, mass)
+        L = _expand(block, opts, _subset_floor(block, subs[nb - 1]), tol)
+        rev = _eval_block(L, V, mass, tol)
         evaluated += L.shape[0]
         i = int(np.argmax(rev))
         if rev[i] > best_rev:
@@ -274,6 +289,7 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
     else:
         raise LengthMismatch(f"got {len(dists)} members for m={m} items")
 
+    tol = _tie_tol(members)
     if symmetric:
         if m > SYMMETRIC_CAP:
             raise CapExceeded(f"size-based menus cap at {SYMMETRIC_CAP} items, got {m}")
@@ -281,7 +297,7 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
         for d in members[1:]:
             if (d.x, d.y, d.alpha) != (d0.x, d0.y, d0.alpha):
                 raise ParamOutOfRange("size-based pricing needs identical items")
-        row, evaluated = _search(*_symmetric_problem(d0, m))
+        row, evaluated = _search(*_symmetric_problem(d0, m), tol)
         entries = [(0, 0.0)]
         for s, price in enumerate(row, start=1):
             if np.isinf(price):
@@ -297,7 +313,7 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
                 f"full menu enumeration caps at {FULL_CAP} items, got {m}; "
                 f"symmetric mode reaches {SYMMETRIC_CAP}")
         masks = sorted(range(1, 1 << m), key=lambda mk: (mk.bit_count(), mk))
-        row, evaluated = _search(*_full_problem(members, masks))
+        row, evaluated = _search(*_full_problem(members, masks), tol)
         entries = [(0, 0.0)]
         for j, price in enumerate(row):
             if not np.isinf(price):
@@ -305,6 +321,8 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
 
     menu = MenuMechanism(m=m, entries=tuple(entries))
     revenue = menu_revenue(menu, members)
-    assert revenue <= sum(d.spec.mu for d in members) * (1.0 + 1e-12)
+    if not revenue <= sum(d.spec.mu for d in members) * (1.0 + 1e-12):
+        raise NumericalInstability(
+            f"menu revenue {revenue!r} exceeds the sum of the item means")
     return OracleResult(revenue=revenue, witness=menu,
                         menus_evaluated=evaluated, symmetric=symmetric)

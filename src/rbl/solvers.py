@@ -26,12 +26,11 @@ import numpy as np
 from scipy.special import gammaln, rel_entr
 from scipy.stats import binom
 
-from .ambiguity import MeanMadSpec, make_two_point
-from .bundling import best_bundle_price, guaranteed_sale_price
+from .ambiguity import MeanMadSpec
+from .bundling import guaranteed_sale_price
 from .concentration import failure_coefficient
 from .errors import NegativePrice
 from .optimize import grid_polish
-from .sum_law import product_sum
 
 ALPHA_GRID = 2048
 PRICE_GRID = 1024
@@ -86,11 +85,6 @@ def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
     for _ in range(2):
         k = np.where((k <= m) & (m * x + k * gap < p), k + 1.0, k)
     return binom.sf(k - 1.0, m, u)
-
-
-def iid_tail(spec: MeanMadSpec, m: int, p: float, alpha: float) -> float:
-    """P(sum of m i.i.d. two-point values >= p) at a single alpha."""
-    return float(_tails(spec, m, p, np.array([1.0 - alpha]))[0])
 
 
 def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
@@ -204,13 +198,12 @@ def _chain_lower(spec: MeanMadSpec, m: int, eps):
     return guaranteed_sale_price(spec, m, eps) / m * (1.0 - f / m)
 
 
-def maximin_certificate_lower(spec: MeanMadSpec, m: int,
-                              grid: int = EPS_GRID) -> float:
+def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     """Best guaranteed-sale chain bound: max over eps of
     p*(eps)/m * (1 - f(mu,d,eps)/m), clipped at zero. The eps grid is one
     array expression; the polish evaluates one eps at a time."""
     hi = 1.0 - spec.alpha_min
-    eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), grid)
+    eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), EPS_GRID)
     _, v_best = grid_polish(lambda e: float(_chain_lower(spec, m, e)), eps,
                             _chain_lower(spec, m, eps), 1e-12, maximize=True)
     return max(0.0, v_best)
@@ -230,7 +223,7 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     ps = np.linspace(0.0, m * spec.mu, price_grid)
     p_best, v_best = grid_polish(
         lambda p: worst_case_alpha(spec, m, p)[1], ps,
-        _grid_guarantees(spec, m, ps), BRACKET_TOL * max(1.0, m * spec.mu),
+        _grid_guarantees(spec, m, ps), BRACKET_TOL * m * spec.mu,
         maximize=True)
     return SaddleReport(
         m=m,
@@ -327,74 +320,3 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
         alpha=1.0 - u_best,
         certificate=(lower, float(vals.min())),
     )
-
-
-def heterogeneous_probe_values(spec: MeanMadSpec, m: int, n_probes: int = 16,
-                               seed: int = 0) -> np.ndarray:
-    """Best-response per-item revenues against random non-identical two-point
-    products (exact convolution, so m is capped at 20).
-
-    Companion evidence for minimax_bundling_value; no ordering against the
-    i.i.d. value is asserted anywhere, since none is known at finite m.
-    """
-    rng = np.random.default_rng(seed)
-    a0 = spec.alpha_min
-    out = np.empty(n_probes)
-    for i in range(n_probes):
-        alphas = np.clip(a0 + (1.0 - a0) * rng.random(m), a0, 1.0 - 1e-12)
-        law = product_sum([make_two_point(spec, float(a)) for a in alphas])
-        out[i] = best_bundle_price(law).revenue / m
-    return out
-
-
-def extreme_adversary_alpha(m: int) -> float:
-    """log(1 - alpha) for the near-degenerate adversary 1 - alpha = m^-(m+1) e^-m.
-
-    Kept in the log domain: the quantity underflows to zero as a plain float
-    from about m = 130 on, while the log is exact in doubles up to m = 1e4.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    return -(m + 1.0) * float(np.log(m)) - m
-
-
-def extreme_adversary_logs(m: int) -> tuple[float, float]:
-    """(log alpha^m, log alpha^(m-1)(1-alpha)) for the same adversary.
-
-    Once 1 - alpha is below double rounding, log alpha is -(1 - alpha) to full
-    precision, and m log alpha = -exp(log m + log(1-alpha)) keeps the product
-    inside the exponent instead of multiplying an underflowed zero.
-    """
-    log1m = extreme_adversary_alpha(m)
-    if log1m > -50.0:
-        log_alpha = float(np.log1p(-np.exp(log1m)))
-        m_log_alpha = m * log_alpha
-    else:
-        log_alpha = -float(np.exp(log1m))
-        m_log_alpha = -float(np.exp(np.log(m) + log1m))
-    return m_log_alpha, m_log_alpha - log_alpha + log1m
-
-
-def extreme_adversary_second_point_revenue(spec: MeanMadSpec, m: int) -> float:
-    """Per-item revenue of pricing at the second sum support point under the
-    extreme adversary; tends to d/2 and never overflows, any m.
-
-    The member only belongs to the family once 1 - alpha <= 1 - alpha_min,
-    which holds for all but the smallest m; the formula is evaluated as stated
-    either way. With z = 1 - alpha and t = m z, the survival 1 - alpha^m is
-    r * t where r = -expm1(-t)/t, and the diverging upper point y enters only
-    through y z = mu z + d/2, so everything stays finite.
-    """
-    log1m = extreme_adversary_alpha(m)
-    if log1m > -50.0:
-        z = float(np.exp(log1m))
-        alpha = 1.0 - z
-        x = spec.mu - spec.d / (2.0 * alpha)
-        y = spec.mu + spec.d / (2.0 * z)
-        survive = -float(np.expm1(m * np.log1p(-z)))
-        return ((m - 1) * x + y) * survive / m
-    x = spec.mu - spec.d / 2.0  # alpha is 1 up to rounding
-    z = float(np.exp(log1m))
-    t = float(np.exp(np.log(m) + log1m))
-    r = -float(np.expm1(-t)) / t if t > 0.0 else 1.0
-    return ((m - 1) * x + spec.mu) * r * z + spec.d / 2.0 * r

@@ -132,12 +132,13 @@ def iid_two_point_sum(dist: TwoPointDist, m: int) -> SumLaw:
     return SumLaw(m=m, support=support, probs=probs, log_probs=logp)
 
 
-def product_sum(dists: Sequence[TwoPointDist], cap: int = MAX_FACTORS) -> SumLaw:
+def product_sum(dists: Sequence[TwoPointDist]) -> SumLaw:
     """Exact convolution of independent two-point values sharing one spec."""
     if len(dists) == 0:
         raise ValueError("need at least one factor")
-    if len(dists) > cap:
-        raise TooManyFactors(f"{len(dists)} factors exceeds the cap of {cap}")
+    if len(dists) > MAX_FACTORS:
+        raise TooManyFactors(
+            f"{len(dists)} factors exceeds the cap of {MAX_FACTORS}")
     spec = dists[0].spec
     for d in dists[1:]:
         if d.spec != spec:

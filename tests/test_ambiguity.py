@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,8 +8,6 @@ from rbl.ambiguity import (
     make_pareto_member,
     make_three_point,
     make_two_point,
-    member_from_json,
-    member_to_json,
     pareto_induced_mad,
     verify_membership,
 )
@@ -134,19 +131,6 @@ def test_membership_detects_mismatch(half_spec):
     rep = verify_membership(other, half_spec, tol=1e-9)
     assert not rep.ok
     assert rep.mad_error > 1e-3
-
-
-@pytest.mark.parametrize("builder", [
-    lambda s: make_two_point(s, 0.5),
-    lambda s: make_three_point(s, (0.0, 1.0, 2.0), (0.25, 0.5, 0.25)),
-    lambda s: make_pareto_member(s, 2.0),
-])
-def test_member_json_round_trip(half_spec, builder):
-    dist = builder(half_spec)
-    text = member_to_json(dist)
-    back = member_from_json(text)
-    assert type(back) is type(dist)
-    assert json.loads(member_to_json(back)) == json.loads(text)
 
 
 def test_two_point_quantile_mean_consistency(half_spec):

@@ -3,7 +3,6 @@ import pytest
 
 from rbl.ambiguity import MeanMadSpec
 from rbl.asymptotics import (
-    asymptotic_targets,
     ratio_bound_chain,
     ratio_empirical,
     regret_bound_chain,
@@ -15,17 +14,6 @@ from rbl.asymptotics import (
 )
 from rbl.errors import LambdaOutOfRange, ParamOutOfRange, RangeError
 from rbl.solvers import maximin_bundling_value
-
-
-def test_targets(half_spec, wide_spec):
-    t = asymptotic_targets(half_spec)
-    assert t.maximin_limit == 0.75
-    assert t.ratio_limit == 0.75
-    assert t.regret_limit == 0.25
-    assert t.minimax_upper >= t.maximin_limit
-    tw = asymptotic_targets(wide_spec)
-    assert tw.maximin_limit == 0.25
-    assert tw.regret_limit == 0.75
 
 
 def test_schedule():
@@ -86,6 +74,36 @@ def test_ratio_chain_frozen_m1e4(half_spec):
     assert chain["lower"] <= chain["upper"]
 
 
+@pytest.mark.parametrize("mu,d", [(1.0, 0.5), (1.0, 0.8), (1.0, 1.5),
+                                  (2.3, 0.4)])
+@pytest.mark.parametrize("m", [2, 3, 4, 16, 100, 10_000])
+def test_ratio_upper_matches_a_dense_gamma_scan(mu, d, m):
+    spec = MeanMadSpec(mu, d)
+    g = variance_boundary_member(spec)
+    gam = np.linspace(1e-6, 1.0 - 1e-6, 200_001)
+    bracket = 1.0 - g / ((gam * mu) ** 2 * m)
+    ok = bracket > 0.0
+    scan = ((2.0 * mu - d) / (2.0 * mu) / ((1.0 - gam[ok]) * bracket[ok])).min(
+        initial=np.inf)
+    upper = ratio_bound_chain(spec, m, 0.1 * (1.0 - spec.alpha_min))["upper"]
+    if np.isinf(scan):
+        assert upper == np.inf
+    else:
+        assert upper <= scan * (1.0 + 1e-14)
+        assert upper == pytest.approx(scan, rel=1e-8)
+
+
+def test_ratio_upper_is_infinite_from_c_one(wide_spec):
+    # g = 3 at (1, 1.5), so c = g/(mu^2 m) = 3/m reaches 1 at m = 3
+    assert variance_boundary_member(wide_spec) == 3.0
+    assert ratio_bound_chain(wide_spec, 2, 0.1)["upper"] == np.inf
+    assert ratio_bound_chain(wide_spec, 3, 0.1)["upper"] == np.inf
+    assert np.isfinite(ratio_bound_chain(wide_spec, 4, 0.1)["upper"])
+    # just below c = 1 the best gamma nears 1 and the bound grows without end
+    near = ratio_bound_chain(MeanMadSpec(1.0, 1.5 - 1e-9), 3, 0.1)["upper"]
+    assert 1e6 < near < np.inf
+
+
 def test_ratio_chain_tightens_far_out(half_spec):
     # the bracket closes onto 1 - d/(2 mu) only at very large m
     m = 10 ** 8
@@ -123,7 +141,6 @@ def test_regret_chain_gamma_guard(half_spec):
 def test_ratio_empirical_oracle_mode(half_spec):
     rep = ratio_empirical(half_spec, 2)
     assert rep.mode == "oracle"
-    assert rep.opt_lower is None
     # regression pin at the default grid; refining can only lower the value
     assert rep.value == pytest.approx(0.5518, abs=2e-3)
     coarse = ratio_empirical(half_spec, 2, grid=128)
@@ -135,8 +152,6 @@ def test_ratio_empirical_mu_upper_mode(half_spec):
     want = maximin_bundling_value(half_spec, 16).value / half_spec.mu
     assert rep.mode == "mu_upper"
     assert rep.value == pytest.approx(want, rel=1e-9)
-    assert rep.opt_lower is not None
-    assert rep.opt_lower <= 16 * half_spec.mu + 1e-9
 
 
 def test_regret_empirical_modes(half_spec):

@@ -4,23 +4,11 @@ import pytest
 from rbl.ambiguity import MeanMadSpec, make_two_point
 from rbl.bundling import (
     best_bundle_price,
-    bundling_revenue,
     guaranteed_sale_price,
-    second_point_revenue,
     separate_sale_revenue,
 )
-from rbl.errors import EpsOutOfRange, NegativePrice
+from rbl.errors import EpsOutOfRange
 from rbl.sum_law import iid_two_point_sum, tail_prob
-
-
-def test_revenue_is_price_times_tail(half_spec):
-    law = iid_two_point_sum(make_two_point(half_spec, 0.5), 4)
-    for p in (0.0, 1.7, float(law.support[2]), 10.0):
-        out = bundling_revenue(p, law)
-        assert out.revenue == pytest.approx(p * tail_prob(law, p), rel=1e-15)
-        assert out.sell_prob == pytest.approx(tail_prob(law, p))
-    with pytest.raises(NegativePrice):
-        bundling_revenue(-0.01, law)
 
 
 def test_best_price_m1_closed_form(half_spec):
@@ -90,17 +78,17 @@ def test_separate_sale_revenue(half_spec):
 
 def test_second_point_revenue_frozen(half_spec):
     # m=2, alpha=1/2: price (m-1)x + y = 2, sell prob 1 - alpha^2 = 3/4
-    assert second_point_revenue(half_spec, 0.5, 2) == pytest.approx(
-        0.75, rel=1e-15)
+    law = iid_two_point_sum(make_two_point(half_spec, 0.5), 2)
+    assert 2.0 * tail_prob(law, 2.0) / 2 == pytest.approx(0.75, rel=1e-15)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 17])
 @pytest.mark.parametrize("alpha", [0.26, 0.5, 0.93])
 def test_second_point_revenue_cross_route(half_spec, m, alpha):
-    # direct formula vs pricing the exact convolution at the second atom
+    # the exact convolution priced at its second atom (m-1) x + y sells
+    # unless every item draws low: per item ((m-1) x + y)(1 - alpha^m) / m
     dist = make_two_point(half_spec, alpha)
     law = iid_two_point_sum(dist, m)
     p = (m - 1) * dist.x + dist.y
-    want = bundling_revenue(p, law).revenue / m
-    got = second_point_revenue(half_spec, alpha, m)
-    assert got == pytest.approx(want, rel=1e-13)
+    want = p * -np.expm1(m * np.log(alpha)) / m
+    assert p * tail_prob(law, p) / m == pytest.approx(want, rel=1e-13)

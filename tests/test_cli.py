@@ -122,6 +122,18 @@ def test_regret_auto_schedule(capsys):
     ("ratio", "--mu", "1", "--d", "0.5", "--m", "2", "--grid", "8"),
     ("regret", "--mu", "1", "--d", "0.5", "--m", "1", "--eps", "0.1",
      "--grid", "8"),
+    # parser errors: unknown options, options of another subcommand
+    ("xi", "--mu", "1", "--d", "1.5", "--bogus", "3"),
+    ("maximin", "--mu", "1", "--d", "0.5", "--m", "4", "--eps", "0.3"),
+    ("maximin", "--mu", "1", "--d", "0.5", "--m", "4", "--eps", "0.3",
+     "--gamma", "9", "--grid", "5"),
+    ("minimax", "--mu", "1", "--d", "0.5", "--m", "4", "--grid", "5"),
+    ("ratio", "--mu", "1", "--d", "0.5", "--m", "2", "--eps", "0.1",
+     "--alpha-grid", "8"),
+    ("regret", "--mu", "1", "--d", "0.5", "--m", "2", "--eps", "0.1",
+     "--price-grid", "8"),
+    ("maximin", "--mu", "1", "--d", "0.5", "--m"),
+    (),
 ])
 def test_validation_failures_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -204,7 +216,7 @@ def test_fuzzed_spec_scales_exit_0_or_2_in_one_line(command, mu, d, relative,
     argv = [command, "--mu", repr(mu), "--d", repr(d), "--m", str(m)]
     if command == "concentration":
         argv += ["--n", "10000", "--seed", "0", "--eps", "0.2",
-                 "--member", "two_point:alpha=0.999"]
+                 "--member", "two_point:alpha=0.999", "--optimize-t"]
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -240,6 +252,64 @@ def test_maximin_alpha_grid_is_hidden_and_inert(capsys):
     with pytest.raises(SystemExit):
         main(["maximin", "--help"])
     assert "--alpha-grid" not in capsys.readouterr().out
+
+
+def test_minimax_price_grid_is_hidden_and_inert(capsys):
+    # accepted so one argv can drive both orders; minimax has no price grid
+    base = ("minimax", "--mu", "1", "--d", "0.5", "--m", "4")
+    code, plain, _ = run(capsys, *base)
+    code2, with_grid, _ = run(capsys, *base, "--price-grid", "48")
+    assert code == code2 == 0
+    assert plain == with_grid
+    with pytest.raises(SystemExit):
+        main(["minimax", "--help"])
+    assert "--price-grid" not in capsys.readouterr().out
+
+
+def test_parser_errors_are_one_line(capsys):
+    code, out, err = run(capsys, "xi", "--mu", "1", "--d", "1.5", "--bogus", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: rbl: unrecognized arguments: --bogus 3\n"
+    code, _, err = run(capsys, "maximin", "--mu", "1", "--d", "0.5", "--m",
+                       "4", "--eps", "0.3", "--gamma", "9", "--grid", "5")
+    assert code == 2
+    assert err == ("error: rbl: unrecognized arguments: --eps 0.3 --gamma 9 "
+                   "--grid 5\n")
+
+
+def test_subcommands_read_only_their_own_options(capsys, monkeypatch):
+    # a study's grid in the environment does not reach the game commands
+    monkeypatch.setenv("RBL_GRID", "1")
+    monkeypatch.setenv("RBL_EPS", "nonsense")
+    code, _, _ = run(capsys, "maximin", "--mu", "1", "--d", "0.5", "--m", "2")
+    assert code == 0
+    monkeypatch.setenv("RBL_ALPHA_GRID", "1")
+    code, _, err = run(capsys, "ratio", "--mu", "1", "--d", "0.5", "--m", "2",
+                       "--eps", "0.1", "--grid", "8")
+    assert code == 0, err
+
+
+def test_opt_oracle_tiny_scale_agrees_with_unit_scale(capsys):
+    base = ("--m", "2", "--alpha", "0.5,0.7")
+    code, out, err = run(capsys, "opt-oracle", "--mu", "1e-100", "--d",
+                         "1e-100", *base)
+    assert (code, err) == (0, "")
+    code1, out1, _ = run(capsys, "opt-oracle", "--mu", "1", "--d", "1", *base)
+    tiny, unit = json.loads(out), json.loads(out1)
+    assert tiny["revenue"] / 1e-100 == pytest.approx(unit["revenue"], rel=1e-12)
+    assert tiny["menus_evaluated"] == unit["menus_evaluated"] == 121
+
+
+def test_optimized_cut_at_a_huge_scale_prints_no_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "concentration", "--mu", "1e152", "--d",
+                             "1e152", "--m", "3", "--n", "10000", "--seed",
+                             "0", "--eps", "0.2", "--member",
+                             "two_point:alpha=0.999", "--optimize-t")
+    assert (code, err) == (0, "")
+    # t* = mu (1 + sqrt(1/2)) / (1/2) sits below the lowest cut mu + d/(2 eps)
+    assert json.loads(out)["optimized_t"] == pytest.approx(3.5e152, rel=1e-15)
 
 
 def test_env_overrides_file_flags_override_env(capsys, tmp_path, monkeypatch):

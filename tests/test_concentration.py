@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,14 @@ from rbl.ambiguity import (
 )
 from rbl.bundling import guaranteed_sale_price
 from rbl.concentration import (
-    chebyshev_lower_tail,
     concentration_check_mc,
     concentration_constant,
-    tail_truncation_argmax,
     tail_truncation_sup,
 )
 from rbl.errors import (
     EpsOutOfRange,
-    GammaOutOfRange,
     MembershipViolation,
+    NumericalInstability,
     ParamOutOfRange,
     TruncationTooLow,
 )
@@ -45,8 +45,11 @@ def test_truncated_tail_sup_shape(half_spec):
 
 
 def test_truncated_tail_argmax_attains_sup(half_spec):
+    # the member with upper mass d/(2(t - mu)), capped at 1 - alpha_min
     for t in (1.3, 1.5, 2.0, 5.0, 9.0):
-        dist = tail_truncation_argmax(half_spec, t)
+        alpha = max(half_spec.alpha_min,
+                    1.0 - half_spec.d / (2.0 * (t - half_spec.mu)))
+        dist = make_two_point(half_spec, alpha)
         got = (1.0 - dist.alpha) * dist.y if dist.y >= t else 0.0
         assert got == pytest.approx(tail_truncation_sup(half_spec, t), rel=1e-9)
 
@@ -59,17 +62,6 @@ def test_truncated_tail_sup_dominates_member_grid(half_spec):
         dist = make_two_point(half_spec, float(alpha))
         val = (1.0 - dist.alpha) * dist.y if dist.y >= t else 0.0
         assert val <= sup + 1e-12
-
-
-def test_chebyshev_lower_tail():
-    assert chebyshev_lower_tail(1.0, 0.5, 100, 0.2) == pytest.approx(
-        0.5 / (0.04 * 100), rel=1e-15)
-    with pytest.raises(GammaOutOfRange):
-        chebyshev_lower_tail(1.0, 0.5, 100, 0.0)
-    with pytest.raises(GammaOutOfRange):
-        chebyshev_lower_tail(1.0, 0.5, 100, 1.0)
-    with pytest.raises(ValueError):
-        chebyshev_lower_tail(1.0, -0.1, 100, 0.5)
 
 
 def test_concentration_constant_frozen(half_spec):
@@ -88,6 +80,47 @@ def test_concentration_constant_optimized_cut(half_spec):
     base = concentration_constant(half_spec, 0.2)
     opt = concentration_constant(half_spec, 0.2, optimize_t=True)
     assert opt.f <= base.f + 1e-9
+
+
+@pytest.mark.parametrize("mu,d,eps", [
+    (1.0, 0.5, 0.3), (1.0, 0.5, 0.2), (1.0, 0.8, 0.3), (1.0, 1.5, 0.2),
+    (1.0, 1.5, 0.1), (2.3, 0.4, 0.3), (1.0, 1.9, 0.04), (7.0, 0.1, 0.9)])
+def test_optimized_cut_matches_a_dense_scan(mu, d, eps):
+    # f(t) over 2*10^5 geometric cuts from the lowest one up to 10^3 times it
+    spec = MeanMadSpec(mu, d)
+    t_min = mu + d / (2.0 * eps)
+    ts = np.geomspace(t_min, 1e3 * t_min, 200_001)
+    floor = (1.0 - d / (2.0 * (ts - mu))) * mu - d / 2.0
+    fs = ts * ts / (4.0 * (eps * floor) ** 2)
+    cert = concentration_constant(spec, eps, optimize_t=True)
+    assert cert.t >= t_min
+    assert cert.f <= fs.min() * (1.0 + 1e-13)
+    # the scan's step is 3.5e-5 in t, about 1e-9 in f near the minimum
+    assert cert.f == pytest.approx(fs.min(), rel=1e-8)
+    assert cert.t == pytest.approx(ts[np.argmin(fs)], rel=1e-3)
+    if np.argmin(fs) == 0:  # the lowest cut wins: f is its default value
+        assert cert.t == t_min
+        assert cert.f == pytest.approx(concentration_constant(spec, eps).f,
+                                       rel=1e-14)
+
+
+def test_optimized_cut_is_scale_free(half_spec):
+    base = concentration_constant(half_spec, 0.3, optimize_t=True)
+    assert base.t == 2.0  # mu (1 + sqrt(1/4)) / (1 - 1/4)
+    for scale in (1e-150, 1e152):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = concentration_constant(MeanMadSpec(scale, 0.5 * scale), 0.3,
+                                          optimize_t=True)
+        assert cert.t / scale == pytest.approx(base.t, rel=1e-15)
+        assert cert.f == pytest.approx(base.f, rel=1e-14)
+    # the default cut squares to a double here, the optimized one does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = MeanMadSpec(4.5e153, 4.5e153)
+        concentration_constant(spec, 0.3)
+        with pytest.raises(NumericalInstability):
+            concentration_constant(spec, 0.3, optimize_t=True)
 
 
 def test_certificate_with_m(half_spec):

@@ -139,3 +139,23 @@ def test_menu_json_shape(half_spec):
     for entry in obj:
         assert set(entry) == {"bundle", "price"}
         assert entry["bundle"] == sorted(entry["bundle"])
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-12, 1e100])
+@pytest.mark.parametrize("alphas,m,symmetric", [
+    ((0.5, 0.7), 2, False), ((0.5,), 2, False), ((0.8,), 1, False),
+    ((0.6,), 3, True), ((0.7,), 4, True)])
+def test_oracle_is_scale_invariant(scale, alphas, m, symmetric):
+    # ties are relative to mu, so rescaling mu and d rescales the revenue
+    # and leaves the search alone
+    def solve(s):
+        members = [make_two_point(MeanMadSpec(s, s), a) for a in alphas]
+        return members, opt_deterministic(members, m, symmetric=symmetric)
+
+    _, base = solve(1.0)
+    members, res = solve(scale)
+    assert res.revenue / scale == pytest.approx(base.revenue, rel=1e-12)
+    assert res.menus_evaluated == base.menus_evaluated
+    lat = bid_lattice(members * m if len(members) == 1 else members)
+    z, pi = menu_to_tables(res.witness, lat)
+    assert verify_truthful(z, pi, lat).ok

@@ -12,17 +12,18 @@ from rbl.concentration import concentration_constant
 from rbl.errors import NegativePrice
 from rbl.solvers import (
     U_FLOOR,
-    extreme_adversary_alpha,
-    extreme_adversary_logs,
-    extreme_adversary_second_point_revenue,
-    heterogeneous_probe_values,
-    iid_tail,
     maximin_bundling_value,
     maximin_certificate_lower,
     minimax_bundling_value,
     worst_case_alpha,
 )
 from rbl.sum_law import iid_two_point_sum, tail_prob
+
+
+def iid_tail(spec, m, p, alpha):
+    """P(sum of m i.i.d. two-point values >= p) through the solvers'
+    binomial-survival route, at one alpha."""
+    return float(solvers._tails(spec, m, p, np.array([1.0 - alpha]))[0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 10])
@@ -288,50 +289,3 @@ def test_certificate_lower_is_sound(half_spec):
         val = maximin_bundling_value(half_spec, m).value
         assert lo <= val + 1e-12
     assert maximin_certificate_lower(half_spec, 10_000) >= 0.5
-
-
-def test_heterogeneous_probes_report_only(half_spec):
-    out = heterogeneous_probe_values(half_spec, m=8, n_probes=12, seed=4)
-    assert out.shape == (12,)
-    assert np.all(np.isfinite(out))
-    assert np.all(out > 0.0)
-    # deterministic under the seed
-    again = heterogeneous_probe_values(half_spec, m=8, n_probes=12, seed=4)
-    assert np.array_equal(out, again)
-
-
-def test_extreme_adversary_log_values():
-    assert extreme_adversary_alpha(1) == pytest.approx(-1.0, rel=1e-15)
-    assert extreme_adversary_alpha(10) == pytest.approx(-11.0 * np.log(10.0) - 10.0)
-    with pytest.raises(ValueError):
-        extreme_adversary_alpha(0)
-    # log alpha^m stays finite and tiny even where 1-alpha underflows; at
-    # large m the product m*(1-alpha) itself underflows to -0.0, which is
-    # the closest double to the true value
-    for m in (10, 1_000, 100_000):
-        m_log_alpha, log_second = extreme_adversary_logs(m)
-        assert -1e-3 < m_log_alpha <= 0.0
-        # (m-1) log alpha is below double resolution at this scale, so the
-        # second-point log can only match log(1-alpha), never exceed it
-        assert log_second <= extreme_adversary_alpha(m)
-        assert np.isfinite(log_second)
-
-
-def test_extreme_adversary_revenue_tends_to_half_d(half_spec):
-    # small m (where 1-alpha is still a comfortable double) matches the
-    # member-and-law route; large m approaches d/2 and never overflows
-    for m in (3, 5):
-        log1m = extreme_adversary_alpha(m)
-        alpha = 1.0 - float(np.exp(log1m))
-        dist = make_two_point(half_spec, alpha)
-        law = iid_two_point_sum(dist, m)
-        p = (m - 1) * dist.x + dist.y
-        want = p * tail_prob(law, p) / m
-        assert extreme_adversary_second_point_revenue(half_spec, m) == \
-            pytest.approx(want, rel=1e-9)
-    vals = [extreme_adversary_second_point_revenue(half_spec, m)
-            for m in (10, 100, 10_000, 10 ** 6, 10 ** 8)]
-    assert np.all(np.isfinite(vals))
-    gaps = [abs(v - half_spec.d / 2.0) for v in vals]
-    assert gaps == sorted(gaps, reverse=True)
-    assert gaps[-1] < 1e-6
