@@ -5,9 +5,21 @@ For m i.i.d. two-point values the sum lives on m+1 points,
     Y = (m-k)*x + k*y   with prob  C(m,k) * alpha^(m-k) * (1-alpha)^k,
 
 computed in log space so it stays sound out to m = 1e6 and alpha within 1e-12 of 1.
-Heterogeneous products are convolved exactly up to a factor cap. Monte Carlo sums are
-drawn from a counter-based stream that is splittable by sample index, so serial,
-chunked, and threaded runs agree bit for bit.
+Heterogeneous products are convolved exactly up to a factor cap.
+
+Monte Carlo sums are drawn from a counter-based Philox stream in which sample i
+owns a fixed segment of words, so serial, chunked, and threaded runs agree bit
+for bit. Slots are grouped by member: the c slots of a discrete member add
+sum_j n_j v_j over its atoms v_j, with the counts drawn as sequential
+conditional binomials,
+
+    n_0 ~ Bin(c, p_0),  n_j ~ Bin(c - n_0 - ... - n_{j-1}, p_j / (p_j + ... + p_last)),
+
+each by the exact inverse CDF of one uniform, and the last atom taking the rest.
+A Pareto slot still takes one uniform of its own. The segment holds (atoms - 1)
+words per discrete group, then one word per Pareto slot in slot order, padded
+to Philox's 4-word tick; a Pareto-only set therefore keeps the one-word-per-slot
+layout and its sums.
 """
 
 from __future__ import annotations
@@ -19,8 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import gammaln
+from scipy.stats import binom
 
-from .ambiguity import MemberDist, TwoPointDist
+from .ambiguity import MemberDist, ParetoDist, ThreePointDist, TwoPointDist
 from .errors import LengthMismatch, NumericalInstability, TooManyFactors
 
 # Total probability mass may drift at most this far from 1.
@@ -29,8 +42,10 @@ MASS_TOL = 1e-10
 MAX_FACTORS = 20
 # Support points closer than this are merged during convolution.
 MERGE_TOL = 1e-12
-# Monte Carlo block size (rows per chunk).
+# Monte Carlo blocks hold at most this many samples, and at most this many
+# Philox words (2 MB) unless one sample is wider, so a block stays in cache.
 _CHUNK_ROWS = 1024
+_CHUNK_WORDS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -173,29 +188,100 @@ def tail_prob(law: SumLaw, p: float) -> float:
     return float(np.sum(law.probs[idx:]))
 
 
-def _words_per_sample(m: int) -> int:
+def _binom_inverse(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
+    """Smallest k in [0, n] with P(Bin(n, q) <= k) >= u, elementwise over u and n.
+
+    q is clipped to [0, 1], and a degenerate q gives its one value for every u,
+    so an atom of zero mass is never drawn. binom.ppf returns -1 at u = 0,
+    hence the clip at 0.
+    """
+    if q <= 0.0:
+        return np.zeros_like(n)
+    if q >= 1.0:
+        return n.copy()
+    return np.clip(binom.ppf(u, n, q), 0.0, n)
+
+
+def _atom_counts(u: np.ndarray, c: int, cond: Sequence[float]) -> np.ndarray:
+    """Atom counts among c slots, one row per sample.
+
+    Column j of u draws atom j's count from the slots left after atoms 0..j-1,
+    with conditional mass cond[j]; the last atom takes the rest.
+    """
+    counts = np.empty((u.shape[0], len(cond) + 1))
+    left = np.full(u.shape[0], float(c))
+    for j, q in enumerate(cond):
+        counts[:, j] = _binom_inverse(u[:, j], left, q)
+        left -= counts[:, j]
+    counts[:, -1] = left
+    return counts
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How one call lays out and maps its uniforms. Sample i owns words
+    [i*width, (i+1)*width) of the Philox stream: first len(cond) words per
+    discrete group (slot count c, atom values, conditional masses cond), then
+    one word per Pareto slot in slot order, then padding."""
+
+    width: int
+    discrete: tuple[tuple[int, tuple[float, ...], tuple[float, ...]], ...]
+    cont_start: int
+    neg_inv_a: np.ndarray
+    scale: np.ndarray
+
+
+def _conditional_masses(probs: Sequence[float]) -> tuple[float, ...]:
+    # atom j's mass given that none of atoms 0..j-1 was drawn; the tail sum
+    # makes it exactly 1 when only zero-mass atoms follow
+    return (probs[0],) + tuple(probs[j] / sum(probs[j:]) if probs[j] > 0.0 else 0.0
+                               for j in range(1, len(probs) - 1))
+
+
+def _plan(members: Sequence[MemberDist], m: int) -> _Plan:
+    groups: dict[int, list] = {}  # discrete groups by member identity
+    neg_inv_a, scale = [], []
+    for dist in (members if len(members) == m else list(members) * m):
+        if isinstance(dist, ParetoDist):
+            neg_inv_a.append(-1.0 / dist.a)
+            scale.append(dist.scale)
+        else:
+            groups.setdefault(id(dist), [dist, 0])[1] += 1
+    discrete = []
+    for dist, c in groups.values():
+        if isinstance(dist, TwoPointDist):
+            points, probs = (dist.x, dist.y), (dist.alpha, 1.0 - dist.alpha)
+        elif isinstance(dist, ThreePointDist):
+            points, probs = dist.points, dist.probs
+        else:
+            raise TypeError(f"cannot sample member {dist!r}")
+        discrete.append((c, tuple(points), _conditional_masses(probs)))
+    cont_start = sum(len(cond) for _, _, cond in discrete)
+    words = cont_start + len(scale)
     # Philox advances in 4-word counter ticks; pad so samples stay aligned.
-    return 4 * ((m + 3) // 4)
+    return _Plan(width=4 * ((words + 3) // 4), discrete=tuple(discrete),
+                 cont_start=cont_start, neg_inv_a=np.array(neg_inv_a),
+                 scale=np.array(scale))
 
 
-def _sample_block(members: Sequence[MemberDist], m: int, seed: int,
-                  start: int, rows: int, out: np.ndarray) -> None:
-    w = _words_per_sample(m)
+def _sample_block(plan: _Plan, seed: int, start: int, rows: int,
+                  out: np.ndarray) -> None:
     bg = Philox(key=seed)
-    bg.advance(start * (w // 4))
-    u = Generator(bg).random((rows, w))[:, :m]
-    if len(members) == 1:
-        vals = members[0].inverse_cdf(u)
-    else:
-        vals = np.empty_like(u)
-        # group columns by member identity so mixed slots stay vectorized
-        groups: dict[int, list[int]] = {}
-        for i in range(m):
-            groups.setdefault(id(members[i]), []).append(i)
-        by_id = {id(d): d for d in members}
-        for key, cols in groups.items():
-            vals[:, cols] = by_id[key].inverse_cdf(u[:, cols])
-    out[start:start + rows] = vals.sum(axis=1)
+    bg.advance(start * (plan.width // 4))
+    buf = Generator(bg).random((rows, plan.width))
+    # Pareto slots: scale * (1 - u)^(-1/a), in place
+    cont = buf[:, plan.cont_start:plan.cont_start + plan.scale.size]
+    np.subtract(1.0, cont, out=cont)
+    np.power(cont, plan.neg_inv_a, out=cont)
+    np.multiply(cont, plan.scale, out=cont)
+    total = cont.sum(axis=1)
+    col = 0
+    for c, points, cond in plan.discrete:
+        counts = _atom_counts(buf[:, col:col + len(cond)], c, cond)
+        col += len(cond)
+        for j, v in enumerate(points):
+            total += counts[:, j] * v
+    out[start:start + rows] = total
 
 
 def sample_sum(
@@ -209,24 +295,27 @@ def sample_sum(
 
     members has length 1 (i.i.d.) or m (one per slot). Sample i consumes a fixed,
     index-addressed segment of the Philox stream, so results do not depend on chunk
-    size or worker count.
+    size or worker count. Slots sharing one discrete member are drawn as atom
+    counts; Pareto slots are drawn one by one.
     """
     if len(members) not in (1, m):
         raise LengthMismatch(f"got {len(members)} members for m={m} slots")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    plan = _plan(members, m)
     out = np.empty(n)
-    starts = list(range(0, n, _CHUNK_ROWS))
+    rows = max(1, min(_CHUNK_ROWS, _CHUNK_WORDS // plan.width))
+    starts = list(range(0, n, rows))
     if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        # one thread per block at most: --threads has no upper limit
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             futures = [
-                pool.submit(_sample_block, members, m, seed, s,
-                            min(_CHUNK_ROWS, n - s), out)
+                pool.submit(_sample_block, plan, seed, s, min(rows, n - s), out)
                 for s in starts
             ]
             for f in futures:
                 f.result()
     else:
         for s in starts:
-            _sample_block(members, m, seed, s, min(_CHUNK_ROWS, n - s), out)
+            _sample_block(plan, seed, s, min(rows, n - s), out)
     return out

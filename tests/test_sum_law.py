@@ -1,9 +1,25 @@
+import math
+from concurrent.futures import Future
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
+from scipy.special import kolmogorov
 
-from rbl.ambiguity import MeanMadSpec, make_pareto_member, make_two_point
+from rbl import sum_law
+from rbl.ambiguity import (
+    MeanMadSpec,
+    make_pareto_member,
+    make_three_point,
+    make_two_point,
+    pareto_induced_mad,
+)
 from rbl.errors import LengthMismatch, TooManyFactors
 from rbl.sum_law import (
+    _atom_counts,
+    _binom_inverse,
+    _conditional_masses,
     iid_two_point_sum,
     product_sum,
     sample_sum,
@@ -143,3 +159,196 @@ def test_sampling_heterogeneous_members(half_spec):
     assert draws.shape == (2000,)
     assert np.all(draws >= lo - 1e-12) and np.all(draws <= hi + 1e-12)
     assert abs(draws.mean() - law.mean()) <= 0.1
+
+
+# --- counts sampling: exact laws, the inverse-CDF helper, bits ----------------
+
+def _lattice_law(members, step):
+    """Exact law of the sum of independent members whose atoms are multiples
+    of step: support and probabilities, by repeated convolution."""
+    pmf = np.array([1.0])
+    for dist in members:
+        points, probs = ((dist.x, dist.y), (dist.alpha, 1.0 - dist.alpha)) \
+            if hasattr(dist, "alpha") else (dist.points, dist.probs)
+        idx = [round(v / step) for v in points]
+        assert all(i * step == v for i, v in zip(idx, points))
+        factor = np.zeros(max(idx) + 1)
+        np.add.at(factor, idx, probs)
+        pmf = np.convolve(pmf, factor)
+    return np.arange(pmf.size) * step, pmf
+
+
+def _check_against_law(sums, support, probs):
+    """KS test plus tails near the mean, against an exact discrete law."""
+    n = sums.size
+    idx = np.clip(np.searchsorted(support, sums), 1, support.size - 1)
+    idx -= np.abs(support[idx - 1] - sums) < np.abs(support[idx] - sums)
+    assert np.allclose(support[idx], sums, rtol=1e-12, atol=0.0)
+    counts = np.bincount(idx, minlength=support.size)
+    cdf, ecdf = np.cumsum(probs), np.cumsum(counts) / n
+    # sup over right limits and left limits; conservative for a discrete law
+    dist = max(np.max(np.abs(ecdf - cdf)),
+               np.max(np.abs(ecdf - counts / n - (cdf - probs))))
+    assert kolmogorov(dist * math.sqrt(n)) >= 1e-6
+    mean = float(support @ probs)
+    sd = math.sqrt(float((support - mean) ** 2 @ probs))
+    for z in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+        t = mean + z * sd
+        exact = float(probs[support >= t].sum())
+        emp = float(np.mean(sums >= t))
+        assert abs(emp - exact) <= 6.0 * math.sqrt(exact * (1.0 - exact) / n) + 1.0 / n
+
+
+def test_two_point_counts_draw_the_exact_law(half_spec):
+    dist = make_two_point(half_spec, 0.4)  # non-dyadic high point 17/12
+    law = iid_two_point_sum(dist, 300)
+    _check_against_law(sample_sum([dist], 300, seed=41, n=100_000),
+                       law.support, law.probs)
+
+
+def test_three_point_counts_draw_the_exact_law(half_spec):
+    dist = make_three_point(half_spec, (0.0, 1.0, 2.0), (0.2, 0.5, 0.3))
+    support, probs = _lattice_law([dist] * 300, 1.0)
+    _check_against_law(sample_sum([dist], 300, seed=42, n=100_000), support, probs)
+
+
+def test_mixed_discrete_slots_draw_the_exact_law():
+    spec = MeanMadSpec(1.0, 0.6)
+    two = make_two_point(spec, 0.6)  # atoms 0.5 and 1.75
+    three = make_three_point(spec, (0.0, 1.0, 2.0), (0.2, 0.5, 0.3))
+    slots = [two, three, three] * 100
+    support, probs = _lattice_law(slots, 0.25)
+    _check_against_law(sample_sum(slots, 300, seed=43, n=100_000), support, probs)
+
+
+def test_binom_inverse_is_the_exact_smallest_quantile():
+    # oracle: exact rational CDF at the float value of q
+    rng = np.random.default_rng(7)
+    for n, q in ((1, 0.3), (7, 0.5), (20, 0.11), (40, 0.93)):
+        qf = Fraction(q)
+        cdf = np.cumsum([Fraction(math.comb(n, k)) * qf ** k * (1 - qf) ** (n - k)
+                         for k in range(n + 1)])
+        u = rng.random(400)
+        ks = _binom_inverse(u, np.full(u.size, float(n)), q)
+        for ui, k in zip(u, ks.astype(int)):
+            uf = Fraction(float(ui))
+            assert cdf[k] >= uf and (k == 0 or cdf[k - 1] < uf)
+
+
+def test_binom_inverse_edges():
+    n = np.array([0.0, 1.0, 5.0, 10_000.0])
+    zero = np.zeros(n.size)
+    top = np.full(n.size, 1.0 - 2.0 ** -53)
+    for q in (1e-9, 0.3, 0.5, 1.0 - 1e-9):
+        assert np.array_equal(_binom_inverse(zero, n, q), zero)  # ppf(0) is -1
+        k = _binom_inverse(top, n, q)
+        assert np.all((k >= 0) & (k <= n))
+    # a conditional mass rounded past either end is clipped
+    u = np.array([0.0, 0.5, 1.0 - 2.0 ** -53, 1.0])
+    n4 = np.full(u.size, 9.0)
+    assert np.array_equal(_binom_inverse(u, n4, 1.0 + 2.0 ** -52), n4)
+    assert np.array_equal(_binom_inverse(u, n4, -2.0 ** -60), np.zeros(u.size))
+
+
+@pytest.mark.parametrize("probs", [(0.0, 0.4, 0.6), (0.4, 0.0, 0.6), (0.4, 0.6, 0.0),
+                                   (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.7, 0.3)])
+def test_zero_mass_atoms_are_never_drawn(probs):
+    rng = np.random.default_rng(3)
+    u = np.vstack([np.zeros(len(probs) - 1), np.full(len(probs) - 1, 1.0 - 2.0 ** -53),
+                   rng.random((500, len(probs) - 1))])
+    u[2, 0], u[3, -1] = 0.0, 1.0 - 2.0 ** -53
+    counts = _atom_counts(u, 37, _conditional_masses(probs))
+    assert np.all(counts.sum(axis=1) == 37)
+    for j, p in enumerate(probs):
+        if p == 0.0:
+            assert np.all(counts[:, j] == 0)
+
+
+def test_zero_mass_atom_never_reaches_a_sum(half_spec):
+    dist = make_three_point(half_spec, (0.0, 1.0, 1000.0), (0.5, 0.5, 0.0))
+    assert sample_sum([dist], 50, seed=5, n=5000).max() <= 50.0
+
+
+def _old_sample_sum(members, m, seed, n):
+    """The one-uniform-per-slot sampler as it was before counts sampling."""
+    out = np.empty(n)
+    w = 4 * ((m + 3) // 4)
+    for start in range(0, n, 1024):
+        rows = min(1024, n - start)
+        bg = Philox(key=seed)
+        bg.advance(start * (w // 4))
+        u = Generator(bg).random((rows, w))[:, :m]
+        if len(members) == 1:
+            vals = members[0].inverse_cdf(u)
+        else:
+            vals = np.empty_like(u)
+            groups = {}
+            for i in range(m):
+                groups.setdefault(id(members[i]), []).append(i)
+            by_id = {id(d): d for d in members}
+            for key, cols in groups.items():
+                vals[:, cols] = by_id[key].inverse_cdf(u[:, cols])
+        out[start:start + rows] = vals.sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 3, 64, 1001])
+def test_pareto_only_sums_keep_their_bits(half_spec, m):
+    heavy = MeanMadSpec(1.0, pareto_induced_mad(1.0, 1.5))
+    a2, a15 = make_pareto_member(half_spec, 2.0), make_pareto_member(heavy, 1.5)
+    for members in ([a2], [a15], [a2 if i % 3 else a15 for i in range(m)]):
+        assert np.array_equal(sample_sum(members, m, seed=19, n=2500),
+                              _old_sample_sum(members, m, 19, 2500))
+
+
+def _mixed_slots(spec, m):
+    two = make_two_point(spec, 0.4)
+    three = make_three_point(spec, (0.0, 1.0, 2.0), (0.2, 0.5, 0.3))
+    par = make_pareto_member(spec, 2.0)
+    return [(two, three, par)[i % 3] for i in range(m)]
+
+
+def test_mixed_sums_do_not_depend_on_workers_or_n(half_spec):
+    slots = _mixed_slots(half_spec, 301)
+    full = sample_sum(slots, 301, seed=8, n=10_000, workers=1)
+    assert np.array_equal(full, sample_sum(slots, 301, seed=8, n=10_000, workers=3))
+    assert np.array_equal(full[:3000], sample_sum(slots, 301, seed=8, n=3000))
+
+
+def test_mixed_sums_frozen(half_spec):
+    # pins the stream layout: any change of word order moves these values
+    slots = _mixed_slots(half_spec, 22)
+    assert sample_sum(slots, 22, seed=2026, n=6) == pytest.approx(
+        [24.929687862622835, 24.1246591108113, 16.72612814635302,
+         17.055072999667786, 17.699426623735732, 22.171165175830815], rel=1e-12)
+
+
+def test_thread_pool_is_capped_at_the_block_count(monkeypatch, half_spec):
+    opened = []
+
+    class RecordingPool:
+        """Runs each block at submit time; starts no thread."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            f = Future()
+            f.set_result(fn(*args))
+            return f
+
+    monkeypatch.setattr(sum_law, "ThreadPoolExecutor", RecordingPool)
+    slots = _mixed_slots(half_spec, 30)
+    n = 3 * sum_law._CHUNK_ROWS + 1  # four blocks
+    capped = sample_sum(slots, 30, seed=4, n=n, workers=100_000)
+    assert opened == [4]
+    assert np.array_equal(capped, sample_sum(slots, 30, seed=4, n=n, workers=2))
+    assert opened == [4, 2]
+    assert np.array_equal(capped, sample_sum(slots, 30, seed=4, n=n, workers=1))
+    assert opened == [4, 2]
