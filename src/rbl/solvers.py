@@ -11,8 +11,9 @@ down to 1e-12, because the damaging adversaries sit next to alpha = 1, then
 golden-section polish. The seller's best responses to the whole grid are one
 batched call: log C(m, k) is computed once per m, and rows run in 2-D chunks,
 each over its own window of k, with the same float steps a one-point call
-takes. Tails go through the binomial survival function rather than the
-explicit m+1 point law, so m = 1e4 stays quick. Every report carries a
+takes. Tails go through the binomial survival function (sum_law.binom_sf,
+the kernel the Monte Carlo sampler's counts share) rather than the explicit
+m+1 point law, so m = 1e4 stays quick. Every report carries a
 certificate pair: an analytic lower chain, its eps grid one array expression,
 and an upper bound that the computed value can be checked against.
 """
@@ -24,13 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, rel_entr
-from scipy.stats import binom
 
 from .ambiguity import MeanMadSpec
 from .bundling import guaranteed_sale_price
 from .concentration import failure_coefficient
 from .errors import NegativePrice
 from .optimize import grid_polish
+from .sum_law import binom_sf
 
 ALPHA_GRID = 2048
 PRICE_GRID = 1024
@@ -84,7 +85,7 @@ def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
         k = np.where((k > 0) & (m * x + (k - 1.0) * gap >= p), k - 1.0, k)
     for _ in range(2):
         k = np.where((k <= m) & (m * x + k * gap < p), k + 1.0, k)
-    return binom.sf(k - 1.0, m, u)
+    return binom_sf(k - 1.0, m, u)
 
 
 def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
@@ -135,12 +136,12 @@ def _inner_infimum(spec: MeanMadSpec, m: int,
     np.minimum.at(loosest, owner, bound)
     cand = np.flatnonzero(bound == loosest[owner])
     seed = cand[np.unique(owner[cand], return_index=True)[1]]
-    tail[seed] = binom.sf(k[seed], m, u[seed])
+    tail[seed] = binom_sf(k[seed], m, u[seed])
     best = floor_tail.copy()
     np.minimum.at(best, owner[seed], tail[seed])
     rest = np.flatnonzero(bound <= best[owner] + _PRUNE_MARGIN)
     rest = rest[np.isinf(tail[rest])]
-    tail[rest] = binom.sf(k[rest], m, u[rest])
+    tail[rest] = binom_sf(k[rest], m, u[rest])
     np.minimum.at(best, owner[rest], tail[rest])
 
     # ties go to the smallest u: U_FLOOR first, then the lowest breakpoint
@@ -266,7 +267,7 @@ def _best_response(spec: MeanMadSpec, m: int,
         sig = np.sqrt(m * us * (1.0 - us))
         lo = np.maximum(np.floor(m * us - _WINDOW_SIGMAS * sig), 0).astype(np.int64)
         hi = np.minimum(np.ceil(m * us + _WINDOW_SIGMAS * sig), m).astype(np.int64)
-        sf_beyond = binom.sf(hi, m, us)
+        sf_beyond = binom_sf(hi, m, us)
     logc = _log_binom(m)
     width = hi - lo + 1
     prices = np.empty(us.size)

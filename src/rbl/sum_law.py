@@ -15,7 +15,8 @@ conditional binomials,
 
     n_0 ~ Bin(c, p_0),  n_j ~ Bin(c - n_0 - ... - n_{j-1}, p_j / (p_j + ... + p_last)),
 
-each by the exact inverse CDF of one uniform, and the last atom taking the rest.
+each by the exact inverse CDF of one uniform (binom_ppf, the binomial kernel
+the solvers' tails share), and the last atom taking the rest.
 A Pareto slot still takes one uniform of its own. The segment holds (atoms - 1)
 words per discrete group, then one word per Pareto slot in slot order, padded
 to Philox's 4-word tick; a Pareto-only set therefore keeps the one-word-per-slot
@@ -31,7 +32,10 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import gammaln
-from scipy.stats import binom
+# The boost ufuncs that scipy's binom distribution calls, used directly because
+# importing its stats package is most of rbl's cold start;
+# tests/test_sum_law.py pins binom_sf and binom_ppf to it bit for bit.
+from scipy.special._ufuncs import _binom_ppf, _binom_sf
 
 from .ambiguity import MemberDist, ParetoDist, ThreePointDist, TwoPointDist
 from .errors import LengthMismatch, NumericalInstability, TooManyFactors
@@ -188,18 +192,35 @@ def tail_prob(law: SumLaw, p: float) -> float:
     return float(np.sum(law.probs[idx:]))
 
 
+def binom_sf(k, n, p):
+    """P(Bin(n, p) > k) for integral n >= 0 and p in [0, 1], broadcast like a
+    ufunc; the same bits and edges as scipy's binom.sf: 1 for k < 0, 0 for
+    k >= n, else the survival at floor(k) clipped to [0, 1]."""
+    k = np.floor(k)
+    out = np.where(k < 0.0, 1.0,
+                   np.where(k >= n, 0.0, np.clip(_binom_sf(k, n, p), 0.0, 1.0)))
+    return out[()]
+
+
+def binom_ppf(q, n, p):
+    """Smallest k with P(Bin(n, p) <= k) >= q, broadcast like a ufunc; the same
+    bits and edges as scipy's binom.ppf: -1 at q = 0 and n at q = 1."""
+    out = np.where(q == 0.0, -1.0, np.where(q == 1.0, n, _binom_ppf(q, n, p)))
+    return out[()]
+
+
 def _binom_inverse(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
     """Smallest k in [0, n] with P(Bin(n, q) <= k) >= u, elementwise over u and n.
 
     q is clipped to [0, 1], and a degenerate q gives its one value for every u,
-    so an atom of zero mass is never drawn. binom.ppf returns -1 at u = 0,
+    so an atom of zero mass is never drawn. binom_ppf returns -1 at u = 0,
     hence the clip at 0.
     """
     if q <= 0.0:
         return np.zeros_like(n)
     if q >= 1.0:
         return n.copy()
-    return np.clip(binom.ppf(u, n, q), 0.0, n)
+    return np.clip(binom_ppf(u, n, q), 0.0, n)
 
 
 def _atom_counts(u: np.ndarray, c: int, cond: Sequence[float]) -> np.ndarray:

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_importing_the_cli_skips_scipy_stats_and_mpmath():
+    # a fresh interpreter, since the test session itself loads scipy.stats;
+    # scipy.stats is most of the cold start that every subcommand pays
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import rbl.cli, sys; "
+         "print('scipy.stats' in sys.modules, 'mpmath' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True).stdout
+    assert out.split() == ["False", "False"]
 
 
 def test_xi_json(capsys):

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -143,6 +144,30 @@ def test_bound_holds_on_exact_two_point_laws(half_spec, m):
     for alpha in np.linspace(half_spec.alpha_min, 0.99999, 60):
         law = iid_two_point_sum(make_two_point(half_spec, float(alpha)), m)
         assert tail_prob(law, cert.threshold) >= cert.bound - 1e-12
+
+
+def test_bound_binds_at_m300_and_mc_tracks_the_exact_tails(half_spec):
+    # 1 - f/m ~ 0.65 lies inside (0, 1): the certificate is not clipped to 0
+    m, n = 300, 10_000
+    cert = concentration_constant(half_spec, 0.2).with_m(m)
+    assert 0.0 < cert.bound < 1.0
+    assert cert.bound == max(0.0, 1.0 - cert.f / m)
+    members = [make_two_point(half_spec, float(a))
+               for a in np.linspace(half_spec.alpha_min, 0.99999, 8)]
+    three = make_three_point(half_spec, (0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
+    # exact law of m i.i.d. three-point values on the integer lattice
+    pmf = np.array([1.0])
+    for _ in range(m):
+        pmf = np.convolve(pmf, three.probs)
+    three_tail = float(pmf[np.arange(pmf.size) >= cert.threshold].sum())
+    for seed, dist in enumerate(members + [three]):
+        exact = three_tail if dist is three else tail_prob(
+            iid_two_point_sum(dist, m), cert.threshold)
+        assert exact >= cert.bound
+        rep = concentration_check_mc([dist], m=m, eps=0.2, n=n, seed=seed)
+        assert rep.threshold == cert.threshold and rep.bound == cert.bound
+        p = min(exact, 1.0)  # a summed tail can round past 1
+        assert abs(rep.empirical - p) <= 6.0 * math.sqrt(p * (1.0 - p) / n)
 
 
 def test_mc_check_two_point(half_spec):

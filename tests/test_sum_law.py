@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy.special import kolmogorov
+from scipy.stats import binom as scipy_binom
 
 from rbl import sum_law
 from rbl.ambiguity import (
@@ -20,6 +21,8 @@ from rbl.sum_law import (
     _atom_counts,
     _binom_inverse,
     _conditional_masses,
+    binom_ppf,
+    binom_sf,
     iid_two_point_sum,
     product_sum,
     sample_sum,
@@ -219,6 +222,41 @@ def test_mixed_discrete_slots_draw_the_exact_law():
     slots = [two, three, three] * 100
     support, probs = _lattice_law(slots, 0.25)
     _check_against_law(sample_sum(slots, 300, seed=43, n=100_000), support, probs)
+
+
+def _same(got, want):
+    """Equal bits, shape and type: a numpy scalar where want is one."""
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_binomial_kernel_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    size = 100_000
+    n = rng.integers(0, 3000, size).astype(float)
+    n[:50] = 0.0
+    # k from below 0 to past n, integral and not
+    k = np.round(rng.uniform(-0.2, 1.2, size) * n) + rng.choice([0.0, 0.3, -0.5], size)
+    k[50:60] = -np.inf
+    k[60:70] = np.inf
+    p = rng.random(size)
+    p[:200:2], p[1:200:2] = 0.0, 1.0
+    q = rng.random(size)
+    q[200:300], q[300:400], q[400:500] = 0.0, 1.0, 1.0 - 2.0 ** -53
+    _same(binom_sf(k, n, p), scipy_binom.sf(k, n, p))
+    _same(binom_ppf(q, n, p), scipy_binom.ppf(q, n, p))
+    # scalars, 0-d arrays and broadcasting, as the solvers and sampler call them
+    for args in ((3, 10, 0.4), (np.float64(-1.0), 10, 0.4), (10, 10, 0.4),
+                 (np.array(4.5), 9, 0.5), (2.0, 0, 0.3), (np.arange(-2, 13), 10, 0.7),
+                 (np.arange(-2, 13)[:, None], 10, p[:7]),
+                 (np.arange(5, dtype=np.int64), 4, np.float64(1e-12))):
+        _same(binom_sf(*args), scipy_binom.sf(*args))
+    q_edges = np.array([0.0, 2.0 ** -1074, 0.5, 1.0 - 2.0 ** -53, 1.0])
+    for args in ((0.0, 10, 0.4), (1.0, 10, 0.4), (1.0 - 2.0 ** -53, 10, 0.4),
+                 (np.array(0.5), 7, 0.5), (0.3, 0, 0.5), (q_edges, 25.0, 0.0),
+                 (q_edges[:, None], n[:4], np.array([0.0, 0.2, 0.9, 1.0]))):
+        _same(binom_ppf(*args), scipy_binom.ppf(*args))
 
 
 def test_binom_inverse_is_the_exact_smallest_quantile():
