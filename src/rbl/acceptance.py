@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -270,12 +269,11 @@ CRITERIA = (
 )
 
 
-def run_all(cache: Optional[dict] = None, verbose: bool = True) -> list[CriterionResult]:
-    cache = {} if cache is None else cache
+def run_all() -> list[CriterionResult]:
+    cache: dict = {}
     results = []
     for fn in CRITERIA:
         res = fn(cache)
         results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        print(res.line(), flush=True)
     return results

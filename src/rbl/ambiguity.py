@@ -18,12 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRange,
-    IndexOutOfRange,
-    InfeasibleSpec,
-    MadMismatch,
-)
+from .errors import RobustBundlingError
 
 # Relative tolerance for moment checks on constructed members.
 MOMENT_TOL = 1e-9
@@ -40,15 +35,15 @@ class MeanMadSpec:
     def __post_init__(self) -> None:
         # 2*mu bounds d and sets alpha_min, so it must stay finite too
         if not (math.isfinite(2.0 * self.mu) and self.mu > 0.0):
-            raise InfeasibleSpec(
+            raise RobustBundlingError(
                 f"mu must be positive with 2*mu finite, got {self.mu}")
         if not (math.isfinite(self.d) and 0.0 < self.d < 2.0 * self.mu):
-            raise InfeasibleSpec(
+            raise RobustBundlingError(
                 f"need 0 < d < 2*mu for a workable set, got d={self.d}, mu={self.mu}"
             )
         # u = 1 - alpha tops out at 1 - alpha_min; at 1.0 alpha_min is lost
         if not 1.0 - self.alpha_min < 1.0:
-            raise InfeasibleSpec(
+            raise RobustBundlingError(
                 f"need d/(2*mu) above double rounding, got d={self.d}, mu={self.mu}")
 
     @property
@@ -144,14 +139,15 @@ def make_two_point(spec: MeanMadSpec, alpha: float) -> TwoPointDist:
     """
     a_min = spec.alpha_min
     if not (a_min <= alpha < 1.0):
-        raise AlphaOutOfRange(f"alpha={alpha} outside [{a_min}, 1)")
+        raise RobustBundlingError(f"alpha={alpha} outside [{a_min}, 1)")
     if alpha == a_min:
         x = 0.0
     else:
         x = spec.mu - spec.d / (2.0 * alpha)
         if x < 0.0:
             if x < -1e-12 * spec.mu:
-                raise AlphaOutOfRange(f"alpha={alpha} drives the low point negative")
+                raise RobustBundlingError(
+                    f"alpha={alpha} drives the low point negative")
             x = 0.0
     y = spec.mu + spec.d / (2.0 * (1.0 - alpha))
     return TwoPointDist(spec=spec, alpha=alpha, x=x, y=y)
@@ -164,11 +160,11 @@ def make_three_point(
 ) -> ThreePointDist:
     """Wrap three atoms against a claimed spec; membership checked separately."""
     if len(points) != 3 or len(probs) != 3:
-        raise ValueError("need exactly three points and three probabilities")
+        raise RobustBundlingError("need exactly three points and three probabilities")
     if any(p < 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError("probabilities must be non-negative and sum to 1")
+        raise RobustBundlingError("probabilities must be non-negative and sum to 1")
     if any(v < 0.0 for v in points):
-        raise ValueError("support must lie in [0, inf)")
+        raise RobustBundlingError("support must lie in [0, inf)")
     return ThreePointDist(spec=spec, points=tuple(points), probs=tuple(probs))
 
 
@@ -180,12 +176,12 @@ def pareto_induced_mad(mu: float, a: float) -> float:
 
 
 def make_pareto_member(spec: MeanMadSpec, a: float) -> ParetoDist:
-    """Heavy-tail member of the ambiguity set; raises MadMismatch unless d matches the index."""
+    """Heavy-tail member of the ambiguity set; rejected unless d matches the index."""
     if not (1.0 < a <= 2.0):
-        raise IndexOutOfRange(f"tail index a={a} outside (1, 2]")
+        raise RobustBundlingError(f"tail index a={a} outside (1, 2]")
     induced = pareto_induced_mad(spec.mu, a)
     if abs(induced - spec.d) > MOMENT_TOL * spec.d:
-        raise MadMismatch(
+        raise RobustBundlingError(
             f"index a={a} induces MAD {induced:.12g}, spec asks for {spec.d:.12g}"
         )
     scale = spec.mu * (a - 1.0) / a

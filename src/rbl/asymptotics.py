@@ -17,7 +17,7 @@ import numpy as np
 from .ambiguity import MeanMadSpec, make_two_point
 from .bundling import guaranteed_sale_price
 from .concentration import concentration_constant
-from .errors import LambdaOutOfRange, ParamOutOfRange, RangeError
+from .errors import RobustBundlingError
 from .opt_oracle import opt_deterministic
 from .optimize import grid_polish
 from .solvers import _u_grid, maximin_bundling_value
@@ -33,7 +33,7 @@ _ORACLE_CAP = 3
 def schedule_eps_gamma(m: int) -> float:
     """Joint scale eps = gamma = m^(-1/4) used by the convergence studies."""
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise RobustBundlingError(f"need m >= 1, got {m}")
     return float(m) ** -0.25
 
 
@@ -49,7 +49,7 @@ def second_point_limit(spec: MeanMadSpec, lam: float) -> float:
     large-lam end from cancelling.
     """
     if not lam > 0.0:
-        raise LambdaOutOfRange(f"need lambda > 0, got {lam!r}")
+        raise RobustBundlingError(f"need lambda > 0, got {lam!r}")
     return float(_g(spec, lam))
 
 
@@ -68,9 +68,9 @@ def xi_gap(spec: MeanMadSpec) -> dict:
     """
     mu, d = spec.mu, spec.d
     if not (mu < d < 2.0 * mu):
-        raise RangeError(f"need mu < d < 2*mu, got mu={mu!r}, d={d!r}")
+        raise RobustBundlingError(f"need mu < d < 2*mu, got mu={mu!r}, d={d!r}")
     if d >= 1.98 * mu:
-        raise RangeError(
+        raise RobustBundlingError(
             f"the 0.99 headroom constant caps the range at d < 1.98*mu; "
             f"got d={d!r}, mu={mu!r}"
         )
@@ -128,7 +128,7 @@ def regret_bound_chain(spec: MeanMadSpec, m: int, eps: float,
     max(mu - d/2, d/2). Both tend to d/2 as (m, 1/eps, 1/gamma) grow together.
     """
     if not (0.0 < gamma < 1.0):
-        raise ParamOutOfRange(f"need 0 < gamma < 1, got {gamma!r}")
+        raise RobustBundlingError(f"need 0 < gamma < 1, got {gamma!r}")
     cert = concentration_constant(spec, eps)
     upper = spec.mu - guaranteed_sale_price(spec, m, eps) / m * (1.0 - cert.f / m)
     g = variance_boundary_member(spec)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MeanMadSpec, TwoPointDist
-from .errors import EpsOutOfRange
+from .errors import RobustBundlingError
 from .sum_law import SumLaw
 
 
@@ -54,7 +54,7 @@ def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps):
     """
     hi = 1.0 - spec.alpha_min
     if not np.all((0.0 < eps) & (eps < hi)):
-        raise EpsOutOfRange(f"need 0 < eps < {hi!r}, got {eps!r}")
+        raise RobustBundlingError(f"need 0 < eps < {hi!r}, got {eps!r}")
     w = 1.0 - eps
     return w * w * m * (spec.mu - spec.d / (2.0 * w))
 

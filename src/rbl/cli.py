@@ -6,9 +6,9 @@ the config file is flat "key = value" lines and environment overrides are the
 flag name uppercased with an RBL_ prefix (--alpha-grid -> RBL_ALPHA_GRID); a
 subcommand reads only the options it declares. Outputs are CSV or JSON with
 every float printed at full round-trip precision, so identical configuration
-and seed give byte-identical files. Exit codes: 0 success, 2 validation failure
-(one "error:" line on stderr, parser errors included), 3 verify found failing
-checks.
+and seed give byte-identical files. Exit codes: 0 success, 2 rejected input
+(any RobustBundlingError, printed as one "error:" line on stderr, parser errors
+included), 3 verify found failing checks.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .asymptotics import (
     xi_gap,
 )
 from .concentration import concentration_check_mc, concentration_constant
-from .errors import ConfigError, RobustBundlingError
+from .errors import RobustBundlingError
 from .opt_oracle import opt_deterministic
 from .solvers import maximin_bundling_value, minimax_bundling_value
 
@@ -50,38 +50,45 @@ def _read_config_file(path: str) -> dict:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(
+                    raise RobustBundlingError(
                         f"{path}:{lineno}: expected key = value, got {line!r}")
                 key, val = line.split("=", 1)
                 data[key.strip().lower().replace("-", "_")] = val.strip()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise RobustBundlingError(f"cannot read config file {path}: {exc}") from exc
     return data
 
 
-def _resolve(args: argparse.Namespace, names: Sequence[str]) -> dict:
-    """Merge option sources at defaults < file < environment < flags.
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge option sources at defaults < file < environment < flags, for
+    the options the parsed subcommand declares.
 
     --seed, --threads and --format are checked here, before any work, so
     every subcommand that accepts them rejects a bad value, used or not."""
     file_cfg = _read_config_file(args.config) if args.config else {}
     merged: dict[str, object] = {}
-    for name in names:
-        val = getattr(args, name, None)
+    for name, val in vars(args).items():
+        if name == "command":
+            continue
         if val is None:
             env = os.environ.get("RBL_" + name.upper())
             val = env if env is not None else file_cfg.get(name)
         merged[name] = val
-    for name, check in (("seed", _as_seed), ("threads", _as_threads),
-                        ("format", _as_format)):
+    for name, lo in (("seed", 0), ("threads", 1)):
         if merged.get(name) is not None:
-            check(merged[name])
+            merged[name] = _as_int(name, merged[name], lo)
+    if merged.get("format") is not None:
+        _as_format(merged["format"])
     return merged
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _need(cfg: dict, name: str) -> object:
     if cfg.get(name) is None:
-        raise ConfigError(f"missing required option --{name.replace('_', '-')}")
+        raise RobustBundlingError(f"missing required option {_flag(name)}")
     return cfg[name]
 
 
@@ -94,38 +101,17 @@ def _as_float(name: str, raw: object) -> float:
     try:
         return float(raw)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        raise ConfigError(f"--{name.replace('_', '-')}: not a number: {raw!r}")
+        raise RobustBundlingError(f"{_flag(name)}: not a number: {raw!r}")
 
 
-def _as_int(name: str, raw: object) -> int:
+def _as_int(name: str, raw: object, lo: Optional[int] = None) -> int:
     try:
-        return int(str(raw), 10)
+        n = int(str(raw), 10)
     except (TypeError, ValueError):
-        raise ConfigError(f"--{name.replace('_', '-')}: not an integer: {raw!r}")
-
-
-def _as_grid(name: str, raw: object) -> Optional[int]:
-    if raw is None:
-        return None
-    n = _as_int(name, raw)
-    if n < 2:
-        raise ConfigError(
-            f"--{name.replace('_', '-')}: need at least 2 grid points, got {n}")
+        raise RobustBundlingError(f"{_flag(name)}: not an integer: {raw!r}")
+    if lo is not None and n < lo:
+        raise RobustBundlingError(f"{_flag(name)}: must be >= {lo}, got {n}")
     return n
-
-
-def _as_seed(raw: object) -> int:
-    seed = _as_int("seed", raw)
-    if seed < 0:
-        raise ConfigError(f"--seed: must be >= 0, got {seed}")
-    return seed
-
-
-def _as_threads(raw: object) -> int:
-    threads = 1 if raw is None else _as_int("threads", raw)
-    if threads < 1:
-        raise ConfigError(f"--threads: must be >= 1, got {threads}")
-    return threads
 
 
 def _as_bool(name: str, raw: object) -> bool:
@@ -136,23 +122,16 @@ def _as_bool(name: str, raw: object) -> bool:
         return True
     if text in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"--{name.replace('_', '-')}: not a boolean: {raw!r}")
-
-
-def _as_items(raw: object) -> int:
-    m = _as_int("m", raw)
-    if m < 1:
-        raise ConfigError(f"--m: item counts must be >= 1, got {m}")
-    return m
+    raise RobustBundlingError(f"{_flag(name)}: not a boolean: {raw!r}")
 
 
 def _as_m_list(raw: object) -> tuple[int, ...]:
     parts = [p for p in str(raw).split(",") if p.strip()]
     if not parts:
-        raise ConfigError("--m: need a nonempty comma-separated list")
-    ms = tuple(_as_items(p.strip()) for p in parts)
+        raise RobustBundlingError("--m: need a nonempty comma-separated list")
+    ms = tuple(_as_int("m", p.strip(), 1) for p in parts)
     if any(a >= b for a, b in zip(ms, ms[1:])):
-        raise ConfigError(f"--m: list must be strictly ascending, got {ms}")
+        raise RobustBundlingError(f"--m: list must be strictly ascending, got {ms}")
     return ms
 
 
@@ -167,7 +146,7 @@ def _as_auto_float(name: str, raw: object) -> object:
 def _as_format(raw: object) -> str:
     text = str(raw).strip().lower() if raw is not None else "csv"
     if text not in ("csv", "json"):
-        raise ConfigError(f"--format: must be csv or json, got {raw!r}")
+        raise RobustBundlingError(f"--format: must be csv or json, got {raw!r}")
     return text
 
 
@@ -178,14 +157,14 @@ def _parse_member(text: str, spec: MeanMadSpec) -> MemberDist:
     if rest:
         for part in rest.split(","):
             if "=" not in part:
-                raise ConfigError(
+                raise RobustBundlingError(
                     f"--member {text!r}: expected key=value, got {part!r}")
             key, val = part.split("=", 1)
             params[key.strip().lower()] = val.strip()
 
     def grab(key: str) -> str:
         if key not in params:
-            raise ConfigError(f"--member {text!r}: missing {key}=...")
+            raise RobustBundlingError(f"--member {text!r}: missing {key}=...")
         return params[key]
 
     if kind == "two_point":
@@ -198,10 +177,10 @@ def _parse_member(text: str, spec: MeanMadSpec) -> MemberDist:
         probs = tuple(_as_float("member probs", v)
                       for v in grab("probs").split("+"))
         if len(points) != 3 or len(probs) != 3:
-            raise ConfigError(
+            raise RobustBundlingError(
                 f"--member {text!r}: need three +-separated points and probs")
         return make_three_point(spec, points, probs)  # type: ignore[arg-type]
-    raise ConfigError(
+    raise RobustBundlingError(
         f"--member {text!r}: unknown kind {kind!r} "
         f"(expected two_point, three_point, or pareto)")
 
@@ -212,8 +191,12 @@ def _emit(text: str, out: Optional[str]) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise RobustBundlingError(
+                f"cannot write output file {out}: {exc}") from exc
 
 
 def _dump_json(obj: object) -> str:
@@ -248,17 +231,13 @@ def _emit_payload(cfg: dict, payload: dict, header: Sequence[str],
           cfg.get("out"))  # type: ignore[arg-type]
 
 
-_COMMON = ("mu", "d", "config", "format", "out", "seed", "threads")
-
-
 def _grid_kw(cfg: dict, name: str) -> dict:
     """{name: n} for a given grid option, {} to keep the solver's default."""
-    n = _as_grid(name, cfg.get(name))
-    return {} if n is None else {name: n}
+    raw = cfg.get(name)
+    return {} if raw is None else {name: _as_int(name, raw, 2)}
 
 
-def _cmd_saddle(args: argparse.Namespace, objective: str) -> int:
-    cfg = _resolve(args, _COMMON + ("m", "alpha_grid", "price_grid"))
+def _cmd_saddle(cfg: dict, objective: str) -> int:
     ms = _as_m_list(_need(cfg, "m"))
     alpha_kw = _grid_kw(cfg, "alpha_grid")
     price_kw = _grid_kw(cfg, "price_grid")
@@ -289,14 +268,13 @@ def _scheduled(name: str, raw: object, m: int, hi: float) -> float:
         return float(raw)  # type: ignore[arg-type]
     val = schedule_eps_gamma(m)
     if not val < hi:
-        raise ConfigError(
+        raise RobustBundlingError(
             f"--{name} auto: the m^(-1/4) schedule gives {val!r} at m = {m}, "
             f"need {name} < {hi!r}; pass --{name} explicitly")
     return val
 
 
-def _cmd_ratio_regret(args: argparse.Namespace, objective: str) -> int:
-    cfg = _resolve(args, _COMMON + ("m", "eps", "gamma", "grid"))
+def _cmd_ratio_regret(cfg: dict, objective: str) -> int:
     ms = _as_m_list(_need(cfg, "m"))
     raw_eps = _as_auto_float("eps", cfg.get("eps"))
     raw_gamma = _as_auto_float("gamma", cfg.get("gamma"))
@@ -324,25 +302,23 @@ def _cmd_ratio_regret(args: argparse.Namespace, objective: str) -> int:
     return 0
 
 
-def _cmd_concentration(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _COMMON + ("m", "eps", "n", "member", "optimize_t"))
+def _cmd_concentration(cfg: dict) -> int:
     spec = _spec(cfg)
-    m = _as_items(_need(cfg, "m"))
+    m = _as_int("m", _need(cfg, "m"), 1)
     eps = _as_float("eps", _need(cfg, "eps"))
     n = _as_int("n", _need(cfg, "n"))
-    if cfg.get("seed") is None:
-        raise ConfigError("--seed is required for Monte Carlo runs")
-    seed = _as_seed(cfg["seed"])
-    threads = _as_threads(cfg.get("threads"))
+    if cfg["seed"] is None:
+        raise RobustBundlingError("--seed is required for Monte Carlo runs")
     raw_members = cfg.get("member")
     if raw_members is None:
-        raise ConfigError("need at least one --member")
+        raise RobustBundlingError("need at least one --member")
     if isinstance(raw_members, str):
         member_texts = [t for t in raw_members.split(";") if t.strip()]
     else:
         member_texts = list(raw_members)
     members = [_parse_member(t, spec) for t in member_texts]
-    report = concentration_check_mc(members, m, eps, n, seed, workers=threads)
+    report = concentration_check_mc(members, m, eps, n, cfg["seed"],
+                                    workers=cfg["threads"] or 1)
     payload = report.to_dict()
     if _as_bool("optimize_t", cfg.get("optimize_t") or False):
         cert = concentration_constant(spec, eps, optimize_t=True).with_m(m)
@@ -354,22 +330,20 @@ def _cmd_concentration(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_xi(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _COMMON)
+def _cmd_xi(cfg: dict) -> int:
     res = xi_gap(_spec(cfg))
     keys = ("gamma", "tau0", "xi0", "xi1", "xi")
     _emit_payload(cfg, res, ("key", "value"), [(k, res[k]) for k in keys])
     return 0
 
 
-def _cmd_opt_oracle(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _COMMON + ("m", "alpha", "symmetric"))
+def _cmd_opt_oracle(cfg: dict) -> int:
     spec = _spec(cfg)
-    m = _as_items(_need(cfg, "m"))
+    m = _as_int("m", _need(cfg, "m"), 1)
     alphas = [_as_float("alpha", a)
               for a in str(_need(cfg, "alpha")).split(",") if a.strip()]
     if len(alphas) not in (1, m):
-        raise ConfigError(f"--alpha: need 1 or {m} comma-separated values")
+        raise RobustBundlingError(f"--alpha: need 1 or {m} comma-separated values")
     dists = [make_two_point(spec, a) for a in alphas]
     symmetric = _as_bool("symmetric", cfg.get("symmetric") or False)
     res = opt_deterministic(dists, m, symmetric=symmetric)
@@ -385,9 +359,8 @@ def _cmd_opt_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, ("config", "out", "format"))
-    results = run_all(verbose=True)
+def _cmd_verify(cfg: dict) -> int:
+    results = run_all()
     out = cfg.get("out")
     if out is not None:
         payload = [
@@ -399,22 +372,74 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 3
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mu", help="mean of each item value")
-    sub.add_argument("--d", help="mean absolute deviation of each item value")
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--format", help="csv or json")
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--seed", help="RNG seed (required for Monte Carlo)")
-    sub.add_argument("--threads", help="worker threads for Monte Carlo")
+_COMMON = (
+    ("mu", "mean of each item value"),
+    ("d", "mean absolute deviation of each item value"),
+    ("config", "flat key = value config file"),
+    ("format", "csv or json"),
+    ("out", "output path (default: stdout)"),
+    ("seed", "RNG seed (required for Monte Carlo)"),
+    ("threads", "worker threads for Monte Carlo"),
+)
+_M_LIST = ("m", "comma-separated ascending item counts")
+_STUDY = _COMMON + (
+    _M_LIST,
+    ("eps", "tail slack, number or 'auto' (m^-1/4)"),
+    ("gamma", "share slack, number or 'auto' (m^-1/4)"),
+    ("grid", "empirical grid points"),
+)
+_SWITCH = {"action": "store_const", "const": "true"}
+# add_argument keywords beyond help, for the options that are not one value
+_ACTIONS = {"member": {"action": "append"}, "optimize-t": _SWITCH,
+            "symmetric": _SWITCH}
+
+# subcommand -> (help, handler, options). An option is (name, help): its
+# flag is --name, its environment variable RBL_NAME and its config key name,
+# with - read as _. A help of SUPPRESS hides an option that is still parsed
+# and validated.
+_COMMANDS = {
+    # each game order uses one grid; the other is accepted, so one argv can
+    # drive both orders, and is validated, hidden and inert
+    "maximin": ("price-first bundle game study",
+                lambda cfg: _cmd_saddle(cfg, "maximin"),
+                _COMMON + (_M_LIST, ("alpha-grid", argparse.SUPPRESS),
+                           ("price-grid", "price grid points"))),
+    "minimax": ("nature-first bundle game study",
+                lambda cfg: _cmd_saddle(cfg, "minimax"),
+                _COMMON + (_M_LIST, ("alpha-grid", "adversary grid points"),
+                           ("price-grid", argparse.SUPPRESS))),
+    "ratio": ("share-of-first-best study",
+              lambda cfg: _cmd_ratio_regret(cfg, "ratio"), _STUDY),
+    "regret": ("per-item shortfall study",
+               lambda cfg: _cmd_ratio_regret(cfg, "regret"), _STUDY),
+    "concentration": ("Monte Carlo tail-bound check", _cmd_concentration, (
+        *_COMMON,
+        ("m", "number of items"),
+        ("eps", "tail slack in (0, 1 - d/(2 mu))"),
+        ("n", "Monte Carlo sample count (>= 10^4)"),
+        ("member", "member spec, e.g. two_point:alpha=0.5, pareto:a=2, "
+                   "three_point:points=0+1+2,probs=0.25+0.5+0.25; "
+                   "repeat for a cycled mix"),
+        ("optimize-t", "also report the f-minimizing cut"))),
+    "xi": ("dispersed-regime gap constants", _cmd_xi, _COMMON),
+    "opt-oracle": ("small-m exact menu oracle", _cmd_opt_oracle, (
+        *_COMMON,
+        ("m", "number of items (<= 3 full, <= 4 symmetric)"),
+        ("alpha", "low-point mass, one value or m comma-separated"),
+        ("symmetric", "restrict prices to depend on bundle size only"))),
+    "verify": ("run every acceptance check", _cmd_verify, (
+        ("config", "flat key = value config file"),
+        ("out", "also write results as JSON here"),
+        ("format", argparse.SUPPRESS))),
+}
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ConfigError, so they exit
-    2 with one line like every other invalid input."""
+    """An argument parser whose usage errors raise RobustBundlingError, so
+    they exit 2 with one line like every other invalid input."""
 
     def error(self, message: str):
-        raise ConfigError(f"{self.prog}: {message}")
+        raise RobustBundlingError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -422,84 +447,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rbl",
         description="Robust bundle pricing laboratory under mean/MAD ambiguity.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, text in (("maximin", "price-first bundle game study"),
-                       ("minimax", "nature-first bundle game study")):
-        sub = subs.add_parser(name, help=text)
-        _add_common(sub)
-        sub.add_argument("--m", help="comma-separated ascending item counts")
-        # each order uses one grid; the other is accepted, so one argv can
-        # drive both orders, and is validated, hidden and inert
-        sub.add_argument("--alpha-grid", dest="alpha_grid",
-                         help="adversary grid points" if name == "minimax"
-                         else argparse.SUPPRESS)
-        sub.add_argument("--price-grid", dest="price_grid",
-                         help="price grid points" if name == "maximin"
-                         else argparse.SUPPRESS)
-
-    for name, text in (("ratio", "share-of-first-best study"),
-                       ("regret", "per-item shortfall study")):
-        sub = subs.add_parser(name, help=text)
-        _add_common(sub)
-        sub.add_argument("--m", help="comma-separated ascending item counts")
-        sub.add_argument("--eps", help="tail slack, number or 'auto' (m^-1/4)")
-        sub.add_argument("--gamma", help="share slack, number or 'auto' (m^-1/4)")
-        sub.add_argument("--grid", help="empirical grid points")
-
-    sub = subs.add_parser("concentration", help="Monte Carlo tail-bound check")
-    _add_common(sub)
-    sub.add_argument("--m", help="number of items")
-    sub.add_argument("--eps", help="tail slack in (0, 1 - d/(2 mu))")
-    sub.add_argument("--n", help="Monte Carlo sample count (>= 10^4)")
-    sub.add_argument("--member", action="append",
-                     help="member spec, e.g. two_point:alpha=0.5, pareto:a=2, "
-                          "three_point:points=0+1+2,probs=0.25+0.5+0.25; "
-                          "repeat for a cycled mix")
-    sub.add_argument("--optimize-t", dest="optimize_t", action="store_const",
-                     const="true", help="also report the f-minimizing cut")
-
-    sub = subs.add_parser("xi", help="dispersed-regime gap constants")
-    _add_common(sub)
-
-    sub = subs.add_parser("opt-oracle", help="small-m exact menu oracle")
-    _add_common(sub)
-    sub.add_argument("--m", help="number of items (<= 3 full, <= 4 symmetric)")
-    sub.add_argument("--alpha", help="low-point mass, one value or m comma-separated")
-    sub.add_argument("--symmetric", action="store_const", const="true",
-                     help="restrict prices to depend on bundle size only")
-
-    sub = subs.add_parser("verify", help="run every acceptance check")
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--out", help="also write results as JSON here")
-    sub.add_argument("--format", help=argparse.SUPPRESS)
-
+    for command, (text, _, options) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        for name, helptext in options:
+            sub.add_argument("--" + name, help=helptext,
+                             **_ACTIONS.get(name, {}))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "maximin":
-            return _cmd_saddle(args, "maximin")
-        if args.command == "minimax":
-            return _cmd_saddle(args, "minimax")
-        if args.command == "ratio":
-            return _cmd_ratio_regret(args, "ratio")
-        if args.command == "regret":
-            return _cmd_ratio_regret(args, "regret")
-        if args.command == "concentration":
-            return _cmd_concentration(args)
-        if args.command == "xi":
-            return _cmd_xi(args)
-        if args.command == "opt-oracle":
-            return _cmd_opt_oracle(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][1](_resolve(args))
     except RobustBundlingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

@@ -18,13 +18,7 @@ import numpy as np
 
 from .ambiguity import MeanMadSpec, MemberDist, verify_membership
 from .bundling import guaranteed_sale_price
-from .errors import (
-    EpsOutOfRange,
-    MembershipViolation,
-    NumericalInstability,
-    ParamOutOfRange,
-    TruncationTooLow,
-)
+from .errors import RobustBundlingError
 from .sum_law import sample_sum
 
 # Monte Carlo checks below this sample count are too noisy to be meaningful.
@@ -49,7 +43,7 @@ class ConcentrationCertificate:
 
     def with_m(self, m: int) -> "ConcentrationCertificate":
         if m < 1:
-            raise ValueError(f"need m >= 1, got {m}")
+            raise RobustBundlingError(f"need m >= 1, got {m}")
         spec = MeanMadSpec(mu=self.mu, d=self.d)
         return replace(
             self,
@@ -69,7 +63,7 @@ def tail_truncation_sup(spec: MeanMadSpec, t: float) -> float:
     """
     lo = spec.mu + spec.d / 2.0
     if t < lo:
-        raise TruncationTooLow(f"need t >= {lo!r}, got {t!r}")
+        raise RobustBundlingError(f"need t >= {lo!r}, got {t!r}")
     raw = spec.d * spec.mu / (2.0 * (t - spec.mu)) + spec.d / 2.0
     return min(raw, spec.mu)
 
@@ -81,14 +75,14 @@ def failure_coefficient(spec: MeanMadSpec, eps):
     The squares go through float_power, the C pow that Python's ** calls, so
     an array gives each eps the bits a scalar would get. A spec scale near
     either end of the double range overflows t^2 or flushes the denominator
-    to zero; f is then not finite and NumericalInstability is raised.
+    to zero; f is then not finite and RobustBundlingError is raised.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = spec.mu + spec.d / (2.0 * eps)
         f = np.float_power(t, 2) / (4.0 * np.float_power(
             eps * ((1.0 - eps) * spec.mu - spec.d / 2.0), 2))
     if not np.all(np.isfinite(f)):
-        raise NumericalInstability(
+        raise RobustBundlingError(
             f"f(mu, d, eps) is not a finite double at mu={spec.mu!r}, "
             f"d={spec.d!r}: mu and d are too large or too small, or d is too "
             f"close to 2*mu")
@@ -102,7 +96,7 @@ def _f_at(spec: MeanMadSpec, eps: float, t: float) -> float:
         floor = (1.0 - spec.d / (2.0 * (t - spec.mu))) * spec.mu - spec.d / 2.0
         f = t * t / (4.0 * (eps * floor) ** 2)
     if not np.isfinite(f):
-        raise NumericalInstability(
+        raise RobustBundlingError(
             f"f(mu, d, eps) at the cut t={float(t)!r} is not a finite double: "
             f"mu={spec.mu!r} and d={spec.d!r} are too large")
     return float(f)
@@ -124,7 +118,7 @@ def concentration_constant(
     """
     hi = 1.0 - spec.alpha_min
     if not (0.0 < eps < hi):
-        raise EpsOutOfRange(f"need 0 < eps < {hi!r}, got {eps!r}")
+        raise RobustBundlingError(f"need 0 < eps < {hi!r}, got {eps!r}")
     t_min = spec.mu + spec.d / (2.0 * eps)
     f = float(failure_coefficient(spec, eps))  # also checks the spec's scale
     if not optimize_t:
@@ -169,16 +163,16 @@ def concentration_check_mc(
     """
     members = list(members)
     if not members:
-        raise ValueError("need at least one member")
+        raise RobustBundlingError("need at least one member")
     if n < MC_MIN_SAMPLES:
-        raise ParamOutOfRange(f"need n >= {MC_MIN_SAMPLES}, got {n}")
+        raise RobustBundlingError(f"need n >= {MC_MIN_SAMPLES}, got {n}")
     spec = members[0].spec
     for dist in members:
         if dist.spec != spec:
-            raise ValueError("all members must share one mean/MAD spec")
+            raise RobustBundlingError("all members must share one mean/MAD spec")
         rep = verify_membership(dist, spec, tol=MEMBERSHIP_TOL)
         if not rep.ok:
-            raise MembershipViolation(
+            raise RobustBundlingError(
                 f"member moments off by mean {rep.mean_error!r}, mad {rep.mad_error!r}"
             )
     cert = concentration_constant(spec, eps).with_m(m)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ambiguity import TwoPointDist
-from .errors import CapExceeded, LengthMismatch, NumericalInstability, ParamOutOfRange
+from .errors import RobustBundlingError
 
 # Utility ties, relative to the members' largest mean.
 TIE_TOL = 1e-9
@@ -67,7 +67,7 @@ def bid_lattice(members: Sequence[TwoPointDist]) -> BidLattice:
         mass[t] = w
     total = float(mass.sum())
     if abs(total - 1.0) > _MASS_TOL:
-        raise NumericalInstability(f"lattice mass drifted to {total!r}")
+        raise RobustBundlingError(f"lattice mass drifted to {total!r}")
     return BidLattice(m=m, values=vals, probs=mass, tol=_tie_tol(members))
 
 
@@ -278,25 +278,26 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
     """
     dists = list(dists)
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise RobustBundlingError(f"need m >= 1, got {m}")
     for d in dists:
         if not isinstance(d, TwoPointDist):
-            raise ParamOutOfRange("menu oracle takes two-point members only")
+            raise RobustBundlingError("menu oracle takes two-point members only")
     if len(dists) == 1:
         members = dists * m
     elif len(dists) == m:
         members = dists
     else:
-        raise LengthMismatch(f"got {len(dists)} members for m={m} items")
+        raise RobustBundlingError(f"got {len(dists)} members for m={m} items")
 
     tol = _tie_tol(members)
     if symmetric:
         if m > SYMMETRIC_CAP:
-            raise CapExceeded(f"size-based menus cap at {SYMMETRIC_CAP} items, got {m}")
+            raise RobustBundlingError(
+                f"size-based menus cap at {SYMMETRIC_CAP} items, got {m}")
         d0 = members[0]
         for d in members[1:]:
             if (d.x, d.y, d.alpha) != (d0.x, d0.y, d0.alpha):
-                raise ParamOutOfRange("size-based pricing needs identical items")
+                raise RobustBundlingError("size-based pricing needs identical items")
         row, evaluated = _search(*_symmetric_problem(d0, m), tol)
         entries = [(0, 0.0)]
         for s, price in enumerate(row, start=1):
@@ -309,7 +310,7 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
                 entries.append((mask, float(price)))
     else:
         if m > FULL_CAP:
-            raise CapExceeded(
+            raise RobustBundlingError(
                 f"full menu enumeration caps at {FULL_CAP} items, got {m}; "
                 f"symmetric mode reaches {SYMMETRIC_CAP}")
         masks = sorted(range(1, 1 << m), key=lambda mk: (mk.bit_count(), mk))
@@ -322,7 +323,7 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
     menu = MenuMechanism(m=m, entries=tuple(entries))
     revenue = menu_revenue(menu, members)
     if not revenue <= sum(d.spec.mu for d in members) * (1.0 + 1e-12):
-        raise NumericalInstability(
+        raise RobustBundlingError(
             f"menu revenue {revenue!r} exceeds the sum of the item means")
     return OracleResult(revenue=revenue, witness=menu,
                         menus_evaluated=evaluated, symmetric=symmetric)

@@ -29,7 +29,7 @@ from scipy.special import gammaln, rel_entr
 from .ambiguity import MeanMadSpec
 from .bundling import guaranteed_sale_price
 from .concentration import failure_coefficient
-from .errors import NegativePrice
+from .errors import RobustBundlingError
 from .optimize import grid_polish
 from .sum_law import binom_sf
 
@@ -183,9 +183,9 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     at alpha itself the k-high support point still sells.
     """
     if p < 0:
-        raise NegativePrice(f"price must be nonnegative, got {p!r}")
+        raise RobustBundlingError(f"price must be nonnegative, got {p!r}")
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise RobustBundlingError(f"need m >= 1, got {m}")
     if p == 0.0:
         return spec.alpha_min, 0.0
     u, tail = _inner_infimum(spec, m, np.array([float(p)]))

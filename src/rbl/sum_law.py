@@ -38,7 +38,7 @@ from scipy.special import gammaln
 from scipy.special._ufuncs import _binom_ppf, _binom_sf
 
 from .ambiguity import MemberDist, ParetoDist, ThreePointDist, TwoPointDist
-from .errors import LengthMismatch, NumericalInstability, TooManyFactors
+from .errors import RobustBundlingError
 
 # Total probability mass may drift at most this far from 1.
 MASS_TOL = 1e-10
@@ -138,14 +138,14 @@ def _log_weights(m: int, alpha: float) -> np.ndarray:
 def iid_two_point_sum(dist: TwoPointDist, m: int) -> SumLaw:
     """Exact law of the sum of m i.i.d. copies of a two-point value."""
     if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+        raise RobustBundlingError(f"need m >= 1, got {m}")
     k = np.arange(m + 1)
     support = (m - k) * dist.x + k * dist.y
     logp = _log_weights(m, dist.alpha)
     probs = np.exp(logp)
     total = float(np.sum(probs))
     if abs(total - 1.0) > MASS_TOL:
-        raise NumericalInstability(
+        raise RobustBundlingError(
             f"sum-law mass drifted to {total!r} at m={m}, alpha={dist.alpha!r}"
         )
     return SumLaw(m=m, support=support, probs=probs, log_probs=logp)
@@ -154,14 +154,14 @@ def iid_two_point_sum(dist: TwoPointDist, m: int) -> SumLaw:
 def product_sum(dists: Sequence[TwoPointDist]) -> SumLaw:
     """Exact convolution of independent two-point values sharing one spec."""
     if len(dists) == 0:
-        raise ValueError("need at least one factor")
+        raise RobustBundlingError("need at least one factor")
     if len(dists) > MAX_FACTORS:
-        raise TooManyFactors(
+        raise RobustBundlingError(
             f"{len(dists)} factors exceeds the cap of {MAX_FACTORS}")
     spec = dists[0].spec
     for d in dists[1:]:
         if d.spec != spec:
-            raise ValueError("all factors must share one mean/MAD spec")
+            raise RobustBundlingError("all factors must share one mean/MAD spec")
 
     support = np.array([0.0])
     probs = np.array([1.0])
@@ -182,7 +182,7 @@ def product_sum(dists: Sequence[TwoPointDist]) -> SumLaw:
 
     total = float(np.sum(probs))
     if abs(total - 1.0) > MASS_TOL:
-        raise NumericalInstability(f"product-law mass drifted to {total!r}")
+        raise RobustBundlingError(f"product-law mass drifted to {total!r}")
     return SumLaw(m=len(dists), support=support, probs=probs)
 
 
@@ -275,7 +275,7 @@ def _plan(members: Sequence[MemberDist], m: int) -> _Plan:
         elif isinstance(dist, ThreePointDist):
             points, probs = dist.points, dist.probs
         else:
-            raise TypeError(f"cannot sample member {dist!r}")
+            raise RobustBundlingError(f"cannot sample member {dist!r}")
         discrete.append((c, tuple(points), _conditional_masses(probs)))
     cont_start = sum(len(cond) for _, _, cond in discrete)
     words = cont_start + len(scale)
@@ -320,9 +320,9 @@ def sample_sum(
     counts; Pareto slots are drawn one by one.
     """
     if len(members) not in (1, m):
-        raise LengthMismatch(f"got {len(members)} members for m={m} slots")
+        raise RobustBundlingError(f"got {len(members)} members for m={m} slots")
     if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+        raise RobustBundlingError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     plan = _plan(members, m)
     out = np.empty(n)
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_WORDS // plan.width))

@@ -17,8 +17,7 @@ from rbl.acceptance import CRITERIA, CriterionResult, run_all
 
 @pytest.fixture(scope="module")
 def results():
-    cache = {}
-    return {r.number: r for r in run_all(cache=cache, verbose=True)}
+    return {r.number: r for r in run_all()}
 
 
 def test_result_passed_is_plain_bool():

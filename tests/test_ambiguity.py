@@ -11,12 +11,7 @@ from rbl.ambiguity import (
     pareto_induced_mad,
     verify_membership,
 )
-from rbl.errors import (
-    AlphaOutOfRange,
-    IndexOutOfRange,
-    InfeasibleSpec,
-    MadMismatch,
-)
+from rbl.errors import RobustBundlingError
 
 
 @pytest.mark.parametrize("mu,d", [(1.0, 0.0), (1.0, 2.0), (1.0, -0.1),
@@ -24,7 +19,7 @@ from rbl.errors import (
                                   # 2*mu overflows; d/(2 mu) is lost against 1
                                   (1e308, 1e308), (1.0, 1e-17)])
 def test_spec_rejects_degenerate_moments(mu, d):
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(RobustBundlingError, match=r"2\*mu"):
         MeanMadSpec(mu, d)
 
 
@@ -57,7 +52,7 @@ def test_two_point_low_point_hits_zero_at_boundary(half_spec):
 
 @pytest.mark.parametrize("alpha", [0.2499999, 0.0, -0.1, 1.0, 1.5])
 def test_two_point_alpha_range(half_spec, alpha):
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(RobustBundlingError, match=r"outside \["):
         make_two_point(half_spec, alpha)
 
 
@@ -77,9 +72,9 @@ def test_three_point_acceptance_member(half_spec):
 
 
 def test_three_point_validation(half_spec):
-    with pytest.raises(Exception):
+    with pytest.raises(RobustBundlingError, match="sum to 1"):
         make_three_point(half_spec, (0.0, 1.0, 2.0), (0.3, 0.5, 0.3))
-    with pytest.raises(Exception):
+    with pytest.raises(RobustBundlingError, match=r"support must lie in \[0"):
         make_three_point(half_spec, (-1.0, 1.0, 3.0), (0.25, 0.5, 0.25))
 
 
@@ -106,14 +101,14 @@ def test_pareto_member_matches_spec(half_spec):
 
 
 def test_pareto_member_rejects_wrong_mad(half_spec):
-    with pytest.raises(MadMismatch):
+    with pytest.raises(RobustBundlingError, match="induces MAD"):
         make_pareto_member(MeanMadSpec(1.0, 0.6), 2.0)
 
 
 @pytest.mark.parametrize("a", [1.0, 0.5, 2.5, 3.0])
 def test_pareto_shape_window(a):
     spec = MeanMadSpec(1.0, pareto_induced_mad(1.0, 1.8))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(RobustBundlingError, match=r"outside \(1, 2\]"):
         make_pareto_member(spec, a)
 
 

@@ -12,7 +12,7 @@ from rbl.asymptotics import (
     variance_boundary_member,
     xi_gap,
 )
-from rbl.errors import LambdaOutOfRange, ParamOutOfRange, RangeError
+from rbl.errors import RobustBundlingError
 from rbl.solvers import maximin_bundling_value
 
 
@@ -27,9 +27,9 @@ def test_second_point_limit_frozen(half_spec):
     # lambda = 1: (1 - e^-1)(mu + 0 * d/2)
     assert second_point_limit(half_spec, 1.0) == pytest.approx(
         0.6321205588285577, rel=1e-13)
-    with pytest.raises(LambdaOutOfRange):
+    with pytest.raises(RobustBundlingError, match="need lambda > 0"):
         second_point_limit(half_spec, 0.0)
-    with pytest.raises(LambdaOutOfRange):
+    with pytest.raises(RobustBundlingError, match="need lambda > 0"):
         second_point_limit(half_spec, -2.0)
 
 
@@ -50,9 +50,9 @@ def test_xi_gap_frozen(wide_spec):
 
 
 def test_xi_gap_range_guards():
-    with pytest.raises(RangeError):
+    with pytest.raises(RobustBundlingError, match=r"need mu < d < 2\*mu"):
         xi_gap(MeanMadSpec(1.0, 0.5))  # needs d > mu
-    with pytest.raises(RangeError):
+    with pytest.raises(RobustBundlingError, match="0.99 headroom constant"):
         xi_gap(MeanMadSpec(1.0, 1.99))  # blocked by the 0.99 margin constant
 
 
@@ -134,7 +134,7 @@ def test_regret_chain_tightens_far_out(half_spec):
 
 def test_regret_chain_gamma_guard(half_spec):
     for gamma in (0.0, 1.0, -0.3, 2.0):
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(RobustBundlingError, match="need 0 < gamma < 1"):
             regret_bound_chain(half_spec, 100, 0.1, gamma)
 
 

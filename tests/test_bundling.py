@@ -7,7 +7,7 @@ from rbl.bundling import (
     guaranteed_sale_price,
     separate_sale_revenue,
 )
-from rbl.errors import EpsOutOfRange
+from rbl.errors import RobustBundlingError
 from rbl.sum_law import iid_two_point_sum, tail_prob
 
 
@@ -56,7 +56,7 @@ def test_guaranteed_sale_price_frozen(half_spec):
 
 def test_guaranteed_sale_price_eps_window(half_spec):
     for eps in (0.0, -0.1, 0.75, 0.9, 1.0):
-        with pytest.raises(EpsOutOfRange):
+        with pytest.raises(RobustBundlingError, match="need 0 < eps < "):
             guaranteed_sale_price(half_spec, 10, eps)
     assert guaranteed_sale_price(half_spec, 10, 0.7499) > 0.0
 

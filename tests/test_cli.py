@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbl.cli import main
+from rbl.cli import _COMMANDS, main
 from rbl.concentration import MC_MIN_SAMPLES
 
 
@@ -150,8 +150,22 @@ def test_regret_auto_schedule(capsys):
      "--price-grid", "8"),
     ("maximin", "--mu", "1", "--d", "0.5", "--m"),
     (),
+    # malformed members: bad masses, a negative point, an empty list
+    ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2", "--m", "50",
+     "--n", "10000", "--seed", "1", "--member",
+     "three_point:points=0+1+2,probs=0.5+0.5+0.5"),
+    ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2", "--m", "50",
+     "--n", "10000", "--seed", "1", "--member",
+     "three_point:points=-1+1+2,probs=0.25+0.5+0.25"),
+    ("RBL_MEMBER=;", "concentration", "--mu", "1", "--d", "0.5", "--eps",
+     "0.2", "--m", "50", "--n", "10000", "--seed", "1"),
 ])
-def test_validation_failures_exit_2(capsys, argv):
+def test_validation_failures_exit_2(capsys, monkeypatch, argv):
+    # leading RBL_NAME=value words set the environment, as in a shell
+    while argv and argv[0].startswith("RBL_"):
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err or err == ""
@@ -347,6 +361,78 @@ def test_config_file_diagnostics(capsys, tmp_path):
     code, _, err = run(capsys, "xi", "--config", str(cfg), "--d", "1.5")
     assert code == 2
     assert "bad.cfg:2" in err
+
+
+def test_unwritable_out_is_one_line(capsys, tmp_path):
+    path = tmp_path / "missing" / "xi.json"
+    code, out, err = run(capsys, "xi", "--mu", "1", "--d", "1.5", "--out",
+                         str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write output file {path}: ")
+    assert err.count("\n") == 1
+
+
+# a valid run of each subcommand, cheap enough to repeat once per option
+_STUDY_BASE = {"mu": "1", "d": "0.5", "m": "1", "eps": "0.1", "gamma": "0.5",
+               "grid": "8"}
+_WALK_BASE = {
+    "maximin": {"mu": "1", "d": "0.5", "m": "1"},
+    "minimax": {"mu": "1", "d": "0.5", "m": "1"},
+    "ratio": _STUDY_BASE,
+    "regret": _STUDY_BASE,
+    "concentration": {"mu": "1", "d": "0.5", "m": "1", "eps": "0.2",
+                      "n": "10000", "seed": "0",
+                      "member": "two_point:alpha=0.5"},
+    "xi": {"mu": "1", "d": "1.5"},
+    "opt-oracle": {"mu": "1", "d": "0.5", "m": "1", "alpha": "0.5"},
+    "verify": {},
+}
+# one rejected value per option name; {tmp} is the test's temporary directory
+_BAD_VALUE = {
+    "mu": "x", "d": "-1", "config": "{tmp}/missing.cfg", "format": "tsv",
+    "out": "{tmp}/missing/out", "seed": "-1", "threads": "0", "m": "0",
+    "alpha-grid": "1", "price-grid": "1", "eps": "x", "gamma": "x",
+    "grid": "1", "n": "x", "member": "two_point:alpha=2",
+    "optimize-t": "maybe", "alpha": "x", "symmetric": "maybe",
+}
+_DECLARED = [(command, name) for command, (_, _, options) in _COMMANDS.items()
+             for name, _ in options]
+
+
+def _walk_argv(command, skip):
+    return [command, *(f"--{key}={val}"
+                       for key, val in _WALK_BASE[command].items()
+                       if key != skip)]
+
+
+@pytest.fixture
+def stub_verify(monkeypatch):
+    # the acceptance checks take minutes and read no option
+    monkeypatch.setattr("rbl.cli.run_all", lambda: [])
+
+
+def test_bad_value_map_covers_every_declared_option(capsys, stub_verify):
+    assert set(_BAD_VALUE) == {name for _, name in _DECLARED}
+    # each base run succeeds, so a rejection below comes from the bad value
+    for command in _COMMANDS:
+        code, _, err = run(capsys, *_walk_argv(command, None))
+        assert (code, err) == (0, ""), command
+
+
+@pytest.mark.parametrize("command,name", _DECLARED)
+def test_every_declared_option_rejects_a_bad_value(capsys, monkeypatch,
+                                                   tmp_path, stub_verify,
+                                                   command, name):
+    argv = _walk_argv(command, name)
+    bad = _BAD_VALUE[name].format(tmp=tmp_path)
+    if name == "config":  # the config file path is read from its flag only
+        argv.append(f"--config={bad}")
+    else:
+        monkeypatch.setenv("RBL_" + name.upper().replace("-", "_"), bad)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_output_files_are_byte_identical(capsys, tmp_path):

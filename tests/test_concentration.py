@@ -16,19 +16,13 @@ from rbl.concentration import (
     concentration_constant,
     tail_truncation_sup,
 )
-from rbl.errors import (
-    EpsOutOfRange,
-    MembershipViolation,
-    NumericalInstability,
-    ParamOutOfRange,
-    TruncationTooLow,
-)
+from rbl.errors import RobustBundlingError
 from rbl.sum_law import iid_two_point_sum, tail_prob
 
 
 def test_truncated_tail_sup_shape(half_spec):
     mu, d = half_spec.mu, half_spec.d
-    with pytest.raises(TruncationTooLow):
+    with pytest.raises(RobustBundlingError, match="need t >= "):
         tail_truncation_sup(half_spec, mu + d / 2.0 - 1e-6)
     # flat at mu while a zero-low-point member can still clear the cut
     strip_end = mu + d * mu / (2.0 * mu - d)
@@ -71,9 +65,9 @@ def test_concentration_constant_frozen(half_spec):
     assert cert.f == pytest.approx(104.59710743801653, rel=1e-12)
     cert2 = concentration_constant(half_spec, 0.1)
     assert cert2.f == pytest.approx(724.85207100591716, rel=1e-12)
-    with pytest.raises(EpsOutOfRange):
+    with pytest.raises(RobustBundlingError, match="need 0 < eps < "):
         concentration_constant(half_spec, 0.75)
-    with pytest.raises(EpsOutOfRange):
+    with pytest.raises(RobustBundlingError, match="need 0 < eps < "):
         concentration_constant(half_spec, 0.0)
 
 
@@ -120,7 +114,7 @@ def test_optimized_cut_is_scale_free(half_spec):
         warnings.simplefilter("error")
         spec = MeanMadSpec(4.5e153, 4.5e153)
         concentration_constant(spec, 0.3)
-        with pytest.raises(NumericalInstability):
+        with pytest.raises(RobustBundlingError, match="not a finite double"):
             concentration_constant(spec, 0.3, optimize_t=True)
 
 
@@ -198,16 +192,16 @@ def test_mc_check_cycles_mixed_members(half_spec):
 
 def test_mc_check_guards(half_spec):
     good = make_two_point(half_spec, 0.5)
-    with pytest.raises(ParamOutOfRange):
+    with pytest.raises(RobustBundlingError, match="need n >= 10000"):
         concentration_check_mc([good], m=100, eps=0.2, n=9_999, seed=0)
     # moments that do not match the claimed spec (mad 0.6 against d = 0.5)
     drifted = make_three_point(half_spec, (0.0, 1.0, 2.0), (0.3, 0.4, 0.3))
-    with pytest.raises(MembershipViolation):
+    with pytest.raises(RobustBundlingError, match="member moments off"):
         concentration_check_mc([drifted], m=100, eps=0.2, n=10_000, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RobustBundlingError, match="at least one member"):
         concentration_check_mc([], m=100, eps=0.2, n=10_000, seed=0)
     other = make_two_point(MeanMadSpec(1.0, 0.8), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(RobustBundlingError, match="share one mean/MAD"):
         concentration_check_mc([good, other], m=2, eps=0.2, n=10_000, seed=0)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from rbl.ambiguity import MeanMadSpec, make_two_point
 from rbl.bundling import best_bundle_price, separate_sale_revenue
-from rbl.errors import CapExceeded, LengthMismatch, ParamOutOfRange
+from rbl.errors import RobustBundlingError
 from rbl.opt_oracle import (
     MenuMechanism,
     bid_lattice,
@@ -111,16 +111,16 @@ def test_heterogeneous_oracle_runs(half_spec):
 
 def test_oracle_guards(half_spec):
     d0 = make_two_point(half_spec, 0.5)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(RobustBundlingError, match="full menu enumeration caps"):
         opt_deterministic([d0], 4)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(RobustBundlingError, match="size-based menus cap"):
         opt_deterministic([d0], 5, symmetric=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(RobustBundlingError, match="need m >= 1"):
         opt_deterministic([d0], 0)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(RobustBundlingError, match="got 2 members for m=3 items"):
         opt_deterministic([d0, d0], 3)
     other = make_two_point(half_spec, 0.7)
-    with pytest.raises(ParamOutOfRange):
+    with pytest.raises(RobustBundlingError, match="needs identical items"):
         opt_deterministic([d0, other], 2, symmetric=True)
 
 

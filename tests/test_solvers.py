@@ -9,7 +9,7 @@ from rbl import solvers
 from rbl.ambiguity import MeanMadSpec, make_two_point
 from rbl.bundling import best_bundle_price, guaranteed_sale_price
 from rbl.concentration import concentration_constant
-from rbl.errors import NegativePrice
+from rbl.errors import RobustBundlingError
 from rbl.solvers import (
     U_FLOOR,
     maximin_bundling_value,
@@ -61,7 +61,7 @@ def test_worst_case_alpha_against_dense_grid(half_spec):
 
 
 def test_worst_case_alpha_guards(half_spec):
-    with pytest.raises(NegativePrice):
+    with pytest.raises(RobustBundlingError, match="price must be nonnegative"):
         worst_case_alpha(half_spec, 1, -0.5)
     assert worst_case_alpha(half_spec, 1, 0.0) == (half_spec.alpha_min, 0.0)
 

@@ -16,7 +16,7 @@ from rbl.ambiguity import (
     make_two_point,
     pareto_induced_mad,
 )
-from rbl.errors import LengthMismatch, TooManyFactors
+from rbl.errors import RobustBundlingError
 from rbl.sum_law import (
     _atom_counts,
     _binom_inverse,
@@ -72,9 +72,9 @@ def test_product_route_agrees_with_iid_route(half_spec, m):
 def test_product_sum_guards(half_spec):
     d0 = make_two_point(half_spec, 0.5)
     other = make_two_point(MeanMadSpec(1.0, 0.8), 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(RobustBundlingError, match="share one mean/MAD"):
         product_sum([d0, other])
-    with pytest.raises(TooManyFactors):
+    with pytest.raises(RobustBundlingError, match="21 factors exceeds the cap of 20"):
         product_sum([d0] * 21)
 
 
@@ -139,7 +139,7 @@ def test_sampling_worker_count_does_not_change_draws(half_spec):
 
 def test_sampling_member_count_guard(half_spec):
     d0 = make_two_point(half_spec, 0.5)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(RobustBundlingError, match="got 2 members for m=3 slots"):
         sample_sum([d0, d0], m=3, seed=0, n=100)
 
 
