@@ -2,11 +2,12 @@
 
 Subcommands: maximin, minimax, ratio, regret, concentration, xi, opt-oracle,
 verify. Options resolve as defaults < config file < environment < flags, where
-the config file is flat "key = value" lines and environment overrides are the
-flag name uppercased with an RBL_ prefix (--alpha-grid -> RBL_ALPHA_GRID); a
-subcommand reads only the options it declares. Outputs are CSV or JSON with
-every float printed at full round-trip precision, so identical configuration
-and seed give byte-identical files. Exit codes: 0 success, 2 rejected input
+the config file (--config, else RBL_CONFIG) is flat "key = value" lines and
+environment overrides are the flag name uppercased with an RBL_ prefix
+(--alpha-grid -> RBL_ALPHA_GRID); a subcommand reads only the options it
+declares. Outputs are CSV or JSON with every float printed at full
+round-trip precision, so identical configuration and seed give
+byte-identical files. Exit codes: 0 success, 2 rejected input
 (any RobustBundlingError, printed as one "error:" line on stderr, parser errors
 included), 3 verify found failing checks.
 """
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .acceptance import run_all
@@ -63,9 +65,13 @@ def _resolve(args: argparse.Namespace) -> dict:
     """Merge option sources at defaults < file < environment < flags, for
     the options the parsed subcommand declares.
 
-    --seed, --threads and --format are checked here, before any work, so
-    every subcommand that accepts them rejects a bad value, used or not."""
-    file_cfg = _read_config_file(args.config) if args.config else {}
+    --seed, --threads, --format and --out are checked here, before any
+    work, so every subcommand that accepts them rejects a bad value, used or
+    not. The config file itself comes from --config, else RBL_CONFIG."""
+    path = args.config
+    if path is None:
+        path = os.environ.get("RBL_CONFIG")
+    file_cfg = _read_config_file(path) if path else {}
     merged: dict[str, object] = {}
     for name, val in vars(args).items():
         if name == "command":
@@ -79,7 +85,26 @@ def _resolve(args: argparse.Namespace) -> dict:
             merged[name] = _as_int(name, merged[name], lo)
     if merged.get("format") is not None:
         _as_format(merged["format"])
+    if merged.get("out") is not None:
+        _check_out(str(merged["out"]))
     return merged
+
+
+def _check_out(out: str) -> None:
+    """Reject an --out that cannot be a writable file: a directory, or a
+    path whose directory is missing or not writable. A write can still fail
+    later; _emit reports that the same way."""
+    target = os.path.abspath(out)
+    folder = os.path.dirname(target)
+    if os.path.isdir(target):
+        why = "is a directory"
+    elif not os.path.isdir(folder):
+        why = f"no such directory {folder}"
+    elif not os.access(folder, os.W_OK):
+        why = f"directory {folder} is not writable"
+    else:
+        return
+    raise RobustBundlingError(f"cannot write output file {out}: {why}")
 
 
 def _flag(name: str) -> str:
@@ -442,7 +467,9 @@ class _Parser(argparse.ArgumentParser):
         raise RobustBundlingError(f"{self.prog}: {message}")
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The rbl parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="rbl",
         description="Robust bundle pricing laboratory under mean/MAD ambiguity.")

@@ -8,7 +8,10 @@ at p is an infimum, attained at the floor u = U_FLOOR or approached as u
 decreases to some u_k; the reported alpha is then that limit point, not an
 attained minimizer. Nature first (minimax): a grid geometric in 1 - alpha
 down to 1e-12, because the damaging adversaries sit next to alpha = 1, then
-golden-section polish. The seller's best responses to the whole grid are one
+golden-section polish. Each grid point gets a cheap revenue floor from a few
+feasible prices, and the seller's best responses are solved exactly from the
+lowest floor up, stopping once every floor left clears the minimum found; the
+grid minimum and its argmin are unchanged. The exact best responses are one
 batched call: log C(m, k) is computed once per m, and rows run in 2-D chunks,
 each over its own window of k, with the same float steps a one-point call
 takes. Tails go through the binomial survival function (sum_law.binom_sf,
@@ -20,6 +23,7 @@ and an upper bound that the computed value can be checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,6 +53,8 @@ _PRUNE_MARGIN = 1e-9
 # Terms per chunk: breakpoints in the maximin price grid, (row, k) pairs in
 # the minimax best responses (each working array ~128 KB).
 _CHUNK_POINTS = 1 << 14
+# Nature grid rows solved exactly per step of the minimax pruning.
+_GRID_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -297,20 +303,70 @@ def _best_response(spec: MeanMadSpec, m: int,
     return prices, revs / m
 
 
+def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
+    """Per u in us, a lower bound on the seller's best-response revenue per
+    item: the best of a few feasible prices, the sure price m*x and the
+    support points with k = ceil(m u + z sigma) highs for z = -4..4, each
+    sold with probability P(Bin(m, u) >= k). All lie in the kernel's
+    window. Where m u is small, z > 0 gives k = 1: the one-high price, which
+    wins there."""
+    x = spec.mu - spec.d / (2.0 * (1.0 - us))
+    gap = spec.mu + spec.d / (2.0 * us) - x
+    sig = np.sqrt(m * us * (1.0 - us))
+    z = np.arange(-4.0, 5.0)[:, None]
+    k = np.clip(np.ceil(m * us + z * sig), 0.0, m)
+    revs = (m * x + k * gap) * binom_sf(k - 1.0, m, us) / m
+    return np.maximum(x, revs.max(axis=0))
+
+
+def _row_margin(m: int) -> float:
+    """Relative margin by which a nature grid row's revenue floor must clear
+    the lowest value found before the row is skipped. The kernel's pmf is
+    the exp of log-gamma terms up to log m!, so its relative rounding grows
+    like eps * log m!. Measured from m = 1e3 to 3e7, floors overshoot
+    kernel rows by at most 0.48 eps log m!, 1.5e-8 at m = 1e7: more than
+    1e-9, or m * 1e-15, there. The margin takes 4 eps log m!, and never less
+    than _PRUNE_MARGIN."""
+    return max(_PRUNE_MARGIN, 4.0 * np.finfo(float).eps * math.lgamma(m + 1.0))
+
+
+def _grid_best_responses(spec: MeanMadSpec, m: int,
+                         us: np.ndarray) -> np.ndarray:
+    """Best-response revenue per item on the nature grid us, as far as its
+    argmin needs. Rows are solved by _best_response in chunks of _GRID_ROWS
+    from the lowest revenue floor up; a row whose floor clears the lowest
+    value found by _row_margin(m) is left at +inf. The kernel gives a
+    row the same bits in any chunk, so the solved rows, the minimum and its
+    argmin are those of the full grid."""
+    floors = _revenue_floors(spec, m, us)
+    order = np.argsort(floors, kind="stable")
+    vals = np.full(us.size, np.inf)
+    margin = _row_margin(m)
+    for i in range(0, us.size, _GRID_ROWS):
+        idx = order[i:i + _GRID_ROWS]
+        best = vals.min()
+        idx = idx[floors[idx] <= best + margin * abs(best)]
+        if idx.size == 0:
+            break
+        vals[idx] = _best_response(spec, m, us[idx])[1]
+    return vals
+
+
 def minimax_bundling_value(spec: MeanMadSpec, m: int,
                            alpha_grid: int = ALPHA_GRID) -> SaddleReport:
     """Two-point i.i.d. parameter minimizing the seller's best-response revenue.
 
-    Grid plus golden-section polish over alpha; reports the argmin alpha and the
-    best-response price there. certificate.lower reuses the guaranteed-sale
-    chain (the other play order can only do worse for the adversary) and
-    certificate.upper is the raw grid minimum, valid since every evaluated
-    alpha upper-bounds the infimum. The chain goes first, as in
+    Grid plus golden-section polish over alpha, the grid solved only where it
+    can hold the minimum (_grid_best_responses); reports the argmin alpha
+    and the best-response price there. certificate.lower reuses the
+    guaranteed-sale chain (the other play order can only do worse for the
+    adversary) and certificate.upper is the raw grid minimum, valid since
+    every evaluated alpha upper-bounds the infimum. The chain goes first, as in
     maximin_bundling_value.
     """
     lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
-    vals = _best_response(spec, m, u)[1]
+    vals = _grid_best_responses(spec, m, u)
     u_best, v_best = grid_polish(
         lambda z: float(_best_response(spec, m, np.array([z]))[1][0]), u, vals,
         BRACKET_TOL)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbl import cli
 from rbl.cli import _COMMANDS, main
 from rbl.concentration import MC_MIN_SAMPLES
 
@@ -372,6 +373,58 @@ def test_unwritable_out_is_one_line(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_out_is_checked_before_any_work(capsys, monkeypatch, tmp_path):
+    # verify runs every criterion before it writes; a bad --out must not wait
+    def fail():
+        raise AssertionError("run_all called despite a bad --out")
+    monkeypatch.setattr("rbl.cli.run_all", fail)
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        code, out, err = run(capsys, "verify", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write output file {path}: ")
+        assert err.count("\n") == 1
+
+
+def test_write_time_out_failure_is_one_line(capsys, monkeypatch, tmp_path):
+    # the early check cannot see every failure; the write still reports one
+    monkeypatch.setattr(cli, "_check_out", lambda out: None)
+    path = tmp_path / "missing" / "xi.json"
+    code, out, err = run(capsys, "xi", "--mu", "1", "--d", "1.5", "--out",
+                         str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write output file {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_rbl_config_names_the_config_file(capsys, monkeypatch, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu = 1\nd = 1.5\n")
+    want = run(capsys, "xi", "--mu", "1", "--d", "1.5")
+    monkeypatch.setenv("RBL_CONFIG", str(cfg))
+    assert run(capsys, "xi") == want
+    # the flag still beats the environment
+    monkeypatch.setenv("RBL_CONFIG", str(tmp_path / "missing.cfg"))
+    assert run(capsys, "xi", "--config", str(cfg)) == want
+
+
+def test_cached_parser_keeps_calls_apart(capsys):
+    # the parser is built once per process; options and --member lists given
+    # to one call must not reach the next
+    base = ["concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2",
+            "--m", "20", "--n", "10000", "--seed", "7",
+            "--member", "two_point:alpha=0.5"]
+    first = base + ["--member", "pareto:a=2", "--optimize-t", "--format",
+                    "csv"]
+    fresh = []
+    for argv in (first, base):
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    assert [run(capsys, *first), run(capsys, *base)] == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert "optimized_t" not in json.loads(fresh[1][1])
+
+
 # a valid run of each subcommand, cheap enough to repeat once per option
 _STUDY_BASE = {"mu": "1", "d": "0.5", "m": "1", "eps": "0.1", "gamma": "0.5",
                "grid": "8"}
@@ -425,10 +478,7 @@ def test_every_declared_option_rejects_a_bad_value(capsys, monkeypatch,
                                                    command, name):
     argv = _walk_argv(command, name)
     bad = _BAD_VALUE[name].format(tmp=tmp_path)
-    if name == "config":  # the config file path is read from its flag only
-        argv.append(f"--config={bad}")
-    else:
-        monkeypatch.setenv("RBL_" + name.upper().replace("-", "_"), bad)
+    monkeypatch.setenv("RBL_" + name.upper().replace("-", "_"), bad)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

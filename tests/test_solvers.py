@@ -170,6 +170,64 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
         assert np.all(full[~done] < got.max())
 
 
+def test_minimax_grid_pruning_keeps_the_argmin(monkeypatch):
+    # the nature grid skips rows whose revenue floor clears a value already
+    # found; small chunks make that happen at every m
+    monkeypatch.setattr(solvers, "_GRID_ROWS", 8)
+    for mu, d, m in ((1.0, 0.8, 100), (1.0, 0.8, 10_000), (1.0, 1.5, 2049),
+                     (1.3, 2.1, 1000)):
+        spec = MeanMadSpec(mu, d)
+        us = solvers._u_grid(spec, solvers.ALPHA_GRID)
+        full = solvers._best_response(spec, m, us)[1]
+        got = solvers._grid_best_responses(spec, m, us)
+        done = np.isfinite(got)
+        assert np.array_equal(got[done], full[done])
+        assert np.argmin(got) == np.argmin(full)
+        assert got.min() == full.min()
+        assert np.all(full[~done] > got.min())
+        floors = solvers._revenue_floors(spec, m, us)
+        assert np.all(floors <= full * (1.0 + solvers._row_margin(m)))
+
+
+def test_minimax_pruning_margin_grows_with_m(monkeypatch):
+    # at m = 1e7 the kernel's rounding exceeds a fixed 1e-9 margin, which
+    # moved this value; the report must match the unpruned grid's
+    spec, m = MeanMadSpec(3.0, 0.15), 10**7
+    us = solvers._u_grid(spec, solvers.ALPHA_GRID)
+    full = solvers._best_response(spec, m, us)[1]
+    floors = solvers._revenue_floors(spec, m, us)
+    assert np.all(floors <= full * (1.0 + solvers._row_margin(m)))
+    got = repr(minimax_bundling_value(spec, m))
+    monkeypatch.setattr(solvers, "_grid_best_responses",
+                        lambda spec, m, us: full)
+    assert got == repr(minimax_bundling_value(spec, m))
+
+
+def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
+    # a count guard instead of a timing test: weaker floors fail it
+    rows, in_grid = [], [False]
+    kernel, grid = solvers._best_response, solvers._grid_best_responses
+
+    def counting_kernel(spec, m, us):
+        if in_grid[0]:
+            rows.append(us.size)
+        return kernel(spec, m, us)
+
+    def flagged_grid(spec, m, us):
+        in_grid[0] = True
+        try:
+            return grid(spec, m, us)
+        finally:
+            in_grid[0] = False
+
+    monkeypatch.setattr(solvers, "_best_response", counting_kernel)
+    monkeypatch.setattr(solvers, "_grid_best_responses", flagged_grid)
+    for d, m in ((0.8, 100), (0.8, 1000), (0.8, 10_000), (1.5, 10_000)):
+        rows.clear()
+        minimax_bundling_value(MeanMadSpec(1.0, d), m)
+        assert 0 < sum(rows) <= 128
+
+
 def test_minimax_m1_frozen(half_spec):
     # alpha* = (1+sqrt(17))/8 balances selling low against skimming high
     rep = minimax_bundling_value(half_spec, 1)
