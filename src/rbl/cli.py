@@ -487,7 +487,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command][1](_resolve(args))
     except RobustBundlingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an argument echoed into the message may hold a line break
+        one_line = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        print(f"error: {one_line}", file=sys.stderr)
         return 2
 
 

@@ -7,8 +7,9 @@ For m i.i.d. two-point values the sum lives on m+1 points,
 computed in log space so it stays sound out to m = 1e6 and alpha within 1e-12 of 1.
 Heterogeneous products are convolved exactly up to a factor cap.
 
-Monte Carlo sums are drawn from a counter-based Philox stream in which sample i
-owns a fixed segment of words, so serial, chunked, and threaded runs agree bit
+Monte Carlo sums are drawn from one PCG64DXSM stream addressed by advance():
+each uniform takes exactly one 64-bit word, and sample i owns the fixed word
+segment [i*width, (i+1)*width), so serial, chunked, and threaded runs agree bit
 for bit. Slots are grouped by member: the c slots of a discrete member add
 sum_j n_j v_j over its atoms v_j, with the counts drawn as sequential
 conditional binomials,
@@ -17,20 +18,20 @@ conditional binomials,
 
 each by the exact inverse CDF of one uniform (binom_ppf, the binomial kernel
 the solvers' tails share), and the last atom taking the rest.
-A Pareto slot still takes one uniform of its own. The segment holds (atoms - 1)
-words per discrete group, then one word per Pareto slot in slot order, padded
-to Philox's 4-word tick; a Pareto-only set therefore keeps the one-word-per-slot
-layout and its sums.
+A Pareto slot takes one uniform of its own. The segment holds (atoms - 1)
+words per discrete group, then one word per Pareto slot in slot order, with no
+padding.
 """
 
 from __future__ import annotations
 
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator
 from scipy.special import gammaln
 # The boost ufuncs that scipy's binom distribution calls, used directly because
 # importing its stats package is most of rbl's cold start;
@@ -47,7 +48,7 @@ MAX_FACTORS = 20
 # Support points closer than this are merged during convolution.
 MERGE_TOL = 1e-12
 # Monte Carlo blocks hold at most this many samples, and at most this many
-# Philox words (2 MB) unless one sample is wider, so a block stays in cache.
+# 64-bit words (2 MB) unless one sample is wider, so a block stays in cache.
 _CHUNK_ROWS = 1024
 _CHUNK_WORDS = 1 << 18
 
@@ -241,9 +242,9 @@ def _atom_counts(u: np.ndarray, c: int, cond: Sequence[float]) -> np.ndarray:
 @dataclass(frozen=True)
 class _Plan:
     """How one call lays out and maps its uniforms. Sample i owns words
-    [i*width, (i+1)*width) of the Philox stream: first len(cond) words per
-    discrete group (slot count c, atom values, conditional masses cond), then
-    one word per Pareto slot in slot order, then padding."""
+    [i*width, (i+1)*width) of the PCG64DXSM stream, one word per uniform:
+    first len(cond) words per discrete group (slot count c, atom values,
+    conditional masses cond), then one word per Pareto slot in slot order."""
 
     width: int
     discrete: tuple[tuple[int, tuple[float, ...], tuple[float, ...]], ...]
@@ -278,17 +279,15 @@ def _plan(members: Sequence[MemberDist], m: int) -> _Plan:
             raise RobustBundlingError(f"cannot sample member {dist!r}")
         discrete.append((c, tuple(points), _conditional_masses(probs)))
     cont_start = sum(len(cond) for _, _, cond in discrete)
-    words = cont_start + len(scale)
-    # Philox advances in 4-word counter ticks; pad so samples stay aligned.
-    return _Plan(width=4 * ((words + 3) // 4), discrete=tuple(discrete),
+    return _Plan(width=cont_start + len(scale), discrete=tuple(discrete),
                  cont_start=cont_start, neg_inv_a=np.array(neg_inv_a),
                  scale=np.array(scale))
 
 
 def _sample_block(plan: _Plan, seed: int, start: int, rows: int,
                   out: np.ndarray) -> None:
-    bg = Philox(key=seed)
-    bg.advance(start * (plan.width // 4))
+    bg = PCG64DXSM(seed)
+    bg.advance(start * plan.width)
     buf = Generator(bg).random((rows, plan.width))
     # Pareto slots: scale * (1 - u)^(-1/a), in place
     cont = buf[:, plan.cont_start:plan.cont_start + plan.scale.size]
@@ -314,15 +313,18 @@ def sample_sum(
 ) -> np.ndarray:
     """Draw n realizations of the sum of m independent item values.
 
-    members has length 1 (i.i.d.) or m (one per slot). Sample i consumes a fixed,
-    index-addressed segment of the Philox stream, so results do not depend on chunk
-    size or worker count. Slots sharing one discrete member are drawn as atom
-    counts; Pareto slots are drawn one by one.
+    members has length 1 (i.i.d.) or m (one per slot). seed is any
+    non-negative integer. Sample i consumes a fixed, index-addressed segment
+    of the PCG64DXSM stream, one 64-bit word per uniform, so results do not
+    depend on chunk size or worker count. Slots sharing one discrete member are
+    drawn as atom counts; Pareto slots are drawn one by one.
     """
     if len(members) not in (1, m):
         raise RobustBundlingError(f"got {len(members)} members for m={m} slots")
     if m < 1 or n < 1:
         raise RobustBundlingError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise RobustBundlingError(f"need a non-negative integer seed, got {seed!r}")
     plan = _plan(members, m)
     out = np.empty(n)
     rows = max(1, min(_CHUNK_ROWS, _CHUNK_WORDS // plan.width))

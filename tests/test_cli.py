@@ -217,6 +217,13 @@ def test_fuzzed_integer_options_exit_0_or_2_in_one_line(data):
         assert code == 2
 
 
+def test_a_line_break_in_an_echoed_argument_stays_on_one_line(capsys):
+    code, _, err = run(capsys, "ratio", "--mu", "1", "--d", "0.5", "--m", "1",
+                       "--alpha-grid=\n\r")
+    assert code == 2
+    assert err == "error: rbl: unrecognized arguments: --alpha-grid=\\n\\r\n"
+
+
 def test_auto_schedule_error_names_the_schedule(capsys):
     code, _, err = run(capsys, "ratio", "--mu", "1", "--d", "0.5", "--m", "2",
                        "--grid", "8")
@@ -533,6 +540,15 @@ def test_concentration_pareto_member(capsys):
     payload = json.loads(out)
     assert payload["optimized_f"] <= 104.60
     assert payload["passed"] is True
+
+
+def test_concentration_takes_a_seed_past_2_to_the_128(capsys):
+    code, out, err = run(capsys, "concentration", "--mu", "1", "--d", "0.5",
+                         "--m", "50", "--n", "10000", "--eps", "0.2",
+                         "--member", "pareto:a=2", "--seed",
+                         "1361129467683753853853498429727072845824")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == 1361129467683753853853498429727072845824
 
 
 def test_help_lists_subcommands(capsys):

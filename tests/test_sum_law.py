@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator
+from scipy import stats as scipy_stats
 from scipy.special import kolmogorov
 from scipy.stats import binom as scipy_binom
 
@@ -307,25 +308,18 @@ def test_zero_mass_atom_never_reaches_a_sum(half_spec):
     assert sample_sum([dist], 50, seed=5, n=5000).max() <= 50.0
 
 
-def _old_sample_sum(members, m, seed, n):
-    """The one-uniform-per-slot sampler as it was before counts sampling."""
+def _per_slot_sample_sum(members, m, seed, n):
+    """Reference sampler: one uniform per slot, mapped by the member's inverse
+    CDF, sample i reading words [i*m, (i+1)*m) of the PCG64DXSM stream."""
     out = np.empty(n)
-    w = 4 * ((m + 3) // 4)
-    for start in range(0, n, 1024):
-        rows = min(1024, n - start)
-        bg = Philox(key=seed)
-        bg.advance(start * (w // 4))
-        u = Generator(bg).random((rows, w))[:, :m]
-        if len(members) == 1:
-            vals = members[0].inverse_cdf(u)
-        else:
-            vals = np.empty_like(u)
-            groups = {}
-            for i in range(m):
-                groups.setdefault(id(members[i]), []).append(i)
-            by_id = {id(d): d for d in members}
-            for key, cols in groups.items():
-                vals[:, cols] = by_id[key].inverse_cdf(u[:, cols])
+    for start in range(0, n, 1000):
+        rows = min(1000, n - start)
+        bg = PCG64DXSM(seed)
+        bg.advance(start * m)
+        u = Generator(bg).random((rows, m))
+        vals = np.empty_like(u)
+        for i, dist in enumerate(members * m if len(members) == 1 else members):
+            vals[:, i] = dist.inverse_cdf(u[:, i])
         out[start:start + rows] = vals.sum(axis=1)
     return out
 
@@ -336,7 +330,35 @@ def test_pareto_only_sums_keep_their_bits(half_spec, m):
     a2, a15 = make_pareto_member(half_spec, 2.0), make_pareto_member(heavy, 1.5)
     for members in ([a2], [a15], [a2 if i % 3 else a15 for i in range(m)]):
         assert np.array_equal(sample_sum(members, m, seed=19, n=2500),
-                              _old_sample_sum(members, m, 19, 2500))
+                              _per_slot_sample_sum(members, m, 19, 2500))
+
+
+@pytest.mark.parametrize("a", [2.0, 1.5])
+def test_single_pareto_slots_draw_the_exact_law(half_spec, a):
+    spec = half_spec if a == 2.0 else MeanMadSpec(1.0, pareto_induced_mad(1.0, a))
+    dist = make_pareto_member(spec, a)
+    sums = sample_sum([dist], 1, seed=31, n=100_000)
+    assert sums.min() >= dist.scale
+
+    def cdf(x):
+        return 1.0 - (dist.scale / x) ** dist.a
+
+    assert scipy_stats.kstest(sums, cdf).pvalue >= 1e-6
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+def test_sampling_rejects_a_seed_that_is_not_a_non_negative_integer(half_spec,
+                                                                    seed):
+    d0 = make_pareto_member(half_spec, 2.0)
+    with pytest.raises(RobustBundlingError, match="non-negative integer seed"):
+        sample_sum([d0], 4, seed=seed, n=10)
+
+
+def test_sampling_takes_any_non_negative_integer_seed(half_spec):
+    d0 = make_pareto_member(half_spec, 2.0)
+    assert np.all(sample_sum([d0], 4, seed=2**128 + 5, n=50) >= 4 * d0.scale)
+    assert np.array_equal(sample_sum([d0], 4, seed=np.int64(5), n=50),
+                          sample_sum([d0], 4, seed=5, n=50))
 
 
 def _mixed_slots(spec, m):
@@ -357,8 +379,8 @@ def test_mixed_sums_frozen(half_spec):
     # pins the stream layout: any change of word order moves these values
     slots = _mixed_slots(half_spec, 22)
     assert sample_sum(slots, 22, seed=2026, n=6) == pytest.approx(
-        [24.929687862622835, 24.1246591108113, 16.72612814635302,
-         17.055072999667786, 17.699426623735732, 22.171165175830815], rel=1e-12)
+        [22.804498637533257, 23.475362730111545, 20.30738797200996,
+         23.826958702460544, 26.3410199105859, 27.21580249811653], rel=1e-12)
 
 
 def test_thread_pool_is_capped_at_the_block_count(monkeypatch, half_spec):
