@@ -12,30 +12,28 @@ golden-section polish. Each grid point gets a cheap revenue floor from a few
 feasible prices, and the seller's best responses are solved exactly from the
 lowest floor up, stopping once every floor left clears the minimum found; the
 grid minimum and its argmin are unchanged. The exact best responses are one
-batched call: log C(m, k) is computed once per m, and rows run in 2-D chunks,
-each over its own window of k, with the same float steps a one-point call
-takes. Tails go through the binomial survival function (sum_law.binom_sf,
-the kernel the Monte Carlo sampler's counts share) rather than the explicit
-m+1 point law, so m = 1e4 stays quick. Every report carries a
+batched call: rows run in 2-D chunks, each over its own 40-sigma window of k
+with binomial masses from sum_law.binom_pmf, and take the same float steps a
+one-point call takes. Tails go through the binomial survival function
+(sum_law.binom_sf, the kernel the Monte Carlo sampler's counts share) rather
+than the explicit m+1 point law, so m = 1e4 stays quick. Every report carries a
 certificate pair: an analytic lower chain, its eps grid one array expression,
 and an upper bound that the computed value can be checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, rel_entr
+from scipy.special import rel_entr
 
 from .ambiguity import MeanMadSpec
 from .bundling import guaranteed_sale_price
 from .concentration import failure_coefficient
 from .errors import RobustBundlingError
 from .optimize import grid_polish
-from .sum_law import binom_sf
+from .sum_law import binom_pmf, binom_sf
 
 ALPHA_GRID = 2048
 PRICE_GRID = 1024
@@ -43,12 +41,13 @@ EPS_GRID = 512
 # Smallest 1 - alpha either order of play considers.
 U_FLOOR = 1e-12
 BRACKET_TOL = 1e-10
-# Best-response scan keeps the full k range up to this m, then windows.
-_FULL_RANGE_CAP = 2048
+# Half-width of the best-response scan over k, in binomial sigmas.
 _WINDOW_SIGMAS = 40.0
-# A breakpoint is skipped only if its Chernoff bound beats the best value by
-# this much: far above the rounding of m*KL (~1e-12 at m = 1e8) and of the
-# binomial tail, so pruning never changes a result.
+# A breakpoint or nature grid row is skipped only if its bound clears the
+# best value by this much, relatively for a row: above the rounding of m*KL
+# (~1e-12 at m = 1e8) and of the binomial tail (revenue floors priced by
+# binom_sf overshoot exact best responses by at most 5e-10 up to m = 3e7),
+# so pruning never changes a result.
 _PRUNE_MARGIN = 1e-9
 # Terms per chunk: breakpoints in the maximin price grid, (row, k) pairs in
 # the minimax best responses (each working array ~128 KB).
@@ -74,6 +73,13 @@ def _u_grid(spec: MeanMadSpec, n: int) -> np.ndarray:
     return np.geomspace(1.0 - spec.alpha_min, U_FLOOR, n)
 
 
+def _two_point(spec: MeanMadSpec, u):
+    """(x, y - x) for the two-point member at u = 1 - alpha: its low value x
+    and the gap up to its high value y."""
+    x = spec.mu - spec.d / (2.0 * (1.0 - u))
+    return x, spec.mu + spec.d / (2.0 * u) - x
+
+
 def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
     """P(sum >= p) for u = 1 - alpha, sum of m i.i.d. two-point values; p and
     u broadcast against each other.
@@ -82,10 +88,7 @@ def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
     is a Binomial(m, u) survival at the crossing index; the ceil is nudged so
     the inclusive boundary holds exactly in floats.
     """
-    alpha = 1.0 - u
-    x = spec.mu - spec.d / (2.0 * alpha)
-    y = spec.mu + spec.d / (2.0 * u)
-    gap = y - x
+    x, gap = _two_point(spec, u)
     k = np.clip(np.ceil((p - m * x) / gap), 0.0, m + 1.0)
     for _ in range(2):
         k = np.where((k > 0) & (m * x + (k - 1.0) * gap >= p), k - 1.0, k)
@@ -241,40 +244,24 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     )
 
 
-@lru_cache(maxsize=1)
-def _log_binom(m: int) -> np.ndarray:
-    """log C(m, k) for k = 0..m, read-only; kept for the m last solved."""
-    ks = np.arange(m + 1)
-    out = gammaln(m + 1.0) - gammaln(ks + 1.0) - gammaln(m - ks + 1.0)
-    out.flags.writeable = False
-    return out
-
-
 def _best_response(spec: MeanMadSpec, m: int,
                    us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Seller's best bundle price and per-item revenue when highs are
     Binomial(m, u), for each u in the array us.
 
-    Only sum support points can be optimal. Row u scans k over lo..hi: the
-    full range up to _FULL_RANGE_CAP, past it a 40 sigma window around m*u
-    (plus k=0, the guaranteed sale) with the survival mass beyond the window
-    re-added, so large m costs a few hundred terms per row. Rows go in 2-D
-    chunks of about _CHUNK_POINTS terms, each row at its own lo; the pmf is 0
-    past a row's hi and its revenue -inf, so each row takes the same float
-    steps as it would alone.
+    Only sum support points can be optimal. Row u scans k over lo..hi, a
+    40 sigma window around m*u (plus k=0, the guaranteed sale), with the
+    survival mass beyond the window re-added: a few terms where m*u is small,
+    where the adversary sits, and a few hundred per row at large m. Rows go
+    in 2-D chunks of about _CHUNK_POINTS terms, each row at its own lo; the
+    pmf is 0 past a row's hi and its revenue -inf, so each row takes the same
+    float steps as it would alone.
     """
-    x = spec.mu - spec.d / (2.0 * (1.0 - us))
-    gap = spec.mu + spec.d / (2.0 * us) - x
-    if m <= _FULL_RANGE_CAP:
-        lo = np.zeros(us.size, dtype=np.int64)
-        hi = np.full(us.size, m)
-        sf_beyond = np.zeros(us.size)
-    else:
-        sig = np.sqrt(m * us * (1.0 - us))
-        lo = np.maximum(np.floor(m * us - _WINDOW_SIGMAS * sig), 0).astype(np.int64)
-        hi = np.minimum(np.ceil(m * us + _WINDOW_SIGMAS * sig), m).astype(np.int64)
-        sf_beyond = binom_sf(hi, m, us)
-    logc = _log_binom(m)
+    x, gap = _two_point(spec, us)
+    sig = np.sqrt(m * us * (1.0 - us))
+    lo = np.maximum(np.floor(m * us - _WINDOW_SIGMAS * sig), 0).astype(np.int64)
+    hi = np.minimum(np.ceil(m * us + _WINDOW_SIGMAS * sig), m).astype(np.int64)
+    sf_beyond = binom_sf(hi, m, us)
     width = hi - lo + 1
     prices = np.empty(us.size)
     revs = np.empty(us.size)
@@ -286,11 +273,8 @@ def _best_response(spec: MeanMadSpec, m: int,
         i += rows.size
         ks = lo[rows, None] + np.arange(width[rows[0]])
         inside = ks <= hi[rows, None]
-        ks = np.minimum(ks, m)
         kf = ks.astype(float)  # exact: the bits of int-by-float products
-        u = us[rows, None]
-        pmf = np.exp(logc[ks] + (m - kf) * np.log1p(-u) + kf * np.log(u))
-        pmf[~inside] = 0.0
+        pmf = np.where(inside, binom_pmf(kf, m, us[rows, None]), 0.0)
         sf = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1] + sf_beyond[rows, None]
         s = (m * x[rows])[:, None] + kf * gap[rows, None]
         rev = np.where(inside, s * sf, -np.inf)
@@ -310,8 +294,7 @@ def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
     sold with probability P(Bin(m, u) >= k). All lie in the kernel's
     window. Where m u is small, z > 0 gives k = 1: the one-high price, which
     wins there."""
-    x = spec.mu - spec.d / (2.0 * (1.0 - us))
-    gap = spec.mu + spec.d / (2.0 * us) - x
+    x, gap = _two_point(spec, us)
     sig = np.sqrt(m * us * (1.0 - us))
     z = np.arange(-4.0, 5.0)[:, None]
     k = np.clip(np.ceil(m * us + z * sig), 0.0, m)
@@ -319,33 +302,21 @@ def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
     return np.maximum(x, revs.max(axis=0))
 
 
-def _row_margin(m: int) -> float:
-    """Relative margin by which a nature grid row's revenue floor must clear
-    the lowest value found before the row is skipped. The kernel's pmf is
-    the exp of log-gamma terms up to log m!, so its relative rounding grows
-    like eps * log m!. Measured from m = 1e3 to 3e7, floors overshoot
-    kernel rows by at most 0.48 eps log m!, 1.5e-8 at m = 1e7: more than
-    1e-9, or m * 1e-15, there. The margin takes 4 eps log m!, and never less
-    than _PRUNE_MARGIN."""
-    return max(_PRUNE_MARGIN, 4.0 * np.finfo(float).eps * math.lgamma(m + 1.0))
-
-
 def _grid_best_responses(spec: MeanMadSpec, m: int,
                          us: np.ndarray) -> np.ndarray:
     """Best-response revenue per item on the nature grid us, as far as its
     argmin needs. Rows are solved by _best_response in chunks of _GRID_ROWS
     from the lowest revenue floor up; a row whose floor clears the lowest
-    value found by _row_margin(m) is left at +inf. The kernel gives a
-    row the same bits in any chunk, so the solved rows, the minimum and its
-    argmin are those of the full grid."""
+    value found by the relative _PRUNE_MARGIN is left at +inf. The kernel
+    gives a row the same bits in any chunk, so the solved rows, the minimum
+    and its argmin are those of the full grid."""
     floors = _revenue_floors(spec, m, us)
     order = np.argsort(floors, kind="stable")
     vals = np.full(us.size, np.inf)
-    margin = _row_margin(m)
     for i in range(0, us.size, _GRID_ROWS):
         idx = order[i:i + _GRID_ROWS]
         best = vals.min()
-        idx = idx[floors[idx] <= best + margin * abs(best)]
+        idx = idx[floors[idx] <= best + _PRUNE_MARGIN * abs(best)]
         if idx.size == 0:
             break
         vals[idx] = _best_response(spec, m, us[idx])[1]

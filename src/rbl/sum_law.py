@@ -35,8 +35,8 @@ from numpy.random import PCG64DXSM, Generator
 from scipy.special import gammaln
 # The boost ufuncs that scipy's binom distribution calls, used directly because
 # importing its stats package is most of rbl's cold start;
-# tests/test_sum_law.py pins binom_sf and binom_ppf to it bit for bit.
-from scipy.special._ufuncs import _binom_ppf, _binom_sf
+# tests/test_sum_law.py pins binom_pmf, binom_sf and binom_ppf to it bit for bit.
+from scipy.special._ufuncs import _binom_pmf, _binom_ppf, _binom_sf
 
 from .ambiguity import MemberDist, ParetoDist, ThreePointDist, TwoPointDist
 from .errors import RobustBundlingError
@@ -191,6 +191,15 @@ def tail_prob(law: SumLaw, p: float) -> float:
     """P(Y >= p), inclusive at support points."""
     idx = int(np.searchsorted(law.support, p, side="left"))
     return float(np.sum(law.probs[idx:]))
+
+
+def binom_pmf(k, n, p):
+    """P(Bin(n, p) = k) for integral n >= 0 and p in [0, 1], broadcast like a
+    ufunc; the same bits and edges as scipy's binom.pmf: 0 for k outside
+    0..n or not integral, else the mass clipped to [0, 1]."""
+    ok = (k >= 0.0) & (k <= n) & (np.floor(k) == k)
+    out = np.where(ok, np.clip(_binom_pmf(k, n, p), 0.0, 1.0), 0.0)
+    return out[()]
 
 
 def binom_sf(k, n, p):

@@ -196,7 +196,7 @@ _FUZZ_VALUE = st.one_of(
     st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6))
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_fuzzed_integer_options_exit_0_or_2_in_one_line(data):
     command = data.draw(st.sampled_from(sorted(_FUZZ_BASE)))
@@ -240,7 +240,7 @@ _EXTREME = st.one_of(
     st.floats(0.1, 10.0))
 
 
-@settings(max_examples=120, deadline=None, database=None)
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
 @given(command=st.sampled_from(["maximin", "minimax", "concentration"]),
        mu=_EXTREME, d=st.one_of(_EXTREME, st.floats(0.0, 2.0)),
        relative=st.booleans(), m=st.integers(1, 3))

@@ -26,7 +26,8 @@ CASES = {
     "minimax.csv": ("minimax", *HALF, "--m", "1,10,100"),
     "minimax.json": ("minimax", "--mu", "1", "--d", "1.5", "--m", "1000",
                      "--alpha-grid", "256", "--format", "json"),
-    # past 2048 items the best response scans a window of k, not 0..m
+    # m = 1e4, where the best response's 40-sigma window of k is a small
+    # part of 0..m and the adversary sits at m (1 - alpha) < 1
     "minimax-windowed.csv": ("minimax", "--mu", "1", "--d", "0.8",
                              "--m", "10000"),
     "ratio.csv": ("ratio", *HALF, "--m", "2,3,16", "--eps", "0.1",

@@ -1,8 +1,8 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
 from scipy.stats import binom
 
 from rbl import solvers
@@ -186,17 +186,17 @@ def test_minimax_grid_pruning_keeps_the_argmin(monkeypatch):
         assert got.min() == full.min()
         assert np.all(full[~done] > got.min())
         floors = solvers._revenue_floors(spec, m, us)
-        assert np.all(floors <= full * (1.0 + solvers._row_margin(m)))
+        assert np.all(floors <= full * (1.0 + solvers._PRUNE_MARGIN))
 
 
-def test_minimax_pruning_margin_grows_with_m(monkeypatch):
-    # at m = 1e7 the kernel's rounding exceeds a fixed 1e-9 margin, which
-    # moved this value; the report must match the unpruned grid's
+def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
+    # floors priced by binom_sf stay within the constant margin of the
+    # kernel's rows at m = 1e7, and the report matches the unpruned grid's
     spec, m = MeanMadSpec(3.0, 0.15), 10**7
     us = solvers._u_grid(spec, solvers.ALPHA_GRID)
     full = solvers._best_response(spec, m, us)[1]
     floors = solvers._revenue_floors(spec, m, us)
-    assert np.all(floors <= full * (1.0 + solvers._row_margin(m)))
+    assert np.all(floors <= full * (1.0 + solvers._PRUNE_MARGIN))
     got = repr(minimax_bundling_value(spec, m))
     monkeypatch.setattr(solvers, "_grid_best_responses",
                         lambda spec, m, us: full)
@@ -256,24 +256,18 @@ def test_best_response_agrees_with_law_route(half_spec, m):
 
 
 def _scalar_best_response(spec, m, u):
-    """One u at a time, recomputing log C(m, k) per call: the formula the
-    batched kernel must reproduce bit for bit."""
+    """One u at a time through scipy.stats' binomial: the formula the batched
+    kernel must reproduce bit for bit."""
     alpha = 1.0 - u
     x = spec.mu - spec.d / (2.0 * alpha)
     y = spec.mu + spec.d / (2.0 * u)
     gap = y - x
-    if m <= solvers._FULL_RANGE_CAP:
-        ks = np.arange(m + 1)
-        sf_beyond = 0.0
-    else:
-        sig = np.sqrt(m * u * (1.0 - u))
-        lo = max(int(np.floor(m * u - solvers._WINDOW_SIGMAS * sig)), 0)
-        hi = min(int(np.ceil(m * u + solvers._WINDOW_SIGMAS * sig)), m)
-        ks = np.arange(lo, hi + 1)
-        sf_beyond = float(binom.sf(hi, m, u))
-    logc = gammaln(m + 1.0) - gammaln(ks + 1.0) - gammaln(m - ks + 1.0)
-    pmf = np.exp(logc + (m - ks) * np.log1p(-u) + ks * np.log(u))
-    sf = np.cumsum(pmf[::-1])[::-1] + sf_beyond
+    sig = np.sqrt(m * u * (1.0 - u))
+    lo = max(int(np.floor(m * u - solvers._WINDOW_SIGMAS * sig)), 0)
+    hi = min(int(np.ceil(m * u + solvers._WINDOW_SIGMAS * sig)), m)
+    ks = np.arange(lo, hi + 1)
+    pmf = binom.pmf(ks, m, u)
+    sf = np.cumsum(pmf[::-1])[::-1] + float(binom.sf(hi, m, u))
     s = m * x + ks * gap
     revs = s * sf
     j = int(np.argmax(revs))
@@ -296,12 +290,68 @@ _KERNEL_MS = [1, 4, 16, 100, 2048, 2049, 10_000]
 @pytest.mark.parametrize("d", [0.5, 0.8, 1.5])
 @pytest.mark.parametrize("m", _KERNEL_MS)
 def test_best_response_kernel_is_bitwise_scalar(m, d):
-    # full k range up to m = 2048, the 40-sigma window from 2049 on
     spec = MeanMadSpec(1.0, d)
     rng = np.random.default_rng(m)
     us = np.concatenate([solvers._u_grid(spec, 129),
                          (1.0 - spec.alpha_min) * rng.random(8)])
     _assert_kernel_matches_scalar(spec, m, us)
+
+
+@pytest.mark.parametrize("d", [0.5, 0.8, 1.5])
+@pytest.mark.parametrize("m", [1, 10, 100, 2048])
+def test_best_response_window_matches_full_range(m, d):
+    # every k in 0..m, each tail straight from binom.sf: the 40-sigma window
+    # plus the mass beyond it loses nothing
+    spec = MeanMadSpec(1.0, d)
+    us = solvers._u_grid(spec, solvers.ALPHA_GRID)
+    got = solvers._best_response(spec, m, us)[1]
+    ks = np.arange(m + 1)
+    # blocks of rows of about 2^18 (row, k) terms each
+    for rows in np.array_split(np.arange(us.size), max(1, us.size * m >> 18)):
+        u = us[rows, None]
+        x, gap = solvers._two_point(spec, u)
+        want = np.max((m * x + ks * gap) * binom.sf(ks - 1, m, u), axis=1) / m
+        assert got[rows] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _mp_best_response(spec, m, u, k_max):
+    """Seller's best per-item revenue against Binomial(m, u) highs in 40-digit
+    arithmetic, over prices with at most k_max highs."""
+    with mpmath.workdps(40):
+        u = mpmath.mpf(u)
+        x = spec.mu - spec.d / (2 * (1 - u))
+        y = spec.mu + spec.d / (2 * u)
+        best, below = mpmath.mpf(0), mpmath.mpf(0)
+        for k in range(k_max + 1):
+            best = max(best, ((m - k) * x + k * y) * (1 - below))
+            below += mpmath.binomial(m, k) * u**k * (1 - u) ** (m - k)
+        return float(best / m)
+
+
+def test_best_response_matches_mpmath_at_m_1e7():
+    # m u = 2.26 here: the best price has a few highs, and k <= 200 leaves
+    # out only prices that sell with probability below 1e-300
+    spec, m = MeanMadSpec(3.0, 0.15), 10**7
+    u = 1.0 - 0.999999773536994
+    want = _mp_best_response(spec, m, u, 200)
+    assert want == pytest.approx(2.92499998301527, rel=1e-14)
+    got = solvers._best_response(spec, m, np.array([u]))[1][0]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# every minimax row of the golden files and of perfbench's game-sweep
+_MINIMAX_ROWS = [(1.0, 0.5, 1, 2048), (1.0, 0.5, 10, 2048), (1.0, 0.5, 100, 2048),
+                 (1.0, 1.5, 1000, 256), (1.0, 0.8, 100, 2048),
+                 (1.0, 0.8, 1000, 2048), (1.0, 0.8, 10_000, 2048),
+                 (1.0, 1.5, 10_000, 2048)]
+
+
+@pytest.mark.parametrize("mu, d, m, grid", _MINIMAX_ROWS)
+def test_minimax_value_never_beats_selling_surely(mu, d, m, grid):
+    # value * m = price * P(sale), so a value above price / m is a sale
+    # probability above 1
+    rep = minimax_bundling_value(MeanMadSpec(mu, d), m, alpha_grid=grid)
+    assert rep.value * m <= rep.price * (1.0 + 1e-13)
 
 
 @pytest.mark.parametrize("chunk", [1, 97, 5000])

@@ -1,6 +1,8 @@
+import ast
 import math
 from concurrent.futures import Future
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from rbl.sum_law import (
     _atom_counts,
     _binom_inverse,
     _conditional_masses,
+    binom_pmf,
     binom_ppf,
     binom_sf,
     iid_two_point_sum,
@@ -245,6 +248,7 @@ def test_binomial_kernel_matches_scipy_bit_for_bit():
     p[:200:2], p[1:200:2] = 0.0, 1.0
     q = rng.random(size)
     q[200:300], q[300:400], q[400:500] = 0.0, 1.0, 1.0 - 2.0 ** -53
+    _same(binom_pmf(k, n, p), scipy_binom.pmf(k, n, p))
     _same(binom_sf(k, n, p), scipy_binom.sf(k, n, p))
     _same(binom_ppf(q, n, p), scipy_binom.ppf(q, n, p))
     # scalars, 0-d arrays and broadcasting, as the solvers and sampler call them
@@ -252,12 +256,37 @@ def test_binomial_kernel_matches_scipy_bit_for_bit():
                  (np.array(4.5), 9, 0.5), (2.0, 0, 0.3), (np.arange(-2, 13), 10, 0.7),
                  (np.arange(-2, 13)[:, None], 10, p[:7]),
                  (np.arange(5, dtype=np.int64), 4, np.float64(1e-12))):
+        _same(binom_pmf(*args), scipy_binom.pmf(*args))
         _same(binom_sf(*args), scipy_binom.sf(*args))
     q_edges = np.array([0.0, 2.0 ** -1074, 0.5, 1.0 - 2.0 ** -53, 1.0])
     for args in ((0.0, 10, 0.4), (1.0, 10, 0.4), (1.0 - 2.0 ** -53, 10, 0.4),
                  (np.array(0.5), 7, 0.5), (0.3, 0, 0.5), (q_edges, 25.0, 0.0),
                  (q_edges[:, None], n[:4], np.array([0.0, 0.2, 0.9, 1.0]))):
         _same(binom_ppf(*args), scipy_binom.ppf(*args))
+
+
+def _reaches_binomial_ufuncs(tree: ast.AST) -> bool:
+    """Whether a module imports scipy's boost binomial ufuncs or gammaln, or
+    reaches either through an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            hit = (node.module == "scipy.special._ufuncs"
+                   or any(a.name == "gammaln" for a in node.names))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.startswith("scipy.special._ufuncs") for a in node.names)
+        else:
+            hit = isinstance(node, ast.Attribute) and node.attr in ("_ufuncs", "gammaln")
+        if hit:
+            return True
+    return False
+
+
+def test_sum_law_is_the_only_binomial_kernel():
+    # a second binomial pmf (a log-gamma table, a raw ufunc call) drifts from
+    # the one that binom_pmf, binom_sf and binom_ppf pin to scipy
+    src = sorted((Path(__file__).resolve().parents[1] / "src" / "rbl").glob("*.py"))
+    users = [p.name for p in src if _reaches_binomial_ufuncs(ast.parse(p.read_text()))]
+    assert users == ["sum_law.py"]
 
 
 def test_binom_inverse_is_the_exact_smallest_quantile():
