@@ -107,15 +107,8 @@ class ParetoDist:
         return self.a * self.scale / (self.a - 1.0)
 
     def mad_about(self, center: float) -> float:
-        # Closed form at the distribution mean; elsewhere split the integral.
-        mu = self.mean()
-        if center == mu:
-            return 2.0 * self.scale**self.a * mu ** (1.0 - self.a) / (self.a - 1.0)
-        return self._abs_moment(center)
-
-    def _abs_moment(self, c: float) -> float:
         # E|X - c| for classical Pareto via the survival function.
-        a, xm = self.a, self.scale
+        a, xm, c = self.a, self.scale, center
         mu = self.mean()
         if c <= xm:
             return mu - c

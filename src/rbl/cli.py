@@ -5,7 +5,9 @@ verify. Options resolve as defaults < config file < environment < flags, where
 the config file (--config, else RBL_CONFIG) is flat "key = value" lines and
 environment overrides are the flag name uppercased with an RBL_ prefix
 (--alpha-grid -> RBL_ALPHA_GRID); a subcommand reads only the options it
-declares. Outputs are CSV or JSON with every float printed at full
+declares, and every given value is parsed and checked before any work.
+--seed and --threads belong to concentration, the one Monte Carlo
+subcommand. Outputs are CSV or JSON with every float printed at full
 round-trip precision, so identical configuration and seed give
 byte-identical files. Exit codes: 0 success, 2 rejected input
 (any RobustBundlingError, printed as one "error:" line on stderr, parser errors
@@ -18,13 +20,12 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache, partial
+from typing import Any, Optional, Sequence
 
 from .acceptance import run_all
 from .ambiguity import (
     MeanMadSpec,
-    MemberDist,
     make_pareto_member,
     make_three_point,
     make_two_point,
@@ -61,33 +62,21 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(args: argparse.Namespace, options: Sequence[tuple]) -> dict:
     """Merge option sources at defaults < file < environment < flags, for
-    the options the parsed subcommand declares.
-
-    --seed, --threads, --format and --out are checked here, before any
-    work, so every subcommand that accepts them rejects a bad value, used or
-    not. The config file itself comes from --config, else RBL_CONFIG."""
-    path = args.config
-    if path is None:
-        path = os.environ.get("RBL_CONFIG")
+    the options the parsed subcommand declares, and parse each given value
+    once, before any work. An option given nowhere reads None. The config
+    file itself comes from --config, else RBL_CONFIG."""
+    path = args.config if args.config is not None else os.environ.get("RBL_CONFIG")
     file_cfg = _read_config_file(path) if path else {}
-    merged: dict[str, object] = {}
-    for name, val in vars(args).items():
-        if name == "command":
-            continue
-        if val is None:
-            env = os.environ.get("RBL_" + name.upper())
-            val = env if env is not None else file_cfg.get(name)
-        merged[name] = val
-    for name, lo in (("seed", 0), ("threads", 1)):
-        if merged.get(name) is not None:
-            merged[name] = _as_int(name, merged[name], lo)
-    if merged.get("format") is not None:
-        _as_format(merged["format"])
-    if merged.get("out") is not None:
-        _check_out(str(merged["out"]))
-    return merged
+    cfg: dict[str, Any] = {}
+    for name, _, parse in options:
+        key = name.replace("-", "_")
+        raw = getattr(args, key)
+        if raw is None:
+            raw = os.environ.get("RBL_" + key.upper(), file_cfg.get(key))
+        cfg[key] = None if raw is None else parse(key, raw)
+    return cfg
 
 
 def _check_out(out: str) -> None:
@@ -111,38 +100,47 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _need(cfg: dict, name: str) -> object:
-    if cfg.get(name) is None:
+def _need(cfg: dict, name: str) -> Any:
+    if cfg[name] is None:
         raise RobustBundlingError(f"missing required option {_flag(name)}")
     return cfg[name]
 
 
 def _spec(cfg: dict) -> MeanMadSpec:
-    return MeanMadSpec(mu=_as_float("mu", _need(cfg, "mu")),
-                       d=_as_float("d", _need(cfg, "d")))
+    return MeanMadSpec(mu=_need(cfg, "mu"), d=_need(cfg, "d"))
 
 
-def _as_float(name: str, raw: object) -> float:
+# Option parsers: parse(name, raw) turns one flag, environment or config
+# file text into the value a handler reads, or raises RobustBundlingError.
+
+def _as_out(name: str, raw: str) -> str:
+    _check_out(raw)
+    return raw
+
+
+def _as_float(name: str, raw: str) -> float:
     try:
-        return float(raw)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+        return float(raw)
+    except ValueError:
         raise RobustBundlingError(f"{_flag(name)}: not a number: {raw!r}")
 
 
-def _as_int(name: str, raw: object, lo: Optional[int] = None) -> int:
+def _as_floats(name: str, raw: str) -> list[float]:
+    return [_as_float(name, a) for a in raw.split(",") if a.strip()]
+
+
+def _as_int(name: str, raw: str, lo: Optional[int] = None) -> int:
     try:
-        n = int(str(raw), 10)
-    except (TypeError, ValueError):
+        n = int(raw, 10)
+    except ValueError:
         raise RobustBundlingError(f"{_flag(name)}: not an integer: {raw!r}")
     if lo is not None and n < lo:
         raise RobustBundlingError(f"{_flag(name)}: must be >= {lo}, got {n}")
     return n
 
 
-def _as_bool(name: str, raw: object) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
+def _as_bool(name: str, raw: str) -> bool:
+    text = raw.strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
@@ -150,32 +148,36 @@ def _as_bool(name: str, raw: object) -> bool:
     raise RobustBundlingError(f"{_flag(name)}: not a boolean: {raw!r}")
 
 
-def _as_m_list(raw: object) -> tuple[int, ...]:
-    parts = [p for p in str(raw).split(",") if p.strip()]
+def _as_m_list(name: str, raw: str) -> tuple[int, ...]:
+    parts = [p for p in raw.split(",") if p.strip()]
     if not parts:
         raise RobustBundlingError("--m: need a nonempty comma-separated list")
-    ms = tuple(_as_int("m", p.strip(), 1) for p in parts)
+    ms = tuple(_as_int(name, p.strip(), 1) for p in parts)
     if any(a >= b for a, b in zip(ms, ms[1:])):
         raise RobustBundlingError(f"--m: list must be strictly ascending, got {ms}")
     return ms
 
 
-def _as_auto_float(name: str, raw: object) -> object:
-    if raw is None:
-        return "auto"
-    if str(raw).strip().lower() == "auto":
-        return "auto"
-    return _as_float(name, raw)
+def _as_auto_float(name: str, raw: str) -> Optional[float]:
+    # None stands for 'auto', the m^(-1/4) schedule
+    return None if raw.strip().lower() == "auto" else _as_float(name, raw)
 
 
-def _as_format(raw: object) -> str:
-    text = str(raw).strip().lower() if raw is not None else "csv"
+def _as_format(name: str, raw: str) -> str:
+    text = raw.strip().lower()
     if text not in ("csv", "json"):
         raise RobustBundlingError(f"--format: must be csv or json, got {raw!r}")
     return text
 
 
-def _parse_member(text: str, spec: MeanMadSpec) -> MemberDist:
+def _as_members(name: str, raw: str | list[str]) -> list[tuple]:
+    """--member specs, repeated flags or one ';'-separated text, each as
+    (constructor, arguments after the spec)."""
+    texts = [t for t in raw.split(";") if t.strip()] if isinstance(raw, str) else raw
+    return [_parse_member(t) for t in texts]
+
+
+def _parse_member(text: str) -> tuple:
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     params: dict[str, str] = {}
@@ -193,9 +195,9 @@ def _parse_member(text: str, spec: MeanMadSpec) -> MemberDist:
         return params[key]
 
     if kind == "two_point":
-        return make_two_point(spec, _as_float("member alpha", grab("alpha")))
+        return make_two_point, (_as_float("member alpha", grab("alpha")),)
     if kind == "pareto":
-        return make_pareto_member(spec, _as_float("member a", grab("a")))
+        return make_pareto_member, (_as_float("member a", grab("a")),)
     if kind == "three_point":
         points = tuple(_as_float("member points", v)
                        for v in grab("points").split("+"))
@@ -204,7 +206,7 @@ def _parse_member(text: str, spec: MeanMadSpec) -> MemberDist:
         if len(points) != 3 or len(probs) != 3:
             raise RobustBundlingError(
                 f"--member {text!r}: need three +-separated points and probs")
-        return make_three_point(spec, points, probs)  # type: ignore[arg-type]
+        return make_three_point, (points, probs)
     raise RobustBundlingError(
         f"--member {text!r}: unknown kind {kind!r} "
         f"(expected two_point, three_point, or pareto)")
@@ -241,29 +243,26 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 def _emit_rows(cfg: dict, rows: list[dict]) -> None:
     """Study rows sharing one key order: CSV (the default) in that order, or
     a JSON list."""
-    if _as_format(cfg.get("format")) == "json":
-        _emit(_dump_json(rows), cfg.get("out"))  # type: ignore[arg-type]
+    if cfg["format"] == "json":
+        _emit(_dump_json(rows), cfg["out"])
     else:
-        _emit(_csv(list(rows[0]), [list(r.values()) for r in rows]),
-              cfg.get("out"))  # type: ignore[arg-type]
+        _emit(_csv(list(rows[0]), [list(r.values()) for r in rows]), cfg["out"])
 
 
 def _emit_payload(cfg: dict, payload: dict, header: Sequence[str],
                   rows: Sequence[Sequence[object]]) -> None:
     """One result: the payload as JSON (the default) or the CSV table."""
-    fmt = _as_format(cfg.get("format") or "json")
-    _emit(_dump_json(payload) if fmt == "json" else _csv(header, rows),
-          cfg.get("out"))  # type: ignore[arg-type]
+    _emit(_csv(header, rows) if cfg["format"] == "csv" else _dump_json(payload),
+          cfg["out"])
 
 
 def _grid_kw(cfg: dict, name: str) -> dict:
     """{name: n} for a given grid option, {} to keep the solver's default."""
-    raw = cfg.get(name)
-    return {} if raw is None else {name: _as_int(name, raw, 2)}
+    return {} if cfg[name] is None else {name: cfg[name]}
 
 
 def _cmd_saddle(cfg: dict, objective: str) -> int:
-    ms = _as_m_list(_need(cfg, "m"))
+    ms = _need(cfg, "m")
     alpha_kw = _grid_kw(cfg, "alpha_grid")
     price_kw = _grid_kw(cfg, "price_grid")
     spec = _spec(cfg)
@@ -285,12 +284,12 @@ def _cmd_saddle(cfg: dict, objective: str) -> int:
     return 0
 
 
-def _scheduled(name: str, raw: object, m: int, hi: float) -> float:
-    """An --eps or --gamma value: the number given, or 'auto', the m^(-1/4)
-    schedule at m, which must fall below hi (numbers are range-checked by
-    the bound chains)."""
-    if raw != "auto":
-        return float(raw)  # type: ignore[arg-type]
+def _scheduled(name: str, val: Optional[float], m: int, hi: float) -> float:
+    """An --eps or --gamma value: the number given, or with None ('auto')
+    the m^(-1/4) schedule at m, which must fall below hi (numbers are
+    range-checked by the bound chains)."""
+    if val is not None:
+        return val
     val = schedule_eps_gamma(m)
     if not val < hi:
         raise RobustBundlingError(
@@ -300,16 +299,14 @@ def _scheduled(name: str, raw: object, m: int, hi: float) -> float:
 
 
 def _cmd_ratio_regret(cfg: dict, objective: str) -> int:
-    ms = _as_m_list(_need(cfg, "m"))
-    raw_eps = _as_auto_float("eps", cfg.get("eps"))
-    raw_gamma = _as_auto_float("gamma", cfg.get("gamma"))
+    ms = _need(cfg, "m")
     grid_kw = _grid_kw(cfg, "grid")
     spec = _spec(cfg)
     rows = []
     for m in ms:
-        eps = _scheduled("eps", raw_eps, m, 1.0 - spec.alpha_min)
+        eps = _scheduled("eps", cfg["eps"], m, 1.0 - spec.alpha_min)
         # ratio reports gamma but does not use it
-        gamma = _scheduled("gamma", raw_gamma, m,
+        gamma = _scheduled("gamma", cfg["gamma"], m,
                            1.0 if objective == "regret" else float("inf"))
         # the chain rejects an out-of-range eps or gamma, so it runs first
         if objective == "ratio":
@@ -329,23 +326,16 @@ def _cmd_ratio_regret(cfg: dict, objective: str) -> int:
 
 def _cmd_concentration(cfg: dict) -> int:
     spec = _spec(cfg)
-    m = _as_int("m", _need(cfg, "m"), 1)
-    eps = _as_float("eps", _need(cfg, "eps"))
-    n = _as_int("n", _need(cfg, "n"))
+    m, eps, n = _need(cfg, "m"), _need(cfg, "eps"), _need(cfg, "n")
     if cfg["seed"] is None:
         raise RobustBundlingError("--seed is required for Monte Carlo runs")
-    raw_members = cfg.get("member")
-    if raw_members is None:
+    if not cfg["member"]:
         raise RobustBundlingError("need at least one --member")
-    if isinstance(raw_members, str):
-        member_texts = [t for t in raw_members.split(";") if t.strip()]
-    else:
-        member_texts = list(raw_members)
-    members = [_parse_member(t, spec) for t in member_texts]
+    members = [make(spec, *params) for make, params in cfg["member"]]
     report = concentration_check_mc(members, m, eps, n, cfg["seed"],
                                     workers=cfg["threads"] or 1)
     payload = report.to_dict()
-    if _as_bool("optimize_t", cfg.get("optimize_t") or False):
+    if cfg["optimize_t"]:
         cert = concentration_constant(spec, eps, optimize_t=True).with_m(m)
         payload["optimized_t"] = cert.t
         payload["optimized_f"] = cert.f
@@ -364,14 +354,12 @@ def _cmd_xi(cfg: dict) -> int:
 
 def _cmd_opt_oracle(cfg: dict) -> int:
     spec = _spec(cfg)
-    m = _as_int("m", _need(cfg, "m"), 1)
-    alphas = [_as_float("alpha", a)
-              for a in str(_need(cfg, "alpha")).split(",") if a.strip()]
+    m = _need(cfg, "m")
+    alphas = _need(cfg, "alpha")
     if len(alphas) not in (1, m):
         raise RobustBundlingError(f"--alpha: need 1 or {m} comma-separated values")
     dists = [make_two_point(spec, a) for a in alphas]
-    symmetric = _as_bool("symmetric", cfg.get("symmetric") or False)
-    res = opt_deterministic(dists, m, symmetric=symmetric)
+    res = opt_deterministic(dists, m, symmetric=bool(cfg["symmetric"]))
     payload = {
         "revenue": res.revenue,
         "menu": res.witness.to_json_obj(),
@@ -386,76 +374,80 @@ def _cmd_opt_oracle(cfg: dict) -> int:
 
 def _cmd_verify(cfg: dict) -> int:
     results = run_all()
-    out = cfg.get("out")
-    if out is not None:
+    if cfg["out"] is not None:
         payload = [
             {"number": r.number, "name": r.name, "passed": r.passed,
              "detail": r.detail}
             for r in results
         ]
-        _emit(_dump_json(payload), out)  # type: ignore[arg-type]
+        _emit(_dump_json(payload), cfg["out"])
     return 0 if all(r.passed for r in results) else 3
 
 
+_CONFIG = ("config", "flat key = value config file", lambda name, raw: raw)
+_AT_LEAST_1, _AT_LEAST_2 = partial(_as_int, lo=1), partial(_as_int, lo=2)
 _COMMON = (
-    ("mu", "mean of each item value"),
-    ("d", "mean absolute deviation of each item value"),
-    ("config", "flat key = value config file"),
-    ("format", "csv or json"),
-    ("out", "output path (default: stdout)"),
-    ("seed", "RNG seed (required for Monte Carlo)"),
-    ("threads", "worker threads for Monte Carlo"),
+    ("mu", "mean of each item value", _as_float),
+    ("d", "mean absolute deviation of each item value", _as_float),
+    _CONFIG,
+    ("format", "csv or json", _as_format),
+    ("out", "output path (default: stdout)", _as_out),
 )
-_M_LIST = ("m", "comma-separated ascending item counts")
+_M_LIST = ("m", "comma-separated ascending item counts", _as_m_list)
 _STUDY = _COMMON + (
     _M_LIST,
-    ("eps", "tail slack, number or 'auto' (m^-1/4)"),
-    ("gamma", "share slack, number or 'auto' (m^-1/4)"),
-    ("grid", "empirical grid points"),
+    ("eps", "tail slack, number or 'auto' (m^-1/4)", _as_auto_float),
+    ("gamma", "share slack, number or 'auto' (m^-1/4)", _as_auto_float),
+    ("grid", "empirical grid points", _AT_LEAST_2),
 )
 _SWITCH = {"action": "store_const", "const": "true"}
 # add_argument keywords beyond help, for the options that are not one value
 _ACTIONS = {"member": {"action": "append"}, "optimize-t": _SWITCH,
             "symmetric": _SWITCH}
 
-# subcommand -> (help, handler, options). An option is (name, help): its
-# flag is --name, its environment variable RBL_NAME and its config key name,
-# with - read as _. A help of SUPPRESS hides an option that is still parsed
-# and validated.
+# subcommand -> (help, handler, options). An option is (name, help, parse):
+# its flag is --name, its environment variable RBL_NAME and its config key
+# name, with - read as _, and _resolve applies parse(name, raw) to any value
+# given, so every value is checked before the handler starts. A help of
+# SUPPRESS hides an option that is still parsed and validated.
 _COMMANDS = {
     # each game order uses one grid; the other is accepted, so one argv can
     # drive both orders, and is validated, hidden and inert
     "maximin": ("price-first bundle game study",
                 lambda cfg: _cmd_saddle(cfg, "maximin"),
-                _COMMON + (_M_LIST, ("alpha-grid", argparse.SUPPRESS),
-                           ("price-grid", "price grid points"))),
+                _COMMON + (_M_LIST,
+                           ("alpha-grid", argparse.SUPPRESS, _AT_LEAST_2),
+                           ("price-grid", "price grid points", _AT_LEAST_2))),
     "minimax": ("nature-first bundle game study",
                 lambda cfg: _cmd_saddle(cfg, "minimax"),
-                _COMMON + (_M_LIST, ("alpha-grid", "adversary grid points"),
-                           ("price-grid", argparse.SUPPRESS))),
+                _COMMON + (_M_LIST,
+                           ("alpha-grid", "adversary grid points", _AT_LEAST_2),
+                           ("price-grid", argparse.SUPPRESS, _AT_LEAST_2))),
     "ratio": ("share-of-first-best study",
               lambda cfg: _cmd_ratio_regret(cfg, "ratio"), _STUDY),
     "regret": ("per-item shortfall study",
                lambda cfg: _cmd_ratio_regret(cfg, "regret"), _STUDY),
     "concentration": ("Monte Carlo tail-bound check", _cmd_concentration, (
         *_COMMON,
-        ("m", "number of items"),
-        ("eps", "tail slack in (0, 1 - d/(2 mu))"),
-        ("n", "Monte Carlo sample count (>= 10^4)"),
+        ("m", "number of items", _AT_LEAST_1),
+        ("eps", "tail slack in (0, 1 - d/(2 mu))", _as_float),
+        ("n", "Monte Carlo sample count (>= 10^4)", _as_int),
+        ("seed", "RNG seed (required)", partial(_as_int, lo=0)),
+        ("threads", "Monte Carlo worker threads", _AT_LEAST_1),
         ("member", "member spec, e.g. two_point:alpha=0.5, pareto:a=2, "
                    "three_point:points=0+1+2,probs=0.25+0.5+0.25; "
-                   "repeat for a cycled mix"),
-        ("optimize-t", "also report the f-minimizing cut"))),
+                   "repeat for a cycled mix", _as_members),
+        ("optimize-t", "also report the f-minimizing cut", _as_bool))),
     "xi": ("dispersed-regime gap constants", _cmd_xi, _COMMON),
     "opt-oracle": ("small-m exact menu oracle", _cmd_opt_oracle, (
         *_COMMON,
-        ("m", "number of items (<= 3 full, <= 4 symmetric)"),
-        ("alpha", "low-point mass, one value or m comma-separated"),
-        ("symmetric", "restrict prices to depend on bundle size only"))),
+        ("m", "number of items (<= 3 full, <= 4 symmetric)", _AT_LEAST_1),
+        ("alpha", "low-point mass, one value or m comma-separated",
+         _as_floats),
+        ("symmetric", "restrict prices to depend on bundle size only",
+         _as_bool))),
     "verify": ("run every acceptance check", _cmd_verify, (
-        ("config", "flat key = value config file"),
-        ("out", "also write results as JSON here"),
-        ("format", argparse.SUPPRESS))),
+        _CONFIG, ("out", "also write results as JSON here", _as_out))),
 }
 
 
@@ -476,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (text, _, options) in _COMMANDS.items():
         sub = subs.add_parser(command, help=text)
-        for name, helptext in options:
+        for name, helptext, _ in options:
             sub.add_argument("--" + name, help=helptext,
                              **_ACTIONS.get(name, {}))
     return parser
@@ -485,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command][1](_resolve(args))
+        _, handler, options = _COMMANDS[args.command]
+        return handler(_resolve(args, options))
     except RobustBundlingError as exc:
         # an argument echoed into the message may hold a line break
         one_line = str(exc).replace("\r", "\\r").replace("\n", "\\n")

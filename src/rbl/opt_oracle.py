@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .ambiguity import TwoPointDist
 from .errors import RobustBundlingError
+from .sum_law import binom_pmf
 
 # Utility ties, relative to the members' largest mean.
 TIE_TOL = 1e-9
@@ -254,9 +254,7 @@ def _full_problem(members, masks):
 
 
 def _symmetric_problem(d0: TwoPointDist, m: int):
-    u = 1.0 - d0.alpha
-    mass = np.array([comb(m, c) * d0.alpha ** (m - c) * u ** c
-                     for c in range(m + 1)])
+    mass = binom_pmf(np.arange(m + 1.0), m, 1.0 - d0.alpha)
     # best size-s bundle for a profile with c high items takes the highs first
     V = np.array([[min(s, c) * d0.y + max(0, s - c) * d0.x
                    for s in range(1, m + 1)] for c in range(m + 1)])

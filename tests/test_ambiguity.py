@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -110,6 +112,29 @@ def test_pareto_shape_window(a):
     spec = MeanMadSpec(1.0, pareto_induced_mad(1.0, 1.8))
     with pytest.raises(RobustBundlingError, match=r"outside \(1, 2\]"):
         make_pareto_member(spec, a)
+
+
+def _pareto_members(count):
+    # mean() rounds mu*(a-1)/a back up by a/(a-1), an ulp off mu for some
+    rng = random.Random(5)
+    for _ in range(count):
+        mu, a = 10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(1.05, 2.0)
+        yield make_pareto_member(MeanMadSpec(mu, pareto_induced_mad(mu, a)), a)
+
+
+def test_pareto_mad_matches_mpmath():
+    members = list(_pareto_members(60))
+    assert sum(dist.mean() != dist.spec.mu for dist in members) >= 5
+    with mpmath.workdps(40):
+        for dist in members:
+            a, xm = mpmath.mpf(dist.a), mpmath.mpf(dist.scale)
+            for center in (dist.spec.mu, 3.0 * dist.spec.mu):
+                c = mpmath.mpf(center)
+                # E|X - c| = int_xm^c F + int_c^inf (1 - F), F = 1 - (xm/x)^a
+                want = (mpmath.quad(lambda x: 1 - (xm / x) ** a, [xm, c])
+                        + xm ** a * c ** (1 - a) / (a - 1))
+                got = dist.mad_about(center)
+                assert abs(got - want) <= 1e-15 * want, (dist, center)
 
 
 def test_pareto_inverse_cdf_moments(half_spec, rng):

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -126,7 +127,7 @@ def test_regret_auto_schedule(capsys):
     ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2", "--m", "50",
      "--n", "10000", "--seed", "1", "--member", "two_point:alpha=0.5",
      "--threads", "-1"),
-    ("xi", "--mu", "1", "--d", "1.5", "--threads", "0"),      # checked, unused
+    ("xi", "--mu", "1", "--d", "1.5", "--threads", "0"),      # not an xi option
     ("opt-oracle", "--mu", "1", "--d", "0.5", "--m", "2", "--alpha", "0.5",
      "--seed", "-1"),
     # spec scales whose arithmetic leaves double range
@@ -176,19 +177,19 @@ def test_validation_failures_exit_2(capsys, monkeypatch, argv):
 # smallest accepted value of each integer option
 _INT_MIN = {"m": 1, "seed": 0, "threads": 1, "n": MC_MIN_SAMPLES,
             "alpha-grid": 2, "price-grid": 2, "grid": 2}
-_STUDY_OPTS = ("m", "seed", "threads", "alpha-grid", "price-grid", "grid")
+_GAME_OPTS = ("m", "alpha-grid", "price-grid")
 # a valid run per command, cheap at m = 1 (ratio and regret reject the
-# m = 1 auto schedule eps = 1 before solving); drawn options override it
+# m = 1 auto schedule eps = 1 before solving), with the integer options that
+# command declares; drawn options override it
 _FUZZ_BASE = {
-    "maximin": (_STUDY_OPTS, ("--m", "1")),
-    "minimax": (_STUDY_OPTS, ("--m", "1")),
-    "ratio": (_STUDY_OPTS, ("--m", "1")),
-    "regret": (_STUDY_OPTS, ("--m", "1")),
+    "maximin": (_GAME_OPTS, ("--m", "1")),
+    "minimax": (_GAME_OPTS, ("--m", "1")),
+    "ratio": (("m", "grid"), ("--m", "1")),
+    "regret": (("m", "grid"), ("--m", "1")),
     "concentration": (("m", "seed", "threads", "n"),
                       ("--m", "1", "--n", "10000", "--seed", "0", "--eps",
                        "0.2", "--member", "two_point:alpha=0.5")),
-    "xi": (("seed", "threads"), ("--d", "1.5")),
-    "opt-oracle": (("m", "seed", "threads"), ("--m", "1", "--alpha", "0.5")),
+    "opt-oracle": (("m",), ("--m", "1", "--alpha", "0.5")),
 }
 # integers <= 1 and digit-free text: no accepted value starts a large solve
 _FUZZ_VALUE = st.one_of(
@@ -456,7 +457,7 @@ _BAD_VALUE = {
     "optimize-t": "maybe", "alpha": "x", "symmetric": "maybe",
 }
 _DECLARED = [(command, name) for command, (_, _, options) in _COMMANDS.items()
-             for name, _ in options]
+             for name, *_ in options]
 
 
 def _walk_argv(command, skip):
@@ -479,17 +480,41 @@ def test_bad_value_map_covers_every_declared_option(capsys, stub_verify):
         assert (code, err) == (0, ""), command
 
 
+# everything a handler may start once its options are parsed
+_WORK = ("maximin_bundling_value", "minimax_bundling_value",
+         "ratio_bound_chain", "regret_bound_chain", "ratio_empirical",
+         "regret_empirical", "xi_gap", "concentration_check_mc",
+         "concentration_constant", "opt_deterministic", "run_all")
+
+
 @pytest.mark.parametrize("command,name", _DECLARED)
 def test_every_declared_option_rejects_a_bad_value(capsys, monkeypatch,
-                                                   tmp_path, stub_verify,
-                                                   command, name):
-    argv = _walk_argv(command, name)
-    bad = _BAD_VALUE[name].format(tmp=tmp_path)
-    monkeypatch.setenv("RBL_" + name.upper().replace("-", "_"), bad)
-    code, out, err = run(capsys, *argv)
-    assert code == 2
+                                                   tmp_path, command, name):
+    # rejected before any work: each work function raises if it is reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"work started before --{name} was checked")
+    for work in _WORK:
+        monkeypatch.setattr(cli, work, unreachable)
+    monkeypatch.setenv("RBL_" + name.upper().replace("-", "_"),
+                       _BAD_VALUE[name].format(tmp=tmp_path))
+    code, out, err = run(capsys, *_walk_argv(command, name))
+    assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_handlers_only_read_parsed_values():
+    # every option is parsed once, in _resolve; a handler that converted or
+    # checked a value itself could reject it after work has started
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = [f"{fn.name} calls {node.func.id}"
+             for fn in tree.body
+             if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and (node.func.id.startswith("_as_")
+                  or node.func.id == "_check_out")]
+    assert found == []
 
 
 def test_output_files_are_byte_identical(capsys, tmp_path):
