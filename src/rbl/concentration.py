@@ -19,7 +19,7 @@ import numpy as np
 from .ambiguity import MeanMadSpec, MemberDist, verify_membership
 from .bundling import guaranteed_sale_price
 from .errors import RobustBundlingError
-from .sum_law import sample_sum
+from .sum_law import count_at_least
 
 # Monte Carlo checks below this sample count are too noisy to be meaningful.
 MC_MIN_SAMPLES = 10_000
@@ -159,7 +159,11 @@ def concentration_check_mc(
 
     Members must share one (mu, d) spec and pass a moment check; fewer than m
     members are cycled across the slots. Passing means the empirical tail is no
-    more than three binomial standard errors below the bound.
+    more than three binomial standard errors below the bound. The count of
+    sums at or above the threshold comes from sum_law.count_at_least: the
+    draws of sample_sum, but a block of samples stops drawing once all its
+    running totals have cleared the threshold, which cannot change the count
+    when every atom and scale is >= 0.
     """
     members = list(members)
     if not members:
@@ -179,8 +183,8 @@ def concentration_check_mc(
     slots = members
     if len(members) not in (1, m):
         slots = [members[i % len(members)] for i in range(m)]
-    sums = sample_sum(slots, m, seed=seed, n=n, workers=workers)
-    emp = float(np.mean(sums >= cert.threshold))
+    emp = count_at_least(slots, m, seed=seed, n=n, threshold=cert.threshold,
+                         workers=workers) / n
     se = float(np.sqrt(emp * (1.0 - emp) / n))
     return McReport(
         empirical=emp,

@@ -8,19 +8,27 @@ computed in log space so it stays sound out to m = 1e6 and alpha within 1e-12 of
 Heterogeneous products are convolved exactly up to a factor cap.
 
 Monte Carlo sums are drawn from one PCG64DXSM stream addressed by advance():
-each uniform takes exactly one 64-bit word, and sample i owns the fixed word
-segment [i*width, (i+1)*width), so serial, chunked, and threaded runs agree bit
-for bit. Slots are grouped by member: the c slots of a discrete member add
-sum_j n_j v_j over its atoms v_j, with the counts drawn as sequential
-conditional binomials,
+each uniform takes exactly one 64-bit word. Samples come in blocks of
+_CHUNK_ROWS = 1024, and block b owns the fixed words
+[b*1024*width, (b+1)*1024*width), column by column: word b*1024*width + j*1024 + r
+holds slot column j of sample 1024*b + r. Serial, chunked, and threaded runs
+and every prefix of n therefore agree bit for bit. Slots are grouped by member:
+the c slots of a discrete member add sum_j n_j v_j over its atoms v_j, with the
+counts drawn as sequential conditional binomials,
 
     n_0 ~ Bin(c, p_0),  n_j ~ Bin(c - n_0 - ... - n_{j-1}, p_j / (p_j + ... + p_last)),
 
 each by the exact inverse CDF of one uniform (binom_ppf, the binomial kernel
 the solvers' tails share), and the last atom taking the rest.
-A Pareto slot takes one uniform of its own. The segment holds (atoms - 1)
-words per discrete group, then one word per Pareto slot in slot order, with no
-padding.
+A Pareto slot takes one uniform of its own. The columns are (atoms - 1) per
+discrete group, then one per Pareto slot in slot order, with no padding.
+The sum has a fixed order: each discrete group's counts times its atoms
+first, then the Pareto columns _CHUNK_COLS = 256 at a time, each chunk mapped
+in place, summed column by column and added to the running totals.
+count_at_least counts sums at or above a threshold on the same draws, but a
+block stops drawing once all its running totals have reached it; when every
+atom and Pareto scale is >= 0 no later term can lower a total, so the count is
+exact.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator
@@ -47,10 +55,10 @@ MASS_TOL = 1e-10
 MAX_FACTORS = 20
 # Support points closer than this are merged during convolution.
 MERGE_TOL = 1e-12
-# Monte Carlo blocks hold at most this many samples, and at most this many
-# 64-bit words (2 MB) unless one sample is wider, so a block stays in cache.
+# A Monte Carlo block holds _CHUNK_ROWS samples and draws at most _CHUNK_COLS
+# slot columns (2 MB of 64-bit words) at a time, so a chunk stays in cache.
 _CHUNK_ROWS = 1024
-_CHUNK_WORDS = 1 << 18
+_CHUNK_COLS = 256
 
 
 @dataclass(frozen=True)
@@ -248,18 +256,25 @@ def _atom_counts(u: np.ndarray, c: int, cond: Sequence[float]) -> np.ndarray:
     return counts
 
 
+# A per-column Pareto parameter: one float for a whole chunk, or a column.
+_Param = Union[float, np.ndarray]
+
+
 @dataclass(frozen=True)
 class _Plan:
-    """How one call lays out and maps its uniforms. Sample i owns words
-    [i*width, (i+1)*width) of the PCG64DXSM stream, one word per uniform:
-    first len(cond) words per discrete group (slot count c, atom values,
-    conditional masses cond), then one word per Pareto slot in slot order."""
+    """How one call lays out and maps its uniforms. A block of _CHUNK_ROWS
+    samples owns width * _CHUNK_ROWS words of the PCG64DXSM stream, column by
+    column: first len(cond) columns per discrete group (slot count c, atom
+    values, conditional masses cond), then one column per Pareto slot in slot
+    order, mapped in chunks of at most _CHUNK_COLS columns (column count,
+    -1/a and scale, each a float when the chunk's slots share it). nonneg
+    says every atom and Pareto scale is >= 0, so a running total never falls
+    and a block may stop once its totals clear a threshold."""
 
     width: int
     discrete: tuple[tuple[int, tuple[float, ...], tuple[float, ...]], ...]
-    cont_start: int
-    neg_inv_a: np.ndarray
-    scale: np.ndarray
+    pareto: tuple[tuple[int, _Param, _Param], ...]
+    nonneg: bool
 
 
 def _conditional_masses(probs: Sequence[float]) -> tuple[float, ...]:
@@ -287,30 +302,82 @@ def _plan(members: Sequence[MemberDist], m: int) -> _Plan:
         else:
             raise RobustBundlingError(f"cannot sample member {dist!r}")
         discrete.append((c, tuple(points), _conditional_masses(probs)))
-    cont_start = sum(len(cond) for _, _, cond in discrete)
-    return _Plan(width=cont_start + len(scale), discrete=tuple(discrete),
-                 cont_start=cont_start, neg_inv_a=np.array(neg_inv_a),
-                 scale=np.array(scale))
+    pareto = tuple(
+        (len(a), _column_param(a), _column_param(sc))
+        for a, sc in ((neg_inv_a[lo:lo + _CHUNK_COLS], scale[lo:lo + _CHUNK_COLS])
+                      for lo in range(0, len(scale), _CHUNK_COLS)))
+    nonneg = (all(v >= 0.0 for _, points, _ in discrete for v in points)
+              and all(v >= 0.0 for v in scale))
+    width = sum(len(cond) for _, _, cond in discrete) + len(scale)
+    return _Plan(width=width, discrete=tuple(discrete), pareto=pareto,
+                 nonneg=nonneg)
 
 
-def _sample_block(plan: _Plan, seed: int, start: int, rows: int,
-                  out: np.ndarray) -> None:
+def _column_param(values: list) -> _Param:
+    # one float broadcasts fastest, and numpy's pow gives a float exponent
+    # the same bits as a column of it
+    return values[0] if len(set(values)) == 1 else np.array(values)[:, None]
+
+
+def _block_totals(plan: _Plan, seed: int, start: int, rows: int,
+                  threshold: Optional[float] = None) -> np.ndarray:
+    """Totals of samples start..start+rows-1 (one block) in the summation
+    order of the module docstring. Given a threshold on a nonneg plan, the
+    block stops once every total has reached it: later terms are >= 0, and
+    adding one never lowers a rounded total."""
     bg = PCG64DXSM(seed)
     bg.advance(start * plan.width)
-    buf = Generator(bg).random((rows, plan.width))
-    # Pareto slots: scale * (1 - u)^(-1/a), in place
-    cont = buf[:, plan.cont_start:plan.cont_start + plan.scale.size]
-    np.subtract(1.0, cont, out=cont)
-    np.power(cont, plan.neg_inv_a, out=cont)
-    np.multiply(cont, plan.scale, out=cont)
-    total = cont.sum(axis=1)
-    col = 0
+    gen = Generator(bg)
+    buf = np.empty((min(_CHUNK_COLS, plan.width), _CHUNK_ROWS))
+    total = np.zeros(rows)
+    stop = threshold is not None and plan.nonneg
+
+    def cleared() -> bool:
+        return stop and bool(np.all(total >= threshold))
+
+    if cleared():
+        return total
     for c, points, cond in plan.discrete:
-        counts = _atom_counts(buf[:, col:col + len(cond)], c, cond)
-        col += len(cond)
+        u = buf[:len(cond)]
+        gen.random(out=u)
+        counts = _atom_counts(u[:, :rows].T, c, cond)
         for j, v in enumerate(points):
             total += counts[:, j] * v
-    out[start:start + rows] = total
+        if cleared():
+            return total
+    for cols, neg_inv_a, scale in plan.pareto:
+        u = buf[:cols]
+        gen.random(out=u)
+        # Pareto slots: scale * (1 - u)^(-1/a), in place
+        cont = u[:, :rows]
+        np.subtract(1.0, cont, out=cont)
+        np.power(cont, neg_inv_a, out=cont)
+        np.multiply(cont, scale, out=cont)
+        total += cont.sum(axis=0)
+        if cleared():
+            break
+    return total
+
+
+def _plan_checked(members: Sequence[MemberDist], m: int, seed: int, n: int) -> _Plan:
+    if len(members) not in (1, m):
+        raise RobustBundlingError(f"got {len(members)} members for m={m} slots")
+    if m < 1 or n < 1:
+        raise RobustBundlingError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise RobustBundlingError(f"need a non-negative integer seed, got {seed!r}")
+    return _plan(members, m)
+
+
+def _map_blocks(fn, n: int, workers: int) -> list:
+    """fn(start, rows) for each block of _CHUNK_ROWS samples, in block order."""
+    starts = range(0, n, _CHUNK_ROWS)
+    if workers > 1 and len(starts) > 1:
+        # one thread per block at most: --threads has no upper limit
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            futures = [pool.submit(fn, s, min(_CHUNK_ROWS, n - s)) for s in starts]
+            return [f.result() for f in futures]
+    return [fn(s, min(_CHUNK_ROWS, n - s)) for s in starts]
 
 
 def sample_sum(
@@ -323,31 +390,34 @@ def sample_sum(
     """Draw n realizations of the sum of m independent item values.
 
     members has length 1 (i.i.d.) or m (one per slot). seed is any
-    non-negative integer. Sample i consumes a fixed, index-addressed segment
-    of the PCG64DXSM stream, one 64-bit word per uniform, so results do not
-    depend on chunk size or worker count. Slots sharing one discrete member are
-    drawn as atom counts; Pareto slots are drawn one by one.
+    non-negative integer. Samples come in blocks of _CHUNK_ROWS; block b
+    reads the fixed words [b*_CHUNK_ROWS*width, (b+1)*_CHUNK_ROWS*width) of
+    the PCG64DXSM stream, one 64-bit word per uniform, laid out column by
+    column, so results do not depend on n, chunking or worker count. Slots
+    sharing one discrete member are drawn as atom counts and added first;
+    Pareto slots are drawn one by one, _CHUNK_COLS columns per chunk, and
+    each chunk's column sum is added to the totals in slot order.
     """
-    if len(members) not in (1, m):
-        raise RobustBundlingError(f"got {len(members)} members for m={m} slots")
-    if m < 1 or n < 1:
-        raise RobustBundlingError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-        raise RobustBundlingError(f"need a non-negative integer seed, got {seed!r}")
-    plan = _plan(members, m)
-    out = np.empty(n)
-    rows = max(1, min(_CHUNK_ROWS, _CHUNK_WORDS // plan.width))
-    starts = list(range(0, n, rows))
-    if workers > 1 and len(starts) > 1:
-        # one thread per block at most: --threads has no upper limit
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            futures = [
-                pool.submit(_sample_block, plan, seed, s, min(rows, n - s), out)
-                for s in starts
-            ]
-            for f in futures:
-                f.result()
-    else:
-        for s in starts:
-            _sample_block(plan, seed, s, min(rows, n - s), out)
-    return out
+    plan = _plan_checked(members, m, seed, n)
+    return np.concatenate(_map_blocks(
+        lambda s, rows: _block_totals(plan, seed, s, rows), n, workers))
+
+
+def count_at_least(
+    members: Sequence[MemberDist],
+    m: int,
+    seed: int,
+    n: int,
+    threshold: float,
+    workers: int = 1,
+) -> int:
+    """How many of sample_sum(members, m, seed, n) are >= threshold.
+
+    The same blocks and the same bits, but a block whose running totals have
+    all reached the threshold draws nothing more when every atom and Pareto
+    scale is >= 0: its remaining terms cannot lower a total. A negative atom
+    turns the stop off, and every sum is drawn in full.
+    """
+    plan = _plan_checked(members, m, seed, n)
+    return sum(int(np.count_nonzero(t >= threshold)) for t in _map_blocks(
+        lambda s, rows: _block_totals(plan, seed, s, rows, threshold), n, workers))

@@ -206,8 +206,12 @@ def test_mc_check_guards(half_spec):
 
 
 def test_mc_check_workers_equal(half_spec):
-    a = concentration_check_mc([make_two_point(half_spec, 0.5)],
-                               m=128, eps=0.2, n=10_000, seed=8, workers=1)
-    b = concentration_check_mc([make_two_point(half_spec, 0.5)],
-                               m=128, eps=0.2, n=10_000, seed=8, workers=3)
-    assert a.empirical == b.empirical
+    two = make_two_point(half_spec, 0.5)
+    three = make_three_point(half_spec, (0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
+    pareto = make_pareto_member(half_spec, 2.0)
+    for members in ([two], [pareto], [two, three, pareto]):
+        a = concentration_check_mc(members, m=128, eps=0.2, n=10_000, seed=8,
+                                   workers=1)
+        b = concentration_check_mc(members, m=128, eps=0.2, n=10_000, seed=8,
+                                   workers=3)
+        assert a.empirical == b.empirical

@@ -14,11 +14,13 @@ from scipy.stats import binom as scipy_binom
 from rbl import sum_law
 from rbl.ambiguity import (
     MeanMadSpec,
+    ThreePointDist,
     make_pareto_member,
     make_three_point,
     make_two_point,
     pareto_induced_mad,
 )
+from rbl.bundling import guaranteed_sale_price
 from rbl.errors import RobustBundlingError
 from rbl.sum_law import (
     _atom_counts,
@@ -27,6 +29,7 @@ from rbl.sum_law import (
     binom_pmf,
     binom_ppf,
     binom_sf,
+    count_at_least,
     iid_two_point_sum,
     product_sum,
     sample_sum,
@@ -338,18 +341,25 @@ def test_zero_mass_atom_never_reaches_a_sum(half_spec):
 
 
 def _per_slot_sample_sum(members, m, seed, n):
-    """Reference sampler: one uniform per slot, mapped by the member's inverse
-    CDF, sample i reading words [i*m, (i+1)*m) of the PCG64DXSM stream."""
+    """Reference sampler for Pareto slots: block b of 1024 samples reads words
+    [b*1024*m, (b+1)*1024*m) of the PCG64DXSM stream, word j*1024 + r holding
+    slot j of sample 1024*b + r; each slot is mapped by its member's inverse
+    CDF, the slots of each 256-column chunk are added one by one, and each
+    chunk sum is added to the running total."""
+    slots = members * m if len(members) == 1 else members
     out = np.empty(n)
-    for start in range(0, n, 1000):
-        rows = min(1000, n - start)
+    for start in range(0, n, 1024):
+        rows = min(1024, n - start)
         bg = PCG64DXSM(seed)
         bg.advance(start * m)
-        u = Generator(bg).random((rows, m))
-        vals = np.empty_like(u)
-        for i, dist in enumerate(members * m if len(members) == 1 else members):
-            vals[:, i] = dist.inverse_cdf(u[:, i])
-        out[start:start + rows] = vals.sum(axis=1)
+        u = Generator(bg).random((m, 1024))[:, :rows]
+        total = np.zeros(rows)
+        for lo in range(0, m, 256):
+            chunk = slots[lo].inverse_cdf(u[lo])
+            for j in range(lo + 1, min(lo + 256, m)):
+                chunk = chunk + slots[j].inverse_cdf(u[j])
+            total += chunk
+        out[start:start + rows] = total
     return out
 
 
@@ -405,11 +415,14 @@ def test_mixed_sums_do_not_depend_on_workers_or_n(half_spec):
 
 
 def test_mixed_sums_frozen(half_spec):
-    # pins the stream layout: any change of word order moves these values
+    # pins the stream layout: any change of word order moves these values.
+    # Checked against a hand decode of the raw words: word j*1024 + r is
+    # column j of sample r, the columns being the two-point count, the two
+    # three-point counts, then the seven Pareto slots.
     slots = _mixed_slots(half_spec, 22)
     assert sample_sum(slots, 22, seed=2026, n=6) == pytest.approx(
-        [22.804498637533257, 23.475362730111545, 20.30738797200996,
-         23.826958702460544, 26.3410199105859, 27.21580249811653], rel=1e-12)
+        [21.335306978944786, 20.64796842274084, 21.33590372566446,
+         26.733970795074324, 28.327265104974263, 17.241057031063946], rel=1e-12)
 
 
 def test_thread_pool_is_capped_at_the_block_count(monkeypatch, half_spec):
@@ -433,11 +446,79 @@ def test_thread_pool_is_capped_at_the_block_count(monkeypatch, half_spec):
             return f
 
     monkeypatch.setattr(sum_law, "ThreadPoolExecutor", RecordingPool)
-    slots = _mixed_slots(half_spec, 30)
-    n = 3 * sum_law._CHUNK_ROWS + 1  # four blocks
-    capped = sample_sum(slots, 30, seed=4, n=n, workers=100_000)
+    # 603 words per sample: blocks hold 1024 samples whatever the width
+    slots = _mixed_slots(half_spec, 1800)
+    n = 3 * 1024 + 1  # four blocks
+    capped = sample_sum(slots, 1800, seed=4, n=n, workers=100_000)
     assert opened == [4]
-    assert np.array_equal(capped, sample_sum(slots, 30, seed=4, n=n, workers=2))
+    assert np.array_equal(capped, sample_sum(slots, 1800, seed=4, n=n, workers=2))
     assert opened == [4, 2]
-    assert np.array_equal(capped, sample_sum(slots, 30, seed=4, n=n, workers=1))
+    assert np.array_equal(capped, sample_sum(slots, 1800, seed=4, n=n, workers=1))
     assert opened == [4, 2]
+
+
+# --- count_at_least: the early stop never changes a count ---------------------
+
+def _count_sets(spec):
+    heavy = MeanMadSpec(1.0, pareto_induced_mad(1.0, 1.5))
+    two = make_two_point(spec, 0.4)
+    three = make_three_point(spec, (0.0, 1.0, 2.0), (0.2, 0.5, 0.3))
+    return {
+        "discrete": ([two, three] * 150, 300),
+        "pareto_a2": ([make_pareto_member(spec, 2.0)], 600),
+        "pareto_a1.5": ([make_pareto_member(heavy, 1.5)], 600),
+        "mixed": (_mixed_slots(spec, 900), 900),
+    }
+
+
+@pytest.mark.parametrize("name", ["discrete", "pareto_a2", "pareto_a1.5", "mixed"])
+def test_count_at_least_equals_the_full_count(half_spec, name):
+    members, m = _count_sets(half_spec)[name]
+    sums = sample_sum(members, m, seed=13, n=3000)
+    lo, mid, hi = np.quantile(sums, [0.001, 0.5, 0.999])
+    # 0.4 lo and the sale threshold stop blocks part way through, the
+    # quantiles at the last chunk or never, t <= 0 before any draw
+    sale = guaranteed_sale_price(members[0].spec, m, 0.2)
+    for t in (0.4 * lo, sale, lo, mid, hi, 0.0, -1.0):
+        for n in (1, 1023, 1025, 3000):
+            want = int(np.count_nonzero(sums[:n] >= t))
+            for workers in (1, 3):
+                assert count_at_least(members, m, 13, n, t, workers) == want
+
+
+def test_count_at_least_never_stops_on_a_negative_atom(half_spec):
+    # the two-point group alone clears t; the negative atoms then pull every
+    # sum back under it, so a stop after the first group would count them all
+    neg = ThreePointDist(half_spec, (-2.0, -1.5, -1.0), (0.25, 0.5, 0.25))
+    slots = [make_two_point(half_spec, 0.4), neg] * 20
+    sums = sample_sum(slots, 40, seed=3, n=2000)
+    t = 5.0
+    assert np.all(sums < t) and not sum_law._plan(slots, 40).nonneg
+    for workers in (1, 3):
+        assert count_at_least(slots, 40, 3, 2000, t, workers) == 0
+    t = float(np.median(sums))
+    assert count_at_least(slots, 40, 3, 2000, t) == np.count_nonzero(sums >= t)
+
+
+def test_count_at_least_stops_drawing_a_cleared_block(monkeypatch, half_spec):
+    drawn = []
+
+    class CountingGenerator:
+        """Generator that records how many words each draw takes."""
+
+        def __init__(self, bg):
+            self._gen = Generator(bg)
+
+        def random(self, out):
+            drawn.append(out.size)
+            return self._gen.random(out=out)
+
+    monkeypatch.setattr(sum_law, "Generator", CountingGenerator)
+    m, n = 2000, 2048
+    t = guaranteed_sale_price(half_spec, m, 0.2)
+    members = [make_pareto_member(half_spec, 2.0)]
+    assert count_at_least(members, m, 5, n, t) == n
+    assert sum(drawn) <= 0.6 * n * m
+    drawn.clear()
+    sample_sum(members, m, 5, n)
+    assert sum(drawn) == n * m
