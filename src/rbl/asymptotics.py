@@ -15,16 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MeanMadSpec, make_two_point
-from .bundling import guaranteed_sale_price
-from .concentration import concentration_constant
+from .concentration import guaranteed_sale_chain
 from .errors import RobustBundlingError
 from .opt_oracle import opt_deterministic
 from .optimize import grid_polish
 from .solvers import _u_grid, maximin_bundling_value
 from .sum_law import iid_two_point_sum, tail_prob
 
-_XI_GRID = 10_000
-_XI_LAMBDA_MAX = 1e6
 _EMP_GRID = 256
 # Exact first-best oracle is affordable this far.
 _ORACLE_CAP = 3
@@ -58,9 +55,16 @@ def xi_gap(spec: MeanMadSpec) -> dict:
 
     Returns {gamma, tau0, xi0, xi1, xi}: gamma and tau0 are the largest values
     satisfying 0.99 (1-gamma) mu >= d/2 and 1 - (d/(2 gamma mu))^2 tau0 >= 0.99
-    with equality; xi0 = d - mu; xi1 is the minimum of
-    second_point_limit - (mu - d/2) over a log grid on [tau0, 1e6], floored by a
-    first-order bound past the grid end; xi = min(xi0, xi1).
+    with equality; xi0 = d - mu; xi1 is the infimum of
+    second_point_limit - (mu - d/2) over lam >= tau0; xi = min(xi0, xi1),
+    which is xi1.
+
+    xi1 has a closed form. With s = 1/lam, A = mu - d/2 > 0 and B = d/2,
+    s^2 e^s dg/ds = q(s) = A s^2 + B s + B - B e^s, where q(0) = q'(0) = 0
+    and q'' = 2A - B e^s falls. So g rises in s and then falls, or only
+    falls (when d >= 4 mu / 3), and its infimum over s in (0, 1/tau0] is
+    the smaller of g(tau0) and the lam -> infinity limit d/2:
+    xi1 = min(g(tau0) - (mu - d/2), d - mu).
 
     Only one valid concrete choice is produced, not a maximal gap. The 0.99
     constant in the construction needs d < 1.98 mu, so the top slice of the
@@ -77,14 +81,8 @@ def xi_gap(spec: MeanMadSpec) -> dict:
     gamma = 1.0 - d / (1.98 * mu)
     tau0 = 0.01 * (2.0 * gamma * mu / d) ** 2
     xi0 = d - mu
-    base = mu - d / 2.0
-    lam = np.geomspace(tau0, _XI_LAMBDA_MAX, _XI_GRID)
-    grid_min = float(np.min(_g(spec, lam) - base))
-    # past the grid the gap climbs back toward xi0 = d - mu
-    tail_floor = (d - mu) - d / (4.0 * _XI_LAMBDA_MAX)
-    xi1 = min(grid_min, tail_floor)
-    return {"gamma": gamma, "tau0": tau0, "xi0": xi0, "xi1": xi1,
-            "xi": min(xi0, xi1)}
+    xi1 = min(float(_g(spec, tau0) - (mu - d / 2.0)), xi0)
+    return {"gamma": gamma, "tau0": tau0, "xi0": xi0, "xi1": xi1, "xi": xi1}
 
 
 def variance_boundary_member(spec: MeanMadSpec) -> float:
@@ -93,6 +91,13 @@ def variance_boundary_member(spec: MeanMadSpec) -> float:
     a = spec.alpha_min
     dev = spec.d * spec.mu / (2.0 * spec.mu - spec.d)
     return a * spec.mu ** 2 + (1.0 - a) * dev ** 2
+
+
+def _chebyshev_bracket(spec: MeanMadSpec, m: int, gamma: float,
+                       g: float) -> float:
+    """1 - g / ((gamma mu)^2 m): Chebyshev's floor on the chance that a sum
+    with per-item variance at most g stays within gamma m mu of its mean."""
+    return 1.0 - g / ((gamma * spec.mu) ** 2 * m)
 
 
 def ratio_bound_chain(spec: MeanMadSpec, m: int, eps: float) -> dict:
@@ -106,16 +111,15 @@ def ratio_bound_chain(spec: MeanMadSpec, m: int, eps: float) -> dict:
     the form gamma = A - c/(3A), A^3 = c (1 + sqrt(1 + c/27)), cancels
     nothing. upper is +inf when c >= 1: 1 - c/gamma^2 <= 0 on all of (0, 1).
     """
-    cert = concentration_constant(spec, eps)
-    lower = guaranteed_sale_price(spec, m, eps) * (1.0 - cert.f / m) / (m * spec.mu)
+    lower = guaranteed_sale_chain(spec, m, eps) / spec.mu
     g = variance_boundary_member(spec)
     c = g / (spec.mu ** 2 * m)
     upper = float("inf")
     if c < 1.0:
         a = float(np.cbrt(c * (1.0 + np.sqrt(1.0 + c / 27.0))))
         gam = a - c / (3.0 * a)
-        bracket = 1.0 - g / ((gam * spec.mu) ** 2 * m)
-        upper = (2.0 * spec.mu - spec.d) / (2.0 * spec.mu) / ((1.0 - gam) * bracket)
+        upper = (2.0 * spec.mu - spec.d) / (2.0 * spec.mu) \
+            / ((1.0 - gam) * _chebyshev_bracket(spec, m, gam, g))
     return {"lower": float(lower), "upper": upper, "g": g}
 
 
@@ -129,11 +133,10 @@ def regret_bound_chain(spec: MeanMadSpec, m: int, eps: float,
     """
     if not (0.0 < gamma < 1.0):
         raise RobustBundlingError(f"need 0 < gamma < 1, got {gamma!r}")
-    cert = concentration_constant(spec, eps)
-    upper = spec.mu - guaranteed_sale_price(spec, m, eps) / m * (1.0 - cert.f / m)
+    upper = spec.mu - guaranteed_sale_chain(spec, m, eps)
     g = variance_boundary_member(spec)
     corrected = (1.0 - gamma) * spec.mu \
-        * (1.0 - g / ((gamma * spec.mu) ** 2 * m)) - (spec.mu - spec.d / 2.0)
+        * _chebyshev_bracket(spec, m, gamma, g) - (spec.mu - spec.d / 2.0)
     cap = max(spec.mu - spec.d / 2.0, spec.d / 2.0)
     return {"upper": float(upper), "lower": float(min(corrected, cap))}
 

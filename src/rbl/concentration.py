@@ -70,13 +70,18 @@ def tail_truncation_sup(spec: MeanMadSpec, t: float) -> float:
 
 def failure_coefficient(spec: MeanMadSpec, eps):
     """f = t^2 / (4 (eps ((1-eps) mu - d/2))^2) at the lowest cut
-    t = mu + d/(2 eps), for one in-range eps or an array of them.
+    t = mu + d/(2 eps), for one eps in (0, 1 - d/(2 mu)) or an array of them.
 
-    The squares go through float_power, the C pow that Python's ** calls, so
-    an array gives each eps the bits a scalar would get. A spec scale near
-    either end of the double range overflows t^2 or flushes the denominator
-    to zero; f is then not finite and RobustBundlingError is raised.
+    eps's range is checked first, so eps = 0 is a RobustBundlingError rather
+    than a division by zero. The squares go through float_power, the C pow
+    that Python's ** calls, so an array gives each eps the bits a scalar would
+    get. A spec scale near either end of the double range overflows t^2 or
+    flushes the denominator to zero; f is then not finite and
+    RobustBundlingError is raised.
     """
+    hi = 1.0 - spec.alpha_min
+    if not np.all((0.0 < eps) & (eps < hi)):
+        raise RobustBundlingError(f"need 0 < eps < {hi!r}, got {eps!r}")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = spec.mu + spec.d / (2.0 * eps)
         f = np.float_power(t, 2) / (4.0 * np.float_power(
@@ -87,6 +92,15 @@ def failure_coefficient(spec: MeanMadSpec, eps):
             f"d={spec.d!r}: mu and d are too large or too small, or d is too "
             f"close to 2*mu")
     return f
+
+
+def guaranteed_sale_chain(spec: MeanMadSpec, m: int, eps):
+    """Per-item revenue the guaranteed-sale price earns at least on every
+    member, p*(eps)/m * (1 - f(mu,d,eps)/m), at one eps or an array of them.
+    f goes first: it checks eps's range and rejects a spec scale out of double
+    range before the price is formed."""
+    f = failure_coefficient(spec, eps)
+    return guaranteed_sale_price(spec, m, eps) / m * (1.0 - f / m)
 
 
 def _f_at(spec: MeanMadSpec, eps: float, t: float) -> float:
@@ -116,11 +130,8 @@ def concentration_constant(
     max(t*, mu + d/(2 eps)). t* is formed in units of mu, so no product of
     two scales can overflow.
     """
-    hi = 1.0 - spec.alpha_min
-    if not (0.0 < eps < hi):
-        raise RobustBundlingError(f"need 0 < eps < {hi!r}, got {eps!r}")
+    f = float(failure_coefficient(spec, eps))  # checks eps and the scale
     t_min = spec.mu + spec.d / (2.0 * eps)
-    f = float(failure_coefficient(spec, eps))  # also checks the spec's scale
     if not optimize_t:
         return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps, t=t_min, f=f)
     b = spec.alpha_min

@@ -8,29 +8,33 @@ at p is an infimum, attained at the floor u = U_FLOOR or approached as u
 decreases to some u_k; the reported alpha is then that limit point, not an
 attained minimizer. Nature first (minimax): a grid geometric in 1 - alpha
 down to 1e-12, because the damaging adversaries sit next to alpha = 1, then
-golden-section polish. Each grid point gets a cheap revenue floor from a few
-feasible prices, and the seller's best responses are solved exactly from the
-lowest floor up, stopping once every floor left clears the minimum found; the
-grid minimum and its argmin are unchanged. The exact best responses are one
-batched call: rows run in 2-D chunks, each over its own 40-sigma window of k
-with binomial masses from sum_law.binom_pmf, and take the same float steps a
-one-point call takes. Tails go through the binomial survival function
-(sum_law.binom_sf, the kernel the Monte Carlo sampler's counts share) rather
-than the explicit m+1 point law, so m = 1e4 stays quick. Every report carries a
-certificate pair: an analytic lower chain, its eps grid one array expression,
-and an upper bound that the computed value can be checked against.
+golden-section polish. Both grids are searched by one pruning loop,
+_pruned_min: each row gets a cheap bound on its value (for a price, the
+guarantee at u = U_FLOOR caps the infimum; for a nature row, a revenue floor
+from a few feasible prices), rows are solved exactly from the most promising
+bound on, and the search stops once every bound left clears the best value
+found by the relative margin _PRUNE_MARGIN. Maximin runs it negated, which is
+exact; the grid optimum and its argument are those of the full grid. The
+exact best responses are one batched call: rows run in 2-D chunks, each over
+its own 40-sigma window of k with binomial masses from sum_law.binom_pmf, and
+take the same float steps a one-point call takes. Tails go through the
+binomial survival function (sum_law.binom_sf, the kernel the Monte Carlo
+sampler's counts share) rather than the explicit m+1 point law, so m = 1e4
+stays quick. Every report carries a certificate pair: an analytic lower
+chain, its eps grid one array expression, and an upper bound that the
+computed value can be checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import rel_entr
 
 from .ambiguity import MeanMadSpec
-from .bundling import guaranteed_sale_price
-from .concentration import failure_coefficient
+from .concentration import guaranteed_sale_chain
 from .errors import RobustBundlingError
 from .optimize import grid_polish
 from .sum_law import binom_pmf, binom_sf
@@ -43,8 +47,8 @@ U_FLOOR = 1e-12
 BRACKET_TOL = 1e-10
 # Half-width of the best-response scan over k, in binomial sigmas.
 _WINDOW_SIGMAS = 40.0
-# A breakpoint or nature grid row is skipped only if its bound clears the
-# best value by this much, relatively for a row: above the rounding of m*KL
+# A breakpoint or grid row is skipped only if its bound clears the best
+# value by this much, relatively for a row: above the rounding of m*KL
 # (~1e-12 at m = 1e8) and of the binomial tail (revenue floors priced by
 # binom_sf overshoot exact best responses by at most 5e-10 up to m = 3e7),
 # so pruning never changes a result.
@@ -161,22 +165,23 @@ def _inner_infimum(spec: MeanMadSpec, m: int,
     return u_best, best
 
 
-def _grid_guarantees(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
-    """p * inf_alpha P(sum >= p) / m on a price grid, as far as its argmax
-    needs. The value at 1 - alpha = U_FLOOR caps each price's infimum, so
-    prices are solved in chunks from the highest cap down and a price whose
-    cap is below a value already found is left at -inf. A chunk's breakpoint
-    arrays hold at most max(_CHUNK_POINTS, m + 1) entries."""
-    caps = ps * _tails(spec, m, ps, np.float64(U_FLOOR)) / m
-    order = np.argsort(-caps, kind="stable")
-    vals = np.full(ps.size, -np.inf)
-    step = max(1, _CHUNK_POINTS // (m + 1))
-    for i in range(0, ps.size, step):
+def _pruned_min(bounds: np.ndarray, solve: Callable[[np.ndarray], np.ndarray],
+                step: int) -> np.ndarray:
+    """Row values of a grid, as far as its minimum needs: rows are solved by
+    solve(indices) in chunks of step from the lowest bound up, and a row whose
+    bound clears the lowest value found by the relative _PRUNE_MARGIN is left
+    at +inf. Each bound must be a lower bound on its row's value, and solve
+    must give a row the same bits in any chunk; then the solved rows, the
+    minimum and its argmin are those of the full grid."""
+    order = np.argsort(bounds, kind="stable")
+    vals = np.full(bounds.size, np.inf)
+    for i in range(0, bounds.size, step):
         idx = order[i:i + step]
-        idx = idx[caps[idx] >= vals.max()]
+        best = vals.min()
+        idx = idx[bounds[idx] <= best + _PRUNE_MARGIN * abs(best)]
         if idx.size == 0:
             break
-        vals[idx] = ps[idx] * _inner_infimum(spec, m, ps[idx])[1] / m
+        vals[idx] = solve(idx)
     return vals
 
 
@@ -201,21 +206,15 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     return 1.0 - float(u[0]), float(p * tail[0] / m)
 
 
-def _chain_lower(spec: MeanMadSpec, m: int, eps):
-    """p*(eps)/m * (1 - f(mu,d,eps)/m) at one eps or an array of them. f
-    goes first: it rejects a spec scale out of double range."""
-    f = failure_coefficient(spec, eps)
-    return guaranteed_sale_price(spec, m, eps) / m * (1.0 - f / m)
-
-
 def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     """Best guaranteed-sale chain bound: max over eps of
     p*(eps)/m * (1 - f(mu,d,eps)/m), clipped at zero. The eps grid is one
     array expression; the polish evaluates one eps at a time."""
     hi = 1.0 - spec.alpha_min
     eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), EPS_GRID)
-    _, v_best = grid_polish(lambda e: float(_chain_lower(spec, m, e)), eps,
-                            _chain_lower(spec, m, eps), 1e-12, maximize=True)
+    _, v_best = grid_polish(
+        lambda e: float(guaranteed_sale_chain(spec, m, e)), eps,
+        guaranteed_sale_chain(spec, m, eps), 1e-12, maximize=True)
     return max(0.0, v_best)
 
 
@@ -224,17 +223,23 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     """Price maximizing the adversarially worst bundle revenue per item.
 
     Outer maximization over p in [0, m*mu] by grid plus golden-section polish,
-    inner infimum solved exactly by breakpoints (worst_case_alpha), the grid
-    in chunks of prices. The certificate pairs the guaranteed-sale chain
-    bound with the analytic ceiling mu - d/2; the chain goes first, so a spec
-    whose scale leaves double range is rejected before any solving.
+    inner infimum solved exactly by breakpoints (worst_case_alpha). The grid
+    goes through _pruned_min negated (exact, so values keep their bits), from
+    the highest cap, the guarantee at 1 - alpha = U_FLOOR, down, in chunks
+    whose breakpoint arrays hold at most max(_CHUNK_POINTS, m + 1) entries.
+    The certificate pairs the guaranteed-sale chain bound with the analytic
+    ceiling mu - d/2; the chain goes first, so a spec whose scale leaves
+    double range is rejected before any solving.
     """
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
+    caps = ps * _tails(spec, m, ps, np.float64(U_FLOOR)) / m
+    vals = -_pruned_min(
+        -caps, lambda i: -ps[i] * _inner_infimum(spec, m, ps[i])[1] / m,
+        max(1, _CHUNK_POINTS // (m + 1)))
     p_best, v_best = grid_polish(
-        lambda p: worst_case_alpha(spec, m, p)[1], ps,
-        _grid_guarantees(spec, m, ps), BRACKET_TOL * m * spec.mu,
-        maximize=True)
+        lambda p: worst_case_alpha(spec, m, p)[1], ps, vals,
+        BRACKET_TOL * m * spec.mu, maximize=True)
     return SaddleReport(
         m=m,
         value=v_best,
@@ -302,42 +307,23 @@ def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
     return np.maximum(x, revs.max(axis=0))
 
 
-def _grid_best_responses(spec: MeanMadSpec, m: int,
-                         us: np.ndarray) -> np.ndarray:
-    """Best-response revenue per item on the nature grid us, as far as its
-    argmin needs. Rows are solved by _best_response in chunks of _GRID_ROWS
-    from the lowest revenue floor up; a row whose floor clears the lowest
-    value found by the relative _PRUNE_MARGIN is left at +inf. The kernel
-    gives a row the same bits in any chunk, so the solved rows, the minimum
-    and its argmin are those of the full grid."""
-    floors = _revenue_floors(spec, m, us)
-    order = np.argsort(floors, kind="stable")
-    vals = np.full(us.size, np.inf)
-    for i in range(0, us.size, _GRID_ROWS):
-        idx = order[i:i + _GRID_ROWS]
-        best = vals.min()
-        idx = idx[floors[idx] <= best + _PRUNE_MARGIN * abs(best)]
-        if idx.size == 0:
-            break
-        vals[idx] = _best_response(spec, m, us[idx])[1]
-    return vals
-
-
 def minimax_bundling_value(spec: MeanMadSpec, m: int,
                            alpha_grid: int = ALPHA_GRID) -> SaddleReport:
     """Two-point i.i.d. parameter minimizing the seller's best-response revenue.
 
     Grid plus golden-section polish over alpha, the grid solved only where it
-    can hold the minimum (_grid_best_responses); reports the argmin alpha
-    and the best-response price there. certificate.lower reuses the
-    guaranteed-sale chain (the other play order can only do worse for the
-    adversary) and certificate.upper is the raw grid minimum, valid since
-    every evaluated alpha upper-bounds the infimum. The chain goes first, as in
+    can hold the minimum: _pruned_min takes the rows _GRID_ROWS at a time
+    from the lowest revenue floor up. Reports the argmin alpha and the
+    best-response price there. certificate.lower reuses the guaranteed-sale
+    chain (the other play order can only do worse for the adversary) and
+    certificate.upper is the raw grid minimum, valid since every evaluated
+    alpha upper-bounds the infimum. The chain goes first, as in
     maximin_bundling_value.
     """
     lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
-    vals = _grid_best_responses(spec, m, u)
+    vals = _pruned_min(_revenue_floors(spec, m, u),
+                       lambda i: _best_response(spec, m, u[i])[1], _GRID_ROWS)
     u_best, v_best = grid_polish(
         lambda z: float(_best_response(spec, m, np.array([z]))[1][0]), u, vals,
         BRACKET_TOL)

@@ -65,13 +65,9 @@ _CHUNK_COLS = 256
 class SumLaw:
     """Distribution of a sum: ascending support with matching probabilities."""
 
-    m: int
     support: np.ndarray
     probs: np.ndarray
     log_probs: Optional[np.ndarray] = None
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.probs))
 
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -157,7 +153,7 @@ def iid_two_point_sum(dist: TwoPointDist, m: int) -> SumLaw:
         raise RobustBundlingError(
             f"sum-law mass drifted to {total!r} at m={m}, alpha={dist.alpha!r}"
         )
-    return SumLaw(m=m, support=support, probs=probs, log_probs=logp)
+    return SumLaw(support=support, probs=probs, log_probs=logp)
 
 
 def product_sum(dists: Sequence[TwoPointDist]) -> SumLaw:
@@ -192,7 +188,7 @@ def product_sum(dists: Sequence[TwoPointDist]) -> SumLaw:
     total = float(np.sum(probs))
     if abs(total - 1.0) > MASS_TOL:
         raise RobustBundlingError(f"product-law mass drifted to {total!r}")
-    return SumLaw(m=len(dists), support=support, probs=probs)
+    return SumLaw(support=support, probs=probs)
 
 
 def tail_prob(law: SumLaw, p: float) -> float:

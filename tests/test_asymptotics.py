@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rbl import asymptotics
 from rbl.ambiguity import MeanMadSpec
 from rbl.asymptotics import (
     ratio_bound_chain,
@@ -47,6 +48,19 @@ def test_xi_gap_frozen(wide_spec):
     assert res["xi1"] == pytest.approx(7.835935108662095e-4, rel=1e-9)
     assert res["xi"] == res["xi1"]
     assert res["xi"] > 0.0
+
+
+@pytest.mark.parametrize("d", [1.01, 1.1, 1.25, 4.0 / 3.0, 1.5, 1.9])
+def test_xi1_closed_form_is_the_infimum(d):
+    # below d = 4 mu / 3 the gap rises and then falls in 1/lam, from 4 mu / 3
+    # on it only falls; either way a dense scan out to lam = 1e12 never dips
+    # below min(g(tau0) - (mu - d/2), d - mu)
+    spec = MeanMadSpec(1.0, d)
+    res = xi_gap(spec)
+    lam = np.geomspace(res["tau0"], 1e12, 200_000)
+    scan = asymptotics._g(spec, lam) - (spec.mu - d / 2.0)
+    assert scan.min() >= res["xi1"]
+    assert res["xi1"] == min(scan[0], d - spec.mu)
 
 
 def test_xi_gap_range_guards():

@@ -39,7 +39,7 @@ def test_best_price_brute_force(half_spec):
 def test_best_price_tie_takes_lowest(half_spec):
     # two atoms engineered to give equal revenue; the cheaper price wins
     from rbl.sum_law import SumLaw
-    law = SumLaw(m=1, support=np.array([1.0, 2.0]), probs=np.array([0.5, 0.5]))
+    law = SumLaw(support=np.array([1.0, 2.0]), probs=np.array([0.5, 0.5]))
     got = best_bundle_price(law)  # 1.0 * 1.0 == 2.0 * 0.5
     assert got.revenue == 1.0
     assert got.price == 1.0

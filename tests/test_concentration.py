@@ -14,6 +14,7 @@ from rbl.bundling import guaranteed_sale_price
 from rbl.concentration import (
     concentration_check_mc,
     concentration_constant,
+    guaranteed_sale_chain,
     tail_truncation_sup,
 )
 from rbl.errors import RobustBundlingError
@@ -65,10 +66,12 @@ def test_concentration_constant_frozen(half_spec):
     assert cert.f == pytest.approx(104.59710743801653, rel=1e-12)
     cert2 = concentration_constant(half_spec, 0.1)
     assert cert2.f == pytest.approx(724.85207100591716, rel=1e-12)
-    with pytest.raises(RobustBundlingError, match="need 0 < eps < "):
-        concentration_constant(half_spec, 0.75)
-    with pytest.raises(RobustBundlingError, match="need 0 < eps < "):
-        concentration_constant(half_spec, 0.0)
+    for eps in (0.75, 0.0):
+        with pytest.raises(RobustBundlingError, match="need 0 < eps < "):
+            concentration_constant(half_spec, eps)
+        # the chain checks eps before f: no bare ZeroDivisionError at 0
+        with pytest.raises(RobustBundlingError, match="need 0 < eps < "):
+            guaranteed_sale_chain(half_spec, 2, eps)
 
 
 def test_concentration_constant_optimized_cut(half_spec):

@@ -8,7 +8,7 @@ from scipy.stats import binom
 from rbl import solvers
 from rbl.ambiguity import MeanMadSpec, make_two_point
 from rbl.bundling import best_bundle_price, guaranteed_sale_price
-from rbl.concentration import concentration_constant
+from rbl.concentration import concentration_constant, guaranteed_sale_chain
 from rbl.errors import RobustBundlingError
 from rbl.solvers import (
     U_FLOOR,
@@ -155,6 +155,28 @@ def test_worst_case_alpha_equals_unpruned_brute_force():
         assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
 
 
+def _pruned_and_full(monkeypatch, solve_game):
+    """Solve one game twice: through the pruning loop, recording the grid
+    values it returns, and with an unpruned stand-in that solves every row.
+    Returns (pruned grid, full grid, pruned report, unpruned report)."""
+    loop, grids = solvers._pruned_min, {}
+
+    def recording(bounds, solve, step):
+        grids["pruned"] = loop(bounds, solve, step)
+        return grids["pruned"]
+
+    def unpruned(bounds, solve, step):
+        grids["full"] = solve(np.arange(bounds.size))
+        return grids["full"]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "_pruned_min", recording)
+        pruned = repr(solve_game())
+        mp.setattr(solvers, "_pruned_min", unpruned)
+        full = repr(solve_game())
+    return grids["pruned"], grids["full"], pruned, full
+
+
 def test_grid_pruning_keeps_the_argmax(monkeypatch):
     # the price grid skips prices whose cap is below a value already found;
     # small chunks make that happen at every m
@@ -163,11 +185,17 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
         spec = MeanMadSpec(mu, d)
         ps = np.linspace(0.0, m * mu, 257)
         full = ps * solvers._inner_infimum(spec, m, ps)[1] / m
-        got = solvers._grid_guarantees(spec, m, ps)
+        neg_got, neg_full, rep, rep_full = _pruned_and_full(
+            monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
+        # the loop sees the negated grid; negation is exact
+        assert np.array_equal(-neg_full, full)
+        got = -neg_got
         done = np.isfinite(got)
+        assert not done.all()
         assert np.array_equal(got[done], full[done])
         assert np.argmax(got) == np.argmax(full)
         assert np.all(full[~done] < got.max())
+        assert rep == rep_full
 
 
 def test_minimax_grid_pruning_keeps_the_argmin(monkeypatch):
@@ -179,7 +207,9 @@ def test_minimax_grid_pruning_keeps_the_argmin(monkeypatch):
         spec = MeanMadSpec(mu, d)
         us = solvers._u_grid(spec, solvers.ALPHA_GRID)
         full = solvers._best_response(spec, m, us)[1]
-        got = solvers._grid_best_responses(spec, m, us)
+        got, loop_full, rep, rep_full = _pruned_and_full(
+            monkeypatch, lambda: minimax_bundling_value(spec, m))
+        assert np.array_equal(loop_full, full)
         done = np.isfinite(got)
         assert np.array_equal(got[done], full[done])
         assert np.argmin(got) == np.argmin(full)
@@ -187,6 +217,7 @@ def test_minimax_grid_pruning_keeps_the_argmin(monkeypatch):
         assert np.all(full[~done] > got.min())
         floors = solvers._revenue_floors(spec, m, us)
         assert np.all(floors <= full * (1.0 + solvers._PRUNE_MARGIN))
+        assert rep == rep_full
 
 
 def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
@@ -198,34 +229,75 @@ def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
     floors = solvers._revenue_floors(spec, m, us)
     assert np.all(floors <= full * (1.0 + solvers._PRUNE_MARGIN))
     got = repr(minimax_bundling_value(spec, m))
-    monkeypatch.setattr(solvers, "_grid_best_responses",
-                        lambda spec, m, us: full)
+
+    def unpruned(bounds, solve, step):
+        # every row solved; the kernel gives a row the same bits in any chunk
+        assert np.array_equal(bounds, floors)
+        return full
+
+    monkeypatch.setattr(solvers, "_pruned_min", unpruned)
     assert got == repr(minimax_bundling_value(spec, m))
 
 
 def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
     # a count guard instead of a timing test: weaker floors fail it
     rows, in_grid = [], [False]
-    kernel, grid = solvers._best_response, solvers._grid_best_responses
+    kernel, loop = solvers._best_response, solvers._pruned_min
 
     def counting_kernel(spec, m, us):
         if in_grid[0]:
             rows.append(us.size)
         return kernel(spec, m, us)
 
-    def flagged_grid(spec, m, us):
+    def flagged_loop(bounds, solve, step):
         in_grid[0] = True
         try:
-            return grid(spec, m, us)
+            return loop(bounds, solve, step)
         finally:
             in_grid[0] = False
 
     monkeypatch.setattr(solvers, "_best_response", counting_kernel)
-    monkeypatch.setattr(solvers, "_grid_best_responses", flagged_grid)
+    monkeypatch.setattr(solvers, "_pruned_min", flagged_loop)
     for d, m in ((0.8, 100), (0.8, 1000), (0.8, 10_000), (1.5, 10_000)):
         rows.clear()
         minimax_bundling_value(MeanMadSpec(1.0, d), m)
         assert 0 < sum(rows) <= 128
+
+
+@pytest.mark.parametrize("step", [1, 3, 64, 10_000])
+def test_pruned_min_matches_the_full_grid(step):
+    # synthetic grids with bounds <= values: the loop's minimum and argmin
+    # are the full grid's, every solved row holds its value, no row is
+    # solved twice, and a skipped row's bound clears the minimum
+    rng = np.random.default_rng(5)
+    n = 300
+    vals = rng.normal(size=n)
+    cases = {
+        "random": (vals - rng.exponential(0.3, n), vals),
+        "ties": (np.round(vals, 1) - 0.2, np.round(vals, 1)),
+        "all-equal bounds": (np.full(n, vals.min() - 1.0), vals),
+        "tight": (vals, vals),
+        # the maximin sign: negated guarantees, all <= 0
+        "negative": (-np.abs(vals) - 0.1 * rng.random(n), -np.abs(vals)),
+    }
+    for name, (bounds, values) in cases.items():
+        assert np.all(bounds <= values), name
+        solved = []
+
+        def solve(idx):
+            solved.extend(idx.tolist())
+            return values[idx]
+
+        got = solvers._pruned_min(bounds, solve, step)
+        assert len(solved) == len(set(solved)), name
+        done = np.isfinite(got)
+        assert sorted(solved) == np.flatnonzero(done).tolist(), name
+        assert np.array_equal(got[done], values[done]), name
+        assert got.min() == values.min(), name
+        assert np.argmin(got) == np.argmin(values), name
+        best = got.min()
+        margin = solvers._PRUNE_MARGIN * abs(best)
+        assert np.all(bounds[~done] > best + margin), name
 
 
 def test_minimax_m1_frozen(half_spec):
@@ -374,7 +446,7 @@ def test_certificate_grid_is_bitwise_scalar():
         eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), solvers.EPS_GRID)
         want = [guaranteed_sale_price(spec, m, e) / m
                 * (1.0 - concentration_constant(spec, e).f / m) for e in eps]
-        assert np.array_equal(solvers._chain_lower(spec, m, eps), want)
+        assert np.array_equal(guaranteed_sale_chain(spec, m, eps), want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 16, 64])
