@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MeanMadSpec, TwoPointDist
-from .errors import RobustBundlingError
 from .sum_law import SumLaw
 
 
@@ -52,9 +51,7 @@ def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps):
     sells at this price with probability at least 1 - f/m for the matching
     failure coefficient (see concentration.concentration_constant).
     """
-    hi = 1.0 - spec.alpha_min
-    if not np.all((0.0 < eps) & (eps < hi)):
-        raise RobustBundlingError(f"need 0 < eps < {hi!r}, got {eps!r}")
+    spec.check_eps(eps)
     w = 1.0 - eps
     return w * w * m * (spec.mu - spec.d / (2.0 * w))
 

@@ -79,9 +79,7 @@ def failure_coefficient(spec: MeanMadSpec, eps):
     flushes the denominator to zero; f is then not finite and
     RobustBundlingError is raised.
     """
-    hi = 1.0 - spec.alpha_min
-    if not np.all((0.0 < eps) & (eps < hi)):
-        raise RobustBundlingError(f"need 0 < eps < {hi!r}, got {eps!r}")
+    spec.check_eps(eps)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = spec.mu + spec.d / (2.0 * eps)
         f = np.float_power(t, 2) / (4.0 * np.float_power(
@@ -171,10 +169,11 @@ def concentration_check_mc(
     Members must share one (mu, d) spec and pass a moment check; fewer than m
     members are cycled across the slots. Passing means the empirical tail is no
     more than three binomial standard errors below the bound. The count of
-    sums at or above the threshold comes from sum_law.count_at_least: the
-    draws of sample_sum, but a block of samples stops drawing once all its
-    running totals have cleared the threshold, which cannot change the count
-    when every atom and scale is >= 0.
+    sums at or above the threshold comes from sum_law.count_at_least, which
+    draws a block only until each running total, plus the least its undrawn
+    slots can add, provably clears the threshold, so the count is that of
+    the full sums. A set whose floors clear it (a two-point low or a Pareto
+    scale above the threshold per item) draws nothing.
     """
     members = list(members)
     if not members:

@@ -26,9 +26,8 @@ The sum has a fixed order: each discrete group's counts times its atoms
 first, then the Pareto columns _CHUNK_COLS = 256 at a time, each chunk mapped
 in place, summed column by column and added to the running totals.
 count_at_least counts sums at or above a threshold on the same draws, but a
-block stops drawing once all its running totals have reached it; when every
-atom and Pareto scale is >= 0 no later term can lower a total, so the count is
-exact.
+block stops drawing once its totals provably clear it, counting in the least
+its undrawn slots can add (see count_at_least).
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from __future__ import annotations
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -263,14 +263,16 @@ class _Plan:
     column: first len(cond) columns per discrete group (slot count c, atom
     values, conditional masses cond), then one column per Pareto slot in slot
     order, mapped in chunks of at most _CHUNK_COLS columns (column count,
-    -1/a and scale, each a float when the chunk's slots share it). nonneg
-    says every atom and Pareto scale is >= 0, so a running total never falls
-    and a block may stop once its totals clear a threshold."""
+    -1/a and scale, each a float when the chunk's slots share it). The
+    stages are the discrete groups, then the Pareto chunks; floors[i] is the
+    least stages i.. add to a total, c * min(atoms) per group and the sum of
+    the scales per chunk, with floors[-1] = 0. floors is None when a stage
+    can add less than 0, which turns count_at_least's stop off."""
 
     width: int
     discrete: tuple[tuple[int, tuple[float, ...], tuple[float, ...]], ...]
     pareto: tuple[tuple[int, _Param, _Param], ...]
-    nonneg: bool
+    floors: Optional[tuple[float, ...]]
 
 
 def _conditional_masses(probs: Sequence[float]) -> tuple[float, ...]:
@@ -298,15 +300,17 @@ def _plan(members: Sequence[MemberDist], m: int) -> _Plan:
         else:
             raise RobustBundlingError(f"cannot sample member {dist!r}")
         discrete.append((c, tuple(points), _conditional_masses(probs)))
-    pareto = tuple(
-        (len(a), _column_param(a), _column_param(sc))
-        for a, sc in ((neg_inv_a[lo:lo + _CHUNK_COLS], scale[lo:lo + _CHUNK_COLS])
-                      for lo in range(0, len(scale), _CHUNK_COLS)))
-    nonneg = (all(v >= 0.0 for _, points, _ in discrete for v in points)
-              and all(v >= 0.0 for v in scale))
+    chunks = [(neg_inv_a[lo:lo + _CHUNK_COLS], scale[lo:lo + _CHUNK_COLS])
+              for lo in range(0, len(scale), _CHUNK_COLS)]
+    pareto = tuple((len(a), _column_param(a), _column_param(sc)) for a, sc in chunks)
+    # np.min, unlike min, keeps a NaN atom, and NaN >= 0 is false
+    stage = ([c * float(np.min(points)) for c, points, _ in discrete]
+             + [sum(sc) for _, sc in chunks])
+    floors = (tuple(accumulate(reversed(stage), initial=0.0))[::-1]
+              if all(f >= 0.0 for f in stage) else None)
     width = sum(len(cond) for _, _, cond in discrete) + len(scale)
     return _Plan(width=width, discrete=tuple(discrete), pareto=pareto,
-                 nonneg=nonneg)
+                 floors=floors)
 
 
 def _column_param(values: list) -> _Param:
@@ -315,32 +319,23 @@ def _column_param(values: list) -> _Param:
     return values[0] if len(set(values)) == 1 else np.array(values)[:, None]
 
 
-def _block_totals(plan: _Plan, seed: int, start: int, rows: int,
-                  threshold: Optional[float] = None) -> np.ndarray:
-    """Totals of samples start..start+rows-1 (one block) in the summation
-    order of the module docstring. Given a threshold on a nonneg plan, the
-    block stops once every total has reached it: later terms are >= 0, and
-    adding one never lowers a rounded total."""
+def _block_stages(plan: _Plan, seed: int, start: int, rows: int):
+    """Running totals of samples start..start+rows-1 (one block) before any
+    draw and after each stage, in the summation order of the module
+    docstring: one array, updated in place, ending as the sums."""
+    total = np.zeros(rows)
+    yield total
     bg = PCG64DXSM(seed)
     bg.advance(start * plan.width)
     gen = Generator(bg)
     buf = np.empty((min(_CHUNK_COLS, plan.width), _CHUNK_ROWS))
-    total = np.zeros(rows)
-    stop = threshold is not None and plan.nonneg
-
-    def cleared() -> bool:
-        return stop and bool(np.all(total >= threshold))
-
-    if cleared():
-        return total
     for c, points, cond in plan.discrete:
         u = buf[:len(cond)]
         gen.random(out=u)
         counts = _atom_counts(u[:, :rows].T, c, cond)
         for j, v in enumerate(points):
             total += counts[:, j] * v
-        if cleared():
-            return total
+        yield total
     for cols, neg_inv_a, scale in plan.pareto:
         u = buf[:cols]
         gen.random(out=u)
@@ -350,9 +345,23 @@ def _block_totals(plan: _Plan, seed: int, start: int, rows: int,
         np.power(cont, neg_inv_a, out=cont)
         np.multiply(cont, scale, out=cont)
         total += cont.sum(axis=0)
-        if cleared():
-            break
-    return total
+        yield total
+
+
+def _block_count(plan: _Plan, seed: int, start: int, rows: int,
+                 threshold: float) -> int:
+    """How many sums of one block are >= threshold: all rows once the least
+    running total provably clears it (see count_at_least)."""
+    stages = _block_stages(plan, seed, start, rows)
+    # 1 - (width + stages + 2) * 2^-52; floors has stages + 1 entries
+    keep = 1.0 - (plan.width + len(plan.floors or ()) + 1) * 2.0**-52
+    for floor, total in zip(plan.floors or (), stages):
+        lo = total.min()
+        if lo >= threshold or (lo + floor) * keep >= threshold:
+            return rows
+    for total in stages:
+        pass
+    return int(np.count_nonzero(total >= threshold))
 
 
 def _plan_checked(members: Sequence[MemberDist], m: int, seed: int, n: int) -> _Plan:
@@ -396,7 +405,7 @@ def sample_sum(
     """
     plan = _plan_checked(members, m, seed, n)
     return np.concatenate(_map_blocks(
-        lambda s, rows: _block_totals(plan, seed, s, rows), n, workers))
+        lambda s, rows: list(_block_stages(plan, seed, s, rows))[-1], n, workers))
 
 
 def count_at_least(
@@ -409,11 +418,24 @@ def count_at_least(
 ) -> int:
     """How many of sample_sum(members, m, seed, n) are >= threshold.
 
-    The same blocks and the same bits, but a block whose running totals have
-    all reached the threshold draws nothing more when every atom and Pareto
-    scale is >= 0: its remaining terms cannot lower a total. A negative atom
-    turns the stop off, and every sum is drawn in full.
+    The same blocks and the same bits, but a block counts all its rows and
+    draws no more once its least running total T, before any draw or after
+    a stage, has reached the threshold, or T + F does by a margin:
+    (T + F) * (1 - (width + stages + 2) * 2^-52) >= threshold, F being the
+    floor of the stages left (c * min(atoms) per discrete group, the scales
+    per Pareto chunk). Both rules are exact while every floor is >= 0; a
+    negative atom turns the stop off. Every later term is a non-negative
+    double: a Pareto leaf scale * (1 - u)^(-1/a) is at least scale, pow of a
+    base in (0, 1] to a negative power being within an ulp of a value >= 1,
+    and a group adds sum_j counts_j * v_j >= c * min(v). Adding one never
+    lowers a rounded total (rule one), and each add or count-times-atom
+    product loses at most a relative 2^-53 (none below the normal range).
+    At most width + stages + 1 such roundings separate T and the later terms
+    from the final sum, and the float F exceeds the exact floor by at most
+    width + stages; the margin covers both and the rounding of T + F, so the
+    final sum is at least the real (T + F) * (1 - margin), hence at least
+    its rounding (rule two).
     """
     plan = _plan_checked(members, m, seed, n)
-    return sum(int(np.count_nonzero(t >= threshold)) for t in _map_blocks(
-        lambda s, rows: _block_totals(plan, seed, s, rows, threshold), n, workers))
+    return sum(_map_blocks(
+        lambda s, rows: _block_count(plan, seed, s, rows, threshold), n, workers))

@@ -462,26 +462,40 @@ def test_thread_pool_is_capped_at_the_block_count(monkeypatch, half_spec):
 # --- count_at_least: the early stop never changes a count ---------------------
 
 def _count_sets(spec):
+    # every set but the three-point one has a least sum > 0 (its floor)
     heavy = MeanMadSpec(1.0, pareto_induced_mad(1.0, 1.5))
     two = make_two_point(spec, 0.4)
     three = make_three_point(spec, (0.0, 1.0, 2.0), (0.2, 0.5, 0.3))
     return {
         "discrete": ([two, three] * 150, 300),
+        "three_point": ([three], 300),
+        "two_point": ([make_two_point(spec, 0.5)], 600),
+        # every slot is low with probability 0.9^5: many sums are m x
+        "two_point_mostly_low": ([make_two_point(spec, 0.9)], 5),
         "pareto_a2": ([make_pareto_member(spec, 2.0)], 600),
         "pareto_a1.5": ([make_pareto_member(heavy, 1.5)], 600),
         "mixed": (_mixed_slots(spec, 900), 900),
     }
 
 
-@pytest.mark.parametrize("name", ["discrete", "pareto_a2", "pareto_a1.5", "mixed"])
+@pytest.mark.parametrize("name", ["discrete", "three_point", "two_point",
+                                  "two_point_mostly_low", "pareto_a2",
+                                  "pareto_a1.5", "mixed"])
 def test_count_at_least_equals_the_full_count(half_spec, name):
     members, m = _count_sets(half_spec)[name]
     sums = sample_sum(members, m, seed=13, n=3000)
+    floor = sum_law._plan(members, m).floors[0]
+    assert sums.min() >= floor * (1.0 - 2.0**-40)
     lo, mid, hi = np.quantile(sums, [0.001, 0.5, 0.999])
-    # 0.4 lo and the sale threshold stop blocks part way through, the
-    # quantiles at the last chunk or never, t <= 0 before any draw
+    # 0.4 lo and the sale threshold stop blocks part way through or before
+    # any draw, the quantiles at the last chunk or never, t <= 0 before any
+    # draw; the floor's rounding edges decide between the floor rule's
+    # margin and drawing every sum
     sale = guaranteed_sale_price(members[0].spec, m, 0.2)
-    for t in (0.4 * lo, sale, lo, mid, hi, 0.0, -1.0):
+    edges = [np.nextafter(floor, np.inf), np.nextafter(floor, -np.inf)]
+    edges += [floor * (1.0 + s * k * 2.0**-52) for k in (0, 1, 2, 8, 64, 4096)
+              for s in (1, -1)]
+    for t in [0.4 * lo, sale, lo, mid, hi, 0.0, -1.0] + edges:
         for n in (1, 1023, 1025, 3000):
             want = int(np.count_nonzero(sums[:n] >= t))
             for workers in (1, 3):
@@ -495,32 +509,91 @@ def test_count_at_least_never_stops_on_a_negative_atom(half_spec):
     slots = [make_two_point(half_spec, 0.4), neg] * 20
     sums = sample_sum(slots, 40, seed=3, n=2000)
     t = 5.0
-    assert np.all(sums < t) and not sum_law._plan(slots, 40).nonneg
+    assert np.all(sums < t) and sum_law._plan(slots, 40).floors is None
     for workers in (1, 3):
         assert count_at_least(slots, 40, 3, 2000, t, workers) == 0
     t = float(np.median(sums))
     assert count_at_least(slots, 40, 3, 2000, t) == np.count_nonzero(sums >= t)
 
 
-def test_count_at_least_stops_drawing_a_cleared_block(monkeypatch, half_spec):
-    drawn = []
+def test_count_at_least_at_a_sum_that_is_its_floor(half_spec):
+    # all mass on one non-dyadic atom: every sum is the float c * 0.1 itself
+    point = ThreePointDist(half_spec, (0.1, 0.7, 1.3), (1.0, 0.0, 0.0))
+    floor = sum_law._plan([point], 37).floors[0]
+    assert np.all(sample_sum([point], 37, seed=2, n=3000) == floor)
+    for workers in (1, 3):
+        assert count_at_least([point], 37, 2, 3000, floor, workers) == 3000
+        assert count_at_least([point], 37, 2, 3000, np.nextafter(floor, np.inf),
+                              workers) == 0
+
+
+def test_count_at_least_floor_stop_keeps_a_margin(half_spec):
+    # three one-atom groups 1, 2^-53, 2^-53: the floor adds right to left,
+    # 1 + 2^-52, while the sums add left to right and round back to 1, so a
+    # floor taken without a margin would count every sum at t = 1 + 2^-52
+    groups = [ThreePointDist(half_spec, (v, 2.0, 3.0), (1.0, 0.0, 0.0))
+              for v in (1.0, 2.0**-53, 2.0**-53)]
+    plan = sum_law._plan(groups, 3)
+    t = 1.0 + 2.0**-52
+    assert plan.floors[0] == t
+    assert np.all(sample_sum(groups, 3, seed=6, n=2000) == 1.0)
+    for workers in (1, 3):
+        assert count_at_least(groups, 3, 6, 2000, t, workers) == 0
+        assert count_at_least(groups, 3, 6, 2000, 1.0, workers) == 2000
+
+
+@pytest.mark.parametrize("a", [1.01, 1.5, 2.0, 100.0])
+def test_pareto_leaf_is_at_least_its_scale(a):
+    # the floor stop takes (1 - u)^(-1/a) >= 1 for every uniform u; a base
+    # next to 1 is where a pow off by an ulp could fall below it
+    base = 1.0 - np.arange(1_000_000) * 2.0**-53
+    assert np.all(np.power(base, -1.0 / a) >= 1.0)
+    col = np.full((2, 1), -1.0 / a)
+    assert np.all(np.power(np.vstack([base, base[::-1]]), col) >= 1.0)
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """Words taken by each draw of the sampler's Generator, in order."""
+    words = []
 
     class CountingGenerator:
-        """Generator that records how many words each draw takes."""
-
         def __init__(self, bg):
             self._gen = Generator(bg)
 
         def random(self, out):
-            drawn.append(out.size)
+            words.append(out.size)
             return self._gen.random(out=out)
 
     monkeypatch.setattr(sum_law, "Generator", CountingGenerator)
+    return words
+
+
+def test_count_at_least_stops_drawing_a_cleared_block(drawn, half_spec):
+    # above the floor m * scale = 0.5 m, so only the running totals stop it
     m, n = 2000, 2048
-    t = guaranteed_sale_price(half_spec, m, 0.2)
+    t = 0.7 * m
     members = [make_pareto_member(half_spec, 2.0)]
+    assert sum_law._plan(members, m).floors[0] < t
     assert count_at_least(members, m, 5, n, t) == n
-    assert sum(drawn) <= 0.6 * n * m
+    assert 0 < sum(drawn) <= 0.7 * n * m
     drawn.clear()
     sample_sum(members, m, 5, n)
     assert sum(drawn) == n * m
+
+
+def test_criterion_4_sets_draw_only_below_their_floors(drawn):
+    # the sale threshold at eps = 0.2 is 0.44 m (0.33208 m for a = 1.5), and
+    # the two-point low 0.5 and the Pareto scales 0.5 and 1/3 clear it before
+    # any draw; three_point's least atom is 0, so it draws its two columns
+    spec = MeanMadSpec(1.0, 0.5)
+    heavy = MeanMadSpec(1.0, pareto_induced_mad(1.0, 1.5))
+    m, n = 10_000, 100_000
+    for members in ([make_two_point(spec, 0.5)], [make_pareto_member(spec, 2.0)],
+                    [make_pareto_member(heavy, 1.5)]):
+        t = guaranteed_sale_price(members[0].spec, m, 0.2)
+        assert count_at_least(members, m, 20260816, n, t) == n
+        assert drawn == []
+    three = [make_three_point(spec, (0.0, 1.0, 2.0), (0.25, 0.5, 0.25))]
+    count_at_least(three, m, 20260817, n, guaranteed_sale_price(spec, m, 0.2))
+    assert sum(drawn) == 2 * 1024 * 98 == 200_704
