@@ -51,11 +51,11 @@ class MeanMadSpec:
         """Smallest feasible low-point mass (low point hits 0 exactly there)."""
         return self.d / (2.0 * self.mu)
 
-    def check_eps(self, eps) -> None:
-        """Raise unless 0 < eps < 1 - alpha_min (every eps of an array): the
-        range of the guaranteed-sale price and its failure coefficient."""
+    def check_eps(self, eps: float) -> None:
+        """Raise unless 0 < eps < 1 - alpha_min: the range of the
+        guaranteed-sale price and its failure coefficient."""
         hi = 1.0 - self.alpha_min
-        if not np.all((0.0 < eps) & (eps < hi)):
+        if not 0.0 < eps < hi:
             raise RobustBundlingError(f"need 0 < eps < {hi!r}, got {eps!r}")
 
 

@@ -43,9 +43,8 @@ def best_bundle_price(law: SumLaw) -> PricedOutcome:
     )
 
 
-def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps):
-    """Bundle price (1-eps)^2 * m * (mu - d / (2 (1-eps))), at one eps or an
-    array of them.
+def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps: float) -> float:
+    """Bundle price (1-eps)^2 * m * (mu - d / (2 (1-eps))).
 
     Undercuts the sum's lower quantile uniformly over the family: every member
     sells at this price with probability at least 1 - f/m for the matching

@@ -68,23 +68,23 @@ def tail_truncation_sup(spec: MeanMadSpec, t: float) -> float:
     return min(raw, spec.mu)
 
 
-def failure_coefficient(spec: MeanMadSpec, eps):
+def failure_coefficient(spec: MeanMadSpec, eps: float) -> float:
     """f = t^2 / (4 (eps ((1-eps) mu - d/2))^2) at the lowest cut
-    t = mu + d/(2 eps), for one eps in (0, 1 - d/(2 mu)) or an array of them.
+    t = mu + d/(2 eps), for eps in (0, 1 - d/(2 mu)).
 
     eps's range is checked first, so eps = 0 is a RobustBundlingError rather
-    than a division by zero. The squares go through float_power, the C pow
-    that Python's ** calls, so an array gives each eps the bits a scalar would
-    get. A spec scale near either end of the double range overflows t^2 or
-    flushes the denominator to zero; f is then not finite and
-    RobustBundlingError is raised.
+    than a division by zero. A spec scale near either end of the double range
+    overflows t^2 or flushes the denominator to zero; f is then not a finite
+    double and RobustBundlingError is raised.
     """
     spec.check_eps(eps)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = spec.mu + spec.d / (2.0 * eps)
-        f = np.float_power(t, 2) / (4.0 * np.float_power(
-            eps * ((1.0 - eps) * spec.mu - spec.d / 2.0), 2))
-    if not np.all(np.isfinite(f)):
+    eps = float(eps)  # Python's float ** raises on overflow, numpy's does not
+    t = spec.mu + spec.d / (2.0 * eps)
+    try:
+        f = t ** 2 / (4.0 * (eps * ((1.0 - eps) * spec.mu - spec.d / 2.0)) ** 2)
+    except (OverflowError, ZeroDivisionError):
+        f = math.inf
+    if not math.isfinite(f):
         raise RobustBundlingError(
             f"f(mu, d, eps) is not a finite double at mu={spec.mu!r}, "
             f"d={spec.d!r}: mu and d are too large or too small, or d is too "
@@ -92,11 +92,11 @@ def failure_coefficient(spec: MeanMadSpec, eps):
     return f
 
 
-def guaranteed_sale_chain(spec: MeanMadSpec, m: int, eps):
+def guaranteed_sale_chain(spec: MeanMadSpec, m: int, eps: float) -> float:
     """Per-item revenue the guaranteed-sale price earns at least on every
-    member, p*(eps)/m * (1 - f(mu,d,eps)/m), at one eps or an array of them.
-    f goes first: it checks eps's range and rejects a spec scale out of double
-    range before the price is formed."""
+    member, p*(eps)/m * (1 - f(mu,d,eps)/m). f goes first: it checks eps's
+    range and rejects a spec scale out of double range before the price is
+    formed."""
     f = failure_coefficient(spec, eps)
     return guaranteed_sale_price(spec, m, eps) / m * (1.0 - f / m)
 
@@ -128,7 +128,7 @@ def concentration_constant(
     max(t*, mu + d/(2 eps)). t* is formed in units of mu, so no product of
     two scales can overflow.
     """
-    f = float(failure_coefficient(spec, eps))  # checks eps and the scale
+    f = failure_coefficient(spec, eps)  # checks eps and the scale
     t_min = spec.mu + spec.d / (2.0 * eps)
     if not optimize_t:
         return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps, t=t_min, f=f)

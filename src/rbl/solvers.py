@@ -20,13 +20,17 @@ its own 40-sigma window of k with binomial masses from sum_law.binom_pmf, and
 take the same float steps a one-point call takes. Tails go through the
 binomial survival function (sum_law.binom_sf, the kernel the Monte Carlo
 sampler's counts share) rather than the explicit m+1 point law, so m = 1e4
-stays quick. Every report carries a certificate pair: an analytic lower
-chain, its eps grid one array expression, and an upper bound that the
-computed value can be checked against.
+stays quick. Every report carries a certificate pair: a closed-form lower
+bound that holds for every product of family members (see
+maximin_certificate_lower), and an upper bound that the computed value can
+be checked against. Both solvers first check that the spec's scale keeps
+their arithmetic in double range (_check_scale).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,14 +38,12 @@ import numpy as np
 from scipy.special import rel_entr
 
 from .ambiguity import MeanMadSpec
-from .concentration import guaranteed_sale_chain
 from .errors import RobustBundlingError
 from .optimize import grid_polish
 from .sum_law import binom_pmf, binom_sf
 
 ALPHA_GRID = 2048
 PRICE_GRID = 1024
-EPS_GRID = 512
 # Smallest 1 - alpha either order of play considers.
 U_FLOOR = 1e-12
 BRACKET_TOL = 1e-10
@@ -207,15 +209,46 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
 
 
 def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
-    """Best guaranteed-sale chain bound: max over eps of
-    p*(eps)/m * (1 - f(mu,d,eps)/m), clipped at zero. The eps grid is one
-    array expression; the polish evaluates one eps at a time."""
-    hi = 1.0 - spec.alpha_min
-    eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), EPS_GRID)
-    _, v_best = grid_polish(
-        lambda e: float(guaranteed_sale_chain(spec, m, e)), eps,
-        guaranteed_sale_chain(spec, m, eps), 1e-12, maximize=True)
-    return max(0.0, v_best)
+    """Per-item revenue some bundle price earns on every product of m family
+    members, i.i.d. or not: L(m) = (mu/m) max_k (sqrt(k) - sqrt(E(k - K)+))^2
+    with K ~ Binomial(m, 1 - d/(2 mu)).
+
+    Every member X dominates B = mu Bernoulli(1 - d/(2 mu)) in the
+    increasing-concave order, and sums of independent variables keep that
+    order (Shaked & Shanthikumar, Stochastic Orders, 4.A), so for a sum S
+    and mu k > p, P(S < p) <= mu E(k - K)+ / (mu k - p). The price
+    p = mu (k - sqrt(k E(k - K)+)) maximizes p (1 - that bound) / m to the
+    k-th term of L. E(k - K)+ = sum_{i<k} P(K <= i) is a double cumsum of
+    binomial masses over the _WINDOW_SIGMAS window of k: below it E(k - K)+
+    is negligible and the term rises as k, above it the term falls. The
+    masses are those of m - K ~ Binomial(m, d/(2 mu)) at m - k, so alpha_min
+    enters unrounded. At m = 1, L is the single-item robust revenue
+    (sqrt(mu) - sqrt(d/2))^2.
+    """
+    q = spec.alpha_min
+    sig = math.sqrt(m * q * (1.0 - q))
+    lo = max(math.floor(m * (1.0 - q) - _WINDOW_SIGMAS * sig), 0)
+    hi = min(math.ceil(m * (1.0 - q) + _WINDOW_SIGMAS * sig), m)
+    k = np.arange(lo, hi + 1.0)
+    cdf = np.cumsum(binom_pmf(m - k, m, q))
+    shortfall = np.concatenate(([0.0], np.cumsum(cdf[:-1])))
+    return spec.mu * float(np.max((np.sqrt(k) - np.sqrt(shortfall)) ** 2)) / m
+
+
+def _check_scale(spec: MeanMadSpec, m: int) -> None:
+    """Raise unless both solvers' arithmetic stays in double range at this
+    spec: the largest sum support point, m high values at 1 - alpha =
+    U_FLOOR, must be finite, and the finest step, BRACKET_TOL * U_FLOOR * mu,
+    a normal double (below that, prices and revenues lose their digits)."""
+    if m < 1:
+        raise RobustBundlingError(f"need m >= 1, got {m}")
+    top = m * (spec.mu + spec.d / (2.0 * U_FLOOR))
+    if not (math.isfinite(top)
+            and BRACKET_TOL * U_FLOOR * spec.mu >= sys.float_info.min):
+        raise RobustBundlingError(
+            f"mu={spec.mu!r} and d={spec.d!r} leave double range at m={m}: "
+            f"need m*(mu + d/(2*{U_FLOOR!r})) finite and "
+            f"{BRACKET_TOL!r}*{U_FLOOR!r}*mu a normal double")
 
 
 def maximin_bundling_value(spec: MeanMadSpec, m: int,
@@ -227,10 +260,11 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     goes through _pruned_min negated (exact, so values keep their bits), from
     the highest cap, the guarantee at 1 - alpha = U_FLOOR, down, in chunks
     whose breakpoint arrays hold at most max(_CHUNK_POINTS, m + 1) entries.
-    The certificate pairs the guaranteed-sale chain bound with the analytic
-    ceiling mu - d/2; the chain goes first, so a spec whose scale leaves
-    double range is rejected before any solving.
+    The certificate pairs the family-wide bound maximin_certificate_lower
+    with the analytic ceiling mu - d/2. A spec whose scale leaves double
+    range is rejected before any solving (_check_scale).
     """
+    _check_scale(spec, m)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
     caps = ps * _tails(spec, m, ps, np.float64(U_FLOOR)) / m
@@ -314,12 +348,13 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
     Grid plus golden-section polish over alpha, the grid solved only where it
     can hold the minimum: _pruned_min takes the rows _GRID_ROWS at a time
     from the lowest revenue floor up. Reports the argmin alpha and the
-    best-response price there. certificate.lower reuses the guaranteed-sale
-    chain (the other play order can only do worse for the adversary) and
-    certificate.upper is the raw grid minimum, valid since every evaluated
-    alpha upper-bounds the infimum. The chain goes first, as in
-    maximin_bundling_value.
+    best-response price there. certificate.lower is maximin's family-wide
+    bound maximin_certificate_lower (the other play order can only do worse
+    for the adversary) and certificate.upper is the raw grid minimum, valid
+    since every evaluated alpha upper-bounds the infimum. The scale is
+    checked first, as in maximin_bundling_value.
     """
+    _check_scale(spec, m)
     lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
     vals = _pruned_min(_revenue_floors(spec, m, u),

@@ -28,14 +28,12 @@ def test_spec_rejects_degenerate_moments(mu, d):
 def test_spec_check_eps_is_the_one_range_check():
     # guaranteed_sale_price and failure_coefficient both raise this message
     spec = MeanMadSpec(1.0, 0.5)
-    spec.check_eps(0.2)
-    spec.check_eps(np.array([1e-9, 0.2, 0.7499]))
+    for eps in (1e-9, 0.2, 0.7499):
+        spec.check_eps(eps)
     for eps in (0.0, 0.75, -0.1, float("nan")):
         with pytest.raises(RobustBundlingError) as err:
             spec.check_eps(eps)
         assert str(err.value) == f"need 0 < eps < 0.75, got {eps!r}"
-    with pytest.raises(RobustBundlingError, match=r"got array\(\[0.2 , 0.75\]\)"):
-        spec.check_eps(np.array([0.2, 0.75]))
 
 
 def test_spec_feasible_strictly_inside():

@@ -1,0 +1,145 @@
+"""The family-wide lower certificate L(m), solvers.maximin_certificate_lower,
+against independent recomputations: a 40-digit mpmath pass, the single-item
+closed form, the guaranteed-sale chain it replaced, the full range of k,
+exact products of non-identical members, and both solvers' values."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from rbl import solvers
+from rbl.ambiguity import MeanMadSpec
+from rbl.concentration import guaranteed_sale_chain
+from rbl.solvers import (
+    maximin_bundling_value,
+    maximin_certificate_lower,
+    minimax_bundling_value,
+)
+
+# d/mu from 0.05 to 1.9, at three means
+_SPECS = [(1.0, 0.05), (1.0, 0.5), (1.0, 0.8), (1.0, 1.5), (2.3, 0.4),
+          (0.7, 0.91), (1.0, 1.9)]
+
+
+def _mp_bound(mu, d, m):
+    """(L, price) at 40 digits over k = 0..m: binomial masses by recurrence,
+    E(k - K)+ = sum_{i<k} (k - i) P(K = i), the price mu (k - sqrt(k E))."""
+    with mpmath.workdps(40):
+        mu, d = mpmath.mpf(mu), mpmath.mpf(d)
+        u = 1 - d / (2 * mu)
+        pmf = [(1 - u) ** m]
+        for i in range(m):
+            pmf.append(pmf[-1] * (m - i) / (i + 1) * u / (1 - u))
+        best, price = mpmath.mpf(0), mpmath.mpf(0)
+        cdf = short = mpmath.mpf(0)
+        for k in range(1, m + 1):
+            cdf += pmf[k - 1]
+            short += cdf  # E(k - K)+ = sum_{i<k} P(K <= i)
+            term = (mpmath.sqrt(k) - mpmath.sqrt(short)) ** 2
+            if term > best:
+                best, price = term, k - mpmath.sqrt(k * short)
+        return mu * best / m, mu * price
+
+
+@pytest.mark.parametrize("mu, d", _SPECS)
+def test_bound_matches_mpmath(mu, d):
+    spec = MeanMadSpec(mu, d)
+    for m in (1, 2, 3, 5, 10, 37, 100, 1000):
+        want = float(_mp_bound(mu, d, m)[0])
+        assert maximin_certificate_lower(spec, m) == pytest.approx(
+            want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("mu, d", _SPECS)
+def test_bound_at_m_1_is_the_single_item_revenue(mu, d):
+    # one item: the robust posted-price revenue (sqrt(mu) - sqrt(d/2))^2;
+    # the two forms round apart by up to 2 ulps, at (0.7, 0.91)
+    want = (math.sqrt(mu) - math.sqrt(d / 2.0)) ** 2
+    got = maximin_certificate_lower(MeanMadSpec(mu, d), 1)
+    assert abs(got - want) <= 2.0 * math.ulp(want)
+
+
+def test_bound_is_never_below_the_guaranteed_sale_chain():
+    # the chain, clipped at zero, scanned densely over its whole eps range
+    for mu, d in _SPECS:
+        spec = MeanMadSpec(mu, d)
+        hi = 1.0 - spec.alpha_min
+        eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), 1024)
+        for m in (1, 2, 4, 10, 100, 1000, 10_000, 100_000):
+            chain = max(0.0, max(guaranteed_sale_chain(spec, m, float(e))
+                                 for e in eps))
+            assert maximin_certificate_lower(spec, m) >= chain
+
+
+def test_window_of_k_equals_the_full_range(monkeypatch):
+    # a window far wider than 0..m is the plain pass over every k; at
+    # m = 1e4 the 40-sigma window is a strict part of it for every spec
+    ms = (1, 2, 7, 64, 100, 1000, 2500, 10_000)
+    windowed = {(mu, d, m): maximin_certificate_lower(MeanMadSpec(mu, d), m)
+                for mu, d in _SPECS for m in ms}
+    for mu, d in _SPECS:
+        u = 1.0 - MeanMadSpec(mu, d).alpha_min
+        half = solvers._WINDOW_SIGMAS * math.sqrt(10_000 * u * (1.0 - u))
+        assert 10_000 * u - half > 1.0 or 10_000 * u + half < 9_999.0
+    monkeypatch.setattr(solvers, "_WINDOW_SIGMAS", 1e9)
+    for (mu, d, m), got in windowed.items():
+        assert maximin_certificate_lower(MeanMadSpec(mu, d), m) == got
+
+
+def _random_member(mu, d, rng):
+    """Support and masses of a random member: a two-point member, or a
+    low+mu member (x, mu, y) with masses (a, 1 - a - c, c), often next to
+    the Bernoulli{0, mu} limit a = d/(2 mu), c -> 0."""
+    q = d / (2.0 * mu)
+    kind = rng.integers(4)
+    if kind == 0:
+        alpha = q + (1.0 - q) * rng.random()
+    elif kind == 1:
+        alpha = 1.0 - 10.0 ** rng.uniform(-6.0, -1.0) * (1.0 - q)
+    if kind < 2:
+        return (np.array([max(mu - d / (2.0 * alpha), 0.0),
+                          mu + d / (2.0 * (1.0 - alpha))]),
+                np.array([alpha, 1.0 - alpha]))
+    c = 10.0 ** rng.uniform(-6.0, -1.0) * (1.0 - q)
+    a = q if kind == 2 else q + (1.0 - q - c) * rng.random()
+    return (np.array([max(mu - d / (2.0 * a), 0.0), mu, mu + d / (2.0 * c)]),
+            np.array([a, 1.0 - a - c, c]))
+
+
+def test_no_product_of_members_sells_below_the_bound_at_its_price():
+    # exact sum laws by enumeration of every profile; members differ slot
+    # by slot, so this checks the bound off the i.i.d. family
+    rng = np.random.default_rng(20261019)
+    margins = []
+    for mu, d in ((1.0, 0.5), (1.0, 0.8), (1.0, 1.5), (2.3, 0.4), (1.0, 0.05)):
+        spec = MeanMadSpec(mu, d)
+        for m in range(1, 7):
+            bound = maximin_certificate_lower(spec, m)
+            price = float(_mp_bound(mu, d, m)[1])
+            for _ in range(150):
+                support, probs = np.zeros(1), np.ones(1)
+                for _ in range(m):
+                    s, p = _random_member(mu, d, rng)
+                    support = np.add.outer(support, s).ravel()
+                    probs = np.multiply.outer(probs, p).ravel()
+                revenue = price * probs[support >= price].sum() / m
+                assert revenue >= bound
+                margins.append(revenue / bound - 1.0)
+    # the products near Bernoulli{0, mu} come close: the check has teeth
+    assert min(margins) < 1e-3
+
+
+@pytest.mark.parametrize("mu, d", _SPECS)
+def test_certificate_lower_never_exceeds_either_solver(mu, d):
+    # at m = 1, L is the game value itself: the polished maximin may sit an
+    # ulp below it
+    spec = MeanMadSpec(mu, d)
+    for m in (1, 2, 5, 16, 100, 1000):
+        lower = maximin_certificate_lower(spec, m)
+        for rep in (maximin_bundling_value(spec, m),
+                    minimax_bundling_value(spec, m)):
+            assert rep.certificate[0] == lower
+            tie = 1e-15 * rep.value if m == 1 else 0.0
+            assert lower <= rep.value + tie

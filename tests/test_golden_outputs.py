@@ -34,8 +34,9 @@ CASES = {
                   "--grid", "32"),
     "regret.json": ("regret", *HALF, "--m", "2,16", "--eps", "0.1",
                     "--gamma", "0.1", "--grid", "32", "--format", "json"),
-    # the f-minimizing cut is interior at eps = 0.3 and the grid's first
-    # point at eps = 0.2: the polish is checked off the grid and on it
+    # the optimized cut is max(t*, lowest cut) in closed form: at eps = 0.3
+    # it is the interior t* = 2, at eps = 0.2 it is clipped to the lowest
+    # cut 2.25, so both branches of the max are covered
     "concentration.csv": (*MC, "--eps", "0.3", "--format", "csv"),
     "concentration.json": (*MC, "--eps", "0.2", "--format", "json"),
     "xi.csv": ("xi", "--mu", "1", "--d", "1.5", "--format", "csv"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,8 +8,7 @@ from scipy.stats import binom
 
 from rbl import solvers
 from rbl.ambiguity import MeanMadSpec, make_two_point
-from rbl.bundling import best_bundle_price, guaranteed_sale_price
-from rbl.concentration import concentration_constant, guaranteed_sale_chain
+from rbl.bundling import best_bundle_price
 from rbl.errors import RobustBundlingError
 from rbl.solvers import (
     U_FLOOR,
@@ -436,17 +436,54 @@ def test_best_response_kernel_chunking_is_invisible(monkeypatch, chunk):
         _assert_kernel_matches_scalar(spec, m, solvers._u_grid(spec, 67))
 
 
-def test_certificate_grid_is_bitwise_scalar():
-    # the eps grid is one array expression; each entry must carry the bits
-    # of the one-eps-at-a-time chain through concentration_constant
-    for mu, d, m in ((1.0, 0.5, 64), (1.0, 1.5, 10_000), (1.3, 2.1, 7),
-                     (2.0, 0.1, 1000)):
-        spec = MeanMadSpec(mu, d)
-        hi = 1.0 - spec.alpha_min
-        eps = np.linspace(hi * 1e-6, hi * (1.0 - 1e-6), solvers.EPS_GRID)
-        want = [guaranteed_sale_price(spec, m, e) / m
-                * (1.0 - concentration_constant(spec, e).f / m) for e in eps]
-        assert np.array_equal(guaranteed_sale_chain(spec, m, eps), want)
+def _decades():
+    """Every decade at the ends of the double range, every 20th between."""
+    return [e for e in range(-324, 309)
+            if e < -270 or e > 280 or e % 20 == 0]
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.5])
+def test_solvers_are_scale_free_wherever_the_scale_is_accepted(ratio):
+    # mu = 10^e, d = ratio * mu: a scale the solvers accept gives the
+    # unit-scale value and certificate per mu; the others are rejected by
+    # the one scale check, never answered with a warning or a wrong number
+    m = 3
+    base = (maximin_bundling_value(MeanMadSpec(1.0, ratio), m, price_grid=64),
+            minimax_bundling_value(MeanMadSpec(1.0, ratio), m, alpha_grid=64))
+    accepted = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in _decades():
+            mu = 10.0 ** e
+            try:
+                spec = MeanMadSpec(mu, ratio * mu)
+            except RobustBundlingError:
+                continue
+            try:
+                reps = (maximin_bundling_value(spec, m, price_grid=64),
+                        minimax_bundling_value(spec, m, alpha_grid=64))
+            except RobustBundlingError as err:
+                assert "leave double range" in str(err)
+                continue
+            accepted.append(e)
+            for rep, want in zip(reps, base):
+                assert rep.value / mu == pytest.approx(want.value, rel=1e-12)
+                assert rep.certificate[0] / mu == pytest.approx(
+                    want.certificate[0], rel=1e-12)
+    # one unbroken run of decades, rejected only near the ends
+    assert accepted == [e for e in _decades() if accepted[0] <= e <= accepted[-1]]
+    assert accepted[0] <= -280 and accepted[-1] >= 290
+
+
+def test_scale_check_rejects_what_once_came_out_wrong():
+    # without the check, mu = d = 1e300 solved to NaN with warnings, and
+    # mu = 9.9e-323 to maximin / mu = 0.5 against the true 0.1929
+    for mu in (1e300, 9.9e-323):
+        for solve in (maximin_bundling_value, minimax_bundling_value):
+            with pytest.raises(RobustBundlingError, match="leave double range"):
+                solve(MeanMadSpec(mu, mu), 3)
+    with pytest.raises(RobustBundlingError, match="need m >= 1"):
+        maximin_bundling_value(MeanMadSpec(1.0, 0.5), 0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 16, 64])
