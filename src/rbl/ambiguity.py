@@ -13,6 +13,7 @@ for alpha in [d/(2*mu), 1). At the left endpoint the low point sits exactly at 0
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,7 +28,7 @@ MOMENT_TOL = 1e-9
 @dataclass(frozen=True)
 class MeanMadSpec:
     """Mean/dispersion pair (mu, d); valid iff mu > 0 and 0 < d < 2*mu, with
-    2*mu finite and d/(2*mu) not lost against 1 in doubles."""
+    2*mu finite, mu and d normal doubles and d/(2*mu) not lost against 1."""
 
     mu: float
     d: float
@@ -41,6 +42,9 @@ class MeanMadSpec:
             raise RobustBundlingError(
                 f"need 0 < d < 2*mu for a workable set, got d={self.d}, mu={self.mu}"
             )
+        if min(self.mu, self.d) < sys.float_info.min:
+            raise RobustBundlingError(f"mu={self.mu!r} and d={self.d!r} leave "
+                                      "double range: both must be normal")
         # u = 1 - alpha tops out at 1 - alpha_min; at 1.0 alpha_min is lost
         if not 1.0 - self.alpha_min < 1.0:
             raise RobustBundlingError(
@@ -135,7 +139,8 @@ def make_two_point(spec: MeanMadSpec, alpha: float) -> TwoPointDist:
 
     alpha must lie in [alpha_min, 1) with alpha_min = d/(2*mu); at the boundary the
     low point is exactly 0.0. Rounding-level negative lows just above the boundary
-    are clamped to 0 (mean identity still holds to 1e-12 relative).
+    are clamped to 0 (mean identity still holds to 1e-12 relative). The high
+    point must be a finite double.
     """
     a_min = spec.alpha_min
     if not (a_min <= alpha < 1.0):
@@ -150,6 +155,8 @@ def make_two_point(spec: MeanMadSpec, alpha: float) -> TwoPointDist:
                     f"alpha={alpha} drives the low point negative")
             x = 0.0
     y = spec.mu + spec.d / (2.0 * (1.0 - alpha))
+    if not math.isfinite(y):
+        raise RobustBundlingError(f"alpha={alpha} puts the high point past double range")
     return TwoPointDist(spec=spec, alpha=alpha, x=x, y=y)
 
 

@@ -5,7 +5,8 @@ item, the revenue share of the first-best approaches 1 - d/(2 mu), and the
 per-item regret approaches d/2. This module evaluates the finite-m chains that
 sandwich those limits, the positive gap xi separating the dispersed regime
 d > mu from mu - d/2, and empirical objective values where the first-best term
-is either solved exactly (m <= 3) or replaced by its m*mu ceiling.
+is either solved exactly (m <= 3) or replaced by its m*mu ceiling. Both chains
+are formed in units of mu from b = d/(2 mu), free of the scale.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .concentration import guaranteed_sale_chain
 from .errors import RobustBundlingError
 from .opt_oracle import opt_deterministic
 from .optimize import grid_polish
-from .solvers import _u_grid, maximin_bundling_value
+from .solvers import _check_scale, _u_grid, maximin_bundling_value
 from .sum_law import iid_two_point_sum, tail_prob
 
 _EMP_GRID = 256
@@ -85,42 +86,46 @@ def xi_gap(spec: MeanMadSpec) -> dict:
     return {"gamma": gamma, "tau0": tau0, "xi0": xi0, "xi1": xi1, "xi": xi1}
 
 
+def _boundary_variance(spec: MeanMadSpec) -> float:
+    """b/(1 - b), b = d/(2 mu): the zero-low-point member's variance / mu^2."""
+    return spec.alpha_min / (1.0 - spec.alpha_min)
+
+
 def variance_boundary_member(spec: MeanMadSpec) -> float:
-    """Variance of the two-point member whose low point sits at zero:
-    (d/(2mu)) mu^2 + (1 - d/(2mu)) (d mu / (2mu - d))^2."""
-    a = spec.alpha_min
-    dev = spec.d * spec.mu / (2.0 * spec.mu - spec.d)
-    return a * spec.mu ** 2 + (1.0 - a) * dev ** 2
+    """Variance of the two-point member whose low point sits at zero,
+    b/(1 - b) mu^2; inf once that leaves double range."""
+    return _boundary_variance(spec) * spec.mu * spec.mu
 
 
-def _chebyshev_bracket(spec: MeanMadSpec, m: int, gamma: float,
-                       g: float) -> float:
-    """1 - g / ((gamma mu)^2 m): Chebyshev's floor on the chance that a sum
-    with per-item variance at most g stays within gamma m mu of its mean."""
-    return 1.0 - g / ((gamma * spec.mu) ** 2 * m)
+def _chebyshev_bracket(m: int, gamma: float, g: float) -> float:
+    """1 - g / (gamma^2 m): Chebyshev's floor on the chance that a sum with
+    per-item variance at most g mu^2 stays within gamma m mu of its mean."""
+    return 1.0 - g / (gamma ** 2 * m)
 
 
 def ratio_bound_chain(spec: MeanMadSpec, m: int, eps: float) -> dict:
     """Finite-m sandwich for the revenue share of the first-best.
 
-    Returns {lower, upper, g}. lower divides the guaranteed-sale revenue floor
-    by the m*mu ceiling and is reported raw (it goes negative when f >= m).
-    upper is (2mu-d)/(2mu) / ((1-gamma)(1 - c/gamma^2)) with c = g/(mu^2 m)
-    at the gamma that maximizes the denominator, the one real root of
-    gamma^3 + c gamma - 2c = 0; for c < 1 it lies in (sqrt(c), 1). Cardano in
-    the form gamma = A - c/(3A), A^3 = c (1 + sqrt(1 + c/27)), cancels
-    nothing. upper is +inf when c >= 1: 1 - c/gamma^2 <= 0 on all of (0, 1).
+    Returns {lower, upper, g}, g = variance_boundary_member. lower divides the
+    guaranteed-sale revenue floor by the m*mu ceiling and is reported raw (it
+    goes negative when f >= m). upper is (1 - b) / ((1-gamma)(1 - c/gamma^2))
+    with c = b/((1 - b) m) at the gamma that maximizes the denominator, the
+    one real root of gamma^3 + c gamma - 2c = 0; for c < 1 it lies in
+    (sqrt(c), 1). Cardano in the form gamma = A - c/(3A),
+    A^3 = c (1 + sqrt(1 + c/27)), cancels nothing. upper is +inf when c >= 1:
+    1 - c/gamma^2 <= 0 on all of (0, 1).
     """
     lower = guaranteed_sale_chain(spec, m, eps) / spec.mu
-    g = variance_boundary_member(spec)
-    c = g / (spec.mu ** 2 * m)
+    g = _boundary_variance(spec)
+    c = g / m
     upper = float("inf")
     if c < 1.0:
         a = float(np.cbrt(c * (1.0 + np.sqrt(1.0 + c / 27.0))))
         gam = a - c / (3.0 * a)
-        upper = (2.0 * spec.mu - spec.d) / (2.0 * spec.mu) \
-            / ((1.0 - gam) * _chebyshev_bracket(spec, m, gam, g))
-    return {"lower": float(lower), "upper": upper, "g": g}
+        upper = (1.0 - spec.alpha_min) \
+            / ((1.0 - gam) * _chebyshev_bracket(m, gam, g))
+    return {"lower": float(lower), "upper": upper,
+            "g": variance_boundary_member(spec)}
 
 
 def regret_bound_chain(spec: MeanMadSpec, m: int, eps: float,
@@ -134,11 +139,11 @@ def regret_bound_chain(spec: MeanMadSpec, m: int, eps: float,
     if not (0.0 < gamma < 1.0):
         raise RobustBundlingError(f"need 0 < gamma < 1, got {gamma!r}")
     upper = spec.mu - guaranteed_sale_chain(spec, m, eps)
-    g = variance_boundary_member(spec)
-    corrected = (1.0 - gamma) * spec.mu \
-        * _chebyshev_bracket(spec, m, gamma, g) - (spec.mu - spec.d / 2.0)
-    cap = max(spec.mu - spec.d / 2.0, spec.d / 2.0)
-    return {"upper": float(upper), "lower": float(min(corrected, cap))}
+    b = spec.alpha_min
+    corrected = (1.0 - gamma) \
+        * _chebyshev_bracket(m, gamma, _boundary_variance(spec)) - (1.0 - b)
+    return {"upper": float(upper),
+            "lower": float(spec.mu * min(corrected, max(1.0 - b, b)))}
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,7 @@ def _empirical(spec: MeanMadSpec, m: int, grid: int,
     the same search as minimizing the worst shortfall."""
     ratio = objective == "ratio"
     if m <= _ORACLE_CAP:
+        _check_scale(spec, m)  # the rule maximin applies in mode mu_upper
         u, laws, opts = _oracle_curves(spec, m, grid)
 
         def scores(p: float) -> np.ndarray:

@@ -10,11 +10,13 @@ a two-point member, a baseline the menu oracle must beat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambiguity import MeanMadSpec, TwoPointDist
+from .errors import RobustBundlingError
 from .sum_law import SumLaw
 
 
@@ -48,11 +50,16 @@ def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps: float) -> float:
 
     Undercuts the sum's lower quantile uniformly over the family: every member
     sells at this price with probability at least 1 - f/m for the matching
-    failure coefficient (see concentration.concentration_constant).
+    failure coefficient (see concentration.concentration_constant). A price
+    that overflows the double range raises RobustBundlingError.
     """
     spec.check_eps(eps)
     w = 1.0 - eps
-    return w * w * m * (spec.mu - spec.d / (2.0 * w))
+    p = w * w * m * (spec.mu - spec.d / (2.0 * w))
+    if not math.isfinite(p):
+        raise RobustBundlingError(
+            f"the sale price at mu={spec.mu!r}, m={m} is not a finite double")
+    return p
 
 
 def separate_sale_revenue(dist: TwoPointDist, m: int) -> float:

@@ -2,10 +2,12 @@
 
 The sum of m independent values with mean mu and mean absolute deviation d lands
 above the guaranteed-sale price with probability at least 1 - f/m, where the
-failure coefficient f depends only on (mu, d, eps). The route is truncation at a
-level t, a conditional-mean floor, and Chebyshev on the truncated sum; the
-first step, the truncated-tail supremum, is exposed on its own so it can be
-checked against a member grid.
+failure coefficient f depends only on b = d/(2 mu) and eps. The route is
+truncation at a level t, a conditional-mean floor, and Chebyshev on the
+truncated sum; the first step, the truncated-tail supremum, is exposed on its
+own so it can be checked against a member grid. Every constant is formed as
+a function of b times a power of mu, and no product of two scales is formed,
+so f, the bound and t/mu are the same at every scale mu and d = 2 b mu.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .ambiguity import MeanMadSpec, MemberDist, verify_membership
 from .bundling import guaranteed_sale_price
@@ -57,61 +57,31 @@ def tail_truncation_sup(spec: MeanMadSpec, t: float) -> float:
     """Largest E[X 1{X >= t}] over the family, as a function of the cut t.
 
     The free optimum puts mass d/(2(t-mu)) on the upper point, worth
-    d mu/(2(t-mu)) + d/2. When t is low that mass exceeds what a nonnegative
+    d/(2(t/mu - 1)) + d/2. When t is low that mass exceeds what a nonnegative
     member can carry; the boundary member (lower point at zero) then attains
     exactly mu, so the supremum caps there.
     """
     lo = spec.mu + spec.d / 2.0
     if t < lo:
         raise RobustBundlingError(f"need t >= {lo!r}, got {t!r}")
-    raw = spec.d * spec.mu / (2.0 * (t - spec.mu)) + spec.d / 2.0
+    raw = spec.d / (2.0 * (t / spec.mu - 1.0)) + spec.d / 2.0
     return min(raw, spec.mu)
 
 
 def failure_coefficient(spec: MeanMadSpec, eps: float) -> float:
-    """f = t^2 / (4 (eps ((1-eps) mu - d/2))^2) at the lowest cut
-    t = mu + d/(2 eps), for eps in (0, 1 - d/(2 mu)).
-
-    eps's range is checked first, so eps = 0 is a RobustBundlingError rather
-    than a division by zero. A spec scale near either end of the double range
-    overflows t^2 or flushes the denominator to zero; f is then not a finite
-    double and RobustBundlingError is raised.
-    """
-    spec.check_eps(eps)
-    eps = float(eps)  # Python's float ** raises on overflow, numpy's does not
-    t = spec.mu + spec.d / (2.0 * eps)
-    try:
-        f = t ** 2 / (4.0 * (eps * ((1.0 - eps) * spec.mu - spec.d / 2.0)) ** 2)
-    except (OverflowError, ZeroDivisionError):
-        f = math.inf
-    if not math.isfinite(f):
-        raise RobustBundlingError(
-            f"f(mu, d, eps) is not a finite double at mu={spec.mu!r}, "
-            f"d={spec.d!r}: mu and d are too large or too small, or d is too "
-            f"close to 2*mu")
-    return f
+    """f = (1 + b/eps)^2 / (4 (eps ((1 - eps) - b))^2), b = d/(2 mu), at the
+    lowest cut t = mu + d/(2 eps), for eps in (0, 1 - b): the default
+    concentration_constant's f. eps's range is checked first, so eps = 0 is a
+    RobustBundlingError rather than a division by zero."""
+    return concentration_constant(spec, eps).f
 
 
 def guaranteed_sale_chain(spec: MeanMadSpec, m: int, eps: float) -> float:
     """Per-item revenue the guaranteed-sale price earns at least on every
     member, p*(eps)/m * (1 - f(mu,d,eps)/m). f goes first: it checks eps's
-    range and rejects a spec scale out of double range before the price is
-    formed."""
+    range before the price is formed."""
     f = failure_coefficient(spec, eps)
     return guaranteed_sale_price(spec, m, eps) / m * (1.0 - f / m)
-
-
-def _f_at(spec: MeanMadSpec, eps: float, t: float) -> float:
-    # conditional-mean floor (1 - d/(2(t-mu))) mu - d/2, variance cap t^2/4
-    t = np.float64(t)
-    with np.errstate(over="ignore"):
-        floor = (1.0 - spec.d / (2.0 * (t - spec.mu))) * spec.mu - spec.d / 2.0
-        f = t * t / (4.0 * (eps * floor) ** 2)
-    if not np.isfinite(f):
-        raise RobustBundlingError(
-            f"f(mu, d, eps) at the cut t={float(t)!r} is not a finite double: "
-            f"mu={spec.mu!r} and d={spec.d!r} are too large")
-    return float(f)
 
 
 def concentration_constant(
@@ -119,23 +89,29 @@ def concentration_constant(
 ) -> ConcentrationCertificate:
     """Failure coefficient f(mu, d, eps); m left unset until with_m.
 
-    Default t = mu + d/(2 eps) is the lowest cut keeping the truncated mean
-    within eps of mu, giving f = t^2 / (4 (eps ((1-eps) mu - d/2))^2) verbatim.
-    optimize_t=True instead minimizes f over t >= that cut: raising t loosens
-    the variance cap t^2/4 but lifts the conditional-mean floor. With
-    b = d/(2 mu), f falls to its one minimum t* = mu (1 + sqrt(b)) / (1 - b),
-    which does not depend on eps, and rises after it, so the cut is
-    max(t*, mu + d/(2 eps)). t* is formed in units of mu, so no product of
-    two scales can overflow.
+    A cut is named by its slack e in (0, eps]: t = mu (1 + b/e), b = d/(2 mu).
+    Past t the family's tail carries at most (e + b) mu of the mean
+    (tail_truncation_sup), so the truncated mean is at least ((1 - e) - b) mu,
+    and Chebyshev with the variance cap t^2/4 gives
+    f = (1 + b/e)^2 / (4 (eps ((1 - e) - b))^2), in units of mu^2, so free
+    of mu. The default is the lowest cut, e = eps. optimize_t=True minimizes
+    f over the cuts: f falls to its one minimum t* = mu (1 + sqrt(b)) / (1 - b)
+    = mu / (1 - sqrt(b)), of slack sqrt(b) - b whatever eps is, and rises
+    after it, so e = min(sqrt(b) - b, eps). A t or f that leaves double range
+    (eps too small, or d too close to 2 mu) raises RobustBundlingError.
     """
-    f = failure_coefficient(spec, eps)  # checks eps and the scale
-    t_min = spec.mu + spec.d / (2.0 * eps)
-    if not optimize_t:
-        return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps, t=t_min, f=f)
+    spec.check_eps(eps)
     b = spec.alpha_min
-    t = max(spec.mu * ((1.0 + math.sqrt(b)) / (1.0 - b)), t_min)
-    return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps, t=t,
-                                    f=_f_at(spec, eps, t))
+    e = min(math.sqrt(b) - b, eps) if optimize_t else eps
+    r = 1.0 + b / e
+    den = 4.0 * (eps * ((1.0 - e) - b)) ** 2
+    f = r * r / den if den else math.inf
+    t = spec.mu * r
+    if not (math.isfinite(f) and math.isfinite(t)):
+        raise RobustBundlingError(
+            f"f(mu, d, eps) at eps={eps!r} and the cut t = mu*{r!r} is not a "
+            f"finite double: eps is too small or d={spec.d!r} too close to 2*mu")
+    return ConcentrationCertificate(mu=spec.mu, d=spec.d, eps=eps, t=t, f=f)
 
 
 @dataclass(frozen=True)
@@ -195,7 +171,7 @@ def concentration_check_mc(
         slots = [members[i % len(members)] for i in range(m)]
     emp = count_at_least(slots, m, seed=seed, n=n, threshold=cert.threshold,
                          workers=workers) / n
-    se = float(np.sqrt(emp * (1.0 - emp) / n))
+    se = math.sqrt(emp * (1.0 - emp) / n)
     return McReport(
         empirical=emp,
         bound=cert.bound,

@@ -25,6 +25,16 @@ def test_spec_rejects_degenerate_moments(mu, d):
         MeanMadSpec(mu, d)
 
 
+@pytest.mark.parametrize("mu,d", [(1e-310, 5e-311), (1.0, 1e-310),
+                                  (5e-324, 5e-324)])
+def test_spec_rejects_subnormal_moments(mu, d):
+    with pytest.raises(RobustBundlingError, match="leave double range"):
+        MeanMadSpec(mu, d)
+    # the least normal double is still a scale
+    tiny = 2.2250738585072014e-308
+    assert MeanMadSpec(2.0 * tiny, tiny).alpha_min == 0.25
+
+
 def test_spec_check_eps_is_the_one_range_check():
     # guaranteed_sale_price and failure_coefficient both raise this message
     spec = MeanMadSpec(1.0, 0.5)
@@ -67,6 +77,13 @@ def test_two_point_low_point_hits_zero_at_boundary(half_spec):
 def test_two_point_alpha_range(half_spec, alpha):
     with pytest.raises(RobustBundlingError, match=r"outside \["):
         make_two_point(half_spec, alpha)
+
+
+def test_two_point_high_point_must_be_a_double():
+    spec = MeanMadSpec(1e300, 5e299)
+    assert math.isfinite(make_two_point(spec, 1.0 - 1e-8).y)
+    with pytest.raises(RobustBundlingError, match="high point"):
+        make_two_point(spec, 0.999999999999)
 
 
 def test_two_point_inverse_cdf(half_spec):

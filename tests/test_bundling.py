@@ -61,6 +61,13 @@ def test_guaranteed_sale_price_eps_window(half_spec):
     assert guaranteed_sale_price(half_spec, 10, 0.7499) > 0.0
 
 
+def test_guaranteed_sale_price_must_be_a_double():
+    spec = MeanMadSpec(1e307, 5e306)
+    assert guaranteed_sale_price(spec, 10, 0.2) == pytest.approx(4.4e307)
+    with pytest.raises(RobustBundlingError, match="not a finite double"):
+        guaranteed_sale_price(spec, 100, 0.2)
+
+
 def test_guaranteed_sale_price_always_sells(half_spec):
     # at the worst member the sum still clears the price with the stated slack
     m, eps = 200, 0.2

@@ -242,7 +242,8 @@ _EXTREME = st.one_of(
 
 
 @settings(max_examples=120, deadline=None, database=None, derandomize=True)
-@given(command=st.sampled_from(["maximin", "minimax", "concentration"]),
+@given(command=st.sampled_from(["maximin", "minimax", "concentration",
+                                 "ratio", "regret"]),
        mu=_EXTREME, d=st.one_of(_EXTREME, st.floats(0.0, 2.0)),
        relative=st.booleans(), m=st.integers(1, 3))
 def test_fuzzed_spec_scales_exit_0_or_2_in_one_line(command, mu, d, relative,
@@ -256,6 +257,8 @@ def test_fuzzed_spec_scales_exit_0_or_2_in_one_line(command, mu, d, relative,
     if command == "concentration":
         argv += ["--n", "10000", "--seed", "0", "--eps", "0.2",
                  "--member", "two_point:alpha=0.999", "--optimize-t"]
+    if command in ("ratio", "regret"):
+        argv += ["--eps", "0.1", "--gamma", "0.1", "--grid", "8"]
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -266,6 +269,31 @@ def test_fuzzed_spec_scales_exit_0_or_2_in_one_line(command, mu, d, relative,
     assert err.getvalue().count("\n") <= 1
     assert [str(w.message) for w in caught
             if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("argv", [
+    # the oracle studies once printed value = nan with warnings here
+    ("ratio", "--mu", "1e300", "--d", "5e299", "--m", "2", "--eps", "0.1",
+     "--grid", "8"),
+    ("regret", "--mu", "1e300", "--d", "5e299", "--m", "3", "--eps", "0.1",
+     "--gamma", "0.1", "--grid", "8"),
+    # a member whose high point is inf once priced it at 1.5e300
+    ("opt-oracle", "--mu", "1e300", "--d", "5e299", "--m", "2", "--alpha",
+     "0.999999999999"),
+    # an infinite sale threshold, and a subnormal one
+    ("concentration", "--mu", "1e307", "--d", "5e306", "--m", "100", "--eps",
+     "0.2", "--n", "10000", "--seed", "1", "--member", "two_point:alpha=0.5"),
+    ("concentration", "--mu", "1e-310", "--d", "5e-311", "--m", "100",
+     "--eps", "0.2", "--n", "10000", "--seed", "1", "--member",
+     "two_point:alpha=0.5"),
+    ("maximin", "--mu", "1", "--d", "1e-310", "--m", "3"),
+])
+def test_what_doubles_cannot_hold_exits_2_in_one_line(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bad_format_is_rejected_before_the_monte_carlo_run(capsys,

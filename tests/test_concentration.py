@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rbl.asymptotics import ratio_bound_chain, regret_bound_chain
 from rbl.ambiguity import (
     MeanMadSpec,
     make_pareto_member,
@@ -112,13 +113,62 @@ def test_optimized_cut_is_scale_free(half_spec):
                                           optimize_t=True)
         assert cert.t / scale == pytest.approx(base.t, rel=1e-15)
         assert cert.f == pytest.approx(base.f, rel=1e-14)
-    # the default cut squares to a double here, the optimized one does not
+    # the optimized cut's square once left double range here; f is formed
+    # in units of mu now, so it is the unit-scale value
+    unit = concentration_constant(MeanMadSpec(1.0, 1.0), 0.3, optimize_t=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        spec = MeanMadSpec(4.5e153, 4.5e153)
-        concentration_constant(spec, 0.3)
-        with pytest.raises(RobustBundlingError, match="not a finite double"):
-            concentration_constant(spec, 0.3, optimize_t=True)
+        cert = concentration_constant(MeanMadSpec(4.5e153, 4.5e153), 0.3,
+                                      optimize_t=True)
+    assert cert.f == unit.f
+    assert cert.t / 4.5e153 == pytest.approx(unit.t, rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [100, 10_000])
+@pytest.mark.parametrize("eps", [0.2, 0.3])
+def test_certificates_and_chains_are_scale_free_decade_by_decade(m, eps):
+    # mu = 10^e, d = mu/2, so b = d/(2 mu) = 1/4 exactly at every decade:
+    # f and the bound keep the unit scale's bits, and every end, t and
+    # threshold per mu match it, as does the truncated-tail supremum; the
+    # lowest cut at eps = 0.2, the interior t* = 2 mu at 0.3
+    def run(spec):
+        cert = concentration_constant(spec, eps).with_m(m)
+        opt = concentration_constant(spec, eps, optimize_t=True).with_m(m)
+        ratio = ratio_bound_chain(spec, m, eps)
+        regret = regret_bound_chain(spec, m, eps, 0.3)
+        bits = (cert.f, cert.bound, opt.f, opt.bound)
+        per_mu = (cert.t, opt.t, tail_truncation_sup(spec, cert.t),
+                  cert.threshold, regret["upper"], regret["lower"])
+        return bits, [v / spec.mu for v in per_mu] + [ratio["lower"],
+                                                      ratio["upper"]]
+
+    want_bits, want = run(MeanMadSpec(1.0, 0.5))
+    decades = range(-307, 307)
+    accepted = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in decades:
+            mu = 10.0 ** e
+            try:
+                bits, got = run(MeanMadSpec(mu, mu / 2.0))
+            except RobustBundlingError:
+                continue
+            accepted.append(e)
+            assert bits == want_bits, e
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), e
+    # only the top decades, where the sale price m*(...)*mu overflows, fail
+    assert accepted == list(decades)[:len(accepted)]
+    assert len(accepted) >= len(decades) - (2 if m > 100 else 0)
+
+
+def test_a_cut_or_f_out_of_double_range_is_rejected(half_spec):
+    # f = (1 + b/eps)^2 / ... overflows for a thin cut; t = 2.25 mu overflows
+    # near the top of the range although f is the unit-scale value there
+    for spec, eps in ((half_spec, 1e-160), (MeanMadSpec(8e307, 4e307), 0.2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RobustBundlingError, match="not a finite double"):
+                concentration_constant(spec, eps)
 
 
 def test_certificate_with_m(half_spec):

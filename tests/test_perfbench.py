@@ -1,12 +1,16 @@
 """What the benchmark under perfbench/ assumes about the program: its
-game-sweep smoke run passes its own checks (value >= certificate lower among
-them, against a dense reference scan), and its tracer finds, wraps and puts
-back every function it patches. Both run in a fresh interpreter, so the
-tracer's patches never reach this one."""
+game-sweep and mc-certify smoke runs pass their own checks (value >=
+certificate lower against a dense reference scan; every Monte Carlo bound and
+threshold against the reference failure coefficient and sale price to
+1e-12), and its tracer finds, wraps and puts back every function it patches.
+All run in a fresh interpreter, so the tracer's patches never reach this
+one."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,10 +43,11 @@ print("ok")
 """
 
 
-def test_game_sweep_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["game-sweep", "mc-certify"])
+def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke",
-         "--workload", "game-sweep"],
+         "--workload", workload],
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "correct=True" in proc.stdout
