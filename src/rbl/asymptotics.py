@@ -106,14 +106,13 @@ def _chebyshev_bracket(m: int, gamma: float, g: float) -> float:
 def ratio_bound_chain(spec: MeanMadSpec, m: int, eps: float) -> dict:
     """Finite-m sandwich for the revenue share of the first-best.
 
-    Returns {lower, upper, g}, g = variance_boundary_member. lower divides the
-    guaranteed-sale revenue floor by the m*mu ceiling and is reported raw (it
-    goes negative when f >= m). upper is (1 - b) / ((1-gamma)(1 - c/gamma^2))
-    with c = b/((1 - b) m) at the gamma that maximizes the denominator, the
-    one real root of gamma^3 + c gamma - 2c = 0; for c < 1 it lies in
-    (sqrt(c), 1). Cardano in the form gamma = A - c/(3A),
-    A^3 = c (1 + sqrt(1 + c/27)), cancels nothing. upper is +inf when c >= 1:
-    1 - c/gamma^2 <= 0 on all of (0, 1).
+    Returns {lower, upper}. lower divides the guaranteed-sale revenue floor
+    by the m*mu ceiling and is reported raw (it goes negative when f >= m).
+    upper is (1 - b) / ((1-gamma)(1 - c/gamma^2)) with c = b/((1 - b) m) at
+    the gamma that maximizes the denominator, the one real root of
+    gamma^3 + c gamma - 2c = 0; for c < 1 it lies in (sqrt(c), 1). Cardano in
+    the form gamma = A - c/(3A), A^3 = c (1 + sqrt(1 + c/27)), cancels
+    nothing. upper is +inf when c >= 1: 1 - c/gamma^2 <= 0 on all of (0, 1).
     """
     lower = guaranteed_sale_chain(spec, m, eps) / spec.mu
     g = _boundary_variance(spec)
@@ -124,8 +123,7 @@ def ratio_bound_chain(spec: MeanMadSpec, m: int, eps: float) -> dict:
         gam = a - c / (3.0 * a)
         upper = (1.0 - spec.alpha_min) \
             / ((1.0 - gam) * _chebyshev_bracket(m, gam, g))
-    return {"lower": float(lower), "upper": upper,
-            "g": variance_boundary_member(spec)}
+    return {"lower": float(lower), "upper": upper}
 
 
 def regret_bound_chain(spec: MeanMadSpec, m: int, eps: float,

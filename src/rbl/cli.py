@@ -285,16 +285,16 @@ def _cmd_saddle(cfg: dict, objective: str) -> int:
 
 
 def _scheduled(name: str, val: Optional[float], m: int, hi: float) -> float:
-    """An --eps or --gamma value: the number given, or with None ('auto')
-    the m^(-1/4) schedule at m, which must fall below hi (numbers are
-    range-checked by the bound chains)."""
-    if val is not None:
-        return val
-    val = schedule_eps_gamma(m)
-    if not val < hi:
-        raise RobustBundlingError(
-            f"--{name} auto: the m^(-1/4) schedule gives {val!r} at m = {m}, "
-            f"need {name} < {hi!r}; pass --{name} explicitly")
+    """An --eps or --gamma value in (0, hi): the number given, or with None
+    ('auto') the m^(-1/4) schedule at m."""
+    if val is None:
+        val = schedule_eps_gamma(m)
+        if not val < hi:
+            raise RobustBundlingError(
+                f"--{name} auto: the m^(-1/4) schedule gives {val!r} at "
+                f"m = {m}, need {name} < {hi!r}; pass --{name} explicitly")
+    elif not 0.0 < val < hi:
+        raise RobustBundlingError(f"need 0 < {name} < {hi!r}, got {val!r}")
     return val
 
 
@@ -306,9 +306,8 @@ def _cmd_ratio_regret(cfg: dict, objective: str) -> int:
     for m in ms:
         eps = _scheduled("eps", cfg["eps"], m, 1.0 - spec.alpha_min)
         # ratio reports gamma but does not use it
-        gamma = _scheduled("gamma", cfg["gamma"], m,
-                           1.0 if objective == "regret" else float("inf"))
-        # the chain rejects an out-of-range eps or gamma, so it runs first
+        gamma = _scheduled("gamma", cfg["gamma"], m, 1)
+        # the chain's checks are cheap, so it runs before the study
         if objective == "ratio":
             chain = ratio_bound_chain(spec, m, eps)
             emp = ratio_empirical(spec, m, **grid_kw)

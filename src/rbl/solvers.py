@@ -14,17 +14,17 @@ guarantee at u = U_FLOOR caps the infimum; for a nature row, a revenue floor
 from a few feasible prices), rows are solved exactly from the most promising
 bound on, and the search stops once every bound left clears the best value
 found by the relative margin _PRUNE_MARGIN. Maximin runs it negated, which is
-exact; the grid optimum and its argument are those of the full grid. The
-exact best responses are one batched call: rows run in 2-D chunks, each over
-its own 40-sigma window of k with binomial masses from sum_law.binom_pmf, and
-take the same float steps a one-point call takes. Tails go through the
-binomial survival function (sum_law.binom_sf, the kernel the Monte Carlo
-sampler's counts share) rather than the explicit m+1 point law, so m = 1e4
-stays quick. Every report carries a certificate pair: a closed-form lower
-bound that holds for every product of family members (see
-maximin_certificate_lower), and an upper bound that the computed value can
-be checked against. Both solvers first check that the spec's scale keeps
-their arithmetic in double range (_check_scale).
+exact; the grid optimum and its argument are those of the full grid. A
+nature row's exact best response is one call per u, over the 40-sigma window
+of k (_window) with binomial masses from sum_law.binom_pmf, so the pruned
+grid is solved a row at a time. Tails go through the binomial survival
+function (sum_law.binom_sf, the kernel the Monte Carlo sampler's counts
+share) rather than the explicit m+1 point law, so m = 1e4 stays quick.
+Every report carries a certificate pair: a closed-form lower bound that
+holds for every product of family members (see maximin_certificate_lower),
+and an upper bound that the computed value can be checked against. Both
+solvers first check that the spec's scale keeps their arithmetic in double
+range (_check_scale).
 """
 
 from __future__ import annotations
@@ -55,11 +55,9 @@ _WINDOW_SIGMAS = 40.0
 # binom_sf overshoot exact best responses by at most 5e-10 up to m = 3e7),
 # so pruning never changes a result.
 _PRUNE_MARGIN = 1e-9
-# Terms per chunk: breakpoints in the maximin price grid, (row, k) pairs in
-# the minimax best responses (each working array ~128 KB).
+# Breakpoints per chunk of the maximin price grid (each working array
+# ~128 KB); a minimax best response is one row, solved alone.
 _CHUNK_POINTS = 1 << 14
-# Nature grid rows solved exactly per step of the minimax pruning.
-_GRID_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,14 @@ class SaddleReport:
     price: float
     alpha: float
     certificate: tuple[float, float]
+
+
+def _window(m: int, p: float) -> tuple[int, int]:
+    """lo..hi: the k within _WINDOW_SIGMAS sigmas of the mean m p of a
+    Binomial(m, p), clipped to 0..m."""
+    sig = math.sqrt(m * p * (1.0 - p))
+    return (max(math.floor(m * p - _WINDOW_SIGMAS * sig), 0),
+            min(math.ceil(m * p + _WINDOW_SIGMAS * sig), m))
 
 
 def _u_grid(spec: MeanMadSpec, n: int) -> np.ndarray:
@@ -219,16 +225,14 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     and mu k > p, P(S < p) <= mu E(k - K)+ / (mu k - p). The price
     p = mu (k - sqrt(k E(k - K)+)) maximizes p (1 - that bound) / m to the
     k-th term of L. E(k - K)+ = sum_{i<k} P(K <= i) is a double cumsum of
-    binomial masses over the _WINDOW_SIGMAS window of k: below it E(k - K)+
-    is negligible and the term rises as k, above it the term falls. The
+    binomial masses over the _window of k: below it E(k - K)+ is negligible
+    and the term rises as k, above it the term falls. The
     masses are those of m - K ~ Binomial(m, d/(2 mu)) at m - k, so alpha_min
     enters unrounded. At m = 1, L is the single-item robust revenue
     (sqrt(mu) - sqrt(d/2))^2.
     """
     q = spec.alpha_min
-    sig = math.sqrt(m * q * (1.0 - q))
-    lo = max(math.floor(m * (1.0 - q) - _WINDOW_SIGMAS * sig), 0)
-    hi = min(math.ceil(m * (1.0 - q) + _WINDOW_SIGMAS * sig), m)
+    lo, hi = _window(m, 1.0 - q)
     k = np.arange(lo, hi + 1.0)
     cdf = np.cumsum(binom_pmf(m - k, m, q))
     shortfall = np.concatenate(([0.0], np.cumsum(cdf[:-1])))
@@ -283,47 +287,27 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     )
 
 
-def _best_response(spec: MeanMadSpec, m: int,
-                   us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _best_response(spec: MeanMadSpec, m: int, u: float) -> tuple[float, float]:
     """Seller's best bundle price and per-item revenue when highs are
-    Binomial(m, u), for each u in the array us.
+    Binomial(m, u).
 
-    Only sum support points can be optimal. Row u scans k over lo..hi, a
-    40 sigma window around m*u (plus k=0, the guaranteed sale), with the
-    survival mass beyond the window re-added: a few terms where m*u is small,
-    where the adversary sits, and a few hundred per row at large m. Rows go
-    in 2-D chunks of about _CHUNK_POINTS terms, each row at its own lo; the
-    pmf is 0 past a row's hi and its revenue -inf, so each row takes the same
-    float steps as it would alone.
+    Only sum support points can be optimal. The scan takes k over the
+    _window around m*u (plus k=0, the guaranteed sale), with the survival
+    mass beyond it re-added: a few terms where m*u is small, where the
+    adversary sits, and a few hundred at large m.
     """
-    x, gap = _two_point(spec, us)
-    sig = np.sqrt(m * us * (1.0 - us))
-    lo = np.maximum(np.floor(m * us - _WINDOW_SIGMAS * sig), 0).astype(np.int64)
-    hi = np.minimum(np.ceil(m * us + _WINDOW_SIGMAS * sig), m).astype(np.int64)
-    sf_beyond = binom_sf(hi, m, us)
-    width = hi - lo + 1
-    prices = np.empty(us.size)
-    revs = np.empty(us.size)
-    # widest rows first, so a chunk's first row sets its column count
-    order = np.argsort(-width, kind="stable")
-    i = 0
-    while i < order.size:
-        rows = order[i:i + max(1, _CHUNK_POINTS // int(width[order[i]]))]
-        i += rows.size
-        ks = lo[rows, None] + np.arange(width[rows[0]])
-        inside = ks <= hi[rows, None]
-        kf = ks.astype(float)  # exact: the bits of int-by-float products
-        pmf = np.where(inside, binom_pmf(kf, m, us[rows, None]), 0.0)
-        sf = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1] + sf_beyond[rows, None]
-        s = (m * x[rows])[:, None] + kf * gap[rows, None]
-        rev = np.where(inside, s * sf, -np.inf)
-        at = (np.arange(rows.size), np.argmax(rev, axis=1))
-        prices[rows], revs[rows] = s[at], rev[at]
+    x, gap = _two_point(spec, u)
+    lo, hi = _window(m, u)
+    k = np.arange(lo, hi + 1.0)
+    sf = np.cumsum(binom_pmf(k, m, u)[::-1])[::-1] + binom_sf(hi, m, u)
+    s = m * x + k * gap
+    rev = s * sf
+    j = int(np.argmax(rev))
+    price, best = float(s[j]), float(rev[j])
     # the all-low point sells surely
-    sure = m * x
-    low = (lo > 0) & (sure > revs)
-    prices[low] = revs[low] = sure[low]
-    return prices, revs / m
+    if lo > 0 and m * x > best:
+        price = best = float(m * x)
+    return price, best / m
 
 
 def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
@@ -346,8 +330,8 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
     """Two-point i.i.d. parameter minimizing the seller's best-response revenue.
 
     Grid plus golden-section polish over alpha, the grid solved only where it
-    can hold the minimum: _pruned_min takes the rows _GRID_ROWS at a time
-    from the lowest revenue floor up. Reports the argmin alpha and the
+    can hold the minimum: _pruned_min solves the rows one at a time from the
+    lowest revenue floor up. Reports the argmin alpha and the
     best-response price there. certificate.lower is maximin's family-wide
     bound maximin_certificate_lower (the other play order can only do worse
     for the adversary) and certificate.upper is the raw grid minimum, valid
@@ -357,15 +341,14 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
     _check_scale(spec, m)
     lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
-    vals = _pruned_min(_revenue_floors(spec, m, u),
-                       lambda i: _best_response(spec, m, u[i])[1], _GRID_ROWS)
+    vals = _pruned_min(_revenue_floors(spec, m, u), lambda i: [
+        _best_response(spec, m, u[j])[1] for j in i], 1)
     u_best, v_best = grid_polish(
-        lambda z: float(_best_response(spec, m, np.array([z]))[1][0]), u, vals,
-        BRACKET_TOL)
+        lambda z: _best_response(spec, m, z)[1], u, vals, BRACKET_TOL)
     return SaddleReport(
         m=m,
         value=v_best,
-        price=float(_best_response(spec, m, np.array([u_best]))[0][0]),
+        price=_best_response(spec, m, u_best)[0],
         alpha=1.0 - u_best,
         certificate=(lower, float(vals.min())),
     )

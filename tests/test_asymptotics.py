@@ -82,7 +82,7 @@ def test_variance_boundary_member(half_spec):
 
 def test_ratio_chain_frozen_m1e4(half_spec):
     chain = ratio_bound_chain(half_spec, 10_000, 0.1)
-    assert chain["g"] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert set(chain) == {"lower", "upper"}
     assert chain["lower"] == pytest.approx(0.54260, abs=5e-4)
     assert chain["upper"] == pytest.approx(0.79787, abs=5e-4)
     assert chain["lower"] <= chain["upper"]

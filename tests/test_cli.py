@@ -161,6 +161,9 @@ def test_regret_auto_schedule(capsys):
      "three_point:points=-1+1+2,probs=0.25+0.5+0.25"),
     ("RBL_MEMBER=;", "concentration", "--mu", "1", "--d", "0.5", "--eps",
      "0.2", "--m", "50", "--n", "10000", "--seed", "1"),
+    # a given gamma outside (0, 1), which ratio reports but does not use
+    *(("ratio", "--mu", "1", "--d", "0.5", "--m", "100", "--eps", "0.2",
+       "--gamma", gamma) for gamma in ("nan", "-3", "0", "1.5", "inf")),
 ])
 def test_validation_failures_exit_2(capsys, monkeypatch, argv):
     # leading RBL_NAME=value words set the environment, as in a shell

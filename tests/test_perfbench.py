@@ -1,10 +1,12 @@
-"""What the benchmark under perfbench/ assumes about the program: its
-game-sweep and mc-certify smoke runs pass their own checks (value >=
-certificate lower against a dense reference scan; every Monte Carlo bound and
-threshold against the reference failure coefficient and sale price to
-1e-12), and its tracer finds, wraps and puts back every function it patches.
-All run in a fresh interpreter, so the tracer's patches never reach this
-one."""
+"""What the benchmark under perfbench/ assumes about the program: the smoke
+runs of all three workloads pass their own checks (game-sweep: value >=
+certificate lower against a dense reference scan; mc-certify: every Monte
+Carlo bound and threshold against the reference failure coefficient and sale
+price to 1e-12; exact-oracle: exact sum laws against mpmath and 2^k
+lattices, posted prices and tails against the reference, each menu-oracle
+revenue against its witness menu and the bundle and separate-sale floors),
+and its tracer finds, wraps and puts back every function it patches. All
+run in a fresh interpreter, so the tracer's patches never reach this one."""
 
 import subprocess
 import sys
@@ -43,7 +45,8 @@ print("ok")
 """
 
 
-@pytest.mark.parametrize("workload", ["game-sweep", "mc-certify"])
+@pytest.mark.parametrize("workload", ["game-sweep", "mc-certify",
+                                      "exact-oracle"])
 def test_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--smoke",

@@ -166,7 +166,7 @@ def _pruned_and_full(monkeypatch, solve_game):
         return grids["pruned"]
 
     def unpruned(bounds, solve, step):
-        grids["full"] = solve(np.arange(bounds.size))
+        grids["full"] = np.asarray(solve(np.arange(bounds.size)), float)
         return grids["full"]
 
     with monkeypatch.context() as mp:
@@ -198,15 +198,20 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
         assert rep == rep_full
 
 
+def _kernel(spec, m, us):
+    """The one-u best response mapped over an array: (prices, revenues)."""
+    return np.array([solvers._best_response(spec, m, u) for u in us]).T
+
+
 def test_minimax_grid_pruning_keeps_the_argmin(monkeypatch):
     # the nature grid skips rows whose revenue floor clears a value already
-    # found; small chunks make that happen at every m
-    monkeypatch.setattr(solvers, "_GRID_ROWS", 8)
+    # found; at (1, 1.9), m = 3 hundreds of rows lie on a plateau within the
+    # margin of the minimum
     for mu, d, m in ((1.0, 0.8, 100), (1.0, 0.8, 10_000), (1.0, 1.5, 2049),
-                     (1.3, 2.1, 1000)):
+                     (1.3, 2.1, 1000), (1.0, 1.9, 3)):
         spec = MeanMadSpec(mu, d)
         us = solvers._u_grid(spec, solvers.ALPHA_GRID)
-        full = solvers._best_response(spec, m, us)[1]
+        full = _kernel(spec, m, us)[1]
         got, loop_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: minimax_bundling_value(spec, m))
         assert np.array_equal(loop_full, full)
@@ -225,13 +230,13 @@ def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
     # kernel's rows at m = 1e7, and the report matches the unpruned grid's
     spec, m = MeanMadSpec(3.0, 0.15), 10**7
     us = solvers._u_grid(spec, solvers.ALPHA_GRID)
-    full = solvers._best_response(spec, m, us)[1]
+    full = _kernel(spec, m, us)[1]
     floors = solvers._revenue_floors(spec, m, us)
     assert np.all(floors <= full * (1.0 + solvers._PRUNE_MARGIN))
     got = repr(minimax_bundling_value(spec, m))
 
     def unpruned(bounds, solve, step):
-        # every row solved; the kernel gives a row the same bits in any chunk
+        # every row solved; a row has the same bits however it is reached
         assert np.array_equal(bounds, floors)
         return full
 
@@ -244,10 +249,10 @@ def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
     rows, in_grid = [], [False]
     kernel, loop = solvers._best_response, solvers._pruned_min
 
-    def counting_kernel(spec, m, us):
+    def counting_kernel(spec, m, u):
         if in_grid[0]:
-            rows.append(us.size)
-        return kernel(spec, m, us)
+            rows.append(1)
+        return kernel(spec, m, u)
 
     def flagged_loop(bounds, solve, step):
         in_grid[0] = True
@@ -261,7 +266,7 @@ def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
     for d, m in ((0.8, 100), (0.8, 1000), (0.8, 10_000), (1.5, 10_000)):
         rows.clear()
         minimax_bundling_value(MeanMadSpec(1.0, d), m)
-        assert 0 < sum(rows) <= 128
+        assert 0 < sum(rows) <= 32
 
 
 @pytest.mark.parametrize("step", [1, 3, 64, 10_000])
@@ -323,13 +328,13 @@ def test_best_response_agrees_with_law_route(half_spec, m):
         dist = make_two_point(half_spec, alpha)
         law = iid_two_point_sum(dist, m)
         want = best_bundle_price(law).revenue / m
-        _, got_v = solvers._best_response(half_spec, m, np.array([1.0 - alpha]))
-        assert got_v[0] == pytest.approx(want, rel=1e-12)
+        _, got_v = solvers._best_response(half_spec, m, 1.0 - alpha)
+        assert got_v == pytest.approx(want, rel=1e-12)
 
 
 def _scalar_best_response(spec, m, u):
-    """One u at a time through scipy.stats' binomial: the formula the batched
-    kernel must reproduce bit for bit."""
+    """Through scipy.stats' binomial: the formula the kernel must reproduce
+    bit for bit."""
     alpha = 1.0 - u
     x = spec.mu - spec.d / (2.0 * alpha)
     y = spec.mu + spec.d / (2.0 * u)
@@ -350,7 +355,7 @@ def _scalar_best_response(spec, m, u):
 
 
 def _assert_kernel_matches_scalar(spec, m, us):
-    prices, revs = solvers._best_response(spec, m, us)
+    prices, revs = _kernel(spec, m, us)
     want = np.array([_scalar_best_response(spec, m, float(u)) for u in us])
     assert np.array_equal(prices, want[:, 0])
     assert np.array_equal(revs, want[:, 1])
@@ -376,7 +381,7 @@ def test_best_response_window_matches_full_range(m, d):
     # plus the mass beyond it loses nothing
     spec = MeanMadSpec(1.0, d)
     us = solvers._u_grid(spec, solvers.ALPHA_GRID)
-    got = solvers._best_response(spec, m, us)[1]
+    got = _kernel(spec, m, us)[1]
     ks = np.arange(m + 1)
     # blocks of rows of about 2^18 (row, k) terms each
     for rows in np.array_split(np.arange(us.size), max(1, us.size * m >> 18)):
@@ -407,7 +412,7 @@ def test_best_response_matches_mpmath_at_m_1e7():
     u = 1.0 - 0.999999773536994
     want = _mp_best_response(spec, m, u, 200)
     assert want == pytest.approx(2.92499998301527, rel=1e-14)
-    got = solvers._best_response(spec, m, np.array([u]))[1][0]
+    got = solvers._best_response(spec, m, u)[1]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -424,16 +429,6 @@ def test_minimax_value_never_beats_selling_surely(mu, d, m, grid):
     # probability above 1
     rep = minimax_bundling_value(MeanMadSpec(mu, d), m, alpha_grid=grid)
     assert rep.value * m <= rep.price * (1.0 + 1e-13)
-
-
-@pytest.mark.parametrize("chunk", [1, 97, 5000])
-def test_best_response_kernel_chunking_is_invisible(monkeypatch, chunk):
-    # chunks narrower than one row, chunks that mix rows of different
-    # widths (padded past each row's hi), and rows at different lo
-    monkeypatch.setattr(solvers, "_CHUNK_POINTS", chunk)
-    for d, m in ((0.8, 100), (0.8, 10_000), (1.5, 2049)):
-        spec = MeanMadSpec(1.0, d)
-        _assert_kernel_matches_scalar(spec, m, solvers._u_grid(spec, 67))
 
 
 def _decades():
