@@ -23,15 +23,13 @@ import numpy as np
 
 from .ambiguity import TwoPointDist
 from .errors import RobustBundlingError
-from .sum_law import binom_pmf
+from .sum_law import MASS_TOL, binom_pmf
 
 # Utility ties, relative to the members' largest mean.
 TIE_TOL = 1e-9
 FULL_CAP = 3
 SYMMETRIC_CAP = 4
 _BLOCK_ROWS = 4096
-# Lattice mass may drift at most this far from 1.
-_MASS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def bid_lattice(members: Sequence[TwoPointDist]) -> BidLattice:
                 w *= members[i].alpha
         mass[t] = w
     total = float(mass.sum())
-    if abs(total - 1.0) > _MASS_TOL:
+    if abs(total - 1.0) > MASS_TOL:
         raise RobustBundlingError(f"lattice mass drifted to {total!r}")
     return BidLattice(m=m, values=vals, probs=mass, tol=_tie_tol(members))
 

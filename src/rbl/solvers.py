@@ -9,15 +9,16 @@ decreases to some u_k; the reported alpha is then that limit point, not an
 attained minimizer. Nature first (minimax): a grid geometric in 1 - alpha
 down to 1e-12, because the damaging adversaries sit next to alpha = 1, then
 golden-section polish. Both grids are searched by one pruning loop,
-_pruned_min: each row gets a cheap bound on its value (for a price, the
-guarantee at u = U_FLOOR caps the infimum; for a nature row, a revenue floor
-from a few feasible prices), rows are solved exactly from the most promising
-bound on, and the search stops once every bound left clears the best value
-found by the relative margin _PRUNE_MARGIN. Maximin runs it negated, which is
-exact; the grid optimum and its argument are those of the full grid. A
-nature row's exact best response is one call per u, over the 40-sigma window
-of k (_window) with binomial masses from sum_law.binom_pmf, so the pruned
-grid is solved a row at a time. Tails go through the binomial survival
+_pruned_min: each row gets a cheap bound on its value (for a price, a cap
+from a few of nature's answers, _guarantee_caps; for a nature row, a revenue
+floor from a few feasible prices), rows are solved exactly one at a time
+from the most promising bound on, and the search stops once every bound left
+clears the best value found by the relative margin _PRUNE_MARGIN. Maximin
+runs it negated, which is exact; the grid optimum and its argument are those
+of the full grid. Each row is one call: a price's infimum over its
+breakpoints (_inner_infimum), or nature's best response over the 40-sigma
+window of k (_window) with binomial masses from sum_law.binom_pmf. Usually
+one row is solved per grid. Tails go through the binomial survival
 function (sum_law.binom_sf, the kernel the Monte Carlo sampler's counts
 share) rather than the explicit m+1 point law, so m = 1e4 stays quick.
 Every report carries a certificate pair: a closed-form lower bound that
@@ -50,14 +51,12 @@ BRACKET_TOL = 1e-10
 # Half-width of the best-response scan over k, in binomial sigmas.
 _WINDOW_SIGMAS = 40.0
 # A breakpoint or grid row is skipped only if its bound clears the best
-# value by this much, relatively for a row: above the rounding of m*KL
+# value by this much, relatively for a row (a price's cap already sits at or
+# above its guarantee, bit for bit): above the rounding of m*KL
 # (~1e-12 at m = 1e8) and of the binomial tail (revenue floors priced by
 # binom_sf overshoot exact best responses by at most 5e-10 up to m = 3e7),
 # so pruning never changes a result.
 _PRUNE_MARGIN = 1e-9
-# Breakpoints per chunk of the maximin price grid (each working array
-# ~128 KB); a minimax best response is one row, solved alone.
-_CHUNK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -120,11 +119,10 @@ def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
                     (b - sq) / np.where(pos, 1.0, 2.0 * c))
 
 
-def _inner_infimum(spec: MeanMadSpec, m: int,
-                   ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per price in ps: (u, tail) with tail the infimum of P(sum >= p) over
-    u = 1 - alpha in [U_FLOOR, 1 - alpha_min), reached at u: U_FLOOR, or the
-    breakpoint the infimum is approached at from above.
+def _inner_infimum(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
+    """(u, tail) with tail the infimum of P(sum >= p) over u = 1 - alpha in
+    [U_FLOOR, 1 - alpha_min), reached at u: U_FLOOR, or the breakpoint the
+    infimum is approached at from above.
 
     Breakpoint u_k is where the k-high support point equals p; on
     (u_k, u_{k+1}] the tail is P(Bin(m, u) >= k+1), which rises with u. So
@@ -135,61 +133,65 @@ def _inner_infimum(spec: MeanMadSpec, m: int,
     _PRUNE_MARGIN.
     """
     u_hi = 1.0 - spec.alpha_min
-    c = 2.0 * (ps - m * spec.mu) / spec.d
+    c = 2.0 * (p - m * spec.mu) / spec.d
     # u_k rises with k, and m u + c u (1 - u) highs are needed at u: window k
     # to 0..that count at u_hi plus a spare, then test the range exactly
     k_hi = np.clip(np.ceil(m * u_hi + c * u_hi * (1.0 - u_hi)) + 1.0, 0.0, m)
-    counts = k_hi.astype(np.int64) + 1
-    owner = np.repeat(np.arange(ps.size), counts)
-    k = (np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]).astype(float)
-    u = _breakpoints(c[owner], m, k)
+    k = np.arange(k_hi + 1.0)
+    u = _breakpoints(c, m, k)
     inside = (u >= U_FLOOR) & (u < u_hi)
-    owner, k, u = owner[inside], k[inside], u[inside]
+    k, u = k[inside], u[inside]
+    floor_tail = float(_tails(spec, m, p, np.float64(U_FLOOR)))
+    if k.size == 0:
+        return U_FLOOR, floor_tail
 
     q = k / m
     kl = rel_entr(q, u) + rel_entr(1.0 - q, 1.0 - u)
     bound = np.where(q < u, -np.expm1(-m * kl), 0.0)
-    floor_tail = _tails(spec, m, ps, np.float64(U_FLOOR))
-    # seed each price with its loosest-bounded breakpoint, then evaluate
-    # every breakpoint the seed does not rule out
+    # seed with the loosest-bounded breakpoint, then evaluate every
+    # breakpoint the seed does not rule out
     tail = np.full(k.size, np.inf)
-    loosest = np.full(ps.size, np.inf)
-    np.minimum.at(loosest, owner, bound)
-    cand = np.flatnonzero(bound == loosest[owner])
-    seed = cand[np.unique(owner[cand], return_index=True)[1]]
-    tail[seed] = binom_sf(k[seed], m, u[seed])
-    best = floor_tail.copy()
-    np.minimum.at(best, owner[seed], tail[seed])
-    rest = np.flatnonzero(bound <= best[owner] + _PRUNE_MARGIN)
-    rest = rest[np.isinf(tail[rest])]
+    j = int(np.argmin(bound))
+    tail[j] = binom_sf(k[j], m, u[j])
+    rest = (bound <= min(floor_tail, tail[j]) + _PRUNE_MARGIN) & np.isinf(tail)
     tail[rest] = binom_sf(k[rest], m, u[rest])
-    np.minimum.at(best, owner[rest], tail[rest])
-
     # ties go to the smallest u: U_FLOOR first, then the lowest breakpoint
-    u_best = np.full(ps.size, U_FLOOR)
-    hit = np.flatnonzero((tail == best[owner]) & (best[owner] < floor_tail[owner]))
-    won, at = np.unique(owner[hit], return_index=True)
-    u_best[won] = u[hit[at]]
-    return u_best, best
+    j = int(np.argmin(tail))
+    if tail[j] < floor_tail:
+        return float(u[j]), float(tail[j])
+    return U_FLOOR, floor_tail
 
 
-def _pruned_min(bounds: np.ndarray, solve: Callable[[np.ndarray], np.ndarray],
-                step: int) -> np.ndarray:
+def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
+    """Per price in ps, an upper bound on its guarantee p * tail / m: the
+    least over a few of nature's answers, u = U_FLOOR and the breakpoint
+    limits for k = 0..8 and m-8..m in range, each term priced with
+    _inner_infimum's element operations, so a cap is never below its exact
+    guarantee, bit for bit. Small m binds at k = 0; at (1, 0.1), m = 16, it
+    is k = 12, with the adversary next to alpha_min."""
+    k = np.clip(np.r_[0:9, m - 8:m + 1], 0, m).astype(float)
+    c = 2.0 * (ps[:, None] - m * spec.mu) / spec.d
+    u = _breakpoints(c, m, k)
+    inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
+    tails = np.where(inside, binom_sf(k, m, np.where(inside, u, 0.5)), np.inf)
+    floor_tail = _tails(spec, m, ps, np.float64(U_FLOOR))
+    return ps * np.minimum(floor_tail, tails.min(axis=1)) / m
+
+
+def _pruned_min(bounds: np.ndarray,
+                solve: Callable[[int], float]) -> np.ndarray:
     """Row values of a grid, as far as its minimum needs: rows are solved by
-    solve(indices) in chunks of step from the lowest bound up, and a row whose
-    bound clears the lowest value found by the relative _PRUNE_MARGIN is left
-    at +inf. Each bound must be a lower bound on its row's value, and solve
-    must give a row the same bits in any chunk; then the solved rows, the
-    minimum and its argmin are those of the full grid."""
-    order = np.argsort(bounds, kind="stable")
+    solve(i) one at a time from the lowest bound up, and a row whose bound
+    clears the lowest value found by the relative _PRUNE_MARGIN is left at
+    +inf. Each bound must be a lower bound on its row's value; then the
+    solved rows, the minimum and its argmin are those of the full grid."""
     vals = np.full(bounds.size, np.inf)
-    for i in range(0, bounds.size, step):
-        idx = order[i:i + step]
-        best = vals.min()
-        idx = idx[bounds[idx] <= best + _PRUNE_MARGIN * abs(best)]
-        if idx.size == 0:
+    best = np.inf
+    for i in np.argsort(bounds, kind="stable"):
+        if not bounds[i] <= best + _PRUNE_MARGIN * abs(best):
             break
-        vals[idx] = solve(idx)
+        vals[i] = solve(i)
+        best = np.minimum(best, vals[i])
     return vals
 
 
@@ -202,16 +204,17 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     them, so the infimum is the smallest of the tail at 1 - alpha = U_FLOOR
     (attained) and the limits as u falls to each breakpoint. In the latter
     case the returned alpha is that limit point, not an attained minimizer:
-    at alpha itself the k-high support point still sells.
+    at alpha itself the k-high support point still sells. The price must be
+    finite and the scale in range (_check_scale).
     """
-    if p < 0:
-        raise RobustBundlingError(f"price must be nonnegative, got {p!r}")
-    if m < 1:
-        raise RobustBundlingError(f"need m >= 1, got {m}")
+    if not 0.0 <= p < math.inf:
+        raise RobustBundlingError(
+            f"price must be nonnegative and finite, got {p!r}")
+    _check_scale(spec, m)
     if p == 0.0:
         return spec.alpha_min, 0.0
-    u, tail = _inner_infimum(spec, m, np.array([float(p)]))
-    return 1.0 - float(u[0]), float(p * tail[0] / m)
+    u, tail = _inner_infimum(spec, m, float(p))
+    return 1.0 - u, float(p * tail / m)
 
 
 def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
@@ -261,9 +264,9 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
 
     Outer maximization over p in [0, m*mu] by grid plus golden-section polish,
     inner infimum solved exactly by breakpoints (worst_case_alpha). The grid
-    goes through _pruned_min negated (exact, so values keep their bits), from
-    the highest cap, the guarantee at 1 - alpha = U_FLOOR, down, in chunks
-    whose breakpoint arrays hold at most max(_CHUNK_POINTS, m + 1) entries.
+    goes through _pruned_min negated (exact, so values keep their bits), one
+    price at a time from the highest cap (_guarantee_caps) down; usually
+    one price is solved per grid.
     The certificate pairs the family-wide bound maximin_certificate_lower
     with the analytic ceiling mu - d/2. A spec whose scale leaves double
     range is rejected before any solving (_check_scale).
@@ -271,10 +274,9 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     _check_scale(spec, m)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
-    caps = ps * _tails(spec, m, ps, np.float64(U_FLOOR)) / m
     vals = -_pruned_min(
-        -caps, lambda i: -ps[i] * _inner_infimum(spec, m, ps[i])[1] / m,
-        max(1, _CHUNK_POINTS // (m + 1)))
+        -_guarantee_caps(spec, m, ps),
+        lambda i: -ps[i] * _inner_infimum(spec, m, ps[i])[1] / m)
     p_best, v_best = grid_polish(
         lambda p: worst_case_alpha(spec, m, p)[1], ps, vals,
         BRACKET_TOL * m * spec.mu, maximize=True)
@@ -341,8 +343,8 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
     _check_scale(spec, m)
     lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
-    vals = _pruned_min(_revenue_floors(spec, m, u), lambda i: [
-        _best_response(spec, m, u[j])[1] for j in i], 1)
+    vals = _pruned_min(_revenue_floors(spec, m, u),
+                       lambda i: _best_response(spec, m, u[i])[1])
     u_best, v_best = grid_polish(
         lambda z: _best_response(spec, m, z)[1], u, vals, BRACKET_TOL)
     return SaddleReport(

@@ -63,6 +63,11 @@ def test_worst_case_alpha_against_dense_grid(half_spec):
 def test_worst_case_alpha_guards(half_spec):
     with pytest.raises(RobustBundlingError, match="price must be nonnegative"):
         worst_case_alpha(half_spec, 1, -0.5)
+    for p in (math.nan, math.inf):
+        with pytest.raises(RobustBundlingError, match="nonnegative and finite"):
+            worst_case_alpha(half_spec, 1, p)
+    with pytest.raises(RobustBundlingError, match="need m >= 1"):
+        worst_case_alpha(half_spec, 0, 0.5)
     assert worst_case_alpha(half_spec, 1, 0.0) == (half_spec.alpha_min, 0.0)
 
 
@@ -161,12 +166,12 @@ def _pruned_and_full(monkeypatch, solve_game):
     Returns (pruned grid, full grid, pruned report, unpruned report)."""
     loop, grids = solvers._pruned_min, {}
 
-    def recording(bounds, solve, step):
-        grids["pruned"] = loop(bounds, solve, step)
+    def recording(bounds, solve):
+        grids["pruned"] = loop(bounds, solve)
         return grids["pruned"]
 
-    def unpruned(bounds, solve, step):
-        grids["full"] = np.asarray(solve(np.arange(bounds.size)), float)
+    def unpruned(bounds, solve):
+        grids["full"] = np.array([solve(i) for i in range(bounds.size)], float)
         return grids["full"]
 
     with monkeypatch.context() as mp:
@@ -179,12 +184,13 @@ def _pruned_and_full(monkeypatch, solve_game):
 
 def test_grid_pruning_keeps_the_argmax(monkeypatch):
     # the price grid skips prices whose cap is below a value already found;
-    # small chunks make that happen at every m
-    monkeypatch.setattr(solvers, "_CHUNK_POINTS", 1 << 10)
-    for mu, d, m in ((1.0, 0.5, 7), (1.0, 0.8, 300), (1.3, 2.1, 1000)):
+    # at (1, 0.1), m = 16, the binding cap sits next to alpha_min
+    for mu, d, m in ((1.0, 0.5, 7), (1.0, 0.8, 300), (1.3, 2.1, 1000),
+                     (1.0, 0.1, 16), (1.0, 0.05, 100)):
         spec = MeanMadSpec(mu, d)
         ps = np.linspace(0.0, m * mu, 257)
-        full = ps * solvers._inner_infimum(spec, m, ps)[1] / m
+        full = np.array([p * solvers._inner_infimum(spec, m, p)[1] / m
+                         for p in ps])
         neg_got, neg_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
         # the loop sees the negated grid; negation is exact
@@ -196,6 +202,35 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
         assert np.argmax(got) == np.argmax(full)
         assert np.all(full[~done] < got.max())
         assert rep == rep_full
+
+
+@pytest.mark.parametrize("mu", [1.0, 2.3])
+def test_guarantee_caps_never_undercut_the_guarantee(mu):
+    # bit for bit, no tolerance: a cap below its price's guarantee could
+    # prune the argmax; small d/mu puts the binding cap next to alpha_min
+    for r in (0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0, 1.9):
+        spec = MeanMadSpec(mu, mu * r)
+        for m in (1, 2, 5, 16, 17, 100, 1000):
+            ps = np.linspace(0.0, m * mu, 129)
+            caps = solvers._guarantee_caps(spec, m, ps)
+            exact = [worst_case_alpha(spec, m, p)[1] for p in ps]
+            assert np.all(caps >= exact), (r, m)
+
+
+def test_maximin_grid_rows_sent_to_the_kernel(monkeypatch):
+    # a count guard instead of a timing test: the U_FLOOR tail alone as a
+    # cap sent 287 of 1024 rows at (1, 0.5), m = 4
+    rows, loop = [], solvers._pruned_min
+
+    def counting_loop(bounds, solve):
+        return loop(bounds, lambda i: rows.append(i) or solve(i))
+
+    monkeypatch.setattr(solvers, "_pruned_min", counting_loop)
+    for d in (0.5, 0.8):
+        for m in (4, 10, 16, 100, 1000, 10_000):
+            rows.clear()
+            maximin_bundling_value(MeanMadSpec(1.0, d), m)
+            assert 0 < len(rows) <= 4, (d, m)
 
 
 def _kernel(spec, m, us):
@@ -235,7 +270,7 @@ def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
     assert np.all(floors <= full * (1.0 + solvers._PRUNE_MARGIN))
     got = repr(minimax_bundling_value(spec, m))
 
-    def unpruned(bounds, solve, step):
+    def unpruned(bounds, solve):
         # every row solved; a row has the same bits however it is reached
         assert np.array_equal(bounds, floors)
         return full
@@ -254,10 +289,10 @@ def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
             rows.append(1)
         return kernel(spec, m, u)
 
-    def flagged_loop(bounds, solve, step):
+    def flagged_loop(bounds, solve):
         in_grid[0] = True
         try:
-            return loop(bounds, solve, step)
+            return loop(bounds, solve)
         finally:
             in_grid[0] = False
 
@@ -269,13 +304,12 @@ def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
         assert 0 < sum(rows) <= 32
 
 
-@pytest.mark.parametrize("step", [1, 3, 64, 10_000])
-def test_pruned_min_matches_the_full_grid(step):
-    # synthetic grids with bounds <= values: the loop's minimum and argmin
-    # are the full grid's, every solved row holds its value, no row is
-    # solved twice, and a skipped row's bound clears the minimum
+@pytest.mark.parametrize("n", [1, 3, 64, 10_000])
+def test_pruned_min_matches_the_full_grid(n):
+    # synthetic grids of n rows with bounds <= values: the loop's minimum
+    # and argmin are the full grid's, every solved row holds its value, no
+    # row is solved twice, and a skipped row's bound clears the minimum
     rng = np.random.default_rng(5)
-    n = 300
     vals = rng.normal(size=n)
     cases = {
         "random": (vals - rng.exponential(0.3, n), vals),
@@ -289,11 +323,11 @@ def test_pruned_min_matches_the_full_grid(step):
         assert np.all(bounds <= values), name
         solved = []
 
-        def solve(idx):
-            solved.extend(idx.tolist())
-            return values[idx]
+        def solve(i):
+            solved.append(int(i))
+            return values[i]
 
-        got = solvers._pruned_min(bounds, solve, step)
+        got = solvers._pruned_min(bounds, solve)
         assert len(solved) == len(set(solved)), name
         done = np.isfinite(got)
         assert sorted(solved) == np.flatnonzero(done).tolist(), name
