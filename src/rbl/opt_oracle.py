@@ -5,12 +5,12 @@ so the optimum is found by enumerating menus whose prices come from the grid of
 achievable bundle values. Assignments are pruned to price-monotone menus: an entry
 priced above a superset by more than the buyer's tie tolerance can never be chosen,
 and the menu without it is enumerated anyway. Buyers pick the utility-maximizing
-entry; ties resolve for the seller (highest price, then the larger bundle, then the
-lowest bitmask). Every utility comparison is relative to the value scale: its
-tolerance is TIE_TOL times the members' largest mean, so the search, its menu
-count and revenue / mu do not depend on the units of mu and d. Caps keep the
-search desk-scale: three items in full generality, four when prices may only
-depend on bundle size.
+entry (`MenuMechanism.choices`); ties resolve for the seller (highest price, then
+the larger bundle, then the lowest bitmask). Every utility comparison is relative
+to the value scale: its tolerance is TIE_TOL times the members' largest mean, so
+the search, its menu count and revenue / mu do not depend on the units of mu and
+d. Caps keep the search desk-scale: three items in full generality, four when
+prices may only depend on bundle size.
 """
 
 from __future__ import annotations
@@ -50,19 +50,11 @@ def _tie_tol(members: Sequence[TwoPointDist]) -> float:
 def bid_lattice(members: Sequence[TwoPointDist]) -> BidLattice:
     """Lattice of the 2^m profiles; bit i of the row index means item i high."""
     m = len(members)
-    n = 1 << m
-    vals = np.empty((n, m))
-    mass = np.empty(n)
-    for t in range(n):
-        w = 1.0
-        for i in range(m):
-            if (t >> i) & 1:
-                vals[t, i] = members[i].y
-                w *= 1.0 - members[i].alpha
-            else:
-                vals[t, i] = members[i].x
-                w *= members[i].alpha
-        mass[t] = w
+    high = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    vals = np.where(high, [d.y for d in members], [d.x for d in members])
+    mass = np.ones(1 << m)
+    for i, d in enumerate(members):
+        mass *= np.where(high[:, i], 1.0 - d.alpha, d.alpha)
     total = float(mass.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise RobustBundlingError(f"lattice mass drifted to {total!r}")
@@ -76,28 +68,25 @@ class MenuMechanism:
     m: int
     entries: tuple[tuple[int, float], ...]
 
-    def utilities(self, values: Sequence[float]) -> np.ndarray:
-        vals = list(values)
-        return np.array([
-            sum(vals[i] for i in range(self.m) if (mask >> i) & 1) - price
-            for mask, price in self.entries
-        ])
+    def _columns(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masks, item bits (entries x m) and prices, checked against m items."""
+        if self.m != m:
+            raise RobustBundlingError(f"menu prices {self.m} items, got {m}")
+        masks = [mask for mask, _ in self.entries]
+        if not all(0 <= mask < 1 << m for mask in masks):
+            raise RobustBundlingError(
+                f"menu masks must lie in 0..{(1 << m) - 1}: {masks}")
+        masks = np.array(masks, dtype=np.int64)
+        items = (masks[:, None] >> np.arange(m)) & 1
+        return masks, items, np.array([p for _, p in self.entries], dtype=float)
 
-    def choose(self, values: Sequence[float], tol: float) -> int:
-        """Index of the entry a buyer with these item values picks; utilities
-        within tol of the best tie."""
-        u = self.utilities(values)
-        top = float(u.max())
-        best_idx = -1
-        best_key = None
-        for idx, (mask, price) in enumerate(self.entries):
-            if u[idx] < top - tol:
-                continue
-            key = (price, mask.bit_count(), -mask)
-            if best_idx < 0 or key > best_key:
-                best_key = key
-                best_idx = idx
-        return best_idx
+    def choices(self, lattice: BidLattice) -> np.ndarray:
+        """Index of the entry each profile picks, under the module's tie rule."""
+        masks, items, prices = self._columns(lattice.m)
+        u = lattice.values @ items.T - prices
+        tied = u >= (u.max(axis=1) - lattice.tol)[:, None]
+        order = np.lexsort((masks, -items.sum(axis=1), -prices))
+        return order[np.argmax(tied[:, order], axis=1)]
 
     def to_json_obj(self) -> list[dict]:
         return [
@@ -126,15 +115,9 @@ class TruthfulnessReport:
 def menu_to_tables(menu: MenuMechanism,
                    lattice: BidLattice) -> tuple[np.ndarray, np.ndarray]:
     """Allocation/payment tables induced by utility-maximizing menu choice."""
-    n = lattice.values.shape[0]
-    z = np.zeros((n, lattice.m), dtype=int)
-    pi = np.zeros(n)
-    for t in range(n):
-        mask, price = menu.entries[menu.choose(lattice.values[t], lattice.tol)]
-        for i in range(lattice.m):
-            z[t, i] = (mask >> i) & 1
-        pi[t] = price
-    return z, pi
+    _, items, prices = menu._columns(lattice.m)
+    pick = menu.choices(lattice)
+    return items[pick], prices[pick]
 
 
 def verify_truthful(z: np.ndarray, pi: np.ndarray,
@@ -150,16 +133,13 @@ def verify_truthful(z: np.ndarray, pi: np.ndarray,
     diag = np.diag(U).copy()
     worst_ic = float((U - diag[:, None]).max())
     worst_ir = float((-diag).max())
-    tol = lattice.tol
+    ir = diag < -lattice.tol
+    ic = U > (diag + lattice.tol)[:, None]
+    rows = np.nonzero(ir | ic.any(axis=1))[0]
     first = None
-    for v in range(U.shape[0]):
-        if diag[v] < -tol:
-            first = (v, v)
-            break
-        bad = np.nonzero(U[v] > diag[v] + tol)[0]
-        if bad.size:
-            first = (v, int(bad[0]))
-            break
+    if rows.size:
+        v = int(rows[0])
+        first = (v, v) if ir[v] else (v, int(np.argmax(ic[v])))
     return TruthfulnessReport(ok=first is None,
                               first_violation=first,
                               worst_ic_gap=max(worst_ic, 0.0),
@@ -169,9 +149,8 @@ def verify_truthful(z: np.ndarray, pi: np.ndarray,
 def menu_revenue(menu: MenuMechanism, members: Sequence[TwoPointDist]) -> float:
     """Expected revenue, grouping profile masses by chosen entry before weighing."""
     lat = bid_lattice(members)
-    take = np.zeros(len(menu.entries))
-    for t in range(lat.values.shape[0]):
-        take[menu.choose(lat.values[t], lat.tol)] += lat.probs[t]
+    take = np.bincount(menu.choices(lat), weights=lat.probs,
+                       minlength=len(menu.entries))
     return float(sum(price * take[j] for j, (_, price) in enumerate(menu.entries)))
 
 
@@ -212,20 +191,20 @@ def _eval_block(L: np.ndarray, V: np.ndarray, mass: np.ndarray,
     return rev
 
 
-def _search(V: np.ndarray, mass: np.ndarray, cands: list[np.ndarray],
-            subs: list[np.ndarray], tol: float) -> tuple[np.ndarray, int]:
-    nb = len(cands)
+def _search(V: np.ndarray, mass: np.ndarray, subs: list[np.ndarray],
+            tol: float) -> tuple[np.ndarray, int]:
+    """Best price row; column j's options are the achievable values up to its top."""
+    G = np.unique(np.concatenate([[0.0], V.ravel()]))
+    opts = [np.append(G[G <= V[:, j].max()], np.inf) for j in range(V.shape[1])]
     P = np.zeros((1, 0))
-    for j in range(nb - 1):
-        opts = np.append(cands[j], np.inf)
-        P = _expand(P, opts, _subset_floor(P, subs[j]), tol)
-    opts = np.append(cands[nb - 1], np.inf)
+    for j in range(len(opts) - 1):
+        P = _expand(P, opts[j], _subset_floor(P, subs[j]), tol)
     best_rev = -1.0
     best_row = None
     evaluated = 0
     for s in range(0, P.shape[0], _BLOCK_ROWS):
         block = P[s:s + _BLOCK_ROWS]
-        L = _expand(block, opts, _subset_floor(block, subs[nb - 1]), tol)
+        L = _expand(block, opts[-1], _subset_floor(block, subs[-1]), tol)
         rev = _eval_block(L, V, mass, tol)
         evaluated += L.shape[0]
         i = int(np.argmax(rev))
@@ -235,31 +214,33 @@ def _search(V: np.ndarray, mass: np.ndarray, cands: list[np.ndarray],
     return best_row, evaluated
 
 
-def _full_problem(members, masks):
+def _full_problem(members):
+    """Every nonempty bundle priced on its own, by size and then by mask."""
     lat = bid_lattice(members)
     m = len(members)
+    masks = sorted(range(1, 1 << m), key=lambda mk: (mk.bit_count(), mk))
     Z = np.array([[(mk >> i) & 1 for i in range(m)] for mk in masks], dtype=float)
     V = lat.values @ Z.T
-    G = np.unique(np.concatenate([[0.0], V.ravel()]))
-    cands = [G[G <= V[:, j].max()] for j in range(len(masks))]
     subs = [
         np.array([i for i in range(j)
                   if masks[i] != masks[j] and (masks[i] & ~masks[j]) == 0],
                  dtype=int)
         for j in range(len(masks))
     ]
-    return V, lat.probs, cands, subs
+    return V, lat.probs, subs, [[mk] for mk in masks]
 
 
 def _symmetric_problem(d0: TwoPointDist, m: int):
+    """One price per bundle size s, shared by the size-s masks in
+    `combinations` order."""
     mass = binom_pmf(np.arange(m + 1.0), m, 1.0 - d0.alpha)
     # best size-s bundle for a profile with c high items takes the highs first
     V = np.array([[min(s, c) * d0.y + max(0, s - c) * d0.x
                    for s in range(1, m + 1)] for c in range(m + 1)])
-    G = np.unique(np.concatenate([[0.0], V.ravel()]))
-    cands = [G[G <= V[:, s - 1].max()] for s in range(1, m + 1)]
     subs = [np.arange(j, dtype=int) for j in range(m)]
-    return V, mass, cands, subs
+    groups = [[sum(1 << i for i in combo) for combo in combinations(range(m), s)]
+              for s in range(1, m + 1)]
+    return V, mass, subs, groups
 
 
 def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
@@ -285,7 +266,6 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
     else:
         raise RobustBundlingError(f"got {len(dists)} members for m={m} items")
 
-    tol = _tie_tol(members)
     if symmetric:
         if m > SYMMETRIC_CAP:
             raise RobustBundlingError(
@@ -294,27 +274,17 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
         for d in members[1:]:
             if (d.x, d.y, d.alpha) != (d0.x, d0.y, d0.alpha):
                 raise RobustBundlingError("size-based pricing needs identical items")
-        row, evaluated = _search(*_symmetric_problem(d0, m), tol)
-        entries = [(0, 0.0)]
-        for s, price in enumerate(row, start=1):
-            if np.isinf(price):
-                continue
-            for combo in combinations(range(m), s):
-                mask = 0
-                for i in combo:
-                    mask |= 1 << i
-                entries.append((mask, float(price)))
+        V, mass, subs, groups = _symmetric_problem(d0, m)
     else:
         if m > FULL_CAP:
             raise RobustBundlingError(
                 f"full menu enumeration caps at {FULL_CAP} items, got {m}; "
                 f"symmetric mode reaches {SYMMETRIC_CAP}")
-        masks = sorted(range(1, 1 << m), key=lambda mk: (mk.bit_count(), mk))
-        row, evaluated = _search(*_full_problem(members, masks), tol)
-        entries = [(0, 0.0)]
-        for j, price in enumerate(row):
-            if not np.isinf(price):
-                entries.append((masks[j], float(price)))
+        V, mass, subs, groups = _full_problem(members)
+    row, evaluated = _search(V, mass, subs, _tie_tol(members))
+    entries = [(0, 0.0)] + [(mask, float(price))
+                            for price, group in zip(row, groups)
+                            if not np.isinf(price) for mask in group]
 
     menu = MenuMechanism(m=m, entries=tuple(entries))
     revenue = menu_revenue(menu, members)

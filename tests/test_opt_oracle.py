@@ -5,6 +5,7 @@ from rbl.ambiguity import MeanMadSpec, make_two_point
 from rbl.bundling import best_bundle_price, separate_sale_revenue
 from rbl.errors import RobustBundlingError
 from rbl.opt_oracle import (
+    BidLattice,
     MenuMechanism,
     bid_lattice,
     menu_revenue,
@@ -69,6 +70,16 @@ def test_verify_truthful_flags_violations(half_spec):
     rep2 = verify_truthful(z, np.array(pi2), lat)
     assert not rep2.ok
     assert rep2.worst_ic_gap >= 1.0 - 1e-12
+    # a row breaking both reports its IR pair ahead of its IC one
+    rep3 = verify_truthful(np.array([[1], [0]]), np.array([1.0, 0.0]), lat)
+    assert rep3.first_violation == (0, 0)
+    assert (rep3.worst_ic_gap, rep3.worst_ir_gap) == (0.5, 0.5)
+    # an IC-only row ahead of an IR-only row is the first violation
+    swapped = BidLattice(m=1, values=np.array([[2.0], [0.5]]),
+                         probs=np.array([0.5, 0.5]), tol=lat.tol)
+    rep4 = verify_truthful(z, np.array([1.0, 0.75]), swapped)
+    assert rep4.first_violation == (0, 1)
+    assert (rep4.worst_ic_gap, rep4.worst_ir_gap) == (0.25, 0.25)
 
 
 def test_menu_revenue_matches_expectation(half_spec):
@@ -76,6 +87,91 @@ def test_menu_revenue_matches_expectation(half_spec):
     menu = MenuMechanism(m=1, entries=((0, 0.0), (1, d0.y)))
     got = menu_revenue(menu, [d0])
     assert got == pytest.approx((1.0 - d0.alpha) * d0.y, rel=1e-15)
+
+
+def test_menu_sized_for_other_items_is_rejected(half_spec):
+    d0 = make_two_point(half_spec, 0.5)
+    one = MenuMechanism(m=1, entries=((0, 0.0), (1, d0.y)))
+    with pytest.raises(RobustBundlingError, match="menu prices 1 items, got 2"):
+        menu_revenue(one, [d0, d0])
+    with pytest.raises(RobustBundlingError, match="menu prices 1 items, got 2"):
+        menu_to_tables(one, bid_lattice([d0, d0]))
+    two = MenuMechanism(m=2, entries=((0, 0.0), (3, 2.0 * d0.x)))
+    with pytest.raises(RobustBundlingError, match="menu prices 2 items, got 1"):
+        menu_revenue(two, [d0])
+    for mask in (2, -1):
+        stray = MenuMechanism(m=1, entries=((0, 0.0), (mask, d0.x)))
+        with pytest.raises(RobustBundlingError, match=r"must lie in 0\.\.1: \[0, "):
+            menu_revenue(stray, [d0])
+        with pytest.raises(RobustBundlingError, match=r"must lie in 0\.\.1: \[0, "):
+            menu_to_tables(stray, bid_lattice([d0]))
+
+
+def _reference_choice(menu, values, tol):
+    """The per-profile chooser that `MenuMechanism.choices` vectorizes."""
+    vals = list(values)
+    u = np.array([sum(vals[i] for i in range(menu.m) if (mask >> i) & 1) - price
+                  for mask, price in menu.entries])
+    top = float(u.max())
+    best_idx, best_key = -1, None
+    for idx, (mask, price) in enumerate(menu.entries):
+        if u[idx] < top - tol:
+            continue
+        key = (price, mask.bit_count(), -mask)
+        if best_idx < 0 or key > best_key:
+            best_idx, best_key = idx, key
+    return best_idx
+
+
+def test_choices_match_the_per_profile_reference(rng):
+    # ties are inclusive: the 0.75 entry sits exactly tol below the best
+    # utility of both types and still wins on price
+    lat = BidLattice(m=1, values=np.array([[1.0], [2.0]]),
+                     probs=np.array([0.5, 0.5]), tol=0.25)
+    menu = MenuMechanism(m=1, entries=((0, 0.0), (1, 0.5), (1, 0.75)))
+    assert menu.choices(lat).tolist() == [2, 2]
+    # quarter-unit values, prices and tol keep every utility exact, so ties on
+    # price, on bundle size and on mask, and gaps of exactly tol, are exact
+    for _ in range(300):
+        m = int(rng.integers(1, 4))
+        n = 1 << m
+        lat = BidLattice(m=m, values=rng.integers(0, 12, size=(n, m)) / 4.0,
+                         probs=np.full(n, 1.0 / n), tol=0.25)
+        entries = [(0, 0.0)] + [
+            (int(rng.integers(n)), float(rng.integers(16)) / 4.0)
+            for _ in range(int(rng.integers(1, 3 * n)))]
+        mask, price = entries[int(rng.integers(len(entries)))]
+        same_size = [mk for mk in range(n) if mk.bit_count() == mask.bit_count()]
+        entries += [(mask, price),
+                    (int(rng.choice(same_size)), price),
+                    (int(rng.integers(n)), price)]
+        order = rng.permutation(len(entries))
+        menu = MenuMechanism(m=m, entries=tuple(entries[i] for i in order))
+        want = [_reference_choice(menu, v, lat.tol) for v in lat.values]
+        assert menu.choices(lat).tolist() == want
+
+
+@pytest.mark.parametrize("m,symmetric,revenue,entries,evaluated", [
+    (4, True, "2.9375999999999993",
+     ((0, 0.0), (1, 1.625), (2, 1.625), (4, 1.625), (8, 1.625),
+      (3, 2.208333333333333), (5, 2.208333333333333), (9, 2.208333333333333),
+      (6, 2.208333333333333), (10, 2.208333333333333),
+      (12, 2.208333333333333), (7, 2.7916666666666665),
+      (11, 2.7916666666666665), (13, 2.7916666666666665),
+      (14, 2.7916666666666665), (15, 3.375)), 3753),
+    (3, False, "2.1886666666666668",
+     ((0, 0.0), (1, 1.625), (2, 1.625), (4, 1.625), (3, 2.208333333333333),
+      (5, 2.208333333333333), (6, 2.208333333333333),
+      (7, 2.7916666666666665)), 406932)])
+def test_unpinned_witnesses_keep_their_bits(half_spec, m, symmetric, revenue,
+                                            entries, evaluated):
+    # no golden file holds these; size-symmetric entries keep the
+    # `combinations` mask order (3, 5, 9, 6, 10, 12 at m = 4)
+    res = opt_deterministic([make_two_point(half_spec, 0.6)], m,
+                            symmetric=symmetric)
+    assert repr(res.revenue) == revenue
+    assert repr(res.witness.entries) == repr(entries)
+    assert res.menus_evaluated == evaluated
 
 
 def test_symmetric_agrees_with_full(rng):
