@@ -17,10 +17,11 @@ clears the best value found by the relative margin _PRUNE_MARGIN. Maximin
 runs it negated, which is exact; the grid optimum and its argument are those
 of the full grid. Each row is one call: a price's infimum over its
 breakpoints (_inner_infimum), or nature's best response over the 40-sigma
-window of k (_window) with binomial masses from sum_law.binom_pmf. Usually
-one row is solved per grid. Tails go through the binomial survival
-function (sum_law.binom_sf, the kernel the Monte Carlo sampler's counts
-share) rather than the explicit m+1 point law, so m = 1e4 stays quick.
+window of k (_window), whose masses and the mass past it come from one
+sum_law.binom_window call. Usually one row is solved per grid. Tails go
+through the binomial survival function (sum_law.binom_sf, the kernel the
+Monte Carlo sampler's counts share) rather than the explicit m+1 point law,
+so m = 1e4 stays quick.
 Every report carries a certificate pair: a closed-form lower bound that
 holds for every product of family members (see maximin_certificate_lower),
 and an upper bound that the computed value can be checked against. Both
@@ -41,7 +42,7 @@ from scipy.special import rel_entr
 from .ambiguity import MeanMadSpec
 from .errors import RobustBundlingError
 from .optimize import grid_polish
-from .sum_law import binom_pmf, binom_sf
+from .sum_law import binom_sf, binom_window
 
 ALPHA_GRID = 2048
 PRICE_GRID = 1024
@@ -165,15 +166,16 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
 def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
     """Per price in ps, an upper bound on its guarantee p * tail / m: the
     least over a few of nature's answers, u = U_FLOOR and the breakpoint
-    limits for k = 0..8 and m-8..m in range, each term priced with
-    _inner_infimum's element operations, so a cap is never below its exact
-    guarantee, bit for bit. Small m binds at k = 0; at (1, 0.1), m = 16, it
-    is k = 12, with the adversary next to alpha_min."""
+    limits for k = 0..8 and m-8..m in range (only those are priced), each
+    term priced with _inner_infimum's element operations, so a cap is never
+    below its exact guarantee, bit for bit. Small m binds at k = 0; at
+    (1, 0.1), m = 16, it is k = 12, with the adversary next to alpha_min."""
     k = np.clip(np.r_[0:9, m - 8:m + 1], 0, m).astype(float)
     c = 2.0 * (ps[:, None] - m * spec.mu) / spec.d
     u = _breakpoints(c, m, k)
     inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
-    tails = np.where(inside, binom_sf(k, m, np.where(inside, u, 0.5)), np.inf)
+    tails = np.full(u.shape, np.inf)
+    tails[inside] = binom_sf(np.broadcast_to(k, u.shape)[inside], m, u[inside])
     floor_tail = _tails(spec, m, ps, np.float64(U_FLOOR))
     return ps * np.minimum(floor_tail, tails.min(axis=1)) / m
 
@@ -231,15 +233,17 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     binomial masses over the _window of k: below it E(k - K)+ is negligible
     and the term rises as k, above it the term falls. The
     masses are those of m - K ~ Binomial(m, d/(2 mu)) at m - k, so alpha_min
-    enters unrounded. At m = 1, L is the single-item robust revenue
-    (sqrt(mu) - sqrt(d/2))^2.
+    enters unrounded, from one binom_window call; the cumsums start at the
+    window, so its mass past the window, P(K < lo), is not used. At m = 1,
+    L is the single-item robust revenue (sqrt(mu) - sqrt(d/2))^2.
     """
     q = spec.alpha_min
     lo, hi = _window(m, 1.0 - q)
     k = np.arange(lo, hi + 1.0)
-    cdf = np.cumsum(binom_pmf(m - k, m, q))
-    shortfall = np.concatenate(([0.0], np.cumsum(cdf[:-1])))
-    return spec.mu * float(np.max((np.sqrt(k) - np.sqrt(shortfall)) ** 2)) / m
+    pmf, _ = binom_window(m - hi, m - lo, m, q)
+    cdf = pmf[::-1].cumsum()
+    shortfall = np.concatenate(([0.0], cdf[:-1].cumsum()))
+    return spec.mu * float(((np.sqrt(k) - np.sqrt(shortfall)) ** 2).max()) / m
 
 
 def _check_scale(spec: MeanMadSpec, m: int) -> None:
@@ -296,15 +300,16 @@ def _best_response(spec: MeanMadSpec, m: int, u: float) -> tuple[float, float]:
     Only sum support points can be optimal. The scan takes k over the
     _window around m*u (plus k=0, the guaranteed sale), with the survival
     mass beyond it re-added: a few terms where m*u is small, where the
-    adversary sits, and a few hundred at large m.
+    adversary sits, and a few hundred at large m. The masses and the mass
+    beyond come from one binom_window call: one Boost pmf call over the
+    window and one scalar survival call.
     """
     x, gap = _two_point(spec, u)
     lo, hi = _window(m, u)
-    k = np.arange(lo, hi + 1.0)
-    sf = np.cumsum(binom_pmf(k, m, u)[::-1])[::-1] + binom_sf(hi, m, u)
-    s = m * x + k * gap
-    rev = s * sf
-    j = int(np.argmax(rev))
+    pmf, beyond = binom_window(lo, hi, m, u)
+    s = m * x + np.arange(lo, hi + 1.0) * gap
+    rev = s * (pmf[::-1].cumsum()[::-1] + beyond)
+    j = int(rev.argmax())
     price, best = float(s[j]), float(rev[j])
     # the all-low point sells surely
     if lo > 0 and m * x > best:
@@ -315,15 +320,21 @@ def _best_response(spec: MeanMadSpec, m: int, u: float) -> tuple[float, float]:
 def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
     """Per u in us, a lower bound on the seller's best-response revenue per
     item: the best of a few feasible prices, the sure price m*x and the
-    support points with k = ceil(m u + z sigma) highs for z = -4..4, each
+    support points with k = ceil(m u + z sigma) highs for z = -4..0, each
     sold with probability P(Bin(m, u) >= k). All lie in the kernel's
-    window. Where m u is small, z > 0 gives k = 1: the one-high price, which
-    wins there."""
+    window. Where m u <= 1, z = 0 gives k = 1: the one-high price, which
+    wins there. Cuts above the mean (z > 0) set no floor on any row of 110
+    specs (d/mu 0.01 to 1.98, m 1 to 1e6), and a cut repeated in a row is
+    priced once, so a row costs at most five survival calls."""
     x, gap = _two_point(spec, us)
     sig = np.sqrt(m * us * (1.0 - us))
-    z = np.arange(-4.0, 5.0)[:, None]
+    z = np.arange(-4.0, 1.0)[:, None]
     k = np.clip(np.ceil(m * us + z * sig), 0.0, m)
-    revs = (m * x + k * gap) * binom_sf(k - 1.0, m, us) / m
+    # k rises with z, so a row's repeated cuts are adjacent: price the first
+    new = np.diff(k, axis=0, prepend=-1.0) != 0.0
+    k, j = k[new], np.nonzero(new)[1]
+    revs = np.full(new.shape, -np.inf)
+    revs[new] = (m * x[j] + k * gap[j]) * binom_sf(k - 1.0, m, us[j]) / m
     return np.maximum(x, revs.max(axis=0))
 
 

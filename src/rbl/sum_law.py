@@ -43,7 +43,8 @@ from numpy.random import PCG64DXSM, Generator
 from scipy.special import gammaln
 # The boost ufuncs that scipy's binom distribution calls, used directly because
 # importing its stats package is most of rbl's cold start;
-# tests/test_sum_law.py pins binom_pmf, binom_sf and binom_ppf to it bit for bit.
+# tests/test_sum_law.py pins binom_pmf, binom_sf and binom_ppf to it bit for bit,
+# and binom_window to binom_pmf and binom_sf.
 from scipy.special._ufuncs import _binom_pmf, _binom_ppf, _binom_sf
 
 from .ambiguity import MemberDist, ParetoDist, ThreePointDist, TwoPointDist
@@ -214,6 +215,15 @@ def binom_sf(k, n, p):
     out = np.where(k < 0.0, 1.0,
                    np.where(k >= n, 0.0, np.clip(_binom_sf(k, n, p), 0.0, 1.0)))
     return out[()]
+
+
+def binom_window(lo: int, hi: int, n, p) -> tuple[np.ndarray, float]:
+    """(P(Bin(n, p) = k) for k = lo..hi, P(Bin(n, p) > hi)) for integral
+    0 <= lo <= hi <= n and p in [0, 1]: the bits of binom_pmf and binom_sf
+    at those points, from one pmf call over the window and one scalar
+    survival call, with no edge masks (no k there can reach them)."""
+    pmf = _binom_pmf(np.arange(lo, hi + 1.0), n, p).clip(0.0, 1.0)
+    return pmf, (_binom_sf(hi, n, p).clip(0.0, 1.0) if hi < n else 0.0)
 
 
 def binom_ppf(q, n, p):

@@ -17,7 +17,7 @@ from rbl.solvers import (
     minimax_bundling_value,
     worst_case_alpha,
 )
-from rbl.sum_law import iid_two_point_sum, tail_prob
+from rbl.sum_law import binom_sf, iid_two_point_sum, tail_prob
 
 
 def iid_tail(spec, m, p, alpha):
@@ -302,6 +302,49 @@ def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
         rows.clear()
         minimax_bundling_value(MeanMadSpec(1.0, d), m)
         assert 0 < sum(rows) <= 32
+
+
+def _nine_cut_floors(spec, m, us):
+    """The revenue floors with every cut k = ceil(m u + z sigma) for
+    z = -4..4 priced, repeats included."""
+    x, gap = solvers._two_point(spec, us)
+    sig = np.sqrt(m * us * (1.0 - us))
+    z = np.arange(-4.0, 5.0)[:, None]
+    k = np.clip(np.ceil(m * us + z * sig), 0.0, m)
+    revs = (m * x + k * gap) * binom_sf(k - 1.0, m, us) / m
+    return np.maximum(x, revs.max(axis=0))
+
+
+def test_revenue_floors_send_the_nine_cut_rows(monkeypatch):
+    # the floors price z = -4..0 and each distinct cut once; they must send
+    # the kernel the rows the nine priced cuts send, to the same report
+    rows, loop = [], solvers._pruned_min
+    monkeypatch.setattr(solvers, "_pruned_min", lambda bounds, solve: loop(
+        bounds, lambda i: rows.append(i) or solve(i)))
+    calls, sf = [], solvers.binom_sf
+    for (mu, d, m), n_rows in (((1.0, 0.8, 100), 1), ((1.0, 0.8, 10_000), 1),
+                               ((1.0, 1.5, 10_000), 23), ((1.3, 2.1, 1000), 32),
+                               ((1.0, 1.9, 3), 728), ((1.0, 0.1, 1000), 4),
+                               ((3.0, 0.15, 10**6), 24)):
+        spec = MeanMadSpec(mu, d)
+        us = solvers._u_grid(spec, solvers.ALPHA_GRID)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "binom_sf", lambda k, n, p: calls.append(
+                np.broadcast_to(p, np.shape(k)).copy()) or sf(k, n, p))
+            calls.clear()
+            floors = solvers._revenue_floors(spec, m, us)
+        # every row priced, by at most one Boost call per cut z = -4..0
+        priced, per_row = np.unique(np.concatenate(calls), return_counts=True)
+        assert priced.size == us.size and per_row.max() <= 5
+        assert np.all(floors <= _nine_cut_floors(spec, m, us))
+        rows.clear()
+        got = repr(minimax_bundling_value(spec, m))
+        got_rows = sorted(rows)
+        with monkeypatch.context() as mp:
+            mp.setattr(solvers, "_revenue_floors", _nine_cut_floors)
+            rows.clear()
+            assert got == repr(minimax_bundling_value(spec, m))
+        assert got_rows == sorted(rows) and len(got_rows) == n_rows, (mu, d, m)
 
 
 @pytest.mark.parametrize("n", [1, 3, 64, 10_000])

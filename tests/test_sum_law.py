@@ -29,6 +29,7 @@ from rbl.sum_law import (
     binom_pmf,
     binom_ppf,
     binom_sf,
+    binom_window,
     count_at_least,
     iid_two_point_sum,
     product_sum,
@@ -268,6 +269,28 @@ def test_binomial_kernel_matches_scipy_bit_for_bit():
                  (np.array(0.5), 7, 0.5), (0.3, 0, 0.5), (q_edges, 25.0, 0.0),
                  (q_edges[:, None], n[:4], np.array([0.0, 0.2, 0.9, 1.0]))):
         _same(binom_ppf(*args), scipy_binom.ppf(*args))
+
+
+def test_binom_window_matches_the_kernel_bit_for_bit():
+    # the windowed call drops binom_pmf's and binom_sf's edge masks; inside
+    # 0 <= lo <= hi <= n they never fire, so the bits must not move
+    def check(lo, hi, n, p):
+        pmf, beyond = binom_window(lo, hi, n, p)
+        assert np.array_equal(pmf, binom_pmf(np.arange(lo, hi + 1.0), n, p))
+        assert np.array_equal(beyond, binom_sf(hi, n, p))
+
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        n = int(10.0 ** rng.uniform(0.0, 7.0))
+        lo, hi = sorted(rng.integers(0, n + 1, 2).tolist())
+        hi = min(hi, lo + 2000)
+        p = float(rng.choice([rng.random(), 10.0 ** rng.uniform(-12.0, 0.0)]))
+        check(lo, hi, n, p)
+    for p in (0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.3):
+        for n in (0, 1, 7, 10_000_000):
+            for lo, hi in ((0, 0), (0, min(n, 5000)), (n, n),
+                           (max(n - 5000, 0), n)):
+                check(lo, hi, n, p)
 
 
 def _reaches_binomial_ufuncs(tree: ast.AST) -> bool:
