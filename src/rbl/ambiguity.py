@@ -168,6 +168,9 @@ def make_three_point(
     """Wrap three atoms against a claimed spec; membership checked separately."""
     if len(points) != 3 or len(probs) != 3:
         raise RobustBundlingError("need exactly three points and three probabilities")
+    if not all(math.isfinite(v) for v in (*points, *probs)):
+        raise RobustBundlingError(
+            f"points and probabilities must be finite, got {points!r} and {probs!r}")
     if any(p < 0.0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
         raise RobustBundlingError("probabilities must be non-negative and sum to 1")
     if any(v < 0.0 for v in points):

@@ -44,10 +44,11 @@ def second_point_limit(spec: MeanMadSpec, lam: float) -> float:
     high draws tends to lam: (1 - e^(-1/lam)) (mu + (lam - 1) d/2).
 
     Rises from mu - d/2 (lam -> 0) to d/2 (lam -> infinity); expm1 keeps the
-    large-lam end from cancelling.
+    large-lam end from cancelling. lam must be finite: the limit is not
+    evaluated at infinity.
     """
-    if not lam > 0.0:
-        raise RobustBundlingError(f"need lambda > 0, got {lam!r}")
+    if not 0.0 < lam < np.inf:
+        raise RobustBundlingError(f"need lambda > 0 and finite, got {lam!r}")
     return float(_g(spec, lam))
 
 
@@ -169,11 +170,12 @@ def _oracle_curves(spec: MeanMadSpec, m: int, grid: int):
 
 def _empirical(spec: MeanMadSpec, m: int, grid: int,
                objective: str) -> EmpiricalReport:
-    """Both studies as one search: the seller maximizes, over the price, the
-    worst per-adversary score p P(sum >= p) / OPT (ratio) or
-    (p P(sum >= p) - OPT) / m (regret, the negated shortfall), and the
-    regret is reported with its sign restored. Negation is exact, so this is
-    the same search as minimizing the worst shortfall."""
+    """Both studies as one search: the seller minimizes, over the price, the
+    negated worst per-adversary score, -p P(sum >= p) / OPT (ratio) or the
+    shortfall (OPT - p P(sum >= p)) / m (regret), and the ratio is reported
+    with its sign restored. Negation is exact, so the grid and polish see the
+    same values either way. Every price on the grid is solved (bounds
+    -inf)."""
     ratio = objective == "ratio"
     if m <= _ORACLE_CAP:
         _check_scale(spec, m)  # the rule maximin applies in mode mu_upper
@@ -183,16 +185,15 @@ def _empirical(spec: MeanMadSpec, m: int, grid: int,
             rev = p * np.array([tail_prob(law, p) for law in laws])
             return rev / opts if ratio else rev - opts
 
-        def val(p: float) -> float:
-            return float(np.min(scores(p))) / (1.0 if ratio else m)
+        def loss(p: float) -> float:
+            return -float(np.min(scores(p))) / (1.0 if ratio else m)
 
-        ps = np.linspace(0.0, m * spec.mu, grid)
-        p_best, v_best = grid_polish(val, ps, np.array([val(p) for p in ps]),
-                                     1e-10 * m * spec.mu,
-                                     maximize=True)
+        p_best, v_best, _ = grid_polish(
+            loss, np.linspace(0.0, m * spec.mu, grid),
+            np.full(grid, -np.inf), 1e-10 * m * spec.mu)
         i = int(np.argmin(scores(p_best)))
         return EmpiricalReport(objective=objective, m=m,
-                               value=v_best if ratio else -v_best,
+                               value=-v_best if ratio else v_best,
                                mode="oracle", price=p_best,
                                alpha=1.0 - float(u[i]))
     rep = maximin_bundling_value(spec, m)

@@ -62,7 +62,7 @@ def tail_truncation_sup(spec: MeanMadSpec, t: float) -> float:
     exactly mu, so the supremum caps there.
     """
     lo = spec.mu + spec.d / 2.0
-    if t < lo:
+    if not t >= lo:
         raise RobustBundlingError(f"need t >= {lo!r}, got {t!r}")
     raw = spec.d / (2.0 * (t / spec.mu - 1.0)) + spec.d / 2.0
     return min(raw, spec.mu)
@@ -80,6 +80,8 @@ def guaranteed_sale_chain(spec: MeanMadSpec, m: int, eps: float) -> float:
     """Per-item revenue the guaranteed-sale price earns at least on every
     member, p*(eps)/m * (1 - f(mu,d,eps)/m). f goes first: it checks eps's
     range before the price is formed."""
+    if m < 1:
+        raise RobustBundlingError(f"need m >= 1, got {m}")
     f = failure_coefficient(spec, eps)
     return guaranteed_sale_price(spec, m, eps) / m * (1.0 - f / m)
 

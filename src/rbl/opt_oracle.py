@@ -23,7 +23,7 @@ import numpy as np
 
 from .ambiguity import TwoPointDist
 from .errors import RobustBundlingError
-from .sum_law import MASS_TOL, binom_pmf
+from .sum_law import MASS_TOL, binom_window
 
 # Utility ties, relative to the members' largest mean.
 TIE_TOL = 1e-9
@@ -233,7 +233,7 @@ def _full_problem(members):
 def _symmetric_problem(d0: TwoPointDist, m: int):
     """One price per bundle size s, shared by the size-s masks in
     `combinations` order."""
-    mass = binom_pmf(np.arange(m + 1.0), m, 1.0 - d0.alpha)
+    mass = binom_window(0, m, m, 1.0 - d0.alpha)[0]
     # best size-s bundle for a profile with c high items takes the highs first
     V = np.array([[min(s, c) * d0.y + max(0, s - c) * d0.x
                    for s in range(1, m + 1)] for c in range(m + 1)])

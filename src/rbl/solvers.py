@@ -1,21 +1,22 @@
 """Saddle-point engines for bundle pricing against two-point product adversaries.
 
-Price first (maximin): the seller's price grid is polished by golden section,
-and nature's answer to each price is solved exactly. In u = 1 - alpha the
+Price first (maximin): the seller's price grid is searched and polished by
+optimize.grid_polish on the negated guarantee, and nature's answer to each
+price is solved exactly. In u = 1 - alpha the
 tail P(sum >= p) only jumps where a sum support point crosses p, at
 closed-form breakpoints u_k, and rises with u between them. So the guarantee
 at p is an infimum, attained at the floor u = U_FLOOR or approached as u
 decreases to some u_k; the reported alpha is then that limit point, not an
 attained minimizer. Nature first (minimax): a grid geometric in 1 - alpha
-down to 1e-12, because the damaging adversaries sit next to alpha = 1, then
-golden-section polish. Both grids are searched by one pruning loop,
-_pruned_min: each row gets a cheap bound on its value (for a price, a cap
-from a few of nature's answers, _guarantee_caps; for a nature row, a revenue
-floor from a few feasible prices), rows are solved exactly one at a time
-from the most promising bound on, and the search stops once every bound left
-clears the best value found by the relative margin _PRUNE_MARGIN. Maximin
-runs it negated, which is exact; the grid optimum and its argument are those
-of the full grid. Each row is one call: a price's infimum over its
+down to 1e-12, because the damaging adversaries sit next to alpha = 1,
+searched and polished by grid_polish on the seller's best response. Each
+order passes grid_polish one objective and a cheap bound on each grid row's
+value (for a price, a cap from a few of nature's answers, _guarantee_caps;
+for a nature row, a revenue floor from a few feasible prices), so rows are
+solved exactly one at a time from the most promising bound on, and the
+search stops once every bound left clears the best value found by the
+relative margin optimize.PRUNE_MARGIN; the grid optimum and its argument are
+those of the full grid. Each row is one call: a price's infimum over its
 breakpoints (_inner_infimum), or nature's best response over the 40-sigma
 window of k (_window), whose masses and the mass past it come from one
 sum_law.binom_window call. Usually one row is solved per grid. Tails go
@@ -34,14 +35,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import rel_entr
 
 from .ambiguity import MeanMadSpec
 from .errors import RobustBundlingError
-from .optimize import grid_polish
+from .optimize import PRUNE_MARGIN, grid_polish
 from .sum_law import binom_sf, binom_window
 
 ALPHA_GRID = 2048
@@ -51,13 +51,6 @@ U_FLOOR = 1e-12
 BRACKET_TOL = 1e-10
 # Half-width of the best-response scan over k, in binomial sigmas.
 _WINDOW_SIGMAS = 40.0
-# A breakpoint or grid row is skipped only if its bound clears the best
-# value by this much, relatively for a row (a price's cap already sits at or
-# above its guarantee, bit for bit): above the rounding of m*KL
-# (~1e-12 at m = 1e8) and of the binomial tail (revenue floors priced by
-# binom_sf overshoot exact best responses by at most 5e-10 up to m = 3e7),
-# so pruning never changes a result.
-_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,7 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
     P(Bin(m, u_k) >= k+1) over the breakpoints in range. A breakpoint is
     skipped only when its Chernoff bound 1 - exp(-m KL(k/m || u_k)), a lower
     bound on that limit for k/m < u_k, clears a value already found by
-    _PRUNE_MARGIN.
+    PRUNE_MARGIN.
     """
     u_hi = 1.0 - spec.alpha_min
     c = 2.0 * (p - m * spec.mu) / spec.d
@@ -154,7 +147,7 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
     tail = np.full(k.size, np.inf)
     j = int(np.argmin(bound))
     tail[j] = binom_sf(k[j], m, u[j])
-    rest = (bound <= min(floor_tail, tail[j]) + _PRUNE_MARGIN) & np.isinf(tail)
+    rest = (bound <= min(floor_tail, tail[j]) + PRUNE_MARGIN) & np.isinf(tail)
     tail[rest] = binom_sf(k[rest], m, u[rest])
     # ties go to the smallest u: U_FLOOR first, then the lowest breakpoint
     j = int(np.argmin(tail))
@@ -178,23 +171,6 @@ def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
     tails[inside] = binom_sf(np.broadcast_to(k, u.shape)[inside], m, u[inside])
     floor_tail = _tails(spec, m, ps, np.float64(U_FLOOR))
     return ps * np.minimum(floor_tail, tails.min(axis=1)) / m
-
-
-def _pruned_min(bounds: np.ndarray,
-                solve: Callable[[int], float]) -> np.ndarray:
-    """Row values of a grid, as far as its minimum needs: rows are solved by
-    solve(i) one at a time from the lowest bound up, and a row whose bound
-    clears the lowest value found by the relative _PRUNE_MARGIN is left at
-    +inf. Each bound must be a lower bound on its row's value; then the
-    solved rows, the minimum and its argmin are those of the full grid."""
-    vals = np.full(bounds.size, np.inf)
-    best = np.inf
-    for i in np.argsort(bounds, kind="stable"):
-        if not bounds[i] <= best + _PRUNE_MARGIN * abs(best):
-            break
-        vals[i] = solve(i)
-        best = np.minimum(best, vals[i])
-    return vals
 
 
 def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
@@ -266,27 +242,25 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
                            price_grid: int = PRICE_GRID) -> SaddleReport:
     """Price maximizing the adversarially worst bundle revenue per item.
 
-    Outer maximization over p in [0, m*mu] by grid plus golden-section polish,
-    inner infimum solved exactly by breakpoints (worst_case_alpha). The grid
-    goes through _pruned_min negated (exact, so values keep their bits), one
-    price at a time from the highest cap (_guarantee_caps) down; usually
-    one price is solved per grid.
-    The certificate pairs the family-wide bound maximin_certificate_lower
-    with the analytic ceiling mu - d/2. A spec whose scale leaves double
-    range is rejected before any solving (_check_scale).
+    Outer maximization over p in [0, m*mu]: one grid_polish call minimizes
+    the negated guarantee -p * tail / m (exact, so values keep their bits),
+    its inner infimum solved exactly by breakpoints (_inner_infimum), one
+    price at a time from the highest cap (_guarantee_caps) down; usually one
+    price is solved per grid. worst_case_alpha runs once, for the reported
+    alpha. The certificate pairs the family-wide bound
+    maximin_certificate_lower with the analytic ceiling mu - d/2. A spec
+    whose scale leaves double range is rejected before any solving
+    (_check_scale).
     """
     _check_scale(spec, m)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
-    vals = -_pruned_min(
-        -_guarantee_caps(spec, m, ps),
-        lambda i: -ps[i] * _inner_infimum(spec, m, ps[i])[1] / m)
-    p_best, v_best = grid_polish(
-        lambda p: worst_case_alpha(spec, m, p)[1], ps, vals,
-        BRACKET_TOL * m * spec.mu, maximize=True)
+    p_best, v_best, _ = grid_polish(
+        lambda p: -p * _inner_infimum(spec, m, p)[1] / m, ps,
+        -_guarantee_caps(spec, m, ps), BRACKET_TOL * m * spec.mu)
     return SaddleReport(
         m=m,
-        value=v_best,
+        value=-v_best,
         price=p_best,
         alpha=worst_case_alpha(spec, m, p_best)[0],
         certificate=(lower, spec.mu - spec.d / 2.0),
@@ -342,26 +316,25 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
                            alpha_grid: int = ALPHA_GRID) -> SaddleReport:
     """Two-point i.i.d. parameter minimizing the seller's best-response revenue.
 
-    Grid plus golden-section polish over alpha, the grid solved only where it
-    can hold the minimum: _pruned_min solves the rows one at a time from the
-    lowest revenue floor up. Reports the argmin alpha and the
+    One grid_polish call over alpha on the best response, the grid solved
+    only where it can hold the minimum: rows one at a time from the lowest
+    revenue floor (_revenue_floors) up. Reports the argmin alpha and the
     best-response price there. certificate.lower is maximin's family-wide
     bound maximin_certificate_lower (the other play order can only do worse
-    for the adversary) and certificate.upper is the raw grid minimum, valid
+    for the adversary) and certificate.upper is the grid minimum, valid
     since every evaluated alpha upper-bounds the infimum. The scale is
     checked first, as in maximin_bundling_value.
     """
     _check_scale(spec, m)
     lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
-    vals = _pruned_min(_revenue_floors(spec, m, u),
-                       lambda i: _best_response(spec, m, u[i])[1])
-    u_best, v_best = grid_polish(
-        lambda z: _best_response(spec, m, z)[1], u, vals, BRACKET_TOL)
+    u_best, v_best, grid_best = grid_polish(
+        lambda z: _best_response(spec, m, z)[1], u,
+        _revenue_floors(spec, m, u), BRACKET_TOL)
     return SaddleReport(
         m=m,
         value=v_best,
         price=_best_response(spec, m, u_best)[0],
         alpha=1.0 - u_best,
-        certificate=(lower, float(vals.min())),
+        certificate=(lower, grid_best),
     )

@@ -18,8 +18,8 @@ counts drawn as sequential conditional binomials,
 
     n_0 ~ Bin(c, p_0),  n_j ~ Bin(c - n_0 - ... - n_{j-1}, p_j / (p_j + ... + p_last)),
 
-each by the exact inverse CDF of one uniform (binom_ppf, the binomial kernel
-the solvers' tails share), and the last atom taking the rest.
+each by the exact inverse CDF of one uniform (_binom_inverse, from the
+binomial kernel the solvers' tails share), and the last atom taking the rest.
 A Pareto slot takes one uniform of its own. The columns are (atoms - 1) per
 discrete group, then one per Pareto slot in slot order, with no padding.
 The sum has a fixed order: each discrete group's counts times its atoms
@@ -43,8 +43,8 @@ from numpy.random import PCG64DXSM, Generator
 from scipy.special import gammaln
 # The boost ufuncs that scipy's binom distribution calls, used directly because
 # importing its stats package is most of rbl's cold start;
-# tests/test_sum_law.py pins binom_pmf, binom_sf and binom_ppf to it bit for bit,
-# and binom_window to binom_pmf and binom_sf.
+# tests/test_sum_law.py pins binom_window, binom_sf and _binom_inverse to it
+# bit for bit.
 from scipy.special._ufuncs import _binom_pmf, _binom_ppf, _binom_sf
 
 from .ambiguity import MemberDist, ParetoDist, ThreePointDist, TwoPointDist
@@ -198,15 +198,6 @@ def tail_prob(law: SumLaw, p: float) -> float:
     return float(np.sum(law.probs[idx:]))
 
 
-def binom_pmf(k, n, p):
-    """P(Bin(n, p) = k) for integral n >= 0 and p in [0, 1], broadcast like a
-    ufunc; the same bits and edges as scipy's binom.pmf: 0 for k outside
-    0..n or not integral, else the mass clipped to [0, 1]."""
-    ok = (k >= 0.0) & (k <= n) & (np.floor(k) == k)
-    out = np.where(ok, np.clip(_binom_pmf(k, n, p), 0.0, 1.0), 0.0)
-    return out[()]
-
-
 def binom_sf(k, n, p):
     """P(Bin(n, p) > k) for integral n >= 0 and p in [0, 1], broadcast like a
     ufunc; the same bits and edges as scipy's binom.sf: 1 for k < 0, 0 for
@@ -219,32 +210,25 @@ def binom_sf(k, n, p):
 
 def binom_window(lo: int, hi: int, n, p) -> tuple[np.ndarray, float]:
     """(P(Bin(n, p) = k) for k = lo..hi, P(Bin(n, p) > hi)) for integral
-    0 <= lo <= hi <= n and p in [0, 1]: the bits of binom_pmf and binom_sf
-    at those points, from one pmf call over the window and one scalar
-    survival call, with no edge masks (no k there can reach them)."""
+    0 <= lo <= hi <= n and p in [0, 1]: the bits of scipy's binom.pmf and
+    binom.sf at those points, from one pmf call over the window and one
+    scalar survival call, with no edge masks (no k there can reach them)."""
     pmf = _binom_pmf(np.arange(lo, hi + 1.0), n, p).clip(0.0, 1.0)
     return pmf, (_binom_sf(hi, n, p).clip(0.0, 1.0) if hi < n else 0.0)
-
-
-def binom_ppf(q, n, p):
-    """Smallest k with P(Bin(n, p) <= k) >= q, broadcast like a ufunc; the same
-    bits and edges as scipy's binom.ppf: -1 at q = 0 and n at q = 1."""
-    out = np.where(q == 0.0, -1.0, np.where(q == 1.0, n, _binom_ppf(q, n, p)))
-    return out[()]
 
 
 def _binom_inverse(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
     """Smallest k in [0, n] with P(Bin(n, q) <= k) >= u, elementwise over u and n.
 
     q is clipped to [0, 1], and a degenerate q gives its one value for every u,
-    so an atom of zero mass is never drawn. binom_ppf returns -1 at u = 0,
-    hence the clip at 0.
+    so an atom of zero mass is never drawn. u lies in [0, 1), so Boost's
+    quantile needs no edge masks, only the clip into [0, n].
     """
     if q <= 0.0:
         return np.zeros_like(n)
     if q >= 1.0:
         return n.copy()
-    return np.clip(binom_ppf(u, n, q), 0.0, n)
+    return np.clip(_binom_ppf(u, n, q), 0.0, n)
 
 
 def _atom_counts(u: np.ndarray, c: int, cond: Sequence[float]) -> np.ndarray:

@@ -106,6 +106,13 @@ def test_three_point_validation(half_spec):
         make_three_point(half_spec, (0.0, 1.0, 2.0), (0.3, 0.5, 0.3))
     with pytest.raises(RobustBundlingError, match=r"support must lie in \[0"):
         make_three_point(half_spec, (-1.0, 1.0, 3.0), (0.25, 0.5, 0.25))
+    # every other check is false on NaN, so these once built a member whose
+    # Monte Carlo sums were NaN or inf
+    for points, probs in (((math.nan, 1.0, 2.0), (0.25, 0.5, 0.25)),
+                          ((0.0, 1.0, math.inf), (0.25, 0.5, 0.25)),
+                          ((0.0, 1.0, 2.0), (0.25, math.nan, 0.25))):
+        with pytest.raises(RobustBundlingError, match="must be finite"):
+            make_three_point(half_spec, points, probs)
 
 
 def test_three_point_inverse_cdf(half_spec):

@@ -32,6 +32,20 @@ def test_second_point_limit_frozen(half_spec):
         second_point_limit(half_spec, 0.0)
     with pytest.raises(RobustBundlingError, match="need lambda > 0"):
         second_point_limit(half_spec, -2.0)
+    # at lam = inf the formula is 0 * inf, a NaN with a RuntimeWarning
+    for lam in (np.inf, np.nan):
+        with pytest.raises(RobustBundlingError, match="need lambda > 0 and finite"):
+            second_point_limit(half_spec, lam)
+
+
+@pytest.mark.parametrize("chain", [
+    lambda spec: ratio_bound_chain(spec, 0, 0.1),
+    lambda spec: regret_bound_chain(spec, 0, 0.1, 0.1),
+])
+def test_bound_chains_reject_m_zero(half_spec, chain):
+    # once a ZeroDivisionError from the guaranteed-sale chain
+    with pytest.raises(RobustBundlingError, match="need m >= 1"):
+        chain(half_spec)
 
 
 @pytest.mark.parametrize("d", [0.5, 1.5])

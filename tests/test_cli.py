@@ -177,6 +177,16 @@ def test_validation_failures_exit_2(capsys, monkeypatch, argv):
     assert err.count("\n") <= 1
 
 
+def test_non_finite_three_point_member_exits_2_naming_the_input(capsys):
+    # once caught only later, as "member moments off by mean nan"
+    code, _, err = run(capsys, "concentration", "--mu", "1", "--d", "0.5",
+                       "--eps", "0.2", "--m", "50", "--n", "10000", "--seed",
+                       "1", "--member",
+                       "three_point:points=nan+1+2,probs=0.25+0.5+0.25")
+    assert code == 2
+    assert "must be finite" in err and err.count("\n") == 1
+
+
 # smallest accepted value of each integer option
 _INT_MIN = {"m": 1, "seed": 0, "threads": 1, "n": MC_MIN_SAMPLES,
             "alpha-grid": 2, "price-grid": 2, "grid": 2}

@@ -26,6 +26,8 @@ def test_truncated_tail_sup_shape(half_spec):
     mu, d = half_spec.mu, half_spec.d
     with pytest.raises(RobustBundlingError, match="need t >= "):
         tail_truncation_sup(half_spec, mu + d / 2.0 - 1e-6)
+    with pytest.raises(RobustBundlingError, match="need t >= "):
+        tail_truncation_sup(half_spec, math.nan)
     # flat at mu while a zero-low-point member can still clear the cut
     strip_end = mu + d * mu / (2.0 * mu - d)
     assert tail_truncation_sup(half_spec, mu + d / 2.0 + 1e-9) == pytest.approx(mu)

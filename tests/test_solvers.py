@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from rbl import solvers
+from rbl import optimize, solvers
 from rbl.ambiguity import MeanMadSpec, make_two_point
 from rbl.bundling import best_bundle_price
 from rbl.errors import RobustBundlingError
+from rbl.optimize import PRUNE_MARGIN, golden_min, grid_polish
 from rbl.solvers import (
     U_FLOOR,
     maximin_bundling_value,
@@ -160,26 +161,53 @@ def test_worst_case_alpha_equals_unpruned_brute_force():
         assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
 
 
+def _recording_search(grids, unpruned=False):
+    """grid_polish, appending to grids the row values each call's grid
+    solved (+inf where skipped); a row counts until the polish starts.
+    unpruned: bounds patched to -inf, so every row is solved."""
+    def search(f, xs, bounds, tol):
+        rows, polishing = {}, []
+
+        def row(x):
+            v = f(x)
+            if not polishing:
+                assert x not in rows  # no row is solved twice
+                rows[x] = v
+            return v
+
+        def golden(*args, **kwargs):
+            polishing.append(True)
+            return golden_min(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "golden_min", golden)
+            out = grid_polish(row, xs, np.full(len(xs), -np.inf)
+                              if unpruned else bounds, tol)
+        grids.append(np.array([rows.get(x, np.inf) for x in xs]))
+        return out
+    return search
+
+
 def _pruned_and_full(monkeypatch, solve_game):
-    """Solve one game twice: through the pruning loop, recording the grid
-    values it returns, and with an unpruned stand-in that solves every row.
+    """Solve one game twice: through the pruned search, recording the grid
+    values it solved, and with bounds patched to -inf so every row is solved.
     Returns (pruned grid, full grid, pruned report, unpruned report)."""
-    loop, grids = solvers._pruned_min, {}
-
-    def recording(bounds, solve):
-        grids["pruned"] = loop(bounds, solve)
-        return grids["pruned"]
-
-    def unpruned(bounds, solve):
-        grids["full"] = np.array([solve(i) for i in range(bounds.size)], float)
-        return grids["full"]
-
+    grids = []
     with monkeypatch.context() as mp:
-        mp.setattr(solvers, "_pruned_min", recording)
+        mp.setattr(solvers, "grid_polish", _recording_search(grids))
         pruned = repr(solve_game())
-        mp.setattr(solvers, "_pruned_min", unpruned)
+        mp.setattr(solvers, "grid_polish", _recording_search(grids, True))
         full = repr(solve_game())
-    return grids["pruned"], grids["full"], pruned, full
+    return grids[0], grids[1], pruned, full
+
+
+def _rows_solved(monkeypatch, solve_game):
+    """The grid rows one solve sends to its kernel, in grid order."""
+    grids = []
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "grid_polish", _recording_search(grids))
+        solve_game()
+    return np.flatnonzero(np.isfinite(grids[0])).tolist()
 
 
 def test_grid_pruning_keeps_the_argmax(monkeypatch):
@@ -193,7 +221,7 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
                          for p in ps])
         neg_got, neg_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
-        # the loop sees the negated grid; negation is exact
+        # the search sees the negated grid; negation is exact
         assert np.array_equal(-neg_full, full)
         got = -neg_got
         done = np.isfinite(got)
@@ -220,17 +248,25 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
 def test_maximin_grid_rows_sent_to_the_kernel(monkeypatch):
     # a count guard instead of a timing test: the U_FLOOR tail alone as a
     # cap sent 287 of 1024 rows at (1, 0.5), m = 4
-    rows, loop = [], solvers._pruned_min
-
-    def counting_loop(bounds, solve):
-        return loop(bounds, lambda i: rows.append(i) or solve(i))
-
-    monkeypatch.setattr(solvers, "_pruned_min", counting_loop)
     for d in (0.5, 0.8):
         for m in (4, 10, 16, 100, 1000, 10_000):
-            rows.clear()
-            maximin_bundling_value(MeanMadSpec(1.0, d), m)
+            rows = _rows_solved(
+                monkeypatch,
+                lambda: maximin_bundling_value(MeanMadSpec(1.0, d), m))
             assert 0 < len(rows) <= 4, (d, m)
+
+
+def test_maximin_calls_worst_case_alpha_once(monkeypatch):
+    # a count guard: the grid and the polish price through _inner_infimum,
+    # and worst_case_alpha runs only for the reported alpha
+    calls, wca = [], solvers.worst_case_alpha
+    monkeypatch.setattr(solvers, "worst_case_alpha",
+                        lambda *args: calls.append(args) or wca(*args))
+    for d, m in ((0.5, 4), (0.8, 100), (1.5, 10_000)):
+        calls.clear()
+        rep = maximin_bundling_value(MeanMadSpec(1.0, d), m)
+        assert len(calls) == 1
+        assert wca(*calls[0]) == (rep.alpha, rep.value)
 
 
 def _kernel(spec, m, us):
@@ -247,16 +283,16 @@ def test_minimax_grid_pruning_keeps_the_argmin(monkeypatch):
         spec = MeanMadSpec(mu, d)
         us = solvers._u_grid(spec, solvers.ALPHA_GRID)
         full = _kernel(spec, m, us)[1]
-        got, loop_full, rep, rep_full = _pruned_and_full(
+        got, search_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: minimax_bundling_value(spec, m))
-        assert np.array_equal(loop_full, full)
+        assert np.array_equal(search_full, full)
         done = np.isfinite(got)
         assert np.array_equal(got[done], full[done])
         assert np.argmin(got) == np.argmin(full)
         assert got.min() == full.min()
         assert np.all(full[~done] > got.min())
         floors = solvers._revenue_floors(spec, m, us)
-        assert np.all(floors <= full * (1.0 + solvers._PRUNE_MARGIN))
+        assert np.all(floors <= full * (1.0 + PRUNE_MARGIN))
         assert rep == rep_full
 
 
@@ -267,41 +303,27 @@ def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
     us = solvers._u_grid(spec, solvers.ALPHA_GRID)
     full = _kernel(spec, m, us)[1]
     floors = solvers._revenue_floors(spec, m, us)
-    assert np.all(floors <= full * (1.0 + solvers._PRUNE_MARGIN))
+    assert np.all(floors <= full * (1.0 + PRUNE_MARGIN))
     got = repr(minimax_bundling_value(spec, m))
+    rows = dict(zip(us.tolist(), full))
 
-    def unpruned(bounds, solve):
-        # every row solved; a row has the same bits however it is reached
+    def unpruned(f, xs, bounds, tol):
+        # every row solved, from the kernel values above: a row has the same
+        # bits however it is reached
         assert np.array_equal(bounds, floors)
-        return full
+        return grid_polish(lambda x: rows[x] if x in rows else f(x), xs,
+                           np.full(xs.size, -np.inf), tol)
 
-    monkeypatch.setattr(solvers, "_pruned_min", unpruned)
+    monkeypatch.setattr(solvers, "grid_polish", unpruned)
     assert got == repr(minimax_bundling_value(spec, m))
 
 
 def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
     # a count guard instead of a timing test: weaker floors fail it
-    rows, in_grid = [], [False]
-    kernel, loop = solvers._best_response, solvers._pruned_min
-
-    def counting_kernel(spec, m, u):
-        if in_grid[0]:
-            rows.append(1)
-        return kernel(spec, m, u)
-
-    def flagged_loop(bounds, solve):
-        in_grid[0] = True
-        try:
-            return loop(bounds, solve)
-        finally:
-            in_grid[0] = False
-
-    monkeypatch.setattr(solvers, "_best_response", counting_kernel)
-    monkeypatch.setattr(solvers, "_pruned_min", flagged_loop)
     for d, m in ((0.8, 100), (0.8, 1000), (0.8, 10_000), (1.5, 10_000)):
-        rows.clear()
-        minimax_bundling_value(MeanMadSpec(1.0, d), m)
-        assert 0 < sum(rows) <= 32
+        rows = _rows_solved(
+            monkeypatch, lambda: minimax_bundling_value(MeanMadSpec(1.0, d), m))
+        assert 0 < len(rows) <= 32
 
 
 def _nine_cut_floors(spec, m, us):
@@ -318,9 +340,6 @@ def _nine_cut_floors(spec, m, us):
 def test_revenue_floors_send_the_nine_cut_rows(monkeypatch):
     # the floors price z = -4..0 and each distinct cut once; they must send
     # the kernel the rows the nine priced cuts send, to the same report
-    rows, loop = [], solvers._pruned_min
-    monkeypatch.setattr(solvers, "_pruned_min", lambda bounds, solve: loop(
-        bounds, lambda i: rows.append(i) or solve(i)))
     calls, sf = [], solvers.binom_sf
     for (mu, d, m), n_rows in (((1.0, 0.8, 100), 1), ((1.0, 0.8, 10_000), 1),
                                ((1.0, 1.5, 10_000), 23), ((1.3, 2.1, 1000), 32),
@@ -337,23 +356,26 @@ def test_revenue_floors_send_the_nine_cut_rows(monkeypatch):
         priced, per_row = np.unique(np.concatenate(calls), return_counts=True)
         assert priced.size == us.size and per_row.max() <= 5
         assert np.all(floors <= _nine_cut_floors(spec, m, us))
-        rows.clear()
-        got = repr(minimax_bundling_value(spec, m))
-        got_rows = sorted(rows)
+        reps = []
+        got_rows = _rows_solved(monkeypatch, lambda: reps.append(
+            repr(minimax_bundling_value(spec, m))))
         with monkeypatch.context() as mp:
             mp.setattr(solvers, "_revenue_floors", _nine_cut_floors)
-            rows.clear()
-            assert got == repr(minimax_bundling_value(spec, m))
-        assert got_rows == sorted(rows) and len(got_rows) == n_rows, (mu, d, m)
+            rows = _rows_solved(monkeypatch, lambda: reps.append(
+                repr(minimax_bundling_value(spec, m))))
+        assert reps[0] == reps[1]
+        assert got_rows == rows and len(got_rows) == n_rows, (mu, d, m)
 
 
 @pytest.mark.parametrize("n", [1, 3, 64, 10_000])
 def test_pruned_min_matches_the_full_grid(n):
-    # synthetic grids of n rows with bounds <= values: the loop's minimum
-    # and argmin are the full grid's, every solved row holds its value, no
-    # row is solved twice, and a skipped row's bound clears the minimum
+    # synthetic grids of n rows with bounds <= values, through grid_polish:
+    # the pruned minimum and its argmin are the full grid's, every solved row
+    # holds its value, no row is solved twice, a skipped row's bound clears
+    # the minimum, and the result is the unpruned search's
     rng = np.random.default_rng(5)
     vals = rng.normal(size=n)
+    xs = np.arange(n, dtype=float)
     cases = {
         "random": (vals - rng.exponential(0.3, n), vals),
         "ties": (np.round(vals, 1) - 0.2, np.round(vals, 1)),
@@ -364,22 +386,20 @@ def test_pruned_min_matches_the_full_grid(n):
     }
     for name, (bounds, values) in cases.items():
         assert np.all(bounds <= values), name
-        solved = []
-
-        def solve(i):
-            solved.append(int(i))
-            return values[i]
-
-        got = solvers._pruned_min(bounds, solve)
-        assert len(solved) == len(set(solved)), name
+        f = lambda x: float(np.interp(x, xs, values))
+        grids = []
+        out = _recording_search(grids)(f, xs, bounds, 1e-10)
+        full_out = _recording_search(grids, unpruned=True)(f, xs, bounds, 1e-10)
+        got, full = grids
+        assert np.array_equal(full, values), name
         done = np.isfinite(got)
-        assert sorted(solved) == np.flatnonzero(done).tolist(), name
         assert np.array_equal(got[done], values[done]), name
-        assert got.min() == values.min(), name
+        assert got.min() == values.min() == out[2], name
         assert np.argmin(got) == np.argmin(values), name
         best = got.min()
-        margin = solvers._PRUNE_MARGIN * abs(best)
+        margin = PRUNE_MARGIN * abs(best)
         assert np.all(bounds[~done] > best + margin), name
+        assert out == full_out, name
 
 
 def test_minimax_m1_frozen(half_spec):

@@ -26,8 +26,6 @@ from rbl.sum_law import (
     _atom_counts,
     _binom_inverse,
     _conditional_masses,
-    binom_pmf,
-    binom_ppf,
     binom_sf,
     binom_window,
     count_at_least,
@@ -252,32 +250,36 @@ def test_binomial_kernel_matches_scipy_bit_for_bit():
     k[60:70] = np.inf
     p = rng.random(size)
     p[:200:2], p[1:200:2] = 0.0, 1.0
-    q = rng.random(size)
-    q[200:300], q[300:400], q[400:500] = 0.0, 1.0, 1.0 - 2.0 ** -53
-    _same(binom_pmf(k, n, p), scipy_binom.pmf(k, n, p))
     _same(binom_sf(k, n, p), scipy_binom.sf(k, n, p))
-    _same(binom_ppf(q, n, p), scipy_binom.ppf(q, n, p))
-    # scalars, 0-d arrays and broadcasting, as the solvers and sampler call them
+    # scalars, 0-d arrays and broadcasting, as the solvers call them
     for args in ((3, 10, 0.4), (np.float64(-1.0), 10, 0.4), (10, 10, 0.4),
                  (np.array(4.5), 9, 0.5), (2.0, 0, 0.3), (np.arange(-2, 13), 10, 0.7),
                  (np.arange(-2, 13)[:, None], 10, p[:7]),
                  (np.arange(5, dtype=np.int64), 4, np.float64(1e-12))):
-        _same(binom_pmf(*args), scipy_binom.pmf(*args))
         _same(binom_sf(*args), scipy_binom.sf(*args))
-    q_edges = np.array([0.0, 2.0 ** -1074, 0.5, 1.0 - 2.0 ** -53, 1.0])
-    for args in ((0.0, 10, 0.4), (1.0, 10, 0.4), (1.0 - 2.0 ** -53, 10, 0.4),
-                 (np.array(0.5), 7, 0.5), (0.3, 0, 0.5), (q_edges, 25.0, 0.0),
-                 (q_edges[:, None], n[:4], np.array([0.0, 0.2, 0.9, 1.0]))):
-        _same(binom_ppf(*args), scipy_binom.ppf(*args))
+    # the whole law, edges of p and n = 0 included, as the menu oracle takes it
+    for ni, pi in zip(n[:300].astype(int), p[:300]):
+        pmf, beyond = binom_window(0, ni, ni, pi)
+        _same(pmf, scipy_binom.pmf(np.arange(ni + 1.0), ni, pi))
+        assert beyond == 0.0
+    # the sampler's quantile: uniforms on the 2^-53 lattice in [0, 1), its
+    # edges included, each the smallest k with P(Bin(n, q) <= k) >= u,
+    # clipped into [0, n]
+    u = rng.random(size)
+    u[200:300], u[300:400], u[400:500] = 0.0, 2.0 ** -53, 1.0 - 2.0 ** -53
+    for q in (*rng.random(8), 0.5):
+        q = float(q)
+        want = np.clip(scipy_binom.ppf(u, n, q), 0.0, n)
+        _same(_binom_inverse(u, n, q), want)
 
 
 def test_binom_window_matches_the_kernel_bit_for_bit():
-    # the windowed call drops binom_pmf's and binom_sf's edge masks; inside
-    # 0 <= lo <= hi <= n they never fire, so the bits must not move
+    # the windowed call drops scipy's edge masks; inside 0 <= lo <= hi <= n
+    # they never fire, so the bits must not move
     def check(lo, hi, n, p):
         pmf, beyond = binom_window(lo, hi, n, p)
-        assert np.array_equal(pmf, binom_pmf(np.arange(lo, hi + 1.0), n, p))
-        assert np.array_equal(beyond, binom_sf(hi, n, p))
+        assert np.array_equal(pmf, scipy_binom.pmf(np.arange(lo, hi + 1.0), n, p))
+        assert np.array_equal(beyond, scipy_binom.sf(hi, n, p))
 
     rng = np.random.default_rng(22)
     for _ in range(300):
@@ -311,7 +313,7 @@ def _reaches_binomial_ufuncs(tree: ast.AST) -> bool:
 
 def test_sum_law_is_the_only_binomial_kernel():
     # a second binomial pmf (a log-gamma table, a raw ufunc call) drifts from
-    # the one that binom_pmf, binom_sf and binom_ppf pin to scipy
+    # the one that binom_window, binom_sf and _binom_inverse pin to scipy
     src = sorted((Path(__file__).resolve().parents[1] / "src" / "rbl").glob("*.py"))
     users = [p.name for p in src if _reaches_binomial_ufuncs(ast.parse(p.read_text()))]
     assert users == ["sum_law.py"]
@@ -336,7 +338,7 @@ def test_binom_inverse_edges():
     zero = np.zeros(n.size)
     top = np.full(n.size, 1.0 - 2.0 ** -53)
     for q in (1e-9, 0.3, 0.5, 1.0 - 1e-9):
-        assert np.array_equal(_binom_inverse(zero, n, q), zero)  # ppf(0) is -1
+        assert np.array_equal(_binom_inverse(zero, n, q), zero)
         k = _binom_inverse(top, n, q)
         assert np.all((k >= 0) & (k <= n))
     # a conditional mass rounded past either end is clipped
