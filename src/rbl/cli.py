@@ -263,15 +263,11 @@ def _grid_kw(cfg: dict, name: str) -> dict:
 
 def _cmd_saddle(cfg: dict, objective: str) -> int:
     ms = _need(cfg, "m")
-    alpha_kw = _grid_kw(cfg, "alpha_grid")
-    price_kw = _grid_kw(cfg, "price_grid")
+    solve, grid = ((maximin_bundling_value, "price_grid") if objective == "maximin"
+                   else (minimax_bundling_value, "alpha_grid"))
+    grid_kw = _grid_kw(cfg, grid)
     spec = _spec(cfg)
-    reports = []
-    for m in ms:
-        if objective == "maximin":
-            reports.append(maximin_bundling_value(spec, m, **price_kw))
-        else:
-            reports.append(minimax_bundling_value(spec, m, **alpha_kw))
+    reports = [solve(spec, m, **grid_kw) for m in ms]
     rows = [
         {
             "mu": spec.mu, "d": spec.d, "m": r.m, "objective": objective,

@@ -168,9 +168,7 @@ def concentration_check_mc(
                 f"member moments off by mean {rep.mean_error!r}, mad {rep.mad_error!r}"
             )
     cert = concentration_constant(spec, eps).with_m(m)
-    slots = members
-    if len(members) not in (1, m):
-        slots = [members[i % len(members)] for i in range(m)]
+    slots = [members[i % len(members)] for i in range(m)]
     emp = count_at_least(slots, m, seed=seed, n=n, threshold=cert.threshold,
                          workers=workers) / n
     se = math.sqrt(emp * (1.0 - emp) / n)

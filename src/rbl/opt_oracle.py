@@ -156,12 +156,9 @@ def menu_revenue(menu: MenuMechanism, members: Sequence[TwoPointDist]) -> float:
 
 def _subset_floor(P: np.ndarray, sub_idx: np.ndarray) -> np.ndarray:
     """Highest price among already-assigned strict subsets (0 when none bind)."""
-    n = P.shape[0]
-    if sub_idx.size == 0 or P.shape[1] == 0:
-        return np.zeros(n)
     A = P[:, sub_idx]
     A = np.where(np.isinf(A), -np.inf, A)
-    return np.maximum(A.max(axis=1), 0.0)
+    return np.maximum(A.max(axis=1, initial=-np.inf), 0.0)
 
 
 def _expand(P: np.ndarray, opts: np.ndarray, lb: np.ndarray,
@@ -222,9 +219,7 @@ def _full_problem(members):
     Z = np.array([[(mk >> i) & 1 for i in range(m)] for mk in masks], dtype=float)
     V = lat.values @ Z.T
     subs = [
-        np.array([i for i in range(j)
-                  if masks[i] != masks[j] and (masks[i] & ~masks[j]) == 0],
-                 dtype=int)
+        np.array([i for i in range(j) if (masks[i] & ~masks[j]) == 0], dtype=int)
         for j in range(len(masks))
     ]
     return V, lat.probs, subs, [[mk] for mk in masks]

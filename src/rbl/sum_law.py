@@ -36,7 +36,7 @@ import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.random import PCG64DXSM, Generator
@@ -81,10 +81,9 @@ def _stirlerr(n: np.ndarray) -> np.ndarray:
     n = np.asarray(n, dtype=np.float64)
     out = np.empty_like(n)
     small = n < 16.0
-    if np.any(small):
-        ns = n[small]
-        out[small] = gammaln(ns + 1.0) - ((ns + 0.5) * np.log(ns) - ns
-                                          + 0.5 * _LOG_2PI)
+    ns = n[small]
+    out[small] = gammaln(ns + 1.0) - ((ns + 0.5) * np.log(ns) - ns
+                                      + 0.5 * _LOG_2PI)
     nb = n[~small]
     nn = nb * nb
     s0, s1, s2, s3, s4 = _STIRLERR_S
@@ -129,8 +128,6 @@ def _log_weights(m: int, alpha: float) -> np.ndarray:
     out = np.empty(m + 1)
     out[0] = m * log_alpha
     out[m] = m * np.log(u)
-    if m == 1:
-        return out
     k = np.arange(1, m, dtype=np.float64)
     mk = m - k
     out[1:m] = (
@@ -177,14 +174,11 @@ def product_sum(dists: Sequence[TwoPointDist]) -> SumLaw:
         order = np.argsort(new_support, kind="stable")
         new_support = new_support[order]
         new_probs = new_probs[order]
-        # merge points within MERGE_TOL, summing mass
-        fresh = np.empty(new_support.size, dtype=bool)
-        fresh[0] = True
-        np.greater(np.diff(new_support), MERGE_TOL, out=fresh[1:])
-        idx = np.cumsum(fresh) - 1
+        # a point within MERGE_TOL of the one before joins its run, and each
+        # run's mass is summed in ascending order
+        fresh = np.r_[True, np.diff(new_support) > MERGE_TOL]
         support = new_support[fresh]
-        probs = np.zeros(support.size)
-        np.add.at(probs, idx, new_probs)
+        probs = np.bincount(np.cumsum(fresh) - 1, weights=new_probs)
 
     total = float(np.sum(probs))
     if abs(total - 1.0) > MASS_TOL:
@@ -246,18 +240,14 @@ def _atom_counts(u: np.ndarray, c: int, cond: Sequence[float]) -> np.ndarray:
     return counts
 
 
-# A per-column Pareto parameter: one float for a whole chunk, or a column.
-_Param = Union[float, np.ndarray]
-
-
 @dataclass(frozen=True)
 class _Plan:
     """How one call lays out and maps its uniforms. A block of _CHUNK_ROWS
     samples owns width * _CHUNK_ROWS words of the PCG64DXSM stream, column by
     column: first len(cond) columns per discrete group (slot count c, atom
     values, conditional masses cond), then one column per Pareto slot in slot
-    order, mapped in chunks of at most _CHUNK_COLS columns (column count,
-    -1/a and scale, each a float when the chunk's slots share it). The
+    order, mapped in chunks of at most _CHUNK_COLS columns (-1/a and the
+    scale as columns over the chunk's slots, which set its width). The
     stages are the discrete groups, then the Pareto chunks; floors[i] is the
     least stages i.. add to a total, c * min(atoms) per group and the sum of
     the scales per chunk, with floors[-1] = 0. floors is None when a stage
@@ -265,7 +255,7 @@ class _Plan:
 
     width: int
     discrete: tuple[tuple[int, tuple[float, ...], tuple[float, ...]], ...]
-    pareto: tuple[tuple[int, _Param, _Param], ...]
+    pareto: tuple[tuple[np.ndarray, np.ndarray], ...]
     floors: Optional[tuple[float, ...]]
 
 
@@ -296,7 +286,8 @@ def _plan(members: Sequence[MemberDist], m: int) -> _Plan:
         discrete.append((c, tuple(points), _conditional_masses(probs)))
     chunks = [(neg_inv_a[lo:lo + _CHUNK_COLS], scale[lo:lo + _CHUNK_COLS])
               for lo in range(0, len(scale), _CHUNK_COLS)]
-    pareto = tuple((len(a), _column_param(a), _column_param(sc)) for a, sc in chunks)
+    pareto = tuple((np.array(a)[:, None], np.array(sc)[:, None])
+                   for a, sc in chunks)
     # np.min, unlike min, keeps a NaN atom, and NaN >= 0 is false
     stage = ([c * float(np.min(points)) for c, points, _ in discrete]
              + [sum(sc) for _, sc in chunks])
@@ -305,12 +296,6 @@ def _plan(members: Sequence[MemberDist], m: int) -> _Plan:
     width = sum(len(cond) for _, _, cond in discrete) + len(scale)
     return _Plan(width=width, discrete=tuple(discrete), pareto=pareto,
                  floors=floors)
-
-
-def _column_param(values: list) -> _Param:
-    # one float broadcasts fastest, and numpy's pow gives a float exponent
-    # the same bits as a column of it
-    return values[0] if len(set(values)) == 1 else np.array(values)[:, None]
 
 
 def _block_stages(plan: _Plan, seed: int, start: int, rows: int):
@@ -330,8 +315,8 @@ def _block_stages(plan: _Plan, seed: int, start: int, rows: int):
         for j, v in enumerate(points):
             total += counts[:, j] * v
         yield total
-    for cols, neg_inv_a, scale in plan.pareto:
-        u = buf[:cols]
+    for neg_inv_a, scale in plan.pareto:
+        u = buf[:len(scale)]
         gen.random(out=u)
         # Pareto slots: scale * (1 - u)^(-1/a), in place
         cont = u[:, :rows]

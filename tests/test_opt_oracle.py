@@ -7,6 +7,10 @@ from rbl.errors import RobustBundlingError
 from rbl.opt_oracle import (
     BidLattice,
     MenuMechanism,
+    _eval_block,
+    _full_problem,
+    _symmetric_problem,
+    _tie_tol,
     bid_lattice,
     menu_revenue,
     menu_to_tables,
@@ -255,3 +259,40 @@ def test_oracle_is_scale_invariant(scale, alphas, m, symmetric):
     lat = bid_lattice(members * m if len(members) == 1 else members)
     z, pi = menu_to_tables(res.witness, lat)
     assert verify_truthful(z, pi, lat).ok
+
+
+@pytest.mark.parametrize("m,symmetric", [(1, False), (2, False), (3, False),
+                                         (1, True), (2, True), (3, True),
+                                         (4, True)])
+def test_search_scores_a_menu_as_the_buyer_chooses(rng, m, symmetric):
+    # `_eval_block` scores candidate menus with its own copy of the buyer
+    # rule; on any price row of the candidate grid (ties, absent bundles and
+    # gaps inside the tie tolerance included) it must give `menu_revenue`
+    for _ in range(8):
+        mu = float(rng.choice([1e-3, 1.0, 2.3]))
+        spec = MeanMadSpec(mu, mu * float(rng.uniform(0.05, 1.95)))
+        alphas = rng.uniform(spec.alpha_min, 0.99, 1 if symmetric else m)
+        dists = [make_two_point(spec, float(a)) for a in alphas]
+        members = dists * m if len(dists) == 1 else dists
+        V, mass, _, groups = (_symmetric_problem(members[0], m) if symmetric
+                              else _full_problem(members))
+        tol = _tie_tol(members)
+        G = np.unique(np.concatenate([[0.0], V.ravel()]))
+        opts = [np.append(G[G <= V[:, j].max()], np.inf)
+                for j in range(V.shape[1])]
+        L = np.array([[rng.choice(o) for o in opts] for _ in range(40)])
+        # copy prices across entries for exact ties, and move some by half
+        # the tolerance for ties that only the tolerance makes
+        copy = rng.random(L.shape) < 0.2
+        L[copy] = L[np.arange(L.shape[0])[:, None],
+                    rng.integers(L.shape[1], size=L.shape)][copy]
+        L += np.where(rng.random(L.shape) < 0.2,
+                      rng.choice([-0.5, 0.5], size=L.shape) * tol, 0.0)
+        L = np.maximum(L, 0.0)
+        got = _eval_block(L, V, mass, tol)
+        for row, rev in zip(L, got):
+            menu = MenuMechanism(m=m, entries=((0, 0.0),) + tuple(
+                (mask, float(p)) for p, group in zip(row, groups)
+                if not np.isinf(p) for mask in group))
+            assert rev == pytest.approx(menu_revenue(menu, members),
+                                        rel=1e-12, abs=0.0)
