@@ -19,7 +19,10 @@ relative margin optimize.PRUNE_MARGIN; the grid optimum and its argument are
 those of the full grid. Each row is one call: a price's infimum over its
 breakpoints (_inner_infimum), or nature's best response over the 40-sigma
 window of k (_window), whose masses and the mass past it come from one
-sum_law.binom_window call. Usually one row is solved per grid. Tails go
+sum_law.binom_window call. Usually one row is solved per grid. A price's
+O(m) screen, the Chernoff bounds of its breakpoints and its U_FLOOR tail,
+is shared by every price in its grid cell (_price_cell), so the polish's
+few dozen prices cost about two screens, not one each. Tails go
 through the binomial survival function (sum_law.binom_sf, the kernel the
 Monte Carlo sampler's counts share) rather than the explicit m+1 point law,
 so m = 1e4 stays quick.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import rel_entr
@@ -42,7 +46,7 @@ from scipy.special import rel_entr
 from .ambiguity import MeanMadSpec
 from .errors import RobustBundlingError
 from .optimize import PRUNE_MARGIN, grid_polish
-from .sum_law import binom_sf, binom_window
+from .sum_law import _binom_sf, binom_sf, binom_window
 
 ALPHA_GRID = 2048
 PRICE_GRID = 1024
@@ -85,21 +89,25 @@ def _two_point(spec: MeanMadSpec, u):
     return x, spec.mu + spec.d / (2.0 * u) - x
 
 
-def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
-    """P(sum >= p) for u = 1 - alpha, sum of m i.i.d. two-point values; p and
-    u broadcast against each other.
-
-    The sum hits m*x + k*(y-x) when k of the m draws come up high, so the tail
-    is a Binomial(m, u) survival at the crossing index; the ceil is nudged so
-    the inclusive boundary holds exactly in floats.
-    """
+def _crossing(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
+    """The fewest highs k in 0..m whose support point m*x + k*(y-x) reaches
+    p for u = 1 - alpha, or m + 1 if none does; p and u broadcast against
+    each other. The ceil is nudged so the inclusive boundary holds exactly in
+    floats, and the index never falls as p rises."""
     x, gap = _two_point(spec, u)
     k = np.clip(np.ceil((p - m * x) / gap), 0.0, m + 1.0)
     for _ in range(2):
         k = np.where((k > 0) & (m * x + (k - 1.0) * gap >= p), k - 1.0, k)
     for _ in range(2):
         k = np.where((k <= m) & (m * x + k * gap < p), k + 1.0, k)
-    return binom_sf(k - 1.0, m, u)
+    return k
+
+
+def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
+    """P(sum >= p) for u = 1 - alpha, sum of m i.i.d. two-point values; p and
+    u broadcast against each other: a Binomial(m, u) survival at the crossing
+    index."""
+    return binom_sf(_crossing(spec, m, p, u) - 1.0, m, u)
 
 
 def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
@@ -113,46 +121,85 @@ def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
                     (b - sq) / np.where(pos, 1.0, 2.0 * c))
 
 
-def _inner_infimum(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
+def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
+                ) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
+    """(k, bound, floor_tail): what _inner_infimum shares at every price p
+    in [lo, hi]. k holds the crossing indices whose breakpoints can be in
+    range at hi, ordered by bound: the Chernoff bound
+    1 - exp(-m KL(k/m || u_k)) at hi on the limit P(Bin(m, u_k) >= k+1), a
+    lower bound for k/m < u_k (else 0). floor_tail is the tail at U_FLOOR,
+    or None if the crossing index there differs between lo and hi.
+
+    Both hold on all of [lo, hi]. Raising p raises c and so lowers each u_k,
+    because h(u) = m u + c u (1 - u) increases at its root; the limit then
+    falls. So the bound at hi is a lower bound at every p <= hi, and no k
+    past the window at hi is in range at a lower p. The floats' crossing
+    index never falls as p rises, so equal indices at lo and hi hold in
+    between."""
+    u_hi = 1.0 - spec.alpha_min
+    c = 2.0 * (hi - m * spec.mu) / spec.d
+    # u_k rises with k, and m u + c u (1 - u) highs are needed at u: window k
+    # to 0..that count at u_hi plus a spare; each price tests the range exactly
+    k_hi = np.clip(np.ceil(m * u_hi + c * u_hi * (1.0 - u_hi)) + 1.0, 0.0, m)
+    k = np.arange(k_hi + 1.0)
+    u = _breakpoints(c, m, k)
+    q = k / m
+    kl = rel_entr(q, u) + rel_entr(1.0 - q, 1.0 - u)
+    bound = np.where(q < u, -np.expm1(-m * kl), 0.0)
+    order = np.argsort(bound, kind="stable")
+    at = _crossing(spec, m, np.array([lo, hi]), U_FLOOR)
+    floor_tail = (float(binom_sf(at[1] - 1.0, m, U_FLOOR))
+                  if at[0] == at[1] else None)
+    return k[order], bound[order], floor_tail
+
+
+def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
+                   cell: tuple) -> tuple[float, float]:
     """(u, tail) with tail the infimum of P(sum >= p) over u = 1 - alpha in
     [U_FLOOR, 1 - alpha_min), reached at u: U_FLOOR, or the breakpoint the
-    infimum is approached at from above.
+    infimum is approached at from above. cell is a _price_cell whose
+    interval holds p.
 
     Breakpoint u_k is where the k-high support point equals p; on
     (u_k, u_{k+1}] the tail is P(Bin(m, u) >= k+1), which rises with u. So
     the infimum is the smallest of the tail at U_FLOOR and the limits
-    P(Bin(m, u_k) >= k+1) over the breakpoints in range. A breakpoint is
-    skipped only when its Chernoff bound 1 - exp(-m KL(k/m || u_k)), a lower
-    bound on that limit for k/m < u_k, clears a value already found by
-    PRUNE_MARGIN.
+    P(Bin(m, u_k) >= k+1) over the breakpoints in range. The cell's bounds
+    screen them: the loosest-bounded breakpoint in range at p seeds the
+    search, and only those whose bound does not clear the floor or the seed
+    by PRUNE_MARGIN are priced. Every in-range k is below m (u_m = 1), so a
+    limit is a raw survival call with no edge masks.
     """
-    u_hi = 1.0 - spec.alpha_min
+    k, bound, floor_tail = cell
+    if floor_tail is None:
+        floor_tail = float(_tails(spec, m, p, U_FLOOR))
     c = 2.0 * (p - m * spec.mu) / spec.d
-    # u_k rises with k, and m u + c u (1 - u) highs are needed at u: window k
-    # to 0..that count at u_hi plus a spare, then test the range exactly
-    k_hi = np.clip(np.ceil(m * u_hi + c * u_hi * (1.0 - u_hi)) + 1.0, 0.0, m)
-    k = np.arange(k_hi + 1.0)
-    u = _breakpoints(c, m, k)
-    inside = (u >= U_FLOOR) & (u < u_hi)
-    k, u = k[inside], u[inside]
-    floor_tail = float(_tails(spec, m, p, np.float64(U_FLOOR)))
-    if k.size == 0:
-        return U_FLOOR, floor_tail
 
-    q = k / m
-    kl = rel_entr(q, u) + rel_entr(1.0 - q, 1.0 - u)
-    bound = np.where(q < u, -np.expm1(-m * kl), 0.0)
-    # seed with the loosest-bounded breakpoint, then evaluate every
-    # breakpoint the seed does not rule out
-    tail = np.full(k.size, np.inf)
-    j = int(np.argmin(bound))
-    tail[j] = binom_sf(k[j], m, u[j])
-    rest = (bound <= min(floor_tail, tail[j]) + PRUNE_MARGIN) & np.isinf(tail)
-    tail[rest] = binom_sf(k[rest], m, u[rest])
+    def screen(n):
+        """u_k at p for the first n screened k, and which are in range."""
+        u = _breakpoints(c, m, k[:n])
+        return u, (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
+
+    # the seed is nearly always among the first few screened k, and the
+    # breakpoints it does not rule out too: widen the screen only if not
+    u, inside = screen(32)
+    if not inside.any():
+        u, inside = screen(k.size)
+        if not inside.any():
+            return U_FLOOR, floor_tail
+    j = int(inside.argmax())
+    seed = _binom_sf(k[j], m, u[j]).clip(0.0, 1.0)
+    n = max(int(np.searchsorted(bound, min(floor_tail, seed) + PRUNE_MARGIN,
+                                "right")), j + 1)
+    if n > u.size:
+        u, inside = screen(n)
+    # the seed and every breakpoint it does not rule out, by rising k so
     # ties go to the smallest u: U_FLOOR first, then the lowest breakpoint
+    i = np.flatnonzero(inside[:n])
+    i = i[np.argsort(k[i])]
+    tail = _binom_sf(k[i], m, u[i]).clip(0.0, 1.0)
     j = int(np.argmin(tail))
     if tail[j] < floor_tail:
-        return float(u[j]), float(tail[j])
+        return float(u[i[j]]), float(tail[j])
     return U_FLOOR, floor_tail
 
 
@@ -163,7 +210,7 @@ def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
     term priced with _inner_infimum's element operations, so a cap is never
     below its exact guarantee, bit for bit. Small m binds at k = 0; at
     (1, 0.1), m = 16, it is k = 12, with the adversary next to alpha_min."""
-    k = np.clip(np.r_[0:9, m - 8:m + 1], 0, m).astype(float)
+    k = np.unique(np.clip(np.r_[0:9, m - 8:m + 1], 0, m)).astype(float)
     c = 2.0 * (ps[:, None] - m * spec.mu) / spec.d
     u = _breakpoints(c, m, k)
     inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
@@ -191,7 +238,8 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     _check_scale(spec, m)
     if p == 0.0:
         return spec.alpha_min, 0.0
-    u, tail = _inner_infimum(spec, m, float(p))
+    u, tail = _inner_infimum(spec, m, float(p),
+                             _price_cell(spec, m, float(p), float(p)))
     return 1.0 - u, float(p * tail / m)
 
 
@@ -246,7 +294,10 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     the negated guarantee -p * tail / m (exact, so values keep their bits),
     its inner infimum solved exactly by breakpoints (_inner_infimum), one
     price at a time from the highest cap (_guarantee_caps) down; usually one
-    price is solved per grid. worst_case_alpha runs once, for the reported
+    price is solved per grid. Each grid interval (ps[j-1], ps[j]] gets one
+    screen (_price_cell) per solve: a row's is priced at the row itself, and
+    the polish adds at most the two either side of the best row.
+    worst_case_alpha runs once, with a screen of its own, for the reported
     alpha. The certificate pairs the family-wide bound
     maximin_certificate_lower with the analytic ceiling mu - d/2. A spec
     whose scale leaves double range is rejected before any solving
@@ -255,9 +306,17 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     _check_scale(spec, m)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
-    p_best, v_best, _ = grid_polish(
-        lambda p: -p * _inner_infimum(spec, m, p)[1] / m, ps,
-        -_guarantee_caps(spec, m, ps), BRACKET_TOL * m * spec.mu)
+    cells = {}
+
+    def neg_guarantee(p):
+        j = int(np.searchsorted(ps, p))
+        if j not in cells:
+            cells[j] = _price_cell(spec, m, ps[max(j - 1, 0)], ps[j])
+        return -p * _inner_infimum(spec, m, p, cells[j])[1] / m
+
+    p_best, v_best, _ = grid_polish(neg_guarantee, ps,
+                                    -_guarantee_caps(spec, m, ps),
+                                    BRACKET_TOL * m * spec.mu)
     return SaddleReport(
         m=m,
         value=-v_best,

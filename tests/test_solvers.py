@@ -130,10 +130,11 @@ def test_maximin_small_m_is_a_guarantee(half_spec, m, want):
     assert rep.value == pytest.approx(want, abs=1e-9)
 
 
-def _brute_worst_case(spec, m, p):
-    """Unpruned inner infimum: the attained value at U_FLOOR and the limit
-    P(Bin(m, u_k) >= k+1) at every crossing index k = 0..m whose breakpoint
-    u_k lies in [U_FLOOR, 1 - alpha_min); ties go to the smallest u."""
+def _unpruned_infimum(spec, m, p):
+    """(u, tail) with no screen: the tail at U_FLOOR and the limit
+    P(Bin(m, u_k) >= k+1), by scipy's binom.sf with its edge masks, at every
+    crossing index k = 0..m whose breakpoint u_k lies in
+    [U_FLOOR, 1 - alpha_min); ties go to the smallest u."""
     c = 2.0 * (p - m * spec.mu) / spec.d
     b = c + m
     k = np.arange(m + 1.0)
@@ -144,7 +145,13 @@ def _brute_worst_case(spec, m, p):
     tails = np.concatenate([solvers._tails(spec, m, p, np.array([U_FLOOR])),
                             binom.sf(k[inside], m, u[inside])])
     i = int(np.argmin(tails))
-    return 1.0 - float(us[i]), float(p * tails[i] / m)
+    return float(us[i]), float(tails[i])
+
+
+def _brute_worst_case(spec, m, p):
+    """worst_case_alpha's (alpha, value) from the unpruned infimum."""
+    u, tail = _unpruned_infimum(spec, m, p)
+    return 1.0 - u, float(p * tail / m)
 
 
 def test_worst_case_alpha_equals_unpruned_brute_force():
@@ -159,6 +166,57 @@ def test_worst_case_alpha_equals_unpruned_brute_force():
             sale = m * (mu - spec.d / 2.0)
             p = max(sale * (1.0 + float(rng.normal(0.0, 3.0 / math.sqrt(m)))), 1e-9)
         assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
+
+
+def test_cell_screen_equals_the_unscreened_infimum():
+    # one _price_cell serves every price in its interval, bit for bit: the
+    # bounds at its top price screen lower prices, and its U_FLOOR tail is
+    # kept only when the crossing index there is the same at both ends
+    rng = np.random.default_rng(25)
+    cases = [(mu, r, m) for mu in (1.0, 2.3, 1e-3)
+             for r, m in ((0.5, 7), (0.8, 300), (0.1, 16), (0.1, 32),
+                          (0.05, 100), (1.5, 2000), (0.5, 10**5))]
+    cases += [(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 1.9)),
+               int(rng.integers(1, 1500))) for _ in range(12)]
+    straddled = 0
+    for mu, r, m in cases:
+        spec = MeanMadSpec(mu, mu * r)
+        n = 8 if m == 10**5 else 40
+        ps = np.linspace(0.0, m * mu, int(rng.choice([257, 1024])))
+        js = list(rng.integers(1, ps.size, n // 2))
+        # the cells around the guaranteed-sale price m x(U_FLOOR), where
+        # the U_FLOOR crossing index steps from 0 to 1
+        x_floor = float(solvers._two_point(spec, U_FLOOR)[0])
+        j = int(np.searchsorted(ps, m * x_floor))
+        js += [j, j + 1] if j < ps.size - 1 else [j]
+        for j in js:
+            lo, hi = float(ps[j - 1]), float(ps[j])
+            cell = solvers._price_cell(spec, m, lo, hi)
+            straddled += cell[2] is None
+            probes = list(lo + (hi - lo) * rng.random(n // 4)) + [hi]
+            edge = m * x_floor
+            probes += [p for p in (math.nextafter(edge, 0.0), edge,
+                                   math.nextafter(edge, math.inf))
+                       if lo <= p <= hi]
+            for p in probes:
+                want = _unpruned_infimum(spec, m, p)
+                assert solvers._inner_infimum(spec, m, p, cell) == want, (
+                    mu, r, m, p)
+    assert straddled > 0
+
+
+def test_crossing_index_never_falls_as_the_price_rises():
+    # _price_cell's shared U_FLOOR tail rests on this, float for float,
+    # on and next to the support points
+    for mu, r, m in ((1.0, 0.5, 7), (2.3, 0.1, 32), (1e-3, 1.5, 10**5)):
+        spec = MeanMadSpec(mu, mu * r)
+        for u in (U_FLOOR, 0.3, 1.0 - spec.alpha_min):
+            x, gap = solvers._two_point(spec, u)
+            s = m * x + np.arange(m + 1.0)[:: max(m // 50, 1)] * gap
+            ps = np.sort(np.concatenate([s, np.nextafter(s, -np.inf),
+                                         np.nextafter(s, np.inf)]))
+            k = solvers._crossing(spec, m, ps, np.float64(u))
+            assert np.all(np.diff(k) >= 0.0), (mu, r, m, u)
 
 
 def _recording_search(grids, unpruned=False):
@@ -217,8 +275,9 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
                      (1.0, 0.1, 16), (1.0, 0.05, 100)):
         spec = MeanMadSpec(mu, d)
         ps = np.linspace(0.0, m * mu, 257)
-        full = np.array([p * solvers._inner_infimum(spec, m, p)[1] / m
-                         for p in ps])
+        full = np.array([p * solvers._inner_infimum(
+            spec, m, p, solvers._price_cell(spec, m, p, p))[1] / m
+            for p in ps])
         neg_got, neg_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
         # the search sees the negated grid; negation is exact
@@ -254,6 +313,27 @@ def test_maximin_grid_rows_sent_to_the_kernel(monkeypatch):
                 monkeypatch,
                 lambda: maximin_bundling_value(MeanMadSpec(1.0, d), m))
             assert 0 < len(rows) <= 4, (d, m)
+
+
+def test_maximin_screens_each_cell_once(monkeypatch):
+    # a count guard: O(m) screens (_price_cell) are one per grid row solved,
+    # at most two more for the polish's bracket and one for the reported
+    # alpha, however many prices the polish evaluates
+    cells, evals = [], []
+    price_cell, inner = solvers._price_cell, solvers._inner_infimum
+    monkeypatch.setattr(solvers, "_price_cell",
+                        lambda *args: cells.append(args) or price_cell(*args))
+    monkeypatch.setattr(solvers, "_inner_infimum",
+                        lambda *args: evals.append(args) or inner(*args))
+    for d in (0.5, 0.8):
+        for m in (4, 10, 16, 100, 1000, 10_000):
+            cells.clear()
+            evals.clear()
+            rows = _rows_solved(
+                monkeypatch,
+                lambda: maximin_bundling_value(MeanMadSpec(1.0, d), m))
+            assert len(evals) > len(rows) + 30, (d, m)
+            assert len(cells) <= len(rows) + 3, (d, m)
 
 
 def test_maximin_calls_worst_case_alpha_once(monkeypatch):
