@@ -7,8 +7,9 @@ environment overrides are the flag name uppercased with an RBL_ prefix
 (--alpha-grid -> RBL_ALPHA_GRID); a subcommand reads only the options it
 declares, and every given value is parsed and checked before any work.
 --seed and --threads belong to concentration, the one Monte Carlo
-subcommand. Outputs are CSV or JSON with every float printed at full
-round-trip precision, so identical configuration and seed give
+subcommand, and --gamma to regret, whose chain reads it (ratio's upper bound
+picks its own gamma). Outputs are CSV or JSON with every float printed at
+full round-trip precision, so identical configuration and seed give
 byte-identical files. Exit codes: 0 success, 2 rejected input
 (any RobustBundlingError, printed as one "error:" line on stderr, parser errors
 included), 3 verify found failing checks.
@@ -301,20 +302,18 @@ def _cmd_ratio_regret(cfg: dict, objective: str) -> int:
     rows = []
     for m in ms:
         eps = _scheduled("eps", cfg["eps"], m, 1.0 - spec.alpha_min)
-        # ratio reports gamma but does not use it
-        gamma = _scheduled("gamma", cfg["gamma"], m, 1)
+        row = {"mu": spec.mu, "d": spec.d, "m": m, "eps": eps}
         # the chain's checks are cheap, so it runs before the study
         if objective == "ratio":
             chain = ratio_bound_chain(spec, m, eps)
             emp = ratio_empirical(spec, m, **grid_kw)
         else:
+            row["gamma"] = gamma = _scheduled("gamma", cfg["gamma"], m, 1)
             chain = regret_bound_chain(spec, m, eps, gamma)
             emp = regret_empirical(spec, m, **grid_kw)
-        rows.append({
-            "mu": spec.mu, "d": spec.d, "m": m, "eps": eps, "gamma": gamma,
-            "objective": objective, "mode": emp.mode, "value": emp.value,
-            "lower": chain["lower"], "upper": chain["upper"],
-        })
+        rows.append({**row, "objective": objective, "mode": emp.mode,
+                     "value": emp.value, "lower": chain["lower"],
+                     "upper": chain["upper"]})
     _emit_rows(cfg, rows)
     return 0
 
@@ -331,10 +330,10 @@ def _cmd_concentration(cfg: dict) -> int:
                                     workers=cfg["threads"] or 1)
     payload = report.to_dict()
     if cfg["optimize_t"]:
-        cert = concentration_constant(spec, eps, optimize_t=True).with_m(m)
+        cert = concentration_constant(spec, eps, optimize_t=True)
         payload["optimized_t"] = cert.t
         payload["optimized_f"] = cert.f
-        payload["optimized_bound"] = cert.bound
+        payload["optimized_bound"] = cert.bound(m)
     keys = sorted(payload)
     _emit_payload(cfg, payload, keys, [[payload[k] for k in keys]])
     return 0
@@ -392,7 +391,6 @@ _M_LIST = ("m", "comma-separated ascending item counts", _as_m_list)
 _STUDY = _COMMON + (
     _M_LIST,
     ("eps", "tail slack, number or 'auto' (m^-1/4)", _as_auto_float),
-    ("gamma", "share slack, number or 'auto' (m^-1/4)", _as_auto_float),
     ("grid", "empirical grid points", _AT_LEAST_2),
 )
 _SWITCH = {"action": "store_const", "const": "true"}
@@ -421,7 +419,9 @@ _COMMANDS = {
     "ratio": ("share-of-first-best study",
               lambda cfg: _cmd_ratio_regret(cfg, "ratio"), _STUDY),
     "regret": ("per-item shortfall study",
-               lambda cfg: _cmd_ratio_regret(cfg, "regret"), _STUDY),
+               lambda cfg: _cmd_ratio_regret(cfg, "regret"), _STUDY + (
+                   ("gamma", "share slack, number or 'auto' (m^-1/4)",
+                    _as_auto_float),)),
     "concentration": ("Monte Carlo tail-bound check", _cmd_concentration, (
         *_COMMON,
         ("m", "number of items", _AT_LEAST_1),

@@ -13,8 +13,8 @@ so f, the bound and t/mu are the same at every scale mu and d = 2 b mu.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from .ambiguity import MeanMadSpec, MemberDist, verify_membership
 from .bundling import guaranteed_sale_price
@@ -29,28 +29,21 @@ MEMBERSHIP_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ConcentrationCertificate:
-    """Failure coefficient f with its truncation level and, once m is known,
-    the sale threshold and the tail bound max(0, 1 - f/m)."""
+    """Failure coefficient f of (mu, d, eps) with its truncation level t:
+    at any m, the sum clears the guaranteed-sale price with probability at
+    least bound(m)."""
 
     mu: float
     d: float
     eps: float
     t: float
     f: float
-    m: Optional[int] = None
-    threshold: Optional[float] = None
-    bound: Optional[float] = None
 
-    def with_m(self, m: int) -> "ConcentrationCertificate":
+    def bound(self, m: int) -> float:
+        """The tail bound max(0, 1 - f/m) at m >= 1 items."""
         if m < 1:
             raise RobustBundlingError(f"need m >= 1, got {m}")
-        spec = MeanMadSpec(mu=self.mu, d=self.d)
-        return replace(
-            self,
-            m=m,
-            threshold=guaranteed_sale_price(spec, m, self.eps),
-            bound=max(0.0, 1.0 - self.f / m),
-        )
+        return max(0.0, 1.0 - self.f / m)
 
 
 def tail_truncation_sup(spec: MeanMadSpec, t: float) -> float:
@@ -68,28 +61,21 @@ def tail_truncation_sup(spec: MeanMadSpec, t: float) -> float:
     return min(raw, spec.mu)
 
 
-def failure_coefficient(spec: MeanMadSpec, eps: float) -> float:
-    """f = (1 + b/eps)^2 / (4 (eps ((1 - eps) - b))^2), b = d/(2 mu), at the
-    lowest cut t = mu + d/(2 eps), for eps in (0, 1 - b): the default
-    concentration_constant's f. eps's range is checked first, so eps = 0 is a
-    RobustBundlingError rather than a division by zero."""
-    return concentration_constant(spec, eps).f
-
-
 def guaranteed_sale_chain(spec: MeanMadSpec, m: int, eps: float) -> float:
     """Per-item revenue the guaranteed-sale price earns at least on every
-    member, p*(eps)/m * (1 - f(mu,d,eps)/m). f goes first: it checks eps's
-    range before the price is formed."""
+    member, p*(eps)/m * (1 - f(mu,d,eps)/m), f at the lowest cut. f goes
+    first: it checks eps's range before the price is formed, so eps = 0 is a
+    RobustBundlingError rather than a division by zero."""
     if m < 1:
         raise RobustBundlingError(f"need m >= 1, got {m}")
-    f = failure_coefficient(spec, eps)
+    f = concentration_constant(spec, eps).f
     return guaranteed_sale_price(spec, m, eps) / m * (1.0 - f / m)
 
 
 def concentration_constant(
     spec: MeanMadSpec, eps: float, optimize_t: bool = False
 ) -> ConcentrationCertificate:
-    """Failure coefficient f(mu, d, eps); m left unset until with_m.
+    """Failure coefficient f(mu, d, eps) and its cut t.
 
     A cut is named by its slack e in (0, eps]: t = mu (1 + b/e), b = d/(2 mu).
     Past t the family's tail carries at most (e + b) mu of the mean
@@ -142,7 +128,9 @@ def concentration_check_mc(
     seed: int,
     workers: int = 1,
 ) -> McReport:
-    """Empirical P(sum >= threshold) against the certified bound.
+    """Empirical P(sum >= threshold) against the certified bound, where the
+    threshold is guaranteed_sale_price(spec, m, eps) and the bound is
+    concentration_constant(spec, eps).bound(m), f at the lowest cut.
 
     Members must share one (mu, d) spec and pass a moment check; fewer than m
     members are cycled across the slots. Passing means the empirical tail is no
@@ -167,17 +155,18 @@ def concentration_check_mc(
             raise RobustBundlingError(
                 f"member moments off by mean {rep.mean_error!r}, mad {rep.mad_error!r}"
             )
-    cert = concentration_constant(spec, eps).with_m(m)
+    bound = concentration_constant(spec, eps).bound(m)
+    threshold = guaranteed_sale_price(spec, m, eps)
     slots = [members[i % len(members)] for i in range(m)]
-    emp = count_at_least(slots, m, seed=seed, n=n, threshold=cert.threshold,
+    emp = count_at_least(slots, m, seed=seed, n=n, threshold=threshold,
                          workers=workers) / n
     se = math.sqrt(emp * (1.0 - emp) / n)
     return McReport(
         empirical=emp,
-        bound=cert.bound,
+        bound=bound,
         std_err=se,
-        passed=emp >= cert.bound - 3.0 * se,
-        threshold=cert.threshold,
+        passed=emp >= bound - 3.0 * se,
+        threshold=threshold,
         m=m,
         eps=eps,
         n=n,

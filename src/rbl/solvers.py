@@ -357,17 +357,14 @@ def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
     sold with probability P(Bin(m, u) >= k). All lie in the kernel's
     window. Where m u <= 1, z = 0 gives k = 1: the one-high price, which
     wins there. Cuts above the mean (z > 0) set no floor on any row of 110
-    specs (d/mu 0.01 to 1.98, m 1 to 1e6), and a cut repeated in a row is
-    priced once, so a row costs at most five survival calls."""
+    specs (d/mu 0.01 to 1.98, m 1 to 1e6), so a row costs five survival
+    calls. A cut repeated in a row is priced again: a duplicate cannot
+    change the max, and skipping it cost more than it saved."""
     x, gap = _two_point(spec, us)
     sig = np.sqrt(m * us * (1.0 - us))
     z = np.arange(-4.0, 1.0)[:, None]
     k = np.clip(np.ceil(m * us + z * sig), 0.0, m)
-    # k rises with z, so a row's repeated cuts are adjacent: price the first
-    new = np.diff(k, axis=0, prepend=-1.0) != 0.0
-    k, j = k[new], np.nonzero(new)[1]
-    revs = np.full(new.shape, -np.inf)
-    revs[new] = (m * x[j] + k * gap[j]) * binom_sf(k - 1.0, m, us[j]) / m
+    revs = (m * x + k * gap) * binom_sf(k - 1.0, m, us) / m
     return np.maximum(x, revs.max(axis=0))
 
 

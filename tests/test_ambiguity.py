@@ -36,7 +36,7 @@ def test_spec_rejects_subnormal_moments(mu, d):
 
 
 def test_spec_check_eps_is_the_one_range_check():
-    # guaranteed_sale_price and failure_coefficient both raise this message
+    # guaranteed_sale_price and concentration_constant both raise this message
     spec = MeanMadSpec(1.0, 0.5)
     for eps in (1e-9, 0.2, 0.7499):
         spec.check_eps(eps)

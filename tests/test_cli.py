@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import io
 import json
 import os
@@ -77,9 +78,21 @@ def test_ratio_row_schema(capsys):
                        "--m", "2", "--eps", "0.1", "--grid", "64")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "mu,d,m,eps,gamma,objective,mode,value,lower,upper"
+    assert lines[0] == "mu,d,m,eps,objective,mode,value,lower,upper"
     cells = lines[1].split(",")
-    assert cells[5] == "ratio" and cells[6] == "oracle"
+    assert cells[4] == "ratio" and cells[5] == "oracle"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ratio_runs_where_the_gamma_schedule_cannot(capsys, fmt):
+    # the m^(-1/4) schedule gives gamma = 1 at m = 1, outside (0, 1); ratio's
+    # chain picks its own gamma, so the schedule has no say in its run
+    code, out, err = run(capsys, "ratio", "--mu", "1", "--d", "0.5", "--m",
+                         "1", "--eps", "0.1", "--grid", "8", "--format", fmt)
+    assert (code, err) == (0, "")
+    rows = (json.loads(out) if fmt == "json"
+            else list(csv.DictReader(io.StringIO(out))))
+    assert len(rows) == 1 and "gamma" not in rows[0]
 
 
 def test_regret_auto_schedule(capsys):
@@ -161,7 +174,7 @@ def test_regret_auto_schedule(capsys):
      "three_point:points=-1+1+2,probs=0.25+0.5+0.25"),
     ("RBL_MEMBER=;", "concentration", "--mu", "1", "--d", "0.5", "--eps",
      "0.2", "--m", "50", "--n", "10000", "--seed", "1"),
-    # a given gamma outside (0, 1), which ratio reports but does not use
+    # ratio declares no --gamma, so any value given is an unknown option
     *(("ratio", "--mu", "1", "--d", "0.5", "--m", "100", "--eps", "0.2",
        "--gamma", gamma) for gamma in ("nan", "-3", "0", "1.5", "inf")),
 ])
@@ -271,7 +284,9 @@ def test_fuzzed_spec_scales_exit_0_or_2_in_one_line(command, mu, d, relative,
         argv += ["--n", "10000", "--seed", "0", "--eps", "0.2",
                  "--member", "two_point:alpha=0.999", "--optimize-t"]
     if command in ("ratio", "regret"):
-        argv += ["--eps", "0.1", "--gamma", "0.1", "--grid", "8"]
+        argv += ["--eps", "0.1", "--grid", "8"]
+    if command == "regret":
+        argv += ["--gamma", "0.1"]
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), \
@@ -355,6 +370,11 @@ def test_parser_errors_are_one_line(capsys):
     assert code == 2
     assert err == ("error: rbl: unrecognized arguments: --eps 0.3 --gamma 9 "
                    "--grid 5\n")
+    # ratio's chain picks its own gamma, so ratio declares no --gamma
+    code, out, err = run(capsys, "ratio", "--mu", "1", "--d", "0.5", "--m",
+                         "1", "--eps", "0.1", "--grid", "8", "--gamma", "0.5")
+    assert (code, out) == (2, "")
+    assert err == "error: rbl: unrecognized arguments: --gamma 0.5\n"
 
 
 def test_subcommands_read_only_their_own_options(capsys, monkeypatch):
@@ -475,13 +495,12 @@ def test_cached_parser_keeps_calls_apart(capsys):
 
 
 # a valid run of each subcommand, cheap enough to repeat once per option
-_STUDY_BASE = {"mu": "1", "d": "0.5", "m": "1", "eps": "0.1", "gamma": "0.5",
-               "grid": "8"}
+_STUDY_BASE = {"mu": "1", "d": "0.5", "m": "1", "eps": "0.1", "grid": "8"}
 _WALK_BASE = {
     "maximin": {"mu": "1", "d": "0.5", "m": "1"},
     "minimax": {"mu": "1", "d": "0.5", "m": "1"},
     "ratio": _STUDY_BASE,
-    "regret": _STUDY_BASE,
+    "regret": {**_STUDY_BASE, "gamma": "0.5"},
     "concentration": {"mu": "1", "d": "0.5", "m": "1", "eps": "0.2",
                       "n": "10000", "seed": "0",
                       "member": "two_point:alpha=0.5"},
@@ -556,6 +575,55 @@ def test_handlers_only_read_parsed_values():
              and (node.func.id.startswith("_as_")
                   or node.func.id == "_check_out")]
     assert found == []
+
+
+# one accepted value per option name the base runs leave out
+_GOOD_VALUE = {"format": "json", "out": "{tmp}/out", "alpha-grid": "8",
+               "price-grid": "8", "threads": "1", "optimize-t": "true",
+               "symmetric": "true", "gamma": "0.5"}
+# declared options no handler reads: _resolve reads --config itself, and each
+# game order accepts the other's grid so one argv can drive both
+_UNREAD = {command: {"config"} for command in _COMMANDS}
+_UNREAD["maximin"].add("alpha-grid")
+_UNREAD["minimax"].add("price-grid")
+
+
+class _ReadRecorder(dict):
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_declared_option_is_read(monkeypatch, tmp_path, stub_verify,
+                                       command):
+    # a run given every declared option, the ones its base run leaves out
+    # from a config file; an option no handler reads is an input that
+    # changes nothing
+    options = [name for name, *_ in _COMMANDS[command][2]]
+    extra = [name for name in options
+             if name not in _WALK_BASE[command] and name != "config"]
+    cfg_file = tmp_path / "rbl.cfg"
+    cfg_file.write_text("".join(
+        f"{name} = {_GOOD_VALUE[name].format(tmp=tmp_path)}\n"
+        for name in extra))
+    recorders = []
+    resolve = cli._resolve
+
+    def recording_resolve(args, opts):
+        recorders.append(_ReadRecorder(resolve(args, opts)))
+        return recorders[-1]
+    monkeypatch.setattr(cli, "_resolve", recording_resolve)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*_walk_argv(command, None), f"--config={cfg_file}"]) == 0
+    assert set(recorders[0]) == {name.replace("-", "_") for name in options}
+    assert ({name for name in options
+             if name.replace("-", "_") not in recorders[0].read}
+            == _UNREAD[command])
 
 
 def test_output_files_are_byte_identical(capsys, tmp_path):

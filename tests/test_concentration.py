@@ -134,13 +134,14 @@ def test_certificates_and_chains_are_scale_free_decade_by_decade(m, eps):
     # threshold per mu match it, as does the truncated-tail supremum; the
     # lowest cut at eps = 0.2, the interior t* = 2 mu at 0.3
     def run(spec):
-        cert = concentration_constant(spec, eps).with_m(m)
-        opt = concentration_constant(spec, eps, optimize_t=True).with_m(m)
+        cert = concentration_constant(spec, eps)
+        opt = concentration_constant(spec, eps, optimize_t=True)
         ratio = ratio_bound_chain(spec, m, eps)
         regret = regret_bound_chain(spec, m, eps, 0.3)
-        bits = (cert.f, cert.bound, opt.f, opt.bound)
+        bits = (cert.f, cert.bound(m), opt.f, opt.bound(m))
         per_mu = (cert.t, opt.t, tail_truncation_sup(spec, cert.t),
-                  cert.threshold, regret["upper"], regret["lower"])
+                  guaranteed_sale_price(spec, m, eps), regret["upper"],
+                  regret["lower"])
         return bits, [v / spec.mu for v in per_mu] + [ratio["lower"],
                                                       ratio["upper"]]
 
@@ -173,34 +174,38 @@ def test_a_cut_or_f_out_of_double_range_is_rejected(half_spec):
                 concentration_constant(spec, eps)
 
 
-def test_certificate_with_m(half_spec):
-    cert = concentration_constant(half_spec, 0.2).with_m(10_000)
-    assert cert.threshold == pytest.approx(
-        guaranteed_sale_price(half_spec, 10_000, 0.2), rel=1e-15)
-    assert cert.bound == pytest.approx(1.0 - cert.f / 10_000, rel=1e-12)
-    bounds = [concentration_constant(half_spec, 0.2).with_m(m).bound
-              for m in (200, 1000, 10_000, 10 ** 6)]
+def test_certificate_bound(half_spec):
+    # the MC check's threshold is pinned to guaranteed_sale_price in
+    # test_bound_binds_at_m300_and_mc_tracks_the_exact_tails
+    cert = concentration_constant(half_spec, 0.2)
+    assert cert.bound(10_000) == pytest.approx(1.0 - cert.f / 10_000,
+                                               rel=1e-12)
+    bounds = [cert.bound(m) for m in (200, 1000, 10_000, 10 ** 6)]
     assert bounds == sorted(bounds)
     assert bounds[-1] > 0.999
     # below f the bound clips to zero instead of going negative
-    assert concentration_constant(half_spec, 0.2).with_m(50).bound == 0.0
+    assert cert.bound(50) == 0.0
+    with pytest.raises(RobustBundlingError, match="need m >= 1"):
+        cert.bound(0)
 
 
 @pytest.mark.parametrize("m", [300, 2000])
 def test_bound_holds_on_exact_two_point_laws(half_spec, m):
     # exact convolution tail never drops below 1 - f/m, any member
-    cert = concentration_constant(half_spec, 0.2).with_m(m)
+    bound = concentration_constant(half_spec, 0.2).bound(m)
+    threshold = guaranteed_sale_price(half_spec, m, 0.2)
     for alpha in np.linspace(half_spec.alpha_min, 0.99999, 60):
         law = iid_two_point_sum(make_two_point(half_spec, float(alpha)), m)
-        assert tail_prob(law, cert.threshold) >= cert.bound - 1e-12
+        assert tail_prob(law, threshold) >= bound - 1e-12
 
 
 def test_bound_binds_at_m300_and_mc_tracks_the_exact_tails(half_spec):
     # 1 - f/m ~ 0.65 lies inside (0, 1): the certificate is not clipped to 0
     m, n = 300, 10_000
-    cert = concentration_constant(half_spec, 0.2).with_m(m)
-    assert 0.0 < cert.bound < 1.0
-    assert cert.bound == max(0.0, 1.0 - cert.f / m)
+    cert = concentration_constant(half_spec, 0.2)
+    bound, threshold = cert.bound(m), guaranteed_sale_price(half_spec, m, 0.2)
+    assert 0.0 < bound < 1.0
+    assert bound == max(0.0, 1.0 - cert.f / m)
     members = [make_two_point(half_spec, float(a))
                for a in np.linspace(half_spec.alpha_min, 0.99999, 8)]
     three = make_three_point(half_spec, (0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
@@ -208,13 +213,13 @@ def test_bound_binds_at_m300_and_mc_tracks_the_exact_tails(half_spec):
     pmf = np.array([1.0])
     for _ in range(m):
         pmf = np.convolve(pmf, three.probs)
-    three_tail = float(pmf[np.arange(pmf.size) >= cert.threshold].sum())
+    three_tail = float(pmf[np.arange(pmf.size) >= threshold].sum())
     for seed, dist in enumerate(members + [three]):
         exact = three_tail if dist is three else tail_prob(
-            iid_two_point_sum(dist, m), cert.threshold)
-        assert exact >= cert.bound
+            iid_two_point_sum(dist, m), threshold)
+        assert exact >= bound
         rep = concentration_check_mc([dist], m=m, eps=0.2, n=n, seed=seed)
-        assert rep.threshold == cert.threshold and rep.bound == cert.bound
+        assert rep.threshold == threshold and rep.bound == bound
         p = min(exact, 1.0)  # a summed tail can round past 1
         assert abs(rep.empirical - p) <= 6.0 * math.sqrt(p * (1.0 - p) / n)
 

@@ -418,8 +418,8 @@ def _nine_cut_floors(spec, m, us):
 
 
 def test_revenue_floors_send_the_nine_cut_rows(monkeypatch):
-    # the floors price z = -4..0 and each distinct cut once; they must send
-    # the kernel the rows the nine priced cuts send, to the same report
+    # the floors price z = -4..0, a repeated cut again; they must send the
+    # kernel the rows the nine priced cuts send, to the same report
     calls, sf = [], solvers.binom_sf
     for (mu, d, m), n_rows in (((1.0, 0.8, 100), 1), ((1.0, 0.8, 10_000), 1),
                                ((1.0, 1.5, 10_000), 23), ((1.3, 2.1, 1000), 32),
@@ -432,7 +432,7 @@ def test_revenue_floors_send_the_nine_cut_rows(monkeypatch):
                 np.broadcast_to(p, np.shape(k)).copy()) or sf(k, n, p))
             calls.clear()
             floors = solvers._revenue_floors(spec, m, us)
-        # every row priced, by at most one Boost call per cut z = -4..0
+        # every row priced, by one Boost call per cut z = -4..0
         priced, per_row = np.unique(np.concatenate(calls), return_counts=True)
         assert priced.size == us.size and per_row.max() <= 5
         assert np.all(floors <= _nine_cut_floors(spec, m, us))
