@@ -17,7 +17,7 @@ import numpy as np
 
 from .ambiguity import MeanMadSpec, make_two_point
 from .concentration import guaranteed_sale_chain
-from .errors import RobustBundlingError
+from .errors import RobustBundlingError, check_count
 from .opt_oracle import opt_deterministic
 from .optimize import grid_polish
 from .solvers import _check_scale, _u_grid, maximin_bundling_value
@@ -30,8 +30,7 @@ _ORACLE_CAP = 3
 
 def schedule_eps_gamma(m: int) -> float:
     """Joint scale eps = gamma = m^(-1/4) used by the convergence studies."""
-    if m < 1:
-        raise RobustBundlingError(f"need m >= 1, got {m}")
+    check_count(m)
     return float(m) ** -0.25
 
 
@@ -178,7 +177,8 @@ def _empirical(spec: MeanMadSpec, m: int, grid: int,
     -inf)."""
     ratio = objective == "ratio"
     if m <= _ORACLE_CAP:
-        _check_scale(spec, m)  # the rule maximin applies in mode mu_upper
+        _check_scale(spec, m)  # the rules maximin applies in mode mu_upper
+        check_count(grid, "grid", 2)
         u, laws, opts = _oracle_curves(spec, m, grid)
 
         def scores(p: float) -> np.ndarray:

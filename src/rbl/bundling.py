@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import MeanMadSpec, TwoPointDist
-from .errors import RobustBundlingError
+from .errors import RobustBundlingError, check_count
 from .sum_law import SumLaw
 
 
@@ -53,6 +53,7 @@ def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps: float) -> float:
     failure coefficient (see concentration.concentration_constant). A price
     that overflows the double range raises RobustBundlingError.
     """
+    check_count(m)
     spec.check_eps(eps)
     w = 1.0 - eps
     p = w * w * m * (spec.mu - spec.d / (2.0 * w))
@@ -64,4 +65,5 @@ def guaranteed_sale_price(spec: MeanMadSpec, m: int, eps: float) -> float:
 
 def separate_sale_revenue(dist: TwoPointDist, m: int) -> float:
     """Best per-item posted pricing, summed: m * max(x, (1-alpha) y)."""
+    check_count(m)
     return m * max(dist.x, (1.0 - dist.alpha) * dist.y)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .ambiguity import MeanMadSpec, MemberDist, verify_membership
 from .bundling import guaranteed_sale_price
-from .errors import RobustBundlingError
+from .errors import RobustBundlingError, check_count
 from .sum_law import count_at_least
 
 # Monte Carlo checks below this sample count are too noisy to be meaningful.
@@ -41,8 +41,7 @@ class ConcentrationCertificate:
 
     def bound(self, m: int) -> float:
         """The tail bound max(0, 1 - f/m) at m >= 1 items."""
-        if m < 1:
-            raise RobustBundlingError(f"need m >= 1, got {m}")
+        check_count(m)
         return max(0.0, 1.0 - self.f / m)
 
 
@@ -64,10 +63,8 @@ def tail_truncation_sup(spec: MeanMadSpec, t: float) -> float:
 def guaranteed_sale_chain(spec: MeanMadSpec, m: int, eps: float) -> float:
     """Per-item revenue the guaranteed-sale price earns at least on every
     member, p*(eps)/m * (1 - f(mu,d,eps)/m), f at the lowest cut. f goes
-    first: it checks eps's range before the price is formed, so eps = 0 is a
-    RobustBundlingError rather than a division by zero."""
-    if m < 1:
-        raise RobustBundlingError(f"need m >= 1, got {m}")
+    first, so eps = 0 is a RobustBundlingError, not a division by zero; the
+    price checks m."""
     f = concentration_constant(spec, eps).f
     return guaranteed_sale_price(spec, m, eps) / m * (1.0 - f / m)
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ambiguity import TwoPointDist
-from .errors import RobustBundlingError
+from .errors import RobustBundlingError, check_count
 from .sum_law import MASS_TOL, binom_window
 
 # Utility ties, relative to the members' largest mean.
@@ -249,8 +249,7 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
     down to the last bit.
     """
     dists = list(dists)
-    if m < 1:
-        raise RobustBundlingError(f"need m >= 1, got {m}")
+    check_count(m)
     for d in dists:
         if not isinstance(d, TwoPointDist):
             raise RobustBundlingError("menu oracle takes two-point members only")

@@ -2,37 +2,32 @@
 
 Price first (maximin): the seller's price grid is searched and polished by
 optimize.grid_polish on the negated guarantee, and nature's answer to each
-price is solved exactly. In u = 1 - alpha the
-tail P(sum >= p) only jumps where a sum support point crosses p, at
-closed-form breakpoints u_k, and rises with u between them. So the guarantee
-at p is an infimum, attained at the floor u = U_FLOOR or approached as u
-decreases to some u_k; the reported alpha is then that limit point, not an
-attained minimizer. Nature first (minimax): a grid geometric in 1 - alpha
-down to 1e-12, because the damaging adversaries sit next to alpha = 1,
-searched and polished by grid_polish on the seller's best response. Each
-order passes grid_polish one objective and a cheap bound on each grid row's
-value (for a price, a cap from a few of nature's answers, _guarantee_caps;
-for a nature row, a revenue floor from a few feasible prices), so rows are
-solved exactly one at a time from the most promising bound on, and the
-search stops once every bound left clears the best value found by the
-relative margin optimize.PRUNE_MARGIN; the grid optimum and its argument are
-those of the full grid. Each row is one call: a price's infimum over its
-breakpoints (_inner_infimum), or nature's best response over the 40-sigma
-window of k (_window), whose masses and the mass past it come from one
-sum_law.binom_window call. Usually one row is solved per grid. A price's
-O(m) screen, the Chernoff bounds of its breakpoints and its U_FLOOR tail,
-is shared by every price in its grid cell (_price_cell), so the polish's
-few dozen prices cost about two screens, not one each. Tails go
-through the binomial survival function (sum_law.binom_sf, the kernel the
-Monte Carlo sampler's counts share) rather than the explicit m+1 point law,
-so m = 1e4 stays quick.
+price is solved exactly. In u = 1 - alpha the tail P(sum >= p) only jumps
+where a sum support point crosses p, at closed-form breakpoints u_k, and
+rises with u between them. So the guarantee at p is an infimum, attained at
+the floor u = U_FLOOR or approached as u decreases to some u_k; the reported
+alpha is then that limit point, not an attained minimizer. Nature first
+(minimax): a grid geometric in 1 - alpha down to 1e-12, because the damaging
+adversaries sit next to alpha = 1, searched and polished by grid_polish on
+the seller's best response. Each order passes grid_polish one objective and
+a cheap bound per grid row: for a price, a cap from nature's extreme
+answers, U_FLOOR and the ends of its in-range breakpoints (_guarantee_caps),
+so about one row is solved per grid; for a nature row, a revenue floor from a few
+feasible prices. Rows are solved exactly from the most promising bound on,
+until every bound left clears the best value by optimize.PRUNE_MARGIN, so
+the grid optimum is that of the full grid. A row is one call: a price's
+infimum over its breakpoints (_inner_infimum), or nature's best response
+over the 40-sigma _window of k, masses from one sum_law.binom_window call.
+A price's O(m) screen, its breakpoints' Chernoff bounds and U_FLOOR tail, is
+shared by every price in its grid cell (_price_cell), so the polish's few
+dozen prices cost about two screens. Tails go through the binomial survival
+function (sum_law.binom_sf), not the explicit m+1 point law.
 Every report carries a certificate pair: a closed-form lower bound that
 holds for every product of family members (see maximin_certificate_lower),
 and an upper bound that the computed value can be checked against. Both
-solvers first check that the spec's scale keeps their arithmetic in double
-range (_check_scale).
+solvers first check m, the grid size and that the spec's scale keeps their
+arithmetic in double range (_check_scale).
 """
-
 from __future__ import annotations
 
 import math
@@ -44,7 +39,7 @@ import numpy as np
 from scipy.special import rel_entr
 
 from .ambiguity import MeanMadSpec
-from .errors import RobustBundlingError
+from .errors import RobustBundlingError, check_count
 from .optimize import PRUNE_MARGIN, grid_polish
 from .sum_law import _binom_sf, binom_sf, binom_window
 
@@ -121,6 +116,13 @@ def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
                     (b - sq) / np.where(pos, 1.0, 2.0 * c))
 
 
+def _highs_at(c, m: int, u) -> np.ndarray:
+    """ceil(h(u)), h(u) = m u + c u (1 - u): as breakpoints rise with k and h
+    increases at its roots, the fewest highs k with u_k >= u, up to one off
+    in floats (so callers take a spare index and test the range exactly)."""
+    return np.ceil(m * u + c * u * (1.0 - u))
+
+
 def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
                 ) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
     """(k, bound, floor_tail): what _inner_infimum shares at every price p
@@ -131,16 +133,14 @@ def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
     or None if the crossing index there differs between lo and hi.
 
     Both hold on all of [lo, hi]. Raising p raises c and so lowers each u_k,
-    because h(u) = m u + c u (1 - u) increases at its root; the limit then
-    falls. So the bound at hi is a lower bound at every p <= hi, and no k
+    as h increases at its roots (_highs_at); the limit then falls. So the bound at hi is a lower bound at every p <= hi, and no k
     past the window at hi is in range at a lower p. The floats' crossing
     index never falls as p rises, so equal indices at lo and hi hold in
     between."""
     u_hi = 1.0 - spec.alpha_min
     c = 2.0 * (hi - m * spec.mu) / spec.d
-    # u_k rises with k, and m u + c u (1 - u) highs are needed at u: window k
-    # to 0..that count at u_hi plus a spare; each price tests the range exactly
-    k_hi = np.clip(np.ceil(m * u_hi + c * u_hi * (1.0 - u_hi)) + 1.0, 0.0, m)
+    # window k to 0..the count at u_hi plus a spare
+    k_hi = np.clip(_highs_at(c, m, u_hi) + 1.0, 0.0, m)
     k = np.arange(k_hi + 1.0)
     u = _breakpoints(c, m, k)
     q = k / m
@@ -164,10 +164,10 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
     (u_k, u_{k+1}] the tail is P(Bin(m, u) >= k+1), which rises with u. So
     the infimum is the smallest of the tail at U_FLOOR and the limits
     P(Bin(m, u_k) >= k+1) over the breakpoints in range. The cell's bounds
-    screen them: the loosest-bounded breakpoint in range at p seeds the
-    search, and only those whose bound does not clear the floor or the seed
-    by PRUNE_MARGIN are priced. Every in-range k is below m (u_m = 1), so a
-    limit is a raw survival call with no edge masks.
+    screen them: the loosest-bounded of the first 32 in range at p (else the
+    U_FLOOR tail) seeds the search, and only it and those whose bound does
+    not clear the floor or the seed by PRUNE_MARGIN are priced. Every
+    in-range k is below m (u_m = 1), so a limit is a raw survival call.
     """
     k, bound, floor_tail = cell
     if floor_tail is None:
@@ -180,14 +180,10 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
         return u, (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
 
     # the seed is nearly always among the first few screened k, and the
-    # breakpoints it does not rule out too: widen the screen only if not
+    # breakpoints it does not rule out too: screen more only for those
     u, inside = screen(32)
-    if not inside.any():
-        u, inside = screen(k.size)
-        if not inside.any():
-            return U_FLOOR, floor_tail
     j = int(inside.argmax())
-    seed = _binom_sf(k[j], m, u[j]).clip(0.0, 1.0)
+    seed = _binom_sf(k[j], m, u[j]).clip(0.0, 1.0) if inside[j] else floor_tail
     n = max(int(np.searchsorted(bound, min(floor_tail, seed) + PRUNE_MARGIN,
                                 "right")), j + 1)
     if n > u.size:
@@ -196,26 +192,27 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
     # ties go to the smallest u: U_FLOOR first, then the lowest breakpoint
     i = np.flatnonzero(inside[:n])
     i = i[np.argsort(k[i])]
-    tail = _binom_sf(k[i], m, u[i]).clip(0.0, 1.0)
-    j = int(np.argmin(tail))
-    if tail[j] < floor_tail:
-        return float(u[i[j]]), float(tail[j])
-    return U_FLOOR, floor_tail
+    us = np.concatenate(([U_FLOOR], u[i]))
+    tails = np.concatenate(([floor_tail],
+                            _binom_sf(k[i], m, u[i]).clip(0.0, 1.0)))
+    j = int(np.argmin(tails))
+    return float(us[j]), float(tails[j])
 
 
 def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
     """Per price in ps, an upper bound on its guarantee p * tail / m: the
-    least over a few of nature's answers, u = U_FLOOR and the breakpoint
-    limits for k = 0..8 and m-8..m in range (only those are priced), each
-    term priced with _inner_infimum's element operations, so a cap is never
-    below its exact guarantee, bit for bit. Small m binds at k = 0; at
-    (1, 0.1), m = 16, it is k = 12, with the adversary next to alpha_min."""
-    k = np.unique(np.clip(np.r_[0:9, m - 8:m + 1], 0, m)).astype(float)
+    least over u = U_FLOOR and the in-range breakpoint limits within one k of
+    either end, ceil(h(U_FLOOR)) and ceil(h(1 - alpha_min)) - 1 (_highs_at),
+    each priced with _inner_infimum's range test and element operations, so
+    no cap is below its exact guarantee, bit for bit. For p <= m mu nature's
+    answer sat at an end in every probe, so the caps are exact there."""
     c = 2.0 * (ps[:, None] - m * spec.mu) / spec.d
+    ends = _highs_at(c, m, np.array([U_FLOOR, 1.0 - spec.alpha_min])) - [1.0, 2.0]
+    k = np.clip(ends[..., None] + np.arange(3.0), 0.0, m).reshape(ps.size, -1)
     u = _breakpoints(c, m, k)
     inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
     tails = np.full(u.shape, np.inf)
-    tails[inside] = binom_sf(np.broadcast_to(k, u.shape)[inside], m, u[inside])
+    tails[inside] = binom_sf(k[inside], m, u[inside])
     floor_tail = _tails(spec, m, ps, np.float64(U_FLOOR))
     return ps * np.minimum(floor_tail, tails.min(axis=1)) / m
 
@@ -224,13 +221,10 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     """Adversary's answer to a fixed bundle price p, solved exactly.
 
     Returns (alpha, value) with value = p * P(sum >= p) / m at its infimum
-    over the family. The tail only jumps where a sum support point crosses
-    p, at closed-form breakpoints u_k = 1 - alpha_k, and rises with u between
-    them, so the infimum is the smallest of the tail at 1 - alpha = U_FLOOR
-    (attained) and the limits as u falls to each breakpoint. In the latter
-    case the returned alpha is that limit point, not an attained minimizer:
-    at alpha itself the k-high support point still sells. The price must be
-    finite and the scale in range (_check_scale).
+    over the family (_inner_infimum): at 1 - alpha = U_FLOOR, or as u falls
+    to a breakpoint, where the returned alpha is that limit point, not an
+    attained minimizer (at alpha itself the k-high support point still
+    sells). The price must be finite and the scale in range (_check_scale).
     """
     if not 0.0 <= p < math.inf:
         raise RobustBundlingError(
@@ -261,6 +255,7 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     window, so its mass past the window, P(K < lo), is not used. At m = 1,
     L is the single-item robust revenue (sqrt(mu) - sqrt(d/2))^2.
     """
+    check_count(m)
     q = spec.alpha_min
     lo, hi = _window(m, 1.0 - q)
     k = np.arange(lo, hi + 1.0)
@@ -275,8 +270,7 @@ def _check_scale(spec: MeanMadSpec, m: int) -> None:
     spec: the largest sum support point, m high values at 1 - alpha =
     U_FLOOR, must be finite, and the finest step, BRACKET_TOL * U_FLOOR * mu,
     a normal double (below that, prices and revenues lose their digits)."""
-    if m < 1:
-        raise RobustBundlingError(f"need m >= 1, got {m}")
+    check_count(m)
     top = m * (spec.mu + spec.d / (2.0 * U_FLOOR))
     if not (math.isfinite(top)
             and BRACKET_TOL * U_FLOOR * spec.mu >= sys.float_info.min):
@@ -292,18 +286,18 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
 
     Outer maximization over p in [0, m*mu]: one grid_polish call minimizes
     the negated guarantee -p * tail / m (exact, so values keep their bits),
-    its inner infimum solved exactly by breakpoints (_inner_infimum), one
-    price at a time from the highest cap (_guarantee_caps) down; usually one
-    price is solved per grid. Each grid interval (ps[j-1], ps[j]] gets one
+    its inner infimum solved exactly by breakpoints (_inner_infimum) from
+    the highest cap (_guarantee_caps) down, one price per grid. Each grid interval (ps[j-1], ps[j]] gets one
     screen (_price_cell) per solve: a row's is priced at the row itself, and
     the polish adds at most the two either side of the best row.
     worst_case_alpha runs once, with a screen of its own, for the reported
     alpha. The certificate pairs the family-wide bound
     maximin_certificate_lower with the analytic ceiling mu - d/2. A spec
     whose scale leaves double range is rejected before any solving
-    (_check_scale).
+    (_check_scale), as is a grid of fewer than 2 prices.
     """
     _check_scale(spec, m)
+    check_count(price_grid, "price_grid", 2)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
     cells = {}
@@ -379,9 +373,10 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
     bound maximin_certificate_lower (the other play order can only do worse
     for the adversary) and certificate.upper is the grid minimum, valid
     since every evaluated alpha upper-bounds the infimum. The scale is
-    checked first, as in maximin_bundling_value.
+    checked first, as in maximin_bundling_value, and so is the grid size.
     """
     _check_scale(spec, m)
+    check_count(alpha_grid, "alpha_grid", 2)
     lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
     u_best, v_best, grid_best = grid_polish(

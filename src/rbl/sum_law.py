@@ -32,7 +32,6 @@ its undrawn slots can add (see count_at_least).
 
 from __future__ import annotations
 
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
@@ -48,7 +47,7 @@ from scipy.special import gammaln
 from scipy.special._ufuncs import _binom_pmf, _binom_ppf, _binom_sf
 
 from .ambiguity import MemberDist, ParetoDist, ThreePointDist, TwoPointDist
-from .errors import RobustBundlingError
+from .errors import RobustBundlingError, check_count
 
 # Total probability mass may drift at most this far from 1.
 MASS_TOL = 1e-10
@@ -140,8 +139,7 @@ def _log_weights(m: int, alpha: float) -> np.ndarray:
 
 def iid_two_point_sum(dist: TwoPointDist, m: int) -> SumLaw:
     """Exact law of the sum of m i.i.d. copies of a two-point value."""
-    if m < 1:
-        raise RobustBundlingError(f"need m >= 1, got {m}")
+    check_count(m)
     k = np.arange(m + 1)
     support = (m - k) * dist.x + k * dist.y
     logp = _log_weights(m, dist.alpha)
@@ -344,12 +342,11 @@ def _block_count(plan: _Plan, seed: int, start: int, rows: int,
 
 
 def _plan_checked(members: Sequence[MemberDist], m: int, seed: int, n: int) -> _Plan:
+    check_count(m)
     if len(members) not in (1, m):
         raise RobustBundlingError(f"got {len(members)} members for m={m} slots")
-    if m < 1 or n < 1:
-        raise RobustBundlingError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-        raise RobustBundlingError(f"need a non-negative integer seed, got {seed!r}")
+    check_count(n, "n")
+    check_count(seed, "seed", 0)
     return _plan(members, m)
 
 

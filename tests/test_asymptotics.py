@@ -175,6 +175,14 @@ def test_ratio_empirical_oracle_mode(half_spec):
     assert rep.value <= coarse.value + 1e-9
 
 
+@pytest.mark.parametrize("study", [ratio_empirical, regret_empirical])
+def test_oracle_mode_grids_need_two_points(half_spec, study):
+    for grid in (1, 0, 2.5):
+        with pytest.raises(RobustBundlingError, match="need grid >= 2"):
+            study(half_spec, 2, grid=grid)
+    assert study(half_spec, 2, grid=2).mode == "oracle"
+
+
 def test_ratio_empirical_mu_upper_mode(half_spec):
     rep = ratio_empirical(half_spec, 16)
     want = maximin_bundling_value(half_spec, 16).value / half_spec.mu

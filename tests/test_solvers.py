@@ -203,6 +203,20 @@ def test_cell_screen_equals_the_unscreened_infimum():
                 assert solvers._inner_infimum(spec, m, p, cell) == want, (
                     mu, r, m, p)
     assert straddled > 0
+    # no breakpoint in range (p = 0), and prices above m mu at tiny d/mu
+    # where more than 32 breakpoints sit below U_FLOOR, so none of the first
+    # 32 screened is in range: the U_FLOOR tail seeds the pruning
+    for mu, r, m, f in ((1.0, 0.5, 7, 0.0), (2.3, 0.1, 1000, 0.0),
+                        (1.0, 1e-12, 300, 1.2), (2.3, 3e-12, 1000, 1.5),
+                        (1.0, 1.66e-11, 1126, 1.235)):
+        spec = MeanMadSpec(mu, mu * r)
+        p = f * m * mu
+        cell = solvers._price_cell(spec, m, p, p)
+        u = solvers._breakpoints(2.0 * (p - m * mu) / spec.d, m, cell[0])
+        inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
+        assert not inside[:32].any() and inside.any() == (p > 0.0)
+        assert solvers._inner_infimum(spec, m, p, cell) == _unpruned_infimum(
+            spec, m, p), (mu, r, m, f)
 
 
 def test_crossing_index_never_falls_as_the_price_rises():
@@ -306,13 +320,16 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
 
 def test_maximin_grid_rows_sent_to_the_kernel(monkeypatch):
     # a count guard instead of a timing test: the U_FLOOR tail alone as a
-    # cap sent 287 of 1024 rows at (1, 0.5), m = 4
-    for d in (0.5, 0.8):
-        for m in (4, 10, 16, 100, 1000, 10_000):
-            rows = _rows_solved(
-                monkeypatch,
-                lambda: maximin_bundling_value(MeanMadSpec(1.0, d), m))
-            assert 0 < len(rows) <= 4, (d, m)
+    # cap sent 287 of 1024 rows at (1, 0.5), m = 4, and caps from k = 0..8
+    # and m-8..m up to 19 at d/mu = 0.235, m = 32; caps priced at the ends
+    # of each price's in-range breakpoints are its exact guarantee
+    for mu in (1.0, 2.3, 1e-3):
+        for r in np.linspace(0.05, 1.9, 11):
+            for m in (1, 2, 4, 8, 16, 32, 100, 1000, 10_000):
+                rows = _rows_solved(
+                    monkeypatch, lambda: maximin_bundling_value(
+                        MeanMadSpec(mu, mu * float(r)), m))
+                assert len(rows) == 1, (mu, r, m)
 
 
 def test_maximin_screens_each_cell_once(monkeypatch):
@@ -591,6 +608,35 @@ def test_best_response_matches_mpmath_at_m_1e7():
     assert want == pytest.approx(2.92499998301527, rel=1e-14)
     got = solvers._best_response(spec, m, u)[1]
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_best_response_keeps_the_sure_sale():
+    # at tiny d/mu with u next to 1 - alpha_min the window around m u starts
+    # past k = 0, and the all-low point m x, which sells surely, beats its
+    # best (0.999999875); without the sure sale the response falls below x
+    spec, m, u = MeanMadSpec(1.0, 2e-15), 1000, 1.0 - 5e-7
+    lo, hi = solvers._window(m, u)
+    x, gap = solvers._two_point(spec, u)
+    s = m * x + np.arange(lo, hi + 1.0) * gap
+    assert lo > 0 and np.max(s * binom.sf(np.arange(lo - 1, hi), m, u)) < m * x
+    # every support point straight from binom.sf bounds the response above
+    ks = np.arange(m + 1)
+    full = np.max((m * x + ks * gap) * binom.sf(ks - 1, m, u)) / m
+    price, rev = solvers._best_response(spec, m, u)
+    assert x <= rev <= full and rev == price / m
+
+
+@pytest.mark.parametrize("grid", [1, 0, -4, 2.5])
+def test_solver_grids_need_two_points(grid):
+    # price_grid = 1 once reported 0.0, below its own certificate lower end
+    # 0.28125, and 0 raised numpy's bare ValueError
+    spec = MeanMadSpec(1.0, 0.5)
+    with pytest.raises(RobustBundlingError, match="need price_grid >= 2"):
+        maximin_bundling_value(spec, 2, price_grid=grid)
+    with pytest.raises(RobustBundlingError, match="need alpha_grid >= 2"):
+        minimax_bundling_value(spec, 2, alpha_grid=grid)
+    rep = maximin_bundling_value(spec, 2, price_grid=2)
+    assert rep.certificate[0] <= rep.value <= rep.certificate[1]
 
 
 # every minimax row of the golden files and of perfbench's game-sweep

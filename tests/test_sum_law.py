@@ -416,7 +416,7 @@ def test_single_pareto_slots_draw_the_exact_law(half_spec, a):
 def test_sampling_rejects_a_seed_that_is_not_a_non_negative_integer(half_spec,
                                                                     seed):
     d0 = make_pareto_member(half_spec, 2.0)
-    with pytest.raises(RobustBundlingError, match="non-negative integer seed"):
+    with pytest.raises(RobustBundlingError, match="need seed >= 0, an integer"):
         sample_sum([d0], 4, seed=seed, n=10)
 
 
