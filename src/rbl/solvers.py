@@ -10,17 +10,20 @@ alpha is then that limit point, not an attained minimizer. Nature first
 (minimax): a grid geometric in 1 - alpha down to 1e-12, because the damaging
 adversaries sit next to alpha = 1, searched and polished by grid_polish on
 the seller's best response. Each order passes grid_polish one objective and
-a cheap bound per grid row: for a price, a cap from nature's extreme
-answers, U_FLOOR and the ends of its in-range breakpoints (_guarantee_caps),
-so about one row is solved per grid; for a nature row, a revenue floor from a few
-feasible prices. Rows are solved exactly from the most promising bound on,
+a cheap bound per grid row: for a price, p/m up to m L(m) (L the
+certificate lower bound) and above it a cap from nature's extreme answers,
+U_FLOOR and the ends of its in-range breakpoints (_guarantee_caps), so
+about one row is solved per grid; for a nature row, a revenue floor from a
+few feasible prices. Rows are solved exactly from the most promising bound on,
 until every bound left clears the best value by optimize.PRUNE_MARGIN, so
 the grid optimum is that of the full grid. A row is one call: a price's
 infimum over its breakpoints (_inner_infimum), or nature's best response
-over the 40-sigma _window of k, masses from one sum_law.binom_window call.
-A price's O(m) screen, its breakpoints' Chernoff bounds and U_FLOOR tail, is
+over the 40-sigma _window of k, at least 40 k deep below m u, masses
+from one sum_law.binom_window call.
+A price's O(m) screen, its breakpoints' Chernoff bounds and U_FLOOR tails, is
 shared by every price in its grid cell (_price_cell), so the polish's few
-dozen prices cost about two screens. Tails go through the binomial survival
+dozen prices cost about two screens, and each of them nearly always one
+breakpoint and one survival call. Tails go through the binomial survival
 function (sum_law.binom_sf), not the explicit m+1 point law.
 Every report carries a certificate pair: a closed-form lower bound that
 holds for every product of family members (see maximin_certificate_lower),
@@ -116,6 +119,15 @@ def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
                     (b - sq) / np.where(pos, 1.0, 2.0 * c))
 
 
+def _breakpoint(c: float, m: int, k: float) -> float:
+    """_breakpoints for one k in Python floats: the same float steps and so
+    the same bits, NaN where the discriminant is negative as np.sqrt's."""
+    b = c + m
+    disc = b * b - 4.0 * c * k
+    sq = math.sqrt(disc) if disc >= 0.0 else math.nan
+    return 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
+
+
 def _highs_at(c, m: int, u) -> np.ndarray:
     """ceil(h(u)), h(u) = m u + c u (1 - u): as breakpoints rise with k and h
     increases at its roots, the fewest highs k with u_k >= u, up to one off
@@ -124,19 +136,21 @@ def _highs_at(c, m: int, u) -> np.ndarray:
 
 
 def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
-                ) -> tuple[np.ndarray, np.ndarray, Optional[float]]:
-    """(k, bound, floor_tail): what _inner_infimum shares at every price p
-    in [lo, hi]. k holds the crossing indices whose breakpoints can be in
+                ) -> tuple[np.ndarray, np.ndarray, Optional[tuple]]:
+    """(k, bound, floor): what _inner_infimum shares at every price p in
+    [lo, hi]. k holds the crossing indices whose breakpoints can be in
     range at hi, ordered by bound: the Chernoff bound
     1 - exp(-m KL(k/m || u_k)) at hi on the limit P(Bin(m, u_k) >= k+1), a
-    lower bound for k/m < u_k (else 0). floor_tail is the tail at U_FLOOR,
-    or None if the crossing index there differs between lo and hi.
+    lower bound for k/m < u_k (else 0). floor is (s, at, past): the tail
+    at U_FLOOR is at for p <= s and past above, or floor is None if the
+    crossing index there rises by more than one from lo to hi.
 
     Both hold on all of [lo, hi]. Raising p raises c and so lowers each u_k,
-    as h increases at its roots (_highs_at); the limit then falls. So the bound at hi is a lower bound at every p <= hi, and no k
-    past the window at hi is in range at a lower p. The floats' crossing
-    index never falls as p rises, so equal indices at lo and hi hold in
-    between."""
+    as h increases at its roots (_highs_at); the limit then falls. So the
+    bound at hi is a lower bound at every p <= hi, and no k past the window
+    at hi is in range at a lower p. The floats' crossing index never falls
+    as p rises, so in between it is lo's index a or the next: a while the
+    support point s with a highs, in _crossing's float steps, reaches p."""
     u_hi = 1.0 - spec.alpha_min
     c = 2.0 * (hi - m * spec.mu) / spec.d
     # window k to 0..the count at u_hi plus a spare
@@ -148,9 +162,12 @@ def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
     bound = np.where(q < u, -np.expm1(-m * kl), 0.0)
     order = np.argsort(bound, kind="stable")
     at = _crossing(spec, m, np.array([lo, hi]), U_FLOOR)
-    floor_tail = (float(binom_sf(at[1] - 1.0, m, U_FLOOR))
-                  if at[0] == at[1] else None)
-    return k[order], bound[order], floor_tail
+    floor = None
+    if at[1] - at[0] <= 1.0:
+        x, gap = _two_point(spec, U_FLOOR)
+        tails = binom_sf(at - 1.0, m, U_FLOOR)
+        floor = (float(m * x + at[0] * gap), float(tails[0]), float(tails[1]))
+    return k[order], bound[order], floor
 
 
 def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
@@ -164,37 +181,54 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
     (u_k, u_{k+1}] the tail is P(Bin(m, u) >= k+1), which rises with u. So
     the infimum is the smallest of the tail at U_FLOOR and the limits
     P(Bin(m, u_k) >= k+1) over the breakpoints in range. The cell's bounds
-    screen them: the loosest-bounded of the first 32 in range at p (else the
-    U_FLOOR tail) seeds the search, and only it and those whose bound does
-    not clear the floor or the seed by PRUNE_MARGIN are priced. Every
-    in-range k is below m (u_m = 1), so a limit is a raw survival call.
+    screen them: the loosest-bounded k in range at p (else the U_FLOOR
+    tail) seeds the search, and only it and those whose bound does not
+    clear the floor or the seed by PRUNE_MARGIN are priced, each once.
+    Nearly always the loosest-bounded k is in range and the next bound
+    clears: then one breakpoint and one survival call, in Python floats,
+    decide. Every in-range k is below m (u_m = 1), so a limit is a raw
+    survival call.
     """
-    k, bound, floor_tail = cell
-    if floor_tail is None:
+    k, bound, floor = cell
+    p = float(p)
+    if floor is None:
         floor_tail = float(_tails(spec, m, p, U_FLOOR))
+    else:
+        floor_tail = floor[1] if p <= floor[0] else floor[2]
     c = 2.0 * (p - m * spec.mu) / spec.d
+    u_top = 1.0 - spec.alpha_min
 
     def screen(n):
         """u_k at p for the first n screened k, and which are in range."""
         u = _breakpoints(c, m, k[:n])
-        return u, (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
+        return u, (u >= U_FLOOR) & (u < u_top)
 
-    # the seed is nearly always among the first few screened k, and the
-    # breakpoints it does not rule out too: screen more only for those
-    u, inside = screen(32)
-    j = int(inside.argmax())
-    seed = _binom_sf(k[j], m, u[j]).clip(0.0, 1.0) if inside[j] else floor_tail
-    n = max(int(np.searchsorted(bound, min(floor_tail, seed) + PRUNE_MARGIN,
-                                "right")), j + 1)
-    if n > u.size:
+    # the seed is nearly always the first screened k, and the breakpoints it
+    # does not rule out among the next few: screen more only for those
+    u = None
+    j, u_seed = 0, _breakpoint(c, m, float(k[0]))
+    if not U_FLOOR <= u_seed < u_top:
+        u, inside = screen(32)
+        j = int(inside.argmax())
+        u_seed = float(u[j]) if inside[j] else None
+    seed = (floor_tail if u_seed is None
+            else min(max(float(_binom_sf(k[j], m, u_seed)), 0.0), 1.0))
+    cut = min(floor_tail, seed) + PRUNE_MARGIN
+    if j == 0 and u_seed is not None and (k.size == 1 or bound[1] > cut):
+        # the n = 1 screen: the seed alone is priced, ties go to U_FLOOR
+        return (U_FLOOR, floor_tail) if floor_tail <= seed else (u_seed, seed)
+    n = max(int(np.searchsorted(bound, cut, "right")), j + 1)
+    if u is None or n > u.size:
         u, inside = screen(n)
     # the seed and every breakpoint it does not rule out, by rising k so
     # ties go to the smallest u: U_FLOOR first, then the lowest breakpoint
     i = np.flatnonzero(inside[:n])
     i = i[np.argsort(k[i])]
+    tails = np.full(i.size, seed)
+    rest = i != j
+    tails[rest] = _binom_sf(k[i[rest]], m, u[i[rest]]).clip(0.0, 1.0)
     us = np.concatenate(([U_FLOOR], u[i]))
-    tails = np.concatenate(([floor_tail],
-                            _binom_sf(k[i], m, u[i]).clip(0.0, 1.0)))
+    tails = np.concatenate(([floor_tail], tails))
     j = int(np.argmin(tails))
     return float(us[j]), float(tails[j])
 
@@ -287,35 +321,42 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     Outer maximization over p in [0, m*mu]: one grid_polish call minimizes
     the negated guarantee -p * tail / m (exact, so values keep their bits),
     its inner infimum solved exactly by breakpoints (_inner_infimum) from
-    the highest cap (_guarantee_caps) down, one price per grid. Each grid interval (ps[j-1], ps[j]] gets one
-    screen (_price_cell) per solve: a row's is priced at the row itself, and
-    the polish adds at most the two either side of the best row.
-    worst_case_alpha runs once, with a screen of its own, for the reported
-    alpha. The certificate pairs the family-wide bound
-    maximin_certificate_lower with the analytic ceiling mu - d/2. A spec
-    whose scale leaves double range is rejected before any solving
-    (_check_scale), as is a grid of fewer than 2 prices.
+    the highest cap down, one price per grid. A price with p/m at most the
+    certificate lower bound L(m) takes the valid cap p/m (its tail is at
+    most 1), which the grid's best nearly always clears, so only the prices
+    above m L(m) pay for an exact cap (_guarantee_caps). Each grid interval
+    (ps[j-1], ps[j]] gets one screen (_price_cell) per solve: a row's is
+    priced at the row itself, and the polish adds at most the two either
+    side of the best row. The reported alpha is the polish's own answer at
+    the reported price (alpha_min at p = 0, as worst_case_alpha). The
+    certificate pairs the family-wide bound maximin_certificate_lower with
+    the analytic ceiling mu - d/2. A spec whose scale leaves double range is
+    rejected before any solving (_check_scale), as is a grid of fewer than 2
+    prices.
     """
     _check_scale(spec, m)
     check_count(price_grid, "price_grid", 2)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
-    cells = {}
+    caps = ps / m
+    rest = caps > lower
+    caps[rest] = _guarantee_caps(spec, m, ps[rest])
+    cells, answers = {}, {}
 
     def neg_guarantee(p):
         j = int(np.searchsorted(ps, p))
         if j not in cells:
             cells[j] = _price_cell(spec, m, ps[max(j - 1, 0)], ps[j])
-        return -p * _inner_infimum(spec, m, p, cells[j])[1] / m
+        answers[p], tail = _inner_infimum(spec, m, p, cells[j])
+        return -p * tail / m
 
-    p_best, v_best, _ = grid_polish(neg_guarantee, ps,
-                                    -_guarantee_caps(spec, m, ps),
+    p_best, v_best, _ = grid_polish(neg_guarantee, ps, -caps,
                                     BRACKET_TOL * m * spec.mu)
     return SaddleReport(
         m=m,
         value=-v_best,
         price=p_best,
-        alpha=worst_case_alpha(spec, m, p_best)[0],
+        alpha=1.0 - answers[p_best] if p_best > 0.0 else spec.alpha_min,
         certificate=(lower, spec.mu - spec.d / 2.0),
     )
 
@@ -325,7 +366,8 @@ def _best_response(spec: MeanMadSpec, m: int, u: float) -> tuple[float, float]:
     Binomial(m, u).
 
     Only sum support points can be optimal. The scan takes k over the
-    _window around m*u (plus k=0, the guaranteed sale), with the survival
+    _window around m*u, reaching at least _WINDOW_SIGMAS whole k below m*u
+    where sigma < 1 (plus k=0, the guaranteed sale), with the survival
     mass beyond it re-added: a few terms where m*u is small, where the
     adversary sits, and a few hundred at large m. The masses and the mass
     beyond come from one binom_window call: one Boost pmf call over the
@@ -333,6 +375,10 @@ def _best_response(spec: MeanMadSpec, m: int, u: float) -> tuple[float, float]:
     """
     x, gap = _two_point(spec, u)
     lo, hi = _window(m, u)
+    if lo > 0:
+        # below one sigma the window can miss the best price: at (1, 2e-15),
+        # m = 1000, u = 1 - 5e-7 it starts at k = 999 and k = 997 wins
+        lo = max(min(lo, math.floor(m * u - _WINDOW_SIGMAS)), 0)
     pmf, beyond = binom_window(lo, hi, m, u)
     s = m * x + np.arange(lo, hi + 1.0) * gap
     rev = s * (pmf[::-1].cumsum()[::-1] + beyond)

@@ -168,17 +168,48 @@ def test_worst_case_alpha_equals_unpruned_brute_force():
         assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
 
 
+def _screen_path(spec, m, p, cell):
+    """Which way _inner_infimum decides p: "exit" when the first screened k
+    is in range and the next bound clears min(floor, seed) + PRUNE_MARGIN,
+    "margin" when it is in range but the next bound does not clear, "out"
+    when it is out of range."""
+    k, bound, _ = cell
+    u = solvers._breakpoints(2.0 * (p - m * spec.mu) / spec.d, m, k[:1])
+    if not U_FLOOR <= u[0] < 1.0 - spec.alpha_min:
+        return "out"
+    seed = float(binom_sf(k[0], m, u[0]))
+    floor = float(solvers._tails(spec, m, p, U_FLOOR))
+    clears = k.size == 1 or bound[1] > min(floor, seed) + PRUNE_MARGIN
+    return "exit" if clears else "margin"
+
+
+def _straddle(cell):
+    """A cell's U_FLOOR floor: None where the crossing index rises by two
+    or more, else 1 where its two tails differ (a rise of one) and 0 where
+    they are equal."""
+    floor = cell[2]
+    return None if floor is None else int(floor[1] != floor[2])
+
+
 def test_cell_screen_equals_the_unscreened_infimum():
     # one _price_cell serves every price in its interval, bit for bit: the
     # bounds at its top price screen lower prices, and its U_FLOOR tail is
-    # kept only when the crossing index there is the same at both ends
+    # picked at the support point between its ends when the crossing index
+    # there rises by one, and priced per price when it rises by more
     rng = np.random.default_rng(25)
     cases = [(mu, r, m) for mu in (1.0, 2.3, 1e-3)
              for r, m in ((0.5, 7), (0.8, 300), (0.1, 16), (0.1, 32),
                           (0.05, 100), (1.5, 2000), (0.5, 10**5))]
     cases += [(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 1.9)),
                int(rng.integers(1, 1500))) for _ in range(12)]
-    straddled = 0
+    straddles, paths = [], []
+
+    def check(spec, m, p, cell):
+        paths.append(_screen_path(spec, m, p, cell))
+        want = _unpruned_infimum(spec, m, p)
+        assert solvers._inner_infimum(spec, m, p, cell) == want, (
+            spec, m, p)
+
     for mu, r, m in cases:
         spec = MeanMadSpec(mu, mu * r)
         n = 8 if m == 10**5 else 40
@@ -192,17 +223,32 @@ def test_cell_screen_equals_the_unscreened_infimum():
         for j in js:
             lo, hi = float(ps[j - 1]), float(ps[j])
             cell = solvers._price_cell(spec, m, lo, hi)
-            straddled += cell[2] is None
+            straddles.append(_straddle(cell))
             probes = list(lo + (hi - lo) * rng.random(n // 4)) + [hi]
             edge = m * x_floor
             probes += [p for p in (math.nextafter(edge, 0.0), edge,
                                    math.nextafter(edge, math.inf))
                        if lo <= p <= hi]
             for p in probes:
-                want = _unpruned_infimum(spec, m, p)
-                assert solvers._inner_infimum(spec, m, p, cell) == want, (
-                    mu, r, m, p)
-    assert straddled > 0
+                check(spec, m, p, cell)
+    # cells past m mu at tiny d/mu, where the U_FLOOR support points sit a
+    # fraction of the cell apart: the crossing index rises by one, by two
+    # or more, and on and next to each support point
+    for mu, r, m, f, width in ((1.0, 1e-12, 300, 1.2, 0.3),
+                               (1.0, 1e-12, 300, 1.2, 2.0),
+                               (2.3, 3e-12, 1000, 1.5, 20.0)):
+        spec = MeanMadSpec(mu, mu * r)
+        lo = f * m * mu
+        cell = solvers._price_cell(spec, m, lo, lo + width)
+        straddles.append(_straddle(cell))
+        x, gap = solvers._two_point(spec, U_FLOOR)
+        ks = np.arange(math.ceil((lo - m * x) / gap) - 1.0,
+                       (lo + width - m * x) / gap + 1.0)
+        for s in m * x + ks * gap:
+            for p in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
+                if lo <= p <= lo + width:
+                    check(spec, m, p, cell)
+    assert {0, 1, None} <= set(straddles)
     # no breakpoint in range (p = 0), and prices above m mu at tiny d/mu
     # where more than 32 breakpoints sit below U_FLOOR, so none of the first
     # 32 screened is in range: the U_FLOOR tail seeds the pruning
@@ -215,8 +261,46 @@ def test_cell_screen_equals_the_unscreened_infimum():
         u = solvers._breakpoints(2.0 * (p - m * mu) / spec.d, m, cell[0])
         inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
         assert not inside[:32].any() and inside.any() == (p > 0.0)
-        assert solvers._inner_infimum(spec, m, p, cell) == _unpruned_infimum(
-            spec, m, p), (mu, r, m, f)
+        check(spec, m, p, cell)
+    # the one-candidate exit fires, and each way it must not is met too
+    assert {"exit", "margin", "out"} <= set(paths)
+
+
+def test_one_candidate_exit_sends_ties_to_the_floor():
+    # where the first screened limit ties the U_FLOOR tail, the exit answers
+    # U_FLOOR as the full screen does; real tails tie too rarely to probe,
+    # so the cell's floor is set to that limit
+    spec, m = MeanMadSpec(1.0, 0.5), 100
+    p = maximin_bundling_value(spec, m).price
+    cell = solvers._price_cell(spec, m, p, p)
+    assert _screen_path(spec, m, p, cell) == "exit"
+    k, bound, _ = cell
+    u = solvers._breakpoints(2.0 * (p - m * spec.mu) / spec.d, m, k[:1])
+    seed = float(binom_sf(k[0], m, u[0]))
+    tie = (math.inf, seed, seed)
+    assert solvers._inner_infimum(spec, m, p, (k, bound, tie)) == (U_FLOOR, seed)
+    # bounds of 0 rule no k out: the full screen
+    assert solvers._inner_infimum(spec, m, p, (k, 0.0 * bound, tie)) == (
+        U_FLOOR, seed)
+
+
+def test_one_breakpoint_has_the_array_bits():
+    # the exit prices one breakpoint in Python floats: the same bits as
+    # _breakpoints, on both branches of its sign test and where c is within
+    # 1e-8 of m, at k = m, the rounded discriminant is negative (NaN)
+    rng = np.random.default_rng(29)
+    cases = [(float(c), m, float(rng.integers(0, m + 1)))
+             for m in (1, 7, 1000, 10**6)
+             for c in m * np.concatenate([rng.uniform(-3.0, 3.0, 200),
+                                          [-1.0, 0.0, 1.0]])]
+    cases += [(float(c), 1000, 1000.0)
+              for c in 1000 * (1 + np.linspace(-1e-8, 1e-8, 201))]
+    c, m, k = (np.array(v) for v in zip(*cases))
+    with np.errstate(invalid="ignore"):
+        want = solvers._breakpoints(c, m, k)
+    got = np.array([solvers._breakpoint(*case) for case in cases])
+    assert np.isnan(want).any() and (c + m <= 0.0).any()
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_crossing_index_never_falls_as_the_price_rises():
@@ -316,6 +400,8 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
             caps = solvers._guarantee_caps(spec, m, ps)
             exact = [worst_case_alpha(spec, m, p)[1] for p in ps]
             assert np.all(caps >= exact), (r, m)
+            # the trivial cap maximin takes up to m L(m): a tail is <= 1
+            assert np.all(ps / m >= exact), (r, m)
 
 
 def test_maximin_grid_rows_sent_to_the_kernel(monkeypatch):
@@ -333,9 +419,9 @@ def test_maximin_grid_rows_sent_to_the_kernel(monkeypatch):
 
 
 def test_maximin_screens_each_cell_once(monkeypatch):
-    # a count guard: O(m) screens (_price_cell) are one per grid row solved,
-    # at most two more for the polish's bracket and one for the reported
-    # alpha, however many prices the polish evaluates
+    # a count guard: O(m) screens (_price_cell) are one per grid row solved
+    # and at most two more for the polish's bracket, however many prices
+    # the polish evaluates
     cells, evals = [], []
     price_cell, inner = solvers._price_cell, solvers._inner_infimum
     monkeypatch.setattr(solvers, "_price_cell",
@@ -350,20 +436,45 @@ def test_maximin_screens_each_cell_once(monkeypatch):
                 monkeypatch,
                 lambda: maximin_bundling_value(MeanMadSpec(1.0, d), m))
             assert len(evals) > len(rows) + 30, (d, m)
-            assert len(cells) <= len(rows) + 3, (d, m)
+            assert len(cells) <= len(rows) + 2, (d, m)
 
 
-def test_maximin_calls_worst_case_alpha_once(monkeypatch):
+def test_maximin_never_calls_worst_case_alpha(monkeypatch):
     # a count guard: the grid and the polish price through _inner_infimum,
-    # and worst_case_alpha runs only for the reported alpha
+    # and the reported alpha is the polish's own answer at the reported
+    # price, the bits worst_case_alpha gives there
     calls, wca = [], solvers.worst_case_alpha
     monkeypatch.setattr(solvers, "worst_case_alpha",
                         lambda *args: calls.append(args) or wca(*args))
     for d, m in ((0.5, 4), (0.8, 100), (1.5, 10_000)):
-        calls.clear()
-        rep = maximin_bundling_value(MeanMadSpec(1.0, d), m)
-        assert len(calls) == 1
-        assert wca(*calls[0]) == (rep.alpha, rep.value)
+        spec = MeanMadSpec(1.0, d)
+        rep = maximin_bundling_value(spec, m)
+        assert not calls
+        assert wca(spec, m, rep.price) == (rep.alpha, rep.value)
+
+
+def test_maximin_prices_no_breakpoint_twice(monkeypatch):
+    # a count guard: an evaluation prices each breakpoint once, and where
+    # the first screened k's bound clears the rest (every evaluation at
+    # m = 100 and 1000 here) it makes one survival call, for that k alone
+    evals, sf, inner = [], solvers._binom_sf, solvers._inner_infimum
+
+    def priced(k, n, u):
+        evals[-1].append(np.atleast_1d(k).tolist())
+        return sf(k, n, u)
+
+    monkeypatch.setattr(solvers, "_binom_sf", priced)
+    monkeypatch.setattr(solvers, "_inner_infimum",
+                        lambda *args: evals.append([]) or inner(*args))
+    for d in (0.5, 0.8):
+        for m in (100, 1000, 10_000):
+            evals.clear()
+            maximin_bundling_value(MeanMadSpec(1.0, d), m)
+            ks = [sum(calls, []) for calls in evals]
+            assert all(len(set(k)) == len(k) for k in ks), (d, m)
+            if m < 10_000:
+                assert all(len(calls) == len(k) == 1
+                           for calls, k in zip(evals, ks)), (d, m)
 
 
 def _kernel(spec, m, us):
@@ -610,20 +721,24 @@ def test_best_response_matches_mpmath_at_m_1e7():
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_best_response_keeps_the_sure_sale():
-    # at tiny d/mu with u next to 1 - alpha_min the window around m u starts
-    # past k = 0, and the all-low point m x, which sells surely, beats its
-    # best (0.999999875); without the sure sale the response falls below x
+def test_best_response_reaches_below_a_narrow_window():
+    # at tiny d/mu with u next to 1 - alpha_min sigma is below one, and the
+    # 40-sigma window around m u starts at k = 999, past k = 997, which
+    # earns 0.99999999999; with the sure sale m x alone the response was
+    # 0.999999998
     spec, m, u = MeanMadSpec(1.0, 2e-15), 1000, 1.0 - 5e-7
     lo, hi = solvers._window(m, u)
     x, gap = solvers._two_point(spec, u)
     s = m * x + np.arange(lo, hi + 1.0) * gap
     assert lo > 0 and np.max(s * binom.sf(np.arange(lo - 1, hi), m, u)) < m * x
-    # every support point straight from binom.sf bounds the response above
+    # the best support point straight from binom.sf over all of 0..m: the
+    # same price, and the same revenue up to the window's summed masses
     ks = np.arange(m + 1)
-    full = np.max((m * x + ks * gap) * binom.sf(ks - 1, m, u)) / m
+    revs = (m * x + ks * gap) * binom.sf(ks - 1, m, u)
     price, rev = solvers._best_response(spec, m, u)
-    assert x <= rev <= full and rev == price / m
+    assert price == m * x + np.argmax(revs) * gap and np.argmax(revs) == 997
+    assert rev == pytest.approx(np.max(revs) / m, rel=4e-16, abs=0.0)
+    assert rev == 0.9999999999939985
 
 
 @pytest.mark.parametrize("grid", [1, 0, -4, 2.5])
