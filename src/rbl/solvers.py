@@ -20,11 +20,14 @@ the grid optimum is that of the full grid. A row is one call: a price's
 infimum over its breakpoints (_inner_infimum), or nature's best response
 over the 40-sigma _window of k, at least 40 k deep below m u, masses
 from one sum_law.binom_window call.
-A price's O(m) screen, its breakpoints' Chernoff bounds and U_FLOOR tails, is
-shared by every price in its grid cell (_price_cell), so the polish's few
-dozen prices cost about two screens, and each of them nearly always one
-breakpoint and one survival call. Tails go through the binomial survival
-function (sum_law.binom_sf), not the explicit m+1 point law.
+A price's O(m) screen, its breakpoints' Chernoff bounds on the lower tail
+and its U_FLOOR tails, is shared by every price in its grid cell
+(_price_cell), so the polish's few dozen prices cost about two screens. Each
+price then walks the breakpoints in Python floats by falling bound, one
+survival call each, until the bound left proves every remaining tail loses:
+near the maximin price that is after one call, at m = 1e6 too, where every
+in-range tail but the winner's is 1.0. Tails go through the binomial
+survival function (sum_law.binom_sf), not the explicit m+1 point law.
 Every report carries a certificate pair: a closed-form lower bound that
 holds for every product of family members (see maximin_certificate_lower),
 and an upper bound that the computed value can be checked against. Both
@@ -43,7 +46,7 @@ from scipy.special import rel_entr
 
 from .ambiguity import MeanMadSpec
 from .errors import RobustBundlingError, check_count
-from .optimize import PRUNE_MARGIN, grid_polish
+from .optimize import grid_polish
 from .sum_law import _binom_sf, binom_sf, binom_window
 
 ALPHA_GRID = 2048
@@ -101,6 +104,19 @@ def _crossing(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
     return k
 
 
+def _crossing_at(m: int, x: float, gap: float, p: float) -> float:
+    """_crossing for one price and one member (x, gap) in Python floats: the
+    same float steps and so the same index."""
+    k = min(max(float(math.ceil((p - m * x) / gap)), 0.0), m + 1.0)
+    for _ in range(2):
+        if k > 0 and m * x + (k - 1.0) * gap >= p:
+            k -= 1.0
+    for _ in range(2):
+        if k <= m and m * x + k * gap < p:
+            k += 1.0
+    return k
+
+
 def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
     """P(sum >= p) for u = 1 - alpha, sum of m i.i.d. two-point values; p and
     u broadcast against each other: a Binomial(m, u) survival at the crossing
@@ -111,9 +127,12 @@ def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
 def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
     """Root u in (0, 1] of c u^2 - (c + m) u + k = 0: where the support point
     with k highs crosses the price. The form is chosen so neither branch
-    cancels or divides by zero (c + m <= 0 forces c < 0)."""
+    cancels or divides by zero (c + m <= 0 forces c < 0). A scalar c takes
+    its one branch alone."""
     b = c + m
     sq = np.sqrt(b * b - 4.0 * c * k)
+    if np.ndim(b) == 0:
+        return 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
     pos = b > 0.0
     return np.where(pos, 2.0 * k / np.where(pos, b + sq, 1.0),
                     (b - sq) / np.where(pos, 1.0, 2.0 * c))
@@ -135,39 +154,79 @@ def _highs_at(c, m: int, u) -> np.ndarray:
     return np.ceil(m * u + c * u * (1.0 - u))
 
 
+def _lower_tail_slack(m: int) -> float:
+    """delta: the relative margin by which a cell's bound E_k, scaled by
+    1 + delta, bounds the lower tail P(Bin(m, u_k) <= k) that Boost computes.
+
+    With eps = 2^-53, in-range u_k <= 1 - eps, q = k/m and L2 =
+    log((1 - q)/(1 - u_k)) <= 37: q and 1 - q are off by eps and 1 - u_k by
+    eps/2, and rel_entr's division, log and product each round, so each term
+    is off by at most eps (1 + 2 |log|) times its weight; q log(q/u) is at
+    most 1/e in size and (1 - q) L2 at most 37, so the sum, which cancels,
+    is off by at most ~155 eps in absolute terms, and m KL by ~155 m eps.
+    Boost's relative error on the lower tail is about 4e-17 m where measured
+    (under 0.4 m eps), and exp, the product m KL and the scaling E (1 +
+    delta) add a few eps. 2^-44 (m + 1) = 512 eps (m + 1) covers the sum
+    about three times over."""
+    return 2.0 ** -44 * (m + 1)
+
+
+# A lower tail L below this leaves a survival 1 - L that rounds to 1.0.
+_ROUNDS_TO_ONE = 2.0 ** -54
+# A lower tail below 1 - best less this leaves a survival above best.
+_ABOVE_BEST = 2.0 ** -52
+# Breakpoints a walk prices one call each before it prices the rest at once.
+_WALK = 64
+
+
 def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
-                ) -> tuple[np.ndarray, np.ndarray, Optional[tuple]]:
-    """(k, bound, floor): what _inner_infimum shares at every price p in
-    [lo, hi]. k holds the crossing indices whose breakpoints can be in
-    range at hi, ordered by bound: the Chernoff bound
-    1 - exp(-m KL(k/m || u_k)) at hi on the limit P(Bin(m, u_k) >= k+1), a
-    lower bound for k/m < u_k (else 0). floor is (s, at, past): the tail
-    at U_FLOOR is at for p <= s and past above, or floor is None if the
-    crossing index there rises by more than one from lo to hi.
+                ) -> tuple[list, list, np.ndarray, Optional[tuple]]:
+    """(k, lower, bulk, floor): what _inner_infimum shares at every price p
+    in [lo, hi]. The crossing indices whose breakpoints can be in range at
+    hi, in the order of falling E_k = exp(-m KL(k/m || u_k)), an upper bound
+    on P(Bin(m, u_k) <= k) (1 where k/m >= u_k): k lists the first
+    _WALK + 1 and lower their E_k, and bulk holds them from index _WALK on.
+    A k whose E_k, scaled by 1 + _lower_tail_slack(m), is below
+    _ROUNDS_TO_ONE is left out: its limit rounds to 1.0 and never wins. floor
+    is (s, at, past): the tail at U_FLOOR is at for p <= s and past above, or
+    floor is None if the crossing index there rises by more than one from lo
+    to hi.
 
     Both hold on all of [lo, hi]. Raising p raises c and so lowers each u_k,
-    as h increases at its roots (_highs_at); the limit then falls. So the
-    bound at hi is a lower bound at every p <= hi, and no k past the window
-    at hi is in range at a lower p. The floats' crossing index never falls
-    as p rises, so in between it is lo's index a or the next: a while the
-    support point s with a highs, in _crossing's float steps, reaches p."""
+    as h increases at its roots (_highs_at); the lower tail at u_k then
+    rises. So the bound at hi holds at every p <= hi, and no k past the
+    window at hi is in range at a lower p. The breakpoints at hi are taken
+    2^-48 low, below any price's computed u_k: for c <= 0 (every maximin
+    price is at most m mu) their float steps add no cancellation, so each is
+    within a few eps of a root that never falls as p does. Above m mu each
+    u_k is below k/m, where E_k is 1 up to rounding and prunes nothing. The
+    floats' crossing index never falls as p rises, so in between it is lo's
+    index a or the next: a while the support point s with a highs, in
+    _crossing's float steps, reaches p."""
     u_hi = 1.0 - spec.alpha_min
     c = 2.0 * (hi - m * spec.mu) / spec.d
     # window k to 0..the count at u_hi plus a spare
-    k_hi = np.clip(_highs_at(c, m, u_hi) + 1.0, 0.0, m)
+    k_hi = min(max(float(_highs_at(c, m, u_hi)) + 1.0, 0.0), m)
     k = np.arange(k_hi + 1.0)
-    u = _breakpoints(c, m, k)
+    u = _breakpoints(c, m, k) * (1.0 - 2.0 ** -48)
     q = k / m
+    # KL(q || u) >= (u - q)^2 / (2u) for q < u, so where m (u - q)^2 > 80 u
+    # the lower tail is below e^-40, 2^-54 over 13: no KL is needed there
+    near = np.flatnonzero(~(q < u) | (m * (u - q) ** 2 <= 80.0 * u))
+    k, u, q = k[near], u[near], q[near]
     kl = rel_entr(q, u) + rel_entr(1.0 - q, 1.0 - u)
-    bound = np.where(q < u, -np.expm1(-m * kl), 0.0)
-    order = np.argsort(bound, kind="stable")
-    at = _crossing(spec, m, np.array([lo, hi]), U_FLOOR)
+    lower = np.where(q < u, np.exp(-m * kl), 1.0)
+    keep = np.flatnonzero(lower * (1.0 + _lower_tail_slack(m)) >= _ROUNDS_TO_ONE)
+    keep = keep[np.argsort(-lower[keep], kind="stable")]
+    walk = keep[:_WALK + 1]
+    x, gap = _two_point(spec, U_FLOOR)
+    at = _crossing_at(m, x, gap, lo)
+    past = _crossing_at(m, x, gap, hi)
     floor = None
-    if at[1] - at[0] <= 1.0:
-        x, gap = _two_point(spec, U_FLOOR)
-        tails = binom_sf(at - 1.0, m, U_FLOOR)
-        floor = (float(m * x + at[0] * gap), float(tails[0]), float(tails[1]))
-    return k[order], bound[order], floor
+    if past - at <= 1.0:
+        tails = binom_sf(np.array([at, past]) - 1.0, m, U_FLOOR)
+        floor = (m * x + at * gap, float(tails[0]), float(tails[1]))
+    return k[walk].tolist(), lower[walk].tolist(), k[keep[_WALK:]], floor
 
 
 def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
@@ -180,16 +239,23 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
     Breakpoint u_k is where the k-high support point equals p; on
     (u_k, u_{k+1}] the tail is P(Bin(m, u) >= k+1), which rises with u. So
     the infimum is the smallest of the tail at U_FLOOR and the limits
-    P(Bin(m, u_k) >= k+1) over the breakpoints in range. The cell's bounds
-    screen them: the loosest-bounded k in range at p (else the U_FLOOR
-    tail) seeds the search, and only it and those whose bound does not
-    clear the floor or the seed by PRUNE_MARGIN are priced, each once.
-    Nearly always the loosest-bounded k is in range and the next bound
-    clears: then one breakpoint and one survival call, in Python floats,
-    decide. Every in-range k is below m (u_m = 1), so a limit is a raw
-    survival call.
+    P(Bin(m, u_k) >= k+1) over the breakpoints in range, ties going to the
+    smallest u: U_FLOOR, then the smallest k. One walk over the cell's k, by
+    falling bound E_k and in Python floats, prices each in-range k with one
+    survival call (every in-range k is below m, as u_m = 1) and stops at the
+    first k whose E_k (1 + delta), delta = _lower_tail_slack(m), bounds every
+    k left to a tail that loses to the best:
+    - below (1 - best) - 2^-52: the lower tail Boost computes is below
+      1 - best - 2^-52, and the survival it returns, 1 minus that tail
+      within Boost's error, rounds strictly above the best;
+    - below 2^-54: near 1 Boost's survival is 1.0 - its lower tail, bit for
+      bit, so the tail rounds to 1.0. That loses whatever the best is: the
+      U_FLOOR tail, at most 1.0, wins ties, and a breakpoint is best only
+      strictly below it.
+    Past _WALK k the bounds prune nothing (c near 0, or p above m mu), and
+    the walk prices every k left, the cell's bulk, in one vector call.
     """
-    k, bound, floor = cell
+    ks, lower, bulk, floor = cell
     p = float(p)
     if floor is None:
         floor_tail = float(_tails(spec, m, p, U_FLOOR))
@@ -197,40 +263,30 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
         floor_tail = floor[1] if p <= floor[0] else floor[2]
     c = 2.0 * (p - m * spec.mu) / spec.d
     u_top = 1.0 - spec.alpha_min
-
-    def screen(n):
-        """u_k at p for the first n screened k, and which are in range."""
-        u = _breakpoints(c, m, k[:n])
-        return u, (u >= U_FLOOR) & (u < u_top)
-
-    # the seed is nearly always the first screened k, and the breakpoints it
-    # does not rule out among the next few: screen more only for those
-    u = None
-    j, u_seed = 0, _breakpoint(c, m, float(k[0]))
-    if not U_FLOOR <= u_seed < u_top:
-        u, inside = screen(32)
-        j = int(inside.argmax())
-        u_seed = float(u[j]) if inside[j] else None
-    seed = (floor_tail if u_seed is None
-            else min(max(float(_binom_sf(k[j], m, u_seed)), 0.0), 1.0))
-    cut = min(floor_tail, seed) + PRUNE_MARGIN
-    if j == 0 and u_seed is not None and (k.size == 1 or bound[1] > cut):
-        # the n = 1 screen: the seed alone is priced, ties go to U_FLOOR
-        return (U_FLOOR, floor_tail) if floor_tail <= seed else (u_seed, seed)
-    n = max(int(np.searchsorted(bound, cut, "right")), j + 1)
-    if u is None or n > u.size:
-        u, inside = screen(n)
-    # the seed and every breakpoint it does not rule out, by rising k so
-    # ties go to the smallest u: U_FLOOR first, then the lowest breakpoint
-    i = np.flatnonzero(inside[:n])
-    i = i[np.argsort(k[i])]
-    tails = np.full(i.size, seed)
-    rest = i != j
-    tails[rest] = _binom_sf(k[i[rest]], m, u[i[rest]]).clip(0.0, 1.0)
-    us = np.concatenate(([U_FLOOR], u[i]))
-    tails = np.concatenate(([floor_tail], tails))
-    j = int(np.argmin(tails))
-    return float(us[j]), float(tails[j])
+    slack = 1.0 + _lower_tail_slack(m)
+    best_u, best, best_k = U_FLOOR, floor_tail, -1.0
+    stop = max(_ROUNDS_TO_ONE, (1.0 - best) - _ABOVE_BEST)
+    for i, (k, e) in enumerate(zip(ks, lower)):
+        if e * slack < stop:
+            break
+        if i == _WALK:
+            # the rest at once, ties to the smallest k
+            u = _breakpoints(c, m, bulk)
+            inside = (u >= U_FLOOR) & (u < u_top)
+            k, u = bulk[inside], u[inside]
+            if k.size:
+                tails = _binom_sf(k, m, u).clip(0.0, 1.0)
+                j = np.lexsort((k, tails))[0]
+                if (tails[j], k[j]) < (best, best_k):
+                    best_u, best = float(u[j]), float(tails[j])
+            break
+        u = _breakpoint(c, m, k)
+        if U_FLOOR <= u < u_top:
+            tail = min(max(float(_binom_sf(k, m, u)), 0.0), 1.0)
+            if tail < best or (tail == best and k < best_k):
+                best_u, best, best_k = u, tail, k
+                stop = max(_ROUNDS_TO_ONE, (1.0 - best) - _ABOVE_BEST)
+    return best_u, best
 
 
 def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
@@ -259,6 +315,8 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     to a breakpoint, where the returned alpha is that limit point, not an
     attained minimizer (at alpha itself the k-high support point still
     sells). The price must be finite and the scale in range (_check_scale).
+    Above m mu no breakpoint has a lower-tail bound below 1, so every one in
+    range is priced.
     """
     if not 0.0 <= p < math.inf:
         raise RobustBundlingError(
@@ -327,7 +385,9 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     above m L(m) pay for an exact cap (_guarantee_caps). Each grid interval
     (ps[j-1], ps[j]] gets one screen (_price_cell) per solve: a row's is
     priced at the row itself, and the polish adds at most the two either
-    side of the best row. The reported alpha is the polish's own answer at
+    side of the best row. The top interval gets one per halving of
+    m mu - p, since c, and with it every bound, vanishes at m mu. The
+    reported alpha is the polish's own answer at
     the reported price (alpha_min at p = 0, as worst_case_alpha). The
     certificate pairs the family-wide bound maximin_certificate_lower with
     the analytic ceiling mu - d/2. A spec whose scale leaves double range is
@@ -342,12 +402,20 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     rest = caps > lower
     caps[rest] = _guarantee_caps(spec, m, ps[rest])
     cells, answers = {}, {}
+    top = ps[-1]
 
     def neg_guarantee(p):
         j = int(np.searchsorted(ps, p))
-        if j not in cells:
-            cells[j] = _price_cell(spec, m, ps[max(j - 1, 0)], ps[j])
-        answers[p], tail = _inner_infimum(spec, m, p, cells[j])
+        key, lo, hi = j, ps[max(j - 1, 0)], ps[j]
+        if j == ps.size - 1 and top / 2.0 <= p < top:
+            # c is 0 at the top price, where no bound prunes: cut the top
+            # cell where top - p (exact here) halves, so c at a cell's top
+            # is at least half c at its prices
+            e = math.frexp(top - p)[1]
+            key, lo, hi = (j, e), max(lo, top - 2.0 ** e), top - 2.0 ** (e - 1)
+        if key not in cells:
+            cells[key] = _price_cell(spec, m, lo, hi)
+        answers[p], tail = _inner_infimum(spec, m, p, cells[key])
         return -p * tail / m
 
     p_best, v_best, _ = grid_polish(neg_guarantee, ps, -caps,

@@ -24,9 +24,13 @@ CASES = {
     "maximin.json": ("maximin", "--mu", "1", "--d", "0.8", "--m", "2,16",
                      "--price-grid", "64", "--format", "json"),
     # small m, where a price's first screened breakpoint is often out of
-    # range, up to m = 1e5, where the tails near 1 defeat the screen
+    # range, up to m = 1e5, where tails near 1 need the lower-tail screen
     "maximin-wide.json": ("maximin", "--mu", "2.3", "--d", "0.3",
                           "--m", "1,3,7,32,1000,100000", "--format", "json"),
+    # m = 1e6: at the maximin price all 562,498 in-range breakpoint tails
+    # but the winner's are 1.0, so no bound on the upper tail prunes them
+    "maximin-1e6.json": ("maximin", *HALF, "--m", "1000000", "--format",
+                         "json"),
     "minimax.csv": ("minimax", *HALF, "--m", "1,10,100"),
     "minimax.json": ("minimax", "--mu", "1", "--d", "1.5", "--m", "1000",
                      "--alpha-grid", "256", "--format", "json"),

@@ -130,20 +130,26 @@ def test_maximin_small_m_is_a_guarantee(half_spec, m, want):
     assert rep.value == pytest.approx(want, abs=1e-9)
 
 
-def _unpruned_infimum(spec, m, p):
-    """(u, tail) with no screen: the tail at U_FLOOR and the limit
-    P(Bin(m, u_k) >= k+1), by scipy's binom.sf with its edge masks, at every
-    crossing index k = 0..m whose breakpoint u_k lies in
-    [U_FLOOR, 1 - alpha_min); ties go to the smallest u."""
+def _limits(spec, m, p):
+    """(k, u, tail) at every crossing index k = 0..m whose breakpoint u_k
+    lies in [U_FLOOR, 1 - alpha_min), with the limit P(Bin(m, u_k) >= k+1)
+    by scipy's binom.sf with its edge masks."""
     c = 2.0 * (p - m * spec.mu) / spec.d
     b = c + m
     k = np.arange(m + 1.0)
     sq = np.sqrt(b * b - 4.0 * c * k)
     u = 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
     inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
-    us = np.concatenate([[U_FLOOR], u[inside]])
+    return k[inside], u[inside], binom.sf(k[inside], m, u[inside])
+
+
+def _unpruned_infimum(spec, m, p):
+    """(u, tail) with no screen: the least of the tail at U_FLOOR and every
+    limit of _limits; ties go to the smallest u."""
+    _, u, tails = _limits(spec, m, p)
+    us = np.concatenate([[U_FLOOR], u])
     tails = np.concatenate([solvers._tails(spec, m, p, np.array([U_FLOOR])),
-                            binom.sf(k[inside], m, u[inside])])
+                            tails])
     i = int(np.argmin(tails))
     return float(us[i]), float(tails[i])
 
@@ -152,6 +158,33 @@ def _brute_worst_case(spec, m, p):
     """worst_case_alpha's (alpha, value) from the unpruned infimum."""
     u, tail = _unpruned_infimum(spec, m, p)
     return 1.0 - u, float(p * tail / m)
+
+
+# Prices at (1, 0.5) just below the maximin price, where every in-range
+# breakpoint tail is 1.0 or within 1e-11 of it: the infimum is the U_FLOOR
+# tail 1.0 ("one"), a breakpoint at 1 - tiny ("tiny"), or one whose tail is
+# 1 - 2^-53 ("ulp"). At m = 1e5 that breakpoint is k = 0, whose bound E_0 =
+# (1 - u_0)^m is exact, and its lower tail sits 1e-12 above 2^-54 while the
+# float bound sits 8e-13 below: only delta sends the walk on to price it.
+_NEAR_ONE = ((10**4, 7122.550680540299, "one"),
+             (10**4, 7493.028748422021, "tiny"),
+             (10**4, 7490.832238138138, "ulp"),
+             (10**5, 71247.00460997722, "one"),
+             (10**5, 74993.1850024529, "tiny"),
+             (10**5, 74990.64076159269, "ulp"),
+             (10**6, 712496.4578612968, "one"),
+             (10**6, 749992.838222473, "tiny"),
+             (10**6, 749990.835516365, "ulp"))
+
+
+def _near_one_kind(spec, m, p):
+    """Which of _NEAR_ONE's cases the unpruned infimum at p is."""
+    u, tail = _unpruned_infimum(spec, m, p)
+    if (u, tail) == (U_FLOOR, 1.0):
+        return "one"
+    if tail == 1.0 - 2.0**-53:
+        return "ulp"
+    return "tiny" if 1.0 - 1e-11 < tail < 1.0 - 2.0**-52 else None
 
 
 def test_worst_case_alpha_equals_unpruned_brute_force():
@@ -166,28 +199,17 @@ def test_worst_case_alpha_equals_unpruned_brute_force():
             sale = m * (mu - spec.d / 2.0)
             p = max(sale * (1.0 + float(rng.normal(0.0, 3.0 / math.sqrt(m)))), 1e-9)
         assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
-
-
-def _screen_path(spec, m, p, cell):
-    """Which way _inner_infimum decides p: "exit" when the first screened k
-    is in range and the next bound clears min(floor, seed) + PRUNE_MARGIN,
-    "margin" when it is in range but the next bound does not clear, "out"
-    when it is out of range."""
-    k, bound, _ = cell
-    u = solvers._breakpoints(2.0 * (p - m * spec.mu) / spec.d, m, k[:1])
-    if not U_FLOOR <= u[0] < 1.0 - spec.alpha_min:
-        return "out"
-    seed = float(binom_sf(k[0], m, u[0]))
-    floor = float(solvers._tails(spec, m, p, U_FLOOR))
-    clears = k.size == 1 or bound[1] > min(floor, seed) + PRUNE_MARGIN
-    return "exit" if clears else "margin"
+    spec = MeanMadSpec(1.0, 0.5)
+    for m, p, kind in _NEAR_ONE:
+        assert _near_one_kind(spec, m, p) == kind
+        assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
 
 
 def _straddle(cell):
     """A cell's U_FLOOR floor: None where the crossing index rises by two
     or more, else 1 where its two tails differ (a rise of one) and 0 where
     they are equal."""
-    floor = cell[2]
+    floor = cell[3]
     return None if floor is None else int(floor[1] != floor[2])
 
 
@@ -202,10 +224,9 @@ def test_cell_screen_equals_the_unscreened_infimum():
                           (0.05, 100), (1.5, 2000), (0.5, 10**5))]
     cases += [(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 1.9)),
                int(rng.integers(1, 1500))) for _ in range(12)]
-    straddles, paths = [], []
+    straddles = []
 
     def check(spec, m, p, cell):
-        paths.append(_screen_path(spec, m, p, cell))
         want = _unpruned_infimum(spec, m, p)
         assert solvers._inner_infimum(spec, m, p, cell) == want, (
             spec, m, p)
@@ -251,41 +272,95 @@ def test_cell_screen_equals_the_unscreened_infimum():
     assert {0, 1, None} <= set(straddles)
     # no breakpoint in range (p = 0), and prices above m mu at tiny d/mu
     # where more than 32 breakpoints sit below U_FLOOR, so none of the first
-    # 32 screened is in range: the U_FLOOR tail seeds the pruning
+    # 32 walked is in range
     for mu, r, m, f in ((1.0, 0.5, 7, 0.0), (2.3, 0.1, 1000, 0.0),
                         (1.0, 1e-12, 300, 1.2), (2.3, 3e-12, 1000, 1.5),
                         (1.0, 1.66e-11, 1126, 1.235)):
         spec = MeanMadSpec(mu, mu * r)
         p = f * m * mu
         cell = solvers._price_cell(spec, m, p, p)
-        u = solvers._breakpoints(2.0 * (p - m * mu) / spec.d, m, cell[0])
+        ks = np.concatenate([cell[0][:solvers._WALK], cell[2]])
+        u = solvers._breakpoints(2.0 * (p - m * mu) / spec.d, m, ks)
         inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
         assert not inside[:32].any() and inside.any() == (p > 0.0)
         check(spec, m, p, cell)
-    # the one-candidate exit fires, and each way it must not is met too
-    assert {"exit", "margin", "out"} <= set(paths)
+    # above m mu every bound is 1, so past solvers._WALK breakpoints the
+    # walk prices the rest in one call; at (1, 0.5), m = 1000, p = 1.5 m,
+    # twelve limits tie at 0.0 and the smallest k must win
+    for mu, r, m, f in ((1.0, 0.5, 1000, 1.5), (2.3, 0.3, 300, 2.0)):
+        spec = MeanMadSpec(mu, mu * r)
+        p = f * m * mu
+        cell = solvers._price_cell(spec, m, p, p)
+        assert cell[2].size > 0
+        check(spec, m, p, cell)
+    tails = _limits(MeanMadSpec(1.0, 0.5), 1000, 1500.0)[2]
+    assert np.sum(tails == tails.min()) > 1
+    # tails near 1 at large m, each in the price grid's cell that holds it
+    spec = MeanMadSpec(1.0, 0.5)
+    for m, p, kind in _NEAR_ONE:
+        ps = np.linspace(0.0, m * spec.mu, solvers.PRICE_GRID)
+        j = int(np.searchsorted(ps, p))
+        check(spec, m, p, solvers._price_cell(spec, m, ps[j - 1], ps[j]))
 
 
-def test_one_candidate_exit_sends_ties_to_the_floor():
-    # where the first screened limit ties the U_FLOOR tail, the exit answers
-    # U_FLOOR as the full screen does; real tails tie too rarely to probe,
+def test_walk_sends_ties_to_the_floor():
+    # where the winning limit ties the U_FLOOR tail, the walk answers
+    # U_FLOOR, however many k it prices; real tails tie too rarely to probe,
     # so the cell's floor is set to that limit
     spec, m = MeanMadSpec(1.0, 0.5), 100
     p = maximin_bundling_value(spec, m).price
-    cell = solvers._price_cell(spec, m, p, p)
-    assert _screen_path(spec, m, p, cell) == "exit"
-    k, bound, _ = cell
-    u = solvers._breakpoints(2.0 * (p - m * spec.mu) / spec.d, m, k[:1])
-    seed = float(binom_sf(k[0], m, u[0]))
-    tie = (math.inf, seed, seed)
-    assert solvers._inner_infimum(spec, m, p, (k, bound, tie)) == (U_FLOOR, seed)
-    # bounds of 0 rule no k out: the full screen
-    assert solvers._inner_infimum(spec, m, p, (k, 0.0 * bound, tie)) == (
-        U_FLOOR, seed)
+    ks, lower, bulk, _ = solvers._price_cell(spec, m, p, p)
+    u, tail = _unpruned_infimum(spec, m, p)
+    assert u > U_FLOOR
+    tie = (math.inf, tail, tail)
+    assert solvers._inner_infimum(spec, m, p, (ks, lower, bulk, tie)) == (
+        U_FLOOR, tail)
+    # bounds of 1 rule no k out: every in-range k is priced
+    assert solvers._inner_infimum(
+        spec, m, p, (ks, [1.0] * len(ks), bulk, tie)) == (U_FLOOR, tail)
+
+
+def _scaled_to(target, m):
+    """The bound E with E (1 + delta) == target in floats."""
+    slack = 1.0 + solvers._lower_tail_slack(m)
+    e = target / slack
+    for e in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf)):
+        if e * slack == target:
+            return e
+    raise AssertionError(target)
+
+
+def test_walk_stops_only_strictly_below_its_thresholds():
+    # cells whose bounds sit on a stop threshold, or under it by Boost's
+    # relative error on the lower tail, about 4e-17 m: the walk must go on
+    # and price the k, which here wins. Real bounds are loose but at k = 0,
+    # so the cells are set by hand
+    spec = MeanMadSpec(1.0, 0.5)
+    floor = (math.inf, 1.0, 1.0)
+    none = np.empty(0)
+    # the U_FLOOR tail 1.0 is best: the threshold is 2^-54
+    for m, p, kind in _NEAR_ONE:
+        if kind != "one":
+            k, u, tails = _limits(spec, m, p)
+            i = int(np.argmin(tails))
+            for e in (_scaled_to(2.0**-54, m), 2.0**-54 * (1.0 - 4e-17 * m)):
+                assert solvers._inner_infimum(
+                    spec, m, p, ([k[i]], [e], none, floor)) == (u[i], tails[i])
+    # a breakpoint is best, the runner-up priced first: the threshold is
+    # (1 - its tail) - 2^-52
+    for m in (16, 100, 1000):
+        p = maximin_bundling_value(spec, m).price
+        k, u, tails = _limits(spec, m, p)
+        i, j = np.argsort(tails, kind="stable")[:2]
+        assert tails[i] < tails[j] < 1.0 - 2.0**-52, m
+        cut = (1.0 - tails[j]) - 2.0**-52
+        for e in (_scaled_to(cut, m), cut * (1.0 - 4e-17 * m)):
+            assert solvers._inner_infimum(spec, m, p, (
+                [k[j], k[i]], [1.0, e], none, floor)) == (u[i], tails[i])
 
 
 def test_one_breakpoint_has_the_array_bits():
-    # the exit prices one breakpoint in Python floats: the same bits as
+    # the walk prices each breakpoint in Python floats: the same bits as
     # _breakpoints, on both branches of its sign test and where c is within
     # 1e-8 of m, at k = m, the rounded discriminant is negative (NaN)
     rng = np.random.default_rng(29)
@@ -301,6 +376,11 @@ def test_one_breakpoint_has_the_array_bits():
     got = np.array([solvers._breakpoint(*case) for case in cases])
     assert np.isnan(want).any() and (c + m <= 0.0).any()
     assert np.array_equal(got, want, equal_nan=True)
+    # a cell's scalar c over its array of k takes one branch: the same bits
+    with np.errstate(invalid="ignore"):
+        one_c = [solvers._breakpoints(float(ci), mi, np.array([ki]))[0]
+                 for ci, mi, ki in cases]
+    assert np.array_equal(one_c, want, equal_nan=True)
 
 
 def test_crossing_index_never_falls_as_the_price_rises():
@@ -315,6 +395,10 @@ def test_crossing_index_never_falls_as_the_price_rises():
                                          np.nextafter(s, np.inf)]))
             k = solvers._crossing(spec, m, ps, np.float64(u))
             assert np.all(np.diff(k) >= 0.0), (mu, r, m, u)
+            # the one-price form a cell's U_FLOOR tail takes: the same index
+            x, gap = (float(v) for v in solvers._two_point(spec, u))
+            assert [solvers._crossing_at(m, x, gap, float(p))
+                    for p in ps] == k.tolist(), (mu, r, m, u)
 
 
 def _recording_search(grids, unpruned=False):
@@ -454,9 +538,11 @@ def test_maximin_never_calls_worst_case_alpha(monkeypatch):
 
 
 def test_maximin_prices_no_breakpoint_twice(monkeypatch):
-    # a count guard: an evaluation prices each breakpoint once, and where
-    # the first screened k's bound clears the rest (every evaluation at
-    # m = 100 and 1000 here) it makes one survival call, for that k alone
+    # a count guard: an evaluation prices each breakpoint once, makes no
+    # survival call for zero k, and at m = 100 and 1000 here makes one
+    # survival call, for one k. At m = 1e4 and 1e5 the tails near the
+    # maximin price are 1.0 but the winner's, and an upper-tail screen priced
+    # up to 56,246 k in one evaluation; the lower-tail walk prices at most one
     evals, sf, inner = [], solvers._binom_sf, solvers._inner_infimum
 
     def priced(k, n, u):
@@ -467,14 +553,41 @@ def test_maximin_prices_no_breakpoint_twice(monkeypatch):
     monkeypatch.setattr(solvers, "_inner_infimum",
                         lambda *args: evals.append([]) or inner(*args))
     for d in (0.5, 0.8):
-        for m in (100, 1000, 10_000):
+        for m in (100, 1000, 10_000, 100_000):
             evals.clear()
             maximin_bundling_value(MeanMadSpec(1.0, d), m)
             ks = [sum(calls, []) for calls in evals]
             assert all(len(set(k)) == len(k) for k in ks), (d, m)
+            assert all(c for calls in evals for c in calls), (d, m)
             if m < 10_000:
                 assert all(len(calls) == len(k) == 1
                            for calls, k in zip(evals, ks)), (d, m)
+            else:
+                assert max(map(len, ks)) <= 64, (d, m)
+
+
+def test_maximin_cuts_the_top_cell_where_m_mu_minus_p_halves(monkeypatch):
+    # a count guard: at small d/mu the maximin price sits in the top grid
+    # cell, where c at the cell's top is 0 and no bound prunes; cut where
+    # m mu - p halves, every evaluation but the one at m mu itself prices
+    # at most 64 breakpoints (one cell for all of them made a solve at
+    # d/mu = 5.5e-6, m = 2e5, walk every k at every price and take 17 s)
+    evals, sf, inner = [], solvers._binom_sf, solvers._inner_infimum
+
+    def priced(k, n, u):
+        evals[-1][1].append(np.size(k))
+        return sf(k, n, u)
+
+    monkeypatch.setattr(solvers, "_binom_sf", priced)
+    monkeypatch.setattr(solvers, "_inner_infimum",
+                        lambda *args: evals.append((args[2], [])) or inner(*args))
+    for mu, r, m in ((1.0, 1e-4, 10_000), (6.75, 5.5e-6, 20_000)):
+        evals.clear()
+        maximin_bundling_value(MeanMadSpec(mu, mu * r), m)
+        top = m * mu
+        assert any(top - top / solvers.PRICE_GRID < p < top
+                   for p, _ in evals), (r, m)
+        assert all(sum(calls) <= 64 for p, calls in evals if p != top), (r, m)
 
 
 def _kernel(spec, m, us):
@@ -739,6 +852,16 @@ def test_best_response_reaches_below_a_narrow_window():
     assert price == m * x + np.argmax(revs) * gap and np.argmax(revs) == 997
     assert rev == pytest.approx(np.max(revs) / m, rel=4e-16, abs=0.0)
     assert rev == 0.9999999999939985
+
+
+def test_best_response_sells_surely_where_the_window_rounds_below():
+    # at d/mu = 1e-15 every window price is within a few ulps of the sure
+    # price m x, and the window's best, 9999.999999999985 after summing its
+    # masses, rounds below m x = 9999.999999999993, which sells surely
+    spec, m, u = MeanMadSpec(1.0, 1e-15), 10_000, 0.25
+    x, _ = solvers._two_point(spec, u)
+    assert solvers._window(m, u)[0] > 0
+    assert solvers._best_response(spec, m, u) == (m * x, m * x / m)
 
 
 @pytest.mark.parametrize("grid", [1, 0, -4, 2.5])

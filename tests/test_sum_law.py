@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from numpy.random import PCG64DXSM, Generator
 from scipy import stats as scipy_stats
-from scipy.special import kolmogorov
+from scipy.special import bdtri, kolmogorov
+from scipy.special._ufuncs import _binom_cdf, _binom_sf
 from scipy.stats import binom as scipy_binom
 
 from rbl import sum_law
@@ -293,6 +294,22 @@ def test_binom_window_matches_the_kernel_bit_for_bit():
             for lo, hi in ((0, 0), (0, min(n, 5000)), (n, n),
                            (max(n - 5000, 0), n)):
                 check(lo, hi, n, p)
+
+
+def test_survival_near_one_is_one_minus_the_lower_tail():
+    # maximin's walk skips a breakpoint whose lower-tail bound is below
+    # 2^-54 on the strength of this: where the lower tail is tiny, Boost's
+    # survival is 1.0 minus its lower tail, bit for bit, so it rounds to 1.0
+    rng = np.random.default_rng(30)
+    size = 20_000
+    m = np.round(10.0 ** rng.uniform(math.log10(20.0), 6.0, size)).astype(int)
+    k = rng.integers(0, m)
+    u = bdtri(k, m, 2.0 ** rng.uniform(-60.0, -50.0, size))
+    cdf = _binom_cdf(k, m, u)
+    near = (cdf > 2.0**-60) & (cdf < 2.0**-50)
+    assert near.sum() > size // 2
+    assert np.array_equal(_binom_sf(k[near], m[near], u[near]),
+                          1.0 - cdf[near])
 
 
 def _reaches_binomial_ufuncs(tree: ast.AST) -> bool:
