@@ -20,25 +20,23 @@ import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 200
-# A grid row or a solver's breakpoint is skipped only if its bound clears the
-# best value by this much, relatively for a row (a price's cap already sits
-# at or above its guarantee, bit for bit): above the rounding of m*KL
-# (~1e-12 at m = 1e8) and of the binomial tail (revenue floors priced by
-# binom_sf overshoot exact best responses by at most 5e-10 up to m = 3e7),
-# so pruning never changes a result.
+# grid_polish skips a grid row only if its bound clears the best value by
+# this much, relatively (a price's cap already sits at or above its
+# guarantee, bit for bit): above the rounding of the binomial tail (revenue
+# floors priced by binom_sf overshoot exact best responses by at most 5e-10
+# up to m = 3e7), so pruning never changes a result.
 PRUNE_MARGIN = 1e-9
 
 
 def golden_min(f: Callable[[float], float], a: float, b: float,
                tol: float = 1e-10) -> tuple[float, float]:
-    """Shrink [a, b] to width tol, returning the best (x, f(x)) evaluated."""
-    best_x, best_v = a, f(a)
-    vb = f(b)
-    if vb < best_v:
-        best_x, best_v = b, vb
+    """Shrink [a, b] to width tol, returning the best interior (x, f(x))
+    evaluated. The ends are never evaluated: grid_polish's bracket ends are
+    grid points it has solved or ruled out."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
+    best_x, best_v = c, fc
     for _ in range(_MAX_ITER):
         for x, v in ((c, fc), (d, fd)):
             if v < best_v:

@@ -20,9 +20,10 @@ the grid optimum is that of the full grid. A row is one call: a price's
 infimum over its breakpoints (_inner_infimum), or nature's best response
 over the 40-sigma _window of k, at least 40 k deep below m u, masses
 from one sum_law.binom_window call.
-A price's O(m) screen, its breakpoints' Chernoff bounds on the lower tail
-and its U_FLOOR tails, is shared by every price in its grid cell
-(_price_cell), so the polish's few dozen prices cost about two screens. Each
+A price's O(m) screen, its breakpoints' Chernoff bounds on the lower tail,
+is shared by every price in its grid cell (_price_cell), so the polish's few
+dozen prices cost one screen more than the grid; its U_FLOOR tail is one of
+two numbers priced once per solve (_floor_step). Each
 price then walks the breakpoints in Python floats by falling bound, one
 survival call each, until the bound left proves every remaining tail loses:
 near the maximin price that is after one call, at m = 1e6 too, where every
@@ -39,7 +40,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import rel_entr
@@ -101,19 +101,6 @@ def _crossing(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
         k = np.where((k > 0) & (m * x + (k - 1.0) * gap >= p), k - 1.0, k)
     for _ in range(2):
         k = np.where((k <= m) & (m * x + k * gap < p), k + 1.0, k)
-    return k
-
-
-def _crossing_at(m: int, x: float, gap: float, p: float) -> float:
-    """_crossing for one price and one member (x, gap) in Python floats: the
-    same float steps and so the same index."""
-    k = min(max(float(math.ceil((p - m * x) / gap)), 0.0), m + 1.0)
-    for _ in range(2):
-        if k > 0 and m * x + (k - 1.0) * gap >= p:
-            k -= 1.0
-    for _ in range(2):
-        if k <= m and m * x + k * gap < p:
-            k += 1.0
     return k
 
 
@@ -180,29 +167,23 @@ _WALK = 64
 
 
 def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
-                ) -> tuple[list, list, np.ndarray, Optional[tuple]]:
-    """(k, lower, bulk, floor): what _inner_infimum shares at every price p
-    in [lo, hi]. The crossing indices whose breakpoints can be in range at
+                ) -> tuple[list, list, np.ndarray]:
+    """(k, lower, bulk): what _inner_infimum shares at every price p in
+    [lo, hi]. The crossing indices whose breakpoints can be in range at
     hi, in the order of falling E_k = exp(-m KL(k/m || u_k)), an upper bound
     on P(Bin(m, u_k) <= k) (1 where k/m >= u_k): k lists the first
     _WALK + 1 and lower their E_k, and bulk holds them from index _WALK on.
     A k whose E_k, scaled by 1 + _lower_tail_slack(m), is below
-    _ROUNDS_TO_ONE is left out: its limit rounds to 1.0 and never wins. floor
-    is (s, at, past): the tail at U_FLOOR is at for p <= s and past above, or
-    floor is None if the crossing index there rises by more than one from lo
-    to hi.
+    _ROUNDS_TO_ONE is left out: its limit rounds to 1.0 and never wins.
 
-    Both hold on all of [lo, hi]. Raising p raises c and so lowers each u_k,
-    as h increases at its roots (_highs_at); the lower tail at u_k then
-    rises. So the bound at hi holds at every p <= hi, and no k past the
+    The bounds hold on all of [lo, hi]. Raising p raises c and so lowers
+    each u_k, as h increases at its roots (_highs_at); the lower tail at u_k
+    then rises. So the bound at hi holds at every p <= hi, and no k past the
     window at hi is in range at a lower p. The breakpoints at hi are taken
     2^-48 low, below any price's computed u_k: for c <= 0 (every maximin
     price is at most m mu) their float steps add no cancellation, so each is
     within a few eps of a root that never falls as p does. Above m mu each
-    u_k is below k/m, where E_k is 1 up to rounding and prunes nothing. The
-    floats' crossing index never falls as p rises, so in between it is lo's
-    index a or the next: a while the support point s with a highs, in
-    _crossing's float steps, reaches p."""
+    u_k is below k/m, where E_k is 1 up to rounding and prunes nothing."""
     u_hi = 1.0 - spec.alpha_min
     c = 2.0 * (hi - m * spec.mu) / spec.d
     # window k to 0..the count at u_hi plus a spare
@@ -219,22 +200,29 @@ def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
     keep = np.flatnonzero(lower * (1.0 + _lower_tail_slack(m)) >= _ROUNDS_TO_ONE)
     keep = keep[np.argsort(-lower[keep], kind="stable")]
     walk = keep[:_WALK + 1]
+    return k[walk].tolist(), lower[walk].tolist(), k[keep[_WALK:]]
+
+
+def _floor_step(spec: MeanMadSpec, m: int) -> tuple[float, float]:
+    """(sure, once): nature's tail P(sum >= p) at u = U_FLOOR is 1.0 for
+    p <= sure = m x and once = P(Bin(m, U_FLOOR) >= 1) on (sure, m mu], bit
+    for bit as _tails. There h(U_FLOOR) <= m 1e-12, so the crossing index is
+    0 or 1 while one high, m x + gap in floats, reaches m mu; past about
+    m = 1e12 it does not, and the spec is rejected."""
     x, gap = _two_point(spec, U_FLOOR)
-    at = _crossing_at(m, x, gap, lo)
-    past = _crossing_at(m, x, gap, hi)
-    floor = None
-    if past - at <= 1.0:
-        tails = binom_sf(np.array([at, past]) - 1.0, m, U_FLOOR)
-        floor = (m * x + at * gap, float(tails[0]), float(tails[1]))
-    return k[walk].tolist(), lower[walk].tolist(), k[keep[_WALK:]], floor
+    if m * x + gap < m * spec.mu:
+        raise RobustBundlingError(
+            f"m={m} is too large for mu={spec.mu!r} and d={spec.d!r}: "
+            f"one high at 1 - alpha = {U_FLOOR!r} no longer reaches m*mu")
+    return m * x, float(binom_sf(0.0, m, U_FLOOR))
 
 
-def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
-                   cell: tuple) -> tuple[float, float]:
+def _inner_infimum(spec: MeanMadSpec, m: int, p: float, cell: tuple,
+                   floor_tail: float) -> tuple[float, float]:
     """(u, tail) with tail the infimum of P(sum >= p) over u = 1 - alpha in
     [U_FLOOR, 1 - alpha_min), reached at u: U_FLOOR, or the breakpoint the
     infimum is approached at from above. cell is a _price_cell whose
-    interval holds p.
+    interval holds p, and floor_tail the tail at U_FLOOR.
 
     Breakpoint u_k is where the k-high support point equals p; on
     (u_k, u_{k+1}] the tail is P(Bin(m, u) >= k+1), which rises with u. So
@@ -255,12 +243,8 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
     Past _WALK k the bounds prune nothing (c near 0, or p above m mu), and
     the walk prices every k left, the cell's bulk, in one vector call.
     """
-    ks, lower, bulk, floor = cell
+    ks, lower, bulk = cell
     p = float(p)
-    if floor is None:
-        floor_tail = float(_tails(spec, m, p, U_FLOOR))
-    else:
-        floor_tail = floor[1] if p <= floor[0] else floor[2]
     c = 2.0 * (p - m * spec.mu) / spec.d
     u_top = 1.0 - spec.alpha_min
     slack = 1.0 + _lower_tail_slack(m)
@@ -289,13 +273,15 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
     return best_u, best
 
 
-def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
+def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray,
+                    floor_tails: np.ndarray) -> np.ndarray:
     """Per price in ps, an upper bound on its guarantee p * tail / m: the
-    least over u = U_FLOOR and the in-range breakpoint limits within one k of
-    either end, ceil(h(U_FLOOR)) and ceil(h(1 - alpha_min)) - 1 (_highs_at),
-    each priced with _inner_infimum's range test and element operations, so
-    no cap is below its exact guarantee, bit for bit. For p <= m mu nature's
-    answer sat at an end in every probe, so the caps are exact there."""
+    least of its tail at u = U_FLOOR (floor_tails) and the in-range
+    breakpoint limits within one k of either end, ceil(h(U_FLOOR)) and
+    ceil(h(1 - alpha_min)) - 1 (_highs_at), each priced with
+    _inner_infimum's range test and element operations, so no cap is below
+    its exact guarantee, bit for bit. For p <= m mu nature's answer sat at
+    an end in every probe, so the caps are exact there."""
     c = 2.0 * (ps[:, None] - m * spec.mu) / spec.d
     ends = _highs_at(c, m, np.array([U_FLOOR, 1.0 - spec.alpha_min])) - [1.0, 2.0]
     k = np.clip(ends[..., None] + np.arange(3.0), 0.0, m).reshape(ps.size, -1)
@@ -303,8 +289,7 @@ def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
     inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
     tails = np.full(u.shape, np.inf)
     tails[inside] = binom_sf(k[inside], m, u[inside])
-    floor_tail = _tails(spec, m, ps, np.float64(U_FLOOR))
-    return ps * np.minimum(floor_tail, tails.min(axis=1)) / m
+    return ps * np.minimum(floor_tails, tails.min(axis=1)) / m
 
 
 def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
@@ -324,8 +309,9 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     _check_scale(spec, m)
     if p == 0.0:
         return spec.alpha_min, 0.0
-    u, tail = _inner_infimum(spec, m, float(p),
-                             _price_cell(spec, m, float(p), float(p)))
+    p = float(p)
+    u, tail = _inner_infimum(spec, m, p, _price_cell(spec, m, p, p),
+                             float(_tails(spec, m, p, U_FLOOR)))
     return 1.0 - u, float(p * tail / m)
 
 
@@ -384,11 +370,13 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     most 1), which the grid's best nearly always clears, so only the prices
     above m L(m) pay for an exact cap (_guarantee_caps). Each grid interval
     (ps[j-1], ps[j]] gets one screen (_price_cell) per solve: a row's is
-    priced at the row itself, and the polish adds at most the two either
-    side of the best row. The top interval gets one per halving of
-    m mu - p, since c, and with it every bound, vanishes at m mu. The
-    reported alpha is the polish's own answer at
-    the reported price (alpha_min at p = 0, as worst_case_alpha). The
+    priced at the row itself, and the polish, which prices only inside the
+    best row's two neighbours, adds the one above the best row. The top
+    interval gets one per halving of m mu - p, since c, and with it every
+    bound, vanishes at m mu. Nature's U_FLOOR tail is priced once, and a
+    spec at whose m it is not a step from 1.0 (_floor_step) is rejected
+    before L(m) is. The reported alpha is the polish's own answer at the
+    reported price (alpha_min at p = 0, as worst_case_alpha). The
     certificate pairs the family-wide bound maximin_certificate_lower with
     the analytic ceiling mu - d/2. A spec whose scale leaves double range is
     rejected before any solving (_check_scale), as is a grid of fewer than 2
@@ -396,11 +384,13 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     """
     _check_scale(spec, m)
     check_count(price_grid, "price_grid", 2)
+    sure, once = _floor_step(spec, m)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
     caps = ps / m
     rest = caps > lower
-    caps[rest] = _guarantee_caps(spec, m, ps[rest])
+    caps[rest] = _guarantee_caps(spec, m, ps[rest],
+                                 np.where(ps[rest] <= sure, 1.0, once))
     cells, answers = {}, {}
     top = ps[-1]
 
@@ -415,7 +405,8 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
             key, lo, hi = (j, e), max(lo, top - 2.0 ** e), top - 2.0 ** (e - 1)
         if key not in cells:
             cells[key] = _price_cell(spec, m, lo, hi)
-        answers[p], tail = _inner_infimum(spec, m, p, cells[key])
+        answers[p], tail = _inner_infimum(spec, m, p, cells[key],
+                                          1.0 if p <= sure else once)
         return -p * tail / m
 
     p_best, v_best, _ = grid_polish(neg_guarantee, ps, -caps,

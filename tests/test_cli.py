@@ -315,6 +315,8 @@ def test_fuzzed_spec_scales_exit_0_or_2_in_one_line(command, mu, d, relative,
      "--eps", "0.2", "--n", "10000", "--seed", "1", "--member",
      "two_point:alpha=0.5"),
     ("maximin", "--mu", "1", "--d", "1e-310", "--m", "3"),
+    # one high at 1 - alpha = 1e-12 no longer reaches m mu in floats
+    ("maximin", "--mu", "1", "--d", "0.5", "--m", "2000000000000"),
 ])
 def test_what_doubles_cannot_hold_exits_2_in_one_line(capsys, argv):
     with warnings.catch_warnings():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,14 @@ def test_grid_point_wins_on_a_non_unimodal_bracket():
     assert (x, v) == (1.0, 0.0)
 
 
+def _assert_polishes_inside(seen, lo, hi):
+    # the polish's first two points are the golden sections of [lo, hi];
+    # it never prices the bracket's ends, which the grid has already seen
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    assert seen[:2] == [hi - invphi * (hi - lo), lo + invphi * (hi - lo)]
+    assert all(lo < x < hi for x in seen)
+
+
 @pytest.mark.parametrize("i", [0, 4])
 def test_edge_index_brackets_with_its_one_neighbour(i):
     # tight bounds: the grid solves only row i, at an end of the bracket
@@ -47,7 +57,8 @@ def test_edge_index_brackets_with_its_one_neighbour(i):
     x, v, _ = grid_polish(f, xs, np.abs(xs - target), 1e-10)
     assert x == pytest.approx(target, abs=1e-9)
     lo, hi = sorted((xs[i], xs[i + 1 if i == 0 else i - 1]))
-    assert min(seen) == lo and max(seen) == hi
+    assert seen[0] == xs[i]
+    _assert_polishes_inside(seen[1:], lo, hi)
 
 
 def test_descending_grid_brackets_like_an_ascending_one():
@@ -58,7 +69,8 @@ def test_descending_grid_brackets_like_an_ascending_one():
         grid_polish(f, up, f(up), 1e-12)
     g, seen = _calls(f)
     grid_polish(g, down, f(down), 1e-12)
-    assert (min(seen), max(seen)) == (0.4, 0.5)
+    assert seen[0] == 0.45
+    _assert_polishes_inside(seen[1:], 0.4, 0.5)
 
 
 def test_maximize_matches_minimizing_the_negation():

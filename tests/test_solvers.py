@@ -205,31 +205,25 @@ def test_worst_case_alpha_equals_unpruned_brute_force():
         assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
 
 
-def _straddle(cell):
-    """A cell's U_FLOOR floor: None where the crossing index rises by two
-    or more, else 1 where its two tails differ (a rise of one) and 0 where
-    they are equal."""
-    floor = cell[3]
-    return None if floor is None else int(floor[1] != floor[2])
+def _floor_tail(spec, m, p):
+    """The tail at U_FLOOR, the floor _inner_infimum's caller passes it."""
+    return float(solvers._tails(spec, m, p, U_FLOOR))
 
 
 def test_cell_screen_equals_the_unscreened_infimum():
     # one _price_cell serves every price in its interval, bit for bit: the
-    # bounds at its top price screen lower prices, and its U_FLOOR tail is
-    # picked at the support point between its ends when the crossing index
-    # there rises by one, and priced per price when it rises by more
+    # bounds at its top price screen lower prices
     rng = np.random.default_rng(25)
     cases = [(mu, r, m) for mu in (1.0, 2.3, 1e-3)
              for r, m in ((0.5, 7), (0.8, 300), (0.1, 16), (0.1, 32),
                           (0.05, 100), (1.5, 2000), (0.5, 10**5))]
     cases += [(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 1.9)),
                int(rng.integers(1, 1500))) for _ in range(12)]
-    straddles = []
 
     def check(spec, m, p, cell):
         want = _unpruned_infimum(spec, m, p)
-        assert solvers._inner_infimum(spec, m, p, cell) == want, (
-            spec, m, p)
+        assert solvers._inner_infimum(
+            spec, m, p, cell, _floor_tail(spec, m, p)) == want, (spec, m, p)
 
     for mu, r, m in cases:
         spec = MeanMadSpec(mu, mu * r)
@@ -244,7 +238,6 @@ def test_cell_screen_equals_the_unscreened_infimum():
         for j in js:
             lo, hi = float(ps[j - 1]), float(ps[j])
             cell = solvers._price_cell(spec, m, lo, hi)
-            straddles.append(_straddle(cell))
             probes = list(lo + (hi - lo) * rng.random(n // 4)) + [hi]
             edge = m * x_floor
             probes += [p for p in (math.nextafter(edge, 0.0), edge,
@@ -253,15 +246,13 @@ def test_cell_screen_equals_the_unscreened_infimum():
             for p in probes:
                 check(spec, m, p, cell)
     # cells past m mu at tiny d/mu, where the U_FLOOR support points sit a
-    # fraction of the cell apart: the crossing index rises by one, by two
-    # or more, and on and next to each support point
+    # fraction of the cell apart: on and next to each support point
     for mu, r, m, f, width in ((1.0, 1e-12, 300, 1.2, 0.3),
                                (1.0, 1e-12, 300, 1.2, 2.0),
                                (2.3, 3e-12, 1000, 1.5, 20.0)):
         spec = MeanMadSpec(mu, mu * r)
         lo = f * m * mu
         cell = solvers._price_cell(spec, m, lo, lo + width)
-        straddles.append(_straddle(cell))
         x, gap = solvers._two_point(spec, U_FLOOR)
         ks = np.arange(math.ceil((lo - m * x) / gap) - 1.0,
                        (lo + width - m * x) / gap + 1.0)
@@ -269,7 +260,6 @@ def test_cell_screen_equals_the_unscreened_infimum():
             for p in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
                 if lo <= p <= lo + width:
                     check(spec, m, p, cell)
-    assert {0, 1, None} <= set(straddles)
     # no breakpoint in range (p = 0), and prices above m mu at tiny d/mu
     # where more than 32 breakpoints sit below U_FLOOR, so none of the first
     # 32 walked is in range
@@ -306,18 +296,17 @@ def test_cell_screen_equals_the_unscreened_infimum():
 def test_walk_sends_ties_to_the_floor():
     # where the winning limit ties the U_FLOOR tail, the walk answers
     # U_FLOOR, however many k it prices; real tails tie too rarely to probe,
-    # so the cell's floor is set to that limit
+    # so the floor tail passed is set to that limit
     spec, m = MeanMadSpec(1.0, 0.5), 100
     p = maximin_bundling_value(spec, m).price
-    ks, lower, bulk, _ = solvers._price_cell(spec, m, p, p)
+    ks, lower, bulk = solvers._price_cell(spec, m, p, p)
     u, tail = _unpruned_infimum(spec, m, p)
-    assert u > U_FLOOR
-    tie = (math.inf, tail, tail)
-    assert solvers._inner_infimum(spec, m, p, (ks, lower, bulk, tie)) == (
+    assert u > U_FLOOR and tail < _floor_tail(spec, m, p)
+    assert solvers._inner_infimum(spec, m, p, (ks, lower, bulk), tail) == (
         U_FLOOR, tail)
     # bounds of 1 rule no k out: every in-range k is priced
     assert solvers._inner_infimum(
-        spec, m, p, (ks, [1.0] * len(ks), bulk, tie)) == (U_FLOOR, tail)
+        spec, m, p, (ks, [1.0] * len(ks), bulk), tail) == (U_FLOOR, tail)
 
 
 def _scaled_to(target, m):
@@ -336,16 +325,17 @@ def test_walk_stops_only_strictly_below_its_thresholds():
     # and price the k, which here wins. Real bounds are loose but at k = 0,
     # so the cells are set by hand
     spec = MeanMadSpec(1.0, 0.5)
-    floor = (math.inf, 1.0, 1.0)
     none = np.empty(0)
     # the U_FLOOR tail 1.0 is best: the threshold is 2^-54
     for m, p, kind in _NEAR_ONE:
         if kind != "one":
             k, u, tails = _limits(spec, m, p)
             i = int(np.argmin(tails))
+            floor = _floor_tail(spec, m, p)
+            assert floor == 1.0
             for e in (_scaled_to(2.0**-54, m), 2.0**-54 * (1.0 - 4e-17 * m)):
                 assert solvers._inner_infimum(
-                    spec, m, p, ([k[i]], [e], none, floor)) == (u[i], tails[i])
+                    spec, m, p, ([k[i]], [e], none), floor) == (u[i], tails[i])
     # a breakpoint is best, the runner-up priced first: the threshold is
     # (1 - its tail) - 2^-52
     for m in (16, 100, 1000):
@@ -354,9 +344,11 @@ def test_walk_stops_only_strictly_below_its_thresholds():
         i, j = np.argsort(tails, kind="stable")[:2]
         assert tails[i] < tails[j] < 1.0 - 2.0**-52, m
         cut = (1.0 - tails[j]) - 2.0**-52
+        floor = _floor_tail(spec, m, p)
+        assert floor == 1.0
         for e in (_scaled_to(cut, m), cut * (1.0 - 4e-17 * m)):
             assert solvers._inner_infimum(spec, m, p, (
-                [k[j], k[i]], [1.0, e], none, floor)) == (u[i], tails[i])
+                [k[j], k[i]], [1.0, e], none), floor) == (u[i], tails[i])
 
 
 def test_one_breakpoint_has_the_array_bits():
@@ -384,8 +376,7 @@ def test_one_breakpoint_has_the_array_bits():
 
 
 def test_crossing_index_never_falls_as_the_price_rises():
-    # _price_cell's shared U_FLOOR tail rests on this, float for float,
-    # on and next to the support points
+    # float for float, on and next to the support points
     for mu, r, m in ((1.0, 0.5, 7), (2.3, 0.1, 32), (1e-3, 1.5, 10**5)):
         spec = MeanMadSpec(mu, mu * r)
         for u in (U_FLOOR, 0.3, 1.0 - spec.alpha_min):
@@ -395,10 +386,56 @@ def test_crossing_index_never_falls_as_the_price_rises():
                                          np.nextafter(s, np.inf)]))
             k = solvers._crossing(spec, m, ps, np.float64(u))
             assert np.all(np.diff(k) >= 0.0), (mu, r, m, u)
-            # the one-price form a cell's U_FLOOR tail takes: the same index
-            x, gap = (float(v) for v in solvers._two_point(spec, u))
-            assert [solvers._crossing_at(m, x, gap, float(p))
-                    for p in ps] == k.tolist(), (mu, r, m, u)
+
+
+def test_maximin_floor_tail_is_a_step_bit_for_bit(monkeypatch):
+    # maximin prices nature's U_FLOOR answer once per solve, as 1.0 up to
+    # the sure-sale price m x and P(Bin(m, U_FLOOR) >= 1) above it: the
+    # bits _tails gives at every price maximin evaluates or caps, down to
+    # d/mu = 1e-14, and on and next to m x
+    seen, inner, caps = [], solvers._inner_infimum, solvers._guarantee_caps
+
+    def record_inner(spec, m, p, cell, floor_tail):
+        seen.append((p, floor_tail))
+        return inner(spec, m, p, cell, floor_tail)
+
+    def record_caps(spec, m, ps, floor_tails):
+        seen.extend(zip(ps.tolist(), floor_tails.tolist()))
+        return caps(spec, m, ps, floor_tails)
+
+    monkeypatch.setattr(solvers, "_inner_infimum", record_inner)
+    monkeypatch.setattr(solvers, "_guarantee_caps", record_caps)
+    rng = np.random.default_rng(31)
+    specs = [(1.0, 0.5, 100), (1.0, 1e-14, 1000), (1.0, 1e-4, 10_000)]
+    specs += [(math.exp(rng.uniform(-3.0, 3.0)),
+               math.exp(rng.uniform(math.log(1e-14), math.log(1.98))),
+               int(round(math.exp(rng.uniform(0.0, math.log(3e4))))))
+              for _ in range(60)]
+    branches = set()
+    for mu, r, m in specs:
+        spec = MeanMadSpec(mu, mu * r)
+        seen.clear()
+        maximin_bundling_value(spec, m)
+        sure, once = solvers._floor_step(spec, m)
+        seen += [(p, 1.0 if p <= sure else once) for p in (
+            math.nextafter(sure, 0.0), sure, math.nextafter(sure, math.inf))]
+        ps, got = (np.array(v) for v in zip(*seen))
+        assert np.array_equal(got, solvers._tails(spec, m, ps, U_FLOOR)), (
+            mu, r, m)
+        branches.update((ps[:-3] > sure).tolist())
+    assert branches == {False, True}
+
+
+def test_maximin_rejects_an_m_whose_one_high_misses_m_mu(monkeypatch):
+    # past about m = 1e12 one high at U_FLOOR no longer reaches m mu in
+    # floats, so nature's U_FLOOR tail is no longer a step from 1.0; the
+    # check comes before L(m), whose window here holds 4.9e7 masses
+    def unreachable(*args):
+        raise AssertionError("L(m) priced before m was checked")
+
+    monkeypatch.setattr(solvers, "maximin_certificate_lower", unreachable)
+    with pytest.raises(RobustBundlingError, match="too large"):
+        maximin_bundling_value(MeanMadSpec(1.0, 0.5), 2 * 10**12)
 
 
 def _recording_search(grids, unpruned=False):
@@ -458,8 +495,8 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
         spec = MeanMadSpec(mu, d)
         ps = np.linspace(0.0, m * mu, 257)
         full = np.array([p * solvers._inner_infimum(
-            spec, m, p, solvers._price_cell(spec, m, p, p))[1] / m
-            for p in ps])
+            spec, m, p, solvers._price_cell(spec, m, p, p),
+            _floor_tail(spec, m, p))[1] / m for p in ps])
         neg_got, neg_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
         # the search sees the negated grid; negation is exact
@@ -481,7 +518,8 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
         spec = MeanMadSpec(mu, mu * r)
         for m in (1, 2, 5, 16, 17, 100, 1000):
             ps = np.linspace(0.0, m * mu, 129)
-            caps = solvers._guarantee_caps(spec, m, ps)
+            caps = solvers._guarantee_caps(
+                spec, m, ps, solvers._tails(spec, m, ps, U_FLOOR))
             exact = [worst_case_alpha(spec, m, p)[1] for p in ps]
             assert np.all(caps >= exact), (r, m)
             # the trivial cap maximin takes up to m L(m): a tail is <= 1
@@ -504,8 +542,9 @@ def test_maximin_grid_rows_sent_to_the_kernel(monkeypatch):
 
 def test_maximin_screens_each_cell_once(monkeypatch):
     # a count guard: O(m) screens (_price_cell) are one per grid row solved
-    # and at most two more for the polish's bracket, however many prices
-    # the polish evaluates
+    # and at most one more for the polish, however many prices it evaluates:
+    # it prices only inside the best row's bracket, whose lower half is the
+    # row's own cell
     cells, evals = [], []
     price_cell, inner = solvers._price_cell, solvers._inner_infimum
     monkeypatch.setattr(solvers, "_price_cell",
@@ -520,7 +559,7 @@ def test_maximin_screens_each_cell_once(monkeypatch):
                 monkeypatch,
                 lambda: maximin_bundling_value(MeanMadSpec(1.0, d), m))
             assert len(evals) > len(rows) + 30, (d, m)
-            assert len(cells) <= len(rows) + 2, (d, m)
+            assert len(cells) <= len(rows) + 1, (d, m)
 
 
 def test_maximin_never_calls_worst_case_alpha(monkeypatch):
@@ -569,9 +608,11 @@ def test_maximin_prices_no_breakpoint_twice(monkeypatch):
 def test_maximin_cuts_the_top_cell_where_m_mu_minus_p_halves(monkeypatch):
     # a count guard: at small d/mu the maximin price sits in the top grid
     # cell, where c at the cell's top is 0 and no bound prunes; cut where
-    # m mu - p halves, every evaluation but the one at m mu itself prices
-    # at most 64 breakpoints (one cell for all of them made a solve at
-    # d/mu = 5.5e-6, m = 2e5, walk every k at every price and take 17 s)
+    # m mu - p halves, every evaluation prices at most 64 breakpoints (one
+    # cell for all of them made a solve at d/mu = 5.5e-6, m = 2e5, walk
+    # every k at every price and take 17 s). No evaluation sits at m mu
+    # itself, which prices every in-range k: the polish never prices its
+    # bracket's ends, and the top row's cap rules it out
     evals, sf, inner = [], solvers._binom_sf, solvers._inner_infimum
 
     def priced(k, n, u):
@@ -587,7 +628,8 @@ def test_maximin_cuts_the_top_cell_where_m_mu_minus_p_halves(monkeypatch):
         top = m * mu
         assert any(top - top / solvers.PRICE_GRID < p < top
                    for p, _ in evals), (r, m)
-        assert all(sum(calls) <= 64 for p, calls in evals if p != top), (r, m)
+        assert all(p != top for p, _ in evals), (r, m)
+        assert all(sum(calls) <= 64 for p, calls in evals), (r, m)
 
 
 def _kernel(spec, m, us):
