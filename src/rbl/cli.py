@@ -10,9 +10,9 @@ declares, and every given value is parsed and checked before any work.
 subcommand, and --gamma to regret, whose chain reads it (ratio's upper bound
 picks its own gamma). Outputs are CSV or JSON with every float printed at
 full round-trip precision, so identical configuration and seed give
-byte-identical files. Exit codes: 0 success, 2 rejected input
-(any RobustBundlingError, printed as one "error:" line on stderr, parser errors
-included), 3 verify found failing checks.
+byte-identical files. Exit codes: 0 success, 2 rejected input (any
+RobustBundlingError, parser errors included) or a MemoryError, printed as one
+"error:" line on stderr, 3 verify found failing checks.
 """
 
 from __future__ import annotations
@@ -474,9 +474,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = _build_parser().parse_args(argv)
         _, handler, options = _COMMANDS[args.command]
         return handler(_resolve(args, options))
-    except RobustBundlingError as exc:
+    except (RobustBundlingError, MemoryError) as exc:
         # an argument echoed into the message may hold a line break
-        one_line = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+        text = str(exc) or type(exc).__name__
+        one_line = text.replace("\r", "\\r").replace("\n", "\\n")
         print(f"error: {one_line}", file=sys.stderr)
         return 2
 

@@ -1,34 +1,34 @@
 """Saddle-point engines for bundle pricing against two-point product adversaries.
 
-Price first (maximin): the seller's price grid is searched and polished by
-optimize.grid_polish on the negated guarantee, and nature's answer to each
-price is solved exactly. In u = 1 - alpha the tail P(sum >= p) only jumps
-where a sum support point crosses p, at closed-form breakpoints u_k, and
-rises with u between them. So the guarantee at p is an infimum, attained at
-the floor u = U_FLOOR or approached as u decreases to some u_k; the reported
-alpha is then that limit point, not an attained minimizer. Nature first
-(minimax): a grid geometric in 1 - alpha down to 1e-12, because the damaging
-adversaries sit next to alpha = 1, searched and polished by grid_polish on
-the seller's best response. Each order passes grid_polish one objective and
-a cheap bound per grid row: for a price, p/m up to m L(m) (L the
-certificate lower bound) and above it a cap from nature's extreme answers,
-U_FLOOR and the ends of its in-range breakpoints (_guarantee_caps), so
-about one row is solved per grid; for a nature row, a revenue floor from a
-few feasible prices. Rows are solved exactly from the most promising bound on,
-until every bound left clears the best value by optimize.PRUNE_MARGIN, so
-the grid optimum is that of the full grid. A row is one call: a price's
-infimum over its breakpoints (_inner_infimum), or nature's best response
-over the 40-sigma _window of k, at least 40 k deep below m u, masses
-from one sum_law.binom_window call.
-A price's O(m) screen, its breakpoints' Chernoff bounds on the lower tail,
-is shared by every price in its grid cell (_price_cell), so the polish's few
+Price first (maximin): the seller's price grid on [0, m mu] is searched and
+polished by optimize.grid_polish on the negated guarantee, and nature's
+answer to each price is solved exactly (worst_case_alpha runs the same
+evaluation). In u = 1 - alpha the tail P(sum >= p) only jumps where a sum
+support point crosses p, at closed-form breakpoints u_k, and rises with u
+between them. So the guarantee at p is an infimum, attained at the floor u =
+U_FLOOR or approached as u decreases to some u_k; the reported alpha is then
+that limit point, not an attained minimizer. Nature first (minimax): a grid
+geometric in 1 - alpha down to 1e-12, because the damaging adversaries sit
+next to alpha = 1, searched and polished by grid_polish on the seller's best
+response. Each order passes grid_polish one objective and a cheap bound per
+grid row: for a price, p/m up to m L(m) (L the certificate lower bound) and
+above it a cap from nature's extreme answers, U_FLOOR and the ends of its
+in-range breakpoints (_guarantee_caps), so about one row is solved per grid;
+for a nature row, a revenue floor from a few feasible prices. Rows are solved
+exactly from the most promising bound on, until every bound left clears the
+best value by optimize.PRUNE_MARGIN, so the grid optimum is that of the full
+grid. A row is one call: a price's infimum over its breakpoints
+(_inner_infimum), or nature's best response over the 40-sigma _window of k,
+at least 40 k deep below m u, masses from one sum_law.binom_window call.
+A price's O(m) screen, its breakpoints' Chernoff bounds on the lower tail, is
+shared by every price in its grid cell (_price_cell), so the polish's few
 dozen prices cost one screen more than the grid; its U_FLOOR tail is one of
-two numbers priced once per solve (_floor_step). Each
-price then walks the breakpoints in Python floats by falling bound, one
-survival call each, until the bound left proves every remaining tail loses:
-near the maximin price that is after one call, at m = 1e6 too, where every
-in-range tail but the winner's is 1.0. Tails go through the binomial
-survival function (sum_law.binom_sf), not the explicit m+1 point law.
+two numbers priced once per solve (_floor_step). Each price then walks the
+breakpoints in Python floats by falling bound, one survival call each, until
+the bound left proves every remaining tail loses: near the maximin price that
+is after one call, at m = 1e6 too, where every in-range tail but the winner's
+is 1.0. Tails go through the binomial survival function (sum_law.binom_sf),
+not the explicit m+1 point law.
 Every report carries a certificate pair: a closed-form lower bound that
 holds for every product of family members (see maximin_certificate_lower),
 and an upper bound that the computed value can be checked against. Both
@@ -90,27 +90,6 @@ def _two_point(spec: MeanMadSpec, u):
     return x, spec.mu + spec.d / (2.0 * u) - x
 
 
-def _crossing(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
-    """The fewest highs k in 0..m whose support point m*x + k*(y-x) reaches
-    p for u = 1 - alpha, or m + 1 if none does; p and u broadcast against
-    each other. The ceil is nudged so the inclusive boundary holds exactly in
-    floats, and the index never falls as p rises."""
-    x, gap = _two_point(spec, u)
-    k = np.clip(np.ceil((p - m * x) / gap), 0.0, m + 1.0)
-    for _ in range(2):
-        k = np.where((k > 0) & (m * x + (k - 1.0) * gap >= p), k - 1.0, k)
-    for _ in range(2):
-        k = np.where((k <= m) & (m * x + k * gap < p), k + 1.0, k)
-    return k
-
-
-def _tails(spec: MeanMadSpec, m: int, p, u) -> np.ndarray:
-    """P(sum >= p) for u = 1 - alpha, sum of m i.i.d. two-point values; p and
-    u broadcast against each other: a Binomial(m, u) survival at the crossing
-    index."""
-    return binom_sf(_crossing(spec, m, p, u) - 1.0, m, u)
-
-
 def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
     """Root u in (0, 1] of c u^2 - (c + m) u + k = 0: where the support point
     with k highs crosses the price. The form is chosen so neither branch
@@ -132,6 +111,17 @@ def _breakpoint(c: float, m: int, k: float) -> float:
     disc = b * b - 4.0 * c * k
     sq = math.sqrt(disc) if disc >= 0.0 else math.nan
     return 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
+
+
+def _limit_tails(spec: MeanMadSpec, m: int, c, k: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(u, tail): breakpoints u_k at c and limits P(Bin(m, u_k) >= k+1), +inf
+    where u_k is outside [U_FLOOR, 1 - alpha_min); k < m there (u_m = 1)."""
+    u = _breakpoints(c, m, k)
+    inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
+    tails = np.full(u.shape, np.inf)
+    tails[inside] = _binom_sf(k[inside], m, u[inside]).clip(0.0, 1.0)
+    return u, tails
 
 
 def _highs_at(c, m: int, u) -> np.ndarray:
@@ -166,24 +156,23 @@ _ABOVE_BEST = 2.0 ** -52
 _WALK = 64
 
 
-def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
+def _price_cell(spec: MeanMadSpec, m: int, hi: float
                 ) -> tuple[list, list, np.ndarray]:
-    """(k, lower, bulk): what _inner_infimum shares at every price p in
-    [lo, hi]. The crossing indices whose breakpoints can be in range at
-    hi, in the order of falling E_k = exp(-m KL(k/m || u_k)), an upper bound
-    on P(Bin(m, u_k) <= k) (1 where k/m >= u_k): k lists the first
-    _WALK + 1 and lower their E_k, and bulk holds them from index _WALK on.
-    A k whose E_k, scaled by 1 + _lower_tail_slack(m), is below
-    _ROUNDS_TO_ONE is left out: its limit rounds to 1.0 and never wins.
+    """(k, lower, bulk): what _inner_infimum shares at every price p <= hi.
+    The crossing indices whose breakpoints can be in range at hi, in the
+    order of falling E_k = exp(-m KL(k/m || u_k)), an upper bound on
+    P(Bin(m, u_k) <= k) (1 where k/m >= u_k): k lists the first _WALK + 1
+    and lower their E_k, and bulk holds them from index _WALK on. A k whose
+    E_k, scaled by 1 + _lower_tail_slack(m), is below _ROUNDS_TO_ONE is left
+    out: its limit rounds to 1.0 and never wins.
 
-    The bounds hold on all of [lo, hi]. Raising p raises c and so lowers
-    each u_k, as h increases at its roots (_highs_at); the lower tail at u_k
-    then rises. So the bound at hi holds at every p <= hi, and no k past the
-    window at hi is in range at a lower p. The breakpoints at hi are taken
-    2^-48 low, below any price's computed u_k: for c <= 0 (every maximin
-    price is at most m mu) their float steps add no cancellation, so each is
-    within a few eps of a root that never falls as p does. Above m mu each
-    u_k is below k/m, where E_k is 1 up to rounding and prunes nothing."""
+    Raising p raises c and so lowers each u_k, as h increases at its roots
+    (_highs_at); the lower tail at u_k then rises. So the bound at hi holds
+    at every p <= hi, and no k past the window at hi is in range at a lower
+    p. The breakpoints at hi are taken 2^-48 low, below any price's computed
+    u_k: for c <= 0 (hi <= m mu, as at every price maximin posts) their
+    float steps add no cancellation, so each is within a few eps of a root
+    that never falls as p does."""
     u_hi = 1.0 - spec.alpha_min
     c = 2.0 * (hi - m * spec.mu) / spec.d
     # window k to 0..the count at u_hi plus a spare
@@ -205,9 +194,9 @@ def _price_cell(spec: MeanMadSpec, m: int, lo: float, hi: float
 
 def _floor_step(spec: MeanMadSpec, m: int) -> tuple[float, float]:
     """(sure, once): nature's tail P(sum >= p) at u = U_FLOOR is 1.0 for
-    p <= sure = m x and once = P(Bin(m, U_FLOOR) >= 1) on (sure, m mu], bit
-    for bit as _tails. There h(U_FLOOR) <= m 1e-12, so the crossing index is
-    0 or 1 while one high, m x + gap in floats, reaches m mu; past about
+    p <= sure = m x and once = P(Bin(m, U_FLOOR) >= 1) on (sure, m mu]: as
+    h(U_FLOOR) <= m 1e-12, the fewest highs whose support point reaches p
+    are 0 or 1 while one high, m x + gap in floats, reaches m mu; past about
     m = 1e12 it does not, and the spec is rejected."""
     x, gap = _two_point(spec, U_FLOOR)
     if m * x + gap < m * spec.mu:
@@ -240,8 +229,8 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float, cell: tuple,
       bit, so the tail rounds to 1.0. That loses whatever the best is: the
       U_FLOOR tail, at most 1.0, wins ties, and a breakpoint is best only
       strictly below it.
-    Past _WALK k the bounds prune nothing (c near 0, or p above m mu), and
-    the walk prices every k left, the cell's bulk, in one vector call.
+    Past _WALK k the bounds prune nothing (c near 0), and the walk prices
+    every k left, the cell's bulk, in one vector call (_limit_tails).
     """
     ks, lower, bulk = cell
     p = float(p)
@@ -255,14 +244,10 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float, cell: tuple,
             break
         if i == _WALK:
             # the rest at once, ties to the smallest k
-            u = _breakpoints(c, m, bulk)
-            inside = (u >= U_FLOOR) & (u < u_top)
-            k, u = bulk[inside], u[inside]
-            if k.size:
-                tails = _binom_sf(k, m, u).clip(0.0, 1.0)
-                j = np.lexsort((k, tails))[0]
-                if (tails[j], k[j]) < (best, best_k):
-                    best_u, best = float(u[j]), float(tails[j])
+            u, tails = _limit_tails(spec, m, c, bulk)
+            j = np.lexsort((bulk, tails))[0]
+            if (tails[j], bulk[j]) < (best, best_k):
+                best_u, best = float(u[j]), float(tails[j])
             break
         u = _breakpoint(c, m, k)
         if U_FLOOR <= u < u_top:
@@ -278,17 +263,13 @@ def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray,
     """Per price in ps, an upper bound on its guarantee p * tail / m: the
     least of its tail at u = U_FLOOR (floor_tails) and the in-range
     breakpoint limits within one k of either end, ceil(h(U_FLOOR)) and
-    ceil(h(1 - alpha_min)) - 1 (_highs_at), each priced with
-    _inner_infimum's range test and element operations, so no cap is below
-    its exact guarantee, bit for bit. For p <= m mu nature's answer sat at
-    an end in every probe, so the caps are exact there."""
+    ceil(h(1 - alpha_min)) - 1 (_highs_at), priced by _inner_infimum's own
+    _limit_tails, so no cap is below its exact guarantee, bit for bit. Up to
+    m mu nature's answer sat at an end in every probe: the caps are exact."""
     c = 2.0 * (ps[:, None] - m * spec.mu) / spec.d
     ends = _highs_at(c, m, np.array([U_FLOOR, 1.0 - spec.alpha_min])) - [1.0, 2.0]
     k = np.clip(ends[..., None] + np.arange(3.0), 0.0, m).reshape(ps.size, -1)
-    u = _breakpoints(c, m, k)
-    inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
-    tails = np.full(u.shape, np.inf)
-    tails[inside] = binom_sf(k[inside], m, u[inside])
+    tails = _limit_tails(spec, m, c, k)[1]
     return ps * np.minimum(floor_tails, tails.min(axis=1)) / m
 
 
@@ -299,19 +280,19 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     over the family (_inner_infimum): at 1 - alpha = U_FLOOR, or as u falls
     to a breakpoint, where the returned alpha is that limit point, not an
     attained minimizer (at alpha itself the k-high support point still
-    sells). The price must be finite and the scale in range (_check_scale).
-    Above m mu no breakpoint has a lower-tail bound below 1, so every one in
-    range is priced.
+    sells). This is maximin's own evaluation, on the prices maximin posts:
+    the scale must be in range (_check_scale), p in [0, m mu], and the
+    U_FLOOR tail a step from 1.0 (_floor_step).
     """
-    if not 0.0 <= p < math.inf:
-        raise RobustBundlingError(
-            f"price must be nonnegative and finite, got {p!r}")
     _check_scale(spec, m)
+    if not 0.0 <= p <= m * spec.mu:
+        raise RobustBundlingError(
+            f"price must be in [0, m*mu] = [0, {m * spec.mu!r}], got {p!r}")
+    sure, once = _floor_step(spec, m)
     if p == 0.0:
         return spec.alpha_min, 0.0
-    p = float(p)
-    u, tail = _inner_infimum(spec, m, p, _price_cell(spec, m, p, p),
-                             float(_tails(spec, m, p, U_FLOOR)))
+    u, tail = _inner_infimum(spec, m, p, _price_cell(spec, m, p),
+                             1.0 if p <= sure else once)
     return 1.0 - u, float(p * tail / m)
 
 
@@ -373,11 +354,11 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     priced at the row itself, and the polish, which prices only inside the
     best row's two neighbours, adds the one above the best row. The top
     interval gets one per halving of m mu - p, since c, and with it every
-    bound, vanishes at m mu. Nature's U_FLOOR tail is priced once, and a
-    spec at whose m it is not a step from 1.0 (_floor_step) is rejected
-    before L(m) is. The reported alpha is the polish's own answer at the
-    reported price (alpha_min at p = 0, as worst_case_alpha). The
-    certificate pairs the family-wide bound maximin_certificate_lower with
+    bound, vanishes at m mu; cells are keyed by their top price. Nature's
+    U_FLOOR tail is priced once, and a spec at whose m it is not a step from
+    1.0 (_floor_step) is rejected before L(m) is. The reported alpha is the
+    polish's own answer at the reported price, which worst_case_alpha gives
+    too (alpha_min at p = 0). The certificate pairs the family-wide bound maximin_certificate_lower with
     the analytic ceiling mu - d/2. A spec whose scale leaves double range is
     rejected before any solving (_check_scale), as is a grid of fewer than 2
     prices.
@@ -395,17 +376,15 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     top = ps[-1]
 
     def neg_guarantee(p):
-        j = int(np.searchsorted(ps, p))
-        key, lo, hi = j, ps[max(j - 1, 0)], ps[j]
-        if j == ps.size - 1 and top / 2.0 <= p < top:
+        hi = ps[np.searchsorted(ps, p)]
+        if hi == top and top / 2.0 <= p < top:
             # c is 0 at the top price, where no bound prunes: cut the top
             # cell where top - p (exact here) halves, so c at a cell's top
             # is at least half c at its prices
-            e = math.frexp(top - p)[1]
-            key, lo, hi = (j, e), max(lo, top - 2.0 ** e), top - 2.0 ** (e - 1)
-        if key not in cells:
-            cells[key] = _price_cell(spec, m, lo, hi)
-        answers[p], tail = _inner_infimum(spec, m, p, cells[key],
+            hi = top - 2.0 ** (math.frexp(top - p)[1] - 1)
+        if hi not in cells:
+            cells[hi] = _price_cell(spec, m, hi)
+        answers[p], tail = _inner_infimum(spec, m, p, cells[hi],
                                           1.0 if p <= sure else once)
         return -p * tail / m
 

@@ -326,6 +326,22 @@ def test_what_doubles_cannot_hold_exits_2_in_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 4.09 TiB for an array with shape "
+                "(562316715545,) and data type float64"),
+    MemoryError()])
+def test_running_out_of_memory_exits_2_in_one_line(capsys, monkeypatch, exc):
+    # at m = 1e12 maximin's O(m) screen asks numpy for terabytes; whether
+    # that fails fast depends on the host, so the solver is stubbed to fail
+    def out_of_memory(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr("rbl.cli.maximin_bundling_value", out_of_memory)
+    code, out, err = run(capsys, "maximin", "--mu", "1", "--d", "0.5",
+                         "--m", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err == f"error: {str(exc) or 'MemoryError'}\n"
+
+
 def test_bad_format_is_rejected_before_the_monte_carlo_run(capsys,
                                                            monkeypatch):
     def unreachable(*args, **kwargs):

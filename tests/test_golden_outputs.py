@@ -31,6 +31,10 @@ CASES = {
     # but the winner's are 1.0, so no bound on the upper tail prunes them
     "maximin-1e6.json": ("maximin", *HALF, "--m", "1000000", "--format",
                          "json"),
+    # tiny d/mu: the maximin price sits in the top grid cell, which the
+    # polish cuts where m mu - p halves
+    "maximin-tiny-d.json": ("maximin", "--mu", "1", "--d", "1e-6",
+                            "--m", "100,10000", "--format", "json"),
     "minimax.csv": ("minimax", *HALF, "--m", "1,10,100"),
     "minimax.json": ("minimax", "--mu", "1", "--d", "1.5", "--m", "1000",
                      "--alpha-grid", "256", "--format", "json"),

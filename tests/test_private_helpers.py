@@ -32,3 +32,29 @@ def test_every_private_helper_is_used_in_the_package():
             if not used:
                 orphans.append(f"{name}: {node.name}")
     assert orphans == []
+
+
+# cli's option parsers share the protocol parse(name, raw): a parser whose
+# message names its option by a fixed text need not read name
+_PROTOCOL_PARAMS = {("cli.py", "_as_out", "name"), ("cli.py", "_as_format", "name"),
+                    ("cli.py", "_as_members", "name")}
+
+
+def test_every_private_helper_parameter_is_read():
+    # a parameter no body reads is a value every caller computes for nothing
+    unread = []
+    for path in _SRC:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg, args.kwarg)
+                      if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(path.name, node.name, p) for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert sorted(set(unread) - _PROTOCOL_PARAMS) == []

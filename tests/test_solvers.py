@@ -21,10 +21,32 @@ from rbl.solvers import (
 from rbl.sum_law import binom_sf, iid_two_point_sum, tail_prob
 
 
+def _crossing(spec, m, p, u):
+    """The fewest highs k in 0..m whose support point m*x + k*(y-x) reaches
+    p for u = 1 - alpha, or m + 1 if none does; p and u broadcast against
+    each other. The ceil is nudged so the inclusive boundary holds exactly in
+    floats, and the index never falls as p rises."""
+    x, gap = solvers._two_point(spec, u)
+    k = np.clip(np.ceil((p - m * x) / gap), 0.0, m + 1.0)
+    for _ in range(2):
+        k = np.where((k > 0) & (m * x + (k - 1.0) * gap >= p), k - 1.0, k)
+    for _ in range(2):
+        k = np.where((k <= m) & (m * x + k * gap < p), k + 1.0, k)
+    return k
+
+
+def _tails(spec, m, p, u):
+    """P(sum >= p) for u = 1 - alpha, sum of m i.i.d. two-point values, at
+    any p and u (broadcast against each other): a Binomial(m, u) survival at
+    the crossing index. The reference for nature's tail at U_FLOOR, which
+    the solvers take as a step (_floor_step), and for tails past m mu."""
+    return binom_sf(_crossing(spec, m, p, u) - 1.0, m, u)
+
+
 def iid_tail(spec, m, p, alpha):
     """P(sum of m i.i.d. two-point values >= p) through the solvers'
     binomial-survival route, at one alpha."""
-    return float(solvers._tails(spec, m, p, np.array([1.0 - alpha]))[0])
+    return float(_tails(spec, m, p, np.array([1.0 - alpha]))[0])
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 10])
@@ -62,11 +84,6 @@ def test_worst_case_alpha_against_dense_grid(half_spec):
 
 
 def test_worst_case_alpha_guards(half_spec):
-    with pytest.raises(RobustBundlingError, match="price must be nonnegative"):
-        worst_case_alpha(half_spec, 1, -0.5)
-    for p in (math.nan, math.inf):
-        with pytest.raises(RobustBundlingError, match="nonnegative and finite"):
-            worst_case_alpha(half_spec, 1, p)
     with pytest.raises(RobustBundlingError, match="need m >= 1"):
         worst_case_alpha(half_spec, 0, 0.5)
     assert worst_case_alpha(half_spec, 1, 0.0) == (half_spec.alpha_min, 0.0)
@@ -148,7 +165,7 @@ def _unpruned_infimum(spec, m, p):
     limit of _limits; ties go to the smallest u."""
     _, u, tails = _limits(spec, m, p)
     us = np.concatenate([[U_FLOOR], u])
-    tails = np.concatenate([solvers._tails(spec, m, p, np.array([U_FLOOR])),
+    tails = np.concatenate([_tails(spec, m, p, np.array([U_FLOOR])),
                             tails])
     i = int(np.argmin(tails))
     return float(us[i]), float(tails[i])
@@ -198,16 +215,60 @@ def test_worst_case_alpha_equals_unpruned_brute_force():
         else:  # near the guaranteed-sale price, where the answer is subtle
             sale = m * (mu - spec.d / 2.0)
             p = max(sale * (1.0 + float(rng.normal(0.0, 3.0 / math.sqrt(m)))), 1e-9)
-        assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
+        if p <= m * mu:
+            assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
+        else:  # past maximin's prices: the infimum itself
+            assert solvers._inner_infimum(
+                spec, m, p, solvers._price_cell(spec, m, p),
+                _floor_tail(spec, m, p)) == _unpruned_infimum(spec, m, p)
     spec = MeanMadSpec(1.0, 0.5)
     for m, p, kind in _NEAR_ONE:
         assert _near_one_kind(spec, m, p) == kind
         assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
 
 
+def test_worst_case_alpha_answers_only_maximins_prices(monkeypatch):
+    # worst_case_alpha is maximin's own evaluation, on the prices maximin
+    # posts: m mu itself is one, the next float up is not
+    for mu, r, m in ((1.0, 0.5, 1), (1.0, 0.5, 1000), (2.3, 0.3, 300),
+                     (1.0, 1e-6, 10_000)):
+        spec = MeanMadSpec(mu, mu * r)
+        top = m * mu
+        # m mu, and the sure-sale price m x(U_FLOOR), where the U_FLOOR
+        # tail steps down from 1.0, and the floats either side of it
+        sure = m * float(solvers._two_point(spec, U_FLOOR)[0])
+        for p in (top, math.nextafter(sure, 0.0), sure,
+                  math.nextafter(sure, math.inf)):
+            assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
+        for p in (math.nextafter(top, math.inf), math.inf, math.nan, -0.5):
+            with pytest.raises(RobustBundlingError,
+                               match=r"price must be in \[0, m\*mu\]") as err:
+                worst_case_alpha(spec, m, p)
+            assert "\n" not in str(err.value)
+    # just below m mu, c is near 0, no bound prunes, and the walk ends in
+    # its one vector call
+    sizes, limit_tails = [], solvers._limit_tails
+    monkeypatch.setattr(solvers, "_limit_tails",
+                        lambda *args: sizes.append(args[3].size)
+                        or limit_tails(*args))
+    spec, m = MeanMadSpec(1.0, 0.5), 1000
+    p = math.nextafter(1000.0, 0.0)
+    assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
+    assert len(sizes) == 1 and sizes[0] > 0
+    def unreachable(*args):
+        raise AssertionError("screened before m was checked")
+
+    # past about m = 1e12 the U_FLOOR tail is no step: rejected before the
+    # O(m) screen
+    monkeypatch.setattr(solvers, "_price_cell", unreachable)
+    for p in (0.0, 0.5):
+        with pytest.raises(RobustBundlingError, match="too large"):
+            worst_case_alpha(spec, 2 * 10**12, p)
+
+
 def _floor_tail(spec, m, p):
     """The tail at U_FLOOR, the floor _inner_infimum's caller passes it."""
-    return float(solvers._tails(spec, m, p, U_FLOOR))
+    return float(_tails(spec, m, p, U_FLOOR))
 
 
 def test_cell_screen_equals_the_unscreened_infimum():
@@ -237,7 +298,7 @@ def test_cell_screen_equals_the_unscreened_infimum():
         js += [j, j + 1] if j < ps.size - 1 else [j]
         for j in js:
             lo, hi = float(ps[j - 1]), float(ps[j])
-            cell = solvers._price_cell(spec, m, lo, hi)
+            cell = solvers._price_cell(spec, m, hi)
             probes = list(lo + (hi - lo) * rng.random(n // 4)) + [hi]
             edge = m * x_floor
             probes += [p for p in (math.nextafter(edge, 0.0), edge,
@@ -252,7 +313,7 @@ def test_cell_screen_equals_the_unscreened_infimum():
                                (2.3, 3e-12, 1000, 1.5, 20.0)):
         spec = MeanMadSpec(mu, mu * r)
         lo = f * m * mu
-        cell = solvers._price_cell(spec, m, lo, lo + width)
+        cell = solvers._price_cell(spec, m, lo + width)
         x, gap = solvers._two_point(spec, U_FLOOR)
         ks = np.arange(math.ceil((lo - m * x) / gap) - 1.0,
                        (lo + width - m * x) / gap + 1.0)
@@ -268,7 +329,7 @@ def test_cell_screen_equals_the_unscreened_infimum():
                         (1.0, 1.66e-11, 1126, 1.235)):
         spec = MeanMadSpec(mu, mu * r)
         p = f * m * mu
-        cell = solvers._price_cell(spec, m, p, p)
+        cell = solvers._price_cell(spec, m, p)
         ks = np.concatenate([cell[0][:solvers._WALK], cell[2]])
         u = solvers._breakpoints(2.0 * (p - m * mu) / spec.d, m, ks)
         inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
@@ -280,7 +341,7 @@ def test_cell_screen_equals_the_unscreened_infimum():
     for mu, r, m, f in ((1.0, 0.5, 1000, 1.5), (2.3, 0.3, 300, 2.0)):
         spec = MeanMadSpec(mu, mu * r)
         p = f * m * mu
-        cell = solvers._price_cell(spec, m, p, p)
+        cell = solvers._price_cell(spec, m, p)
         assert cell[2].size > 0
         check(spec, m, p, cell)
     tails = _limits(MeanMadSpec(1.0, 0.5), 1000, 1500.0)[2]
@@ -290,7 +351,7 @@ def test_cell_screen_equals_the_unscreened_infimum():
     for m, p, kind in _NEAR_ONE:
         ps = np.linspace(0.0, m * spec.mu, solvers.PRICE_GRID)
         j = int(np.searchsorted(ps, p))
-        check(spec, m, p, solvers._price_cell(spec, m, ps[j - 1], ps[j]))
+        check(spec, m, p, solvers._price_cell(spec, m, ps[j]))
 
 
 def test_walk_sends_ties_to_the_floor():
@@ -299,7 +360,7 @@ def test_walk_sends_ties_to_the_floor():
     # so the floor tail passed is set to that limit
     spec, m = MeanMadSpec(1.0, 0.5), 100
     p = maximin_bundling_value(spec, m).price
-    ks, lower, bulk = solvers._price_cell(spec, m, p, p)
+    ks, lower, bulk = solvers._price_cell(spec, m, p)
     u, tail = _unpruned_infimum(spec, m, p)
     assert u > U_FLOOR and tail < _floor_tail(spec, m, p)
     assert solvers._inner_infimum(spec, m, p, (ks, lower, bulk), tail) == (
@@ -384,7 +445,7 @@ def test_crossing_index_never_falls_as_the_price_rises():
             s = m * x + np.arange(m + 1.0)[:: max(m // 50, 1)] * gap
             ps = np.sort(np.concatenate([s, np.nextafter(s, -np.inf),
                                          np.nextafter(s, np.inf)]))
-            k = solvers._crossing(spec, m, ps, np.float64(u))
+            k = _crossing(spec, m, ps, np.float64(u))
             assert np.all(np.diff(k) >= 0.0), (mu, r, m, u)
 
 
@@ -420,7 +481,7 @@ def test_maximin_floor_tail_is_a_step_bit_for_bit(monkeypatch):
         seen += [(p, 1.0 if p <= sure else once) for p in (
             math.nextafter(sure, 0.0), sure, math.nextafter(sure, math.inf))]
         ps, got = (np.array(v) for v in zip(*seen))
-        assert np.array_equal(got, solvers._tails(spec, m, ps, U_FLOOR)), (
+        assert np.array_equal(got, _tails(spec, m, ps, U_FLOOR)), (
             mu, r, m)
         branches.update((ps[:-3] > sure).tolist())
     assert branches == {False, True}
@@ -495,7 +556,7 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
         spec = MeanMadSpec(mu, d)
         ps = np.linspace(0.0, m * mu, 257)
         full = np.array([p * solvers._inner_infimum(
-            spec, m, p, solvers._price_cell(spec, m, p, p),
+            spec, m, p, solvers._price_cell(spec, m, p),
             _floor_tail(spec, m, p))[1] / m for p in ps])
         neg_got, neg_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
@@ -519,7 +580,7 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
         for m in (1, 2, 5, 16, 17, 100, 1000):
             ps = np.linspace(0.0, m * mu, 129)
             caps = solvers._guarantee_caps(
-                spec, m, ps, solvers._tails(spec, m, ps, U_FLOOR))
+                spec, m, ps, _tails(spec, m, ps, U_FLOOR))
             exact = [worst_case_alpha(spec, m, p)[1] for p in ps]
             assert np.all(caps >= exact), (r, m)
             # the trivial cap maximin takes up to m L(m): a tail is <= 1
@@ -576,31 +637,48 @@ def test_maximin_never_calls_worst_case_alpha(monkeypatch):
         assert wca(spec, m, rep.price) == (rep.alpha, rep.value)
 
 
+def _record_evaluations(monkeypatch):
+    """A list that gets, per maximin evaluation, (p, calls): the k each of
+    its survival calls priced, one list per call. Survival calls outside an
+    evaluation, such as the grid caps', are not recorded."""
+    evals, inside = [], []
+    sf, inner = solvers._binom_sf, solvers._inner_infimum
+
+    def priced(k, n, u):
+        if inside:
+            evals[-1][1].append(np.atleast_1d(k).tolist())
+        return sf(k, n, u)
+
+    def evaluation(*args):
+        evals.append((args[2], []))
+        inside.append(True)
+        try:
+            return inner(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solvers, "_binom_sf", priced)
+    monkeypatch.setattr(solvers, "_inner_infimum", evaluation)
+    return evals
+
+
 def test_maximin_prices_no_breakpoint_twice(monkeypatch):
     # a count guard: an evaluation prices each breakpoint once, makes no
     # survival call for zero k, and at m = 100 and 1000 here makes one
     # survival call, for one k. At m = 1e4 and 1e5 the tails near the
     # maximin price are 1.0 but the winner's, and an upper-tail screen priced
     # up to 56,246 k in one evaluation; the lower-tail walk prices at most one
-    evals, sf, inner = [], solvers._binom_sf, solvers._inner_infimum
-
-    def priced(k, n, u):
-        evals[-1].append(np.atleast_1d(k).tolist())
-        return sf(k, n, u)
-
-    monkeypatch.setattr(solvers, "_binom_sf", priced)
-    monkeypatch.setattr(solvers, "_inner_infimum",
-                        lambda *args: evals.append([]) or inner(*args))
+    evals = _record_evaluations(monkeypatch)
     for d in (0.5, 0.8):
         for m in (100, 1000, 10_000, 100_000):
             evals.clear()
             maximin_bundling_value(MeanMadSpec(1.0, d), m)
-            ks = [sum(calls, []) for calls in evals]
+            ks = [sum(calls, []) for _, calls in evals]
             assert all(len(set(k)) == len(k) for k in ks), (d, m)
-            assert all(c for calls in evals for c in calls), (d, m)
+            assert all(c for _, calls in evals for c in calls), (d, m)
             if m < 10_000:
                 assert all(len(calls) == len(k) == 1
-                           for calls, k in zip(evals, ks)), (d, m)
+                           for (_, calls), k in zip(evals, ks)), (d, m)
             else:
                 assert max(map(len, ks)) <= 64, (d, m)
 
@@ -613,15 +691,7 @@ def test_maximin_cuts_the_top_cell_where_m_mu_minus_p_halves(monkeypatch):
     # every k at every price and take 17 s). No evaluation sits at m mu
     # itself, which prices every in-range k: the polish never prices its
     # bracket's ends, and the top row's cap rules it out
-    evals, sf, inner = [], solvers._binom_sf, solvers._inner_infimum
-
-    def priced(k, n, u):
-        evals[-1][1].append(np.size(k))
-        return sf(k, n, u)
-
-    monkeypatch.setattr(solvers, "_binom_sf", priced)
-    monkeypatch.setattr(solvers, "_inner_infimum",
-                        lambda *args: evals.append((args[2], [])) or inner(*args))
+    evals = _record_evaluations(monkeypatch)
     for mu, r, m in ((1.0, 1e-4, 10_000), (6.75, 5.5e-6, 20_000)):
         evals.clear()
         maximin_bundling_value(MeanMadSpec(mu, mu * r), m)
@@ -629,7 +699,7 @@ def test_maximin_cuts_the_top_cell_where_m_mu_minus_p_halves(monkeypatch):
         assert any(top - top / solvers.PRICE_GRID < p < top
                    for p, _ in evals), (r, m)
         assert all(p != top for p, _ in evals), (r, m)
-        assert all(sum(calls) <= 64 for p, calls in evals), (r, m)
+        assert all(sum(map(len, calls)) <= 64 for p, calls in evals), (r, m)
 
 
 def _kernel(spec, m, us):
