@@ -19,7 +19,7 @@ from .ambiguity import MeanMadSpec, make_two_point
 from .concentration import guaranteed_sale_chain
 from .errors import RobustBundlingError, check_count
 from .opt_oracle import opt_deterministic
-from .optimize import grid_polish
+from .optimize import CELL, grid_polish
 from .solvers import _check_scale, _u_grid, maximin_bundling_value
 from .sum_law import iid_two_point_sum, tail_prob
 
@@ -190,7 +190,8 @@ def _empirical(spec: MeanMadSpec, m: int, grid: int,
 
         p_best, v_best, _ = grid_polish(
             loss, np.linspace(0.0, m * spec.mu, grid),
-            np.full(grid, -np.inf), 1e-10 * m * spec.mu)
+            np.full(-(-grid // CELL), -np.inf),
+            lambda rows: np.full(rows.size, -np.inf), 1e-10 * m * spec.mu)
         i = int(np.argmin(scores(p_best)))
         return EmpiricalReport(objective=objective, m=m,
                                value=-v_best if ratio else v_best,

@@ -1,8 +1,9 @@
 """Pruned grid search with golden-section polish.
 
-Every optimum the package reports is found by grid_polish: solve a grid's
-rows from the most promising bound on until no bound left can beat the best
-row, then polish the bracket formed by that row's two grid neighbours with
+Every optimum the package reports is found by grid_polish: a best-first
+search over cells of CELL grid rows and then rows, which solves rows from the
+most promising bound on until no bound left can beat the best row, then
+polishes the bracket formed by that row's two grid neighbours with
 golden_min. Callers minimize; a maximum is found by negating the objective
 and its bounds, which is exact. The objectives here are piecewise-smooth with
 kinks and jumps, so golden_min tracks every evaluation and returns the best
@@ -13,6 +14,7 @@ keeps the grid point whenever the polish does no better.
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Callable, Sequence
 
@@ -26,6 +28,8 @@ _MAX_ITER = 200
 # floors priced by binom_sf overshoot exact best responses by at most 5e-10
 # up to m = 3e7), so pruning never changes a result.
 PRUNE_MARGIN = 1e-9
+# Rows per grid_polish cell.
+CELL = 16
 
 
 def golden_min(f: Callable[[float], float], a: float, b: float,
@@ -55,29 +59,56 @@ def golden_min(f: Callable[[float], float], a: float, b: float,
 
 
 def grid_polish(f: Callable[[float], float], xs: Sequence[float],
-                bounds: np.ndarray, tol: float) -> tuple[float, float, float]:
+                cell_bounds: np.ndarray,
+                row_bounds: Callable[[np.ndarray], np.ndarray],
+                tol: float) -> tuple[float, float, float]:
     """(x, f(x), grid minimum): the least f over the grid xs, polished by
     golden_min.
 
-    bounds[i] must be a lower bound on f(xs[i]). Rows are solved by f(xs[i])
-    one at a time from the lowest bound up, until every bound left clears
-    the lowest value found by the relative PRUNE_MARGIN; the grid minimum
-    and its index are then those of the full grid, and bounds of -inf solve
-    every row. The bracket is the best index's two neighbours, sorted, so xs
-    may ascend or descend; at an end of the grid the best point itself
-    closes it. Ties go to the first best index and then to the grid point
-    over the polish.
+    The grid is cut into cells of CELL consecutive rows, the last maybe
+    short. cell_bounds[j] must be a lower bound on f at every row of cell j,
+    and row_bounds(rows) one on f(xs[i]) for each i in an index array. The
+    search is best first: the cells are refined by falling promise, in
+    batches of 1, 2, 4, ... cells per row_bounds call, whenever the next
+    cell's bound is at or below every pending row's, and the pending rows
+    are solved by f one at a time in (bound, index) order, until the next
+    bound clears the lowest value found by the relative PRUNE_MARGIN. The
+    grid minimum and its first index are then those of the full grid, and
+    bounds of -inf solve every row in index order. Batches double so that a
+    search refining every cell makes at most ceil(log2 cells) + 1 calls;
+    cell bounds that are their rows' least solve the rows in the stable
+    order of all row bounds, as a walk over a sorted grid would. The
+    bracket is the best index's two neighbours, sorted, so xs may ascend or
+    descend; at an end of the grid the best point itself closes it. Ties go
+    to the first best index and then to the grid point over the polish.
     """
-    vals = np.full(len(xs), np.inf)
-    best = np.inf
-    for i in np.argsort(bounds, kind="stable"):
-        if not bounds[i] <= best + PRUNE_MARGIN * abs(best):
+    n = len(xs)
+    vals = np.full(n, np.inf)
+    # the cells by falling promise, the next one last
+    cells = np.argsort(cell_bounds, kind="stable")[::-1].tolist()
+    cell_bounds = np.asarray(cell_bounds).tolist()
+    pending, batch = [], 1  # pending: a heap of (bound, row)
+    best = limit = math.inf
+    while True:
+        if cells and (not pending or cell_bounds[cells[-1]] <= pending[0][0]):
+            take = np.array(cells[-batch:]) * CELL
+            del cells[-batch:]
+            batch *= 2
+            rows = (take[:, None] + np.arange(CELL)).ravel()
+            rows = rows[rows < n]
+            pending.extend(zip(row_bounds(rows).tolist(), rows.tolist()))
+            heapq.heapify(pending)
+        elif pending and pending[0][0] <= limit:
+            i = heapq.heappop(pending)[1]
+            v = vals[i] = f(xs[i])
+            if not v >= best:  # a NaN too, which then stops the search
+                best = float(v)
+                limit = best + PRUNE_MARGIN * abs(best)
+        else:
             break
-        vals[i] = f(xs[i])
-        best = np.minimum(best, vals[i])
     i = int(np.argmin(vals))
     lo, hi = sorted((float(xs[max(i - 1, 0)]),
-                     float(xs[min(i + 1, len(xs) - 1)])))
+                     float(xs[min(i + 1, n - 1)])))
     x, v = golden_min(f, lo, hi, tol=tol)
     grid = float(vals[i])
     if grid <= v:

@@ -10,11 +10,14 @@ U_FLOOR or approached as u decreases to some u_k; the reported alpha is then
 that limit point, not an attained minimizer. Nature first (minimax): a grid
 geometric in 1 - alpha down to 1e-12, because the damaging adversaries sit
 next to alpha = 1, searched and polished by grid_polish on the seller's best
-response. Each order passes grid_polish one objective and a cheap bound per
-grid row: for a price, p/m up to m L(m) (L the certificate lower bound) and
-above it a cap from nature's extreme answers, U_FLOOR and the ends of its
-in-range breakpoints (_guarantee_caps), so about one row is solved per grid;
-for a nature row, a revenue floor from a few feasible prices. Rows are solved
+response. Each order passes grid_polish one objective and cheap lower bounds
+on it per cell of optimize.CELL grid rows and per row: for a price, p/m up
+to m L(m) (L the certificate lower bound) and above it a cap from nature's
+extreme answers, U_FLOOR and the ends of its in-range breakpoints
+(_guarantee_caps), each cell taking its rows' least, so about one row is
+solved per grid; for nature, a floor per cell from the cell's two ends
+(_cell_floors), and per row of the few cells that can hold the minimum a
+revenue floor from a few feasible prices (_revenue_floors). Rows are solved
 exactly from the most promising bound on, until every bound left clears the
 best value by optimize.PRUNE_MARGIN, so the grid optimum is that of the full
 grid. A row is one call: a price's infimum over its breakpoints
@@ -46,7 +49,7 @@ from scipy.special import rel_entr
 
 from .ambiguity import MeanMadSpec
 from .errors import RobustBundlingError, check_count
-from .optimize import grid_polish
+from .optimize import CELL, grid_polish
 from .sum_law import _binom_sf, binom_sf, binom_window
 
 ALPHA_GRID = 2048
@@ -296,6 +299,17 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     return 1.0 - u, float(p * tail / m)
 
 
+def _certificate_terms(lo: int, pmf: np.ndarray) -> np.ndarray:
+    """(sqrt(k) - sqrt(E(k - K)+))^2 for k = lo.. while pmf, the masses of
+    m - K from its top down, reaches: E(k - K)+ = sum_{i<k} P(K <= i) as a
+    double cumsum from lo. Cumsums run in order, so a longer pmf leaves
+    every earlier term's bits as they were."""
+    cdf = pmf[::-1].cumsum()
+    shortfall = np.concatenate(([0.0], cdf[:-1].cumsum()))
+    return (np.sqrt(np.arange(lo, lo + pmf.size, dtype=float))
+            - np.sqrt(shortfall)) ** 2
+
+
 def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     """Per-item revenue some bundle price earns on every product of m family
     members, i.i.d. or not: L(m) = (mu/m) max_k (sqrt(k) - sqrt(E(k - K)+))^2
@@ -306,22 +320,53 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     order (Shaked & Shanthikumar, Stochastic Orders, 4.A), so for a sum S
     and mu k > p, P(S < p) <= mu E(k - K)+ / (mu k - p). The price
     p = mu (k - sqrt(k E(k - K)+)) maximizes p (1 - that bound) / m to the
-    k-th term of L. E(k - K)+ = sum_{i<k} P(K <= i) is a double cumsum of
-    binomial masses over the _window of k: below it E(k - K)+ is negligible
-    and the term rises as k, above it the term falls. The
-    masses are those of m - K ~ Binomial(m, d/(2 mu)) at m - k, so alpha_min
-    enters unrounded, from one binom_window call; the cumsums start at the
-    window, so its mass past the window, P(K < lo), is not used. At m = 1,
-    L is the single-item robust revenue (sqrt(mu) - sqrt(d/2))^2.
+    k-th term of L (_certificate_terms). The terms run over the _window of
+    k: below it E(k - K)+ is negligible and the term rises as k, above it
+    the term falls. The masses are those of m - K ~ Binomial(m, d/(2 mu))
+    at m - k, so alpha_min enters unrounded, from binom_window; the cumsums
+    start at the window, so its mass past the window, P(K < lo), is not
+    used. At m = 1, L is the single-item robust revenue
+    (sqrt(mu) - sqrt(d/2))^2.
+
+    The masses are priced from the window's low end up to ceil(M) + 1, M =
+    m (1 - d/(2 mu)) the mean of K, and no further than the terms can win.
+    Past M, E(k - K)+ >= k - M (Jensen), so term k is at most J(k) =
+    (sqrt(k) - sqrt(k - M))^2 = (M / (sqrt(k) + sqrt(k - M)))^2, which
+    falls with k. So once J(k), scaled up by 1 + 16 (hi/M) delta, delta =
+    _lower_tail_slack(m), is below the best term priced, no term from k on
+    can win. Where J at ceil(M) + 2 does not fall below the best of the
+    first masses' terms, a second binom_window call prices the masses from
+    there up to the k before the first whose J does. The
+    budget: the float shortfall is at least (k - M)(1 - delta), as the
+    relative error of Boost's masses (2e-11 at m = 1e7) and of the two
+    cumsums (2 m eps) is below delta / 2, and, where the window starts above
+    0 (only with sigma >= 1 here; at sigma < 1 it is priced whole), its
+    mass past the low end, P(K < lo) <= e^-55 (Bernstein at 40 sigma), is
+    below k e^-55 <= delta (k - M) / 2 for k >= M + 1. Then a float term
+    is at most J(k) (1 + 2 (k/M)(delta + 2 eps))^2 and a few roundings,
+    under J (1 + 8 (hi/M) delta), and the product and the float J add a
+    few eps more. M is taken 2^-50 high, which only raises J.
     """
     check_count(m)
     q = spec.alpha_min
     lo, hi = _window(m, 1.0 - q)
-    k = np.arange(lo, hi + 1.0)
-    pmf, _ = binom_window(m - hi, m - lo, m, q)
-    cdf = pmf[::-1].cumsum()
-    shortfall = np.concatenate(([0.0], cdf[:-1].cumsum()))
-    return spec.mu * float(((np.sqrt(k) - np.sqrt(shortfall)) ** 2).max()) / m
+    mean = m * (1.0 - q) * (1.0 + 2.0 ** -50)
+    top = hi
+    if lo == 0 or m * q * (1.0 - q) >= 1.0:
+        top = min(hi, math.ceil(mean) + 1)
+    pmf = binom_window(m - top, m - lo, m, q)[0]
+    terms = _certificate_terms(lo, pmf)
+    if top < hi:
+        k = np.arange(top + 1.0, hi + 1.0)
+        cap = ((mean / (np.sqrt(k) + np.sqrt(k - mean))) ** 2
+               * (1.0 + 16.0 * hi / mean * _lower_tail_slack(m)))
+        # the terms before the first k whose cap is below the best
+        more = int(np.argmax(np.append(cap < terms.max(), True)))
+        if more:
+            pmf = np.concatenate(
+                (binom_window(m - top - more, m - top - 1, m, q)[0], pmf))
+            terms = _certificate_terms(lo, pmf)
+    return spec.mu * float(terms.max()) / m
 
 
 def _check_scale(spec: MeanMadSpec, m: int) -> None:
@@ -346,11 +391,14 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     Outer maximization over p in [0, m*mu]: one grid_polish call minimizes
     the negated guarantee -p * tail / m (exact, so values keep their bits),
     its inner infimum solved exactly by breakpoints (_inner_infimum) from
-    the highest cap down, one price per grid. A price with p/m at most the
-    certificate lower bound L(m) takes the valid cap p/m (its tail is at
-    most 1), which the grid's best nearly always clears, so only the prices
-    above m L(m) pay for an exact cap (_guarantee_caps). Each grid interval
-    (ps[j-1], ps[j]] gets one screen (_price_cell) per solve: a row's is
+    the highest cap down, one price per grid; a grid_polish cell's bound is
+    its rows' least, so the search solves the rows a walk down the caps
+    would.
+    A price with p/m at most the certificate lower bound L(m) takes the
+    valid cap p/m (its tail is at most 1), which the grid's best nearly
+    always clears, so only the prices above m L(m) pay for an exact cap
+    (_guarantee_caps). Each grid interval (ps[j-1], ps[j]] gets one screen
+    (_price_cell) per solve: a row's is
     priced at the row itself, and the polish, which prices only inside the
     best row's two neighbours, adds the one above the best row. The top
     interval gets one per halving of m mu - p, since c, and with it every
@@ -358,10 +406,10 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     U_FLOOR tail is priced once, and a spec at whose m it is not a step from
     1.0 (_floor_step) is rejected before L(m) is. The reported alpha is the
     polish's own answer at the reported price, which worst_case_alpha gives
-    too (alpha_min at p = 0). The certificate pairs the family-wide bound maximin_certificate_lower with
-    the analytic ceiling mu - d/2. A spec whose scale leaves double range is
-    rejected before any solving (_check_scale), as is a grid of fewer than 2
-    prices.
+    too (alpha_min at p = 0). The certificate pairs the family-wide bound
+    maximin_certificate_lower with the analytic ceiling mu - d/2. A spec
+    whose scale leaves double range is rejected before any solving
+    (_check_scale), as is a grid of fewer than 2 prices.
     """
     _check_scale(spec, m)
     check_count(price_grid, "price_grid", 2)
@@ -388,7 +436,9 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
                                           1.0 if p <= sure else once)
         return -p * tail / m
 
-    p_best, v_best, _ = grid_polish(neg_guarantee, ps, -caps,
+    cell_caps = np.minimum.reduceat(-caps, np.arange(0, ps.size, CELL))
+    p_best, v_best, _ = grid_polish(neg_guarantee, ps, cell_caps,
+                                    lambda rows: -caps[rows],
                                     BRACKET_TOL * m * spec.mu)
     return SaddleReport(
         m=m,
@@ -437,7 +487,9 @@ def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
     wins there. Cuts above the mean (z > 0) set no floor on any row of 110
     specs (d/mu 0.01 to 1.98, m 1 to 1e6), so a row costs five survival
     calls. A cut repeated in a row is priced again: a duplicate cannot
-    change the max, and skipping it cost more than it saved."""
+    change the max, and skipping it cost more than it saved. minimax prices
+    these only on the rows of the cells its search refines (_cell_floors
+    bounds the rest), 48 of the 2048 rows at (1, 0.8), m = 100 to 10^4."""
     x, gap = _two_point(spec, us)
     sig = np.sqrt(m * us * (1.0 - us))
     z = np.arange(-4.0, 1.0)[:, None]
@@ -446,26 +498,67 @@ def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
     return np.maximum(x, revs.max(axis=0))
 
 
+def _cell_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
+    """Per grid_polish cell of us, a lower bound on the seller's best-response
+    revenue per item at every u in the cell, u_hi >= u >= u_lo its first
+    and last rows. With P_k(u) = P(Bin(m, u) >= k), the support point with
+    k highs sells at (m - k) x(u) + k y(u) with probability P_k(u), and on
+    the cell:
+    - x(u) >= x(u_hi) >= 0, so x(u_hi) is a floor (the sure price), and
+      with P_k(u) >= P_k(u_lo), (m - k) x(u) P_k(u) >= (m - k) x(u_hi)
+      P_k(u_lo);
+    - y(u) P_k(u) >= Y_k = max(y(u_hi) P_k(u_lo), y(u_lo) P_k(u_hi)
+      (u_lo/u_hi)^k). The first form holds as y falls with u. The second
+      as, for k >= 1, y(u) u^k = mu u^k + d u^(k-1) / 2 rises with u while
+      P_k(u) / u^k falls: with t = u s in the beta integral, it is
+      k C(m, k) times the integral over s in [0, 1] of
+      s^(k-1) (1 - u s)^(m-k).
+    So the price with k highs earns at least ((m - k) x(u_hi) P_k(u_lo) +
+    k Y_k) / m. The second form keeps the small-u plateau, where the
+    one-high price earns about d/2 and the first form loses a factor
+    u_hi/u_lo. k runs over ceil(m u_lo + z sigma), z = -4..0, as in
+    _revenue_floors. The second form is rounded down by (k + 8) 2^-52: the
+    float u_lo/u_hi is within 2^-53 relative, so its k-th power within
+    k 2^-53 and pow's own ulp, and y(u_lo), the two products and the
+    rounding factor add five roundings more. The survival calls' own error
+    is that of _revenue_floors, which PRUNE_MARGIN covers."""
+    top = np.arange(0, us.size, CELL)
+    u_hi, u_lo = us[top], us[np.minimum(top + CELL - 1, us.size - 1)]
+    x_hi = _two_point(spec, u_hi)[0]
+    y_hi, y_lo = (spec.mu + spec.d / (2.0 * u) for u in (u_hi, u_lo))
+    sig = np.sqrt(m * u_lo * (1.0 - u_lo))
+    z = np.arange(-4.0, 1.0)[:, None]
+    k = np.clip(np.ceil(m * u_lo + z * sig), 0.0, m)
+    p_lo, p_hi = (binom_sf(k - 1.0, m, u) for u in (u_lo, u_hi))
+    shrink = (u_lo / u_hi) ** k * (1.0 - (k + 8.0) * 2.0 ** -52)
+    highs = np.maximum(y_hi * p_lo, y_lo * p_hi * shrink)
+    revs = ((m - k) * x_hi * p_lo + k * highs) / m
+    return np.maximum(x_hi, revs.max(axis=0))
+
+
 def minimax_bundling_value(spec: MeanMadSpec, m: int,
                            alpha_grid: int = ALPHA_GRID) -> SaddleReport:
     """Two-point i.i.d. parameter minimizing the seller's best-response revenue.
 
     One grid_polish call over alpha on the best response, the grid solved
-    only where it can hold the minimum: rows one at a time from the lowest
-    revenue floor (_revenue_floors) up. Reports the argmin alpha and the
-    best-response price there. certificate.lower is maximin's family-wide
-    bound maximin_certificate_lower (the other play order can only do worse
-    for the adversary) and certificate.upper is the grid minimum, valid
-    since every evaluated alpha upper-bounds the infimum. The scale is
-    checked first, as in maximin_bundling_value, and so is the grid size.
+    only where it can hold the minimum: cells of rows from the lowest cell
+    floor (_cell_floors) up, and in the cells refined, rows one at a time
+    from the lowest revenue floor (_revenue_floors) up. At (1, 0.8), m =
+    100 to 10^4, three of the 128 cells are refined. Reports the argmin
+    alpha and the best-response price there. certificate.lower is maximin's
+    family-wide bound maximin_certificate_lower (the other play order can
+    only do worse for the adversary) and certificate.upper is the grid
+    minimum, valid since every evaluated alpha upper-bounds the infimum.
+    The scale is checked first, as in maximin_bundling_value, and so is the
+    grid size.
     """
     _check_scale(spec, m)
     check_count(alpha_grid, "alpha_grid", 2)
     lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
     u_best, v_best, grid_best = grid_polish(
-        lambda z: _best_response(spec, m, z)[1], u,
-        _revenue_floors(spec, m, u), BRACKET_TOL)
+        lambda z: _best_response(spec, m, z)[1], u, _cell_floors(spec, m, u),
+        lambda rows: _revenue_floors(spec, m, u[rows]), BRACKET_TOL)
     return SaddleReport(
         m=m,
         value=v_best,

@@ -12,6 +12,7 @@ import pytest
 from rbl import solvers
 from rbl.ambiguity import MeanMadSpec
 from rbl.concentration import guaranteed_sale_chain
+from rbl.sum_law import binom_window
 from rbl.solvers import (
     maximin_bundling_value,
     maximin_certificate_lower,
@@ -143,3 +144,78 @@ def test_certificate_lower_never_exceeds_either_solver(mu, d):
             assert rep.certificate[0] == lower
             tie = 1e-15 * rep.value if m == 1 else 0.0
             assert lower <= rep.value + tie
+
+
+def _full_window_terms(spec, m):
+    """(L, terms, lo): L(m) over the whole _window of k, every mass priced
+    by one binom_window call, and its terms from k = lo on."""
+    q = spec.alpha_min
+    lo, hi = solvers._window(m, 1.0 - q)
+    pmf, _ = binom_window(m - hi, m - lo, m, q)
+    cdf = pmf[::-1].cumsum()
+    shortfall = np.concatenate(([0.0], cdf[:-1].cumsum()))
+    terms = (np.sqrt(np.arange(lo, hi + 1.0)) - np.sqrt(shortfall)) ** 2
+    return spec.mu * float(terms.max()) / m, terms, lo
+
+
+def _stop_specs():
+    """2,400 seeded (mu, d, m): m = 1 and 2, m log-uniform up to 10^5 and
+    a few up to 10^6; d/mu log-uniform on [1e-9, 1e-3] (near 0), on
+    [1e-3, 1.9], and 2 - d/mu on [1e-7, 0.1] (near 2)."""
+    rng = np.random.default_rng(20261021)
+    out = []
+    for i in range(2400):
+        mu = float(np.exp(rng.uniform(-3.0, 3.0)))
+        kind = i % 3
+        if kind == 0:
+            r = float(10.0 ** rng.uniform(-9.0, -3.0))
+        elif kind == 1:
+            r = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.9))))
+        else:
+            r = 2.0 - float(10.0 ** rng.uniform(-7.0, -1.0))
+        top = 1e6 if i % 40 == 0 else 1e5
+        m = (int(rng.integers(1, 3)) if i % 5 == 0
+             else int(np.exp(rng.uniform(0.0, np.log(top)))))
+        out.append((mu, mu * r, m))
+    return out
+
+
+def test_stopped_bound_keeps_the_full_window_bits(monkeypatch):
+    # L(m) stops pricing masses once the Jensen bound J(k) = (sqrt(k) -
+    # sqrt(k - M))^2, M the mean of K, says no later term can win; every
+    # priced term keeps its bits, so L equals the full-window pass bit for
+    # bit. Count guard: the masses are priced by one binom_window call from
+    # the window's low end to ceil(M) + 1, and by a second only from there
+    # to the k before the first whose budgeted J is below the first call's
+    # best, never twice and never past that stop
+    calls, window = [], solvers.binom_window
+    monkeypatch.setattr(solvers, "binom_window", lambda *args: (
+        calls.append(args[:2]) or window(*args)))
+    argmax_past_mean = second = 0
+    for mu, d, m in _stop_specs():
+        spec = MeanMadSpec(mu, d)
+        calls.clear()
+        got = maximin_certificate_lower(spec, m)
+        want, terms, lo = _full_window_terms(spec, m)
+        assert repr(got) == repr(want), (mu, d, m)
+        q = spec.alpha_min
+        mean = m * (1.0 - q) * (1.0 + 2.0 ** -50)
+        argmax_past_mean += lo + int(terms.argmax()) >= mean
+        hi = lo + terms.size - 1
+        top = hi
+        if lo == 0 or m * q * (1.0 - q) >= 1.0:
+            top = min(hi, math.ceil(mean) + 1)
+        priced = [(m - b, m - a) for a, b in calls]  # k ranges
+        assert priced[0] == (lo, top)
+        if top < hi:
+            k = np.arange(top + 1.0, hi + 1.0)
+            cap = ((mean / (np.sqrt(k) + np.sqrt(k - mean))) ** 2
+                   * (1.0 + 16.0 * hi / mean * solvers._lower_tail_slack(m)))
+            below = np.flatnonzero(cap < terms[:top - lo + 1].max())
+            stop = top + 1 + (below[0] if below.size else k.size)
+        else:
+            stop = top + 1
+        assert priced[1:] == ([(top + 1, stop - 1)] if stop > top + 1
+                              else []), (mu, d, m)
+        second += len(priced) == 2
+    assert argmax_past_mean >= 100 and second >= 1, (argmax_past_mean, second)

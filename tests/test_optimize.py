@@ -3,7 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from rbl.optimize import golden_min, grid_polish
+from rbl.optimize import CELL, PRUNE_MARGIN, golden_min, grid_polish
+
+
+def _rows(bounds):
+    """grid_polish's bounds for per-row bounds: each cell's least row bound,
+    and the rows' own."""
+    bounds = np.asarray(bounds, dtype=float)
+    return (np.minimum.reduceat(bounds, np.arange(0, bounds.size, CELL)),
+            lambda rows: bounds[rows])
+
+
+def _free(n):
+    """Bounds of -inf for a grid of n rows: every row is solved."""
+    return _rows(np.full(n, -np.inf))
 
 
 def _calls(f):
@@ -18,7 +31,7 @@ def _calls(f):
 def test_polish_beats_the_grid_inside_the_bracket():
     xs = np.linspace(0.0, 1.0, 11)
     f = lambda x: (x - 0.33) ** 2
-    x, v, grid = grid_polish(f, xs, f(xs), 1e-12)
+    x, v, grid = grid_polish(f, xs, *_rows(f(xs)), 1e-12)
     assert x == pytest.approx(0.33, abs=1e-6)
     assert v < grid == f(xs[3])
 
@@ -28,7 +41,7 @@ def test_grid_point_wins_ties():
     xs = np.linspace(0.0, 4.0, 5)
     f = lambda z: 1.0 if abs(z - 2.0) <= 0.5 else 1.0 + abs(z - 2.0)
     assert [f(x) for x in xs] == [3.0, 2.0, 1.0, 2.0, 3.0]
-    assert grid_polish(f, xs, np.full(5, -np.inf), 1e-9) == (2.0, 1.0, 1.0)
+    assert grid_polish(f, xs, *_free(5), 1e-9) == (2.0, 1.0, 1.0)
 
 
 def test_grid_point_wins_on_a_non_unimodal_bracket():
@@ -36,7 +49,7 @@ def test_grid_point_wins_on_a_non_unimodal_bracket():
     # only the plateaus and must not replace the grid point
     xs = np.array([0.0, 1.0, 2.0])
     f = lambda x: 0.0 if x == 1.0 else 5.0
-    x, v, _ = grid_polish(f, xs, np.array([f(x) for x in xs]), 1e-9)
+    x, v, _ = grid_polish(f, xs, *_rows([f(x) for x in xs]), 1e-9)
     assert (x, v) == (1.0, 0.0)
 
 
@@ -54,7 +67,7 @@ def test_edge_index_brackets_with_its_one_neighbour(i):
     xs = np.linspace(0.0, 4.0, 5)
     target = xs[i] + (0.3 if i == 0 else -0.3)
     f, seen = _calls(lambda x: abs(x - target))
-    x, v, _ = grid_polish(f, xs, np.abs(xs - target), 1e-10)
+    x, v, _ = grid_polish(f, xs, *_rows(np.abs(xs - target)), 1e-10)
     assert x == pytest.approx(target, abs=1e-9)
     lo, hi = sorted((xs[i], xs[i + 1 if i == 0 else i - 1]))
     assert seen[0] == xs[i]
@@ -65,10 +78,10 @@ def test_descending_grid_brackets_like_an_ascending_one():
     f = lambda x: (x - 0.47) ** 2
     up = np.linspace(0.0, 1.0, 21)
     down = up[::-1]
-    assert grid_polish(f, down, f(down), 1e-12) == \
-        grid_polish(f, up, f(up), 1e-12)
+    assert grid_polish(f, down, *_rows(f(down)), 1e-12) == \
+        grid_polish(f, up, *_rows(f(up)), 1e-12)
     g, seen = _calls(f)
-    grid_polish(g, down, f(down), 1e-12)
+    grid_polish(g, down, *_rows(f(down)), 1e-12)
     assert seen[0] == 0.45
     _assert_polishes_inside(seen[1:], 0.4, 0.5)
 
@@ -79,14 +92,13 @@ def test_maximize_matches_minimizing_the_negation():
     xs = np.linspace(-2.0, 2.0, 17)
     f = lambda x: np.sin(3.0 * x) + 0.1 * x
     vals = np.array([f(x) for x in xs])
-    x, v, grid = grid_polish(lambda z: -f(z), xs, -vals, 1e-12)
+    x, v, grid = grid_polish(lambda z: -f(z), xs, *_rows(-vals), 1e-12)
     assert -grid == vals.max() and -v >= vals.max()
     i = int(np.argmax(vals))
     lo, hi = sorted((xs[i - 1], xs[i + 1]))
     gx, gv = golden_min(lambda z: -f(z), lo, hi, tol=1e-12)
     assert (x, v) == (gx, gv)
-    unpruned = grid_polish(lambda z: -f(z), xs, np.full(xs.size, -np.inf),
-                           1e-12)
+    unpruned = grid_polish(lambda z: -f(z), xs, *_free(xs.size), 1e-12)
     assert unpruned == (x, v, grid)
 
 
@@ -100,6 +112,97 @@ def test_result_is_never_worse_than_the_grid(seed):
     vals = np.array([f(x) for x in xs])
     for s in (1.0, -1.0):
         g = lambda x: s * f(x)
-        x, v, grid = grid_polish(g, xs, np.full(xs.size, -np.inf), 1e-10)
+        x, v, grid = grid_polish(g, xs, *_free(xs.size), 1e-10)
         assert v == g(x)
         assert v <= grid == (s * vals).min()
+
+
+def _recorded(n, seed):
+    """A random objective on a grid of n rows, ascending or descending, with
+    random valid bounds (each cell bound at most its rows' values, each row
+    bound at most its value; ties, tight bounds and -inf included), and the
+    lists of grid rows solved and of rows asked of row_bounds."""
+    rng = np.random.default_rng(seed)
+    vals = np.round(rng.normal(size=n), int(rng.integers(1, 4)))
+    xs = np.sort(rng.uniform(0.0, 10.0, n))[::rng.choice([1, -1])]
+    rows_lo = vals - rng.exponential(rng.choice([0.01, 0.3, 3.0]), n)
+    rows_lo[rng.random(n) < 0.1] = -np.inf
+    tight = rng.random(n) < 0.3
+    rows_lo[tight] = vals[tight]
+    cells = np.minimum.reduceat(vals, np.arange(0, n, CELL))
+    cells -= rng.exponential(0.5, cells.size) * (rng.random(cells.size) < 0.7)
+    grid = dict(zip(xs.tolist(), range(n)))
+    solved, asked = [], []
+
+    def f(x):
+        if x in grid:
+            solved.append(grid[x])
+            return vals[grid[x]]
+        return 1.0 + math.sin(x)  # the polish, at interior points
+
+    def row_bounds(rows):
+        asked.extend(rows.tolist())
+        return rows_lo[rows]
+    return xs, vals, f, cells, row_bounds, solved, asked
+
+
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 33, 2048])
+def test_valid_bounds_keep_the_unbounded_result(n):
+    # any valid cell and row bounds give the (x, v, grid) of all -inf, whose
+    # search solves every row in index order; the best-first search asks
+    # row_bounds at most ceil(log2 cells) + 1 times, never for a row twice,
+    # solves no row twice, and skips only rows whose cell bound, or row
+    # bound once the cell is refined, clears the minimum
+    calls = []
+    for seed in range(20 if n < 2048 else 4):
+        xs, vals, f, cells, row_bounds, solved, asked = _recorded(n, seed)
+        free = grid_polish(f, xs, *_free(n), 1e-10)
+        assert solved[:n] == list(range(n))
+        solved.clear()
+
+        def counted(rows):
+            calls.append(rows.size)
+            return row_bounds(rows)
+        calls.clear()
+        got = grid_polish(f, xs, cells, counted, 1e-10)
+        assert got == free, (n, seed)
+        assert len(calls) <= math.ceil(math.log2(cells.size)) + 1
+        refined = set(asked)
+        assert len(refined) == len(asked)
+        assert len(set(solved)) == len(solved)
+        clear = vals.min() + PRUNE_MARGIN * abs(vals.min())
+        for i in set(range(n)) - set(solved):
+            assert (row_bounds(np.array([i]))[0] if i in refined
+                    else cells[i // CELL]) > clear, (n, seed, i)
+
+
+def test_unbounded_cells_are_all_refined_before_any_row():
+    # bounds of -inf: batches of 1, 2, 4, ... cells, then rows 0..n-1
+    n = 100
+    asked, solved = [], []
+    grid_polish(lambda x: solved.append(x) or 0.0, np.arange(float(n)),
+                np.full(7, -np.inf),
+                lambda rows: asked.append(rows) or np.full(rows.size, -np.inf),
+                1e-9)
+    assert [r.size for r in asked] == [16, 32, 52]
+    assert solved[:n] == list(range(n))
+
+
+@pytest.mark.parametrize("n", [17, 33, 1024])
+def test_cell_minima_solve_rows_in_global_bound_order(n):
+    # cell bounds that are their rows' least bounds, as maximin passes:
+    # the rows are solved in the stable argsort order of all row bounds,
+    # as far as the search goes
+    for seed in range(10):
+        xs, vals, f, _, row_bounds, solved, _ = _recorded(n, seed)
+        bounds = row_bounds(np.arange(n))
+        grid_polish(f, xs, *_rows(bounds), 1e-10)
+        order = np.argsort(bounds, kind="stable").tolist()
+        assert solved == order[:len(solved)], (n, seed)
+    # a tie between a refined cell's row and the next cell's least bound:
+    # the cell is refined first, so row 0 goes before row 17
+    bounds = np.array([5.0] * 16 + [1.0] + [5.0] * 15)
+    order = []
+    grid_polish(lambda x: order.append(int(x)) or 10.0, np.arange(32.0),
+                *_rows(bounds), 1e-9)
+    assert order[:32] == np.argsort(bounds, kind="stable").tolist()

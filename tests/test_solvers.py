@@ -503,7 +503,7 @@ def _recording_search(grids, unpruned=False):
     """grid_polish, appending to grids the row values each call's grid
     solved (+inf where skipped); a row counts until the polish starts.
     unpruned: bounds patched to -inf, so every row is solved."""
-    def search(f, xs, bounds, tol):
+    def search(f, xs, cell_bounds, row_bounds, tol):
         rows, polishing = {}, []
 
         def row(x):
@@ -519,8 +519,10 @@ def _recording_search(grids, unpruned=False):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimize, "golden_min", golden)
-            out = grid_polish(row, xs, np.full(len(xs), -np.inf)
-                              if unpruned else bounds, tol)
+            if unpruned:
+                cell_bounds = np.full(len(cell_bounds), -np.inf)
+                row_bounds = lambda rows: np.full(rows.size, -np.inf)
+            out = grid_polish(row, xs, cell_bounds, row_bounds, tol)
         grids.append(np.array([rows.get(x, np.inf) for x in xs]))
         return out
     return search
@@ -729,6 +731,52 @@ def test_minimax_grid_pruning_keeps_the_argmin(monkeypatch):
         assert rep == rep_full
 
 
+def _cell_floor_specs():
+    """(mu, d, m, cells to check): a seeded sweep, mu = e^U(-3, 3), d/mu
+    log-uniform on [1e-3, 1.98], m log-uniform up to 10^6 (every cell), and
+    four specs at m = 10^7 and 3 10^7, where best responses scan up to 10^5
+    k: there the cells whose rows have m u_hi <= 10^4, the small-u plateau
+    where the one-high price earns about d/2, and six more at random."""
+    rng = np.random.default_rng(20261020)
+    every = np.arange(solvers.ALPHA_GRID // optimize.CELL)
+    out = []
+    for _ in range(12):
+        mu = float(np.exp(rng.uniform(-3.0, 3.0)))
+        r = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.98))))
+        out.append((mu, mu * r, int(np.exp(rng.uniform(0.0, np.log(1e6)))),
+                    every))
+    for mu, d, m in ((3.0, 0.15, 10**7), (1.0, 1.5, 10**7),
+                     (1.0, 0.8, 3 * 10**7), (0.2, 0.39, 3 * 10**7)):
+        u_hi = solvers._u_grid(MeanMadSpec(mu, d), solvers.ALPHA_GRID)[
+            every * optimize.CELL]
+        cheap = every[m * u_hi <= 1e4]
+        out.append((mu, d, m, np.union1d(cheap, rng.choice(every, 6))))
+    return out
+
+
+def test_cell_floors_never_exceed_a_best_response():
+    # a cell floor bounds the best response at every row of its cell, up
+    # to PRUNE_MARGIN (the survival calls' own rounding); at m <= 10 also
+    # at 64 points between each pair of cell ends. Both a floor with u_lo
+    # and u_hi swapped and one without the (u_lo/u_hi)^k factor fail here
+    dense = [(1.0, 0.5, 1), (1.0, 1.9, 3), (2.3, 0.4, 10), (1.0, 1.98, 2),
+             (0.05, 0.001, 7), (1.0, 1.2, 5)]
+    for mu, d, m, cells in _cell_floor_specs() + [
+            (mu, d, m, None) for mu, d, m in dense]:
+        spec = MeanMadSpec(mu, d)
+        us = solvers._u_grid(spec, solvers.ALPHA_GRID)
+        floors = solvers._cell_floors(spec, m, us)
+        assert floors.size == us.size // optimize.CELL
+        for j in range(floors.size) if cells is None else cells:
+            rows = us[j * optimize.CELL:(j + 1) * optimize.CELL]
+            if m <= 10:
+                rows = np.concatenate((rows, np.geomspace(
+                    rows[-1], rows[0], 66)[1:-1]))
+            best = _kernel(spec, m, rows)[1]
+            assert np.all(floors[j] <= best * (1.0 + PRUNE_MARGIN)), (
+                mu, d, m, j)
+
+
 def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
     # floors priced by binom_sf stay within the constant margin of the
     # kernel's rows at m = 1e7, and the report matches the unpruned grid's
@@ -740,23 +788,32 @@ def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
     got = repr(minimax_bundling_value(spec, m))
     rows = dict(zip(us.tolist(), full))
 
-    def unpruned(f, xs, bounds, tol):
+    def unpruned(f, xs, cell_bounds, row_bounds, tol):
         # every row solved, from the kernel values above: a row has the same
         # bits however it is reached
-        assert np.array_equal(bounds, floors)
+        assert np.array_equal(row_bounds(np.arange(xs.size)), floors)
         return grid_polish(lambda x: rows[x] if x in rows else f(x), xs,
-                           np.full(xs.size, -np.inf), tol)
+                           np.full(cell_bounds.size, -np.inf),
+                           lambda r: np.full(r.size, -np.inf), tol)
 
     monkeypatch.setattr(solvers, "grid_polish", unpruned)
     assert got == repr(minimax_bundling_value(spec, m))
 
 
 def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
-    # a count guard instead of a timing test: weaker floors fail it
-    for d, m in ((0.8, 100), (0.8, 1000), (0.8, 10_000), (1.5, 10_000)):
+    # a count guard instead of a timing test: weaker floors fail it, and
+    # weaker cell floors price the fine floors of more rows (every row's
+    # when each cell is refined); at (1, 0.8) three cells are refined
+    priced, floors = [], solvers._revenue_floors
+    monkeypatch.setattr(solvers, "_revenue_floors", lambda spec, m, us: (
+        priced.append(us.size) or floors(spec, m, us)))
+    for d, m, most in ((0.8, 100, 48), (0.8, 1000, 48), (0.8, 10_000, 48),
+                       (1.5, 10_000, 240)):
+        priced.clear()
         rows = _rows_solved(
             monkeypatch, lambda: minimax_bundling_value(MeanMadSpec(1.0, d), m))
         assert 0 < len(rows) <= 32
+        assert sum(priced) <= most, (d, m)
 
 
 def _nine_cut_floors(spec, m, us):
@@ -797,7 +854,8 @@ def test_revenue_floors_send_the_nine_cut_rows(monkeypatch):
             rows = _rows_solved(monkeypatch, lambda: reps.append(
                 repr(minimax_bundling_value(spec, m))))
         assert reps[0] == reps[1]
-        assert got_rows == rows and len(got_rows) == n_rows, (mu, d, m)
+        # n_rows: the rows the search sent when it priced every row's floor
+        assert got_rows == rows and 0 < len(got_rows) <= n_rows, (mu, d, m)
 
 
 @pytest.mark.parametrize("n", [1, 3, 64, 10_000])
@@ -821,8 +879,11 @@ def test_pruned_min_matches_the_full_grid(n):
         assert np.all(bounds <= values), name
         f = lambda x: float(np.interp(x, xs, values))
         grids = []
-        out = _recording_search(grids)(f, xs, bounds, 1e-10)
-        full_out = _recording_search(grids, unpruned=True)(f, xs, bounds, 1e-10)
+        cells = np.minimum.reduceat(bounds, np.arange(0, n, optimize.CELL))
+        out = _recording_search(grids)(f, xs, cells, lambda r: bounds[r],
+                                       1e-10)
+        full_out = _recording_search(grids, unpruned=True)(
+            f, xs, cells, lambda r: bounds[r], 1e-10)
         got, full = grids
         assert np.array_equal(full, values), name
         done = np.isfinite(got)
