@@ -23,10 +23,11 @@ import numpy as np
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_ITER = 200
 # grid_polish skips a grid row only if its bound clears the best value by
-# this much, relatively (a price's cap already sits at or above its
-# guarantee, bit for bit): above the rounding of the binomial tail (revenue
-# floors priced by binom_sf overshoot exact best responses by at most 5e-10
-# up to m = 3e7), so pruning never changes a result.
+# this much, relatively (a price's own cap sits at or above its guarantee
+# bit for bit, a cell's cap, priced at another price, up to the rounding
+# of the binomial tail): above that rounding (revenue floors priced by
+# binom_sf overshoot exact best responses by at most 5e-10 up to m = 3e7),
+# so pruning never changes a result.
 PRUNE_MARGIN = 1e-9
 # Rows per grid_polish cell.
 CELL = 16

@@ -11,11 +11,14 @@ that limit point, not an attained minimizer. Nature first (minimax): a grid
 geometric in 1 - alpha down to 1e-12, because the damaging adversaries sit
 next to alpha = 1, searched and polished by grid_polish on the seller's best
 response. Each order passes grid_polish one objective and cheap lower bounds
-on it per cell of optimize.CELL grid rows and per row: for a price, p/m up
-to m L(m) (L the certificate lower bound) and above it a cap from nature's
-extreme answers, U_FLOOR and the ends of its in-range breakpoints
-(_guarantee_caps), each cell taking its rows' least, so about one row is
-solved per grid; for nature, a floor per cell from the cell's two ends
+on it per cell of optimize.CELL grid rows and per row: for a price p, p/m
+times a tail cap, 1.0 up to m L(m) (L the certificate lower bound) and
+above it the least tail over nature's extreme answers, U_FLOOR and the
+ends of its in-range breakpoints (_guarantee_caps), and for a cell its
+last price times the tail cap at its first, as the infimum does not rise
+with p, so exact caps are priced only in the cells the search refines and
+about one row is solved per grid; for nature, a floor per cell from the
+cell's two ends
 (_cell_floors), and per row of the few cells that can hold the minimum a
 revenue floor from a few feasible prices (_revenue_floors). Rows are solved
 exactly from the most promising bound on, until every bound left clears the
@@ -263,17 +266,31 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float, cell: tuple,
 
 def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray,
                     floor_tails: np.ndarray) -> np.ndarray:
-    """Per price in ps, an upper bound on its guarantee p * tail / m: the
-    least of its tail at u = U_FLOOR (floor_tails) and the in-range
-    breakpoint limits within one k of either end, ceil(h(U_FLOOR)) and
-    ceil(h(1 - alpha_min)) - 1 (_highs_at), priced by _inner_infimum's own
-    _limit_tails, so no cap is below its exact guarantee, bit for bit. Up to
-    m mu nature's answer sat at an end in every probe: the caps are exact."""
+    """Per price in ps, a cap on its tail infimum (_inner_infimum), so
+    p * cap / m caps its guarantee: the least of its tail at u = U_FLOOR
+    (floor_tails) and the in-range breakpoint limits within one k of either
+    end, ceil(h(U_FLOOR)) and ceil(h(1 - alpha_min)) - 1 (_highs_at),
+    priced by _inner_infimum's own _limit_tails, so no cap is below the
+    infimum computed at its own price, bit for bit. Up to m mu nature's
+    answer sat at an end in every probe: the caps are exact.
+
+    The exact infimum does not rise with p, as every fixed-u tail P(sum >=
+    p) falls, so the cap at a cell's first price ps[s] times its last,
+    ps[e] * cap / m, caps the guarantee at every price of ps[s..e]. In
+    floats that holds up to a rounding budget: the infimum computed at p
+    and the cap at ps[s] are each exact up to the relative error of one
+    survival call (Boost's: 2e-11 at m = 1e7), and that of its breakpoint,
+    a few eps, times the tail's log-slope in u; ps[e] >= p, and the
+    products round in order. A search skips a cell only if its cap is
+    PRUNE_MARGIN, 1e-9, relative below the best guarantee found, so it
+    keeps the full grid's optimum. Over seeded specs with d/mu from 1e-6
+    to 1.98 and m from 1 to 1e7, no cell cap was below a row's computed
+    guarantee at all (tests/test_solvers.py)."""
     c = 2.0 * (ps[:, None] - m * spec.mu) / spec.d
     ends = _highs_at(c, m, np.array([U_FLOOR, 1.0 - spec.alpha_min])) - [1.0, 2.0]
-    k = np.clip(ends[..., None] + np.arange(3.0), 0.0, m).reshape(ps.size, -1)
+    k = np.clip(ends[..., None] + np.arange(3.0), 0.0, m).reshape(ps.size, 6)
     tails = _limit_tails(spec, m, c, k)[1]
-    return ps * np.minimum(floor_tails, tails.min(axis=1)) / m
+    return np.minimum(floor_tails, tails.min(axis=1))
 
 
 def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
@@ -321,11 +338,15 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     and mu k > p, P(S < p) <= mu E(k - K)+ / (mu k - p). The price
     p = mu (k - sqrt(k E(k - K)+)) maximizes p (1 - that bound) / m to the
     k-th term of L (_certificate_terms). The terms run over the _window of
-    k: below it E(k - K)+ is negligible and the term rises as k, above it
-    the term falls. The masses are those of m - K ~ Binomial(m, d/(2 mu))
-    at m - k, so alpha_min enters unrounded, from binom_window; the cumsums
-    start at the window, so its mass past the window, P(K < lo), is not
-    used. At m = 1, L is the single-item robust revenue
+    k, reaching at least _WINDOW_SIGMAS whole k below the mean where sigma
+    < 1, as _best_response's does: below it E(k - K)+ is negligible and
+    the term rises as k, above it the term falls. The masses are those of
+    m - K ~ Binomial(m, d/(2 mu)) at m - k, so alpha_min enters unrounded,
+    from binom_window; the cumsums start at the window's low end lo, so
+    P(K < lo) is not used, and it is below e^-55 (Bernstein at 40 sigma,
+    or at 40 whole k where sigma < 1). The 40-sigma window alone starts at
+    k = 999,999 at (1, 1e-9), m = 1e6, where it drops 1.25e-7 and reads L
+    7.1e-7 high. At m = 1, L is the single-item robust revenue
     (sqrt(mu) - sqrt(d/2))^2.
 
     The masses are priced from the window's low end up to ceil(M) + 1, M =
@@ -336,24 +357,22 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     _lower_tail_slack(m), is below the best term priced, no term from k on
     can win. Where J at ceil(M) + 2 does not fall below the best of the
     first masses' terms, a second binom_window call prices the masses from
-    there up to the k before the first whose J does. The
-    budget: the float shortfall is at least (k - M)(1 - delta), as the
-    relative error of Boost's masses (2e-11 at m = 1e7) and of the two
-    cumsums (2 m eps) is below delta / 2, and, where the window starts above
-    0 (only with sigma >= 1 here; at sigma < 1 it is priced whole), its
-    mass past the low end, P(K < lo) <= e^-55 (Bernstein at 40 sigma), is
-    below k e^-55 <= delta (k - M) / 2 for k >= M + 1. Then a float term
-    is at most J(k) (1 + 2 (k/M)(delta + 2 eps))^2 and a few roundings,
-    under J (1 + 8 (hi/M) delta), and the product and the float J add a
-    few eps more. M is taken 2^-50 high, which only raises J.
+    there up to the k before the first whose J does. The budget: the float
+    shortfall is at least (k - M)(1 - delta), as the relative error of
+    Boost's masses (2e-11 at m = 1e7) and of the two cumsums (2 m eps) is
+    below delta / 2, and, where the window starts above 0, P(K < lo) <=
+    e^-55 is below k e^-55 <= delta (k - M) / 2 for k >= M + 1. Then a
+    float term is at most J(k) (1 + 2 (k/M)(delta + 2 eps))^2 and a few
+    roundings, under J (1 + 8 (hi/M) delta), and the product and the float
+    J add a few eps more. M is taken 2^-50 high, which only raises J.
     """
     check_count(m)
     q = spec.alpha_min
     lo, hi = _window(m, 1.0 - q)
+    if lo > 0:
+        lo = max(min(lo, math.floor(m * (1.0 - q) - _WINDOW_SIGMAS)), 0)
     mean = m * (1.0 - q) * (1.0 + 2.0 ** -50)
-    top = hi
-    if lo == 0 or m * q * (1.0 - q) >= 1.0:
-        top = min(hi, math.ceil(mean) + 1)
+    top = min(hi, math.ceil(mean) + 1)
     pmf = binom_window(m - top, m - lo, m, q)[0]
     terms = _certificate_terms(lo, pmf)
     if top < hi:
@@ -391,16 +410,18 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     Outer maximization over p in [0, m*mu]: one grid_polish call minimizes
     the negated guarantee -p * tail / m (exact, so values keep their bits),
     its inner infimum solved exactly by breakpoints (_inner_infimum) from
-    the highest cap down, one price per grid; a grid_polish cell's bound is
-    its rows' least, so the search solves the rows a walk down the caps
-    would.
-    A price with p/m at most the certificate lower bound L(m) takes the
-    valid cap p/m (its tail is at most 1), which the grid's best nearly
+    the highest cap down, one price per grid. A cell of CELL prices
+    ps[s..e] is capped by ps[e] times the tail cap at ps[s], a price by
+    itself times its own, so exact caps are priced once per cell, at its
+    first price, and for the rows of the cells the search refines (16 to
+    48 rows at (1, 0.5) and (1, 0.8), m = 100 to 10^4); the rows are solved
+    in the order a walk down the row caps would take. A price with p/m at most the certificate
+    lower bound L(m) takes the tail cap 1.0, which the grid's best nearly
     always clears, so only the prices above m L(m) pay for an exact cap
     (_guarantee_caps). Each grid interval (ps[j-1], ps[j]] gets one screen
-    (_price_cell) per solve: a row's is
-    priced at the row itself, and the polish, which prices only inside the
-    best row's two neighbours, adds the one above the best row. The top
+    (_price_cell) per solve: a row's is priced at the row itself, and the
+    polish, which prices only inside the best row's two neighbours, adds
+    the one above the best row. The top
     interval gets one per halving of m mu - p, since c, and with it every
     bound, vanishes at m mu; cells are keyed by their top price. Nature's
     U_FLOOR tail is priced once, and a spec at whose m it is not a step from
@@ -416,10 +437,15 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     sure, once = _floor_step(spec, m)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
-    caps = ps / m
-    rest = caps > lower
-    caps[rest] = _guarantee_caps(spec, m, ps[rest],
-                                 np.where(ps[rest] <= sure, 1.0, once))
+
+    def tail_caps(rows):
+        p = ps[rows]
+        caps = np.ones(p.size)
+        rest = p / m > lower
+        caps[rest] = _guarantee_caps(spec, m, p[rest],
+                                     np.where(p[rest] <= sure, 1.0, once))
+        return caps
+
     cells, answers = {}, {}
     top = ps[-1]
 
@@ -436,10 +462,12 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
                                           1.0 if p <= sure else once)
         return -p * tail / m
 
-    cell_caps = np.minimum.reduceat(-caps, np.arange(0, ps.size, CELL))
-    p_best, v_best, _ = grid_polish(neg_guarantee, ps, cell_caps,
-                                    lambda rows: -caps[rows],
-                                    BRACKET_TOL * m * spec.mu)
+    starts = np.arange(0, ps.size, CELL)
+    ends = np.minimum(starts + CELL - 1, ps.size - 1)
+    p_best, v_best, _ = grid_polish(
+        neg_guarantee, ps, -(ps[ends] * tail_caps(starts) / m),
+        lambda rows: -(ps[rows] * tail_caps(rows) / m),
+        BRACKET_TOL * m * spec.mu)
     return SaddleReport(
         m=m,
         value=-v_best,
@@ -545,10 +573,11 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
     floor (_cell_floors) up, and in the cells refined, rows one at a time
     from the lowest revenue floor (_revenue_floors) up. At (1, 0.8), m =
     100 to 10^4, three of the 128 cells are refined. Reports the argmin
-    alpha and the best-response price there. certificate.lower is maximin's
-    family-wide bound maximin_certificate_lower (the other play order can
-    only do worse for the adversary) and certificate.upper is the grid
-    minimum, valid since every evaluated alpha upper-bounds the infimum.
+    alpha and the best-response price there, from the search's own
+    evaluation. certificate.lower is maximin's family-wide bound
+    maximin_certificate_lower (the other play order can only do worse for
+    the adversary) and certificate.upper is the grid minimum, valid since
+    every evaluated alpha upper-bounds the infimum.
     The scale is checked first, as in maximin_bundling_value, and so is the
     grid size.
     """
@@ -556,13 +585,19 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
     check_count(alpha_grid, "alpha_grid", 2)
     lower = maximin_certificate_lower(spec, m)
     u = _u_grid(spec, alpha_grid)
+    prices = {}
+
+    def revenue(z):
+        prices[z], rev = _best_response(spec, m, z)
+        return rev
+
     u_best, v_best, grid_best = grid_polish(
-        lambda z: _best_response(spec, m, z)[1], u, _cell_floors(spec, m, u),
+        revenue, u, _cell_floors(spec, m, u),
         lambda rows: _revenue_floors(spec, m, u[rows]), BRACKET_TOL)
     return SaddleReport(
         m=m,
         value=v_best,
-        price=_best_response(spec, m, u_best)[0],
+        price=prices[u_best],
         alpha=1.0 - u_best,
         certificate=(lower, grid_best),
     )

@@ -89,6 +89,31 @@ def test_window_of_k_equals_the_full_range(monkeypatch):
         assert maximin_certificate_lower(MeanMadSpec(mu, d), m) == got
 
 
+def test_window_below_one_sigma_reaches_40_k_below_the_mean(monkeypatch):
+    # below one sigma the 40-sigma window can start a k below the mean of K;
+    # L reaches 40 whole k below it, as the best response does, so P(K < lo)
+    # is not dropped. A window from k = 999,999 at (1, 1e-9), m = 1e6 read
+    # L = 0.99999900, 7.1e-7 above the sum over every k; at d = 1e-6 it read
+    # 0.9985863214142389 at m = 100 and 0.9998293567197992 at m = 1e4
+    specs = [(1.0, 1e-9, 10**6), (1.0, 1e-6, 100), (1.0, 1e-6, 10**4),
+             (1.0, 1e-6, 10**5), (2.3, 2.3e-7, 3000), (1.0, 1e-9, 1000),
+             (1.0, 5e-8, 10**6), (1.0, 1e-4, 1000)]
+    for mu, d, m in specs:
+        u = 1.0 - MeanMadSpec(mu, d).alpha_min
+        assert m * u * (1.0 - u) < 1.0 and solvers._window(m, u)[0] > 0
+    got = {s: maximin_certificate_lower(MeanMadSpec(*s[:2]), s[2])
+           for s in specs}
+    for mu, d, m in ((1.0, 1e-6, 100), (1.0, 1e-9, 1000)):
+        assert got[mu, d, m] == pytest.approx(
+            float(_mp_bound(mu, d, m)[0]), rel=1e-13, abs=0.0)
+    assert got[1.0, 1e-6, 100] == 0.9985862864376267
+    assert got[1.0, 1e-6, 10**4] == 0.9998293564995926
+    monkeypatch.setattr(solvers, "_WINDOW_SIGMAS", 1e9)
+    for (mu, d, m), want in got.items():
+        assert repr(maximin_certificate_lower(MeanMadSpec(mu, d), m)) == (
+            repr(want)), (mu, d, m)
+
+
 def _random_member(mu, d, rng):
     """Support and masses of a random member: a two-point member, or a
     low+mu member (x, mu, y) with masses (a, 1 - a - c, c), often next to
@@ -147,10 +172,13 @@ def test_certificate_lower_never_exceeds_either_solver(mu, d):
 
 
 def _full_window_terms(spec, m):
-    """(L, terms, lo): L(m) over the whole _window of k, every mass priced
-    by one binom_window call, and its terms from k = lo on."""
+    """(L, terms, lo): L(m) over the whole _window of k, reaching at least
+    40 whole k below the mean, every mass priced by one binom_window call,
+    and its terms from k = lo on."""
     q = spec.alpha_min
     lo, hi = solvers._window(m, 1.0 - q)
+    if lo > 0:
+        lo = max(min(lo, math.floor(m * (1.0 - q) - 40.0)), 0)
     pmf, _ = binom_window(m - hi, m - lo, m, q)
     cdf = pmf[::-1].cumsum()
     shortfall = np.concatenate(([0.0], cdf[:-1].cumsum()))
@@ -187,11 +215,13 @@ def test_stopped_bound_keeps_the_full_window_bits(monkeypatch):
     # bit. Count guard: the masses are priced by one binom_window call from
     # the window's low end to ceil(M) + 1, and by a second only from there
     # to the k before the first whose budgeted J is below the first call's
-    # best, never twice and never past that stop
+    # best, never twice and never past that stop. The stop covers the
+    # windows below one sigma too, which reach 40 k below the mean, to 0
+    # in some: P(K < lo) is then below e^-55 as at 40 sigma
     calls, window = [], solvers.binom_window
     monkeypatch.setattr(solvers, "binom_window", lambda *args: (
         calls.append(args[:2]) or window(*args)))
-    argmax_past_mean = second = 0
+    argmax_past_mean = second = narrow = 0
     for mu, d, m in _stop_specs():
         spec = MeanMadSpec(mu, d)
         calls.clear()
@@ -201,10 +231,9 @@ def test_stopped_bound_keeps_the_full_window_bits(monkeypatch):
         q = spec.alpha_min
         mean = m * (1.0 - q) * (1.0 + 2.0 ** -50)
         argmax_past_mean += lo + int(terms.argmax()) >= mean
+        narrow += m * q * (1.0 - q) < 1.0 and solvers._window(m, 1.0 - q)[0] > 0
         hi = lo + terms.size - 1
-        top = hi
-        if lo == 0 or m * q * (1.0 - q) >= 1.0:
-            top = min(hi, math.ceil(mean) + 1)
+        top = min(hi, math.ceil(mean) + 1)
         priced = [(m - b, m - a) for a, b in calls]  # k ranges
         assert priced[0] == (lo, top)
         if top < hi:
@@ -218,4 +247,5 @@ def test_stopped_bound_keeps_the_full_window_bits(monkeypatch):
         assert priced[1:] == ([(top + 1, stop - 1)] if stop > top + 1
                               else []), (mu, d, m)
         second += len(priced) == 2
-    assert argmax_past_mean >= 100 and second >= 1, (argmax_past_mean, second)
+    assert argmax_past_mean >= 100 and second >= 1 and narrow >= 100, (
+        argmax_past_mean, second, narrow)

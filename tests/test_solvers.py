@@ -10,7 +10,7 @@ from rbl import optimize, solvers
 from rbl.ambiguity import MeanMadSpec, make_two_point
 from rbl.bundling import best_bundle_price
 from rbl.errors import RobustBundlingError
-from rbl.optimize import PRUNE_MARGIN, golden_min, grid_polish
+from rbl.optimize import CELL, PRUNE_MARGIN, golden_min, grid_polish
 from rbl.solvers import (
     U_FLOOR,
     maximin_bundling_value,
@@ -571,6 +571,18 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
         assert np.argmax(got) == np.argmax(full)
         assert np.all(full[~done] < got.max())
         assert rep == rep_full
+    # and on seeded specs, where the search prunes on cell caps priced at
+    # each cell's first price and not at its rows
+    rng = np.random.default_rng(3434)
+    for i in range(64):
+        mu = float(np.exp(rng.uniform(-3.0, 3.0)))
+        r = float(np.exp(rng.uniform(np.log(1e-6), np.log(1.98))))
+        m = (int(rng.integers(1, 5)) if i % 4 == 0
+             else int(np.exp(rng.uniform(0.0, np.log(3e4)))))
+        spec = MeanMadSpec(mu, mu * r)
+        *_, rep, rep_full = _pruned_and_full(
+            monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
+        assert rep == rep_full, (mu, r, m)
 
 
 @pytest.mark.parametrize("mu", [1.0, 2.3])
@@ -581,12 +593,76 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
         spec = MeanMadSpec(mu, mu * r)
         for m in (1, 2, 5, 16, 17, 100, 1000):
             ps = np.linspace(0.0, m * mu, 129)
-            caps = solvers._guarantee_caps(
-                spec, m, ps, _tails(spec, m, ps, U_FLOOR))
+            caps = ps * solvers._guarantee_caps(
+                spec, m, ps, _tails(spec, m, ps, U_FLOOR)) / m
             exact = [worst_case_alpha(spec, m, p)[1] for p in ps]
             assert np.all(caps >= exact), (r, m)
             # the trivial cap maximin takes up to m L(m): a tail is <= 1
             assert np.all(ps / m >= exact), (r, m)
+
+
+def _maximin_bounds(monkeypatch, spec, m):
+    """(ps, cell caps, row caps, report): the price grid of one maximin
+    solve and the caps its search gets, per cell of CELL rows and per row,
+    un-negated; every row's cap is priced here, after the solve."""
+    got = []
+
+    def search(f, xs, cell_bounds, row_bounds, tol):
+        got.append((np.array(xs), -np.asarray(cell_bounds), row_bounds))
+        return grid_polish(f, xs, cell_bounds, row_bounds, tol)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "grid_polish", search)
+        rep = maximin_bundling_value(spec, m)
+    ps, cells, row_bounds = got[0]
+    return ps, cells, -row_bounds(np.arange(ps.size)), rep
+
+
+def _cell_cap_specs():
+    """Seeded (mu, d, m), d/mu log-uniform on [1e-6, 1.98]: three per m up
+    to 1e4, two at 1e6 and one at 1e7; and the top-cell cut, the maximin
+    price in the top cell at (1, 1e-4), m = 1e4."""
+    rng = np.random.default_rng(34)
+    specs = [(float(np.exp(rng.uniform(-3.0, 3.0))),
+              float(np.exp(rng.uniform(np.log(1e-6), np.log(1.98)))), m)
+             for m, n in ((1, 3), (2, 3), (3, 3), (4, 3), (16, 3), (100, 3),
+                          (10_000, 3), (10**6, 2), (10**7, 1))
+             for _ in range(n)]
+    return [(mu, mu * r, m) for mu, r, m in specs] + [(1.0, 1e-4, 10_000)]
+
+
+def test_cell_caps_never_undercut_a_rows_guarantee(monkeypatch):
+    # a cell's cap is ps[e] times the tail cap at its first price ps[s]: the
+    # exact infimum does not rise with p, and here no rounding undercuts it
+    # (the search needs only caps above guarantees less PRUNE_MARGIN). Up to
+    # m = 1e4 every row of every cell is priced; at 1e6 and 1e7 the first
+    # and last rows of the cell holding the maximin price, its neighbours
+    # and the cell holding m L(m), where the caps sit closest to the rows'
+    # guarantees, but m mu, where worst_case_alpha prices every in-range k
+    # (54 s at m = 1e7)
+    tight = 0
+    for mu, d, m in _cell_cap_specs():
+        spec = MeanMadSpec(mu, d)
+        ps, cells, rows, rep = _maximin_bounds(monkeypatch, spec, m)
+        assert cells.size == -(-ps.size // CELL)
+        if m <= 10_000:
+            check = range(cells.size)
+            offsets = range(CELL)
+        else:
+            best = np.searchsorted(ps, rep.price)
+            above = np.searchsorted(ps / m, rep.certificate[0], "right")
+            check = sorted({j for j in (best // CELL - 1, best // CELL,
+                                        best // CELL + 1, above // CELL)
+                            if 0 <= j < cells.size})
+            offsets = (0, CELL - 1)
+        for j in check:
+            for i in sorted({min(j * CELL + o, ps.size - 1) for o in offsets}):
+                if m > 10_000 and i == ps.size - 1:
+                    continue
+                g = worst_case_alpha(spec, m, ps[i])[1]
+                assert cells[j] >= g and rows[i] >= g, (mu, d, m, i)
+                tight += g > 0.0 and cells[j] <= g * (1.0 + 1e-3)
+    assert tight >= 10, tight
 
 
 def test_maximin_grid_rows_sent_to_the_kernel(monkeypatch):
@@ -601,6 +677,22 @@ def test_maximin_grid_rows_sent_to_the_kernel(monkeypatch):
                     monkeypatch, lambda: maximin_bundling_value(
                         MeanMadSpec(mu, mu * float(r)), m))
                 assert len(rows) == 1, (mu, r, m)
+
+
+def test_maximin_caps_cell_starts_and_refined_rows_only(monkeypatch):
+    # a count guard: a solve prices one tail cap per cell of CELL prices,
+    # at its first price, and exact caps only for the rows of the cells its
+    # search refines: at most 64 + 48 prices here, where capping every price
+    # above m L(m) priced 272 to 539
+    sizes, caps = [], solvers._guarantee_caps
+    monkeypatch.setattr(solvers, "_guarantee_caps", lambda spec, m, ps, t: (
+        sizes.append(ps.size) or caps(spec, m, ps, t)))
+    for d in (0.5, 0.8):
+        for m in (100, 1000, 10_000):
+            sizes.clear()
+            maximin_bundling_value(MeanMadSpec(1.0, d), m)
+            assert sizes[0] <= solvers.PRICE_GRID // CELL, (d, m)
+            assert sum(sizes) <= 64 + 48, (d, m, sizes)
 
 
 def test_maximin_screens_each_cell_once(monkeypatch):
@@ -894,6 +986,31 @@ def test_pruned_min_matches_the_full_grid(n):
         margin = PRUNE_MARGIN * abs(best)
         assert np.all(bounds[~done] > best + margin), name
         assert out == full_out, name
+
+
+def test_minimax_price_is_the_searchs_own_best_response(monkeypatch):
+    # the reported price is the one the search's own evaluation at its u
+    # returned, bit for bit, with no best response priced after the search
+    calls, searched, br = [], [], solvers._best_response
+
+    def search(*args):
+        out = grid_polish(*args)
+        searched.append((out[0], len(calls)))
+        return out
+
+    monkeypatch.setattr(solvers, "_best_response",
+                        lambda *args: calls.append(args[2]) or br(*args))
+    monkeypatch.setattr(solvers, "grid_polish", search)
+    for mu, d, m in ((1.0, 0.5, 1), (1.0, 0.8, 100), (1.0, 0.8, 10_000),
+                     (1.3, 2.1, 1000), (1.0, 1.9, 3), (3.0, 0.15, 10**6)):
+        spec = MeanMadSpec(mu, d)
+        calls.clear()
+        searched.clear()
+        rep = minimax_bundling_value(spec, m)
+        [(u_best, n)] = searched
+        assert len(calls) == n and u_best in calls, (mu, d, m)
+        assert (rep.price, rep.value) == br(spec, m, u_best), (mu, d, m)
+        assert rep.alpha == 1.0 - u_best
 
 
 def test_minimax_m1_frozen(half_spec):
