@@ -366,6 +366,13 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     roundings, under J (1 + 8 (hi/M) delta), and the product and the float
     J add a few eps more. M is taken 2^-50 high, which only raises J.
     """
+    return _certificate_best(spec, m)[0]
+
+
+def _certificate_best(spec: MeanMadSpec, m: int) -> tuple[float, float]:
+    """(L(m), L's own price): maximin_certificate_lower's terms, and the
+    price mu (k - sqrt(k E(k - K)+)) = mu sqrt(k t) of the first k whose
+    term t is the largest, (sqrt(k) - sqrt(E(k - K)+))^2 = t."""
     check_count(m)
     q = spec.alpha_min
     lo, hi = _window(m, 1.0 - q)
@@ -385,7 +392,9 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
             pmf = np.concatenate(
                 (binom_window(m - top - more, m - top - 1, m, q)[0], pmf))
             terms = _certificate_terms(lo, pmf)
-    return spec.mu * float(terms.max()) / m
+    i = int(np.argmax(terms))
+    return (spec.mu * float(terms[i]) / m,
+            spec.mu * math.sqrt((lo + i) * float(terms[i])))
 
 
 def _check_scale(spec: MeanMadSpec, m: int) -> None:
@@ -431,6 +440,11 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     maximin_certificate_lower with the analytic ceiling mu - d/2. A spec
     whose scale leaves double range is rejected before any solving
     (_check_scale), as is a grid of fewer than 2 prices.
+
+    Where the search falls below L, L's own price p_L (_certificate_best)
+    is tried as one more candidate, kept if strictly better: its exact
+    guarantee is at least L, as L's sale bound holds for every product of
+    members.
     """
     _check_scale(spec, m)
     check_count(price_grid, "price_grid", 2)
@@ -468,6 +482,11 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
         neg_guarantee, ps, -(ps[ends] * tail_caps(starts) / m),
         lambda rows: -(ps[rows] * tail_caps(rows) / m),
         BRACKET_TOL * m * spec.mu)
+    if lower > -v_best:
+        p_l = _certificate_best(spec, m)[1]
+        v_l = neg_guarantee(p_l)
+        if v_l < v_best:
+            p_best, v_best = p_l, v_l
     return SaddleReport(
         m=m,
         value=-v_best,

@@ -59,6 +59,8 @@ MERGE_TOL = 1e-12
 # slot columns (2 MB of 64-bit words) at a time, so a chunk stays in cache.
 _CHUNK_ROWS = 1024
 _CHUNK_COLS = 256
+# k per block of the exact law's log-weights (64 KB per temporary).
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -121,19 +123,30 @@ def _log_weights(m: int, alpha: float) -> np.ndarray:
     order 1e-9 at m = 1e6, which shifts the whole law coherently and breaks
     the 1e-10 mass invariant, while the deviance form only ever combines
     small corrections and keeps each weight accurate in relative terms.
+
+    The interior is evaluated _BLOCK k at a time, so its temporaries stay in
+    cache (at m = 1e6 one pass over every k allocates 8 MB per step). Each
+    weight keeps the bits of a single pass over all k: every operation is
+    elementwise, and _bd0's series, whose terms share one sign and shrink,
+    stops adding to a block once no term changes any of its elements; a
+    term that leaves an element unchanged leaves it unchanged under every
+    later, smaller term too, so an element gets the same sum whether its
+    loop exits with its block or with the whole interior.
     """
     u = 1.0 - alpha  # exact subtraction for alpha >= 0.5
     log_alpha = np.log(alpha) if alpha < 0.5 else np.log1p(-u)
     out = np.empty(m + 1)
     out[0] = m * log_alpha
     out[m] = m * np.log(u)
-    k = np.arange(1, m, dtype=np.float64)
-    mk = m - k
-    out[1:m] = (
-        0.5 * np.log(m / (2.0 * np.pi * k * mk))
-        + float(_stirlerr(np.float64(m))) - _stirlerr(k) - _stirlerr(mk)
-        - _bd0(k, m * u) - _bd0(mk, m * alpha)
-    )
+    stirlerr_m = float(_stirlerr(np.float64(m)))
+    for lo in range(1, m, _BLOCK):
+        k = np.arange(lo, min(lo + _BLOCK, m), dtype=np.float64)
+        mk = m - k
+        out[lo:lo + k.size] = (
+            0.5 * np.log(m / (2.0 * np.pi * k * mk))
+            + stirlerr_m - _stirlerr(k) - _stirlerr(mk)
+            - _bd0(k, m * u) - _bd0(mk, m * alpha)
+        )
     return out
 
 

@@ -1252,3 +1252,46 @@ def test_certificate_lower_is_sound(half_spec):
         val = maximin_bundling_value(half_spec, m).value
         assert lo <= val + 1e-12
     assert maximin_certificate_lower(half_spec, 10_000) >= 0.5
+
+
+# L(m) read in floats sits above the exact L by at most 4.97e-16 relative
+# (48 mpmath-checked cases); a value may fall below L by no more than this.
+_L_LAST_BITS = 2.0 ** -50
+
+
+@pytest.mark.parametrize("mu, d, m, value", [
+    (0.20553130618534515, 6.275722636608855e-07, 479, 0.2050972),
+    (0.6914827122874277, 1.6112251402347166e-05, 1765, 0.6906765),
+])
+def test_maximin_prices_ls_own_price_where_the_grid_misses_it(mu, d, m, value):
+    # the guarantee's peak is narrower than a grid step here, and the search
+    # alone reported 0.2050242 and 0.6906504, below L
+    spec = MeanMadSpec(mu, d)
+    r = maximin_bundling_value(spec, m)
+    lower, p_l = solvers._certificate_best(spec, m)
+    assert lower == r.certificate[0] == maximin_certificate_lower(spec, m)
+    assert r.price == p_l and r.value == pytest.approx(value, abs=5e-8)
+    assert r.value >= lower
+    assert (r.alpha, r.value) == worst_case_alpha(spec, m, p_l)
+    # p_L = mu (k - sqrt(k E(k - K)+)) at L's argmax k, K ~ Bin(m, 1 - q)
+    q = spec.alpha_min
+    k = np.arange(m + 1)
+    cdf = binom.cdf(k, m, 1.0 - q)
+    short = np.concatenate(([0.0], np.cumsum(cdf[:-1])))
+    terms = (np.sqrt(k) - np.sqrt(short)) ** 2
+    top = int(np.argmax(terms))
+    assert mu * terms[top] / m == pytest.approx(lower, rel=1e-12)
+    assert p_l == pytest.approx(mu * (top - math.sqrt(top * short[top])),
+                                rel=1e-12)
+
+
+def test_maximin_never_reports_below_its_lower_end():
+    # tiny d/mu, where the peak is narrower than a grid step: 6 of 1,224
+    # random solves fell below L before L's own price was a candidate
+    rng = np.random.default_rng(20261020)
+    for _ in range(500):
+        mu = math.exp(rng.uniform(-3.0, 3.0))
+        d = mu * math.exp(rng.uniform(math.log(1e-6), math.log(1e-4)))
+        m = int(math.exp(rng.uniform(math.log(300.0), math.log(3000.0))))
+        r = maximin_bundling_value(MeanMadSpec(mu, d), m)
+        assert r.value >= r.certificate[0] * (1.0 - _L_LAST_BITS), (mu, d, m)

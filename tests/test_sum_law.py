@@ -117,6 +117,61 @@ def test_log_weights_against_exact_rationals(m, tol):
             assert abs(lp[k] - ref) <= tol
 
 
+def _one_pass_law(dist, m):
+    """(support, probs, log_probs) as one pass over every k builds them: the
+    deviance form of _log_weights evaluated on the whole interior at once."""
+    u = 1.0 - dist.alpha
+    log_alpha = np.log(dist.alpha) if dist.alpha < 0.5 else np.log1p(-u)
+    logp = np.empty(m + 1)
+    logp[0] = m * log_alpha
+    logp[m] = m * np.log(u)
+    k = np.arange(1, m, dtype=np.float64)
+    mk = m - k
+    logp[1:m] = (
+        0.5 * np.log(m / (2.0 * np.pi * k * mk))
+        + float(sum_law._stirlerr(np.float64(m)))
+        - sum_law._stirlerr(k) - sum_law._stirlerr(mk)
+        - sum_law._bd0(k, m * u) - sum_law._bd0(mk, m * dist.alpha)
+    )
+    k = np.arange(m + 1)
+    return (m - k) * dist.x + k * dist.y, np.exp(logp), logp
+
+
+_BLOCK = sum_law._BLOCK
+
+
+@pytest.mark.parametrize("m", [1, 2, 15, 16, 17, _BLOCK - 1, _BLOCK,
+                               _BLOCK + 1, 2 * _BLOCK + 1, 10**5, 10**6])
+def test_blocked_law_keeps_the_one_pass_bits(half_spec, m):
+    # blocks of _BLOCK k change when _bd0's series stops, never a weight;
+    # m = 15..17 straddle _stirlerr's switch at 16
+    rng = np.random.default_rng(m)
+    a_min = half_spec.alpha_min
+    alphas = [a_min, 0.5, 1.0 - 1e-12, *rng.uniform(a_min, 1.0, 2),
+              1.0 - 10.0 ** rng.uniform(-12.0, -3.0)]
+    for alpha in alphas:
+        dist = make_two_point(half_spec, float(alpha))
+        law = iid_two_point_sum(dist, m)
+        for got, want in zip((law.support, law.probs, law.log_probs),
+                             _one_pass_law(dist, m)):
+            assert np.array_equal(got, want), (m, alpha)
+
+
+def test_law_at_m_1e6_peaks_under_40_mb(half_spec):
+    # the law's three arrays are 24 MB and it peaks at 32 MB; one pass over
+    # every k peaked at 89 MB
+    import tracemalloc
+
+    dist = make_two_point(half_spec, 0.6)
+    tracemalloc.start()
+    try:
+        iid_two_point_sum(dist, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+
+
 def test_tail_prob_inclusive_at_support(half_spec):
     dist = make_two_point(half_spec, 0.5)
     law = iid_two_point_sum(dist, 3)
