@@ -19,7 +19,7 @@ from .ambiguity import MeanMadSpec, make_two_point
 from .concentration import guaranteed_sale_chain
 from .errors import RobustBundlingError, check_count
 from .opt_oracle import opt_deterministic
-from .optimize import CELL, grid_polish
+from .optimize import grid_polish
 from .solvers import _check_scale, _u_grid, maximin_bundling_value
 from .sum_law import iid_two_point_sum, tail_prob
 
@@ -89,12 +89,6 @@ def xi_gap(spec: MeanMadSpec) -> dict:
 def _boundary_variance(spec: MeanMadSpec) -> float:
     """b/(1 - b), b = d/(2 mu): the zero-low-point member's variance / mu^2."""
     return spec.alpha_min / (1.0 - spec.alpha_min)
-
-
-def variance_boundary_member(spec: MeanMadSpec) -> float:
-    """Variance of the two-point member whose low point sits at zero,
-    b/(1 - b) mu^2; inf once that leaves double range."""
-    return _boundary_variance(spec) * spec.mu * spec.mu
 
 
 def _chebyshev_bracket(m: int, gamma: float, g: float) -> float:
@@ -190,8 +184,7 @@ def _empirical(spec: MeanMadSpec, m: int, grid: int,
 
         p_best, v_best, _ = grid_polish(
             loss, np.linspace(0.0, m * spec.mu, grid),
-            np.full(-(-grid // CELL), -np.inf),
-            lambda rows: np.full(rows.size, -np.inf), 1e-10 * m * spec.mu)
+            lambda lo, hi: np.full(lo.size, -np.inf), 1e-10 * m * spec.mu)
         i = int(np.argmin(scores(p_best)))
         return EmpiricalReport(objective=objective, m=m,
                                value=-v_best if ratio else v_best,

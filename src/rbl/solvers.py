@@ -10,22 +10,20 @@ U_FLOOR or approached as u decreases to some u_k; the reported alpha is then
 that limit point, not an attained minimizer. Nature first (minimax): a grid
 geometric in 1 - alpha down to 1e-12, because the damaging adversaries sit
 next to alpha = 1, searched and polished by grid_polish on the seller's best
-response. Each order passes grid_polish one objective and cheap lower bounds
-on it per cell of optimize.CELL grid rows and per row: for a price p, p/m
-times a tail cap, 1.0 up to m L(m) (L the certificate lower bound) and
-above it the least tail over nature's extreme answers, U_FLOOR and the
-ends of its in-range breakpoints (_guarantee_caps), and for a cell its
-last price times the tail cap at its first, as the infimum does not rise
-with p, so exact caps are priced only in the cells the search refines and
-about one row is solved per grid; for nature, a floor per cell from the
-cell's two ends
-(_cell_floors), and per row of the few cells that can hold the minimum a
-revenue floor from a few feasible prices (_revenue_floors). Rows are solved
-exactly from the most promising bound on, until every bound left clears the
-best value by optimize.PRUNE_MARGIN, so the grid optimum is that of the full
-grid. A row is one call: a price's infimum over its breakpoints
-(_inner_infimum), or nature's best response over the 40-sigma _window of k,
-at least 40 k deep below m u, masses from one sum_law.binom_window call.
+response. Each order passes grid_polish one objective and one cheap lower
+bound on it over an interval of grid points, which grid_polish prices on its
+cells and then, as one-point intervals, on the rows of the cells it refines:
+for prices lo..hi, hi/m times the tail cap at lo, as the infimum does not
+rise with p, the cap 1.0 up to m L(m) (L the certificate lower bound) and
+above it the least tail over nature's extreme answers, U_FLOOR and the ends
+of its in-range breakpoints (_guarantee_caps), so exact caps are priced only
+in the cells the search refines and about one row is solved per grid; for
+nature on u_hi >= u >= u_lo, a few feasible prices priced at the two ends
+(_cell_floors). Rows are solved exactly from the most promising bound on,
+until every bound left clears the best value by optimize.PRUNE_MARGIN, so
+the grid optimum is that of the full grid. A row is one call: a price's
+infimum over its breakpoints (_inner_infimum), or nature's best response
+over the _window of k, masses from one sum_law.binom_window call.
 A price's O(m) screen, its breakpoints' Chernoff bounds on the lower tail, is
 shared by every price in its grid cell (_price_cell), so the polish's few
 dozen prices cost one screen more than the grid; its U_FLOOR tail is one of
@@ -52,7 +50,7 @@ from scipy.special import rel_entr
 
 from .ambiguity import MeanMadSpec
 from .errors import RobustBundlingError, check_count
-from .optimize import CELL, grid_polish
+from .optimize import grid_polish
 from .sum_law import _binom_sf, binom_sf, binom_window
 
 ALPHA_GRID = 2048
@@ -79,9 +77,12 @@ class SaddleReport:
 
 def _window(m: int, p: float) -> tuple[int, int]:
     """lo..hi: the k within _WINDOW_SIGMAS sigmas of the mean m p of a
-    Binomial(m, p), clipped to 0..m."""
+    Binomial(m, p), reaching at least _WINDOW_SIGMAS whole k below it where
+    sigma < 1, clipped to 0..m. Below one sigma the bare window can miss the
+    best price: at (1, 2e-15), m = 1000, u = 1 - 5e-7 it starts at k = 999
+    and k = 997 wins."""
     sig = math.sqrt(m * p * (1.0 - p))
-    return (max(math.floor(m * p - _WINDOW_SIGMAS * sig), 0),
+    return (max(math.floor(m * p - _WINDOW_SIGMAS * max(sig, 1.0)), 0),
             min(math.ceil(m * p + _WINDOW_SIGMAS * sig), m))
 
 
@@ -302,7 +303,11 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     attained minimizer (at alpha itself the k-high support point still
     sells). This is maximin's own evaluation, on the prices maximin posts:
     the scale must be in range (_check_scale), p in [0, m mu], and the
-    U_FLOOR tail a step from 1.0 (_floor_step).
+    U_FLOOR tail a step from 1.0 (_floor_step). Near p = m mu, c and with
+    it every lower-tail bound vanish, so every in-range k is priced: on a
+    2-vCPU host 1.9 to 2.7 s at (1, 0.5), m = 1e6, and 54 s at m = 1e7
+    with d/mu = 1.2e-5 or 1.4e-4. Maximin never prices there, as it cuts
+    its top cell where m mu - p halves.
     """
     _check_scale(spec, m)
     if not 0.0 <= p <= m * spec.mu:
@@ -376,8 +381,6 @@ def _certificate_best(spec: MeanMadSpec, m: int) -> tuple[float, float]:
     check_count(m)
     q = spec.alpha_min
     lo, hi = _window(m, 1.0 - q)
-    if lo > 0:
-        lo = max(min(lo, math.floor(m * (1.0 - q) - _WINDOW_SIGMAS)), 0)
     mean = m * (1.0 - q) * (1.0 + 2.0 ** -50)
     top = min(hi, math.ceil(mean) + 1)
     pmf = binom_window(m - top, m - lo, m, q)[0]
@@ -416,30 +419,29 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
                            price_grid: int = PRICE_GRID) -> SaddleReport:
     """Price maximizing the adversarially worst bundle revenue per item.
 
-    Outer maximization over p in [0, m*mu]: one grid_polish call minimizes
-    the negated guarantee -p * tail / m (exact, so values keep their bits),
-    its inner infimum solved exactly by breakpoints (_inner_infimum) from
-    the highest cap down, one price per grid. A cell of CELL prices
-    ps[s..e] is capped by ps[e] times the tail cap at ps[s], a price by
-    itself times its own, so exact caps are priced once per cell, at its
-    first price, and for the rows of the cells the search refines (16 to
-    48 rows at (1, 0.5) and (1, 0.8), m = 100 to 10^4); the rows are solved
-    in the order a walk down the row caps would take. A price with p/m at most the certificate
-    lower bound L(m) takes the tail cap 1.0, which the grid's best nearly
-    always clears, so only the prices above m L(m) pay for an exact cap
-    (_guarantee_caps). Each grid interval (ps[j-1], ps[j]] gets one screen
-    (_price_cell) per solve: a row's is priced at the row itself, and the
-    polish, which prices only inside the best row's two neighbours, adds
-    the one above the best row. The top
+    Outer maximization over p in [0, m*mu]: one grid_polish call minimizes the
+    negated guarantee -p * tail / m (exact, so values keep their bits), its
+    inner infimum solved exactly by breakpoints (_inner_infimum) from the
+    highest cap down, one price per grid. Prices lo..hi are capped by hi times
+    the tail cap at lo, a price alone by itself times its own, so exact caps
+    are priced once per grid_polish cell, at its first price, and for the rows
+    of the cells the search refines (16 to 48 rows at (1, 0.5) and (1, 0.8),
+    m = 100 to 10^4); the rows are solved in the order a walk down the row caps
+    would take. A price with p/m at most the certificate lower bound L(m) takes
+    the tail cap 1.0, which the grid's best nearly always clears, so only the
+    prices above m L(m) pay for an exact cap (_guarantee_caps). Each grid
+    interval (ps[j-1], ps[j]] gets one screen (_price_cell) per solve: a row's
+    is priced at the row itself, and the polish, which prices only inside the
+    best row's two neighbours, adds the one above the best row. The top
     interval gets one per halving of m mu - p, since c, and with it every
     bound, vanishes at m mu; cells are keyed by their top price. Nature's
     U_FLOOR tail is priced once, and a spec at whose m it is not a step from
     1.0 (_floor_step) is rejected before L(m) is. The reported alpha is the
-    polish's own answer at the reported price, which worst_case_alpha gives
-    too (alpha_min at p = 0). The certificate pairs the family-wide bound
-    maximin_certificate_lower with the analytic ceiling mu - d/2. A spec
-    whose scale leaves double range is rejected before any solving
-    (_check_scale), as is a grid of fewer than 2 prices.
+    polish's own answer at the reported price, which worst_case_alpha gives too
+    (alpha_min at p = 0). The certificate pairs the family-wide bound
+    maximin_certificate_lower with the analytic ceiling mu - d/2. A spec whose
+    scale leaves double range is rejected before any solving (_check_scale), as
+    is a grid of fewer than 2 prices.
 
     Where the search falls below L, L's own price p_L (_certificate_best)
     is tried as one more candidate, kept if strictly better: its exact
@@ -452,8 +454,7 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
 
-    def tail_caps(rows):
-        p = ps[rows]
+    def tail_caps(p):
         caps = np.ones(p.size)
         rest = p / m > lower
         caps[rest] = _guarantee_caps(spec, m, p[rest],
@@ -476,11 +477,8 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
                                           1.0 if p <= sure else once)
         return -p * tail / m
 
-    starts = np.arange(0, ps.size, CELL)
-    ends = np.minimum(starts + CELL - 1, ps.size - 1)
     p_best, v_best, _ = grid_polish(
-        neg_guarantee, ps, -(ps[ends] * tail_caps(starts) / m),
-        lambda rows: -(ps[rows] * tail_caps(rows) / m),
+        neg_guarantee, ps, lambda lo, hi: -(hi * tail_caps(lo) / m),
         BRACKET_TOL * m * spec.mu)
     if lower > -v_best:
         p_l = _certificate_best(spec, m)[1]
@@ -510,10 +508,6 @@ def _best_response(spec: MeanMadSpec, m: int, u: float) -> tuple[float, float]:
     """
     x, gap = _two_point(spec, u)
     lo, hi = _window(m, u)
-    if lo > 0:
-        # below one sigma the window can miss the best price: at (1, 2e-15),
-        # m = 1000, u = 1 - 5e-7 it starts at k = 999 and k = 997 wins
-        lo = max(min(lo, math.floor(m * u - _WINDOW_SIGMAS)), 0)
     pmf, beyond = binom_window(lo, hi, m, u)
     s = m * x + np.arange(lo, hi + 1.0) * gap
     rev = s * (pmf[::-1].cumsum()[::-1] + beyond)
@@ -525,61 +519,47 @@ def _best_response(spec: MeanMadSpec, m: int, u: float) -> tuple[float, float]:
     return price, best / m
 
 
-def _revenue_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
-    """Per u in us, a lower bound on the seller's best-response revenue per
-    item: the best of a few feasible prices, the sure price m*x and the
-    support points with k = ceil(m u + z sigma) highs for z = -4..0, each
-    sold with probability P(Bin(m, u) >= k). All lie in the kernel's
-    window. Where m u <= 1, z = 0 gives k = 1: the one-high price, which
+def _cell_floors(spec: MeanMadSpec, m: int, u_hi: np.ndarray,
+                 u_lo: np.ndarray) -> np.ndarray:
+    """Per interval u_hi >= u >= u_lo, elementwise, a lower bound on the
+    seller's best-response revenue per item at every u in it. With P_k(u) =
+    P(Bin(m, u) >= k), the support point with k highs sells at m x(u) +
+    k gap(u) = (m - k) x(u) + k y(u) with probability P_k(u), and on the
+    interval:
+    - x(u) >= x(u_hi) >= 0 and y(u) >= y(u_hi), as both fall with u, and
+      P_k(u) >= P_k(u_lo), so the sure price x(u_hi) and (m x(u_hi) +
+      k gap(u_hi)) P_k(u_lo) / m are floors: at u_hi = u_lo these are a few
+      feasible prices at u itself;
+    - for k >= 1, y(u) u^k = mu u^k + d u^(k-1) / 2 rises with u while
+      P_k(u) / u^k falls (with t = u s in the beta integral, it is k C(m, k)
+      times the integral over s in [0, 1] of s^(k-1) (1 - u s)^(m-k)), so
+      ((m - k) x(u_hi) P_k(u_lo) + k y(u_lo) P_k(u_hi) (u_lo/u_hi)^k) / m
+      is one too. This small-u plateau form keeps the plateau where the
+      one-high price earns about d/2 and the first form loses a factor
+      u_hi/u_lo. At zero width it is at most the first form, as its
+      rounding factor is below 1, so it is priced only where some interval
+      has width.
+    k runs over ceil(m u_lo + z sigma), z = -4..0, all in the kernel's
+    window; where m u_lo <= 1, z = 0 gives k = 1, the one-high price, which
     wins there. Cuts above the mean (z > 0) set no floor on any row of 110
-    specs (d/mu 0.01 to 1.98, m 1 to 1e6), so a row costs five survival
-    calls. A cut repeated in a row is priced again: a duplicate cannot
-    change the max, and skipping it cost more than it saved. minimax prices
-    these only on the rows of the cells its search refines (_cell_floors
-    bounds the rest), 48 of the 2048 rows at (1, 0.8), m = 100 to 10^4."""
-    x, gap = _two_point(spec, us)
-    sig = np.sqrt(m * us * (1.0 - us))
-    z = np.arange(-4.0, 1.0)[:, None]
-    k = np.clip(np.ceil(m * us + z * sig), 0.0, m)
-    revs = (m * x + k * gap) * binom_sf(k - 1.0, m, us) / m
-    return np.maximum(x, revs.max(axis=0))
-
-
-def _cell_floors(spec: MeanMadSpec, m: int, us: np.ndarray) -> np.ndarray:
-    """Per grid_polish cell of us, a lower bound on the seller's best-response
-    revenue per item at every u in the cell, u_hi >= u >= u_lo its first
-    and last rows. With P_k(u) = P(Bin(m, u) >= k), the support point with
-    k highs sells at (m - k) x(u) + k y(u) with probability P_k(u), and on
-    the cell:
-    - x(u) >= x(u_hi) >= 0, so x(u_hi) is a floor (the sure price), and
-      with P_k(u) >= P_k(u_lo), (m - k) x(u) P_k(u) >= (m - k) x(u_hi)
-      P_k(u_lo);
-    - y(u) P_k(u) >= Y_k = max(y(u_hi) P_k(u_lo), y(u_lo) P_k(u_hi)
-      (u_lo/u_hi)^k). The first form holds as y falls with u. The second
-      as, for k >= 1, y(u) u^k = mu u^k + d u^(k-1) / 2 rises with u while
-      P_k(u) / u^k falls: with t = u s in the beta integral, it is
-      k C(m, k) times the integral over s in [0, 1] of
-      s^(k-1) (1 - u s)^(m-k).
-    So the price with k highs earns at least ((m - k) x(u_hi) P_k(u_lo) +
-    k Y_k) / m. The second form keeps the small-u plateau, where the
-    one-high price earns about d/2 and the first form loses a factor
-    u_hi/u_lo. k runs over ceil(m u_lo + z sigma), z = -4..0, as in
-    _revenue_floors. The second form is rounded down by (k + 8) 2^-52: the
-    float u_lo/u_hi is within 2^-53 relative, so its k-th power within
+    specs (d/mu 0.01 to 1.98, m 1 to 1e6), so a one-point interval costs
+    five survival calls; a repeated cut is priced again, as skipping it cost
+    more than it saved. The plateau form is rounded down by (k + 8) 2^-52:
+    the float u_lo/u_hi is within 2^-53 relative, so its k-th power within
     k 2^-53 and pow's own ulp, and y(u_lo), the two products and the
     rounding factor add five roundings more. The survival calls' own error
-    is that of _revenue_floors, which PRUNE_MARGIN covers."""
-    top = np.arange(0, us.size, CELL)
-    u_hi, u_lo = us[top], us[np.minimum(top + CELL - 1, us.size - 1)]
-    x_hi = _two_point(spec, u_hi)[0]
-    y_hi, y_lo = (spec.mu + spec.d / (2.0 * u) for u in (u_hi, u_lo))
+    is covered by PRUNE_MARGIN."""
+    x_hi, gap_hi = _two_point(spec, u_hi)
     sig = np.sqrt(m * u_lo * (1.0 - u_lo))
     z = np.arange(-4.0, 1.0)[:, None]
     k = np.clip(np.ceil(m * u_lo + z * sig), 0.0, m)
-    p_lo, p_hi = (binom_sf(k - 1.0, m, u) for u in (u_lo, u_hi))
-    shrink = (u_lo / u_hi) ** k * (1.0 - (k + 8.0) * 2.0 ** -52)
-    highs = np.maximum(y_hi * p_lo, y_lo * p_hi * shrink)
-    revs = ((m - k) * x_hi * p_lo + k * highs) / m
+    p_lo = binom_sf(k - 1.0, m, u_lo)
+    revs = (m * x_hi + k * gap_hi) * p_lo / m
+    if np.any(u_hi != u_lo):
+        y_lo = spec.mu + spec.d / (2.0 * u_lo)
+        shrink = (u_lo / u_hi) ** k * (1.0 - (k + 8.0) * 2.0 ** -52)
+        highs = y_lo * binom_sf(k - 1.0, m, u_hi) * shrink
+        revs = np.maximum(revs, ((m - k) * x_hi * p_lo + k * highs) / m)
     return np.maximum(x_hi, revs.max(axis=0))
 
 
@@ -587,16 +567,16 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
                            alpha_grid: int = ALPHA_GRID) -> SaddleReport:
     """Two-point i.i.d. parameter minimizing the seller's best-response revenue.
 
-    One grid_polish call over alpha on the best response, the grid solved
-    only where it can hold the minimum: cells of rows from the lowest cell
-    floor (_cell_floors) up, and in the cells refined, rows one at a time
-    from the lowest revenue floor (_revenue_floors) up. At (1, 0.8), m =
-    100 to 10^4, three of the 128 cells are refined. Reports the argmin
-    alpha and the best-response price there, from the search's own
-    evaluation. certificate.lower is maximin's family-wide bound
-    maximin_certificate_lower (the other play order can only do worse for
-    the adversary) and certificate.upper is the grid minimum, valid since
-    every evaluated alpha upper-bounds the infimum.
+    One grid_polish call over alpha on the best response, the grid solved only
+    where it can hold the minimum: cells of rows from the lowest floor
+    (_cell_floors on the cell's two ends) up, and in the cells refined, rows
+    one at a time from the lowest one-point floor (_cell_floors at u_hi = u_lo)
+    up. At (1, 0.8), m = 100 to 10^4, three of the 128 cells are refined.
+    Reports the argmin alpha and the best-response price there, from the
+    search's own evaluation. certificate.lower is maximin's family-wide bound
+    maximin_certificate_lower (the other play order can only do worse for the
+    adversary) and certificate.upper is the grid minimum, valid since every
+    evaluated alpha upper-bounds the infimum.
     The scale is checked first, as in maximin_bundling_value, and so is the
     grid size.
     """
@@ -611,8 +591,7 @@ def minimax_bundling_value(spec: MeanMadSpec, m: int,
         return rev
 
     u_best, v_best, grid_best = grid_polish(
-        revenue, u, _cell_floors(spec, m, u),
-        lambda rows: _revenue_floors(spec, m, u[rows]), BRACKET_TOL)
+        revenue, u, lambda hi, lo: _cell_floors(spec, m, hi, lo), BRACKET_TOL)
     return SaddleReport(
         m=m,
         value=v_best,

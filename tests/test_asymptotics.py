@@ -10,7 +10,6 @@ from rbl.asymptotics import (
     regret_empirical,
     schedule_eps_gamma,
     second_point_limit,
-    variance_boundary_member,
     xi_gap,
 )
 from rbl.errors import RobustBundlingError
@@ -86,7 +85,7 @@ def test_xi_gap_range_guards():
 
 def test_variance_boundary_member(half_spec):
     # E[X^2] - mu^2 of the feasibility-boundary member, closed form d mu^2/(2mu-d)
-    g = variance_boundary_member(half_spec)
+    g = asymptotics._boundary_variance(half_spec) * half_spec.mu ** 2
     assert g == pytest.approx(1.0 / 3.0, rel=1e-12)
     a0 = half_spec.alpha_min
     y = half_spec.mu + half_spec.d / (2.0 * (1.0 - a0))
@@ -107,7 +106,7 @@ def test_ratio_chain_frozen_m1e4(half_spec):
 @pytest.mark.parametrize("m", [2, 3, 4, 16, 100, 10_000])
 def test_ratio_upper_matches_a_dense_gamma_scan(mu, d, m):
     spec = MeanMadSpec(mu, d)
-    g = variance_boundary_member(spec)
+    g = asymptotics._boundary_variance(spec) * mu ** 2
     gam = np.linspace(1e-6, 1.0 - 1e-6, 200_001)
     bracket = 1.0 - g / ((gam * mu) ** 2 * m)
     ok = bracket > 0.0
@@ -123,7 +122,7 @@ def test_ratio_upper_matches_a_dense_gamma_scan(mu, d, m):
 
 def test_ratio_upper_is_infinite_from_c_one(wide_spec):
     # g = 3 at (1, 1.5), so c = g/(mu^2 m) = 3/m reaches 1 at m = 3
-    assert variance_boundary_member(wide_spec) == 3.0
+    assert asymptotics._boundary_variance(wide_spec) * wide_spec.mu ** 2 == 3.0
     assert ratio_bound_chain(wide_spec, 2, 0.1)["upper"] == np.inf
     assert ratio_bound_chain(wide_spec, 3, 0.1)["upper"] == np.inf
     assert np.isfinite(ratio_bound_chain(wide_spec, 4, 0.1)["upper"])

@@ -24,6 +24,14 @@ _SPECS = [(1.0, 0.05), (1.0, 0.5), (1.0, 0.8), (1.0, 1.5), (2.3, 0.4),
           (0.7, 0.91), (1.0, 1.9)]
 
 
+def _bare_window(m, p):
+    """The 40-sigma window of Binomial(m, p) alone, without the reach of 40
+    whole k below the mean that solvers._window adds where sigma < 1."""
+    sig = math.sqrt(m * p * (1.0 - p))
+    return (max(math.floor(m * p - 40.0 * sig), 0),
+            min(math.ceil(m * p + 40.0 * sig), m))
+
+
 def _mp_bound(mu, d, m):
     """(L, price) at 40 digits over k = 0..m: binomial masses by recurrence,
     E(k - K)+ = sum_{i<k} (k - i) P(K = i), the price mu (k - sqrt(k E))."""
@@ -100,7 +108,7 @@ def test_window_below_one_sigma_reaches_40_k_below_the_mean(monkeypatch):
              (1.0, 5e-8, 10**6), (1.0, 1e-4, 1000)]
     for mu, d, m in specs:
         u = 1.0 - MeanMadSpec(mu, d).alpha_min
-        assert m * u * (1.0 - u) < 1.0 and solvers._window(m, u)[0] > 0
+        assert m * u * (1.0 - u) < 1.0 and _bare_window(m, u)[0] > 0
     got = {s: maximin_certificate_lower(MeanMadSpec(*s[:2]), s[2])
            for s in specs}
     for mu, d, m in ((1.0, 1e-6, 100), (1.0, 1e-9, 1000)):
@@ -172,11 +180,11 @@ def test_certificate_lower_never_exceeds_either_solver(mu, d):
 
 
 def _full_window_terms(spec, m):
-    """(L, terms, lo): L(m) over the whole _window of k, reaching at least
-    40 whole k below the mean, every mass priced by one binom_window call,
-    and its terms from k = lo on."""
+    """(L, terms, lo): L(m) over the whole 40-sigma window of k, reaching at
+    least 40 whole k below the mean, every mass priced by one binom_window
+    call, and its terms from k = lo on."""
     q = spec.alpha_min
-    lo, hi = solvers._window(m, 1.0 - q)
+    lo, hi = _bare_window(m, 1.0 - q)
     if lo > 0:
         lo = max(min(lo, math.floor(m * (1.0 - q) - 40.0)), 0)
     pmf, _ = binom_window(m - hi, m - lo, m, q)
@@ -231,7 +239,7 @@ def test_stopped_bound_keeps_the_full_window_bits(monkeypatch):
         q = spec.alpha_min
         mean = m * (1.0 - q) * (1.0 + 2.0 ** -50)
         argmax_past_mean += lo + int(terms.argmax()) >= mean
-        narrow += m * q * (1.0 - q) < 1.0 and solvers._window(m, 1.0 - q)[0] > 0
+        narrow += m * q * (1.0 - q) < 1.0 and _bare_window(m, 1.0 - q)[0] > 0
         hi = lo + terms.size - 1
         top = min(hi, math.ceil(mean) + 1)
         priced = [(m - b, m - a) for a, b in calls]  # k ranges

@@ -6,17 +6,19 @@ import pytest
 from rbl.optimize import CELL, PRUNE_MARGIN, golden_min, grid_polish
 
 
-def _rows(bounds):
-    """grid_polish's bounds for per-row bounds: each cell's least row bound,
-    and the rows' own."""
+def _rows(xs, bounds):
+    """grid_polish's bounds for per-row bounds on the grid xs: on each
+    interval of grid points, the least row bound in it."""
     bounds = np.asarray(bounds, dtype=float)
-    return (np.minimum.reduceat(bounds, np.arange(0, bounds.size, CELL)),
-            lambda rows: bounds[rows])
+    index = {x: i for i, x in enumerate(np.asarray(xs).tolist())}
+    return lambda first, last: np.array(
+        [bounds[index[a]:index[b] + 1].min()
+         for a, b in zip(first.tolist(), last.tolist())])
 
 
-def _free(n):
-    """Bounds of -inf for a grid of n rows: every row is solved."""
-    return _rows(np.full(n, -np.inf))
+def _free(first, last):
+    """Bounds of -inf: every row is solved."""
+    return np.full(first.size, -np.inf)
 
 
 def _calls(f):
@@ -31,7 +33,7 @@ def _calls(f):
 def test_polish_beats_the_grid_inside_the_bracket():
     xs = np.linspace(0.0, 1.0, 11)
     f = lambda x: (x - 0.33) ** 2
-    x, v, grid = grid_polish(f, xs, *_rows(f(xs)), 1e-12)
+    x, v, grid = grid_polish(f, xs, _rows(xs, f(xs)), 1e-12)
     assert x == pytest.approx(0.33, abs=1e-6)
     assert v < grid == f(xs[3])
 
@@ -41,7 +43,7 @@ def test_grid_point_wins_ties():
     xs = np.linspace(0.0, 4.0, 5)
     f = lambda z: 1.0 if abs(z - 2.0) <= 0.5 else 1.0 + abs(z - 2.0)
     assert [f(x) for x in xs] == [3.0, 2.0, 1.0, 2.0, 3.0]
-    assert grid_polish(f, xs, *_free(5), 1e-9) == (2.0, 1.0, 1.0)
+    assert grid_polish(f, xs, _free, 1e-9) == (2.0, 1.0, 1.0)
 
 
 def test_grid_point_wins_on_a_non_unimodal_bracket():
@@ -49,7 +51,7 @@ def test_grid_point_wins_on_a_non_unimodal_bracket():
     # only the plateaus and must not replace the grid point
     xs = np.array([0.0, 1.0, 2.0])
     f = lambda x: 0.0 if x == 1.0 else 5.0
-    x, v, _ = grid_polish(f, xs, *_rows([f(x) for x in xs]), 1e-9)
+    x, v, _ = grid_polish(f, xs, _rows(xs, [f(x) for x in xs]), 1e-9)
     assert (x, v) == (1.0, 0.0)
 
 
@@ -67,7 +69,7 @@ def test_edge_index_brackets_with_its_one_neighbour(i):
     xs = np.linspace(0.0, 4.0, 5)
     target = xs[i] + (0.3 if i == 0 else -0.3)
     f, seen = _calls(lambda x: abs(x - target))
-    x, v, _ = grid_polish(f, xs, *_rows(np.abs(xs - target)), 1e-10)
+    x, v, _ = grid_polish(f, xs, _rows(xs, np.abs(xs - target)), 1e-10)
     assert x == pytest.approx(target, abs=1e-9)
     lo, hi = sorted((xs[i], xs[i + 1 if i == 0 else i - 1]))
     assert seen[0] == xs[i]
@@ -78,10 +80,10 @@ def test_descending_grid_brackets_like_an_ascending_one():
     f = lambda x: (x - 0.47) ** 2
     up = np.linspace(0.0, 1.0, 21)
     down = up[::-1]
-    assert grid_polish(f, down, *_rows(f(down)), 1e-12) == \
-        grid_polish(f, up, *_rows(f(up)), 1e-12)
+    assert grid_polish(f, down, _rows(down, f(down)), 1e-12) == \
+        grid_polish(f, up, _rows(up, f(up)), 1e-12)
     g, seen = _calls(f)
-    grid_polish(g, down, *_rows(f(down)), 1e-12)
+    grid_polish(g, down, _rows(down, f(down)), 1e-12)
     assert seen[0] == 0.45
     _assert_polishes_inside(seen[1:], 0.4, 0.5)
 
@@ -92,13 +94,13 @@ def test_maximize_matches_minimizing_the_negation():
     xs = np.linspace(-2.0, 2.0, 17)
     f = lambda x: np.sin(3.0 * x) + 0.1 * x
     vals = np.array([f(x) for x in xs])
-    x, v, grid = grid_polish(lambda z: -f(z), xs, *_rows(-vals), 1e-12)
+    x, v, grid = grid_polish(lambda z: -f(z), xs, _rows(xs, -vals), 1e-12)
     assert -grid == vals.max() and -v >= vals.max()
     i = int(np.argmax(vals))
     lo, hi = sorted((xs[i - 1], xs[i + 1]))
     gx, gv = golden_min(lambda z: -f(z), lo, hi, tol=1e-12)
     assert (x, v) == (gx, gv)
-    unpruned = grid_polish(lambda z: -f(z), xs, *_free(xs.size), 1e-12)
+    unpruned = grid_polish(lambda z: -f(z), xs, _free, 1e-12)
     assert unpruned == (x, v, grid)
 
 
@@ -112,7 +114,7 @@ def test_result_is_never_worse_than_the_grid(seed):
     vals = np.array([f(x) for x in xs])
     for s in (1.0, -1.0):
         g = lambda x: s * f(x)
-        x, v, grid = grid_polish(g, xs, *_free(xs.size), 1e-10)
+        x, v, grid = grid_polish(g, xs, _free, 1e-10)
         assert v == g(x)
         assert v <= grid == (s * vals).min()
 
@@ -120,8 +122,10 @@ def test_result_is_never_worse_than_the_grid(seed):
 def _recorded(n, seed):
     """A random objective on a grid of n rows, ascending or descending, with
     random valid bounds (each cell bound at most its rows' values, each row
-    bound at most its value; ties, tight bounds and -inf included), and the
-    lists of grid rows solved and of rows asked of row_bounds."""
+    bound at most its value; ties, tight bounds and -inf included), a
+    bounds callable that returns the cell bounds on its first call and the
+    row bounds after it, and the lists of grid rows solved and of the row
+    index arrays asked of it."""
     rng = np.random.default_rng(seed)
     vals = np.round(rng.normal(size=n), int(rng.integers(1, 4)))
     xs = np.sort(rng.uniform(0.0, 10.0, n))[::rng.choice([1, -1])]
@@ -132,7 +136,7 @@ def _recorded(n, seed):
     cells = np.minimum.reduceat(vals, np.arange(0, n, CELL))
     cells -= rng.exponential(0.5, cells.size) * (rng.random(cells.size) < 0.7)
     grid = dict(zip(xs.tolist(), range(n)))
-    solved, asked = [], []
+    solved, asked, priced = [], [], []
 
     def f(x):
         if x in grid:
@@ -140,39 +144,37 @@ def _recorded(n, seed):
             return vals[grid[x]]
         return 1.0 + math.sin(x)  # the polish, at interior points
 
-    def row_bounds(rows):
-        asked.extend(rows.tolist())
-        return rows_lo[rows]
-    return xs, vals, f, cells, row_bounds, solved, asked
+    def bounds(first, last):
+        i = np.array([grid[x] for x in first.tolist()], dtype=int)
+        if not priced:
+            priced.append(True)
+            return cells[i // CELL]
+        asked.append(i)
+        return rows_lo[i]
+    return xs, vals, f, cells, rows_lo, bounds, solved, asked
 
 
 @pytest.mark.parametrize("n", [2, 15, 16, 17, 33, 2048])
 def test_valid_bounds_keep_the_unbounded_result(n):
     # any valid cell and row bounds give the (x, v, grid) of all -inf, whose
     # search solves every row in index order; the best-first search asks
-    # row_bounds at most ceil(log2 cells) + 1 times, never for a row twice,
+    # for rows at most ceil(log2 cells) + 1 times, never for a row twice,
     # solves no row twice, and skips only rows whose cell bound, or row
     # bound once the cell is refined, clears the minimum
-    calls = []
     for seed in range(20 if n < 2048 else 4):
-        xs, vals, f, cells, row_bounds, solved, asked = _recorded(n, seed)
-        free = grid_polish(f, xs, *_free(n), 1e-10)
+        xs, vals, f, cells, rows_lo, bounds, solved, asked = _recorded(n, seed)
+        free = grid_polish(f, xs, _free, 1e-10)
         assert solved[:n] == list(range(n))
         solved.clear()
-
-        def counted(rows):
-            calls.append(rows.size)
-            return row_bounds(rows)
-        calls.clear()
-        got = grid_polish(f, xs, cells, counted, 1e-10)
+        got = grid_polish(f, xs, bounds, 1e-10)
         assert got == free, (n, seed)
-        assert len(calls) <= math.ceil(math.log2(cells.size)) + 1
-        refined = set(asked)
-        assert len(refined) == len(asked)
+        assert len(asked) <= math.ceil(math.log2(cells.size)) + 1
+        refined = sum((a.tolist() for a in asked), [])
+        assert len(set(refined)) == len(refined)
         assert len(set(solved)) == len(solved)
         clear = vals.min() + PRUNE_MARGIN * abs(vals.min())
         for i in set(range(n)) - set(solved):
-            assert (row_bounds(np.array([i]))[0] if i in refined
+            assert (rows_lo[i] if i in refined
                     else cells[i // CELL]) > clear, (n, seed, i)
 
 
@@ -181,10 +183,9 @@ def test_unbounded_cells_are_all_refined_before_any_row():
     n = 100
     asked, solved = [], []
     grid_polish(lambda x: solved.append(x) or 0.0, np.arange(float(n)),
-                np.full(7, -np.inf),
-                lambda rows: asked.append(rows) or np.full(rows.size, -np.inf),
+                lambda first, last: asked.append(first) or _free(first, last),
                 1e-9)
-    assert [r.size for r in asked] == [16, 32, 52]
+    assert [r.size for r in asked] == [7, 16, 32, 52]
     assert solved[:n] == list(range(n))
 
 
@@ -194,9 +195,8 @@ def test_cell_minima_solve_rows_in_global_bound_order(n):
     # the rows are solved in the stable argsort order of all row bounds,
     # as far as the search goes
     for seed in range(10):
-        xs, vals, f, _, row_bounds, solved, _ = _recorded(n, seed)
-        bounds = row_bounds(np.arange(n))
-        grid_polish(f, xs, *_rows(bounds), 1e-10)
+        xs, vals, f, _, bounds, _, solved, _ = _recorded(n, seed)
+        grid_polish(f, xs, _rows(xs, bounds), 1e-10)
         order = np.argsort(bounds, kind="stable").tolist()
         assert solved == order[:len(solved)], (n, seed)
     # a tie between a refined cell's row and the next cell's least bound:
@@ -204,5 +204,31 @@ def test_cell_minima_solve_rows_in_global_bound_order(n):
     bounds = np.array([5.0] * 16 + [1.0] + [5.0] * 15)
     order = []
     grid_polish(lambda x: order.append(int(x)) or 10.0, np.arange(32.0),
-                *_rows(bounds), 1e-9)
+                _rows(np.arange(32.0), bounds), 1e-9)
     assert order[:32] == np.argsort(bounds, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33, 2048])
+def test_bounds_price_the_cells_once_then_one_point_rows(n):
+    # grid_polish cuts its own cells: bounds is called first, once, on the
+    # ends (xs[s], xs[e]) of cells of 16 points that tile the grid, the last
+    # one short, and after that only on one-point intervals (x, x), for
+    # every row of the cells the search refines, each row at most once
+    cells = [list(range(s, min(s + 16, n))) for s in range(0, n, 16)]
+    for seed in range(10 if n < 2048 else 2):
+        xs, _, f, _, _, bounds, _, _ = _recorded(n, seed)
+        index = dict(zip(xs.tolist(), range(n)))
+        calls = []
+        grid_polish(f, xs, lambda first, last: calls.append(
+            (first.copy(), last.copy())) or bounds(first, last), 1e-10)
+        (first, last), *rows = calls
+        assert first.tolist() == [xs[c[0]] for c in cells], (n, seed)
+        assert last.tolist() == [xs[c[-1]] for c in cells], (n, seed)
+        refined = []
+        for first, last in rows:
+            assert first.tolist() == last.tolist(), (n, seed)
+            got = sorted(index[x] for x in first.tolist())
+            assert got == sorted(sum((cells[i // 16] for i in got
+                                      if i % 16 == 0), [])), (n, seed)
+            refined += got
+        assert len(set(refined)) == len(refined), (n, seed)

@@ -58,3 +58,16 @@ def test_every_private_helper_parameter_is_read():
             unread += [(path.name, node.name, p) for p in params
                        if p not in read and p not in ("self", "cls")]
     assert sorted(set(unread) - _PROTOCOL_PARAMS) == []
+
+
+def test_only_optimize_reads_the_cell_size():
+    # grid_polish cuts its own cells and prices their bounds itself: a
+    # caller that reads CELL computes cell ends the search already owns
+    readers = []
+    for path in _SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = _used_names(tree) | {a.name for a in ast.walk(tree)
+                                     if isinstance(a, ast.alias)}
+        if "CELL" in names and path.name != "optimize.py":
+            readers.append(path.name)
+    assert readers == []

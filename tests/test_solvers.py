@@ -499,11 +499,16 @@ def test_maximin_rejects_an_m_whose_one_high_misses_m_mu(monkeypatch):
         maximin_bundling_value(MeanMadSpec(1.0, 0.5), 2 * 10**12)
 
 
+def _free(first, last):
+    """grid_polish bounds of -inf: every row is solved."""
+    return np.full(first.size, -np.inf)
+
+
 def _recording_search(grids, unpruned=False):
     """grid_polish, appending to grids the row values each call's grid
     solved (+inf where skipped); a row counts until the polish starts.
     unpruned: bounds patched to -inf, so every row is solved."""
-    def search(f, xs, cell_bounds, row_bounds, tol):
+    def search(f, xs, bounds, tol):
         rows, polishing = {}, []
 
         def row(x):
@@ -520,9 +525,8 @@ def _recording_search(grids, unpruned=False):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimize, "golden_min", golden)
             if unpruned:
-                cell_bounds = np.full(len(cell_bounds), -np.inf)
-                row_bounds = lambda rows: np.full(rows.size, -np.inf)
-            out = grid_polish(row, xs, cell_bounds, row_bounds, tol)
+                bounds = _free
+            out = grid_polish(row, xs, bounds, tol)
         grids.append(np.array([rows.get(x, np.inf) for x in xs]))
         return out
     return search
@@ -603,19 +607,21 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
 
 def _maximin_bounds(monkeypatch, spec, m):
     """(ps, cell caps, row caps, report): the price grid of one maximin
-    solve and the caps its search gets, per cell of CELL rows and per row,
-    un-negated; every row's cap is priced here, after the solve."""
-    got = []
+    solve and the caps its search gets, per cell of CELL rows (its first
+    bounds call) and per row, un-negated; every row's cap is priced here,
+    after the solve, as a one-point interval."""
+    got, calls = [], []
 
-    def search(f, xs, cell_bounds, row_bounds, tol):
-        got.append((np.array(xs), -np.asarray(cell_bounds), row_bounds))
-        return grid_polish(f, xs, cell_bounds, row_bounds, tol)
+    def search(f, xs, bounds, tol):
+        got.append((np.array(xs), bounds))
+        return grid_polish(f, xs, lambda first, last: calls.append(
+            bounds(first, last)) or calls[-1], tol)
 
     with monkeypatch.context() as mp:
         mp.setattr(solvers, "grid_polish", search)
         rep = maximin_bundling_value(spec, m)
-    ps, cells, row_bounds = got[0]
-    return ps, cells, -row_bounds(np.arange(ps.size)), rep
+    ps, bounds = got[0]
+    return ps, -calls[0], -bounds(ps, ps), rep
 
 
 def _cell_cap_specs():
@@ -818,7 +824,7 @@ def test_minimax_grid_pruning_keeps_the_argmin(monkeypatch):
         assert np.argmin(got) == np.argmin(full)
         assert got.min() == full.min()
         assert np.all(full[~done] > got.min())
-        floors = solvers._revenue_floors(spec, m, us)
+        floors = solvers._cell_floors(spec, m, us, us)
         assert np.all(floors <= full * (1.0 + PRUNE_MARGIN))
         assert rep == rep_full
 
@@ -857,7 +863,8 @@ def test_cell_floors_never_exceed_a_best_response():
             (mu, d, m, None) for mu, d, m in dense]:
         spec = MeanMadSpec(mu, d)
         us = solvers._u_grid(spec, solvers.ALPHA_GRID)
-        floors = solvers._cell_floors(spec, m, us)
+        floors = solvers._cell_floors(spec, m, us[::optimize.CELL],
+                                      us[optimize.CELL - 1::optimize.CELL])
         assert floors.size == us.size // optimize.CELL
         for j in range(floors.size) if cells is None else cells:
             rows = us[j * optimize.CELL:(j + 1) * optimize.CELL]
@@ -875,18 +882,17 @@ def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
     spec, m = MeanMadSpec(3.0, 0.15), 10**7
     us = solvers._u_grid(spec, solvers.ALPHA_GRID)
     full = _kernel(spec, m, us)[1]
-    floors = solvers._revenue_floors(spec, m, us)
+    floors = solvers._cell_floors(spec, m, us, us)
     assert np.all(floors <= full * (1.0 + PRUNE_MARGIN))
     got = repr(minimax_bundling_value(spec, m))
     rows = dict(zip(us.tolist(), full))
 
-    def unpruned(f, xs, cell_bounds, row_bounds, tol):
+    def unpruned(f, xs, bounds, tol):
         # every row solved, from the kernel values above: a row has the same
         # bits however it is reached
-        assert np.array_equal(row_bounds(np.arange(xs.size)), floors)
+        assert np.array_equal(bounds(xs, xs), floors)
         return grid_polish(lambda x: rows[x] if x in rows else f(x), xs,
-                           np.full(cell_bounds.size, -np.inf),
-                           lambda r: np.full(r.size, -np.inf), tol)
+                           _free, tol)
 
     monkeypatch.setattr(solvers, "grid_polish", unpruned)
     assert got == repr(minimax_bundling_value(spec, m))
@@ -894,13 +900,16 @@ def test_minimax_pruning_margin_holds_at_m_1e7(monkeypatch):
 
 def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
     # a count guard instead of a timing test: weaker floors fail it, and
-    # weaker cell floors price the fine floors of more rows (every row's
-    # when each cell is refined); at (1, 0.8) three cells are refined
-    priced, floors = [], solvers._revenue_floors
-    monkeypatch.setattr(solvers, "_revenue_floors", lambda spec, m, us: (
-        priced.append(us.size) or floors(spec, m, us)))
+    # weaker cell floors price the one-point floors of more rows (every
+    # row's when each cell is refined); at (1, 0.8) three cells are refined.
+    # Without the small-u plateau form the cells at (1, 1.3), m = 1e4 and
+    # (1, 1.9), m = 10 priced 2032 and 2048
+    priced, floors = [], solvers._cell_floors
+    monkeypatch.setattr(solvers, "_cell_floors", lambda spec, m, hi, lo: (
+        np.array_equal(hi, lo) and priced.append(hi.size)
+        or floors(spec, m, hi, lo)))
     for d, m, most in ((0.8, 100, 48), (0.8, 1000, 48), (0.8, 10_000, 48),
-                       (1.5, 10_000, 240)):
+                       (1.5, 10_000, 240), (1.3, 10_000, 112), (1.9, 10, 16)):
         priced.clear()
         rows = _rows_solved(
             monkeypatch, lambda: minimax_bundling_value(MeanMadSpec(1.0, d), m))
@@ -908,9 +917,16 @@ def test_minimax_grid_rows_sent_to_the_kernel(monkeypatch):
         assert sum(priced) <= most, (d, m)
 
 
-def _nine_cut_floors(spec, m, us):
-    """The revenue floors with every cut k = ceil(m u + z sigma) for
-    z = -4..4 priced, repeats included."""
+# the unpatched floors: _nine_cut_floors stands in for solvers._cell_floors
+_CELL_FLOORS = solvers._cell_floors
+
+
+def _nine_cut_floors(spec, m, u_hi, u_lo):
+    """The cell floors, but on one-point intervals u the floor with every
+    cut k = ceil(m u + z sigma) for z = -4..4 priced, repeats included."""
+    if not np.array_equal(u_hi, u_lo):
+        return _CELL_FLOORS(spec, m, u_hi, u_lo)
+    us = u_lo
     x, gap = solvers._two_point(spec, us)
     sig = np.sqrt(m * us * (1.0 - us))
     z = np.arange(-4.0, 5.0)[:, None]
@@ -920,8 +936,8 @@ def _nine_cut_floors(spec, m, us):
 
 
 def test_revenue_floors_send_the_nine_cut_rows(monkeypatch):
-    # the floors price z = -4..0, a repeated cut again; they must send the
-    # kernel the rows the nine priced cuts send, to the same report
+    # the one-point floors price z = -4..0, a repeated cut again; they must
+    # send the kernel the rows the nine priced cuts send, to the same report
     calls, sf = [], solvers.binom_sf
     for (mu, d, m), n_rows in (((1.0, 0.8, 100), 1), ((1.0, 0.8, 10_000), 1),
                                ((1.0, 1.5, 10_000), 23), ((1.3, 2.1, 1000), 32),
@@ -933,16 +949,16 @@ def test_revenue_floors_send_the_nine_cut_rows(monkeypatch):
             mp.setattr(solvers, "binom_sf", lambda k, n, p: calls.append(
                 np.broadcast_to(p, np.shape(k)).copy()) or sf(k, n, p))
             calls.clear()
-            floors = solvers._revenue_floors(spec, m, us)
+            floors = solvers._cell_floors(spec, m, us, us)
         # every row priced, by one Boost call per cut z = -4..0
         priced, per_row = np.unique(np.concatenate(calls), return_counts=True)
         assert priced.size == us.size and per_row.max() <= 5
-        assert np.all(floors <= _nine_cut_floors(spec, m, us))
+        assert np.all(floors <= _nine_cut_floors(spec, m, us, us))
         reps = []
         got_rows = _rows_solved(monkeypatch, lambda: reps.append(
             repr(minimax_bundling_value(spec, m))))
         with monkeypatch.context() as mp:
-            mp.setattr(solvers, "_revenue_floors", _nine_cut_floors)
+            mp.setattr(solvers, "_cell_floors", _nine_cut_floors)
             rows = _rows_solved(monkeypatch, lambda: reps.append(
                 repr(minimax_bundling_value(spec, m))))
         assert reps[0] == reps[1]
@@ -971,11 +987,12 @@ def test_pruned_min_matches_the_full_grid(n):
         assert np.all(bounds <= values), name
         f = lambda x: float(np.interp(x, xs, values))
         grids = []
-        cells = np.minimum.reduceat(bounds, np.arange(0, n, optimize.CELL))
-        out = _recording_search(grids)(f, xs, cells, lambda r: bounds[r],
-                                       1e-10)
+        # on xs = 0..n-1, an interval's bound is the least row bound in it
+        least = lambda first, last, b=bounds: np.array(
+            [b[int(i):int(j) + 1].min() for i, j in zip(first, last)])
+        out = _recording_search(grids)(f, xs, least, 1e-10)
         full_out = _recording_search(grids, unpruned=True)(
-            f, xs, cells, lambda r: bounds[r], 1e-10)
+            f, xs, least, 1e-10)
         got, full = grids
         assert np.array_equal(full, values), name
         done = np.isfinite(got)
@@ -1124,13 +1141,21 @@ def test_best_response_matches_mpmath_at_m_1e7():
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _bare_window(m, p):
+    """The 40-sigma window of Binomial(m, p) alone, without the reach of 40
+    whole k below the mean that solvers._window adds where sigma < 1."""
+    sig = math.sqrt(m * p * (1.0 - p))
+    return (max(math.floor(m * p - 40.0 * sig), 0),
+            min(math.ceil(m * p + 40.0 * sig), m))
+
+
 def test_best_response_reaches_below_a_narrow_window():
     # at tiny d/mu with u next to 1 - alpha_min sigma is below one, and the
     # 40-sigma window around m u starts at k = 999, past k = 997, which
     # earns 0.99999999999; with the sure sale m x alone the response was
     # 0.999999998
     spec, m, u = MeanMadSpec(1.0, 2e-15), 1000, 1.0 - 5e-7
-    lo, hi = solvers._window(m, u)
+    lo, hi = _bare_window(m, u)
     x, gap = solvers._two_point(spec, u)
     s = m * x + np.arange(lo, hi + 1.0) * gap
     assert lo > 0 and np.max(s * binom.sf(np.arange(lo - 1, hi), m, u)) < m * x
@@ -1150,7 +1175,7 @@ def test_best_response_sells_surely_where_the_window_rounds_below():
     # masses, rounds below m x = 9999.999999999993, which sells surely
     spec, m, u = MeanMadSpec(1.0, 1e-15), 10_000, 0.25
     x, _ = solvers._two_point(spec, u)
-    assert solvers._window(m, u)[0] > 0
+    assert _bare_window(m, u)[0] > 0
     assert solvers._best_response(spec, m, u) == (m * x, m * x / m)
 
 
