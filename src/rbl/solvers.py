@@ -113,10 +113,10 @@ def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
 
 def _breakpoint(c: float, m: int, k: float) -> float:
     """_breakpoints for one k in Python floats: the same float steps and so
-    the same bits, NaN where the discriminant is negative as np.sqrt's."""
+    the same bits. Every price _inner_infimum takes is in [0, m mu], so c <=
+    0 <= k and b^2 - 4ck >= b^2 >= 0, in floats too (4ck <= 0)."""
     b = c + m
-    disc = b * b - 4.0 * c * k
-    sq = math.sqrt(disc) if disc >= 0.0 else math.nan
+    sq = math.sqrt(b * b - 4.0 * c * k)
     return 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
 
 
@@ -273,7 +273,8 @@ def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray,
     end, ceil(h(U_FLOOR)) and ceil(h(1 - alpha_min)) - 1 (_highs_at),
     priced by _inner_infimum's own _limit_tails, so no cap is below the
     infimum computed at its own price, bit for bit. Up to m mu nature's
-    answer sat at an end in every probe: the caps are exact.
+    answer sat at an end in every probe: the caps are exact (bit for bit on
+    1,000 seeded prices, tests/test_solvers.py).
 
     The exact infimum does not rise with p, as every fixed-u tail P(sum >=
     p) falls, so the cap at a cell's first price ps[s] times its last,

@@ -63,6 +63,17 @@ _CHUNK_COLS = 256
 _BLOCK = 8192
 
 
+def check_unit_mass(probs: np.ndarray, law: str, **at) -> None:
+    """Raise unless probs sums to 1 within MASS_TOL: an exact law refuses,
+    rather than renormalizes, a drifted mass. The message names the law and
+    the parameters it was built at."""
+    total = float(np.sum(probs))
+    if abs(total - 1.0) > MASS_TOL:
+        where = ", ".join(f"{k}={v!r}" for k, v in at.items())
+        raise RobustBundlingError(f"{law} mass drifted to {total!r}"
+                                  + (f" at {where}" if at else ""))
+
+
 @dataclass(frozen=True)
 class SumLaw:
     """Distribution of a sum: ascending support with matching probabilities."""
@@ -157,11 +168,7 @@ def iid_two_point_sum(dist: TwoPointDist, m: int) -> SumLaw:
     support = (m - k) * dist.x + k * dist.y
     logp = _log_weights(m, dist.alpha)
     probs = np.exp(logp)
-    total = float(np.sum(probs))
-    if abs(total - 1.0) > MASS_TOL:
-        raise RobustBundlingError(
-            f"sum-law mass drifted to {total!r} at m={m}, alpha={dist.alpha!r}"
-        )
+    check_unit_mass(probs, "sum-law", m=m, alpha=dist.alpha)
     return SumLaw(support=support, probs=probs, log_probs=logp)
 
 
@@ -191,9 +198,7 @@ def product_sum(dists: Sequence[TwoPointDist]) -> SumLaw:
         support = new_support[fresh]
         probs = np.bincount(np.cumsum(fresh) - 1, weights=new_probs)
 
-    total = float(np.sum(probs))
-    if abs(total - 1.0) > MASS_TOL:
-        raise RobustBundlingError(f"product-law mass drifted to {total!r}")
+    check_unit_mass(probs, "product-law")
     return SumLaw(support=support, probs=probs)
 
 

@@ -19,3 +19,24 @@ def wide_spec():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260816)
+
+
+class _Drifted:
+    """numpy as one module sees it, but with np.<name>'s results 2e-10
+    heavier: an exact law built from them drifts past MASS_TOL."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        fn = getattr(np, attr)
+        if attr != self.name:
+            return fn
+        return lambda *args, **kw: fn(*args, **kw) * (1.0 + 2e-10)
+
+
+@pytest.fixture()
+def drift(monkeypatch):
+    """drift(module, name): the module's np.<name> returns results 2e-10
+    heavier until the test ends."""
+    return lambda module, name: monkeypatch.setattr(module, "np", _Drifted(name))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbl import cli
+from rbl import cli, opt_oracle, sum_law
 from rbl.cli import _COMMANDS, main
 from rbl.concentration import MC_MIN_SAMPLES
 
@@ -188,6 +188,44 @@ def test_validation_failures_exit_2(capsys, monkeypatch, argv):
     assert code == 2
     assert "error:" in err or err == ""
     assert err.count("\n") <= 1
+
+
+_CONCENTRATION = ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2",
+                  "--m", "50", "--n", "10000")
+
+
+@pytest.mark.parametrize("argv, text", [
+    # the rules whose one owner words them
+    ((*_CONCENTRATION, "--member", "two_point:alpha=0.5"),
+     "missing required option --seed"),
+    ((*_CONCENTRATION, "--seed", "1"), "need at least one member"),
+    (("opt-oracle", "--mu", "1", "--d", "0.5", "--m", "2", "--alpha",
+      "0.5,0.6,0.7"), "got 3 members for m=2 items"),
+    # ranges the chains check, in the words the handler once used
+    (("regret", "--mu", "1", "--d", "0.5", "--m", "16", "--eps", "0.9",
+      "--gamma", "1.5"), "need 0 < eps < 0.75, got 0.9"),
+    (("regret", "--mu", "1", "--d", "0.5", "--m", "16", "--eps", "0.1",
+      "--gamma", "1.5"), "need 0 < gamma < 1, got 1.5"),
+    (("ratio", "--mu", "1", "--d", "0.5", "--m", "16", "--eps", "0"),
+     "need 0 < eps < 0.75, got 0.0"),
+])
+def test_a_rule_is_worded_by_its_library_owner(capsys, argv, text):
+    assert run(capsys, *argv) == (2, "", f"error: {text}\n")
+
+
+@pytest.mark.parametrize("module, name, argv, law", [
+    (opt_oracle, "ones", ("opt-oracle", "--m", "2", "--alpha", "0.5"),
+     "lattice"),
+    (sum_law, "exp", ("ratio", "--m", "2", "--eps", "0.1", "--grid", "8"),
+     "sum-law"),
+])
+def test_a_drifted_law_exits_2_in_one_line(capsys, drift, module, name, argv,
+                                           law):
+    drift(module, name)
+    code, out, err = run(capsys, argv[0], "--mu", "1", "--d", "0.5", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {law} mass drifted to ")
+    assert err.count("\n") == 1
 
 
 def test_non_finite_three_point_member_exits_2_naming_the_input(capsys):

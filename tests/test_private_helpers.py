@@ -71,3 +71,25 @@ def test_only_optimize_reads_the_cell_size():
         if "CELL" in names and path.name != "optimize.py":
             readers.append(path.name)
     assert readers == []
+
+
+def _functions(path: Path) -> list:
+    return [node for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_no_cli_handler_raises():
+    # each input rule has one owner, the library call a handler makes or
+    # cli's option parsers: a handler's own raise would be a second copy
+    cli = next(path for path in _SRC if path.name == "cli.py")
+    raising = [node.name for node in _functions(cli)
+               if node.name.startswith("_cmd_")
+               and any(isinstance(n, ast.Raise) for n in ast.walk(node))]
+    assert raising == []
+
+
+def test_one_function_reads_the_mass_tolerance():
+    # every exact law checks its unit mass through one helper
+    readers = [f"{path.name}: {node.name}" for path in _SRC
+               for node in _functions(path) if "MASS_TOL" in _used_names(node)]
+    assert readers == ["sum_law.py: check_unit_mass"]

@@ -415,25 +415,26 @@ def test_walk_stops_only_strictly_below_its_thresholds():
 def test_one_breakpoint_has_the_array_bits():
     # the walk prices each breakpoint in Python floats: the same bits as
     # _breakpoints, on both branches of its sign test and where c is within
-    # 1e-8 of m, at k = m, the rounded discriminant is negative (NaN)
+    # 1e-8 of -m, across its callers' domain c <= 0 (p in [0, m mu]), where
+    # the discriminant is never negative
     rng = np.random.default_rng(29)
     cases = [(float(c), m, float(rng.integers(0, m + 1)))
              for m in (1, 7, 1000, 10**6)
-             for c in m * np.concatenate([rng.uniform(-3.0, 3.0, 200),
-                                          [-1.0, 0.0, 1.0]])]
-    cases += [(float(c), 1000, 1000.0)
-              for c in 1000 * (1 + np.linspace(-1e-8, 1e-8, 201))]
+             for c in m * np.concatenate([rng.uniform(-3.0, 0.0, 200),
+                                          [-1.0, 0.0]])]
+    cases += [(float(c), 1000, float(k))
+              for c in -1000 * (1 + np.linspace(-1e-8, 1e-8, 201))
+              for k in (0, 1, 999, 1000)]
     c, m, k = (np.array(v) for v in zip(*cases))
-    with np.errstate(invalid="ignore"):
-        want = solvers._breakpoints(c, m, k)
+    want = solvers._breakpoints(c, m, k)
     got = np.array([solvers._breakpoint(*case) for case in cases])
-    assert np.isnan(want).any() and (c + m <= 0.0).any()
-    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.isnan(want).any()
+    assert (c + m <= 0.0).any() and (c + m > 0.0).any()
+    assert np.array_equal(got, want)
     # a cell's scalar c over its array of k takes one branch: the same bits
-    with np.errstate(invalid="ignore"):
-        one_c = [solvers._breakpoints(float(ci), mi, np.array([ki]))[0]
-                 for ci, mi, ki in cases]
-    assert np.array_equal(one_c, want, equal_nan=True)
+    one_c = [solvers._breakpoints(float(ci), mi, np.array([ki]))[0]
+             for ci, mi, ki in cases]
+    assert np.array_equal(one_c, want)
 
 
 def test_crossing_index_never_falls_as_the_price_rises():
@@ -603,6 +604,38 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
             assert np.all(caps >= exact), (r, m)
             # the trivial cap maximin takes up to m L(m): a tail is <= 1
             assert np.all(ps / m >= exact), (r, m)
+
+
+def _cap_cases(rng, n, m_top):
+    """n seeded (spec, m): mu = e^U(-3, 3), d/mu log-uniform on [1e-8,
+    1.99] and m log-uniform on [1, m_top]."""
+    for _ in range(n):
+        mu = math.exp(rng.uniform(-3.0, 3.0))
+        r = math.exp(rng.uniform(math.log(1e-8), math.log(1.99)))
+        yield MeanMadSpec(mu, mu * r), int(math.exp(rng.uniform(0.0, math.log(m_top))))
+
+
+def test_guarantee_caps_are_exact():
+    # _guarantee_caps' claim, bit for bit: up to m mu nature's answer sits
+    # at an end of its in-range breakpoints, so a price's cap is the tail
+    # infimum _inner_infimum computes there. Prices uniform on [0, m mu] and
+    # within 1e-9 to 0.5 relative of m mu take m up to 3e5; p = m mu, where
+    # c = 0 and every in-range breakpoint is priced, takes m up to 3e4
+    rng = np.random.default_rng(38)
+    cases = []
+    for spec, m in _cap_cases(rng, 350, 3e5):
+        top = m * spec.mu
+        cases += [(spec, m, rng.uniform(0.0, top)),
+                  (spec, m, top * (1.0 - math.exp(
+                      rng.uniform(math.log(1e-9), math.log(0.5)))))]
+    cases += [(spec, m, m * spec.mu) for spec, m in _cap_cases(rng, 300, 3e4)]
+    for spec, m, p in cases:
+        sure, once = solvers._floor_step(spec, m)
+        floor = 1.0 if p <= sure else once
+        tail = solvers._inner_infimum(spec, m, p, solvers._price_cell(spec, m, p),
+                                      floor)[1]
+        cap = solvers._guarantee_caps(spec, m, np.array([p]), np.array([floor]))
+        assert cap[0] == tail, (spec, m, p)
 
 
 def _maximin_bounds(monkeypatch, spec, m):

@@ -12,7 +12,7 @@ from scipy.special import bdtri, kolmogorov
 from scipy.special._ufuncs import _binom_cdf, _binom_sf
 from scipy.stats import binom as scipy_binom
 
-from rbl import sum_law
+from rbl import opt_oracle, sum_law
 from rbl.ambiguity import (
     MeanMadSpec,
     ThreePointDist,
@@ -84,6 +84,27 @@ def test_product_sum_guards(half_spec):
         product_sum([d0, other])
     with pytest.raises(RobustBundlingError, match="21 factors exceeds the cap of 20"):
         product_sum([d0] * 21)
+
+
+@pytest.mark.parametrize("module, name, build, law, at", [
+    (sum_law, "exp", lambda d: iid_two_point_sum(d, 10), "sum-law",
+     " at m=10, alpha=0.5"),
+    (sum_law, "bincount", lambda d: product_sum([d] * 3), "product-law", ""),
+    (opt_oracle, "ones", lambda d: opt_oracle.bid_lattice([d] * 2), "lattice",
+     ""),
+])
+def test_a_drifted_law_is_refused_in_one_line_naming_it(
+        half_spec, drift, module, name, build, law, at):
+    # every exact law goes through one mass check, sum_law.check_unit_mass
+    dist = make_two_point(half_spec, 0.5)
+    build(dist)
+    drift(module, name)
+    with pytest.raises(RobustBundlingError) as err:
+        build(dist)
+    text = str(err.value)
+    assert text.startswith(f"{law} mass drifted to ") and "\n" not in text
+    # the total, then what the law was built at
+    assert text.endswith(f"{float(text.split()[4])!r}{at}")
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.999, 1.0 - 1e-12])
