@@ -24,15 +24,16 @@ until every bound left clears the best value by optimize.PRUNE_MARGIN, so
 the grid optimum is that of the full grid. A row is one call: a price's
 infimum over its breakpoints (_inner_infimum), or nature's best response
 over the _window of k, masses from one sum_law.binom_window call.
-A price's O(m) screen, its breakpoints' Chernoff bounds on the lower tail, is
-shared by every price in its grid cell (_price_cell), so the polish's few
-dozen prices cost one screen more than the grid; its U_FLOOR tail is one of
-two numbers priced once per solve (_floor_step). Each price then walks the
-breakpoints in Python floats by falling bound, one survival call each, until
-the bound left proves every remaining tail loses: near the maximin price that
-is after one call, at m = 1e6 too, where every in-range tail but the winner's
-is 1.0. Tails go through the binomial survival function (sum_law.binom_sf),
-not the explicit m+1 point law.
+A price's U_FLOOR tail is one of two numbers priced once per solve
+(_floor_step). Its in-range breakpoints are one run of k, and a Chernoff bound
+on each one's lower tail is highest at the run's ends (_lower_tail_bound), so
+nature's answer walks the run in from both ends in Python floats, with O(1)
+state: it prices the end with the larger bound, one survival call, until both
+ends' bounds prove every remaining tail loses. Near the maximin price that is
+after one call, at m = 1e6 too, where every in-range tail but the winner's is
+1.0; maximin solves m = 1e7 in about 8 ms and m = 1e9 in about 0.1 s on a
+2-vCPU host. Tails go through the binomial survival function
+(sum_law.binom_sf), not the explicit m+1 point law.
 Every report carries a certificate pair: a closed-form lower bound that
 holds for every product of family members (see maximin_certificate_lower),
 and an upper bound that the computed value can be checked against. Both
@@ -46,7 +47,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .ambiguity import MeanMadSpec
 from .errors import RobustBundlingError, check_count
@@ -100,12 +100,9 @@ def _two_point(spec: MeanMadSpec, u):
 def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
     """Root u in (0, 1] of c u^2 - (c + m) u + k = 0: where the support point
     with k highs crosses the price. The form is chosen so neither branch
-    cancels or divides by zero (c + m <= 0 forces c < 0). A scalar c takes
-    its one branch alone."""
+    cancels or divides by zero (c + m <= 0 forces c < 0)."""
     b = c + m
     sq = np.sqrt(b * b - 4.0 * c * k)
-    if np.ndim(b) == 0:
-        return 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
     pos = b > 0.0
     return np.where(pos, 2.0 * k / np.where(pos, b + sq, 1.0),
                     (b - sq) / np.where(pos, 1.0, 2.0 * c))
@@ -120,17 +117,6 @@ def _breakpoint(c: float, m: int, k: float) -> float:
     return 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
 
 
-def _limit_tails(spec: MeanMadSpec, m: int, c, k: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(u, tail): breakpoints u_k at c and limits P(Bin(m, u_k) >= k+1), +inf
-    where u_k is outside [U_FLOOR, 1 - alpha_min); k < m there (u_m = 1)."""
-    u = _breakpoints(c, m, k)
-    inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
-    tails = np.full(u.shape, np.inf)
-    tails[inside] = _binom_sf(k[inside], m, u[inside]).clip(0.0, 1.0)
-    return u, tails
-
-
 def _highs_at(c, m: int, u) -> np.ndarray:
     """ceil(h(u)), h(u) = m u + c u (1 - u): as breakpoints rise with k and h
     increases at its roots, the fewest highs k with u_k >= u, up to one off
@@ -139,19 +125,21 @@ def _highs_at(c, m: int, u) -> np.ndarray:
 
 
 def _lower_tail_slack(m: int) -> float:
-    """delta: the relative margin by which a cell's bound E_k, scaled by
-    1 + delta, bounds the lower tail P(Bin(m, u_k) <= k) that Boost computes.
+    """delta: the relative margin by which a bound E = _lower_tail_bound at
+    u_k lowered by 2^-48, scaled by 1 + delta, bounds the lower tail
+    P(Bin(m, u_k) <= k) that Boost computes, and a run's larger end bound
+    every bound inside it.
 
-    With eps = 2^-53, in-range u_k <= 1 - eps, q = k/m and L2 =
-    log((1 - q)/(1 - u_k)) <= 37: q and 1 - q are off by eps and 1 - u_k by
-    eps/2, and rel_entr's division, log and product each round, so each term
-    is off by at most eps (1 + 2 |log|) times its weight; q log(q/u) is at
-    most 1/e in size and (1 - q) L2 at most 37, so the sum, which cancels,
-    is off by at most ~155 eps in absolute terms, and m KL by ~155 m eps.
-    Boost's relative error on the lower tail is about 4e-17 m where measured
-    (under 0.4 m eps), and exp, the product m KL and the scaling E (1 +
-    delta) add a few eps. 2^-44 (m + 1) = 512 eps (m + 1) covers the sum
-    about three times over."""
+    With eps = 2^-53, the float u_k is within a few eps of its root, so the
+    2^-48 = 32 eps shift keeps u - q in floats below the gap at u_k itself,
+    and the formulas lose only their roundings: the first piece a few eps
+    relative, the second a few eps u in its numerator, whose subtraction
+    cancels to (1 - u) g(x) but, unlike rel_entr's, holds no term of size
+    37: so a few m eps in m B, plus under 200 eps where E >= 2^-54 (m B <=
+    38) meets a stop. Boost's relative error on the lower tail is about
+    4e-17 m where measured (under 0.4 m eps). 2^-44 (m + 1) = 512 eps (m +
+    1) covers it and the bound's error twice, at a k and at the end it is
+    compared with, with room to spare."""
     return 2.0 ** -44 * (m + 1)
 
 
@@ -159,44 +147,40 @@ def _lower_tail_slack(m: int) -> float:
 _ROUNDS_TO_ONE = 2.0 ** -54
 # A lower tail below 1 - best less this leaves a survival above best.
 _ABOVE_BEST = 2.0 ** -52
-# Breakpoints a walk prices one call each before it prices the rest at once.
-_WALK = 64
 
 
-def _price_cell(spec: MeanMadSpec, m: int, hi: float
-                ) -> tuple[list, list, np.ndarray]:
-    """(k, lower, bulk): what _inner_infimum shares at every price p <= hi.
-    The crossing indices whose breakpoints can be in range at hi, in the
-    order of falling E_k = exp(-m KL(k/m || u_k)), an upper bound on
-    P(Bin(m, u_k) <= k) (1 where k/m >= u_k): k lists the first _WALK + 1
-    and lower their E_k, and bulk holds them from index _WALK on. A k whose
-    E_k, scaled by 1 + _lower_tail_slack(m), is below _ROUNDS_TO_ONE is left
-    out: its limit rounds to 1.0 and never wins.
+def _lower_tail_bound(m: int, k: float, u: float) -> float:
+    """exp(-m B) >= P(Bin(m, u) <= k), with q = k/m < u; 1.0 where q >= u.
 
-    Raising p raises c and so lowers each u_k, as h increases at its roots
-    (_highs_at); the lower tail at u_k then rises. So the bound at hi holds
-    at every p <= hi, and no k past the window at hi is in range at a lower
-    p. The breakpoints at hi are taken 2^-48 low, below any price's computed
-    u_k: for c <= 0 (hi <= m mu, as at every price maximin posts) their
-    float steps add no cancellation, so each is within a few eps of a root
-    that never falls as p does."""
-    u_hi = 1.0 - spec.alpha_min
-    c = 2.0 * (hi - m * spec.mu) / spec.d
-    # window k to 0..the count at u_hi plus a spare
-    k_hi = min(max(float(_highs_at(c, m, u_hi)) + 1.0, 0.0), m)
-    k = np.arange(k_hi + 1.0)
-    u = _breakpoints(c, m, k) * (1.0 - 2.0 ** -48)
+    Chernoff: the lower tail is at most exp(-m KL(q || u)), and KL(q || u)
+    = int_q^u (t - q) / (t (1 - t)) dt >= B:
+    - for u <= 1/2, B = (u - q)^2 / (2 u (1 - u)), as t (1 - t) <= u (1 - u)
+      on [q, u];
+    - for u > 1/2, B = ((1 - q) log1p((u - q)/(1 - u)) - (u - q)) / u, as
+      1/t >= 1/u.
+    Along the breakpoints of a price, u - q = delta u (1 - u) with delta =
+    -c/m >= 0 and 1 - q = (1 - u)(1 + delta u): the first piece is delta^2
+    u (1 - u) / 2, which rises on [0, 1/2], and the second (1 - u)
+    g(delta u) / u, g(x) = (1 + x) ln(1 + x) - x, which falls on (1/2, 1),
+    as x g'(x) <= 2 g(x) (ln(1 + x) >= 2x/(2 + x)). At u = 1/2 the second
+    is g(x) <= x^2 / 2, the first. So B rises, then falls, with u and so
+    with k: no bound inside a run of breakpoints is above both its ends.
+    The walk's shift to u (1 - s), s = 2^-48, keeps that shape exactly:
+    with w = delta (1 - u) - s, u - q becomes u w and 1 - u becomes 1 - u +
+    u s; the first piece then rises while delta ((1 - u)(1 - 2u) - 2 u^2 s)
+    > s, whose left side falls with u, and the second's log-slope is at
+    most ((1 - u)(1 - 2u) - 2 u^2 s) / (u (1 - u)(1 - u + u s)) < 0; where
+    w <= 0 the bound is 1.0. A float u_k a few eps from its root moves m B
+    by that times its log-slope in u: within the slack, or near u = 1 by 4
+    m (1 + delta) eps of the step from one bound to the next."""
     q = k / m
-    # KL(q || u) >= (u - q)^2 / (2u) for q < u, so where m (u - q)^2 > 80 u
-    # the lower tail is below e^-40, 2^-54 over 13: no KL is needed there
-    near = np.flatnonzero(~(q < u) | (m * (u - q) ** 2 <= 80.0 * u))
-    k, u, q = k[near], u[near], q[near]
-    kl = rel_entr(q, u) + rel_entr(1.0 - q, 1.0 - u)
-    lower = np.where(q < u, np.exp(-m * kl), 1.0)
-    keep = np.flatnonzero(lower * (1.0 + _lower_tail_slack(m)) >= _ROUNDS_TO_ONE)
-    keep = keep[np.argsort(-lower[keep], kind="stable")]
-    walk = keep[:_WALK + 1]
-    return k[walk].tolist(), lower[walk].tolist(), k[keep[_WALK:]]
+    if not q < u:
+        return 1.0
+    if u <= 0.5:
+        b = (u - q) ** 2 / (2.0 * u * (1.0 - u))
+    else:
+        b = ((1.0 - q) * math.log1p((u - q) / (1.0 - u)) - (u - q)) / u
+    return math.exp(-m * b)
 
 
 def _floor_step(spec: MeanMadSpec, m: int) -> tuple[float, float]:
@@ -213,22 +197,24 @@ def _floor_step(spec: MeanMadSpec, m: int) -> tuple[float, float]:
     return m * x, float(binom_sf(0.0, m, U_FLOOR))
 
 
-def _inner_infimum(spec: MeanMadSpec, m: int, p: float, cell: tuple,
+def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
                    floor_tail: float) -> tuple[float, float]:
     """(u, tail) with tail the infimum of P(sum >= p) over u = 1 - alpha in
     [U_FLOOR, 1 - alpha_min), reached at u: U_FLOOR, or the breakpoint the
-    infimum is approached at from above. cell is a _price_cell whose
-    interval holds p, and floor_tail the tail at U_FLOOR.
+    infimum is approached at from above. floor_tail is the tail at U_FLOOR.
 
     Breakpoint u_k is where the k-high support point equals p; on
     (u_k, u_{k+1}] the tail is P(Bin(m, u) >= k+1), which rises with u. So
     the infimum is the smallest of the tail at U_FLOOR and the limits
     P(Bin(m, u_k) >= k+1) over the breakpoints in range, ties going to the
-    smallest u: U_FLOOR, then the smallest k. One walk over the cell's k, by
-    falling bound E_k and in Python floats, prices each in-range k with one
-    survival call (every in-range k is below m, as u_m = 1) and stops at the
-    first k whose E_k (1 + delta), delta = _lower_tail_slack(m), bounds every
-    k left to a tail that loses to the best:
+    smallest u: U_FLOOR, then the smallest k. The in-range k are one run,
+    its ends found one k outside _highs_at's and tested exactly (u_m = 1 is
+    never in range). A walk in Python floats prices the run's end with the
+    larger bound E_k = _lower_tail_bound at u_k lowered by 2^-48, with one
+    survival call, and moves that end inward; as no bound inside a run is
+    above both its ends, it stops once both ends' E_k (1 + delta), delta =
+    _lower_tail_slack(m), bound every k left to a tail that loses to the
+    best:
     - below (1 - best) - 2^-52: the lower tail Boost computes is below
       1 - best - 2^-52, and the survival it returns, 1 minus that tail
       within Boost's error, rounds strictly above the best;
@@ -236,32 +222,42 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float, cell: tuple,
       bit, so the tail rounds to 1.0. That loses whatever the best is: the
       U_FLOOR tail, at most 1.0, wins ties, and a breakpoint is best only
       strictly below it.
-    Past _WALK k the bounds prune nothing (c near 0), and the walk prices
-    every k left, the cell's bulk, in one vector call (_limit_tails).
     """
-    ks, lower, bulk = cell
     p = float(p)
     c = 2.0 * (p - m * spec.mu) / spec.d
     u_top = 1.0 - spec.alpha_min
     slack = 1.0 + _lower_tail_slack(m)
+    lo = max(float(_highs_at(c, m, U_FLOOR)) - 1.0, 0.0)
+    hi = min(float(_highs_at(c, m, u_top)), float(m))
+    while lo <= hi and _breakpoint(c, m, lo) < U_FLOOR:
+        lo += 1.0
+    while lo <= hi and not _breakpoint(c, m, hi) < u_top:
+        hi -= 1.0
+
+    def end(k):
+        u = _breakpoint(c, m, k)
+        return u, _lower_tail_bound(m, k, u * (1.0 - 2.0 ** -48))
+
     best_u, best, best_k = U_FLOOR, floor_tail, -1.0
     stop = max(_ROUNDS_TO_ONE, (1.0 - best) - _ABOVE_BEST)
-    for i, (k, e) in enumerate(zip(ks, lower)):
-        if e * slack < stop:
+    e_lo = e_hi = None
+    while lo <= hi:
+        if e_lo is None:
+            u_lo, e_lo = end(lo)
+        if e_hi is None:
+            u_hi, e_hi = end(hi)
+        if max(e_lo, e_hi) * slack < stop:
             break
-        if i == _WALK:
-            # the rest at once, ties to the smallest k
-            u, tails = _limit_tails(spec, m, c, bulk)
-            j = np.lexsort((bulk, tails))[0]
-            if (tails[j], bulk[j]) < (best, best_k):
-                best_u, best = float(u[j]), float(tails[j])
-            break
-        u = _breakpoint(c, m, k)
-        if U_FLOOR <= u < u_top:
-            tail = min(max(float(_binom_sf(k, m, u)), 0.0), 1.0)
-            if tail < best or (tail == best and k < best_k):
-                best_u, best, best_k = u, tail, k
-                stop = max(_ROUNDS_TO_ONE, (1.0 - best) - _ABOVE_BEST)
+        if e_lo >= e_hi:
+            k, u, e_lo = lo, u_lo, None
+            lo += 1.0
+        else:
+            k, u, e_hi = hi, u_hi, None
+            hi -= 1.0
+        tail = min(max(float(_binom_sf(k, m, u)), 0.0), 1.0)
+        if tail < best or (tail == best and k < best_k):
+            best_u, best, best_k = u, tail, k
+            stop = max(_ROUNDS_TO_ONE, (1.0 - best) - _ABOVE_BEST)
     return best_u, best
 
 
@@ -269,29 +265,34 @@ def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray,
                     floor_tails: np.ndarray) -> np.ndarray:
     """Per price in ps, a cap on its tail infimum (_inner_infimum), so
     p * cap / m caps its guarantee: the least of its tail at u = U_FLOOR
-    (floor_tails) and the in-range breakpoint limits within one k of either
-    end, ceil(h(U_FLOOR)) and ceil(h(1 - alpha_min)) - 1 (_highs_at),
-    priced by _inner_infimum's own _limit_tails, so no cap is below the
-    infimum computed at its own price, bit for bit. Up to m mu nature's
-    answer sat at an end in every probe: the caps are exact (bit for bit on
-    1,000 seeded prices, tests/test_solvers.py).
+    (floor_tails) and the in-range breakpoint limits P(Bin(m, u_k) >= k+1)
+    within one k of either end, ceil(h(U_FLOOR)) and ceil(h(1 - alpha_min))
+    - 1 (_highs_at), with _inner_infimum's breakpoint and survival bits, so
+    no cap is below the infimum computed at its own price, bit for bit. Up
+    to m mu nature's answer sat at an end in every probe: the caps are
+    exact (bit for bit on 1,000 seeded prices, tests/test_solvers.py).
 
     The exact infimum does not rise with p, as every fixed-u tail P(sum >=
     p) falls, so the cap at a cell's first price ps[s] times its last,
     ps[e] * cap / m, caps the guarantee at every price of ps[s..e]. In
     floats that holds up to a rounding budget: the infimum computed at p
     and the cap at ps[s] are each exact up to the relative error of one
-    survival call (Boost's: 2e-11 at m = 1e7), and that of its breakpoint,
-    a few eps, times the tail's log-slope in u; ps[e] >= p, and the
-    products round in order. A search skips a cell only if its cap is
-    PRUNE_MARGIN, 1e-9, relative below the best guarantee found, so it
-    keeps the full grid's optimum. Over seeded specs with d/mu from 1e-6
-    to 1.98 and m from 1 to 1e7, no cell cap was below a row's computed
-    guarantee at all (tests/test_solvers.py)."""
+    survival call (Boost's, about 4e-17 m), and that of its breakpoint, a
+    few eps, times the tail's log-slope in u; ps[e] >= p, and the products
+    round in order. A search skips a cell only if its cap is PRUNE_MARGIN,
+    1e-9, relative below the best guarantee found, so it keeps the full
+    grid's optimum where that margin covers the budget: up to m of about
+    2.5e7. Past that, where maximin now also solves cheaply, the margin
+    alone proves nothing; over seeded specs with d/mu from 1e-6 to 1.98 and
+    m from 1 to 1e7, no cell cap was below a row's computed guarantee at
+    all (tests/test_solvers.py)."""
     c = 2.0 * (ps[:, None] - m * spec.mu) / spec.d
     ends = _highs_at(c, m, np.array([U_FLOOR, 1.0 - spec.alpha_min])) - [1.0, 2.0]
     k = np.clip(ends[..., None] + np.arange(3.0), 0.0, m).reshape(ps.size, 6)
-    tails = _limit_tails(spec, m, c, k)[1]
+    u = _breakpoints(c, m, k)
+    inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
+    tails = np.full(u.shape, np.inf)
+    tails[inside] = _binom_sf(k[inside], m, u[inside]).clip(0.0, 1.0)
     return np.minimum(floor_tails, tails.min(axis=1))
 
 
@@ -305,10 +306,11 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     sells). This is maximin's own evaluation, on the prices maximin posts:
     the scale must be in range (_check_scale), p in [0, m mu], and the
     U_FLOOR tail a step from 1.0 (_floor_step). Near p = m mu, c and with
-    it every lower-tail bound vanish, so every in-range k is priced: on a
-    2-vCPU host 1.9 to 2.7 s at (1, 0.5), m = 1e6, and 54 s at m = 1e7
-    with d/mu = 1.2e-5 or 1.4e-4. Maximin never prices there, as it cuts
-    its top cell where m mu - p halves.
+    it every lower-tail bound vanish, so every in-range k is priced, one
+    survival call each: on a 2-vCPU host 0.28 s at (1, 0.5), m = 1e5, and
+    4.1 s at m = 1e6. Maximin never prices m mu itself (grid_polish's
+    polish prices only inside its bracket, and the top row's cap rules it
+    out), and next to it each of its prices walks at most a few dozen k.
     """
     _check_scale(spec, m)
     if not 0.0 <= p <= m * spec.mu:
@@ -317,8 +319,7 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     sure, once = _floor_step(spec, m)
     if p == 0.0:
         return spec.alpha_min, 0.0
-    u, tail = _inner_infimum(spec, m, p, _price_cell(spec, m, p),
-                             1.0 if p <= sure else once)
+    u, tail = _inner_infimum(spec, m, p, 1.0 if p <= sure else once)
     return 1.0 - u, float(p * tail / m)
 
 
@@ -430,19 +431,17 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     m = 100 to 10^4); the rows are solved in the order a walk down the row caps
     would take. A price with p/m at most the certificate lower bound L(m) takes
     the tail cap 1.0, which the grid's best nearly always clears, so only the
-    prices above m L(m) pay for an exact cap (_guarantee_caps). Each grid
-    interval (ps[j-1], ps[j]] gets one screen (_price_cell) per solve: a row's
-    is priced at the row itself, and the polish, which prices only inside the
-    best row's two neighbours, adds the one above the best row. The top
-    interval gets one per halving of m mu - p, since c, and with it every
-    bound, vanishes at m mu; cells are keyed by their top price. Nature's
-    U_FLOOR tail is priced once, and a spec at whose m it is not a step from
-    1.0 (_floor_step) is rejected before L(m) is. The reported alpha is the
-    polish's own answer at the reported price, which worst_case_alpha gives too
-    (alpha_min at p = 0). The certificate pairs the family-wide bound
-    maximin_certificate_lower with the analytic ceiling mu - d/2. A spec whose
-    scale leaves double range is rejected before any solving (_check_scale), as
-    is a grid of fewer than 2 prices.
+    prices above m L(m) pay for an exact cap (_guarantee_caps). Each price
+    the search evaluates walks its own breakpoints from both ends
+    (_inner_infimum) in O(1) memory: at (1, 0.5) and (1, 0.8), m = 100 to
+    10^4, one survival call per price, and a solve at m = 1e7 allocates
+    under 3 MB. Nature's U_FLOOR tail is priced once, and a spec at whose m
+    it is not a step from 1.0 (_floor_step) is rejected before L(m) is. The
+    reported alpha is the polish's own answer at the reported price, which
+    worst_case_alpha gives too (alpha_min at p = 0). The certificate pairs
+    the family-wide bound maximin_certificate_lower with the analytic
+    ceiling mu - d/2. A spec whose scale leaves double range is rejected
+    before any solving (_check_scale), as is a grid of fewer than 2 prices.
 
     Where the search falls below L, L's own price p_L (_certificate_best)
     is tried as one more candidate, kept if strictly better: its exact
@@ -462,19 +461,10 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
                                      np.where(p[rest] <= sure, 1.0, once))
         return caps
 
-    cells, answers = {}, {}
-    top = ps[-1]
+    answers = {}
 
     def neg_guarantee(p):
-        hi = ps[np.searchsorted(ps, p)]
-        if hi == top and top / 2.0 <= p < top:
-            # c is 0 at the top price, where no bound prunes: cut the top
-            # cell where top - p (exact here) halves, so c at a cell's top
-            # is at least half c at its prices
-            hi = top - 2.0 ** (math.frexp(top - p)[1] - 1)
-        if hi not in cells:
-            cells[hi] = _price_cell(spec, m, hi)
-        answers[p], tail = _inner_infimum(spec, m, p, cells[hi],
+        answers[p], tail = _inner_infimum(spec, m, p,
                                           1.0 if p <= sure else once)
         return -p * tail / m
 

@@ -23,16 +23,16 @@ CASES = {
     "maximin.csv": ("maximin", *HALF, "--m", "4,10,100,1000"),
     "maximin.json": ("maximin", "--mu", "1", "--d", "0.8", "--m", "2,16",
                      "--price-grid", "64", "--format", "json"),
-    # small m, where a price's first screened breakpoint is often out of
-    # range, up to m = 1e5, where tails near 1 need the lower-tail screen
+    # small m, where a run's end found next to _highs_at is often out of
+    # range, up to m = 1e5, where tails near 1 need the lower-tail bounds
     "maximin-wide.json": ("maximin", "--mu", "2.3", "--d", "0.3",
                           "--m", "1,3,7,32,1000,100000", "--format", "json"),
     # m = 1e6: at the maximin price all 562,498 in-range breakpoint tails
     # but the winner's are 1.0, so no bound on the upper tail prunes them
     "maximin-1e6.json": ("maximin", *HALF, "--m", "1000000", "--format",
                          "json"),
-    # tiny d/mu: the maximin price sits in the top grid cell, which the
-    # polish cuts where m mu - p halves
+    # tiny d/mu: the maximin price sits in the top grid cell, next to m mu,
+    # where every lower-tail bound vanishes
     "maximin-tiny-d.json": ("maximin", "--mu", "1", "--d", "1e-6",
                             "--m", "100,10000", "--format", "json"),
     "minimax.csv": ("minimax", *HALF, "--m", "1,10,100"),

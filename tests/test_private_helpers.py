@@ -34,6 +34,27 @@ def test_every_private_helper_is_used_in_the_package():
     assert orphans == []
 
 
+def _private_constants(tree: ast.Module) -> list:
+    targets = [t for node in tree.body
+               if isinstance(node, (ast.Assign, ast.AnnAssign))
+               for t in (node.targets if isinstance(node, ast.Assign)
+                         else [node.target])]
+    return [t.id for t in targets if isinstance(t, ast.Name)
+            and t.id.startswith("_") and not t.id.startswith("__")]
+
+
+def test_every_private_constant_is_read_in_the_package():
+    # a constant whose last reader a deletion removed is dead code
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in _SRC]
+    read = {n.id if isinstance(n, ast.Name) else n.attr for tree in trees
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+    unread = [f"{path.name}: {name}" for path, tree in zip(_SRC, trees)
+              for name in _private_constants(tree) if name not in read]
+    assert unread == []
+
+
 # cli's option parsers share the protocol parse(name, raw): a parser whose
 # message names its option by a fixed text need not read name
 _PROTOCOL_PARAMS = {("cli.py", "_as_out", "name"), ("cli.py", "_as_format", "name"),

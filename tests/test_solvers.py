@@ -161,7 +161,7 @@ def _limits(spec, m, p):
 
 
 def _unpruned_infimum(spec, m, p):
-    """(u, tail) with no screen: the least of the tail at U_FLOOR and every
+    """(u, tail) with no pruning: the least of the tail at U_FLOOR and every
     limit of _limits; ties go to the smallest u."""
     _, u, tails = _limits(spec, m, p)
     us = np.concatenate([[U_FLOOR], u])
@@ -180,9 +180,7 @@ def _brute_worst_case(spec, m, p):
 # Prices at (1, 0.5) just below the maximin price, where every in-range
 # breakpoint tail is 1.0 or within 1e-11 of it: the infimum is the U_FLOOR
 # tail 1.0 ("one"), a breakpoint at 1 - tiny ("tiny"), or one whose tail is
-# 1 - 2^-53 ("ulp"). At m = 1e5 that breakpoint is k = 0, whose bound E_0 =
-# (1 - u_0)^m is exact, and its lower tail sits 1e-12 above 2^-54 while the
-# float bound sits 8e-13 below: only delta sends the walk on to price it.
+# 1 - 2^-53 ("ulp"). That breakpoint is k = 0, the low end of the run.
 _NEAR_ONE = ((10**4, 7122.550680540299, "one"),
              (10**4, 7493.028748422021, "tiny"),
              (10**4, 7490.832238138138, "ulp"),
@@ -219,8 +217,8 @@ def test_worst_case_alpha_equals_unpruned_brute_force():
             assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
         else:  # past maximin's prices: the infimum itself
             assert solvers._inner_infimum(
-                spec, m, p, solvers._price_cell(spec, m, p),
-                _floor_tail(spec, m, p)) == _unpruned_infimum(spec, m, p)
+                spec, m, p, _floor_tail(spec, m, p)) == _unpruned_infimum(
+                    spec, m, p)
     spec = MeanMadSpec(1.0, 0.5)
     for m, p, kind in _NEAR_ONE:
         assert _near_one_kind(spec, m, p) == kind
@@ -245,22 +243,22 @@ def test_worst_case_alpha_answers_only_maximins_prices(monkeypatch):
                                match=r"price must be in \[0, m\*mu\]") as err:
                 worst_case_alpha(spec, m, p)
             assert "\n" not in str(err.value)
-    # just below m mu, c is near 0, no bound prunes, and the walk ends in
-    # its one vector call
-    sizes, limit_tails = [], solvers._limit_tails
-    monkeypatch.setattr(solvers, "_limit_tails",
-                        lambda *args: sizes.append(args[3].size)
-                        or limit_tails(*args))
+    # just below m mu, c is near 0 and no bound prunes: the walk prices
+    # every in-range k, one survival call each
+    ks, sf = [], solvers._binom_sf
+    monkeypatch.setattr(solvers, "_binom_sf",
+                        lambda k, n, u: ks.append(k) or sf(k, n, u))
     spec, m = MeanMadSpec(1.0, 0.5), 1000
     p = math.nextafter(1000.0, 0.0)
     assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
-    assert len(sizes) == 1 and sizes[0] > 0
+    assert sorted(ks) == _limits(spec, m, p)[0].tolist()
+
     def unreachable(*args):
-        raise AssertionError("screened before m was checked")
+        raise AssertionError("walked before m was checked")
 
     # past about m = 1e12 the U_FLOOR tail is no step: rejected before the
-    # O(m) screen
-    monkeypatch.setattr(solvers, "_price_cell", unreachable)
+    # walk
+    monkeypatch.setattr(solvers, "_inner_infimum", unreachable)
     for p in (0.0, 0.5):
         with pytest.raises(RobustBundlingError, match="too large"):
             worst_case_alpha(spec, 2 * 10**12, p)
@@ -271,9 +269,9 @@ def _floor_tail(spec, m, p):
     return float(_tails(spec, m, p, U_FLOOR))
 
 
-def test_cell_screen_equals_the_unscreened_infimum():
-    # one _price_cell serves every price in its interval, bit for bit: the
-    # bounds at its top price screen lower prices
+def test_walk_equals_the_unpruned_infimum():
+    # the walk from both ends of the in-range run, bit for bit, at prices
+    # spread over grid cells, on and next to the support points
     rng = np.random.default_rng(25)
     cases = [(mu, r, m) for mu in (1.0, 2.3, 1e-3)
              for r, m in ((0.5, 7), (0.8, 300), (0.1, 16), (0.1, 32),
@@ -281,10 +279,10 @@ def test_cell_screen_equals_the_unscreened_infimum():
     cases += [(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.05, 1.9)),
                int(rng.integers(1, 1500))) for _ in range(12)]
 
-    def check(spec, m, p, cell):
+    def check(spec, m, p):
         want = _unpruned_infimum(spec, m, p)
         assert solvers._inner_infimum(
-            spec, m, p, cell, _floor_tail(spec, m, p)) == want, (spec, m, p)
+            spec, m, p, _floor_tail(spec, m, p)) == want, (spec, m, p)
 
     for mu, r, m in cases:
         spec = MeanMadSpec(mu, mu * r)
@@ -298,76 +296,64 @@ def test_cell_screen_equals_the_unscreened_infimum():
         js += [j, j + 1] if j < ps.size - 1 else [j]
         for j in js:
             lo, hi = float(ps[j - 1]), float(ps[j])
-            cell = solvers._price_cell(spec, m, hi)
             probes = list(lo + (hi - lo) * rng.random(n // 4)) + [hi]
             edge = m * x_floor
             probes += [p for p in (math.nextafter(edge, 0.0), edge,
                                    math.nextafter(edge, math.inf))
                        if lo <= p <= hi]
             for p in probes:
-                check(spec, m, p, cell)
-    # cells past m mu at tiny d/mu, where the U_FLOOR support points sit a
-    # fraction of the cell apart: on and next to each support point
+                check(spec, m, p)
+    # intervals past m mu at tiny d/mu, where the U_FLOOR support points sit
+    # a fraction of the interval apart: on and next to each support point
     for mu, r, m, f, width in ((1.0, 1e-12, 300, 1.2, 0.3),
                                (1.0, 1e-12, 300, 1.2, 2.0),
                                (2.3, 3e-12, 1000, 1.5, 20.0)):
         spec = MeanMadSpec(mu, mu * r)
         lo = f * m * mu
-        cell = solvers._price_cell(spec, m, lo + width)
         x, gap = solvers._two_point(spec, U_FLOOR)
         ks = np.arange(math.ceil((lo - m * x) / gap) - 1.0,
                        (lo + width - m * x) / gap + 1.0)
         for s in m * x + ks * gap:
             for p in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
                 if lo <= p <= lo + width:
-                    check(spec, m, p, cell)
+                    check(spec, m, p)
     # no breakpoint in range (p = 0), and prices above m mu at tiny d/mu
-    # where more than 32 breakpoints sit below U_FLOOR, so none of the first
-    # 32 walked is in range
+    # where more than 32 breakpoints sit below U_FLOOR, so the run starts
+    # past k = 31
     for mu, r, m, f in ((1.0, 0.5, 7, 0.0), (2.3, 0.1, 1000, 0.0),
                         (1.0, 1e-12, 300, 1.2), (2.3, 3e-12, 1000, 1.5),
                         (1.0, 1.66e-11, 1126, 1.235)):
         spec = MeanMadSpec(mu, mu * r)
         p = f * m * mu
-        cell = solvers._price_cell(spec, m, p)
-        ks = np.concatenate([cell[0][:solvers._WALK], cell[2]])
-        u = solvers._breakpoints(2.0 * (p - m * mu) / spec.d, m, ks)
-        inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
-        assert not inside[:32].any() and inside.any() == (p > 0.0)
-        check(spec, m, p, cell)
-    # above m mu every bound is 1, so past solvers._WALK breakpoints the
-    # walk prices the rest in one call; at (1, 0.5), m = 1000, p = 1.5 m,
-    # twelve limits tie at 0.0 and the smallest k must win
+        k = _limits(spec, m, p)[0]
+        assert (k.size > 0) == (p > 0.0) and not (k < 32).any()
+        check(spec, m, p)
+    # above m mu every bound is 1 and the walk prices every in-range k; at
+    # (1, 0.5), m = 1000, p = 1.5 m, twelve limits tie at 0.0 and the
+    # smallest k must win
     for mu, r, m, f in ((1.0, 0.5, 1000, 1.5), (2.3, 0.3, 300, 2.0)):
         spec = MeanMadSpec(mu, mu * r)
-        p = f * m * mu
-        cell = solvers._price_cell(spec, m, p)
-        assert cell[2].size > 0
-        check(spec, m, p, cell)
+        check(spec, m, f * m * mu)
     tails = _limits(MeanMadSpec(1.0, 0.5), 1000, 1500.0)[2]
     assert np.sum(tails == tails.min()) > 1
-    # tails near 1 at large m, each in the price grid's cell that holds it
+    # tails near 1 at large m
     spec = MeanMadSpec(1.0, 0.5)
     for m, p, kind in _NEAR_ONE:
-        ps = np.linspace(0.0, m * spec.mu, solvers.PRICE_GRID)
-        j = int(np.searchsorted(ps, p))
-        check(spec, m, p, solvers._price_cell(spec, m, ps[j]))
+        check(spec, m, p)
 
 
-def test_walk_sends_ties_to_the_floor():
+def test_walk_sends_ties_to_the_floor(monkeypatch):
     # where the winning limit ties the U_FLOOR tail, the walk answers
     # U_FLOOR, however many k it prices; real tails tie too rarely to probe,
     # so the floor tail passed is set to that limit
     spec, m = MeanMadSpec(1.0, 0.5), 100
     p = maximin_bundling_value(spec, m).price
-    ks, lower, bulk = solvers._price_cell(spec, m, p)
     u, tail = _unpruned_infimum(spec, m, p)
     assert u > U_FLOOR and tail < _floor_tail(spec, m, p)
-    assert solvers._inner_infimum(spec, m, p, (ks, lower, bulk), tail) == (
-        U_FLOOR, tail)
+    assert solvers._inner_infimum(spec, m, p, tail) == (U_FLOOR, tail)
     # bounds of 1 rule no k out: every in-range k is priced
-    assert solvers._inner_infimum(
-        spec, m, p, (ks, [1.0] * len(ks), bulk), tail) == (U_FLOOR, tail)
+    monkeypatch.setattr(solvers, "_lower_tail_bound", lambda m, k, u: 1.0)
+    assert solvers._inner_infimum(spec, m, p, tail) == (U_FLOOR, tail)
 
 
 def _scaled_to(target, m):
@@ -380,13 +366,20 @@ def _scaled_to(target, m):
     raise AssertionError(target)
 
 
-def test_walk_stops_only_strictly_below_its_thresholds():
-    # cells whose bounds sit on a stop threshold, or under it by Boost's
+def _hand_bounds(monkeypatch, bound):
+    """Patch _lower_tail_bound to bound(k): hand-made bounds, which must
+    not peak inside a run, as real ones do not."""
+    monkeypatch.setattr(solvers, "_lower_tail_bound",
+                        lambda m, k, u: bound(k))
+
+
+def test_walk_stops_only_strictly_below_its_thresholds(monkeypatch):
+    # runs whose bounds sit on a stop threshold, or under it by Boost's
     # relative error on the lower tail, about 4e-17 m: the walk must go on
     # and price the k, which here wins. Real bounds are loose but at k = 0,
-    # so the cells are set by hand
+    # so the bounds are set by hand: from the low end of the run up to the
+    # winner, then 0.0
     spec = MeanMadSpec(1.0, 0.5)
-    none = np.empty(0)
     # the U_FLOOR tail 1.0 is best: the threshold is 2^-54
     for m, p, kind in _NEAR_ONE:
         if kind != "one":
@@ -395,10 +388,13 @@ def test_walk_stops_only_strictly_below_its_thresholds():
             floor = _floor_tail(spec, m, p)
             assert floor == 1.0
             for e in (_scaled_to(2.0**-54, m), 2.0**-54 * (1.0 - 4e-17 * m)):
-                assert solvers._inner_infimum(
-                    spec, m, p, ([k[i]], [e], none), floor) == (u[i], tails[i])
+                _hand_bounds(monkeypatch, lambda j: e if j <= k[i] else 0.0)
+                assert solvers._inner_infimum(spec, m, p, floor) == (
+                    u[i], tails[i])
     # a breakpoint is best, the runner-up priced first: the threshold is
-    # (1 - its tail) - 2^-52
+    # (1 - its tail) - 2^-52. Bounds of 1.0 from the runner-up's end of
+    # the run to it, then the bound on the threshold up to the best, then
+    # 0.0: every k between them, a loser, is priced on the threshold
     for m in (16, 100, 1000):
         p = maximin_bundling_value(spec, m).price
         k, u, tails = _limits(spec, m, p)
@@ -407,9 +403,46 @@ def test_walk_stops_only_strictly_below_its_thresholds():
         cut = (1.0 - tails[j]) - 2.0**-52
         floor = _floor_tail(spec, m, p)
         assert floor == 1.0
+        side = 1.0 if k[j] < k[i] else -1.0
         for e in (_scaled_to(cut, m), cut * (1.0 - 4e-17 * m)):
-            assert solvers._inner_infimum(spec, m, p, (
-                [k[j], k[i]], [1.0, e], none), floor) == (u[i], tails[i])
+            _hand_bounds(monkeypatch, lambda h: (
+                1.0 if side * (h - k[j]) <= 0.0
+                else e if side * (h - k[i]) <= 0.0 else 0.0))
+            assert solvers._inner_infimum(spec, m, p, floor) == (
+                u[i], tails[i])
+
+
+def test_lower_tail_bound_holds_and_peaks_at_a_runs_ends():
+    # _lower_tail_bound at u_k lowered by 2^-48, as the walk takes it, on
+    # every in-range k of seeded runs: scaled by 1 + delta it bounds Boost's
+    # lower tail 1 - sf(k, m, u_k), and no bound inside the run is above
+    # both its ends. delta = -c/m on [0.3, 3] or just above 1, d/mu
+    # log-uniform on [1e-8, 1.98], m log-uniform up to 1e5
+    rng = np.random.default_rng(39)
+    runs = 0
+    for i in range(300):
+        mu = math.exp(rng.uniform(-3.0, 3.0))
+        spec = MeanMadSpec(mu, mu * math.exp(
+            rng.uniform(math.log(1e-8), math.log(1.98))))
+        m = int(math.exp(rng.uniform(0.0, math.log(1e5))))
+        delta = (rng.uniform(0.3, 3.0) if i % 2 else 1.0 + math.exp(
+            rng.uniform(math.log(1e-12), math.log(1e-2))))
+        p = m * mu - delta * m * spec.d / 2.0
+        if p < 0.0:
+            continue
+        k, u, _ = _limits(spec, m, p)
+        if k.size == 0:
+            continue
+        runs += 1
+        bounds = np.array([
+            solvers._lower_tail_bound(m, kj, uj * (1.0 - 2.0**-48))
+            for kj, uj in zip(k.tolist(), u.tolist())])
+        lower = 1.0 - solvers._binom_sf(k, m, u)
+        slack = 1.0 + solvers._lower_tail_slack(m)
+        assert np.all(lower <= bounds * slack), (spec, m, p)
+        assert bounds[1:-1].max(initial=0.0) <= max(bounds[0], bounds[-1]), (
+            spec, m, p)
+    assert runs >= 200, runs
 
 
 def test_one_breakpoint_has_the_array_bits():
@@ -431,10 +464,6 @@ def test_one_breakpoint_has_the_array_bits():
     assert not np.isnan(want).any()
     assert (c + m <= 0.0).any() and (c + m > 0.0).any()
     assert np.array_equal(got, want)
-    # a cell's scalar c over its array of k takes one branch: the same bits
-    one_c = [solvers._breakpoints(float(ci), mi, np.array([ki]))[0]
-             for ci, mi, ki in cases]
-    assert np.array_equal(one_c, want)
 
 
 def test_crossing_index_never_falls_as_the_price_rises():
@@ -457,9 +486,9 @@ def test_maximin_floor_tail_is_a_step_bit_for_bit(monkeypatch):
     # d/mu = 1e-14, and on and next to m x
     seen, inner, caps = [], solvers._inner_infimum, solvers._guarantee_caps
 
-    def record_inner(spec, m, p, cell, floor_tail):
+    def record_inner(spec, m, p, floor_tail):
         seen.append((p, floor_tail))
-        return inner(spec, m, p, cell, floor_tail)
+        return inner(spec, m, p, floor_tail)
 
     def record_caps(spec, m, ps, floor_tails):
         seen.extend(zip(ps.tolist(), floor_tails.tolist()))
@@ -563,8 +592,7 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
         spec = MeanMadSpec(mu, d)
         ps = np.linspace(0.0, m * mu, 257)
         full = np.array([p * solvers._inner_infimum(
-            spec, m, p, solvers._price_cell(spec, m, p),
-            _floor_tail(spec, m, p))[1] / m for p in ps])
+            spec, m, p, _floor_tail(spec, m, p))[1] / m for p in ps])
         neg_got, neg_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
         # the search sees the negated grid; negation is exact
@@ -632,8 +660,7 @@ def test_guarantee_caps_are_exact():
     for spec, m, p in cases:
         sure, once = solvers._floor_step(spec, m)
         floor = 1.0 if p <= sure else once
-        tail = solvers._inner_infimum(spec, m, p, solvers._price_cell(spec, m, p),
-                                      floor)[1]
+        tail = solvers._inner_infimum(spec, m, p, floor)[1]
         cap = solvers._guarantee_caps(spec, m, np.array([p]), np.array([floor]))
         assert cap[0] == tail, (spec, m, p)
 
@@ -659,8 +686,8 @@ def _maximin_bounds(monkeypatch, spec, m):
 
 def _cell_cap_specs():
     """Seeded (mu, d, m), d/mu log-uniform on [1e-6, 1.98]: three per m up
-    to 1e4, two at 1e6 and one at 1e7; and the top-cell cut, the maximin
-    price in the top cell at (1, 1e-4), m = 1e4."""
+    to 1e4, two at 1e6 and one at 1e7; and the maximin price in the top
+    cell at (1, 1e-4), m = 1e4."""
     rng = np.random.default_rng(34)
     specs = [(float(np.exp(rng.uniform(-3.0, 3.0))),
               float(np.exp(rng.uniform(np.log(1e-6), np.log(1.98)))), m)
@@ -678,7 +705,7 @@ def test_cell_caps_never_undercut_a_rows_guarantee(monkeypatch):
     # and last rows of the cell holding the maximin price, its neighbours
     # and the cell holding m L(m), where the caps sit closest to the rows'
     # guarantees, but m mu, where worst_case_alpha prices every in-range k
-    # (54 s at m = 1e7)
+    # (4.1 s at (1, 0.5), m = 1e6)
     tight = 0
     for mu, d, m in _cell_cap_specs():
         spec = MeanMadSpec(mu, d)
@@ -732,28 +759,6 @@ def test_maximin_caps_cell_starts_and_refined_rows_only(monkeypatch):
             maximin_bundling_value(MeanMadSpec(1.0, d), m)
             assert sizes[0] <= solvers.PRICE_GRID // CELL, (d, m)
             assert sum(sizes) <= 64 + 48, (d, m, sizes)
-
-
-def test_maximin_screens_each_cell_once(monkeypatch):
-    # a count guard: O(m) screens (_price_cell) are one per grid row solved
-    # and at most one more for the polish, however many prices it evaluates:
-    # it prices only inside the best row's bracket, whose lower half is the
-    # row's own cell
-    cells, evals = [], []
-    price_cell, inner = solvers._price_cell, solvers._inner_infimum
-    monkeypatch.setattr(solvers, "_price_cell",
-                        lambda *args: cells.append(args) or price_cell(*args))
-    monkeypatch.setattr(solvers, "_inner_infimum",
-                        lambda *args: evals.append(args) or inner(*args))
-    for d in (0.5, 0.8):
-        for m in (4, 10, 16, 100, 1000, 10_000):
-            cells.clear()
-            evals.clear()
-            rows = _rows_solved(
-                monkeypatch,
-                lambda: maximin_bundling_value(MeanMadSpec(1.0, d), m))
-            assert len(evals) > len(rows) + 30, (d, m)
-            assert len(cells) <= len(rows) + 1, (d, m)
 
 
 def test_maximin_never_calls_worst_case_alpha(monkeypatch):
@@ -816,14 +821,42 @@ def test_maximin_prices_no_breakpoint_twice(monkeypatch):
                 assert max(map(len, ks)) <= 64, (d, m)
 
 
-def test_maximin_cuts_the_top_cell_where_m_mu_minus_p_halves(monkeypatch):
+def test_maximin_evaluation_makes_at_most_one_survival_call(monkeypatch):
+    # a count guard: the polish evaluates dozens of prices beyond the grid
+    # rows, and each evaluation prices at most one breakpoint
+    evals = _record_evaluations(monkeypatch)
+    for d in (0.5, 0.8):
+        for m in (100, 1000, 10_000):
+            evals.clear()
+            rows = _rows_solved(
+                monkeypatch,
+                lambda: maximin_bundling_value(MeanMadSpec(1.0, d), m))
+            assert len(evals) > len(rows) + 30, (d, m)
+            assert all(len(calls) <= 1 for _, calls in evals), (d, m)
+
+
+def test_maximin_at_m_1e7_peaks_under_16_mb():
+    # nature's answer walks its breakpoints with O(1) state: an O(m) screen
+    # per price peaked at 236.5 MB here
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        maximin_bundling_value(MeanMadSpec(1.0, 0.5), 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
+
+
+def test_maximin_prices_few_breakpoints_next_to_m_mu(monkeypatch):
     # a count guard: at small d/mu the maximin price sits in the top grid
-    # cell, where c at the cell's top is 0 and no bound prunes; cut where
-    # m mu - p halves, every evaluation prices at most 64 breakpoints (one
-    # cell for all of them made a solve at d/mu = 5.5e-6, m = 2e5, walk
-    # every k at every price and take 17 s). No evaluation sits at m mu
-    # itself, which prices every in-range k: the polish never prices its
-    # bracket's ends, and the top row's cap rules it out
+    # cell, next to m mu, where c and with it every bound vanish; each
+    # evaluation there prices at most 64 breakpoints (bounds taken at the
+    # cell's top, m mu, made a solve at d/mu = 5.5e-6, m = 2e5, walk every
+    # k at every price and take 17 s). No evaluation sits at m mu itself,
+    # which prices every in-range k: the polish never prices its bracket's
+    # ends, and the top row's cap rules it out
     evals = _record_evaluations(monkeypatch)
     for mu, r, m in ((1.0, 1e-4, 10_000), (6.75, 5.5e-6, 20_000)):
         evals.clear()
