@@ -138,22 +138,12 @@ def make_two_point(spec: MeanMadSpec, alpha: float) -> TwoPointDist:
     """Build the extremal two-point member at low-point mass alpha.
 
     alpha must lie in [alpha_min, 1) with alpha_min = d/(2*mu); at the boundary the
-    low point is exactly 0.0. Rounding-level negative lows just above the boundary
-    are clamped to 0 (mean identity still holds to 1e-12 relative). The high
-    point must be a finite double.
+    low point is exactly 0.0. The high point must be a finite double.
     """
     a_min = spec.alpha_min
     if not (a_min <= alpha < 1.0):
         raise RobustBundlingError(f"alpha={alpha} outside [{a_min}, 1)")
-    if alpha == a_min:
-        x = 0.0
-    else:
-        x = spec.mu - spec.d / (2.0 * alpha)
-        if x < 0.0:
-            if x < -1e-12 * spec.mu:
-                raise RobustBundlingError(
-                    f"alpha={alpha} drives the low point negative")
-            x = 0.0
+    x = 0.0 if alpha == a_min else spec.mu - spec.d / (2.0 * alpha)
     y = spec.mu + spec.d / (2.0 * (1.0 - alpha))
     if not math.isfinite(y):
         raise RobustBundlingError(f"alpha={alpha} puts the high point past double range")

@@ -13,18 +13,17 @@ next to alpha = 1, searched and polished by grid_polish on the seller's best
 response. Each order passes grid_polish one objective and one cheap lower
 bound on it over an interval of grid points, which grid_polish prices on its
 cells and then, as one-point intervals, on the rows of the cells it refines:
-for prices lo..hi, hi/m times the tail cap at lo, as the infimum does not
-rise with p, the cap 1.0 up to m L(m) (L the certificate lower bound) and
-above it the least tail over nature's extreme answers, U_FLOOR and the ends
-of its in-range breakpoints (_guarantee_caps), so exact caps are priced only
-in the cells the search refines and about one row is solved per grid; for
-nature on u_hi >= u >= u_lo, a few feasible prices priced at the two ends
-(_cell_floors). Rows are solved exactly from the most promising bound on,
-until every bound left clears the best value by optimize.PRUNE_MARGIN, so
-the grid optimum is that of the full grid. A row is one call: a price's
-infimum over its breakpoints (_inner_infimum), or nature's best response
-over the _window of k, masses from one sum_law.binom_window call.
-A price's U_FLOOR tail is one of two numbers priced once per solve
+for prices lo..hi, hi/m times the tail cap at lo, as the infimum does not rise
+with p, the cap being the least tail over nature's extreme answers, U_FLOOR
+and the ends of its in-range breakpoints (_guarantee_caps), so exact caps are
+priced at cell starts and in the cells the search refines, and about one row
+is solved per grid; for nature on u_hi >= u >= u_lo, a few feasible prices
+priced at the two ends (_cell_floors). Rows are solved exactly from the most
+promising bound on, until every bound left clears the best value by
+optimize.PRUNE_MARGIN, so the grid optimum is that of the full grid. A row is
+one call: a price's infimum over its breakpoints (_inner_infimum), or nature's
+best response over the _window of k, masses from one sum_law.binom_window
+call. A price's U_FLOOR tail is one of two numbers priced once per solve
 (_floor_step). Its in-range breakpoints are one run of k, and a Chernoff bound
 on each one's lower tail is highest at the run's ends (_lower_tail_bound), so
 nature's answer walks the run in from both ends in Python floats, with O(1)
@@ -323,17 +322,6 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     return 1.0 - u, float(p * tail / m)
 
 
-def _certificate_terms(lo: int, pmf: np.ndarray) -> np.ndarray:
-    """(sqrt(k) - sqrt(E(k - K)+))^2 for k = lo.. while pmf, the masses of
-    m - K from its top down, reaches: E(k - K)+ = sum_{i<k} P(K <= i) as a
-    double cumsum from lo. Cumsums run in order, so a longer pmf leaves
-    every earlier term's bits as they were."""
-    cdf = pmf[::-1].cumsum()
-    shortfall = np.concatenate(([0.0], cdf[:-1].cumsum()))
-    return (np.sqrt(np.arange(lo, lo + pmf.size, dtype=float))
-            - np.sqrt(shortfall)) ** 2
-
-
 def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     """Per-item revenue some bundle price earns on every product of m family
     members, i.i.d. or not: L(m) = (mu/m) max_k (sqrt(k) - sqrt(E(k - K)+))^2
@@ -344,8 +332,8 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     order (Shaked & Shanthikumar, Stochastic Orders, 4.A), so for a sum S
     and mu k > p, P(S < p) <= mu E(k - K)+ / (mu k - p). The price
     p = mu (k - sqrt(k E(k - K)+)) maximizes p (1 - that bound) / m to the
-    k-th term of L (_certificate_terms). The terms run over the _window of
-    k, reaching at least _WINDOW_SIGMAS whole k below the mean where sigma
+    k-th term of L. The terms run over the _window of k, reaching at least
+    _WINDOW_SIGMAS whole k below the mean where sigma
     < 1, as _best_response's does: below it E(k - K)+ is negligible and
     the term rises as k, above it the term falls. The masses are those of
     m - K ~ Binomial(m, d/(2 mu)) at m - k, so alpha_min enters unrounded,
@@ -356,22 +344,29 @@ def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     7.1e-7 high. At m = 1, L is the single-item robust revenue
     (sqrt(mu) - sqrt(d/2))^2.
 
-    The masses are priced from the window's low end up to ceil(M) + 1, M =
-    m (1 - d/(2 mu)) the mean of K, and no further than the terms can win.
-    Past M, E(k - K)+ >= k - M (Jensen), so term k is at most J(k) =
-    (sqrt(k) - sqrt(k - M))^2 = (M / (sqrt(k) + sqrt(k - M)))^2, which
-    falls with k. So once J(k), scaled up by 1 + 16 (hi/M) delta, delta =
-    _lower_tail_slack(m), is below the best term priced, no term from k on
-    can win. Where J at ceil(M) + 2 does not fall below the best of the
-    first masses' terms, a second binom_window call prices the masses from
-    there up to the k before the first whose J does. The budget: the float
-    shortfall is at least (k - M)(1 - delta), as the relative error of
-    Boost's masses (2e-11 at m = 1e7) and of the two cumsums (2 m eps) is
-    below delta / 2, and, where the window starts above 0, P(K < lo) <=
-    e^-55 is below k e^-55 <= delta (k - M) / 2 for k >= M + 1. Then a
-    float term is at most J(k) (1 + 2 (k/M)(delta + 2 eps))^2 and a few
-    roundings, under J (1 + 8 (hi/M) delta), and the product and the float
-    J add a few eps more. M is taken 2^-50 high, which only raises J.
+    The masses are priced by one binom_window call, from the window's low
+    end lo up to a closed-form stop. Let M = m (1 - q), q = d/(2 mu), the
+    mean of K, taken 2^-50 high (which only raises the caps below), and
+    delta = _lower_tail_slack(m). Past M, E(k - K)+ >= k - M (Jensen), so
+    term k is at most J(k) = (sqrt(k) - sqrt(k - M))^2 = (M / (sqrt(k) +
+    sqrt(k - M)))^2, which falls with k, and a float term at most
+    J (1 + 16 (hi/M) delta): for k >= M + 1 the float shortfall is at least
+    (k - M)(1 - delta), as the relative error of Boost's masses (2e-11 at
+    m = 1e7) and of the two cumsums (2 m eps) is below delta / 2, and the
+    (k - lo) P(K < lo) <= k e^-55 it drops is below delta (k - M) / 2; so a
+    float term is at most J (1 + 2 (k/M)(delta + 2 eps))^2 and a few
+    roundings, under J (1 + 8 (hi/M) delta). The best term is at least the
+    one at k0 = ceil(M), where E(k0 - K)+ <= E|k0 - K| <= |k0 - m (1 - q)|
+    + sigma <= 1 + sigma + M 2^-49, sigma^2 = m q (1 - q); with the same
+    budget the float shortfall there is below w = (1 + sigma)(1 + delta),
+    and the float term at least t0 = (sqrt(k0) - sqrt(w))^2, rounded down
+    by 2^-48 sqrt(k0) before the square and 2^-50 after. With
+    s = M sqrt((1 + 16 (hi/M) delta) / t0), sqrt(k) + sqrt(k - M) = s at
+    k* = ((s^2 + M) / (2 s))^2 >= M, so every k > k* has a float term below
+    t0 and cannot win. The masses run up to min(hi, max(k0 + 1,
+    floor(k*) + 1)), or over the whole window where t0 <= 0: about
+    M + sigma at large m, not M + 40 sigma. The cumsums run in order from
+    lo, so every term priced keeps the bits of the full window's.
     """
     return _certificate_best(spec, m)[0]
 
@@ -384,19 +379,20 @@ def _certificate_best(spec: MeanMadSpec, m: int) -> tuple[float, float]:
     q = spec.alpha_min
     lo, hi = _window(m, 1.0 - q)
     mean = m * (1.0 - q) * (1.0 + 2.0 ** -50)
-    top = min(hi, math.ceil(mean) + 1)
-    pmf = binom_window(m - top, m - lo, m, q)[0]
-    terms = _certificate_terms(lo, pmf)
-    if top < hi:
-        k = np.arange(top + 1.0, hi + 1.0)
-        cap = ((mean / (np.sqrt(k) + np.sqrt(k - mean))) ** 2
-               * (1.0 + 16.0 * hi / mean * _lower_tail_slack(m)))
-        # the terms before the first k whose cap is below the best
-        more = int(np.argmax(np.append(cap < terms.max(), True)))
-        if more:
-            pmf = np.concatenate(
-                (binom_window(m - top - more, m - top - 1, m, q)[0], pmf))
-            terms = _certificate_terms(lo, pmf)
+    k0 = math.ceil(mean)
+    slack = _lower_tail_slack(m)
+    w = (1.0 + math.sqrt(m * q * (1.0 - q))) * (1.0 + slack)
+    root = math.sqrt(k0) - math.sqrt(w) - 2.0 ** -48 * math.sqrt(k0)
+    stop = hi
+    if root > 0.0:
+        t0 = root * root * (1.0 - 2.0 ** -50)
+        s = mean * math.sqrt((1.0 + 16.0 * hi / mean * slack) / t0)
+        k_star = ((s + mean / s) / 2.0) ** 2
+        stop = min(hi, max(k0 + 1, math.floor(k_star) + 1))
+    # masses of m - K from its top down: E(k - K)+ = sum_{i<k} P(K <= i)
+    cdf = binom_window(m - stop, m - lo, m, q)[0][::-1].cumsum()
+    shortfall = np.concatenate(([0.0], cdf[:-1].cumsum()))
+    terms = (np.sqrt(np.arange(lo, stop + 1.0)) - np.sqrt(shortfall)) ** 2
     i = int(np.argmax(terms))
     return (spec.mu * float(terms[i]) / m,
             spec.mu * math.sqrt((lo + i) * float(terms[i])))
@@ -425,23 +421,22 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     negated guarantee -p * tail / m (exact, so values keep their bits), its
     inner infimum solved exactly by breakpoints (_inner_infimum) from the
     highest cap down, one price per grid. Prices lo..hi are capped by hi times
-    the tail cap at lo, a price alone by itself times its own, so exact caps
-    are priced once per grid_polish cell, at its first price, and for the rows
-    of the cells the search refines (16 to 48 rows at (1, 0.5) and (1, 0.8),
-    m = 100 to 10^4); the rows are solved in the order a walk down the row caps
-    would take. A price with p/m at most the certificate lower bound L(m) takes
-    the tail cap 1.0, which the grid's best nearly always clears, so only the
-    prices above m L(m) pay for an exact cap (_guarantee_caps). Each price
-    the search evaluates walks its own breakpoints from both ends
-    (_inner_infimum) in O(1) memory: at (1, 0.5) and (1, 0.8), m = 100 to
-    10^4, one survival call per price, and a solve at m = 1e7 allocates
-    under 3 MB. Nature's U_FLOOR tail is priced once, and a spec at whose m
-    it is not a step from 1.0 (_floor_step) is rejected before L(m) is. The
-    reported alpha is the polish's own answer at the reported price, which
-    worst_case_alpha gives too (alpha_min at p = 0). The certificate pairs
-    the family-wide bound maximin_certificate_lower with the analytic
-    ceiling mu - d/2. A spec whose scale leaves double range is rejected
-    before any solving (_check_scale), as is a grid of fewer than 2 prices.
+    the tail cap at lo (_guarantee_caps), a price alone by itself times its
+    own, so exact caps are priced once per grid_polish cell, at its first
+    price, and for the rows of the cells the search refines: 80 to 112 caps, 16
+    to 48 of them rows, at (1, 0.5) and (1, 0.8), m = 100 to 10^4; the rows are
+    solved in the order a walk down the row caps would take. The bound reads no
+    L(m), which enters only the certificate and the p_L candidate below. Each
+    price the search evaluates walks its own breakpoints from both ends
+    (_inner_infimum) in O(1) memory: at (1, 0.5) and (1, 0.8), m = 100 to 10^4,
+    one survival call per price, and a solve at m = 1e7 allocates under 3 MB.
+    Nature's U_FLOOR tail is priced once, and a spec at whose m it is not a
+    step from 1.0 (_floor_step) is rejected before L(m) is. The reported alpha
+    is the polish's own answer at the reported price, which worst_case_alpha
+    gives too (alpha_min at p = 0). The certificate pairs the family-wide bound
+    maximin_certificate_lower with the analytic ceiling mu - d/2. A spec whose
+    scale leaves double range is rejected before any solving (_check_scale), as
+    is a grid of fewer than 2 prices.
 
     Where the search falls below L, L's own price p_L (_certificate_best)
     is tried as one more candidate, kept if strictly better: its exact
@@ -455,11 +450,7 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     ps = np.linspace(0.0, m * spec.mu, price_grid)
 
     def tail_caps(p):
-        caps = np.ones(p.size)
-        rest = p / m > lower
-        caps[rest] = _guarantee_caps(spec, m, p[rest],
-                                     np.where(p[rest] <= sure, 1.0, once))
-        return caps
+        return _guarantee_caps(spec, m, p, np.where(p <= sure, 1.0, once))
 
     answers = {}
 

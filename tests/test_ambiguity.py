@@ -73,6 +73,20 @@ def test_two_point_low_point_hits_zero_at_boundary(half_spec):
     assert dist.x == 0.0
 
 
+def test_two_point_low_point_is_never_negative_next_to_the_boundary():
+    # one float above alpha_min, alpha >= (d/2mu)(1 - 2^-106), so the
+    # float d/(2 alpha) rounds to at most mu and the low point to >= 0
+    rng = np.random.default_rng(40)
+    for _ in range(20_000):
+        mu = float(np.exp(rng.uniform(-30.0, 30.0)))
+        r = (float(10.0 ** rng.uniform(-15.0, 0.0)) if rng.random() < 0.5
+             else 2.0 - float(10.0 ** rng.uniform(-15.0, 0.0)))
+        spec = MeanMadSpec(mu, mu * r)
+        dist = make_two_point(spec, math.nextafter(spec.alpha_min, 1.0))
+        assert dist.x >= 0.0, (mu, r)
+        assert dist.mean() == pytest.approx(mu, rel=1e-12), (mu, r)
+
+
 @pytest.mark.parametrize("alpha", [0.2499999, 0.0, -0.1, 1.0, 1.5])
 def test_two_point_alpha_range(half_spec, alpha):
     with pytest.raises(RobustBundlingError, match=r"outside \["):
@@ -102,6 +116,8 @@ def test_three_point_acceptance_member(half_spec):
 
 
 def test_three_point_validation(half_spec):
+    with pytest.raises(RobustBundlingError, match="exactly three points"):
+        make_three_point(half_spec, (0.0, 2.0), (0.5, 0.5))
     with pytest.raises(RobustBundlingError, match="sum to 1"):
         make_three_point(half_spec, (0.0, 1.0, 2.0), (0.3, 0.5, 0.3))
     with pytest.raises(RobustBundlingError, match=r"support must lie in \[0"):
@@ -147,6 +163,17 @@ def test_pareto_shape_window(a):
     spec = MeanMadSpec(1.0, pareto_induced_mad(1.0, 1.8))
     with pytest.raises(RobustBundlingError, match=r"outside \(1, 2\]"):
         make_pareto_member(spec, a)
+
+
+def test_pareto_mad_below_its_scale_is_mean_less_center(half_spec):
+    # at or below the scale X - c >= 0 surely, so E|X - c| = mu - c; it
+    # meets the branch above the scale there
+    dist = make_pareto_member(half_spec, 2.0)
+    assert dist.scale == 0.5
+    for c in (0.0, 0.25, 0.5):
+        assert dist.mad_about(c) == 1.0 - c
+    assert dist.mad_about(math.nextafter(0.5, 1.0)) == pytest.approx(
+        0.5, rel=1e-15)
 
 
 def _pareto_members(count):

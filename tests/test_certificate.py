@@ -216,21 +216,42 @@ def _stop_specs():
     return out
 
 
+def _large_m_specs():
+    """24 seeded (mu, d, m), six at each m in 10^7, 10^8, 10^9 and 10^10:
+    d/mu log-uniform on [1e-9, 1e-3], on [1e-3, 1.9] and 2 - d/mu on
+    [1e-7, 0.1], two of each."""
+    rng = np.random.default_rng(20261020)
+    out = []
+    for m in (10**7, 10**8, 10**9, 10**10):
+        for i in range(6):
+            mu = float(np.exp(rng.uniform(-3.0, 3.0)))
+            kind = i % 3
+            if kind == 0:
+                r = float(10.0 ** rng.uniform(-9.0, -3.0))
+            elif kind == 1:
+                r = float(np.exp(rng.uniform(np.log(1e-3), np.log(1.9))))
+            else:
+                r = 2.0 - float(10.0 ** rng.uniform(-7.0, -1.0))
+            out.append((mu, mu * r, m))
+    return out
+
+
 def test_stopped_bound_keeps_the_full_window_bits(monkeypatch):
-    # L(m) stops pricing masses once the Jensen bound J(k) = (sqrt(k) -
-    # sqrt(k - M))^2, M the mean of K, says no later term can win; every
-    # priced term keeps its bits, so L equals the full-window pass bit for
-    # bit. Count guard: the masses are priced by one binom_window call from
-    # the window's low end to ceil(M) + 1, and by a second only from there
-    # to the k before the first whose budgeted J is below the first call's
-    # best, never twice and never past that stop. The stop covers the
-    # windows below one sigma too, which reach 40 k below the mean, to 0
-    # in some: P(K < lo) is then below e^-55 as at 40 sigma
+    # L(m) prices masses only up to a closed-form stop past the mean M of
+    # K: the budgeted Jensen cap J(k) (1 + 16 (hi/M) delta), J(k) = (sqrt(k)
+    # - sqrt(k - M))^2, is below t0, a floor on the float term at k0 =
+    # ceil(M), for every k past k*. Every priced term keeps its bits, so L
+    # equals the full-window pass bit for bit, up to m = 1e10. Count guard:
+    # one binom_window call, from the window's low end to that stop. And
+    # the stop's two claims hold on the float terms of the full window: the
+    # term at k0 is at least t0, and every term past the stop below it. The
+    # stop covers the windows below one sigma too, which reach 40 k below
+    # the mean, to 0 in some: P(K < lo) is then below e^-55 as at 40 sigma
     calls, window = [], solvers.binom_window
     monkeypatch.setattr(solvers, "binom_window", lambda *args: (
         calls.append(args[:2]) or window(*args)))
-    argmax_past_mean = second = narrow = 0
-    for mu, d, m in _stop_specs():
+    argmax_past_mean = stopped = narrow = large = 0
+    for mu, d, m in _stop_specs() + _large_m_specs():
         spec = MeanMadSpec(mu, d)
         calls.clear()
         got = maximin_certificate_lower(spec, m)
@@ -241,19 +262,21 @@ def test_stopped_bound_keeps_the_full_window_bits(monkeypatch):
         argmax_past_mean += lo + int(terms.argmax()) >= mean
         narrow += m * q * (1.0 - q) < 1.0 and _bare_window(m, 1.0 - q)[0] > 0
         hi = lo + terms.size - 1
-        top = min(hi, math.ceil(mean) + 1)
-        priced = [(m - b, m - a) for a, b in calls]  # k ranges
-        assert priced[0] == (lo, top)
-        if top < hi:
-            k = np.arange(top + 1.0, hi + 1.0)
-            cap = ((mean / (np.sqrt(k) + np.sqrt(k - mean))) ** 2
-                   * (1.0 + 16.0 * hi / mean * solvers._lower_tail_slack(m)))
-            below = np.flatnonzero(cap < terms[:top - lo + 1].max())
-            stop = top + 1 + (below[0] if below.size else k.size)
-        else:
-            stop = top + 1
-        assert priced[1:] == ([(top + 1, stop - 1)] if stop > top + 1
-                              else []), (mu, d, m)
-        second += len(priced) == 2
-    assert argmax_past_mean >= 100 and second >= 1 and narrow >= 100, (
-        argmax_past_mean, second, narrow)
+        k0 = math.ceil(mean)
+        slack = solvers._lower_tail_slack(m)
+        w = (1.0 + math.sqrt(m * q * (1.0 - q))) * (1.0 + slack)
+        root = math.sqrt(k0) - math.sqrt(w) - 2.0 ** -48 * math.sqrt(k0)
+        stop = hi
+        if root > 0.0:
+            t0 = root * root * (1.0 - 2.0 ** -50)
+            s = mean * math.sqrt((1.0 + 16.0 * hi / mean * slack) / t0)
+            stop = min(hi, max(k0 + 1, math.floor(
+                ((s + mean / s) / 2.0) ** 2) + 1))
+            assert terms[k0 - lo] >= t0, (mu, d, m)
+            assert np.all(terms[stop + 1 - lo:] < t0), (mu, d, m)
+        assert [(m - b, m - a) for a, b in calls] == [(lo, stop)], (mu, d, m)
+        stopped += stop < hi
+        large += stop < hi and m >= 10**7
+    assert argmax_past_mean >= 100 and narrow >= 100, (argmax_past_mean,
+                                                        narrow)
+    assert stopped >= 400 and large >= 12, (stopped, large)

@@ -208,9 +208,30 @@ _CONCENTRATION = ("concentration", "--mu", "1", "--d", "0.5", "--eps", "0.2",
       "--gamma", "1.5"), "need 0 < gamma < 1, got 1.5"),
     (("ratio", "--mu", "1", "--d", "0.5", "--m", "16", "--eps", "0"),
      "need 0 < eps < 0.75, got 0.0"),
+    # member specs, whose owner is the CLI's parser
+    *(((*_CONCENTRATION, "--seed", "1", "--member", member),
+       f"--member {member!r}: {text}") for member, text in (
+        ("two_point", "missing alpha=..."),
+        ("three_point:points=0+1+2", "missing probs=..."),
+        ("three_point:points=0+2,probs=0.5+0.5",
+         "need three +-separated points and probs"))),
 ])
 def test_a_rule_is_worded_by_its_library_owner(capsys, argv, text):
     assert run(capsys, *argv) == (2, "", f"error: {text}\n")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("RBL_SYMMETRIC", ("opt-oracle", "--mu", "1", "--d", "0.5", "--m", "2",
+                       "--alpha", "0.7", "--format", "json")),
+    ("RBL_OPTIMIZE_T", (*_CONCENTRATION, "--seed", "7", "--member",
+                        "pareto:a=2", "--format", "json")),
+])
+def test_a_false_switch_reads_as_unset(capsys, monkeypatch, name, argv):
+    want = run(capsys, *argv)
+    assert want[0] == 0
+    for text in ("no", "off", "0", "False"):
+        monkeypatch.setenv(name, text)
+        assert run(capsys, *argv) == want, text
 
 
 @pytest.mark.parametrize("module, name, argv, law", [
@@ -483,10 +504,11 @@ def test_env_overrides_file_flags_override_env(capsys, tmp_path, monkeypatch):
 
 def test_config_file_diagnostics(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mu = 1\nwhat is this\n")
+    # comment and blank lines are skipped, and counted
+    cfg.write_text("# a spec\n\nmu = 1\n   \nwhat is this\n")
     code, _, err = run(capsys, "xi", "--config", str(cfg), "--d", "1.5")
     assert code == 2
-    assert "bad.cfg:2" in err
+    assert "bad.cfg:5" in err
 
 
 def test_unwritable_out_is_one_line(capsys, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rbl.ambiguity import MeanMadSpec, make_two_point
+from rbl.ambiguity import MeanMadSpec, make_three_point, make_two_point
 from rbl.bundling import best_bundle_price, separate_sale_revenue
 from rbl.errors import RobustBundlingError
 from rbl.opt_oracle import (
@@ -222,6 +222,9 @@ def test_oracle_guards(half_spec):
     other = make_two_point(half_spec, 0.7)
     with pytest.raises(RobustBundlingError, match="needs identical items"):
         opt_deterministic([d0, other], 2, symmetric=True)
+    three = make_three_point(half_spec, (0.0, 1.0, 2.0), (0.25, 0.5, 0.25))
+    with pytest.raises(RobustBundlingError, match="two-point members only"):
+        opt_deterministic([d0, three], 2)
 
 
 def test_symmetric_m4_within_cap(half_spec):

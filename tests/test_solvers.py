@@ -630,7 +630,7 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
                 spec, m, ps, _tails(spec, m, ps, U_FLOOR)) / m
             exact = [worst_case_alpha(spec, m, p)[1] for p in ps]
             assert np.all(caps >= exact), (r, m)
-            # the trivial cap maximin takes up to m L(m): a tail is <= 1
+            # and the trivial cap: a tail is <= 1
             assert np.all(ps / m >= exact), (r, m)
 
 

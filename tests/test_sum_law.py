@@ -84,6 +84,8 @@ def test_product_sum_guards(half_spec):
         product_sum([d0, other])
     with pytest.raises(RobustBundlingError, match="21 factors exceeds the cap of 20"):
         product_sum([d0] * 21)
+    with pytest.raises(RobustBundlingError, match="need at least one factor"):
+        product_sum([])
 
 
 @pytest.mark.parametrize("module, name, build, law, at", [
@@ -226,6 +228,11 @@ def test_sampling_member_count_guard(half_spec):
     d0 = make_two_point(half_spec, 0.5)
     with pytest.raises(RobustBundlingError, match="got 2 members for m=3 slots"):
         sample_sum([d0, d0], m=3, seed=0, n=100)
+
+
+def test_sampling_rejects_a_member_it_cannot_draw(half_spec):
+    with pytest.raises(RobustBundlingError, match="cannot sample member"):
+        sample_sum([half_spec], m=3, seed=0, n=100)
 
 
 def test_sampling_matches_exact_law(half_spec):
