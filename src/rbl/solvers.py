@@ -30,9 +30,9 @@ nature's answer walks the run in from both ends in Python floats, with O(1)
 state: it prices the end with the larger bound, one survival call, until both
 ends' bounds prove every remaining tail loses. Near the maximin price that is
 after one call, at m = 1e6 too, where every in-range tail but the winner's is
-1.0; maximin solves m = 1e7 in about 8 ms and m = 1e9 in about 0.1 s on a
-2-vCPU host. Tails go through the binomial survival function
-(sum_law.binom_sf), not the explicit m+1 point law.
+1.0; maximin solves m = 1e7 to 1e10 in a few ms on a 2-vCPU host. Tails go
+through the binomial survival function (sum_law.binom_sf), not the explicit
+m+1 point law.
 Every report carries a certificate pair: a closed-form lower bound that
 holds for every product of family members (see maximin_certificate_lower),
 and an upper bound that the computed value can be checked against. Both
@@ -50,7 +50,8 @@ import numpy as np
 from .ambiguity import MeanMadSpec
 from .errors import RobustBundlingError, check_count
 from .optimize import grid_polish
-from .sum_law import _binom_sf, binom_sf, binom_window
+from .sum_law import (_binom_cdf, _binom_pmf, _binom_sf, binom_sf,
+                      binom_window)
 
 ALPHA_GRID = 2048
 PRICE_GRID = 1024
@@ -325,77 +326,58 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
 def maximin_certificate_lower(spec: MeanMadSpec, m: int) -> float:
     """Per-item revenue some bundle price earns on every product of m family
     members, i.i.d. or not: L(m) = (mu/m) max_k (sqrt(k) - sqrt(E(k - K)+))^2
-    with K ~ Binomial(m, 1 - d/(2 mu)).
+    with K ~ Binomial(m, p), p = 1 - q, q = d/(2 mu).
 
-    Every member X dominates B = mu Bernoulli(1 - d/(2 mu)) in the
-    increasing-concave order, and sums of independent variables keep that
-    order (Shaked & Shanthikumar, Stochastic Orders, 4.A), so for a sum S
-    and mu k > p, P(S < p) <= mu E(k - K)+ / (mu k - p). The price
-    p = mu (k - sqrt(k E(k - K)+)) maximizes p (1 - that bound) / m to the
-    k-th term of L. The terms run over the _window of k, reaching at least
-    _WINDOW_SIGMAS whole k below the mean where sigma
-    < 1, as _best_response's does: below it E(k - K)+ is negligible and
-    the term rises as k, above it the term falls. The masses are those of
-    m - K ~ Binomial(m, d/(2 mu)) at m - k, so alpha_min enters unrounded,
-    from binom_window; the cumsums start at the window's low end lo, so
-    P(K < lo) is not used, and it is below e^-55 (Bernstein at 40 sigma,
-    or at 40 whole k where sigma < 1). The 40-sigma window alone starts at
-    k = 999,999 at (1, 1e-9), m = 1e6, where it drops 1.25e-7 and reads L
-    7.1e-7 high. At m = 1, L is the single-item robust revenue
-    (sqrt(mu) - sqrt(d/2))^2.
+    Every member X dominates B = mu Bernoulli(p) in the increasing-concave
+    order, and sums of independent variables keep that order (Shaked &
+    Shanthikumar, Stochastic Orders, 4.A), so for a sum S and mu k > price,
+    P(S < price) <= mu E(k - K)+ / (mu k - price). The price mu (k - sqrt(k
+    E(k - K)+)) maximizes price (1 - that bound) / m to the k-th term of L
+    (term 0 is 0). At m = 1, L is the single-item robust revenue.
 
-    The masses are priced by one binom_window call, from the window's low
-    end lo up to a closed-form stop. Let M = m (1 - q), q = d/(2 mu), the
-    mean of K, taken 2^-50 high (which only raises the caps below), and
-    delta = _lower_tail_slack(m). Past M, E(k - K)+ >= k - M (Jensen), so
-    term k is at most J(k) = (sqrt(k) - sqrt(k - M))^2 = (M / (sqrt(k) +
-    sqrt(k - M)))^2, which falls with k, and a float term at most
-    J (1 + 16 (hi/M) delta): for k >= M + 1 the float shortfall is at least
-    (k - M)(1 - delta), as the relative error of Boost's masses (2e-11 at
-    m = 1e7) and of the two cumsums (2 m eps) is below delta / 2, and the
-    (k - lo) P(K < lo) <= k e^-55 it drops is below delta (k - M) / 2; so a
-    float term is at most J (1 + 2 (k/M)(delta + 2 eps))^2 and a few
-    roundings, under J (1 + 8 (hi/M) delta). The best term is at least the
-    one at k0 = ceil(M), where E(k0 - K)+ <= E|k0 - K| <= |k0 - m (1 - q)|
-    + sigma <= 1 + sigma + M 2^-49, sigma^2 = m q (1 - q); with the same
-    budget the float shortfall there is below w = (1 + sigma)(1 + delta),
-    and the float term at least t0 = (sqrt(k0) - sqrt(w))^2, rounded down
-    by 2^-48 sqrt(k0) before the square and 2^-50 after. With
-    s = M sqrt((1 + 16 (hi/M) delta) / t0), sqrt(k) + sqrt(k - M) = s at
-    k* = ((s^2 + M) / (2 s))^2 >= M, so every k > k* has a float term below
-    t0 and cannot win. The masses run up to min(hi, max(k0 + 1,
-    floor(k*) + 1)), or over the whole window where t0 <= 0: about
-    M + sigma at large m, not M + 40 sigma. The cumsums run in order from
-    lo, so every term priced keeps the bits of the full window's.
+    Each term is closed-form, by de Moivre's identity (Diaconis & Zabell
+    1991, Statistical Science 6(3)): E(k - K)+ = (k - m p) P(K <= k) +
+    (m - k) p P(K = k), and the term is D^2 / (sqrt(k) + sqrt(E(k - K)+))^2
+    with D = k - E(k - K)+ = k P(K > k) + m p P(Bin(m - 1, p) <= k - 1), two
+    non-negative parts. _certificate_best searches k = 1..m in O(log m)
+    terms. Each term is a family bound by itself, so a search that missed
+    the largest term could only report L low, never high.
     """
     return _certificate_best(spec, m)[0]
 
 
+def _certificate_terms(spec: MeanMadSpec, m: int, k: np.ndarray) -> np.ndarray:
+    """L(m)'s terms at k in 1..m, priced through m - K ~ Bin(m, q), which is
+    at least j = m - k iff K <= k: q enters unrounded, p = (mu - d/2)/mu
+    lacks q's rounding next to q = 1, and (k - m) + m q keeps E(m - K)+ =
+    m q exact at tiny q. At k = m, Boost's tails at j - 1 = -1 are NaN and
+    are replaced."""
+    q, p, j = spec.alpha_min, (spec.mu - spec.d / 2.0) / spec.mu, m - k
+    top = j == 0.0
+    below = np.where(top, 1.0, _binom_sf(j - 1.0, m, q))
+    above = np.where(top, 0.0, _binom_cdf(j - 1.0, m, q))
+    kept = np.where(top, 1.0, _binom_sf(j - 1.0, m - 1, q))
+    taken = k * above + m * p * kept
+    short = (k - m + m * q) * below + j * p * _binom_pmf(j, m, q)
+    return taken * taken / (np.sqrt(k) + np.sqrt(np.maximum(short, 0.0))) ** 2
+
+
 def _certificate_best(spec: MeanMadSpec, m: int) -> tuple[float, float]:
-    """(L(m), L's own price): maximin_certificate_lower's terms, and the
-    price mu (k - sqrt(k E(k - K)+)) = mu sqrt(k t) of the first k whose
-    term t is the largest, (sqrt(k) - sqrt(E(k - K)+))^2 = t."""
+    """(L(m), L's own price mu (k - sqrt(k E(k - K)+)) = mu sqrt(k t)) at the
+    k of the largest term t. Each step prices 17 evenly spaced k of lo..hi
+    and keeps the k between the best one's two neighbours; once 17 or fewer
+    are left, it prices them all and takes the first largest."""
     check_count(m)
-    q = spec.alpha_min
-    lo, hi = _window(m, 1.0 - q)
-    mean = m * (1.0 - q) * (1.0 + 2.0 ** -50)
-    k0 = math.ceil(mean)
-    slack = _lower_tail_slack(m)
-    w = (1.0 + math.sqrt(m * q * (1.0 - q))) * (1.0 + slack)
-    root = math.sqrt(k0) - math.sqrt(w) - 2.0 ** -48 * math.sqrt(k0)
-    stop = hi
-    if root > 0.0:
-        t0 = root * root * (1.0 - 2.0 ** -50)
-        s = mean * math.sqrt((1.0 + 16.0 * hi / mean * slack) / t0)
-        k_star = ((s + mean / s) / 2.0) ** 2
-        stop = min(hi, max(k0 + 1, math.floor(k_star) + 1))
-    # masses of m - K from its top down: E(k - K)+ = sum_{i<k} P(K <= i)
-    cdf = binom_window(m - stop, m - lo, m, q)[0][::-1].cumsum()
-    shortfall = np.concatenate(([0.0], cdf[:-1].cumsum()))
-    terms = (np.sqrt(np.arange(lo, stop + 1.0)) - np.sqrt(shortfall)) ** 2
+    lo, hi = 1, m
+    while hi - lo > 16:
+        k = np.rint(lo + (hi - lo) / 16.0 * np.arange(17.0))
+        i = int(np.argmax(_certificate_terms(spec, m, k)))
+        lo, hi = int(k[max(i - 1, 0)]), int(k[min(i + 1, 16)])
+    k = np.arange(lo, hi + 1.0)
+    terms = _certificate_terms(spec, m, k)
     i = int(np.argmax(terms))
     return (spec.mu * float(terms[i]) / m,
-            spec.mu * math.sqrt((lo + i) * float(terms[i])))
+            spec.mu * math.sqrt(k[i] * float(terms[i])))
 
 
 def _check_scale(spec: MeanMadSpec, m: int) -> None:
@@ -442,6 +424,10 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     is tried as one more candidate, kept if strictly better: its exact
     guarantee is at least L, as L's sale bound holds for every product of
     members.
+
+    A best price above the sure sale m x(U_FLOOR) is rejected: members with
+    1 - alpha below U_FLOOR undercut it (at (1, 2 - 1e-11), m = 19, m mu read
+    1.9e-11 against the ceiling 5e-12); at or below it they sell surely.
     """
     _check_scale(spec, m)
     check_count(price_grid, "price_grid", 2)
@@ -467,6 +453,11 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
         v_l = neg_guarantee(p_l)
         if v_l < v_best:
             p_best, v_best = p_l, v_l
+    if p_best > sure:
+        raise RobustBundlingError(
+            f"maximin at mu={spec.mu!r}, d={spec.d!r}, m={m} prices above "
+            f"the sure sale m*x at 1 - alpha = {U_FLOOR!r}, where members "
+            f"with a smaller 1 - alpha undercut it")
     return SaddleReport(
         m=m,
         value=-v_best,

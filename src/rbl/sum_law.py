@@ -44,7 +44,7 @@ from scipy.special import gammaln
 # importing its stats package is most of rbl's cold start;
 # tests/test_sum_law.py pins binom_window, binom_sf and _binom_inverse to it
 # bit for bit.
-from scipy.special._ufuncs import _binom_pmf, _binom_ppf, _binom_sf
+from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_ppf, _binom_sf
 
 from .ambiguity import MemberDist, ParetoDist, ThreePointDist, TwoPointDist
 from .errors import RobustBundlingError, check_count

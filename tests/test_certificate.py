@@ -4,6 +4,7 @@ closed form, the guaranteed-sale chain it replaced, the full range of k,
 exact products of non-identical members, and both solvers' values."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -22,6 +23,10 @@ from rbl.solvers import (
 # d/mu from 0.05 to 1.9, at three means
 _SPECS = [(1.0, 0.05), (1.0, 0.5), (1.0, 0.8), (1.0, 1.5), (2.3, 0.4),
           (0.7, 0.91), (1.0, 1.9)]
+# d/mu next to 2, where a running sum of masses read L up to 9.6e-5 off, and
+# 5.1e-6 high at (1, 1.999999999995395), m = 19; the solvers are not run here
+_NEAR_TWO = [(1.0, 2.0 - 1e-6), (1.0, 2.0 - 1e-9), (1.0, 2.0 - 1e-11),
+             (1.0, 1.999999999995395)]
 
 
 def _bare_window(m, p):
@@ -52,10 +57,10 @@ def _mp_bound(mu, d, m):
         return mu * best / m, mu * price
 
 
-@pytest.mark.parametrize("mu, d", _SPECS)
+@pytest.mark.parametrize("mu, d", _SPECS + _NEAR_TWO)
 def test_bound_matches_mpmath(mu, d):
     spec = MeanMadSpec(mu, d)
-    for m in (1, 2, 3, 5, 10, 37, 100, 1000):
+    for m in (1, 2, 3, 5, 10, 19, 37, 100, 1000):
         want = float(_mp_bound(mu, d, m)[0])
         assert maximin_certificate_lower(spec, m) == pytest.approx(
             want, rel=1e-13, abs=0.0)
@@ -63,9 +68,11 @@ def test_bound_matches_mpmath(mu, d):
 
 @pytest.mark.parametrize("mu, d", _SPECS)
 def test_bound_at_m_1_is_the_single_item_revenue(mu, d):
-    # one item: the robust posted-price revenue (sqrt(mu) - sqrt(d/2))^2;
-    # the two forms round apart by up to 2 ulps, at (0.7, 0.91)
-    want = (math.sqrt(mu) - math.sqrt(d / 2.0)) ** 2
+    # one item: the robust posted-price revenue (sqrt(mu) - sqrt(d/2))^2,
+    # here as (mu - d/2)^2 / (sqrt(mu) + sqrt(d/2))^2: the difference of
+    # square roots cancels, 16 ulps from the exact value at (1, 1.9), and
+    # this form does not; the two computed forms round up to 2 ulps apart
+    want = (mu - d / 2.0) ** 2 / (math.sqrt(mu) + math.sqrt(d / 2.0)) ** 2
     got = maximin_certificate_lower(MeanMadSpec(mu, d), 1)
     assert abs(got - want) <= 2.0 * math.ulp(want)
 
@@ -82,44 +89,50 @@ def test_bound_is_never_below_the_guaranteed_sale_chain():
             assert maximin_certificate_lower(spec, m) >= chain
 
 
-def test_window_of_k_equals_the_full_range(monkeypatch):
-    # a window far wider than 0..m is the plain pass over every k; at
-    # m = 1e4 the 40-sigma window is a strict part of it for every spec
-    ms = (1, 2, 7, 64, 100, 1000, 2500, 10_000)
-    windowed = {(mu, d, m): maximin_certificate_lower(MeanMadSpec(mu, d), m)
-                for mu, d in _SPECS for m in ms}
+def _every_k(spec, m):
+    """(L, price) from the first largest of solvers._certificate_terms over
+    every k in 1..m: what the search over k must find."""
+    k = np.arange(1.0, m + 1.0)
+    terms = solvers._certificate_terms(spec, m, k)
+    i = int(np.argmax(terms))
+    return (spec.mu * float(terms[i]) / m,
+            spec.mu * math.sqrt(k[i] * float(terms[i])))
+
+
+def test_window_of_k_equals_the_full_range():
+    # the search over k keeps the bits of a pass over every k, L and its
+    # price both, up to m = 1e4, where K's 40-sigma window is a strict part
+    # of 0..m for every spec
     for mu, d in _SPECS:
-        u = 1.0 - MeanMadSpec(mu, d).alpha_min
-        half = solvers._WINDOW_SIGMAS * math.sqrt(10_000 * u * (1.0 - u))
-        assert 10_000 * u - half > 1.0 or 10_000 * u + half < 9_999.0
-    monkeypatch.setattr(solvers, "_WINDOW_SIGMAS", 1e9)
-    for (mu, d, m), got in windowed.items():
-        assert maximin_certificate_lower(MeanMadSpec(mu, d), m) == got
+        spec = MeanMadSpec(mu, d)
+        for m in (1, 2, 7, 64, 100, 1000, 2500, 10_000):
+            got = solvers._certificate_best(spec, m)
+            assert got == _every_k(spec, m), (mu, d, m)
 
 
-def test_window_below_one_sigma_reaches_40_k_below_the_mean(monkeypatch):
-    # below one sigma the 40-sigma window can start a k below the mean of K;
-    # L reaches 40 whole k below it, as the best response does, so P(K < lo)
-    # is not dropped. A window from k = 999,999 at (1, 1e-9), m = 1e6 read
-    # L = 0.99999900, 7.1e-7 above the sum over every k; at d = 1e-6 it read
-    # 0.9985863214142389 at m = 100 and 0.9998293567197992 at m = 1e4
+def test_window_below_one_sigma_reaches_40_k_below_the_mean():
+    # below one sigma the 40-sigma window of K can start a k below its mean;
+    # a pass over such a window from k = 999,999 at (1, 1e-9), m = 1e6 read
+    # L = 0.99999900, 7.1e-7 above the sum over every k. The identity prices
+    # each E(k - K)+ from the whole law, so no mass below a window is lost:
+    # at d = 1e-6, L reads 0.9985862864376267 at m = 100 and
+    # 0.9998293564995926 at m = 1e4, the bits of the sum over every k
     specs = [(1.0, 1e-9, 10**6), (1.0, 1e-6, 100), (1.0, 1e-6, 10**4),
              (1.0, 1e-6, 10**5), (2.3, 2.3e-7, 3000), (1.0, 1e-9, 1000),
              (1.0, 5e-8, 10**6), (1.0, 1e-4, 1000)]
     for mu, d, m in specs:
         u = 1.0 - MeanMadSpec(mu, d).alpha_min
         assert m * u * (1.0 - u) < 1.0 and _bare_window(m, u)[0] > 0
-    got = {s: maximin_certificate_lower(MeanMadSpec(*s[:2]), s[2])
-           for s in specs}
+        want = _full_window_terms(MeanMadSpec(mu, d), m)
+        assert maximin_certificate_lower(MeanMadSpec(mu, d), m) == (
+            pytest.approx(want, rel=1e-13, abs=0.0)), (mu, d, m)
     for mu, d, m in ((1.0, 1e-6, 100), (1.0, 1e-9, 1000)):
-        assert got[mu, d, m] == pytest.approx(
-            float(_mp_bound(mu, d, m)[0]), rel=1e-13, abs=0.0)
-    assert got[1.0, 1e-6, 100] == 0.9985862864376267
-    assert got[1.0, 1e-6, 10**4] == 0.9998293564995926
-    monkeypatch.setattr(solvers, "_WINDOW_SIGMAS", 1e9)
-    for (mu, d, m), want in got.items():
-        assert repr(maximin_certificate_lower(MeanMadSpec(mu, d), m)) == (
-            repr(want)), (mu, d, m)
+        assert maximin_certificate_lower(MeanMadSpec(mu, d), m) == (
+            pytest.approx(float(_mp_bound(mu, d, m)[0]), rel=1e-13, abs=0.0))
+    assert maximin_certificate_lower(MeanMadSpec(1.0, 1e-6), 100) == (
+        0.9985862864376267)
+    assert maximin_certificate_lower(MeanMadSpec(1.0, 1e-6), 10**4) == (
+        0.9998293564995926)
 
 
 def _random_member(mu, d, rng):
@@ -180,9 +193,9 @@ def test_certificate_lower_never_exceeds_either_solver(mu, d):
 
 
 def _full_window_terms(spec, m):
-    """(L, terms, lo): L(m) over the whole 40-sigma window of k, reaching at
-    least 40 whole k below the mean, every mass priced by one binom_window
-    call, and its terms from k = lo on."""
+    """L(m) by running sums of masses over the whole 40-sigma window of k,
+    reaching at least 40 whole k below the mean, every mass priced by one
+    binom_window call."""
     q = spec.alpha_min
     lo, hi = _bare_window(m, 1.0 - q)
     if lo > 0:
@@ -191,7 +204,7 @@ def _full_window_terms(spec, m):
     cdf = pmf[::-1].cumsum()
     shortfall = np.concatenate(([0.0], cdf[:-1].cumsum()))
     terms = (np.sqrt(np.arange(lo, hi + 1.0)) - np.sqrt(shortfall)) ** 2
-    return spec.mu * float(terms.max()) / m, terms, lo
+    return spec.mu * float(terms.max()) / m
 
 
 def _stop_specs():
@@ -236,47 +249,37 @@ def _large_m_specs():
     return out
 
 
-def test_stopped_bound_keeps_the_full_window_bits(monkeypatch):
-    # L(m) prices masses only up to a closed-form stop past the mean M of
-    # K: the budgeted Jensen cap J(k) (1 + 16 (hi/M) delta), J(k) = (sqrt(k)
-    # - sqrt(k - M))^2, is below t0, a floor on the float term at k0 =
-    # ceil(M), for every k past k*. Every priced term keeps its bits, so L
-    # equals the full-window pass bit for bit, up to m = 1e10. Count guard:
-    # one binom_window call, from the window's low end to that stop. And
-    # the stop's two claims hold on the float terms of the full window: the
-    # term at k0 is at least t0, and every term past the stop below it. The
-    # stop covers the windows below one sigma too, which reach 40 k below
-    # the mean, to 0 in some: P(K < lo) is then below e^-55 as at 40 sigma
-    calls, window = [], solvers.binom_window
-    monkeypatch.setattr(solvers, "binom_window", lambda *args: (
-        calls.append(args[:2]) or window(*args)))
-    argmax_past_mean = stopped = narrow = large = 0
-    for mu, d, m in _stop_specs() + _large_m_specs():
+def test_search_finds_the_first_largest_term_of_every_k():
+    # on 2,400 seeded specs, d/mu from 1e-9 to 2 - 1e-7 and m up to 1e6, the
+    # search's L and price are the first argmax over every k, bit for bit;
+    # where d/mu <= 1.9, L is also within 1e-13 of the running-sum pass
+    # over K's 40-sigma window, reaching 40 whole k below its mean
+    compared = 0
+    for mu, d, m in _stop_specs():
         spec = MeanMadSpec(mu, d)
-        calls.clear()
-        got = maximin_certificate_lower(spec, m)
-        want, terms, lo = _full_window_terms(spec, m)
-        assert repr(got) == repr(want), (mu, d, m)
-        q = spec.alpha_min
-        mean = m * (1.0 - q) * (1.0 + 2.0 ** -50)
-        argmax_past_mean += lo + int(terms.argmax()) >= mean
-        narrow += m * q * (1.0 - q) < 1.0 and _bare_window(m, 1.0 - q)[0] > 0
-        hi = lo + terms.size - 1
-        k0 = math.ceil(mean)
-        slack = solvers._lower_tail_slack(m)
-        w = (1.0 + math.sqrt(m * q * (1.0 - q))) * (1.0 + slack)
-        root = math.sqrt(k0) - math.sqrt(w) - 2.0 ** -48 * math.sqrt(k0)
-        stop = hi
-        if root > 0.0:
-            t0 = root * root * (1.0 - 2.0 ** -50)
-            s = mean * math.sqrt((1.0 + 16.0 * hi / mean * slack) / t0)
-            stop = min(hi, max(k0 + 1, math.floor(
-                ((s + mean / s) / 2.0) ** 2) + 1))
-            assert terms[k0 - lo] >= t0, (mu, d, m)
-            assert np.all(terms[stop + 1 - lo:] < t0), (mu, d, m)
-        assert [(m - b, m - a) for a, b in calls] == [(lo, stop)], (mu, d, m)
-        stopped += stop < hi
-        large += stop < hi and m >= 10**7
-    assert argmax_past_mean >= 100 and narrow >= 100, (argmax_past_mean,
-                                                        narrow)
-    assert stopped >= 400 and large >= 12, (stopped, large)
+        got = solvers._certificate_best(spec, m)
+        assert got == _every_k(spec, m), (mu, d, m)
+        if d / mu <= 1.9:
+            want = _full_window_terms(spec, m)
+            assert got[0] == pytest.approx(want, rel=1e-13, abs=0.0), (
+                mu, d, m)
+            compared += 1
+    assert compared >= 1500, compared
+
+
+def test_search_prices_few_k_at_large_m(monkeypatch):
+    # count guard: every term costs one pmf evaluation, and up to m = 1e10
+    # the search prices at most 250 k (10 steps of 17 and a last 17), in
+    # under 1 MB of traced memory
+    priced, pmf = [], solvers._binom_pmf
+    monkeypatch.setattr(solvers, "_binom_pmf", lambda k, n, p: (
+        priced.append(np.size(k)) or pmf(k, n, p)))
+    for mu, d, m in _large_m_specs():
+        spec = MeanMadSpec(mu, d)
+        priced.clear()
+        tracemalloc.start()
+        lower = maximin_certificate_lower(spec, m)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert 0.0 < lower <= mu - d / 2.0, (mu, d, m)
+        assert sum(priced) <= 250 and peak < 2**20, (mu, d, m, priced, peak)

@@ -385,6 +385,28 @@ def test_what_doubles_cannot_hold_exits_2_in_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("d, m", [(2.0 - 1e-11, 19), (2.0 - 1e-10, 100),
+                                  (2.0 - 1e-10, 1000), (2.0 - 1e-9, 1000)])
+def test_maximin_above_the_sure_sale_exits_2_in_one_line(capsys, d, m):
+    # the best price, m mu, lies above the sure sale m x at 1 - alpha =
+    # 1e-12, where members with a smaller 1 - alpha undercut it: maximin
+    # printed values above its own ceiling mu - d/2 here, 1.9e-11 against
+    # 5.0e-12 at m = 19
+    code, out, err = run(capsys, "maximin", "--mu", "1", "--d", repr(d),
+                         "--m", str(m))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_maximin_next_to_d_2_mu_stays_below_its_ceiling(capsys):
+    # d = 2 - 1e-5: the best price stays below the sure sale, so it solves
+    code, out, _ = run(capsys, "maximin", "--mu", "1", "--d", "1.99999",
+                       "--m", "2,19,1000", "--format", "json")
+    assert code == 0
+    for row in json.loads(out):
+        assert 0.0 < row["value"] <= row["upper"]
+
+
 @pytest.mark.parametrize("exc", [
     MemoryError("Unable to allocate 4.09 TiB for an array with shape "
                 "(562316715545,) and data type float64"),
