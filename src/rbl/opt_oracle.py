@@ -8,9 +8,9 @@ and the menu without it is enumerated anyway. Buyers pick the utility-maximizing
 entry (`MenuMechanism.choices`); ties resolve for the seller (highest price, then
 the larger bundle, then the lowest bitmask). Every utility comparison is relative
 to the value scale: its tolerance is TIE_TOL times the members' largest mean, so
-the search, its menu count and revenue / mu do not depend on the units of mu and
-d. Caps keep the search desk-scale: three items in full generality, four when
-prices may only depend on bundle size.
+revenue / mu does not depend on the units of mu and d; the menu count does until
+_search merges candidate prices an ulp apart. Caps keep the search desk-scale:
+three items in full generality, four when prices may only depend on bundle size.
 """
 
 from __future__ import annotations

@@ -23,16 +23,14 @@ promising bound on, until every bound left clears the best value by
 optimize.PRUNE_MARGIN, so the grid optimum is that of the full grid. A row is
 one call: a price's infimum over its breakpoints (_inner_infimum), or nature's
 best response over the _window of k, masses from one sum_law.binom_window
-call. A price's U_FLOOR tail is one of two numbers priced once per solve
-(_floor_step). Its in-range breakpoints are one run of k, and a Chernoff bound
-on each one's lower tail is highest at the run's ends (_lower_tail_bound), so
-nature's answer walks the run in from both ends in Python floats, with O(1)
-state: it prices the end with the larger bound, one survival call, until both
-ends' bounds prove every remaining tail loses. Near the maximin price that is
-after one call, at m = 1e6 too, where every in-range tail but the winner's is
-1.0; maximin solves m = 1e7 to 1e10 in a few ms on a 2-vCPU host. Tails go
-through the binomial survival function (sum_law.binom_sf), not the explicit
-m+1 point law.
+call. A price's U_FLOOR tail is 1.0 up to the sure sale m x(U_FLOOR), and
+a price above it is valued at 0.0 (_floor_step). Its in-range breakpoints
+are one run of k, and a Chernoff bound on each one's lower tail is highest
+at the run's ends (_lower_tail_bound), so nature's answer walks the run in
+from both ends in Python floats, with O(1) state, one survival call per end
+priced, until both ends' bounds prove every remaining tail loses: after one
+call near the maximin price, at m = 1e6 too; maximin solves m = 1e7 to 1e10
+in a few ms on a 2-vCPU host. Tails are binomial survivals (sum_law.binom_sf).
 Every report carries a certificate pair: a closed-form lower bound that
 holds for every product of family members (see maximin_certificate_lower),
 and an upper bound that the computed value can be checked against. Both
@@ -97,22 +95,31 @@ def _two_point(spec: MeanMadSpec, u):
     return x, spec.mu + spec.d / (2.0 * u) - x
 
 
-def _breakpoints(c: np.ndarray, m: int, k: np.ndarray) -> np.ndarray:
-    """Root u in (0, 1] of c u^2 - (c + m) u + k = 0: where the support point
-    with k highs crosses the price. The form is chosen so neither branch
-    cancels or divides by zero (c + m <= 0 forces c < 0)."""
-    b = c + m
+def _quadratic(spec: MeanMadSpec, m: int, p):
+    """(c, b) of the breakpoint quadratic c u^2 - b u + k = 0 at price p: c =
+    2 (p - m mu) / d and b = c + m, formed as 2 (p - m (mu - d/2)) / d where
+    d >= mu: mu - d/2 is then exact (Sterbenz), while c + m cancels next to
+    d = 2 mu (at (1, 2 - 1e-9), m = 19 the value read 5.6e-7 high)."""
+    c = 2.0 * (p - m * spec.mu) / spec.d
+    if spec.d >= spec.mu:
+        return c, 2.0 * (p - m * (spec.mu - spec.d / 2.0)) / spec.d
+    return c, c + m
+
+
+def _breakpoints(c: np.ndarray, b: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Root u in (0, 1] of c u^2 - b u + k = 0 (_quadratic): where the
+    support point with k highs crosses the price. The form is chosen so
+    neither branch cancels or divides by zero (b <= 0 forces c < 0)."""
     sq = np.sqrt(b * b - 4.0 * c * k)
     pos = b > 0.0
     return np.where(pos, 2.0 * k / np.where(pos, b + sq, 1.0),
                     (b - sq) / np.where(pos, 1.0, 2.0 * c))
 
 
-def _breakpoint(c: float, m: int, k: float) -> float:
+def _breakpoint(c: float, b: float, k: float) -> float:
     """_breakpoints for one k in Python floats: the same float steps and so
     the same bits. Every price _inner_infimum takes is in [0, m mu], so c <=
     0 <= k and b^2 - 4ck >= b^2 >= 0, in floats too (4ck <= 0)."""
-    b = c + m
     sq = math.sqrt(b * b - 4.0 * c * k)
     return 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
 
@@ -183,18 +190,18 @@ def _lower_tail_bound(m: int, k: float, u: float) -> float:
     return math.exp(-m * b)
 
 
-def _floor_step(spec: MeanMadSpec, m: int) -> tuple[float, float]:
-    """(sure, once): nature's tail P(sum >= p) at u = U_FLOOR is 1.0 for
-    p <= sure = m x and once = P(Bin(m, U_FLOOR) >= 1) on (sure, m mu]: as
-    h(U_FLOOR) <= m 1e-12, the fewest highs whose support point reaches p
-    are 0 or 1 while one high, m x + gap in floats, reaches m mu; past about
-    m = 1e12 it does not, and the spec is rejected."""
+def _floor_step(spec: MeanMadSpec, m: int) -> float:
+    """The sure price m x(U_FLOOR), up to which nature's tail at u = U_FLOOR
+    is 1.0. A sale above it is valued at 0.0, a true guarantee: members with
+    1 - alpha below U_FLOOR take it to at most m U_FLOOR. The spec is
+    rejected unless one high, m x + gap in floats, reaches m mu (up to about
+    m = 1e12); then h(U_FLOOR) <= 1 up to m mu, so runs start at k = 0."""
     x, gap = _two_point(spec, U_FLOOR)
     if m * x + gap < m * spec.mu:
         raise RobustBundlingError(
             f"m={m} is too large for mu={spec.mu!r} and d={spec.d!r}: "
             f"one high at 1 - alpha = {U_FLOOR!r} no longer reaches m*mu")
-    return m * x, float(binom_sf(0.0, m, U_FLOOR))
+    return m * x
 
 
 def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
@@ -208,8 +215,10 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
     the infimum is the smallest of the tail at U_FLOOR and the limits
     P(Bin(m, u_k) >= k+1) over the breakpoints in range, ties going to the
     smallest u: U_FLOOR, then the smallest k. The in-range k are one run,
-    its ends found one k outside _highs_at's and tested exactly (u_m = 1 is
-    never in range). A walk in Python floats prices the run's end with the
+    its ends found up from k = 0 (_floor_step) and down from one k above
+    _highs_at's at 1 - alpha_min, and tested exactly (u_m = 1 is never in
+    range). A floor tail of 0.0 is the answer, as no limit is 0 (m u_k >=
+    k). Otherwise a walk in Python floats prices the run's end with the
     larger bound E_k = _lower_tail_bound at u_k lowered by 2^-48, with one
     survival call, and moves that end inward; as no bound inside a run is
     above both its ends, it stops once both ends' E_k (1 + delta), delta =
@@ -224,24 +233,23 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
       strictly below it.
     """
     p = float(p)
-    c = 2.0 * (p - m * spec.mu) / spec.d
+    c, b = _quadratic(spec, m, p)
     u_top = 1.0 - spec.alpha_min
     slack = 1.0 + _lower_tail_slack(m)
-    lo = max(float(_highs_at(c, m, U_FLOOR)) - 1.0, 0.0)
-    hi = min(float(_highs_at(c, m, u_top)), float(m))
-    while lo <= hi and _breakpoint(c, m, lo) < U_FLOOR:
+    lo, hi = 0.0, min(float(_highs_at(c, m, u_top)), float(m))
+    while lo <= hi and _breakpoint(c, b, lo) < U_FLOOR:
         lo += 1.0
-    while lo <= hi and not _breakpoint(c, m, hi) < u_top:
+    while lo <= hi and not _breakpoint(c, b, hi) < u_top:
         hi -= 1.0
 
     def end(k):
-        u = _breakpoint(c, m, k)
+        u = _breakpoint(c, b, k)
         return u, _lower_tail_bound(m, k, u * (1.0 - 2.0 ** -48))
 
     best_u, best, best_k = U_FLOOR, floor_tail, -1.0
     stop = max(_ROUNDS_TO_ONE, (1.0 - best) - _ABOVE_BEST)
     e_lo = e_hi = None
-    while lo <= hi:
+    while lo <= hi and best > 0.0:
         if e_lo is None:
             u_lo, e_lo = end(lo)
         if e_hi is None:
@@ -266,8 +274,8 @@ def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray,
     """Per price in ps, a cap on its tail infimum (_inner_infimum), so
     p * cap / m caps its guarantee: the least of its tail at u = U_FLOOR
     (floor_tails) and the in-range breakpoint limits P(Bin(m, u_k) >= k+1)
-    within one k of either end, ceil(h(U_FLOOR)) and ceil(h(1 - alpha_min))
-    - 1 (_highs_at), with _inner_infimum's breakpoint and survival bits, so
+    at k = 0, 1, 2, where the run starts (_floor_step), and within one k of
+    ceil(h(1 - alpha_min)) - 1 (_highs_at), with _inner_infimum's bits, so
     no cap is below the infimum computed at its own price, bit for bit. Up
     to m mu nature's answer sat at an end in every probe: the caps are
     exact (bit for bit on 1,000 seeded prices, tests/test_solvers.py).
@@ -286,10 +294,11 @@ def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray,
     alone proves nothing; over seeded specs with d/mu from 1e-6 to 1.98 and
     m from 1 to 1e7, no cell cap was below a row's computed guarantee at
     all (tests/test_solvers.py)."""
-    c = 2.0 * (ps[:, None] - m * spec.mu) / spec.d
-    ends = _highs_at(c, m, np.array([U_FLOOR, 1.0 - spec.alpha_min])) - [1.0, 2.0]
-    k = np.clip(ends[..., None] + np.arange(3.0), 0.0, m).reshape(ps.size, 6)
-    u = _breakpoints(c, m, k)
+    c, b = _quadratic(spec, m, ps[:, None])
+    top = _highs_at(c, m, 1.0 - spec.alpha_min) - 2.0
+    k = np.clip(np.hstack([np.zeros_like(top), top])[..., None]
+                + np.arange(3.0), 0.0, m).reshape(ps.size, 6)
+    u = _breakpoints(c, b, k)
     inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
     tails = np.full(u.shape, np.inf)
     tails[inside] = _binom_sf(k[inside], m, u[inside]).clip(0.0, 1.0)
@@ -304,22 +313,18 @@ def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]
     to a breakpoint, where the returned alpha is that limit point, not an
     attained minimizer (at alpha itself the k-high support point still
     sells). This is maximin's own evaluation, on the prices maximin posts:
-    the scale must be in range (_check_scale), p in [0, m mu], and the
-    U_FLOOR tail a step from 1.0 (_floor_step). Near p = m mu, c and with
-    it every lower-tail bound vanish, so every in-range k is priced, one
-    survival call each: on a 2-vCPU host 0.28 s at (1, 0.5), m = 1e5, and
-    4.1 s at m = 1e6. Maximin never prices m mu itself (grid_polish's
-    polish prices only inside its bracket, and the top row's cap rules it
-    out), and next to it each of its prices walks at most a few dozen k.
+    the scale must be in range (_check_scale), p in [0, m mu] and m within
+    _floor_step's reach. Above the sure price m x(U_FLOOR) the answer is (1
+    - U_FLOOR, 0.0), with no survival call (_floor_step).
     """
     _check_scale(spec, m)
     if not 0.0 <= p <= m * spec.mu:
         raise RobustBundlingError(
             f"price must be in [0, m*mu] = [0, {m * spec.mu!r}], got {p!r}")
-    sure, once = _floor_step(spec, m)
+    sure = _floor_step(spec, m)
     if p == 0.0:
         return spec.alpha_min, 0.0
-    u, tail = _inner_infimum(spec, m, p, 1.0 if p <= sure else once)
+    u, tail = _inner_infimum(spec, m, p, 1.0 if p <= sure else 0.0)
     return 1.0 - u, float(p * tail / m)
 
 
@@ -412,52 +417,46 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     price the search evaluates walks its own breakpoints from both ends
     (_inner_infimum) in O(1) memory: at (1, 0.5) and (1, 0.8), m = 100 to 10^4,
     one survival call per price, and a solve at m = 1e7 allocates under 3 MB.
-    Nature's U_FLOOR tail is priced once, and a spec at whose m it is not a
-    step from 1.0 (_floor_step) is rejected before L(m) is. The reported alpha
-    is the polish's own answer at the reported price, which worst_case_alpha
-    gives too (alpha_min at p = 0). The certificate pairs the family-wide bound
-    maximin_certificate_lower with the analytic ceiling mu - d/2. A spec whose
-    scale leaves double range is rejected before any solving (_check_scale), as
-    is a grid of fewer than 2 prices.
+    Prices above the sure price m x(U_FLOOR) are valued at 0.0 (_floor_step),
+    and a spec at whose m one high misses m mu is rejected before L(m) is.
+    The reported alpha is the polish's own answer at the reported price, which
+    worst_case_alpha gives too (alpha_min at p = 0). The certificate pairs the
+    family-wide bound maximin_certificate_lower with the ceiling mu - d/2. A
+    spec whose scale leaves double range is rejected before any solving
+    (_check_scale), as is a grid of fewer than 2 prices.
 
     Where the search falls below L, L's own price p_L (_certificate_best)
     is tried as one more candidate, kept if strictly better: its exact
     guarantee is at least L, as L's sale bound holds for every product of
-    members.
-
-    A best price above the sure sale m x(U_FLOOR) is rejected: members with
-    1 - alpha below U_FLOOR undercut it (at (1, 2 - 1e-11), m = 19, m mu read
-    1.9e-11 against the ceiling 5e-12); at or below it they sell surely.
+    members. A p_L above the sure price, valued at 0.0, is rejected: it is
+    seen only where 1 - alpha_min is below about 2 U_FLOOR.
     """
     _check_scale(spec, m)
     check_count(price_grid, "price_grid", 2)
-    sure, once = _floor_step(spec, m)
+    sure = _floor_step(spec, m)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
-
-    def tail_caps(p):
-        return _guarantee_caps(spec, m, p, np.where(p <= sure, 1.0, once))
 
     answers = {}
 
     def neg_guarantee(p):
         answers[p], tail = _inner_infimum(spec, m, p,
-                                          1.0 if p <= sure else once)
+                                          1.0 if p <= sure else 0.0)
         return -p * tail / m
 
-    p_best, v_best, _ = grid_polish(
-        neg_guarantee, ps, lambda lo, hi: -(hi * tail_caps(lo) / m),
+    p_best, v_best, _ = grid_polish(neg_guarantee, ps, lambda lo, hi: -(
+        hi * _guarantee_caps(spec, m, lo, np.where(lo <= sure, 1.0, 0.0)) / m),
         BRACKET_TOL * m * spec.mu)
     if lower > -v_best:
         p_l = _certificate_best(spec, m)[1]
+        if p_l > sure:
+            raise RobustBundlingError(
+                f"maximin at mu={spec.mu!r}, d={spec.d!r}, m={m} falls below "
+                f"L(m), whose price lies above the sure sale m*x at 1 - "
+                f"alpha = {U_FLOOR!r}, where nothing is guaranteed")
         v_l = neg_guarantee(p_l)
         if v_l < v_best:
             p_best, v_best = p_l, v_l
-    if p_best > sure:
-        raise RobustBundlingError(
-            f"maximin at mu={spec.mu!r}, d={spec.d!r}, m={m} prices above "
-            f"the sure sale m*x at 1 - alpha = {U_FLOOR!r}, where members "
-            f"with a smaller 1 - alpha undercut it")
     return SaddleReport(
         m=m,
         value=-v_best,

@@ -53,7 +53,7 @@ from .errors import RobustBundlingError, check_count
 MASS_TOL = 1e-10
 # Exact product laws are desk-scale only.
 MAX_FACTORS = 20
-# Support points closer than this are merged during convolution.
+# Support points closer than this times mu are merged during convolution.
 MERGE_TOL = 1e-12
 # A Monte Carlo block holds _CHUNK_ROWS samples and draws at most _CHUNK_COLS
 # slot columns (2 MB of 64-bit words) at a time, so a chunk stays in cache.
@@ -192,9 +192,9 @@ def product_sum(dists: Sequence[TwoPointDist]) -> SumLaw:
         order = np.argsort(new_support, kind="stable")
         new_support = new_support[order]
         new_probs = new_probs[order]
-        # a point within MERGE_TOL of the one before joins its run, and each
-        # run's mass is summed in ascending order
-        fresh = np.r_[True, np.diff(new_support) > MERGE_TOL]
+        # a point within MERGE_TOL mu of the one before joins its run, and
+        # each run's mass is summed in ascending order
+        fresh = np.r_[True, np.diff(new_support) > MERGE_TOL * spec.mu]
         support = new_support[fresh]
         probs = np.bincount(np.cumsum(fresh) - 1, weights=new_probs)
 

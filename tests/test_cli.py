@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -385,15 +386,51 @@ def test_what_doubles_cannot_hold_exits_2_in_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("d, m", [(2.0 - 1e-11, 19), (2.0 - 1e-10, 100),
-                                  (2.0 - 1e-10, 1000), (2.0 - 1e-9, 1000)])
-def test_maximin_above_the_sure_sale_exits_2_in_one_line(capsys, d, m):
-    # the best price, m mu, lies above the sure sale m x at 1 - alpha =
-    # 1e-12, where members with a smaller 1 - alpha undercut it: maximin
-    # printed values above its own ceiling mu - d/2 here, 1.9e-11 against
-    # 5.0e-12 at m = 19
-    code, out, err = run(capsys, "maximin", "--mu", "1", "--d", repr(d),
-                         "--m", str(m))
+def _mp_guarantee(mu, d, m, p):
+    """p P(sum >= p) / m at its infimum over u = 1 - alpha in [1e-12, 1 -
+    d/(2 mu)), in 50 digits, as maximin values it: the tail at u = 1e-12 is
+    1 up to the sure sale m x(1e-12) and 0 above it, and every breakpoint
+    u_k in range adds its limit P(Bin(m, u_k) >= k + 1)."""
+    with mpmath.workdps(50):
+        mu, d, p, floor = (mpmath.mpf(v) for v in (mu, d, p, 1e-12))
+        tails = [1 if p <= m * (mu - d / (2 * (1 - floor))) else 0]
+        c = 2 * (p - m * mu) / d
+        b = c + m
+        for k in range(m + 1):
+            sq = mpmath.sqrt(b * b - 4 * c * k)
+            u = 2 * k / (b + sq) if b > 0 else (b - sq) / (2 * c)
+            if floor <= u < 1 - d / (2 * mu):
+                tails.append(mpmath.fsum(
+                    mpmath.binomial(m, j) * u**j * (1 - u)**(m - j)
+                    for j in range(k + 1, m + 1)))
+        return float(p * min(tails) / m)
+
+
+@pytest.mark.parametrize("d", [2.0 - 1e-5, 2.0 - 1e-9, 2.0 - 1e-11,
+                               1.999999999995395])
+def test_maximin_next_to_d_2_mu_prints_its_guarantee(capsys, d):
+    # a sale above the sure price m x(1e-12) is valued at 0.0, so these
+    # solve (two exited 2, as the best price was m mu); b = c + m in the
+    # breakpoint quadratic cancels next to d = 2 mu, which put the value
+    # 6.9e-12 relative high at (1, 1.99999), m = 1, and 5.6e-7 at (1, 2 -
+    # 1e-9), m = 19, so from d = mu up b is formed from mu - d/2
+    code, out, _ = run(capsys, "maximin", "--mu", "1", "--d", repr(d),
+                       "--m", "1,2,19,100", "--format", "json")
+    assert code == 0
+    for row in json.loads(out):
+        want = _mp_guarantee(1.0, d, row["m"], row["price"])
+        assert abs(row["value"] - want) <= 1e-15 * want, row
+        # at m = 1 the value and L(1) tie within 1e-15
+        assert row["lower"] * (1.0 - 1e-15) <= row["value"], row
+
+
+@pytest.mark.parametrize("m", [1, 19, 10**4])
+def test_maximin_whose_certificate_price_passes_the_sure_sale_exits_2(
+        capsys, m):
+    # at 1 - alpha_min = 1.5e-12, below about 2e-12, the search falls below
+    # L(m), whose own price lies above the sure sale, valued at 0.0
+    code, out, err = run(capsys, "maximin", "--mu", "1", "--d",
+                         repr(2.0 - 3e-12), "--m", str(m))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 

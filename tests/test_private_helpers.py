@@ -114,3 +114,49 @@ def test_one_function_reads_the_mass_tolerance():
     readers = [f"{path.name}: {node.name}" for path in _SRC
                for node in _functions(path) if "MASS_TOL" in _used_names(node)]
     assert readers == ["sum_law.py: check_unit_mass"]
+
+
+# public functions that no src/ code uses, each with the reason it stays
+_TRACED = "perfbench traces it; moves to tests after ROADMAP item 8"
+_UNUSED_PUBLIC = {
+    ("solvers.py", "worst_case_alpha"): _TRACED,
+    ("sum_law.py", "product_sum"): _TRACED,
+    ("sum_law.py", "sample_sum"): _TRACED,
+    ("ambiguity.py", "TwoPointDist.inverse_cdf"): _TRACED,
+    ("ambiguity.py", "ThreePointDist.inverse_cdf"): _TRACED,
+    ("ambiguity.py", "ParetoDist.inverse_cdf"): _TRACED,
+}
+
+
+def _public_defs(tree: ast.Module):
+    """(name, node) of every public module-level function and public method
+    of a module-level class, a method named Class.method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_"))
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")):
+            yield node.name, node
+
+
+def test_every_public_function_is_used_in_the_package():
+    # a public function that cli, the package's entry point, does not use,
+    # nor any other src/ code (a call, or a reference such as a criterion in
+    # its list or a property read), runs only under the tests or perfbench:
+    # it is dead code unless the allow-list names why it stays
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in _SRC}
+    unused = set()
+    for name, tree in trees.items():
+        for qual, node in _public_defs(tree):
+            own = {id(n) for n in ast.walk(node)}
+            used = name == "cli.py" or any(
+                id(n) not in own and node.name == getattr(
+                    n, "id", getattr(n, "attr", None))
+                for other in trees.values() for n in ast.walk(other)
+                if isinstance(n, (ast.Name, ast.Attribute)))
+            if not used:
+                unused.add((name, qual))
+    assert unused == set(_UNUSED_PUBLIC)

@@ -39,7 +39,8 @@ def _tails(spec, m, p, u):
     """P(sum >= p) for u = 1 - alpha, sum of m i.i.d. two-point values, at
     any p and u (broadcast against each other): a Binomial(m, u) survival at
     the crossing index. The reference for nature's tail at U_FLOOR, which
-    the solvers take as a step (_floor_step), and for tails past m mu."""
+    the solvers take as 1.0 up to the sure sale (_floor_step), and for
+    tails past m mu."""
     return binom_sf(_crossing(spec, m, p, u) - 1.0, m, u)
 
 
@@ -150,9 +151,11 @@ def test_maximin_small_m_is_a_guarantee(half_spec, m, want):
 def _limits(spec, m, p):
     """(k, u, tail) at every crossing index k = 0..m whose breakpoint u_k
     lies in [U_FLOOR, 1 - alpha_min), with the limit P(Bin(m, u_k) >= k+1)
-    by scipy's binom.sf with its edge masks."""
+    by scipy's binom.sf with its edge masks. From d = mu up, b = c + m is
+    formed as 2 (p - m (mu - d/2)) / d, whose mu - d/2 is exact."""
     c = 2.0 * (p - m * spec.mu) / spec.d
-    b = c + m
+    b = (2.0 * (p - m * (spec.mu - spec.d / 2.0)) / spec.d
+         if spec.d >= spec.mu else c + m)
     k = np.arange(m + 1.0)
     sq = np.sqrt(b * b - 4.0 * c * k)
     u = 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
@@ -171,9 +174,17 @@ def _unpruned_infimum(spec, m, p):
     return float(us[i]), float(tails[i])
 
 
+def _sure(spec, m):
+    """The sure-sale price m x(U_FLOOR), above which the solvers value a
+    sale at 0.0."""
+    return m * float(solvers._two_point(spec, U_FLOOR)[0])
+
+
 def _brute_worst_case(spec, m, p):
-    """worst_case_alpha's (alpha, value) from the unpruned infimum."""
-    u, tail = _unpruned_infimum(spec, m, p)
+    """worst_case_alpha's (alpha, value) from the unpruned infimum, and (1 -
+    U_FLOOR, 0.0) above the sure sale."""
+    u, tail = (_unpruned_infimum(spec, m, p) if p <= _sure(spec, m)
+               else (U_FLOOR, 0.0))
     return 1.0 - u, float(p * tail / m)
 
 
@@ -232,9 +243,9 @@ def test_worst_case_alpha_answers_only_maximins_prices(monkeypatch):
                      (1.0, 1e-6, 10_000)):
         spec = MeanMadSpec(mu, mu * r)
         top = m * mu
-        # m mu, and the sure-sale price m x(U_FLOOR), where the U_FLOOR
-        # tail steps down from 1.0, and the floats either side of it
-        sure = m * float(solvers._two_point(spec, U_FLOOR)[0])
+        # m mu, and the sure-sale price m x(U_FLOOR), above which a sale is
+        # valued at 0.0, and the floats either side of it
+        sure = _sure(spec, m)
         for p in (top, math.nextafter(sure, 0.0), sure,
                   math.nextafter(sure, math.inf)):
             assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
@@ -243,14 +254,15 @@ def test_worst_case_alpha_answers_only_maximins_prices(monkeypatch):
                                match=r"price must be in \[0, m\*mu\]") as err:
                 worst_case_alpha(spec, m, p)
             assert "\n" not in str(err.value)
-    # just below m mu, c is near 0 and no bound prunes: the walk prices
-    # every in-range k, one survival call each
+    # just below m mu, c is near 0 and no bound prunes: given the U_FLOOR
+    # tail itself, the walk prices every in-range k, one survival call each
     ks, sf = [], solvers._binom_sf
     monkeypatch.setattr(solvers, "_binom_sf",
                         lambda k, n, u: ks.append(k) or sf(k, n, u))
     spec, m = MeanMadSpec(1.0, 0.5), 1000
     p = math.nextafter(1000.0, 0.0)
-    assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
+    assert solvers._inner_infimum(
+        spec, m, p, _floor_tail(spec, m, p)) == _unpruned_infimum(spec, m, p)
     assert sorted(ks) == _limits(spec, m, p)[0].tolist()
 
     def unreachable(*args):
@@ -262,6 +274,25 @@ def test_worst_case_alpha_answers_only_maximins_prices(monkeypatch):
     for p in (0.0, 0.5):
         with pytest.raises(RobustBundlingError, match="too large"):
             worst_case_alpha(spec, 2 * 10**12, p)
+
+
+def test_worst_case_alpha_values_a_sale_above_the_sure_price_at_0(
+        monkeypatch):
+    # above the sure sale m x(U_FLOOR) the answer is (1 - U_FLOOR, 0.0)
+    # with no survival call; next to m mu the walk priced every in-range k,
+    # 4.1 s at (1, 0.5), m = 1e6
+    def unreachable(*args):
+        raise AssertionError("survival call above the sure sale")
+
+    monkeypatch.setattr(solvers, "_binom_sf", unreachable)
+    for mu, r, m in ((1.0, 0.5, 1), (1.0, 0.5, 10**6), (2.3, 0.3, 300),
+                     (1.0, 1e-6, 10_000), (1.0, 1.99999, 19),
+                     (1.0, 2.0 - 1e-11, 100)):
+        spec = MeanMadSpec(mu, mu * r)
+        top, sure = m * mu, _sure(spec, m)
+        for p in (math.nextafter(sure, math.inf), (sure + top) / 2.0, top):
+            assert sure < p <= top
+            assert worst_case_alpha(spec, m, p) == (1.0 - U_FLOOR, 0.0)
 
 
 def _floor_tail(spec, m, p):
@@ -449,20 +480,26 @@ def test_one_breakpoint_has_the_array_bits():
     # the walk prices each breakpoint in Python floats: the same bits as
     # _breakpoints, on both branches of its sign test and where c is within
     # 1e-8 of -m, across its callers' domain c <= 0 (p in [0, m mu]), where
-    # the discriminant is never negative
+    # the discriminant is never negative; and with b as _quadratic forms it
+    # from d = mu up, next to d = 2 mu too
     rng = np.random.default_rng(29)
-    cases = [(float(c), m, float(rng.integers(0, m + 1)))
+    cases = [(float(c), float(c + m), float(rng.integers(0, m + 1)))
              for m in (1, 7, 1000, 10**6)
              for c in m * np.concatenate([rng.uniform(-3.0, 0.0, 200),
                                           [-1.0, 0.0]])]
-    cases += [(float(c), 1000, float(k))
+    cases += [(float(c), float(c + 1000), float(k))
               for c in -1000 * (1 + np.linspace(-1e-8, 1e-8, 201))
               for k in (0, 1, 999, 1000)]
-    c, m, k = (np.array(v) for v in zip(*cases))
-    want = solvers._breakpoints(c, m, k)
+    for d in (1.0, 1.5, 2.0 - 1e-9, 2.0 - 1e-11):
+        for m in (1, 19, 1000):
+            for p in np.linspace(0.0, m, 41).tolist():
+                c, b = solvers._quadratic(MeanMadSpec(1.0, d), m, p)
+                cases += [(c, b, float(k)) for k in (0, 1, m)]
+    c, b, k = (np.array(v) for v in zip(*cases))
+    want = solvers._breakpoints(c, b, k)
     got = np.array([solvers._breakpoint(*case) for case in cases])
     assert not np.isnan(want).any()
-    assert (c + m <= 0.0).any() and (c + m > 0.0).any()
+    assert (b <= 0.0).any() and (b > 0.0).any()
     assert np.array_equal(got, want)
 
 
@@ -480,10 +517,10 @@ def test_crossing_index_never_falls_as_the_price_rises():
 
 
 def test_maximin_floor_tail_is_a_step_bit_for_bit(monkeypatch):
-    # maximin prices nature's U_FLOOR answer once per solve, as 1.0 up to
-    # the sure-sale price m x and P(Bin(m, U_FLOOR) >= 1) above it: the
-    # bits _tails gives at every price maximin evaluates or caps, down to
-    # d/mu = 1e-14, and on and next to m x
+    # maximin takes nature's U_FLOOR answer as 1.0 up to the sure-sale
+    # price m x, the bits _tails gives there, and values a sale above it at
+    # 0.0, at every price maximin evaluates or caps, down to d/mu = 1e-14,
+    # and on and next to m x
     seen, inner, caps = [], solvers._inner_infimum, solvers._guarantee_caps
 
     def record_inner(spec, m, p, floor_tail):
@@ -507,12 +544,14 @@ def test_maximin_floor_tail_is_a_step_bit_for_bit(monkeypatch):
         spec = MeanMadSpec(mu, mu * r)
         seen.clear()
         maximin_bundling_value(spec, m)
-        sure, once = solvers._floor_step(spec, m)
-        seen += [(p, 1.0 if p <= sure else once) for p in (
+        sure = solvers._floor_step(spec, m)
+        assert sure == _sure(spec, m)
+        seen += [(p, 1.0 if p <= sure else 0.0) for p in (
             math.nextafter(sure, 0.0), sure, math.nextafter(sure, math.inf))]
         ps, got = (np.array(v) for v in zip(*seen))
-        assert np.array_equal(got, _tails(spec, m, ps, U_FLOOR)), (
-            mu, r, m)
+        assert np.array_equal(got, np.where(
+            ps <= sure, _tails(spec, m, ps, U_FLOOR), 0.0)), (mu, r, m)
+        assert np.all(_tails(spec, m, ps, U_FLOOR)[ps <= sure] == 1.0)
         branches.update((ps[:-3] > sure).tolist())
     assert branches == {False, True}
 
@@ -592,7 +631,7 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
         spec = MeanMadSpec(mu, d)
         ps = np.linspace(0.0, m * mu, 257)
         full = np.array([p * solvers._inner_infimum(
-            spec, m, p, _floor_tail(spec, m, p))[1] / m for p in ps])
+            spec, m, p, float(p <= _sure(spec, m)))[1] / m for p in ps])
         neg_got, neg_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
         # the search sees the negated grid; negation is exact
@@ -658,8 +697,7 @@ def test_guarantee_caps_are_exact():
                       rng.uniform(math.log(1e-9), math.log(0.5)))))]
     cases += [(spec, m, m * spec.mu) for spec, m in _cap_cases(rng, 300, 3e4)]
     for spec, m, p in cases:
-        sure, once = solvers._floor_step(spec, m)
-        floor = 1.0 if p <= sure else once
+        floor = _floor_tail(spec, m, p)
         tail = solvers._inner_infimum(spec, m, p, floor)[1]
         cap = solvers._guarantee_caps(spec, m, np.array([p]), np.array([floor]))
         assert cap[0] == tail, (spec, m, p)
@@ -704,8 +742,7 @@ def test_cell_caps_never_undercut_a_rows_guarantee(monkeypatch):
     # m = 1e4 every row of every cell is priced; at 1e6 and 1e7 the first
     # and last rows of the cell holding the maximin price, its neighbours
     # and the cell holding m L(m), where the caps sit closest to the rows'
-    # guarantees, but m mu, where worst_case_alpha prices every in-range k
-    # (4.1 s at (1, 0.5), m = 1e6)
+    # guarantees
     tight = 0
     for mu, d, m in _cell_cap_specs():
         spec = MeanMadSpec(mu, d)
@@ -723,8 +760,6 @@ def test_cell_caps_never_undercut_a_rows_guarantee(monkeypatch):
             offsets = (0, CELL - 1)
         for j in check:
             for i in sorted({min(j * CELL + o, ps.size - 1) for o in offsets}):
-                if m > 10_000 and i == ps.size - 1:
-                    continue
                 g = worst_case_alpha(spec, m, ps[i])[1]
                 assert cells[j] >= g and rows[i] >= g, (mu, d, m, i)
                 tight += g > 0.0 and cells[j] <= g * (1.0 + 1e-3)

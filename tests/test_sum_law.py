@@ -77,6 +77,20 @@ def test_product_route_agrees_with_iid_route(half_spec, m):
     assert np.allclose(a.probs, b.probs, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("mu", [1e-13, 1.0, 1e4])
+def test_product_law_merges_at_the_specs_scale(mu):
+    # support points merge within MERGE_TOL mu: an absolute 1e-12 merged
+    # all 8 sums at mu = 1e-13 into one, mass 1 at the lowest sum
+    def law(scale):
+        spec = MeanMadSpec(scale, scale / 2.0)
+        return product_sum([make_two_point(spec, a) for a in (0.5, 0.6, 0.7)])
+
+    got, ref = law(mu), law(1.0)
+    assert got.support.size == ref.support.size == 8
+    assert np.allclose(got.support, mu * ref.support, rtol=1e-12, atol=0.0)
+    assert np.allclose(got.probs, ref.probs, rtol=1e-12, atol=0.0)
+
+
 def test_product_sum_guards(half_spec):
     d0 = make_two_point(half_spec, 0.5)
     other = make_two_point(MeanMadSpec(1.0, 0.8), 0.5)
