@@ -20,7 +20,8 @@ from .concentration import guaranteed_sale_chain
 from .errors import RobustBundlingError, check_count
 from .opt_oracle import opt_deterministic
 from .optimize import grid_polish
-from .solvers import _check_scale, _u_grid, maximin_bundling_value
+from .solvers import (BRACKET_TOL, _check_scale, _u_grid,
+                      maximin_bundling_value)
 from .sum_law import iid_two_point_sum, tail_prob
 
 _EMP_GRID = 256
@@ -185,7 +186,7 @@ def _empirical(spec: MeanMadSpec, m: int, grid: int,
 
         p_best, v_best, _ = grid_polish(
             loss, np.linspace(0.0, m * spec.mu, grid),
-            lambda lo, hi: np.full(lo.size, -np.inf), 1e-10 * m * spec.mu)
+            lambda lo, hi: np.full(lo.size, -np.inf), BRACKET_TOL * m * spec.mu)
         return EmpiricalReport(objective=objective, m=m,
                                value=-v_best if ratio else v_best,
                                mode="oracle", price=p_best,

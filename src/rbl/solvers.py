@@ -1,41 +1,30 @@
 """Saddle-point engines for bundle pricing against two-point product adversaries.
 
 Price first (maximin): the seller's price grid on [0, m mu] is searched and
-polished by optimize.grid_polish on the negated guarantee, and nature's
-answer to each price is solved exactly (worst_case_alpha runs the same
-evaluation). In u = 1 - alpha the tail P(sum >= p) only jumps where a sum
-support point crosses p, at closed-form breakpoints u_k, and rises with u
-between them. So the guarantee at p is an infimum, attained at the floor u =
-U_FLOOR or approached as u decreases to some u_k; the reported alpha is then
-that limit point, not an attained minimizer. Nature first (minimax): a grid
-geometric in 1 - alpha down to 1e-12, because the damaging adversaries sit
-next to alpha = 1, searched and polished by grid_polish on the seller's best
-response. Each order passes grid_polish one objective and one cheap lower
-bound on it over an interval of grid points, which grid_polish prices on its
-cells and then, as one-point intervals, on the rows of the cells it refines:
-for prices lo..hi, hi/m times the tail cap at lo, as the infimum does not rise
-with p, the cap being the least tail over nature's extreme answers, U_FLOOR
-and the ends of its in-range breakpoints (_guarantee_caps), so exact caps are
-priced at cell starts and in the cells the search refines, and about one row
-is solved per grid; for nature on u_hi >= u >= u_lo, a few feasible prices
-priced at the two ends (_cell_floors). Rows are solved exactly from the most
-promising bound on, until every bound left clears the best value by
-optimize.PRUNE_MARGIN, so the grid optimum is that of the full grid. A row is
-one call: a price's infimum over its breakpoints (_inner_infimum), or nature's
-best response over the _window of k, masses from one sum_law.binom_window
-call. A price's U_FLOOR tail is 1.0 up to the sure sale m x(U_FLOOR), and
-a price above it is valued at 0.0 (_floor_step). Its in-range breakpoints
-are one run of k, and a Chernoff bound on each one's lower tail is highest
-at the run's ends (_lower_tail_bound), so nature's answer walks the run in
-from both ends in Python floats, with O(1) state, one survival call per end
-priced, until both ends' bounds prove every remaining tail loses: after one
-call near the maximin price, at m = 1e6 too; maximin solves m = 1e7 to 1e10
-in a few ms on a 2-vCPU host. Tails are binomial survivals (sum_law.binom_sf).
-Every report carries a certificate pair: a closed-form lower bound that
-holds for every product of family members (see maximin_certificate_lower),
-and an upper bound that the computed value can be checked against. Both
-solvers first check m, the grid size and that the spec's scale keeps their
-arithmetic in double range (_check_scale).
+polished by optimize.grid_polish on the negated guarantee. Nature answers
+each price exactly over every u = 1 - alpha in (0, 1 - alpha_min)
+(_inner_infimum; worst_case_alpha runs the same evaluation): the tail P(sum
+>= p) jumps only at closed-form breakpoints u_k and rises with u between
+them, so the guarantee is an infimum, and the reported alpha a limit point.
+Nature first (minimax): a grid geometric in 1 - alpha down to U_FLOOR, as the
+damaging adversaries sit next to alpha = 1, searched and polished by
+grid_polish on the seller's best response (_best_response). Each order
+passes grid_polish one objective and one cheap lower bound on it over an
+interval of grid points: for prices lo..hi, hi/m times the tail cap at lo
+(_guarantee_caps), and for nature on u_hi >= u >= u_lo, a few feasible
+prices priced at the two ends (_cell_floors). Rows are solved exactly from
+the most promising bound on, until every bound left clears the best value by
+optimize.PRUNE_MARGIN, so the grid optimum is that of the full grid: about
+one row per grid. A price's in-range breakpoints are one run of k from k =
+0, which nature's answer walks in from both ends with O(1) state, pruned by
+a Chernoff bound on each lower tail (_lower_tail_bound): maximin solves m =
+1e7 to 1e10 in a few ms on a 2-vCPU host. Tails are binomial survivals
+(sum_law.binom_sf). Every report carries a certificate pair: a closed-form
+lower bound that holds for every product of family members
+(maximin_certificate_lower), and an upper bound that the computed value can
+be checked against. Both solvers first check m, the grid size, and that the
+spec's scale keeps their arithmetic in double range and nature's grid in
+reach (_check_scale).
 """
 from __future__ import annotations
 
@@ -53,7 +42,7 @@ from .sum_law import (_binom_cdf, _binom_pmf, _binom_sf, binom_sf,
 
 ALPHA_GRID = 2048
 PRICE_GRID = 1024
-# Smallest 1 - alpha either order of play considers.
+# Smallest 1 - alpha on nature's grid in the nature-first order.
 U_FLOOR = 1e-12
 BRACKET_TOL = 1e-10
 # Half-width of the best-response scan over k, in binomial sigmas.
@@ -104,6 +93,16 @@ def _quadratic(spec: MeanMadSpec, m: int, p):
     if spec.d >= spec.mu:
         return c, 2.0 * (p - m * (spec.mu - spec.d / 2.0)) / spec.d
     return c, c + m
+
+
+def _unreached(spec: MeanMadSpec, m: int, b):
+    """Whether no member's all-low sum reaches the price of b (_quadratic),
+    p >= m (mu - d/2), as b >= 0: exact from d = mu up. Below, fl(m mu) and
+    the division round b = c + m by up to 2^-53 m (3 mu/d + 1), so b >=
+    -2^-50 m (mu/d + 1) counts too, understating within that rounding: at
+    (2.887, 9.22e-8), m = 2155, b < 0 read 8.5e-6 above m (mu - d/2)."""
+    return b >= (0.0 if spec.d >= spec.mu
+                 else -2.0 ** -50 * m * (spec.mu / spec.d + 1.0))
 
 
 def _breakpoints(c: np.ndarray, b: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -190,55 +189,36 @@ def _lower_tail_bound(m: int, k: float, u: float) -> float:
     return math.exp(-m * b)
 
 
-def _floor_step(spec: MeanMadSpec, m: int) -> float:
-    """The sure price m x(U_FLOOR), up to which nature's tail at u = U_FLOOR
-    is 1.0. A sale above it is valued at 0.0, a true guarantee: members with
-    1 - alpha below U_FLOOR take it to at most m U_FLOOR. The spec is
-    rejected unless one high, m x + gap in floats, reaches m mu (up to about
-    m = 1e12); then h(U_FLOOR) <= 1 up to m mu, so runs start at k = 0."""
-    x, gap = _two_point(spec, U_FLOOR)
-    if m * x + gap < m * spec.mu:
-        raise RobustBundlingError(
-            f"m={m} is too large for mu={spec.mu!r} and d={spec.d!r}: "
-            f"one high at 1 - alpha = {U_FLOOR!r} no longer reaches m*mu")
-    return m * x
-
-
-def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
-                   floor_tail: float) -> tuple[float, float]:
+def _inner_infimum(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
     """(u, tail) with tail the infimum of P(sum >= p) over u = 1 - alpha in
-    [U_FLOOR, 1 - alpha_min), reached at u: U_FLOOR, or the breakpoint the
-    infimum is approached at from above. floor_tail is the tail at U_FLOOR.
+    (0, 1 - alpha_min), reached at u or approached as u falls to it.
 
-    Breakpoint u_k is where the k-high support point equals p; on
-    (u_k, u_{k+1}] the tail is P(Bin(m, u) >= k+1), which rises with u. So
-    the infimum is the smallest of the tail at U_FLOOR and the limits
-    P(Bin(m, u_k) >= k+1) over the breakpoints in range, ties going to the
-    smallest u: U_FLOOR, then the smallest k. The in-range k are one run,
-    its ends found up from k = 0 (_floor_step) and down from one k above
-    _highs_at's at 1 - alpha_min, and tested exactly (u_m = 1 is never in
-    range). A floor tail of 0.0 is the answer, as no limit is 0 (m u_k >=
-    k). Otherwise a walk in Python floats prices the run's end with the
-    larger bound E_k = _lower_tail_bound at u_k lowered by 2^-48, with one
-    survival call, and moves that end inward; as no bound inside a run is
-    above both its ends, it stops once both ends' E_k (1 + delta), delta =
-    _lower_tail_slack(m), bound every k left to a tail that loses to the
-    best:
+    Where no all-low sum reaches p (_unreached), the tail falls to 0 with u:
+    (0.0, 0.0), with no survival call. Otherwise the tail is 1 up to u_0 =
+    b/c > 0, where the all-low sum is p, and on (u_k, u_{k+1}], past the
+    breakpoint where the k-high support point is p, it is P(Bin(m, u) >=
+    k+1), which rises with u. So the infimum is the least of 1.0 at u_0 and
+    the limits P(Bin(m, u_k) >= k+1) in range, ties going to the smallest
+    u. The in-range k are one run from k = 0, its top found down from one k
+    above _highs_at's at 1 - alpha_min, tested exactly (u_m = 1 never is). A
+    walk in Python floats prices the run's end with the larger bound E_k =
+    _lower_tail_bound at u_k lowered by 2^-48, with one survival call, and
+    moves that end inward; as no bound inside a run is above both its ends,
+    it stops once both ends' E_k (1 + delta), delta = _lower_tail_slack(m),
+    bound every k left to a tail that loses to the best:
     - below (1 - best) - 2^-52: the lower tail Boost computes is below
       1 - best - 2^-52, and the survival it returns, 1 minus that tail
       within Boost's error, rounds strictly above the best;
     - below 2^-54: near 1 Boost's survival is 1.0 - its lower tail, bit for
-      bit, so the tail rounds to 1.0. That loses whatever the best is: the
-      U_FLOOR tail, at most 1.0, wins ties, and a breakpoint is best only
-      strictly below it.
+      bit, so the tail rounds to 1.0, and loses: u_0's 1.0 wins ties.
     """
     p = float(p)
     c, b = _quadratic(spec, m, p)
+    if _unreached(spec, m, b):
+        return 0.0, 0.0
     u_top = 1.0 - spec.alpha_min
     slack = 1.0 + _lower_tail_slack(m)
     lo, hi = 0.0, min(float(_highs_at(c, m, u_top)), float(m))
-    while lo <= hi and _breakpoint(c, b, lo) < U_FLOOR:
-        lo += 1.0
     while lo <= hi and not _breakpoint(c, b, hi) < u_top:
         hi -= 1.0
 
@@ -246,10 +226,10 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
         u = _breakpoint(c, b, k)
         return u, _lower_tail_bound(m, k, u * (1.0 - 2.0 ** -48))
 
-    best_u, best, best_k = U_FLOOR, floor_tail, -1.0
-    stop = max(_ROUNDS_TO_ONE, (1.0 - best) - _ABOVE_BEST)
+    best_u, best, best_k = _breakpoint(c, b, 0.0), 1.0, -1.0
+    stop = _ROUNDS_TO_ONE
     e_lo = e_hi = None
-    while lo <= hi and best > 0.0:
+    while lo <= hi:
         if e_lo is None:
             u_lo, e_lo = end(lo)
         if e_hi is None:
@@ -269,16 +249,14 @@ def _inner_infimum(spec: MeanMadSpec, m: int, p: float,
     return best_u, best
 
 
-def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray,
-                    floor_tails: np.ndarray) -> np.ndarray:
+def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray) -> np.ndarray:
     """Per price in ps, a cap on its tail infimum (_inner_infimum), so
-    p * cap / m caps its guarantee: the least of its tail at u = U_FLOOR
-    (floor_tails) and the in-range breakpoint limits P(Bin(m, u_k) >= k+1)
-    at k = 0, 1, 2, where the run starts (_floor_step), and within one k of
-    ceil(h(1 - alpha_min)) - 1 (_highs_at), with _inner_infimum's bits, so
-    no cap is below the infimum computed at its own price, bit for bit. Up
-    to m mu nature's answer sat at an end in every probe: the caps are
-    exact (bit for bit on 1,000 seeded prices, tests/test_solvers.py).
+    p * cap / m caps its guarantee: 0.0 where no all-low sum reaches p, and
+    otherwise the least of 1.0 and the in-range limits P(Bin(m, u_k) >=
+    k+1) at k = 0, 1, 2 and within one k of ceil(h(1 - alpha_min)) - 1
+    (_highs_at), with _inner_infimum's bits, so no cap is below the infimum
+    computed at its own price. Up to m mu nature's answer sat at an end in
+    every probe: the caps are exact (tests/test_solvers.py).
 
     The exact infimum does not rise with p, as every fixed-u tail P(sum >=
     p) falls, so the cap at a cell's first price ps[s] times its last,
@@ -299,32 +277,29 @@ def _guarantee_caps(spec: MeanMadSpec, m: int, ps: np.ndarray,
     k = np.clip(np.hstack([np.zeros_like(top), top])[..., None]
                 + np.arange(3.0), 0.0, m).reshape(ps.size, 6)
     u = _breakpoints(c, b, k)
-    inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
-    tails = np.full(u.shape, np.inf)
+    inside = (u > 0.0) & (u < 1.0 - spec.alpha_min)
+    tails = np.ones(u.shape)
     tails[inside] = _binom_sf(k[inside], m, u[inside]).clip(0.0, 1.0)
-    return np.minimum(floor_tails, tails.min(axis=1))
+    return np.where(_unreached(spec, m, b[:, 0]), 0.0, tails.min(axis=1))
 
 
 def worst_case_alpha(spec: MeanMadSpec, m: int, p: float) -> tuple[float, float]:
     """Adversary's answer to a fixed bundle price p, solved exactly.
 
     Returns (alpha, value) with value = p * P(sum >= p) / m at its infimum
-    over the family (_inner_infimum): at 1 - alpha = U_FLOOR, or as u falls
-    to a breakpoint, where the returned alpha is that limit point, not an
-    attained minimizer (at alpha itself the k-high support point still
-    sells). This is maximin's own evaluation, on the prices maximin posts:
-    the scale must be in range (_check_scale), p in [0, m mu] and m within
-    _floor_step's reach. Above the sure price m x(U_FLOOR) the answer is (1
-    - U_FLOOR, 0.0), with no survival call (_floor_step).
+    over the family (_inner_infimum), where the returned alpha may be a limit
+    point, not an attained minimizer: (1.0, 0.0), with no survival call,
+    where no all-low sum reaches p, as at p >= m (mu - d/2). This is
+    maximin's own evaluation, on the prices maximin posts: the scale and m
+    must be in range (_check_scale) and p in [0, m mu].
     """
     _check_scale(spec, m)
     if not 0.0 <= p <= m * spec.mu:
         raise RobustBundlingError(
             f"price must be in [0, m*mu] = [0, {m * spec.mu!r}], got {p!r}")
-    sure = _floor_step(spec, m)
     if p == 0.0:
         return spec.alpha_min, 0.0
-    u, tail = _inner_infimum(spec, m, p, 1.0 if p <= sure else 0.0)
+    u, tail = _inner_infimum(spec, m, p)
     return 1.0 - u, float(p * tail / m)
 
 
@@ -387,9 +362,13 @@ def _certificate_best(spec: MeanMadSpec, m: int) -> tuple[float, float]:
 
 def _check_scale(spec: MeanMadSpec, m: int) -> None:
     """Raise unless both solvers' arithmetic stays in double range at this
-    spec: the largest sum support point, m high values at 1 - alpha =
+    spec and m: the largest sum support point, m high values at 1 - alpha =
     U_FLOOR, must be finite, and the finest step, BRACKET_TOL * U_FLOOR * mu,
-    a normal double (below that, prices and revenues lose their digits)."""
+    a normal double (below that, prices and revenues lose their digits). One
+    high at U_FLOOR, m x + gap in floats, must reach m mu, up to about m =
+    1e12: past that nature's grid, which ends there, misses the members that
+    damage a bundle (minimax read 0.75658 > mu - d/2 at (1, 0.5), m = 2e12).
+    Both orders of play accept this one m range."""
     check_count(m)
     top = m * (spec.mu + spec.d / (2.0 * U_FLOOR))
     if not (math.isfinite(top)
@@ -398,6 +377,11 @@ def _check_scale(spec: MeanMadSpec, m: int) -> None:
             f"mu={spec.mu!r} and d={spec.d!r} leave double range at m={m}: "
             f"need m*(mu + d/(2*{U_FLOOR!r})) finite and "
             f"{BRACKET_TOL!r}*{U_FLOOR!r}*mu a normal double")
+    x, gap = _two_point(spec, U_FLOOR)
+    if m * x + gap < m * spec.mu:
+        raise RobustBundlingError(
+            f"m={m} is too large for mu={spec.mu!r} and d={spec.d!r}: "
+            f"one high at 1 - alpha = {U_FLOOR!r} no longer reaches m*mu")
 
 
 def maximin_bundling_value(spec: MeanMadSpec, m: int,
@@ -409,51 +393,37 @@ def maximin_bundling_value(spec: MeanMadSpec, m: int,
     inner infimum solved exactly by breakpoints (_inner_infimum) from the
     highest cap down, one price per grid. Prices lo..hi are capped by hi times
     the tail cap at lo (_guarantee_caps), a price alone by itself times its
-    own, so exact caps are priced once per grid_polish cell, at its first
-    price, and for the rows of the cells the search refines: 80 to 112 caps, 16
-    to 48 of them rows, at (1, 0.5) and (1, 0.8), m = 100 to 10^4; the rows are
-    solved in the order a walk down the row caps would take. The bound reads no
-    L(m), which enters only the certificate and the p_L candidate below. Each
-    price the search evaluates walks its own breakpoints from both ends
-    (_inner_infimum) in O(1) memory: at (1, 0.5) and (1, 0.8), m = 100 to 10^4,
-    one survival call per price, and a solve at m = 1e7 allocates under 3 MB.
-    Prices above the sure price m x(U_FLOOR) are valued at 0.0 (_floor_step),
-    and a spec at whose m one high misses m mu is rejected before L(m) is.
-    The reported alpha is the polish's own answer at the reported price, which
-    worst_case_alpha gives too (alpha_min at p = 0). The certificate pairs the
-    family-wide bound maximin_certificate_lower with the ceiling mu - d/2. A
-    spec whose scale leaves double range is rejected before any solving
-    (_check_scale), as is a grid of fewer than 2 prices.
+    own: 80 to 112 caps, 16 to 48 of them rows, and one survival call per
+    price evaluated, at (1, 0.5) and (1, 0.8), m = 100 to 10^4; a solve at
+    m = 1e7 allocates under 3 MB. The reported alpha is the polish's own
+    answer at the reported price, which worst_case_alpha gives too (alpha_min
+    at p = 0). The certificate pairs the family-wide bound
+    maximin_certificate_lower with the ceiling mu - d/2. A spec whose scale
+    or m is out of range is rejected before any solving (_check_scale), as
+    is a grid of fewer than 2 prices.
 
     Where the search falls below L, L's own price p_L (_certificate_best)
     is tried as one more candidate, kept if strictly better: its exact
     guarantee is at least L, as L's sale bound holds for every product of
-    members. A p_L above the sure price, valued at 0.0, is rejected: it is
-    seen only where 1 - alpha_min is below about 2 U_FLOOR.
+    members. In exact arithmetic p_L < m (mu - d/2), where nature's answer
+    is priced: with M = m (1 - q), if k <= M then E(k - K)+ > 0, and if k > M
+    then E(k - K)+ >= k - M, so sqrt(k E(k - K)+) > k - M.
     """
     _check_scale(spec, m)
     check_count(price_grid, "price_grid", 2)
-    sure = _floor_step(spec, m)
     lower = maximin_certificate_lower(spec, m)
     ps = np.linspace(0.0, m * spec.mu, price_grid)
 
     answers = {}
 
     def neg_guarantee(p):
-        answers[p], tail = _inner_infimum(spec, m, p,
-                                          1.0 if p <= sure else 0.0)
+        answers[p], tail = _inner_infimum(spec, m, p)
         return -p * tail / m
 
     p_best, v_best, _ = grid_polish(neg_guarantee, ps, lambda lo, hi: -(
-        hi * _guarantee_caps(spec, m, lo, np.where(lo <= sure, 1.0, 0.0)) / m),
-        BRACKET_TOL * m * spec.mu)
+        hi * _guarantee_caps(spec, m, lo) / m), BRACKET_TOL * m * spec.mu)
     if lower > -v_best:
         p_l = _certificate_best(spec, m)[1]
-        if p_l > sure:
-            raise RobustBundlingError(
-                f"maximin at mu={spec.mu!r}, d={spec.d!r}, m={m} falls below "
-                f"L(m), whose price lies above the sure sale m*x at 1 - "
-                f"alpha = {U_FLOOR!r}, where nothing is guaranteed")
         v_l = neg_guarantee(p_l)
         if v_l < v_best:
             p_best, v_best = p_l, v_l

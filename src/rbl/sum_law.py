@@ -232,13 +232,27 @@ def _binom_inverse(u: np.ndarray, n: np.ndarray, q: float) -> np.ndarray:
 
     q is clipped to [0, 1], and a degenerate q gives its one value for every u,
     so an atom of zero mass is never drawn. u lies in [0, 1), so Boost's
-    quantile needs no edge masks, only the clip into [0, n].
+    quantile needs no edge masks, only the clip into [0, n]. Past u = 1 -
+    2^-42 it errs: at n = 138, q = 1e-12, u = 1 - 2^-53 it gives 2, not 1,
+    and warns it cannot bracket its root. There k is the least with
+    P(Bin(n, q) > k) <= 1 - u, exact in floats, by bisection on the survival.
     """
     if q <= 0.0:
         return np.zeros_like(n)
     if q >= 1.0:
         return n.copy()
-    return np.clip(_binom_ppf(u, n, q), 0.0, n)
+    far = u > 1.0 - 2.0 ** -42
+    if not far.any():
+        return np.clip(_binom_ppf(u, n, q), 0.0, n)
+    k = np.clip(_binom_ppf(np.where(far, 0.0, u), n, q), 0.0, n)
+    for i in np.flatnonzero(far):
+        lo, hi = -1.0, float(n[i])
+        while hi - lo > 1.0:
+            mid = (lo + hi) // 2.0
+            lo, hi = ((lo, mid) if _binom_sf(mid, n[i], q) <= 1.0 - u[i]
+                      else (mid, hi))
+        k[i] = hi
+    return k
 
 
 def _atom_counts(u: np.ndarray, c: int, cond: Sequence[float]) -> np.ndarray:

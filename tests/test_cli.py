@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,13 @@ import warnings
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbl import cli, opt_oracle, sum_law
+from rbl import cli, opt_oracle, solvers, sum_law
+from rbl.ambiguity import MeanMadSpec
 from rbl.cli import _COMMANDS, main
 from rbl.concentration import MC_MIN_SAMPLES
 
@@ -375,10 +378,21 @@ def test_fuzzed_spec_scales_exit_0_or_2_in_one_line(command, mu, d, relative,
      "--eps", "0.2", "--n", "10000", "--seed", "1", "--member",
      "two_point:alpha=0.5"),
     ("maximin", "--mu", "1", "--d", "1e-310", "--m", "3"),
-    # one high at 1 - alpha = 1e-12 no longer reaches m mu in floats
+    # one high at 1 - alpha = 1e-12 no longer reaches m mu in floats, and
+    # both orders of play accept one m range: minimax once printed 0.75658,
+    # above mu - d/2, at m = 2e12, and at m = 1e20 did not finish
     ("maximin", "--mu", "1", "--d", "0.5", "--m", "2000000000000"),
+    ("minimax", "--mu", "1", "--d", "0.5", "--m", "2000000000000"),
+    ("minimax", "--mu", "1", "--d", "0.5", "--m", str(10**20)),
 ])
-def test_what_doubles_cannot_hold_exits_2_in_one_line(capsys, argv):
+def test_what_doubles_cannot_hold_exits_2_in_one_line(capsys, monkeypatch,
+                                                      argv):
+    # each is rejected before any game is solved
+    def unreachable(*args):
+        raise AssertionError("solved before the input was checked")
+
+    monkeypatch.setattr("rbl.solvers.maximin_certificate_lower", unreachable)
+    monkeypatch.setattr("rbl.solvers.grid_polish", unreachable)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, *argv)
@@ -387,30 +401,34 @@ def test_what_doubles_cannot_hold_exits_2_in_one_line(capsys, argv):
 
 
 def _mp_guarantee(mu, d, m, p):
-    """p P(sum >= p) / m at its infimum over u = 1 - alpha in [1e-12, 1 -
-    d/(2 mu)), in 50 digits, as maximin values it: the tail at u = 1e-12 is
-    1 up to the sure sale m x(1e-12) and 0 above it, and every breakpoint
-    u_k in range adds its limit P(Bin(m, u_k) >= k + 1)."""
+    """p P(sum >= p) / m at its infimum over the whole family, u = 1 - alpha
+    in (0, 1 - d/(2 mu)), in 50 digits: 0 where p >= m (mu - d/2), as no
+    all-low sum reaches p; otherwise the least of 1, the tail up to u_0 =
+    b/c, and the limit P(Bin(m, u_k) >= k + 1) at every breakpoint u_k in
+    range, that is every k below h = m u + c u (1 - u) at u = 1 - d/(2 mu)."""
     with mpmath.workdps(50):
-        mu, d, p, floor = (mpmath.mpf(v) for v in (mu, d, p, 1e-12))
-        tails = [1 if p <= m * (mu - d / (2 * (1 - floor))) else 0]
+        mu, d, p = (mpmath.mpf(v) for v in (mu, d, p))
         c = 2 * (p - m * mu) / d
         b = c + m
-        for k in range(m + 1):
-            sq = mpmath.sqrt(b * b - 4 * c * k)
-            u = 2 * k / (b + sq) if b > 0 else (b - sq) / (2 * c)
-            if floor <= u < 1 - d / (2 * mu):
-                tails.append(mpmath.fsum(
+        if b >= 0:
+            return 0.0
+        top = 1 - d / (2 * mu)
+        tails = [mpmath.mpf(1)]
+        for k in range(min(m, int(mpmath.ceil(m * top + c * top * (1 - top))))
+                       + 1):
+            u = (b - mpmath.sqrt(b * b - 4 * c * k)) / (2 * c)
+            if u < top:
+                tails.append(1 - mpmath.fsum(
                     mpmath.binomial(m, j) * u**j * (1 - u)**(m - j)
-                    for j in range(k + 1, m + 1)))
+                    for j in range(k + 1)))
         return float(p * min(tails) / m)
 
 
 @pytest.mark.parametrize("d", [2.0 - 1e-5, 2.0 - 1e-9, 2.0 - 1e-11,
                                1.999999999995395])
 def test_maximin_next_to_d_2_mu_prints_its_guarantee(capsys, d):
-    # a sale above the sure price m x(1e-12) is valued at 0.0, so these
-    # solve (two exited 2, as the best price was m mu); b = c + m in the
+    # a price no all-low sum reaches is valued at 0.0, so these solve (two
+    # exited 2, as the best price was m mu); b = c + m in the
     # breakpoint quadratic cancels next to d = 2 mu, which put the value
     # 6.9e-12 relative high at (1, 1.99999), m = 1, and 5.6e-7 at (1, 2 -
     # 1e-9), m = 19, so from d = mu up b is formed from mu - d/2
@@ -424,19 +442,52 @@ def test_maximin_next_to_d_2_mu_prints_its_guarantee(capsys, d):
         assert row["lower"] * (1.0 - 1e-15) <= row["value"], row
 
 
+def _maximin_prints_its_guarantee(capsys, mu, d, m):
+    """The maximin row at (mu, d, m): it solves, at or above L(m) within
+    L's last bits, and within 1e-15 relative of the 50-digit guarantee at
+    its own price."""
+    code, out, _ = run(capsys, "maximin", "--mu", repr(mu), "--d", repr(d),
+                       "--m", str(m), "--format", "json")
+    assert code == 0
+    [row] = json.loads(out)
+    assert row["value"] >= row["lower"] * (1.0 - 2.0 ** -50), row
+    want = _mp_guarantee(mu, d, m, row["price"])
+    assert abs(row["value"] - want) <= 1e-15 * want, (row, want)
+    return row
+
+
 @pytest.mark.parametrize("m", [1, 19, 10**4])
-def test_maximin_whose_certificate_price_passes_the_sure_sale_exits_2(
-        capsys, m):
-    # at 1 - alpha_min = 1.5e-12, below about 2e-12, the search falls below
-    # L(m), whose own price lies above the sure sale, valued at 0.0
-    code, out, err = run(capsys, "maximin", "--mu", "1", "--d",
-                         repr(2.0 - 3e-12), "--m", str(m))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_maximin_next_to_d_2_mu_prices_ls_own_price(capsys, m):
+    # at 1 - alpha_min = 1.5e-12 the search falls below L(m), whose own
+    # price a floor at 1 - alpha = 1e-12 valued at 0.0, so these exited 2;
+    # over the whole family that price has its guarantee, at least L
+    row = _maximin_prints_its_guarantee(capsys, 1.0, 2.0 - 3e-12, m)
+    assert row["price"] == solvers._certificate_best(
+        MeanMadSpec(1.0, 2.0 - 3e-12), m)[1]
+
+
+def test_maximin_next_to_d_2_mu_solves_where_ls_price_b_is_negative(capsys):
+    # seeded specs with d/mu = 2 - 10^U(-14.5, -12): L's own price p_L
+    # lies below m (mu - d/2), b < 0 there, so it has a priced answer; it
+    # lies above the sure sale at 1 - alpha = 1e-12, and a floor there made
+    # every one of these exit 2
+    rng = np.random.default_rng(42)
+    for _ in range(16):
+        mu = math.exp(rng.uniform(-5.0, 5.0))
+        d = mu * (2.0 - 10.0 ** rng.uniform(-14.5, -12.0))
+        m = int(math.exp(rng.uniform(0.0, math.log(2000.0))))
+        spec = MeanMadSpec(mu, d)
+        p_l = solvers._certificate_best(spec, m)[1]
+        assert solvers._quadratic(spec, m, p_l)[1] < 0.0, (mu, d, m)
+        # above the sure sale at 1 - alpha = 1e-12
+        assert p_l > m * solvers._two_point(spec, 1e-12)[0], (mu, d, m)
+        # the search falls below L(m), and p_L is the answer
+        row = _maximin_prints_its_guarantee(capsys, mu, d, m)
+        assert row["price"] == p_l, (mu, d, m)
 
 
 def test_maximin_next_to_d_2_mu_stays_below_its_ceiling(capsys):
-    # d = 2 - 1e-5: the best price stays below the sure sale, so it solves
+    # d = 2 - 1e-5: every row solves, above 0 and at most mu - d/2
     code, out, _ = run(capsys, "maximin", "--mu", "1", "--d", "1.99999",
                        "--m", "2,19,1000", "--format", "json")
     assert code == 0

@@ -116,6 +116,16 @@ def test_one_function_reads_the_mass_tolerance():
     assert readers == ["sum_law.py: check_unit_mass"]
 
 
+def test_only_natures_grid_and_the_scale_check_read_u_floor():
+    # U_FLOOR is where the nature-first grid ends, and the scale check keeps
+    # that grid in double range and in reach; nature answers a price over
+    # the whole family, so no other function reads it
+    readers = sorted(f"{path.name}: {node.name}" for path in _SRC
+                     for node in _functions(path)
+                     if "U_FLOOR" in _used_names(node))
+    assert readers == ["solvers.py: _check_scale", "solvers.py: _u_grid"]
+
+
 # public functions that no src/ code uses, each with the reason it stays
 _TRACED = "perfbench traces it; moves to tests after ROADMAP item 8"
 _UNUSED_PUBLIC = {

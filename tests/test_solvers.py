@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -38,9 +39,7 @@ def _crossing(spec, m, p, u):
 def _tails(spec, m, p, u):
     """P(sum >= p) for u = 1 - alpha, sum of m i.i.d. two-point values, at
     any p and u (broadcast against each other): a Binomial(m, u) survival at
-    the crossing index. The reference for nature's tail at U_FLOOR, which
-    the solvers take as 1.0 up to the sure sale (_floor_step), and for
-    tails past m mu."""
+    the crossing index."""
     return binom_sf(_crossing(spec, m, p, u) - 1.0, m, u)
 
 
@@ -150,47 +149,52 @@ def test_maximin_small_m_is_a_guarantee(half_spec, m, want):
 
 def _limits(spec, m, p):
     """(k, u, tail) at every crossing index k = 0..m whose breakpoint u_k
-    lies in [U_FLOOR, 1 - alpha_min), with the limit P(Bin(m, u_k) >= k+1)
-    by scipy's binom.sf with its edge masks. From d = mu up, b = c + m is
-    formed as 2 (p - m (mu - d/2)) / d, whose mu - d/2 is exact."""
+    lies in (0, 1 - alpha_min), with the limit P(Bin(m, u_k) >= k+1) by
+    scipy's binom.sf with its edge masks, and (c, b) of the breakpoint
+    quadratic. From d = mu up, b = c + m is formed as 2 (p - m (mu - d/2)) /
+    d, whose mu - d/2 is exact."""
     c = 2.0 * (p - m * spec.mu) / spec.d
     b = (2.0 * (p - m * (spec.mu - spec.d / 2.0)) / spec.d
          if spec.d >= spec.mu else c + m)
     k = np.arange(m + 1.0)
     sq = np.sqrt(b * b - 4.0 * c * k)
     u = 2.0 * k / (b + sq) if b > 0.0 else (b - sq) / (2.0 * c)
-    inside = (u >= U_FLOOR) & (u < 1.0 - spec.alpha_min)
-    return k[inside], u[inside], binom.sf(k[inside], m, u[inside])
+    inside = (u > 0.0) & (u < 1.0 - spec.alpha_min)
+    return k[inside], u[inside], binom.sf(k[inside], m, u[inside]), (c, b)
+
+
+def _reaches(spec, m, p):
+    """Whether some member's all-low sum m x(u) reaches p: p < m (mu - d/2),
+    in rationals."""
+    return 2 * Fraction(p) < m * (2 * Fraction(spec.mu) - Fraction(spec.d))
 
 
 def _unpruned_infimum(spec, m, p):
-    """(u, tail) with no pruning: the least of the tail at U_FLOOR and every
-    limit of _limits; ties go to the smallest u."""
-    _, u, tails = _limits(spec, m, p)
-    us = np.concatenate([[U_FLOOR], u])
-    tails = np.concatenate([_tails(spec, m, p, np.array([U_FLOOR])),
-                            tails])
+    """(u, tail) over the whole family, u in (0, 1 - alpha_min), with no
+    pruning: (0.0, 0.0) where no all-low sum reaches p, as the tail falls to
+    0 with u, and where b is within its rounding of 0, 2^-50 m (mu/d + 1)
+    below d = mu; otherwise the least of 1.0 at u_0 = b/c, up to which
+    every member sells surely, and every limit of _limits; ties go to the
+    smallest u."""
+    _, u, tails, (c, b) = _limits(spec, m, p)
+    slop = 0.0 if spec.d >= spec.mu else 2.0**-50 * m * (spec.mu / spec.d + 1.0)
+    if b >= -slop or not _reaches(spec, m, p):
+        return 0.0, 0.0
+    us = np.concatenate([[b / c], u])
+    tails = np.concatenate([[1.0], tails])
     i = int(np.argmin(tails))
     return float(us[i]), float(tails[i])
 
 
-def _sure(spec, m):
-    """The sure-sale price m x(U_FLOOR), above which the solvers value a
-    sale at 0.0."""
-    return m * float(solvers._two_point(spec, U_FLOOR)[0])
-
-
 def _brute_worst_case(spec, m, p):
-    """worst_case_alpha's (alpha, value) from the unpruned infimum, and (1 -
-    U_FLOOR, 0.0) above the sure sale."""
-    u, tail = (_unpruned_infimum(spec, m, p) if p <= _sure(spec, m)
-               else (U_FLOOR, 0.0))
+    """worst_case_alpha's (alpha, value) from the unpruned infimum."""
+    u, tail = _unpruned_infimum(spec, m, p)
     return 1.0 - u, float(p * tail / m)
 
 
 # Prices at (1, 0.5) just below the maximin price, where every in-range
-# breakpoint tail is 1.0 or within 1e-11 of it: the infimum is the U_FLOOR
-# tail 1.0 ("one"), a breakpoint at 1 - tiny ("tiny"), or one whose tail is
+# breakpoint tail is 1.0 or within 1e-11 of it: the infimum is the sure
+# sale's 1.0 at u_0 ("one"), a breakpoint at 1 - tiny ("tiny"), or one whose tail is
 # 1 - 2^-53 ("ulp"). That breakpoint is k = 0, the low end of the run.
 _NEAR_ONE = ((10**4, 7122.550680540299, "one"),
              (10**4, 7493.028748422021, "tiny"),
@@ -206,7 +210,7 @@ _NEAR_ONE = ((10**4, 7122.550680540299, "one"),
 def _near_one_kind(spec, m, p):
     """Which of _NEAR_ONE's cases the unpruned infimum at p is."""
     u, tail = _unpruned_infimum(spec, m, p)
-    if (u, tail) == (U_FLOOR, 1.0):
+    if tail == 1.0:
         return "one"
     if tail == 1.0 - 2.0**-53:
         return "ulp"
@@ -227,60 +231,71 @@ def test_worst_case_alpha_equals_unpruned_brute_force():
         if p <= m * mu:
             assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
         else:  # past maximin's prices: the infimum itself
-            assert solvers._inner_infimum(
-                spec, m, p, _floor_tail(spec, m, p)) == _unpruned_infimum(
-                    spec, m, p)
+            assert solvers._inner_infimum(spec, m, p) == _unpruned_infimum(
+                spec, m, p)
     spec = MeanMadSpec(1.0, 0.5)
     for m, p, kind in _NEAR_ONE:
         assert _near_one_kind(spec, m, p) == kind
         assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
 
 
+def _reach(spec, m):
+    """The least float at or above m (mu - d/2), in rationals: from there
+    on no member's all-low sum reaches the price."""
+    exact = m * (Fraction(spec.mu) - Fraction(spec.d) / 2)
+    p = float(exact)
+    return p if p >= exact else math.nextafter(p, math.inf)
+
+
 def test_worst_case_alpha_answers_only_maximins_prices(monkeypatch):
     # worst_case_alpha is maximin's own evaluation, on the prices maximin
     # posts: m mu itself is one, the next float up is not
     for mu, r, m in ((1.0, 0.5, 1), (1.0, 0.5, 1000), (2.3, 0.3, 300),
-                     (1.0, 1e-6, 10_000)):
+                     (1.0, 1e-6, 10_000), (1.0, 1.5, 19)):
         spec = MeanMadSpec(mu, mu * r)
         top = m * mu
-        # m mu, and the sure-sale price m x(U_FLOOR), above which a sale is
-        # valued at 0.0, and the floats either side of it
-        sure = _sure(spec, m)
-        for p in (top, math.nextafter(sure, 0.0), sure,
-                  math.nextafter(sure, math.inf)):
+        # m mu, and the least price no all-low sum reaches, and the floats
+        # either side of it
+        reach = _reach(spec, m)
+        for p in (top, math.nextafter(reach, 0.0), reach,
+                  math.nextafter(reach, math.inf)):
             assert worst_case_alpha(spec, m, p) == _brute_worst_case(spec, m, p)
         for p in (math.nextafter(top, math.inf), math.inf, math.nan, -0.5):
             with pytest.raises(RobustBundlingError,
                                match=r"price must be in \[0, m\*mu\]") as err:
                 worst_case_alpha(spec, m, p)
             assert "\n" not in str(err.value)
-    # just below m mu, c is near 0 and no bound prunes: given the U_FLOOR
-    # tail itself, the walk prices every in-range k, one survival call each
-    ks, sf = [], solvers._binom_sf
-    monkeypatch.setattr(solvers, "_binom_sf",
-                        lambda k, n, u: ks.append(k) or sf(k, n, u))
-    spec, m = MeanMadSpec(1.0, 0.5), 1000
-    p = math.nextafter(1000.0, 0.0)
-    assert solvers._inner_infimum(
-        spec, m, p, _floor_tail(spec, m, p)) == _unpruned_infimum(spec, m, p)
-    assert sorted(ks) == _limits(spec, m, p)[0].tolist()
 
     def unreachable(*args):
         raise AssertionError("walked before m was checked")
 
-    # past about m = 1e12 the U_FLOOR tail is no step: rejected before the
-    # walk
-    monkeypatch.setattr(solvers, "_inner_infimum", unreachable)
-    for p in (0.0, 0.5):
-        with pytest.raises(RobustBundlingError, match="too large"):
-            worst_case_alpha(spec, 2 * 10**12, p)
+    # past about m = 1e12 one high at U_FLOOR no longer reaches m mu:
+    # rejected before the walk
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "_inner_infimum", unreachable)
+        for p in (0.0, 0.5):
+            with pytest.raises(RobustBundlingError, match="too large"):
+                worst_case_alpha(MeanMadSpec(1.0, 0.5), 2 * 10**12, p)
+    # with bounds of 1, which rule no k out, the walk prices every in-range
+    # k once, one survival call each
+    ks, sf = [], solvers._binom_sf
+    monkeypatch.setattr(solvers, "_binom_sf",
+                        lambda k, n, u: ks.append(k) or sf(k, n, u))
+    monkeypatch.setattr(solvers, "_lower_tail_bound", lambda m, k, u: 1.0)
+    spec, m = MeanMadSpec(1.0, 0.5), 1000
+    for p in (700.0, 749.999999):
+        ks.clear()
+        assert solvers._inner_infimum(spec, m, p) == _unpruned_infimum(
+            spec, m, p)
+        assert sorted(ks) == _limits(spec, m, p)[0].tolist()
 
 
 def test_worst_case_alpha_values_a_sale_above_the_sure_price_at_0(
         monkeypatch):
-    # above the sure sale m x(U_FLOOR) the answer is (1 - U_FLOOR, 0.0)
-    # with no survival call; next to m mu the walk priced every in-range k,
-    # 4.1 s at (1, 0.5), m = 1e6
+    # from the sure price of the limit member u -> 0, m (mu - d/2), no
+    # member's all-low sum reaches p and the tail falls to 0 with u: the
+    # answer is the limit point (1.0, 0.0), with no survival call; next to m
+    # mu the walk priced every in-range k, 4.1 s at (1, 0.5), m = 1e6
     def unreachable(*args):
         raise AssertionError("survival call above the sure sale")
 
@@ -289,15 +304,41 @@ def test_worst_case_alpha_values_a_sale_above_the_sure_price_at_0(
                      (1.0, 1e-6, 10_000), (1.0, 1.99999, 19),
                      (1.0, 2.0 - 1e-11, 100)):
         spec = MeanMadSpec(mu, mu * r)
-        top, sure = m * mu, _sure(spec, m)
-        for p in (math.nextafter(sure, math.inf), (sure + top) / 2.0, top):
-            assert sure < p <= top
-            assert worst_case_alpha(spec, m, p) == (1.0 - U_FLOOR, 0.0)
+        top, sure = m * mu, _reach(spec, m)
+        for p in (sure, math.nextafter(sure, math.inf), (sure + top) / 2.0,
+                  top):
+            assert sure <= p <= top
+            assert worst_case_alpha(spec, m, p) == (1.0, 0.0)
 
 
-def _floor_tail(spec, m, p):
-    """The tail at U_FLOOR, the floor _inner_infimum's caller passes it."""
-    return float(_tails(spec, m, p, U_FLOOR))
+def test_worst_case_alpha_is_0_from_the_50_digit_sure_price_up():
+    # within 64 ulps either side of the 50-digit m (mu - d/2), every price at
+    # or above it is valued at 0.0. Below d = mu, b = c + m rounds by up to
+    # about 2^-51 m (mu/d + 1): a b < 0 there once valued the float next
+    # above at 8.5e-6 at (2.887, 9.22e-8), m = 2155
+    rng = np.random.default_rng(43)
+    specs = [(1.0, 0.5, 100), (1.0, 1.5, 19), (2.3, 0.3, 300),
+             (1.0, 1e-6, 10_000), (1.0, 2.0 - 1e-11, 100),
+             (2.8867638828083697, 9.222974654037165e-08, 2155)]
+    for _ in range(40):
+        mu = math.exp(rng.uniform(-3.0, 3.0))
+        specs.append((mu, mu * math.exp(rng.uniform(math.log(1e-8),
+                                                    math.log(1.98))),
+                      int(math.exp(rng.uniform(0.0, math.log(1e6))))))
+    above = 0
+    for mu, d, m in specs:
+        spec = MeanMadSpec(mu, d)
+        with mpmath.workdps(50):
+            edge = m * (mpmath.mpf(mu) - mpmath.mpf(d) / 2)
+        p = float(edge)
+        for _ in range(64):
+            p = math.nextafter(p, 0.0)
+        for _ in range(129):
+            if mpmath.mpf(p) >= edge and p <= m * mu:
+                above += 1
+                assert worst_case_alpha(spec, m, p) == (1.0, 0.0), (mu, d, m, p)
+            p = math.nextafter(p, math.inf)
+    assert above >= 64 * len(specs)
 
 
 def test_walk_equals_the_unpruned_infimum():
@@ -312,79 +353,71 @@ def test_walk_equals_the_unpruned_infimum():
 
     def check(spec, m, p):
         want = _unpruned_infimum(spec, m, p)
-        assert solvers._inner_infimum(
-            spec, m, p, _floor_tail(spec, m, p)) == want, (spec, m, p)
+        assert solvers._inner_infimum(spec, m, p) == want, (spec, m, p)
 
     for mu, r, m in cases:
         spec = MeanMadSpec(mu, mu * r)
         n = 8 if m == 10**5 else 40
         ps = np.linspace(0.0, m * mu, int(rng.choice([257, 1024])))
         js = list(rng.integers(1, ps.size, n // 2))
-        # the cells around the guaranteed-sale price m x(U_FLOOR), where
-        # the U_FLOOR crossing index steps from 0 to 1
-        x_floor = float(solvers._two_point(spec, U_FLOOR)[0])
-        j = int(np.searchsorted(ps, m * x_floor))
+        # the cells around m (mu - d/2), where the run's start u_0 falls to 0
+        edge = _reach(spec, m)
+        j = int(np.searchsorted(ps, edge))
         js += [j, j + 1] if j < ps.size - 1 else [j]
         for j in js:
             lo, hi = float(ps[j - 1]), float(ps[j])
             probes = list(lo + (hi - lo) * rng.random(n // 4)) + [hi]
-            edge = m * x_floor
             probes += [p for p in (math.nextafter(edge, 0.0), edge,
                                    math.nextafter(edge, math.inf))
                        if lo <= p <= hi]
             for p in probes:
                 check(spec, m, p)
-    # intervals past m mu at tiny d/mu, where the U_FLOOR support points sit
-    # a fraction of the interval apart: on and next to each support point
-    for mu, r, m, f, width in ((1.0, 1e-12, 300, 1.2, 0.3),
-                               (1.0, 1e-12, 300, 1.2, 2.0),
-                               (2.3, 3e-12, 1000, 1.5, 20.0)):
+    # prices between the sure sale at u = 1e-12, m x(1e-12), up to which a
+    # floor at u = 1e-12 sold surely, and m (mu - d/2), valued at 0.0 while
+    # nature's u stopped at 1e-12: here the run starts at u_0 < 1e-12, and
+    # the guarantee is tiny but above 0
+    for mu, r, m in ((1.0, 0.5, 1000), (2.3, 0.3, 300), (1.0, 1.5, 19),
+                     (1.0, 2.0 - 1e-11, 100), (1.0, 0.1, 100)):
         spec = MeanMadSpec(mu, mu * r)
-        lo = f * m * mu
-        x, gap = solvers._two_point(spec, U_FLOOR)
-        ks = np.arange(math.ceil((lo - m * x) / gap) - 1.0,
-                       (lo + width - m * x) / gap + 1.0)
-        for s in m * x + ks * gap:
-            for p in (math.nextafter(s, 0.0), s, math.nextafter(s, math.inf)):
-                if lo <= p <= lo + width:
-                    check(spec, m, p)
-    # no breakpoint in range (p = 0), and prices above m mu at tiny d/mu
-    # where more than 32 breakpoints sit below U_FLOOR, so the run starts
-    # past k = 31
-    for mu, r, m, f in ((1.0, 0.5, 7, 0.0), (2.3, 0.1, 1000, 0.0),
-                        (1.0, 1e-12, 300, 1.2), (2.3, 3e-12, 1000, 1.5),
-                        (1.0, 1.66e-11, 1126, 1.235)):
+        edge = _reach(spec, m)
+        sure = m * float(solvers._two_point(spec, 1e-12)[0])
+        probes = np.linspace(sure, edge, 9)[1:-1].tolist()
+        for p in probes:
+            u, tail = _unpruned_infimum(spec, m, p)
+            assert 0.0 < u < 1e-12 and tail > 0.0, (mu, r, m, p)
+            check(spec, m, p)
+    # no breakpoint in range at p = 0, and nothing to walk past m mu
+    for mu, r, m in ((1.0, 0.5, 7), (2.3, 0.1, 1000)):
         spec = MeanMadSpec(mu, mu * r)
-        p = f * m * mu
-        k = _limits(spec, m, p)[0]
-        assert (k.size > 0) == (p > 0.0) and not (k < 32).any()
-        check(spec, m, p)
-    # above m mu every bound is 1 and the walk prices every in-range k; at
-    # (1, 0.5), m = 1000, p = 1.5 m, twelve limits tie at 0.0 and the
-    # smallest k must win
-    for mu, r, m, f in ((1.0, 0.5, 1000, 1.5), (2.3, 0.3, 300, 2.0)):
+        assert _limits(spec, m, 0.0)[0].size == 0
+        check(spec, m, 0.0)
+    for mu, r, m, f in ((1.0, 0.5, 1000, 1.5), (2.3, 0.3, 300, 2.0),
+                        (1.0, 1e-12, 300, 1.2)):
         spec = MeanMadSpec(mu, mu * r)
+        assert _unpruned_infimum(spec, m, f * m * mu) == (0.0, 0.0)
         check(spec, m, f * m * mu)
-    tails = _limits(MeanMadSpec(1.0, 0.5), 1000, 1500.0)[2]
-    assert np.sum(tails == tails.min()) > 1
     # tails near 1 at large m
     spec = MeanMadSpec(1.0, 0.5)
     for m, p, kind in _NEAR_ONE:
         check(spec, m, p)
 
 
-def test_walk_sends_ties_to_the_floor(monkeypatch):
-    # where the winning limit ties the U_FLOOR tail, the walk answers
-    # U_FLOOR, however many k it prices; real tails tie too rarely to probe,
-    # so the floor tail passed is set to that limit
+def test_walk_sends_ties_to_the_sure_sale(monkeypatch):
+    # ties go to the smallest u, however many k the walk prices: the sure
+    # sale at u_0, then the smallest k. Real tails tie too rarely to probe,
+    # so the survival calls are set by hand, and bounds of 1 rule no k out
     spec, m = MeanMadSpec(1.0, 0.5), 100
     p = maximin_bundling_value(spec, m).price
-    u, tail = _unpruned_infimum(spec, m, p)
-    assert u > U_FLOOR and tail < _floor_tail(spec, m, p)
-    assert solvers._inner_infimum(spec, m, p, tail) == (U_FLOOR, tail)
-    # bounds of 1 rule no k out: every in-range k is priced
+    k, u, _, (c, b) = _limits(spec, m, p)
+    assert k[0] == 0.0 and k.size > 3
     monkeypatch.setattr(solvers, "_lower_tail_bound", lambda m, k, u: 1.0)
-    assert solvers._inner_infimum(spec, m, p, tail) == (U_FLOOR, tail)
+    # every limit 1.0: each ties the sure sale
+    monkeypatch.setattr(solvers, "_binom_sf", lambda j, n, v: 1.0)
+    assert solvers._inner_infimum(spec, m, p) == (b / c, 1.0)
+    # limits of 0.5 from the run's third k up: the smallest such k wins
+    monkeypatch.setattr(solvers, "_binom_sf",
+                        lambda j, n, v: 0.5 if j >= k[2] else 1.0)
+    assert solvers._inner_infimum(spec, m, p) == (u[2], 0.5)
 
 
 def _scaled_to(target, m):
@@ -411,36 +444,31 @@ def test_walk_stops_only_strictly_below_its_thresholds(monkeypatch):
     # so the bounds are set by hand: from the low end of the run up to the
     # winner, then 0.0
     spec = MeanMadSpec(1.0, 0.5)
-    # the U_FLOOR tail 1.0 is best: the threshold is 2^-54
+    # the sure sale's 1.0 is best until the winner is priced: the threshold
+    # is 2^-54
     for m, p, kind in _NEAR_ONE:
         if kind != "one":
-            k, u, tails = _limits(spec, m, p)
+            k, u, tails, _ = _limits(spec, m, p)
             i = int(np.argmin(tails))
-            floor = _floor_tail(spec, m, p)
-            assert floor == 1.0
             for e in (_scaled_to(2.0**-54, m), 2.0**-54 * (1.0 - 4e-17 * m)):
                 _hand_bounds(monkeypatch, lambda j: e if j <= k[i] else 0.0)
-                assert solvers._inner_infimum(spec, m, p, floor) == (
-                    u[i], tails[i])
+                assert solvers._inner_infimum(spec, m, p) == (u[i], tails[i])
     # a breakpoint is best, the runner-up priced first: the threshold is
     # (1 - its tail) - 2^-52. Bounds of 1.0 from the runner-up's end of
     # the run to it, then the bound on the threshold up to the best, then
     # 0.0: every k between them, a loser, is priced on the threshold
     for m in (16, 100, 1000):
         p = maximin_bundling_value(spec, m).price
-        k, u, tails = _limits(spec, m, p)
+        k, u, tails, _ = _limits(spec, m, p)
         i, j = np.argsort(tails, kind="stable")[:2]
         assert tails[i] < tails[j] < 1.0 - 2.0**-52, m
         cut = (1.0 - tails[j]) - 2.0**-52
-        floor = _floor_tail(spec, m, p)
-        assert floor == 1.0
         side = 1.0 if k[j] < k[i] else -1.0
         for e in (_scaled_to(cut, m), cut * (1.0 - 4e-17 * m)):
             _hand_bounds(monkeypatch, lambda h: (
                 1.0 if side * (h - k[j]) <= 0.0
                 else e if side * (h - k[i]) <= 0.0 else 0.0))
-            assert solvers._inner_infimum(spec, m, p, floor) == (
-                u[i], tails[i])
+            assert solvers._inner_infimum(spec, m, p) == (u[i], tails[i])
 
 
 def test_lower_tail_bound_holds_and_peaks_at_a_runs_ends():
@@ -461,7 +489,7 @@ def test_lower_tail_bound_holds_and_peaks_at_a_runs_ends():
         p = m * mu - delta * m * spec.d / 2.0
         if p < 0.0:
             continue
-        k, u, _ = _limits(spec, m, p)
+        k, u, *_ = _limits(spec, m, p)
         if k.size == 0:
             continue
         runs += 1
@@ -516,50 +544,51 @@ def test_crossing_index_never_falls_as_the_price_rises():
             assert np.all(np.diff(k) >= 0.0), (mu, r, m, u)
 
 
-def test_maximin_floor_tail_is_a_step_bit_for_bit(monkeypatch):
-    # maximin takes nature's U_FLOOR answer as 1.0 up to the sure-sale
-    # price m x, the bits _tails gives there, and values a sale above it at
-    # 0.0, at every price maximin evaluates or caps, down to d/mu = 1e-14,
-    # and on and next to m x
-    seen, inner, caps = [], solvers._inner_infimum, solvers._guarantee_caps
+def test_maximin_prices_over_the_whole_family_bit_for_bit(monkeypatch):
+    # every price maximin evaluates gets the infimum over the whole family,
+    # u in (0, 1 - alpha_min), bit for bit, and every price it caps from m
+    # (mu - d/2) up a cap of 0.0, down to d/mu = 1e-14; next to d = 2 mu a
+    # floor at u = 1e-12 once made such specs exit 2
+    seen, capped = [], []
+    inner, caps = solvers._inner_infimum, solvers._guarantee_caps
 
-    def record_inner(spec, m, p, floor_tail):
-        seen.append((p, floor_tail))
-        return inner(spec, m, p, floor_tail)
+    def record_inner(spec, m, p):
+        seen.append((p, inner(spec, m, p)))
+        return seen[-1][1]
 
-    def record_caps(spec, m, ps, floor_tails):
-        seen.extend(zip(ps.tolist(), floor_tails.tolist()))
-        return caps(spec, m, ps, floor_tails)
+    def record_caps(spec, m, ps):
+        out = caps(spec, m, ps)
+        capped.extend(zip(ps.tolist(), out.tolist()))
+        return out
 
     monkeypatch.setattr(solvers, "_inner_infimum", record_inner)
     monkeypatch.setattr(solvers, "_guarantee_caps", record_caps)
     rng = np.random.default_rng(31)
-    specs = [(1.0, 0.5, 100), (1.0, 1e-14, 1000), (1.0, 1e-4, 10_000)]
+    specs = [(1.0, 0.5, 100), (1.0, 1e-14, 1000), (1.0, 1e-4, 10_000),
+             (1.0, 2.0 - 3e-12, 19)]
     specs += [(math.exp(rng.uniform(-3.0, 3.0)),
                math.exp(rng.uniform(math.log(1e-14), math.log(1.98))),
-               int(round(math.exp(rng.uniform(0.0, math.log(3e4))))))
+               int(round(math.exp(rng.uniform(0.0, math.log(3e3))))))
               for _ in range(60)]
     branches = set()
     for mu, r, m in specs:
         spec = MeanMadSpec(mu, mu * r)
         seen.clear()
+        capped.clear()
         maximin_bundling_value(spec, m)
-        sure = solvers._floor_step(spec, m)
-        assert sure == _sure(spec, m)
-        seen += [(p, 1.0 if p <= sure else 0.0) for p in (
-            math.nextafter(sure, 0.0), sure, math.nextafter(sure, math.inf))]
-        ps, got = (np.array(v) for v in zip(*seen))
-        assert np.array_equal(got, np.where(
-            ps <= sure, _tails(spec, m, ps, U_FLOOR), 0.0)), (mu, r, m)
-        assert np.all(_tails(spec, m, ps, U_FLOOR)[ps <= sure] == 1.0)
-        branches.update((ps[:-3] > sure).tolist())
+        for p, got in seen:
+            assert got == _unpruned_infimum(spec, m, p), (mu, r, m, p)
+        reach = _reach(spec, m)
+        for p, cap in capped:
+            assert p < reach or cap == 0.0, (mu, r, m, p)
+            branches.add(p >= reach)
     assert branches == {False, True}
 
 
 def test_maximin_rejects_an_m_whose_one_high_misses_m_mu(monkeypatch):
     # past about m = 1e12 one high at U_FLOOR no longer reaches m mu in
-    # floats, so nature's U_FLOOR tail is no longer a step from 1.0; the
-    # check comes before L(m), whose window here holds 4.9e7 masses
+    # floats, and both orders of play accept one m range (_check_scale); the
+    # check comes before L(m)
     def unreachable(*args):
         raise AssertionError("L(m) priced before m was checked")
 
@@ -630,8 +659,8 @@ def test_grid_pruning_keeps_the_argmax(monkeypatch):
                      (1.0, 0.1, 16), (1.0, 0.05, 100)):
         spec = MeanMadSpec(mu, d)
         ps = np.linspace(0.0, m * mu, 257)
-        full = np.array([p * solvers._inner_infimum(
-            spec, m, p, float(p <= _sure(spec, m)))[1] / m for p in ps])
+        full = np.array([p * solvers._inner_infimum(spec, m, p)[1] / m
+                         for p in ps])
         neg_got, neg_full, rep, rep_full = _pruned_and_full(
             monkeypatch, lambda: maximin_bundling_value(spec, m, 257))
         # the search sees the negated grid; negation is exact
@@ -665,8 +694,7 @@ def test_guarantee_caps_never_undercut_the_guarantee(mu):
         spec = MeanMadSpec(mu, mu * r)
         for m in (1, 2, 5, 16, 17, 100, 1000):
             ps = np.linspace(0.0, m * mu, 129)
-            caps = ps * solvers._guarantee_caps(
-                spec, m, ps, _tails(spec, m, ps, U_FLOOR)) / m
+            caps = ps * solvers._guarantee_caps(spec, m, ps) / m
             exact = [worst_case_alpha(spec, m, p)[1] for p in ps]
             assert np.all(caps >= exact), (r, m)
             # and the trivial cap: a tail is <= 1
@@ -697,9 +725,8 @@ def test_guarantee_caps_are_exact():
                       rng.uniform(math.log(1e-9), math.log(0.5)))))]
     cases += [(spec, m, m * spec.mu) for spec, m in _cap_cases(rng, 300, 3e4)]
     for spec, m, p in cases:
-        floor = _floor_tail(spec, m, p)
-        tail = solvers._inner_infimum(spec, m, p, floor)[1]
-        cap = solvers._guarantee_caps(spec, m, np.array([p]), np.array([floor]))
+        tail = solvers._inner_infimum(spec, m, p)[1]
+        cap = solvers._guarantee_caps(spec, m, np.array([p]))
         assert cap[0] == tail, (spec, m, p)
 
 
@@ -786,8 +813,8 @@ def test_maximin_caps_cell_starts_and_refined_rows_only(monkeypatch):
     # search refines: at most 64 + 48 prices here, where capping every price
     # above m L(m) priced 272 to 539
     sizes, caps = [], solvers._guarantee_caps
-    monkeypatch.setattr(solvers, "_guarantee_caps", lambda spec, m, ps, t: (
-        sizes.append(ps.size) or caps(spec, m, ps, t)))
+    monkeypatch.setattr(solvers, "_guarantee_caps", lambda spec, m, ps: (
+        sizes.append(ps.size) or caps(spec, m, ps)))
     for d in (0.5, 0.8):
         for m in (100, 1000, 10_000):
             sizes.clear()

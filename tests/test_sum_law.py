@@ -361,10 +361,11 @@ def test_binomial_kernel_matches_scipy_bit_for_bit():
         _same(pmf, scipy_binom.pmf(np.arange(ni + 1.0), ni, pi))
         assert beyond == 0.0
     # the sampler's quantile: uniforms on the 2^-53 lattice in [0, 1), its
-    # edges included, each the smallest k with P(Bin(n, q) <= k) >= u,
-    # clipped into [0, n]
+    # low edges included, up to 1 - 2^-42, past which Boost's quantile is
+    # replaced (test_binom_inverse_is_exact_next_to_1), each the smallest k
+    # with P(Bin(n, q) <= k) >= u, clipped into [0, n]
     u = rng.random(size)
-    u[200:300], u[300:400], u[400:500] = 0.0, 2.0 ** -53, 1.0 - 2.0 ** -53
+    u[200:300], u[300:400], u[400:500] = 0.0, 2.0 ** -53, 1.0 - 2.0 ** -42
     for q in (*rng.random(8), 0.5):
         q = float(q)
         want = np.clip(scipy_binom.ppf(u, n, q), 0.0, n)
@@ -445,6 +446,29 @@ def test_binom_inverse_is_the_exact_smallest_quantile():
         for ui, k in zip(u, ks.astype(int)):
             uf = Fraction(float(ui))
             assert cdf[k] >= uf and (k == 0 or cdf[k - 1] < uf)
+
+
+def test_binom_inverse_is_exact_next_to_1():
+    # past u = 1 - 2^-42 Boost's quantile can be wrong: at n = 138, q =
+    # 1e-12, u = 1 - 2^-53 it gave 2, not 1, with a RuntimeWarning, and
+    # with no warning 967, not 968, at n = 1000, q = 0.9. Oracle: the exact
+    # rational CDF at the float values of q and u, at u = 1 - 2^-e for e =
+    # 42..53 and at seeded u in the band
+    rng = np.random.default_rng(43)
+    band = [1.0 - 2.0 ** -e for e in range(42, 54)]
+    band += (1.0 - rng.integers(1, 2 ** 11, 8) * 2.0 ** -53).tolist()
+    u = np.array(band)
+    for n, q in ((138, 1e-12), (413, 1e-15), (138, 1e-9), (10, 1e-6),
+                 (100, 0.3), (1000, 0.9), (60, 0.5)):
+        qf = Fraction(q)
+        cdf = np.cumsum([Fraction(math.comb(n, k)) * qf ** k * (1 - qf) ** (n - k)
+                         for k in range(n + 1)])
+        ks = _binom_inverse(u, np.full(u.size, float(n)), q)
+        for ui, k in zip(u, ks.astype(int)):
+            uf = Fraction(float(ui))
+            assert cdf[k] >= uf and (k == 0 or cdf[k - 1] < uf), (n, q, ui)
+    assert _binom_inverse(np.array([1.0 - 2.0 ** -53]), np.array([138.0]),
+                          1e-12).tolist() == [1.0]
 
 
 def test_binom_inverse_edges():
